@@ -61,8 +61,28 @@ class _InputError(Exception):
     """Anything wrong with the user-supplied files or text."""
 
 
+def _json_ready(obj):
+    """obj with every int too long for a decimal conversion (Python's
+    int_max_str_digits limit, 4300 digits by default) replaced by its
+    "0x..." hexadecimal string; every other value is left as it is."""
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        try:
+            str(obj)
+        except ValueError:
+            return hex(obj)
+    return obj
+
+
+def _dumps(obj, **kw):
+    return json.dumps(_json_ready(obj), sort_keys=True, **kw)
+
+
 def _emit(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_dumps(obj, indent=2))
 
 
 def _fail(message: str, code: int) -> int:
@@ -76,7 +96,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise _InputError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an int literal past the decimal-conversion limit
         raise _InputError("%s is not valid JSON: %s" % (path, e))
 
 
@@ -320,15 +341,11 @@ def cmd_hitting_set(args) -> int:
         "size_bound": hs.size_bound,
         "provenance": hs.provenance,
     }
-    print(json.dumps(header, sort_keys=True))
+    print(_dumps(header))
     for i, pt in enumerate(hs.points()):
         if i >= args.max_points:
             break
-        print(
-            json.dumps(
-                {"point": [field.scalar_to_json(v) for v in pt]}, sort_keys=True
-            )
-        )
+        print(_dumps({"point": [field.scalar_to_json(v) for v in pt]}))
     return EXIT_ZERO
 
 
@@ -409,6 +426,9 @@ def _verify_faithful(report, against):
     field, nvars, fs = _load_family(against)
     result = report["result"]
     mp = map_from_json_dict(result["map"])
+    if mp.n != nvars or mp.field != field:
+        return False, "the map's ring (n=%d, %r) is not the family's (n=%d, %r)" % (
+            mp.n, mp.field, nvars, field)
     in_cert = TrdegCertificate.from_json_dict(result["input_certificate"])
     img_cert = TrdegCertificate.from_json_dict(result["image_certificate"])
     if in_cert.r != img_cert.r:
@@ -448,7 +468,7 @@ def _verify_pit(report, against):
         ok = field.is_zero(field.normalize(value)) == (stored["outcome"] == "zero")
         return ok, "constant composition re-evaluated"
     verdict = hittingmod.pit(circ.oracle(), hs, max_points=cfg["max_points"])
-    if verdict.to_json_dict(field) != stored:
+    if _json_ready(verdict.to_json_dict(field)) != stored:
         return False, "re-run verdict differs"
     return True, "enumeration re-run to the same verdict"
 

@@ -214,29 +214,67 @@ def verify_simple_preservation(
 ) -> bool:
     """Does mapping commute with taking simple parts on this circuit?
 
-    Compares the image of simple_part(C) with simple_part of the image
-    circuit, as polynomials up to monic normalization.  The map must satisfy
-    D1 >= 2*delta^2 + 1 and D1 >= D2 >= delta + 1, the regime in which
-    preservation can hold at all for degree-delta factors.
+    True exactly when the image of simple_part(C) equals simple_part of the
+    image circuit up to a unit, with no factor of C mapped to zero.  The
+    map must satisfy D1 >= 2*delta^2 + 1 and D1 >= D2 >= delta + 1, the
+    regime in which preservation can hold at all for degree-delta factors.
+
+    Criterion: no factor of C maps to zero, and h = gcd_i psi(sim_i) is
+    constant or sum_i psi(sim_i) = 0, where sim_i are the rows of
+    simple_part(C).  Proof: row i of C is g * sim_i and psi is a ring
+    homomorphism, so the rows of psi(C) are psi(g) * psi(sim_i) and
+    simple_part(psi(C)) = psi(sim) / h up to a unit.  That equals psi(sim)
+    up to a unit iff h is constant or both sides are zero.  Neither
+    simple part of the image is computed; see _preserves_simple_part.
     """
     delta = C.delta
     if mp.D1 < 2 * delta * delta + 1 or mp.D2 < delta + 1 or mp.D1 < mp.D2:
         raise ValueError("map parameters below the preservation thresholds")
     if mp.n != C.nvars or mp.field != C.field:
         raise ValueError("map does not match the circuit ring")
+    return _preserves_simple_part(C, simple_part(C), _memo_apply(mp), budget)
 
-    def image_circuit(circ):
-        rows = [[mp.apply(f) for f in row] for row in circ.rows]
-        return Depth4Circuit(mp.field, mp.nvars_out, delta, rows)
 
-    sim = simple_part(C)
-    try:
-        lhs = image_circuit(sim).expand(budget)
-        rhs = simple_part(image_circuit(C)).expand(budget)
-    except ValueError:
-        # the map killed a factor; preservation is certainly broken
+def _memo_apply(mp):
+    """mp.apply, computed once per distinct polynomial."""
+    images = {}
+
+    def image(f):
+        img = images.get(f)
+        if img is None:
+            img = images[f] = mp.apply(f)
+        return img
+
+    return image
+
+
+def _preserves_simple_part(C, sim, image, budget):
+    """The criterion of verify_simple_preservation, for sim = simple_part(C)
+    and image = psi applied to one polynomial.
+
+    h = gcd_i psi(sim_i) is nonconstant iff some irreducible divides a
+    factor image in every row.  So the test carries the nonconstant gcds of
+    one factor image per row, row by row, never a gcd of expanded row
+    products; h is constant iff that set runs empty.  Only a nonconstant h
+    leaves the mapped sum to expand, and preservation then needs it zero.
+    """
+    if any(image(f).is_zero for row in C.rows for f in row):
         return False
-    return normalize_monic(lhs) == normalize_monic(rhs)
+    common = {img for img in map(image, sim.rows[0]) if not img.is_constant}
+    for row in sim.rows[1:]:
+        imgs = [img for img in map(image, row) if not img.is_constant]
+        shared = set()
+        for u in common:
+            for v in imgs:
+                g = gcd_poly(u, v)
+                if not g.is_constant:
+                    shared.add(g)
+        common = shared
+    if not common:
+        return True
+    rows = [[image(f) for f in row] for row in sim.rows]
+    lead = rows[0][0]
+    return Depth4Circuit(lead.field, lead.nvars, sim.delta, rows).expand(budget).is_zero
 
 
 def lift_identity(C: Depth4Circuit, delta_target: int) -> Depth4Circuit:
@@ -332,7 +370,7 @@ def search_depth4_map(
                     "rank of a subcircuit's simple part is not decidable "
                     "within budget"
                 )
-            subsets.append((I, sub, facs, rho.r))
+            subsets.append((I, sub, sim, facs, rho.r))
 
     tried = 0
     for p in iter_primes():
@@ -358,14 +396,27 @@ def search_depth4_map(
 
 
 def _certify_depth4(mp, subsets, r, seed, expand_budget):
+    """Per-subset evidence that the map psi = mp respects the circuit, or
+    None.
+
+    Each entry of subsets is (I, C_I, sim = simple_part(C_I), the distinct
+    factors of sim, the rank of sim).  Every distinct factor is mapped once
+    per candidate, and all legs share the image.  A rank leg holds when the
+    images of sim's factors keep rank min(rank, r).  A preservation leg
+    holds when no factor of C_I maps to zero and h = gcd_i psi(sim_i) is
+    constant or sum_i psi(sim_i) = 0.  Proof: the rows of psi(C_I) are
+    psi(g) * psi(sim_i), so simple_part(psi(C_I)) = psi(sim) / h up to a
+    unit, which is psi(sim) up to a unit iff h is constant or both are zero.
+    """
+    image = _memo_apply(mp)
     # rank legs first: evaluated rank never exceeds the function-field rank,
     # which never exceeds trdeg, so meeting the target at one point already
     # proves the lower bound, and degenerate (p, c) candidates die on cheap
-    # point evaluations before the gcd-heavy preservation pass below
+    # point evaluations before the gcd-based preservation pass below
     ch = mp.field.characteristic
     bounds = []
-    for I, sub, facs, rho in subsets:
-        imgs = [mp.apply(f) for f in facs]
+    for I, sub, sim, facs, rho in subsets:
+        imgs = [image(f) for f in facs]
         target = min(rho, r)
         bound = jacobian_rank(imgs, method="randomized", seed=seed, trials=4)
         if bound < target:
@@ -380,11 +431,8 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget):
                 return None
         bounds.append(bound)
     evidence = []
-    for (I, sub, facs, rho), bound in zip(subsets, bounds):
-        try:
-            if not verify_simple_preservation(sub, mp, expand_budget):
-                return None
-        except ValueError:
+    for (I, sub, sim, facs, rho), bound in zip(subsets, bounds):
+        if not _preserves_simple_part(sub, sim, image, expand_budget):
             return None
         evidence.append(
             {

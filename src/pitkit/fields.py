@@ -29,7 +29,11 @@ class FieldSpec:
         if kind == "prime":
             if not isinstance(p, int) or p < 2:
                 raise FieldError("prime field needs an integer modulus >= 2")
-            if not is_prime(p):
+            try:
+                prime = is_prime(p)
+            except ValueError as e:
+                raise FieldError("cannot decide whether the modulus is prime: %s" % e)
+            if not prime:
                 raise FieldError("%d is not prime" % p)
         elif kind == "rational":
             if p is not None:

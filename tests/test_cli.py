@@ -9,6 +9,7 @@ from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.cli import main
 from pitkit.fields import FieldSpec
 from pitkit.polynomials import SparsePoly, poly_from_text
+from pitkit.varmaps import schedule
 
 from _gen import RATIONAL, cancelling_depth4
 
@@ -186,6 +187,25 @@ def test_verify_accepts_own_reports(tmp_path, capsys):
         assert verdict["verified"] is True, (argv, verdict)
 
 
+def test_verify_rejects_faithful_map_of_another_ring(tmp_path, capsys):
+    three = dump(tmp_path, "three.json",
+                 {"field": {"kind": "rational"}, "nvars": 3, "polys": ["x1*x2", "x2 + x3"]})
+    code, out, _ = run(capsys, ["faithful", three, "--kind", "psi"])
+    assert code == 0
+    report = dump(tmp_path, "report.json", out)
+    others = [
+        {"field": {"kind": "rational"}, "nvars": 2, "polys": ["x1*x2", "x2"]},
+        {"field": {"kind": "prime", "p": 101}, "nvars": 3, "polys": ["x1*x2", "x2 + x3"]},
+    ]
+    for i, family in enumerate(others):
+        other = dump(tmp_path, "other%d.json" % i, family)
+        code, out, err = run(capsys, ["verify", report, "--against", other])
+        assert code == 4, err
+        verdict = json.loads(out)
+        assert verdict["verified"] is False
+        assert "not the family's" in verdict["detail"]
+
+
 def test_verify_rejects_tampered_reports(tmp_path, capsys):
     tight = dump(tmp_path, "tight.json", TIGHT_FAMILY)
     code, out, _ = run(capsys, ["trdeg", tight])
@@ -227,6 +247,38 @@ def test_hitting_set_stream(capsys):
     assert out == out2
 
 
+def test_hitting_set_writes_oversized_ints_in_hex(capsys):
+    # the depth-4 schedule for delta = 40 has ints of tens of thousands of
+    # digits, past Python's default decimal-conversion limit
+    code, out, _ = run(capsys, [
+        "hitting-set", "--kind", "depth4", "--n", "3", "--delta", "40",
+        "--k", "3", "--s", "3", "--max-points", "2",
+    ])
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 3
+    header = json.loads(lines[0])
+    sched = schedule("depth4", n=3, delta=40, k=3, s=3)
+    assert header["size_bound"].startswith("0x")
+    assert header["provenance"]["schedule"]["p_max"] == hex(sched.p_max)
+    # ints that fit stay plain JSON numbers
+    assert header["provenance"]["schedule"]["D2"] == 41
+    assert header["arity"] == 3
+
+
+def test_pit_report_with_oversized_ints_verifies(tmp_path, capsys):
+    zero = {"kind": "depth4", "field": {"kind": "rational"}, "nvars": 1,
+            "delta": 40, "rows": [["x1"], ["-x1"]]}
+    path = dump(tmp_path, "zero.json", zero)
+    code, out, _ = run(capsys, ["pit", path, "--mode", "exact", "--max-points", "1"])
+    assert code == 2
+    assert json.loads(out)["verdict"]["provenance"]["schedule"]["p_max"].startswith("0x")
+    report = dump(tmp_path, "report.json", out)
+    code, out, _ = run(capsys, ["verify", report, "--against", path])
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
 def test_hitting_set_over_prime_field(capsys):
     code, out, _ = run(capsys, [
         "hitting-set", "--kind", "depth4", "--n", "2", "--delta", "1",
@@ -255,6 +307,19 @@ def test_malformed_inputs_exit_three(tmp_path, capsys):
         "hitting-set", "--kind", "sparse-char0", "--n", "1", "--d", "2",
         "--r", "1", "--delta", "1",
     ])[0] == 3
+    # 2^89 - 1 is prime, but past the deterministic primality range
+    huge = str(2 ** 89 - 1)
+    assert run(capsys, [
+        "hitting-set", "--kind", "any-char", "--n", "1", "--d", "2",
+        "--r", "1", "--delta", "1", "--field", huge,
+    ])[0] == 3
+    hugefam = dump(tmp_path, "huge.json",
+                   {"field": {"kind": "prime", "p": 2 ** 89 - 1}, "nvars": 1, "polys": ["x1"]})
+    assert run(capsys, ["trdeg", hugefam])[0] == 3
+    # an int literal past Python's 4300-digit conversion limit
+    longfam = dump(tmp_path, "long.json", '{"field": {"kind": "prime", "p": 1%s1}, '
+                   '"nvars": 1, "polys": ["x1"]}' % ("0" * 4999))
+    assert run(capsys, ["trdeg", longfam])[0] == 3
 
 
 def test_resource_errors_exit_four(tmp_path, capsys):

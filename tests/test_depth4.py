@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from pitkit.circuits import Depth4Circuit
+from pitkit.circuits import DEFAULT_EXPAND_BUDGET, Depth4Circuit
 from pitkit.depth4 import (
     coprime_basis,
     gcd_part,
@@ -16,9 +17,17 @@ from pitkit.depth4 import (
 )
 from pitkit.linalg import rank as matrix_rank
 from pitkit.polynomials import SparsePoly, gcd_poly, normalize_monic, poly_from_text, poly_to_text
-from pitkit.varmaps import VandermondeMap
+from pitkit.primes import iter_primes
+from pitkit.varmaps import VandermondeMap, _c_candidates, schedule
 
-from _gen import BIG_FIELD, RATIONAL, depth3_identity, gcd_depth4, rand_depth4
+from _gen import (
+    BIG_FIELD,
+    RATIONAL,
+    cancelling_depth4,
+    depth3_identity,
+    gcd_depth4,
+    rand_depth4,
+)
 
 Q = RATIONAL
 
@@ -184,6 +193,78 @@ def test_simple_preservation_threshold():
     low = VandermondeMap(Q, 2, 1, D1=2, D2=2, p=5, c=Q.from_int(2))
     with pytest.raises(ValueError, match="below the preservation thresholds"):
         verify_simple_preservation(C, low)
+
+
+def _old_verify_simple_preservation(C, mp, budget=DEFAULT_EXPAND_BUDGET):
+    """The earlier definition, kept as an oracle: expand the image of the
+    simple part and the simple part of the image, compare up to a unit."""
+
+    def image_circuit(circ):
+        rows = [[mp.apply(f) for f in row] for row in circ.rows]
+        return Depth4Circuit(mp.field, mp.nvars_out, C.delta, rows)
+
+    sim = simple_part(C)
+    try:
+        lhs = image_circuit(sim).expand(budget)
+        rhs = simple_part(image_circuit(C)).expand(budget)
+    except ValueError:
+        # the map killed a factor
+        return False
+    return normalize_monic(lhs) == normalize_monic(rhs)
+
+
+def _first_candidates(C, R=None):
+    """Every map search_depth4_map tries at the first three primes."""
+    n, delta = C.nvars, C.delta
+    r = schedule("depth4", n=n, delta=delta, k=C.k, s=C.s, r=R).r
+    D2 = delta + 1
+    D1 = max(2 * delta * delta + 1, delta * r + 1, (n + 1) ** (r + 1), D2)
+    for p in itertools.islice(iter_primes(), 3):
+        for c in _c_candidates(C.field, max(8, 2 * delta * C.k * C.s * r) + p):
+            yield VandermondeMap(C.field, n, r, D1, D2, p, c)
+
+
+def _mapped_rows(C, mp):
+    return [[mp.apply(f) for f in row] for row in C.rows]
+
+
+@pytest.mark.parametrize("field", [Q, BIG_FIELD], ids=["Q", "F_2^61-1"])
+def test_preservation_agrees_with_old_definition(field):
+    # c = 1 sends every x_i to the same affine form, so x1 - x2 maps to 0
+    killable = [["x1 - x2", "x1 + x3"], ["x2", "x3"]]
+    cases = [
+        (rand_depth4(0, field=field, k=2, s=2, n=3, delta=2), None),
+        (gcd_depth4(0, field=field), None),
+        (gcd_depth4(5, field=field, k=3), 1),
+        (cancelling_depth4(0, field=field), None),
+        (depth3_identity(field), 1),
+        (Depth4Circuit(field, 3, 1, [[poly_from_text(t, field, 3) for t in row]
+                                     for row in killable]), None),
+    ]
+    pairs = killed = vanished = 0
+    for C, R in cases:
+        maps = list(_first_candidates(C, R))
+        for size in range(1, C.k + 1):
+            for I in itertools.combinations(range(C.k), size):
+                sub = C.subcircuit(I)
+                sim = simple_part(sub)
+                for mp in maps:
+                    new = verify_simple_preservation(sub, mp)
+                    assert new == _old_verify_simple_preservation(sub, mp), (I, mp, mp.c)
+                    pairs += 1
+                    if any(f.is_zero for row in _mapped_rows(sub, mp) for f in row):
+                        killed += 1
+                        continue
+                    mapped = Depth4Circuit(field, mp.nvars_out, C.delta, _mapped_rows(sim, mp))
+                    if mapped.expand().is_zero:
+                        h = mapped.term(0)
+                        for i in range(1, mapped.k):
+                            h = gcd_poly(h, mapped.term(i))
+                        # only the vanishing sum makes these preserved
+                        vanished += not h.is_constant
+    assert pairs > 1000
+    assert killed > 0
+    assert vanished > 0
 
 
 def test_lift_preserves_simple_minimal_identity():

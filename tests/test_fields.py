@@ -43,6 +43,12 @@ def test_nonprime_modulus_rejected():
         FieldSpec("weird")
 
 
+def test_modulus_past_primality_range_is_a_field_error():
+    # 2^89 - 1 is a Mersenne prime beyond the deterministic witness set
+    with pytest.raises(FieldError, match="cannot decide"):
+        FieldSpec("prime", 2 ** 89 - 1)
+
+
 def test_helpers_and_equality():
     assert prime_field(11) == FieldSpec("prime", 11)
     assert rational_field() == FieldSpec("rational")
