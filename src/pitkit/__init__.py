@@ -9,7 +9,7 @@ reductions; hitting turns all of that into deterministic point sets and a
 PIT driver; cli exposes the lot as the `pitkit` command.
 """
 
-from .fields import DEFAULT_PRIME, FieldError, FieldSpec, Scalar, prime_field, rational_field
+from .fields import DEFAULT_PRIME, FieldError, FieldSpec, prime_field, rational_field
 from .polynomials import (
     BudgetExceeded,
     ExactDivisionError,
@@ -72,6 +72,7 @@ from .hitting import (
     hitting_set_depth4,
     hitting_set_sparse_inputs,
     pit,
+    pit_circuit,
     sz_grid,
 )
 from .primes import is_prime, iter_primes, primes_in
@@ -80,7 +81,6 @@ __all__ = [
     "DEFAULT_PRIME",
     "FieldError",
     "FieldSpec",
-    "Scalar",
     "prime_field",
     "rational_field",
     "BudgetExceeded",
@@ -134,6 +134,7 @@ __all__ = [
     "hitting_set_depth4",
     "hitting_set_sparse_inputs",
     "pit",
+    "pit_circuit",
     "sz_grid",
     "is_prime",
     "iter_primes",

@@ -29,7 +29,7 @@ from .circuits import (
     Depth4Circuit,
     circuit_from_json_dict,
 )
-from .fields import DEFAULT_PRIME, FieldError, FieldSpec
+from .fields import FieldError, FieldSpec
 from .independence import (
     DEFAULT_COLUMN_BUDGET,
     TrdegCertificate,
@@ -148,71 +148,14 @@ def _config(args, keys):
 # -- pit -----------------------------------------------------------------------
 
 
-def _build_hitting_set(circ, args):
-    field = circ.field
-    n = circ.nvars
-    if isinstance(circ, Depth4Circuit):
-        return hittingmod.hitting_set_depth4(
-            field,
-            n,
-            circ.delta,
-            circ.k,
-            circ.s,
-            R=args.R,
-            mode=args.mode,
-            circuit=circ if args.mode == "adaptive" else None,
-            seed=args.seed,
-            conjecture_R=args.conjecture_R,
-        )
-    if isinstance(circ, ComposedCircuit):
-        inputs = list(circ.inputs)
-        cert = trdeg(inputs, mode="auto", seed=args.seed)
-        r0 = cert.r
-        if r0 == 0:
-            return None  # constant composition; decided by one evaluation
-        delta = max(1, max((f.degree() or 0) for f in inputs))
-        ell = max(1, max(f.num_terms() for f in inputs))
-        d = max(1, circ.degree_bound())
-        ch = field.characteristic
-        if ch == 0 or ch > delta ** r0:
-            return hittingmod.hitting_set_sparse_inputs(
-                field, n, d, r0, delta, ell,
-                mode=args.mode,
-                polys=inputs if args.mode == "adaptive" else None,
-                seed=args.seed,
-            )
-        return hittingmod.hitting_set_arbitrary_char(
-            field, n, d, r0, delta,
-            mode=args.mode,
-            polys=inputs if args.mode == "adaptive" else None,
-            seed=args.seed,
-        )
-    # plain dag: evaluation grid sized to the syntactic degree
-    d = max(1, circ.syntactic_degree())
-    values = field.sample_elements(d + 1)
-    # small fields cannot host d+1 points; drop the degree claim there
-    return hittingmod.sz_grid(field, values, n, d=d if len(values) > d else None)
+# the options of `pit`, which are the keyword arguments of hitting.pit_circuit
+_PIT_CONFIG = ("mode", "seed", "max_points", "R", "conjecture_R")
 
 
 def cmd_pit(args) -> int:
     circ = _load_circuit(args.circuit)
-    config = _config(args, ["mode", "seed", "max_points", "R", "conjecture_R"])
-    hs = _build_hitting_set(circ, args)
-    if hs is None:
-        # composition of constants: one evaluation decides it outright
-        point = tuple(circ.field.zero() for _ in range(circ.nvars))
-        value = circ.field.normalize(circ.evaluate(point))
-        nonzero = not circ.field.is_zero(value)
-        verdict = hittingmod.PitVerdict(
-            "nonzero" if nonzero else "zero",
-            point if nonzero else None,
-            value if nonzero else None,
-            1,
-            "certified",
-            {"construction": "constant-composition"},
-        )
-    else:
-        verdict = hittingmod.pit(circ.oracle(), hs, max_points=args.max_points)
+    config = _config(args, _PIT_CONFIG)
+    verdict = hittingmod.pit_circuit(circ, **config)
     _emit(
         {
             "command": "pit",
@@ -435,8 +378,9 @@ def _verify_faithful(report, against):
         return False, "certificates disagree on r"
     if not verify_trdeg_certificate(fs, in_cert):
         return False, "input certificate failed"
+    # images under a ring homomorphism cannot gain trdeg
     imgs = [mp.apply(f) for f in fs]
-    if not verify_trdeg_certificate(imgs, img_cert):
+    if not verify_trdeg_certificate(imgs, img_cert, upper_bound=in_cert.r):
         return False, "image certificate failed"
     return True, "both certificates re-checked; the map preserves trdeg %d" % in_cert.r
 
@@ -454,21 +398,14 @@ def _verify_pit(report, against):
             return False, "witness value does not match"
         return True, "witness re-evaluated"
     # zero / inconclusive: re-run the identical enumeration and compare
-    cfg = report["config"]
-    ns = argparse.Namespace(
-        mode=cfg["mode"],
-        seed=cfg["seed"],
-        max_points=cfg["max_points"],
-        R=cfg["R"],
-        conjecture_R=cfg["conjecture_R"],
-    )
-    hs = _build_hitting_set(circ, ns)
-    if hs is None:
-        value = circ.evaluate(tuple(field.zero() for _ in range(circ.nvars)))
-        ok = field.is_zero(field.normalize(value)) == (stored["outcome"] == "zero")
+    config = report["config"]
+    if not isinstance(config, dict) or sorted(config) != sorted(_PIT_CONFIG):
+        raise _InputError("a pit report's config holds exactly %s" % ", ".join(_PIT_CONFIG))
+    verdict = hittingmod.pit_circuit(circ, **config)
+    ok = _json_ready(verdict.to_json_dict(field)) == stored
+    if verdict.provenance == {"construction": "constant-composition"}:
         return ok, "constant composition re-evaluated"
-    verdict = hittingmod.pit(circ.oracle(), hs, max_points=cfg["max_points"])
-    if _json_ready(verdict.to_json_dict(field)) != stored:
+    if not ok:
         return False, "re-run verdict differs"
     return True, "enumeration re-run to the same verdict"
 

@@ -22,8 +22,7 @@ from .polynomials import (
     gcd_poly,
     normalize_monic,
 )
-from .primes import iter_primes
-from .varmaps import SearchExhausted, VandermondeMap, _c_candidates, schedule
+from .varmaps import SearchExhausted, VandermondeMap, pc_candidates, schedule
 
 
 class CoprimeBasis:
@@ -186,11 +185,7 @@ def is_minimal(
             else:
                 from . import hitting  # deferred, hitting imports this module
 
-                hs = hitting.hitting_set_depth4(
-                    C.field, C.nvars, C.delta, sub.k, sub.s, R=R,
-                    mode="adaptive", circuit=sub,
-                )
-                verdict = hitting.pit(sub.oracle(), hs, max_points=max_points)
+                verdict = hitting.pit_circuit(sub, R=R, max_points=max_points)
                 if verdict.outcome == "inconclusive":
                     raise BudgetExceeded(
                         "hitting-set minimality check cut off by max_points"
@@ -372,23 +367,20 @@ def search_depth4_map(
                 )
             subsets.append((I, sub, sim, facs, rho.r))
 
+    if mode == "exact":
+        c_max, c_per_p = sched.h1_size, 0
+    else:
+        # keep the per-prime sample small: when a prime's residue pattern
+        # is degenerate (p = 2 collapses most exponents) no c works, so
+        # move on quickly instead of exhausting a lemma-sized sample
+        c_max, c_per_p = max(8, 2 * delta * C.k * C.s * r), 1
     tried = 0
-    for p in iter_primes():
-        if p > sched.p_max:
-            break
-        if mode == "exact":
-            budget = sched.h1_size
-        else:
-            # keep the per-prime sample small: when a prime's residue pattern
-            # is degenerate (p = 2 collapses most exponents) no c works, so
-            # move on quickly instead of exhausting a lemma-sized sample
-            budget = max(8, 2 * delta * C.k * C.s * r) + p
-        for c in _c_candidates(field, budget):
-            mp = VandermondeMap(field, n, r, D1, D2, p, c)
-            tried += 1
-            evidence = _certify_depth4(mp, subsets, r, seed, expand_budget)
-            if evidence is not None:
-                return Depth4MapResult(mp, r, evidence, tried)
+    for p, c in pc_candidates(field, sched.p_max, c_max, c_per_p):
+        mp = VandermondeMap(field, n, r, D1, D2, p, c)
+        tried += 1
+        evidence = _certify_depth4(mp, subsets, r, seed, expand_budget)
+        if evidence is not None:
+            return Depth4MapResult(mp, r, evidence, tried)
     raise SearchExhausted(
         "no certified depth-4 map after %d candidates (p bound %d)"
         % (tried, sched.p_max)

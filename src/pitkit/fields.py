@@ -2,8 +2,8 @@
 
 Raw field elements are plain Python values: canonical residues in [0, p) for a
 prime field, `fractions.Fraction` in lowest terms for the rationals.  A
-FieldSpec bundles arithmetic on raw values; Scalar is a thin typed wrapper for
-the public surface.  Mixed-field operations are rejected everywhere.
+FieldSpec bundles arithmetic on raw values.  Mixed-field operations are
+rejected everywhere.
 """
 
 from __future__ import annotations
@@ -78,11 +78,7 @@ class FieldSpec:
         return Fraction(a)
 
     def normalize(self, v):
-        """Coerce an int, Fraction, or Scalar into a raw element."""
-        if isinstance(v, Scalar):
-            if v.field != self:
-                raise FieldError("mixed-field operation rejected")
-            return v.value
+        """Coerce an int or Fraction into a raw element."""
         if self.kind == "prime":
             if isinstance(v, Fraction):
                 if v.denominator != 1:
@@ -194,64 +190,3 @@ def prime_field(p: int) -> FieldSpec:
 
 def rational_field() -> FieldSpec:
     return FieldSpec("rational")
-
-
-class Scalar:
-    """A field element tagged with its FieldSpec."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value):
-        self.field = field
-        self.value = field.normalize(value)
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldError("mixed-field operation rejected")
-            return other.value
-        return self.field.normalize(other)
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return Scalar(self.field, self.field.sub(self._coerce(other), self.value))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __pow__(self, e):
-        return Scalar(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        try:
-            return self.value == self.field.normalize(other)
-        except FieldError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "Scalar(%r, %s)" % (self.field, self.value)

@@ -20,18 +20,19 @@ from __future__ import annotations
 import itertools
 import math
 
-from .circuits import Depth4Circuit
+from .circuits import ComposedCircuit, Depth4Circuit
+from .depth4 import search_depth4_map
 from .fields import FieldSpec
+from .independence import trdeg
 from .varmaps import (
     KroneckerMap,
     VandermondeMap,
-    _c_candidates,
+    pc_candidates,
     schedule,
     search_kronecker_map,
     search_vandermonde_map,
+    vandermonde_applies,
 )
-from .depth4 import search_depth4_map
-from .primes import iter_primes
 
 
 class HittingSet:
@@ -137,6 +138,65 @@ def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
     )
 
 
+def _map_points(grid, maps):
+    """A HittingSet factory: mp.point_images(a) for every map mp of the
+    iterable maps() and every a in grid^(mp.nvars_out), in that order."""
+
+    def factory():
+        for mp in maps():
+            for a in itertools.product(grid, repeat=mp.nvars_out):
+                yield mp.point_images(a)
+
+    return factory
+
+
+def _exact_vandermonde_set(field, n, construction, sched, delta, sound=True):
+    """Every Vandermonde map of a closed-form schedule, in (p, c) order,
+    over the grid of h2_size values per axis.  Certified when a Vandermonde
+    reduction applies (varmaps.vandermonde_applies), the field hosts the
+    full grid, and the schedule is sound (no conjectured rank bound)."""
+    r = sched.r
+    char_ok = vandermonde_applies(field, delta, r)
+    grid, truncated = _grid_values(field, sched.h2_size)
+    provenance = {
+        "construction": construction,
+        "mode": "exact",
+        "schedule": sched.to_json_dict(),
+        "char_gate": char_ok,
+        "grid_truncated": truncated,
+    }
+
+    def maps():
+        for p, c in pc_candidates(field, sched.p_max, sched.h1_size):
+            yield VandermondeMap(field, n, r, sched.D1, sched.D2, p, c)
+
+    return HittingSet(
+        field,
+        n,
+        "certified" if char_ok and not truncated and sound else "corpus",
+        provenance,
+        sched.p_max * sched.h1_size * len(grid) ** (r + 1),
+        _map_points(grid, maps),
+    )
+
+
+def _adaptive_set(field, n, construction, mp, evidence, d):
+    """The corpus hitting set of one certified map: the images of the grid
+    with d + 1 values per axis.  evidence joins the provenance."""
+    grid, truncated = _grid_values(field, d + 1)
+    provenance = {
+        "construction": construction,
+        "mode": "adaptive",
+        "map": mp.to_json_dict(),
+        "grid_truncated": truncated,
+    }
+    provenance.update(evidence)
+    return HittingSet(
+        field, n, "corpus", provenance, len(grid) ** mp.nvars_out,
+        _map_points(grid, lambda: (mp,)),
+    )
+
+
 def hitting_set_sparse_inputs(
     field: FieldSpec,
     n: int,
@@ -152,62 +212,19 @@ def hitting_set_sparse_inputs(
     polynomials with transcendence degree r, via Vandermonde reductions.
 
     Exact mode streams the full closed-form family (all primes up to the
-    schedule bound, the c sample, the grid); certified when the field has
-    characteristic 0 or > delta^r and hosts the full grid.  Adaptive mode
+    schedule bound, the c sample, the grid); certified when a Vandermonde
+    reduction applies and the field hosts the full grid.  Adaptive mode
     needs the concrete input family and uses its one certified map.
     """
     sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=d, ell=ell)
-    ch = field.characteristic
-    char_ok = ch == 0 or ch > delta ** r
     if mode == "exact":
-        grid, truncated = _grid_values(field, sched.h2_size)
-        certified = char_ok and not truncated
-        provenance = {
-            "construction": "sparse-char0",
-            "mode": "exact",
-            "schedule": sched.to_json_dict(),
-            "char_gate": char_ok,
-            "grid_truncated": truncated,
-        }
-
-        def factory():
-            for p in iter_primes():
-                if p > sched.p_max:
-                    return
-                for c in _c_candidates(field, sched.h1_size):
-                    mp = VandermondeMap(field, n, r, sched.D1, sched.D2, p, c)
-                    for a in itertools.product(grid, repeat=r + 1):
-                        yield mp.point_images(a)
-
-        return HittingSet(
-            field,
-            n,
-            "certified" if certified else "corpus",
-            provenance,
-            sched.p_max * sched.h1_size * len(grid) ** (r + 1),
-            factory,
-        )
+        return _exact_vandermonde_set(field, n, "sparse-char0", sched, delta)
     if mode == "adaptive":
         if not polys:
             raise ValueError("adaptive mode needs the concrete input family")
         found = search_vandermonde_map(polys, r=r, seed=seed)
-        mp = found.map
-        grid, truncated = _grid_values(field, d + 1)
-        provenance = {
-            "construction": "sparse-char0",
-            "mode": "adaptive",
-            "map": mp.to_json_dict(),
-            "image_certificate": found.image_cert.to_json_dict(),
-            "grid_truncated": truncated,
-        }
-
-        def factory():
-            for a in itertools.product(grid, repeat=mp.r + 1):
-                yield mp.point_images(a)
-
-        return HittingSet(
-            field, n, "corpus", provenance, len(grid) ** (mp.r + 1), factory
-        )
+        evidence = {"image_certificate": found.image_cert.to_json_dict()}
+        return _adaptive_set(field, n, "sparse-char0", found.map, evidence, d)
     raise ValueError("mode must be 'exact' or 'adaptive'")
 
 
@@ -224,8 +241,8 @@ def hitting_set_arbitrary_char(
     """Hitting set for degree-d compositions of degree-delta polynomials of
     transcendence degree r over any characteristic, via Kronecker maps.
 
-    The exact enumeration unions over all r-subsets of kept variables, all
-    primes up to the schedule bound, and the c sample; the grid has arity r.
+    The exact enumeration unions over all primes up to the schedule bound,
+    the c sample, and all r-subsets of kept variables; the grid has arity r.
     """
     sched = schedule("any-char", n=n, delta=delta, r=r, d=d)
     if mode == "exact":
@@ -238,15 +255,10 @@ def hitting_set_arbitrary_char(
         }
         subsets = list(itertools.combinations(range(1, n + 1), min(r, n)))
 
-        def factory():
-            for p in iter_primes():
-                if p > sched.p_max:
-                    return
-                for c in _c_candidates(field, sched.h1_size):
-                    for kept in subsets:
-                        mp = KroneckerMap(field, n, len(kept), kept, sched.D1, p, c)
-                        for a in itertools.product(grid, repeat=len(kept)):
-                            yield mp.point_images(a)
+        def maps():
+            for p, c in pc_candidates(field, sched.p_max, sched.h1_size):
+                for kept in subsets:
+                    yield KroneckerMap(field, n, len(kept), kept, sched.D1, p, c)
 
         return HittingSet(
             field,
@@ -254,27 +266,14 @@ def hitting_set_arbitrary_char(
             "certified" if not truncated else "corpus",
             provenance,
             sched.p_max * sched.h1_size * len(subsets) * len(grid) ** min(r, n),
-            factory,
+            _map_points(grid, maps),
         )
     if mode == "adaptive":
         if not polys:
             raise ValueError("adaptive mode needs the concrete input family")
         found = search_kronecker_map(polys, r=min(r, n), seed=seed)
-        mp = found.map
-        grid, truncated = _grid_values(field, d + 1)
-        provenance = {
-            "construction": "any-char",
-            "mode": "adaptive",
-            "map": mp.to_json_dict(),
-            "image_certificate": found.image_cert.to_json_dict(),
-            "grid_truncated": truncated,
-        }
-
-        def factory():
-            for a in itertools.product(grid, repeat=mp.r):
-                yield mp.point_images(a)
-
-        return HittingSet(field, n, "corpus", provenance, len(grid) ** mp.r, factory)
+        evidence = {"image_certificate": found.image_cert.to_json_dict()}
+        return _adaptive_set(field, n, "any-char", found.map, evidence, d)
     raise ValueError("mode must be 'exact' or 'adaptive'")
 
 
@@ -301,37 +300,9 @@ def hitting_set_depth4(
     sched = schedule(
         "depth4", n=n, delta=delta, k=k, s=s, r=R, conjecture_R=conjecture_R
     )
-    r = sched.r
-    d = delta * s
-    ch = field.characteristic
-    char_ok = ch == 0 or ch > delta ** r
     if mode == "exact":
-        grid, truncated = _grid_values(field, sched.h2_size)
-        certified = char_ok and not truncated and not sched.params.get("conjectured")
-        provenance = {
-            "construction": "depth4",
-            "mode": "exact",
-            "schedule": sched.to_json_dict(),
-            "char_gate": char_ok,
-            "grid_truncated": truncated,
-        }
-
-        def factory():
-            for p in iter_primes():
-                if p > sched.p_max:
-                    return
-                for c in _c_candidates(field, sched.h1_size):
-                    mp = VandermondeMap(field, n, r, sched.D1, sched.D2, p, c)
-                    for a in itertools.product(grid, repeat=r + 1):
-                        yield mp.point_images(a)
-
-        return HittingSet(
-            field,
-            n,
-            "certified" if certified else "corpus",
-            provenance,
-            sched.p_max * sched.h1_size * len(grid) ** (r + 1),
-            factory,
+        return _exact_vandermonde_set(
+            field, n, "depth4", sched, delta, sound=not sched.params.get("conjectured")
         )
     if mode == "adaptive":
         if circuit is None:
@@ -339,24 +310,59 @@ def hitting_set_depth4(
         found = search_depth4_map(
             circuit, R=R, seed=seed, conjecture_R=conjecture_R
         )
-        mp = found.map
-        grid, truncated = _grid_values(field, d + 1)
-        provenance = {
-            "construction": "depth4",
-            "mode": "adaptive",
-            "map": mp.to_json_dict(),
-            "evidence": found.evidence,
-            "grid_truncated": truncated,
-        }
-
-        def factory():
-            for a in itertools.product(grid, repeat=mp.r + 1):
-                yield mp.point_images(a)
-
-        return HittingSet(
-            field, n, "corpus", provenance, len(grid) ** (mp.r + 1), factory
-        )
+        evidence = {"evidence": found.evidence}
+        return _adaptive_set(field, n, "depth4", found.map, evidence, delta * s)
     raise ValueError("mode must be 'exact' or 'adaptive'")
+
+
+def pit_circuit(
+    circ, mode: str = "adaptive", seed: int = 0, max_points=None, R=None,
+    conjecture_R: bool = False,
+) -> PitVerdict:
+    """Blackbox PIT of a circuit through the construction that fits it.
+
+    Depth-4 circuits use the depth-4 hitting set (R and conjecture_R as
+    there).  A composed circuit C(f_1, ..., f_m) first gets r0 = trdeg(f):
+    r0 = 0 makes it a constant, decided by one evaluation; otherwise its
+    points come from the sparse-input (Vandermonde) set when a Vandermonde
+    reduction applies, else from the any-characteristic (Kronecker) set.  A
+    plain dag runs over the grid sized to its syntactic degree, without the
+    degree claim when the field cannot host d + 1 values.
+    """
+    field, n = circ.field, circ.nvars
+    if isinstance(circ, Depth4Circuit):
+        hs = hitting_set_depth4(
+            field, n, circ.delta, circ.k, circ.s, R=R, mode=mode,
+            circuit=circ if mode == "adaptive" else None,
+            seed=seed, conjecture_R=conjecture_R,
+        )
+    elif isinstance(circ, ComposedCircuit):
+        inputs = list(circ.inputs)
+        r0 = trdeg(inputs, mode="auto", seed=seed).r
+        if r0 == 0:
+            point = tuple(field.zero() for _ in range(n))
+            value = field.normalize(circ.evaluate(point))
+            provenance = {"construction": "constant-composition"}
+            if field.is_zero(value):
+                return PitVerdict("zero", None, None, 1, "certified", provenance)
+            return PitVerdict("nonzero", point, value, 1, "certified", provenance)
+        delta = max(1, max((f.degree() or 0) for f in inputs))
+        d = max(1, circ.degree_bound())
+        polys = inputs if mode == "adaptive" else None
+        if vandermonde_applies(field, delta, r0):
+            ell = max(1, max(f.num_terms() for f in inputs))
+            hs = hitting_set_sparse_inputs(
+                field, n, d, r0, delta, ell, mode=mode, polys=polys, seed=seed
+            )
+        else:
+            hs = hitting_set_arbitrary_char(
+                field, n, d, r0, delta, mode=mode, polys=polys, seed=seed
+            )
+    else:
+        d = max(1, circ.syntactic_degree())
+        values = field.sample_elements(d + 1)
+        hs = sz_grid(field, values, n, d=d if len(values) > d else None)
+    return pit(circ.oracle(), hs, max_points=max_points)
 
 
 def bad_prime_census(f, primes):

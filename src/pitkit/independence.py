@@ -88,38 +88,6 @@ def jacobian_rank(fs, method: str = "symbolic", seed: int = 0, trials: int = 3) 
     raise ValueError("method must be 'symbolic' or 'randomized'")
 
 
-def _rank_rows(matrix, field):
-    """(rank, original indices of pivot rows); small matrices, pure Python."""
-    A = [[field.normalize(v) for v in row] for row in matrix]
-    idx = list(range(len(A)))
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    pivots = []
-    r = 0
-    for j in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            idx[r], idx[piv] = idx[piv], idx[r]
-        inv = field.inv(A[r][j])
-        A[r] = [field.mul(x, inv) for x in A[r]]
-        for i in range(r + 1, rows):
-            x = A[i][j]
-            if x != 0:
-                A[i] = [field.sub(a, field.mul(x, b)) for a, b in zip(A[i], A[r])]
-        pivots.append(idx[r])
-        r += 1
-        if r == rows:
-            break
-    return r, sorted(pivots)
-
-
 class TrdegCertificate:
     """Transcendence degree plus re-checkable evidence.
 
@@ -211,8 +179,7 @@ def trdeg(
         rng = random.Random(_subseed(seed, 2))
         for _ in range(4):
             pt = _random_point(field, rng, n)
-            Mv = linalg.eval_matrix(J, pt)
-            rho, pivot_rows = _rank_rows(Mv, field)
+            rho, pivot_rows, _ = linalg.echelon(linalg.eval_matrix(J, pt), field)
             if rho >= upper_bound:
                 return TrdegCertificate(
                     rho,
@@ -226,46 +193,25 @@ def trdeg(
                 )
 
     if mode in ("auto", "jacobian"):
-        J = jacobian(fs)
-        rho, prows, pcols = linalg.poly_matrix_rank(J)
+        rho, prows, pcols = linalg.poly_matrix_rank(jacobian(fs))
+
+        def symbolic(cert_mode, method):
+            witness = {
+                "method": method,
+                "pivot_rows": list(prows),
+                "pivot_cols": list(pcols),
+                "max_degree": delta,
+            }
+            return TrdegCertificate(rho, cert_mode, prows, witness)
+
         if _jacobian_trusted(field, delta, rho, m, n):
-            return TrdegCertificate(
-                rho,
-                "jacobian",
-                prows,
-                {
-                    "method": "symbolic-rank",
-                    "pivot_rows": list(prows),
-                    "pivot_cols": list(pcols),
-                    "max_degree": delta,
-                },
-            )
+            return symbolic("jacobian", "symbolic-rank")
         if mode == "jacobian":
-            return TrdegCertificate(
-                rho,
-                "jacobian-lower-bound",
-                prows,
-                {
-                    "method": "symbolic-rank-untrusted-characteristic",
-                    "pivot_rows": list(prows),
-                    "pivot_cols": list(pcols),
-                    "max_degree": delta,
-                },
-            )
+            return symbolic("jacobian-lower-bound", "symbolic-rank-untrusted-characteristic")
         try:
             return _trdeg_bruteforce(fs, seed, col_budget)
         except BudgetExceeded:
-            return TrdegCertificate(
-                rho,
-                "jacobian-lower-bound",
-                prows,
-                {
-                    "method": "bruteforce-budget-exceeded",
-                    "pivot_rows": list(prows),
-                    "pivot_cols": list(pcols),
-                    "max_degree": delta,
-                },
-            )
+            return symbolic("jacobian-lower-bound", "bruteforce-budget-exceeded")
     return _trdeg_bruteforce(fs, seed, col_budget)
 
 
@@ -286,6 +232,32 @@ def _monomials_upto(nvars: int, cap: int):
     return out
 
 
+def _column_count(u: int, cap: int, col_budget: int) -> int:
+    """The number of monomials in u variables of degree <= cap; raises
+    BudgetExceeded past col_budget."""
+    ncols = math.comb(cap + u, u)
+    if ncols > col_budget:
+        raise BudgetExceeded(
+            "monomial basis has %d columns, budget is %d" % (ncols, col_budget)
+        )
+    return ncols
+
+
+def _monomial_basis(u: int, cap: int):
+    """The monomials of _monomials_upto(u, cap) and how to build each from
+    an earlier one: steps[j] = (j', i) when monomial j is monomial j' times
+    y_i, None for monomial 0 (the constant 1)."""
+    monos = _monomials_upto(u, cap)
+    index = {mono: j for j, mono in enumerate(monos)}
+    steps = [None]
+    for mono in monos[1:]:
+        i = next(k for k, e in enumerate(mono) if e > 0)
+        prev = list(mono)
+        prev[i] -= 1
+        steps.append((index[tuple(prev)], i))
+    return monos, steps
+
+
 def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     """A nonzero F with deg(F) <= cap and F(f_1, ..., f_m) = 0, or None.
 
@@ -301,26 +273,15 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     m = len(fs)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    ncols = math.comb(cap + m, m)
-    if ncols > col_budget:
-        raise BudgetExceeded(
-            "monomial basis has %d columns, budget is %d" % (ncols, col_budget)
-        )
-    monos = _monomials_upto(m, cap)
-    mono_idx = {mono: j for j, mono in enumerate(monos)}
+    ncols = _column_count(m, cap, col_budget)
+    monos, steps = _monomial_basis(m, cap)
 
-    composed = [None] * ncols
+    composed = []
     row_index = {}
     cols = []
-    for j, mono in enumerate(monos):
-        if j == 0:
-            poly = SparsePoly.one(field, n)
-        else:
-            i = next(k for k, e in enumerate(mono) if e > 0)
-            prev = list(mono)
-            prev[i] -= 1
-            poly = composed[mono_idx[tuple(prev)]] * fs[i]
-        composed[j] = poly
+    for step in steps:
+        poly = SparsePoly.one(field, n) if step is None else composed[step[0]] * fs[step[1]]
+        composed.append(poly)
         col = {}
         for exps, c in poly.terms.items():
             ridx = row_index.setdefault(exps, len(row_index))
@@ -358,35 +319,22 @@ def _subset_dependent(polys, cap: int, seed: int, col_budget: int):
     over a decent-sized prime field.  Phase 2 is the exact symbolic kernel.
     """
     field, n = _check_family(polys)
-    u = len(polys)
-    ncols = math.comb(cap + u, u)
-    if ncols > col_budget:
-        raise BudgetExceeded(
-            "monomial basis has %d columns, budget is %d" % (ncols, col_budget)
-        )
+    ncols = _column_count(len(polys), cap, col_budget)
     run_eval = (
         field.kind == "prime"
         and field.p < (1 << 31)
         and field.p ** min(n, 64) > ncols * 2
     )
     if run_eval:
-        monos = _monomials_upto(u, cap)
-        mono_idx = {mono: j for j, mono in enumerate(monos)}
+        _, steps = _monomial_basis(len(polys), cap)
         rng = random.Random(_subseed(seed, 3))
-        npoints = ncols + 8
         rows = []
-        for _ in range(npoints):
+        for _ in range(ncols + 8):
             pt = tuple(rng.randrange(field.p) for _ in range(n))
             fv = [f.eval(pt) for f in polys]
-            vals = [None] * ncols
-            for j, mono in enumerate(monos):
-                if j == 0:
-                    vals[0] = field.one()
-                    continue
-                i = next(k for k, e in enumerate(mono) if e > 0)
-                prev = list(mono)
-                prev[i] -= 1
-                vals[j] = field.mul(vals[mono_idx[tuple(prev)]], fv[i])
+            vals = [field.one()]
+            for j, i in steps[1:]:
+                vals.append(field.mul(vals[j], fv[i]))
             rows.append(vals)
         if linalg.rank(rows, field) == ncols:
             return False, None, "evaluation-full-rank"
@@ -394,6 +342,12 @@ def _subset_dependent(polys, cap: int, seed: int, col_budget: int):
     if F is None:
         return False, None, "kernel-empty"
     return True, F, "kernel"
+
+
+def _perron_cap(polys) -> int:
+    """max(1, delta)^(u-1): a dependent size-u subset of max degree delta has
+    an annihilator of at most this degree."""
+    return max(1, _max_degree(polys)) ** (len(polys) - 1)
 
 
 def _trdeg_bruteforce(fs, seed: int, col_budget: int) -> TrdegCertificate:
@@ -411,8 +365,7 @@ def _trdeg_bruteforce(fs, seed: int, col_budget: int) -> TrdegCertificate:
             )
             continue
         polys = [fs[i] for i in subset]
-        delta_sub = max(1, _max_degree(polys))
-        cap = delta_sub ** (u - 1)
+        cap = _perron_cap(polys)
         dep, ann, method = _subset_dependent(polys, cap, seed, col_budget)
         if dep:
             extensions.append(
@@ -437,31 +390,53 @@ def _trdeg_bruteforce(fs, seed: int, col_budget: int) -> TrdegCertificate:
     )
 
 
-def verify_trdeg_certificate(fs, cert: TrdegCertificate, col_budget=DEFAULT_COLUMN_BUDGET) -> bool:
-    """Re-check a certificate against the family it was issued for."""
+def verify_trdeg_certificate(
+    fs, cert: TrdegCertificate, col_budget=DEFAULT_COLUMN_BUDGET, upper_bound=None
+) -> bool:
+    """Re-check a certificate against the family it was issued for.
+
+    Every bound is recomputed here, none is read from the certificate.  An
+    evaluated-Jacobian certificate proves trdeg >= r only, so its r must also
+    meet an upper bound the verifier knows: min(m, n), or upper_bound, which
+    the caller passes when it has proven trdeg(fs) <= upper_bound itself
+    (e.g. fs are images under a ring homomorphism of a family whose
+    certificate of trdeg upper_bound it has verified).
+    """
     field, n = _check_family(fs)
     m = len(fs)
-    if not all(0 <= i < m for i in cert.basis):
+    basis = list(cert.basis)
+    if not all(0 <= i < m for i in basis):
         return False
     if cert.mode == "jacobian" or cert.mode == "jacobian-lower-bound":
         J = jacobian(fs)
         w = cert.witness
         if w.get("method") == "evaluated-jacobian-meets-upper-bound":
             pt = [field.scalar_from_json(v) for v in w["point"]]
-            rho, _ = _rank_rows(linalg.eval_matrix(J, pt), field)
-            return rho >= cert.r
-        rho, _, _ = linalg.poly_matrix_rank(J)
-        if rho != cert.r:
+            rho, prows, _ = linalg.echelon(linalg.eval_matrix(J, pt), field)
+            return rho == cert.r and basis == prows and cert.r in (min(m, n), upper_bound)
+        rho, prows, _ = linalg.poly_matrix_rank(J)
+        if rho != cert.r or basis != prows:
             return False
         if cert.mode == "jacobian":
             return _jacobian_trusted(field, _max_degree(fs), rho, m, n)
         return True
     if cert.mode == "bruteforce":
+        # the greedy run that issued the certificate: the chain holds the
+        # basis prefixes in order, and the extension of element j is the
+        # basis elements before j plus j itself
         w = cert.witness
+        chain = w.get("independence_chain", [])
+        if [entry["subset"] for entry in chain] != [basis[:u] for u in range(1, len(basis) + 1)]:
+            return False
         seen_dependent = set()
         for entry in w.get("dependent_extensions", []):
             subset = entry["subset"]
-            seen_dependent.add(subset[-1])
+            if not subset or not 0 <= subset[-1] < m:
+                return False
+            j = subset[-1]
+            if subset[:-1] != [b for b in basis if b < j]:
+                return False
+            seen_dependent.add(j)
             if "reason" in entry:
                 if len(subset) <= n:
                     return False
@@ -471,17 +446,17 @@ def verify_trdeg_certificate(fs, cert: TrdegCertificate, col_budget=DEFAULT_COLU
             if F.is_zero:
                 return False
             d = F.degree()
-            if d is not None and d > entry["cap"]:
+            if d is not None and d > _perron_cap(polys):
                 return False
             if not F.substitute(polys).is_zero:
                 return False
-        for entry in w.get("independence_chain", []):
+        for entry in chain:
             polys = [fs[i] for i in entry["subset"]]
-            dep, _, _ = _subset_dependent(polys, entry["cap"], 0, col_budget)
+            dep, _, _ = _subset_dependent(polys, _perron_cap(polys), 0, col_budget)
             if dep:
                 return False
-        expected_dependents = set(range(m)) - set(cert.basis)
+        expected_dependents = set(range(m)) - set(basis)
         if seen_dependent != expected_dependents:
             return False
-        return cert.r == len(cert.basis)
+        return cert.r == len(basis)
     return False

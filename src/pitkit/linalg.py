@@ -1,146 +1,163 @@
 """Exact linear algebra: scalar matrices over a field, Bareiss on polynomial
-matrices.  numpy int64 fast path for prime moduli below 2^31, pure Python
-otherwise (big primes, rationals)."""
+matrices.
+
+Scalar matrices go through one echelon routine with two loops: a numpy int64
+loop for prime moduli below 2^31 on matrices of at least _NP_MIN_ENTRIES
+entries, and a pure-Python loop for everything else (small matrices, big
+primes, rationals).  Both pivot on the first nonzero entry of each column and
+scale the pivot row to 1, so they produce the same echelon form and the same
+answers."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .polynomials import SparsePoly, divide_exact
+from .polynomials import SparsePoly, bareiss
 
 _NP_LIMIT = 1 << 31
+# Below this many entries the per-column numpy overhead outweighs the
+# vectorized row updates.  Measured on random dense matrices, mod 101 and
+# mod 2^31 - 1: pure Python wins up to 8x8 (6x6: 42 vs 68 us mod 101), numpy
+# from about 64 entries on (10x10: 120 vs 136 us; 60x60: 1.5 vs 17 ms).
+_NP_MIN_ENTRIES = 64
 
 
-def _use_numpy(field):
-    return field.kind == "prime" and field.p < _NP_LIMIT
+def echelon(matrix, field):
+    """(rank, pivot_rows, kernel) of a list-of-rows matrix of raw elements.
+
+    pivot_rows lists, ascending, the original indices of the rows that carry
+    the pivots, so those rows are linearly independent.  kernel is the first
+    right-kernel vector or None: columns are scanned left to right, and the
+    vector has a 1 in the first column that depends on its predecessors and
+    zeros in all later columns, so it is deterministic and minimal in column
+    order.
+    """
+    if not matrix or not matrix[0]:
+        return 0, [], None
+    return _echelon_loop(matrix, field)(matrix, field, False)
 
 
 def rank(matrix, field) -> int:
     """Rank of a list-of-rows matrix of raw field elements."""
-    if not matrix or not matrix[0]:
-        return 0
-    if _use_numpy(field):
-        return _rank_np(matrix, field.p)
-    return _echelon_py(matrix, field, want_kernel=False)[0]
+    return echelon(matrix, field)[0]
 
 
 def kernel_vector(matrix, field):
-    """First right-kernel vector of the matrix, or None.
-
-    Columns are scanned left to right; the vector returned has a 1 in the
-    first column that is dependent on its predecessors and zeros in all
-    later columns, so the result is deterministic and minimal in column
-    order.
-    """
-    if not matrix:
+    """First right-kernel vector of the matrix, or None (see echelon).
+    Elimination stops at the first dependent column."""
+    if not matrix or not matrix[0]:
         return None
-    if _use_numpy(field):
-        return _kernel_np(matrix, field.p)
-    return _echelon_py(matrix, field, want_kernel=True)[1]
+    return _echelon_loop(matrix, field)(matrix, field, True)[2]
 
 
-def _rank_np(matrix, p):
+def _echelon_loop(matrix, field):
+    if field.kind == "prime" and field.p < _NP_LIMIT:
+        if len(matrix) * len(matrix[0]) >= _NP_MIN_ENTRIES:
+            return _echelon_np
+    return _echelon_py
+
+
+def _first_dependent(pivot_cols, cols):
+    """The first column without a pivot, or None; every column left of it
+    is a pivot column, so pivot k sits in column k there."""
+    j = 0
+    while j < len(pivot_cols) and pivot_cols[j] == j:
+        j += 1
+    return j if j < cols else None
+
+
+# The two loops below share their contract: (rank, pivot_rows, kernel) as in
+# echelon.  With until_kernel they stop at the first dependent column, so the
+# kernel is the same and rank and pivot_rows cover the columns left of it.
+
+
+def _echelon_np(matrix, field, until_kernel):
+    p = field.p
     A = np.array(matrix, dtype=np.int64) % p
     rows, cols = A.shape
+    idx = list(range(rows))
+    pivot_cols = []
     r = 0
     for j in range(cols):
         if r == rows:
             break
         nz = np.nonzero(A[r:, j])[0]
         if nz.size == 0:
+            if until_kernel:
+                break
             continue
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
+            idx[r], idx[i] = idx[i], idx[r]
         inv = pow(int(A[r, j]), -1, p)
         A[r] = A[r] * inv % p
         below = A[r + 1 :, j]
         mask = below != 0
         if mask.any():
             A[r + 1 :][mask] = (A[r + 1 :][mask] - np.outer(below[mask], A[r])) % p
+        pivot_cols.append(j)
         r += 1
-    return r
+    kernel = None
+    j = _first_dependent(pivot_cols, cols)
+    if j is not None:
+        # back-substitute over the echelon rows left of column j.  Python
+        # ints here: an int64 dot product would overflow near p^2.
+        kernel = [0] * cols
+        kernel[j] = 1
+        for k in range(j - 1, -1, -1):
+            rowk = A[k]
+            s = 0
+            for c in range(k + 1, j + 1):
+                x = int(rowk[c])
+                if x and kernel[c]:
+                    s += x * kernel[c]
+            kernel[k] = (-s) % p
+    return r, sorted(idx[:r]), kernel
 
 
-def _kernel_np(matrix, p):
-    A = np.array(matrix, dtype=np.int64) % p
-    rows, cols = A.shape
-    pivots = []  # column index per echelon row
-    r = 0
-    for j in range(cols):
-        nz = np.nonzero(A[r:, j])[0] if r < rows else np.array([], dtype=np.int64)
-        if nz.size == 0:
-            # dependent column: back-substitute over echelon rows so far.
-            # Python ints here: an int64 dot product would overflow near p^2.
-            v = [0] * cols
-            v[j] = 1
-            for k in range(r - 1, -1, -1):
-                pc = pivots[k]
-                rowk = A[k]
-                s = 0
-                for c in range(pc + 1, j + 1):
-                    x = int(rowk[c])
-                    if x and v[c]:
-                        s += x * v[c]
-                v[pc] = (-s) % p
-            return v
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, j]), -1, p)
-        A[r] = A[r] * inv % p
-        others = A[r + 1 :, j]
-        mask = others != 0
-        if mask.any():
-            A[r + 1 :][mask] = (A[r + 1 :][mask] - np.outer(others[mask], A[r])) % p
-        pivots.append(j)
-        r += 1
-    return None
-
-
-def _echelon_py(matrix, field, want_kernel):
+def _echelon_py(matrix, field, until_kernel):
     A = [[field.normalize(v) for v in row] for row in matrix]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    pivots = []
+    rows, cols = len(A), len(A[0])
+    idx = list(range(rows))
+    pivot_cols = []
     r = 0
     for j in range(cols):
+        if r == rows:
+            break
         piv = None
         for i in range(r, rows):
             if A[i][j] != 0:
                 piv = i
                 break
         if piv is None:
-            if want_kernel:
-                v = [field.zero()] * cols
-                v[j] = field.one()
-                for k in range(r - 1, -1, -1):
-                    pc = pivots[k]
-                    s = field.zero()
-                    rowk = A[k]
-                    for c in range(pc + 1, j + 1):
-                        if rowk[c] != 0 and v[c] != 0:
-                            s = field.add(s, field.mul(rowk[c], v[c]))
-                    v[pc] = field.neg(s)
-                return None, v
+            if until_kernel:
+                break
             continue
         if piv != r:
             A[r], A[piv] = A[piv], A[r]
+            idx[r], idx[piv] = idx[piv], idx[r]
         inv = field.inv(A[r][j])
         A[r] = [field.mul(x, inv) for x in A[r]]
         for i in range(r + 1, rows):
             x = A[i][j]
             if x != 0:
                 A[i] = [field.sub(a, field.mul(x, b)) for a, b in zip(A[i], A[r])]
-        pivots.append(j)
+        pivot_cols.append(j)
         r += 1
-        if r == rows and not want_kernel:
-            break
-    if want_kernel:
-        return None, None
-    return r, None
+    kernel = None
+    j = _first_dependent(pivot_cols, cols)
+    if j is not None:
+        kernel = [field.zero()] * cols
+        kernel[j] = field.one()
+        for k in range(j - 1, -1, -1):
+            s = field.zero()
+            rowk = A[k]
+            for c in range(k + 1, j + 1):
+                if rowk[c] != 0 and kernel[c] != 0:
+                    s = field.add(s, field.mul(rowk[c], kernel[c]))
+            kernel[k] = field.neg(s)
+    return r, sorted(idx[:r]), kernel
 
 
 # -- polynomial matrices -------------------------------------------------------
@@ -149,94 +166,21 @@ def _echelon_py(matrix, field, want_kernel):
 def poly_matrix_rank(M):
     """(rank, pivot_rows, pivot_cols) of a SparsePoly matrix.
 
-    Fraction-free Bareiss elimination; at each step the pivot is the
-    lowest-degree nonzero entry in the current column.  pivot_rows holds
-    original row indices, so the listed submatrix has a nonzero minor.
+    Fraction-free Bareiss elimination (polynomials.bareiss); at each step the
+    pivot is the lowest-degree nonzero entry in the current column.
+    pivot_rows holds original row indices, so the listed submatrix has a
+    nonzero minor.
     """
     if not M or not M[0]:
         return 0, [], []
-    field = M[0][0].field
-    nvars = M[0][0].nvars
-    A = [row[:] for row in M]
-    idx = list(range(len(A)))
-    rows, cols = len(A), len(A[0])
-    prev = SparsePoly.one(field, nvars)
-    pivot_rows, pivot_cols = [], []
-    r = 0
-    for j in range(cols):
-        if r == rows:
-            break
-        piv, best = None, None
-        for i in range(r, rows):
-            if not A[i][j].is_zero:
-                d = A[i][j].degree()
-                if best is None or d < best:
-                    piv, best = i, d
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            idx[r], idx[piv] = idx[piv], idx[r]
-        for i in range(r + 1, rows):
-            for c in range(j + 1, cols):
-                A[i][c] = divide_exact(A[r][j] * A[i][c] - A[i][j] * A[r][c], prev)
-            A[i][j] = SparsePoly.zero(field, nvars)
-        prev = A[r][j]
-        pivot_rows.append(idx[r])
-        pivot_cols.append(j)
-        r += 1
-    return r, pivot_rows, pivot_cols
+    return bareiss(M)[:3]
 
 
 def poly_matrix_det(M) -> SparsePoly:
     """Determinant of a square SparsePoly matrix (Bareiss, row pivoting)."""
-    from .polynomials import _bareiss_det
-
-    return _bareiss_det(M)
+    return bareiss(M)[3]
 
 
 def eval_matrix(M, point):
     """Evaluate a SparsePoly matrix at a point; returns raw rows."""
     return [[entry.eval(point) for entry in row] for row in M]
-
-
-def rank_fraction(matrix) -> int:
-    """Rank of a Fraction matrix (helper for tests)."""
-
-    class _Q:
-        kind = "rational"
-        p = None
-
-        @staticmethod
-        def normalize(v):
-            return Fraction(v)
-
-        @staticmethod
-        def zero():
-            return Fraction(0)
-
-        @staticmethod
-        def one():
-            return Fraction(1)
-
-        @staticmethod
-        def add(a, b):
-            return a + b
-
-        @staticmethod
-        def sub(a, b):
-            return a - b
-
-        @staticmethod
-        def mul(a, b):
-            return a * b
-
-        @staticmethod
-        def neg(a):
-            return -a
-
-        @staticmethod
-        def inv(a):
-            return 1 / a
-
-    return _echelon_py(matrix, _Q, want_kernel=False)[0]

@@ -123,14 +123,6 @@ class SparsePoly:
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, self.field.zero())
 
-    def variables_present(self):
-        seen = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    seen.add(i)
-        return sorted(seen)
-
     def num_terms(self) -> int:
         return len(self.terms)
 
@@ -246,7 +238,7 @@ class SparsePoly:
     # -- evaluation and substitution -----------------------------------------------
 
     def eval(self, point):
-        """Evaluate at a point of raw elements (or Scalars); returns raw.
+        """Evaluate at a point of raw elements; returns raw.
 
         Per-variable powers go through square-and-multiply; repeated
         exponents are cached for the duration of the call.
@@ -471,37 +463,55 @@ def resultant(f: SparsePoly, g: SparsePoly, v: int) -> SparsePoly:
         row = [zero] * n
         row[i : i + b + 1] = gc
         M.append(row)
-    return _bareiss_det(M)
+    return bareiss(M)[3]
 
 
-def _bareiss_det(M) -> SparsePoly:
-    """Determinant of a square SparsePoly matrix, fraction-free."""
-    n = len(M)
+def bareiss(M):
+    """(rank, pivot_rows, pivot_cols, det) of a SparsePoly matrix.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 1968): every interior
+    division is exact.  At each step the pivot is the lowest-degree nonzero
+    entry of the current column.  pivot_rows holds original row indices, so
+    the listed submatrix has a nonzero minor.  det is the determinant of a
+    square matrix: the last pivot, signed by the row swaps, at full rank,
+    and zero otherwise (and for non-square matrices).
+    """
     field = M[0][0].field
     nvars = M[0][0].nvars
-    M = [row[:] for row in M]
-    sign = 1
+    zero = SparsePoly.zero(field, nvars)
+    A = [row[:] for row in M]
+    idx = list(range(len(A)))
+    rows, cols = len(A), len(A[0])
     prev = SparsePoly.one(field, nvars)
-    for k in range(n - 1):
-        # pivot: lowest-degree nonzero entry in column k at or below row k
+    sign = 1
+    pivot_cols = []
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
         piv, best = None, None
-        for i in range(k, n):
-            if not M[i][k].is_zero:
-                d = M[i][k].degree()
+        for i in range(r, rows):
+            if not A[i][j].is_zero:
+                d = A[i][j].degree()
                 if best is None or d < best:
                     piv, best = i, d
         if piv is None:
-            return SparsePoly.zero(field, nvars)
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            idx[r], idx[piv] = idx[piv], idx[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = divide_exact(M[k][k] * M[i][j] - M[i][k] * M[k][j], prev)
-            M[i][k] = SparsePoly.zero(field, nvars)
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return -det if sign < 0 else det
+        for i in range(r + 1, rows):
+            for c in range(j + 1, cols):
+                A[i][c] = divide_exact(A[r][j] * A[i][c] - A[i][j] * A[r][c], prev)
+            A[i][j] = zero
+        prev = A[r][j]
+        pivot_cols.append(j)
+        r += 1
+    det = zero
+    if rows == cols == r:
+        det = -prev if sign < 0 else prev
+    return r, idx[:r], pivot_cols, det
 
 
 # -- Kronecker substitution --------------------------------------------------------

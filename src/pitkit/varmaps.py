@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import FieldError, FieldSpec
-from .independence import TrdegCertificate, jacobian_rank, trdeg
+from .independence import jacobian_rank, trdeg
 from .polynomials import SparsePoly
 from .primes import iter_primes
 
@@ -209,6 +209,10 @@ class KroneckerMap:
         self.c = c
         self._images = None
 
+    @property
+    def nvars_out(self) -> int:
+        return self.r
+
     def constants(self):
         """Per-variable substitution constants; None marks a kept variable."""
         field = self.field
@@ -276,7 +280,7 @@ class KroneckerMap:
 class VandermondeMap:
     """x_i -> c^(D1^i mod p) + c^(D2^i mod p) z_0 + sum_j c^(i (n+1)^j mod p) z_j."""
 
-    __slots__ = ("field", "n", "r", "D1", "D2", "p", "c", "_rows")
+    __slots__ = ("field", "n", "r", "D1", "D2", "p", "c", "_rows", "_images")
 
     def __init__(self, field: FieldSpec, n: int, r: int, D1: int, D2: int, p: int, c):
         if n < 1 or r < 1:
@@ -294,6 +298,7 @@ class VandermondeMap:
         self.p = p
         self.c = c
         self._rows = None
+        self._images = None
 
     @property
     def nvars_out(self) -> int:
@@ -316,16 +321,17 @@ class VandermondeMap:
         return self._rows
 
     def images(self):
-        field = self.field
-        w = self.nvars_out
-        imgs = []
-        for row in self.coefficient_rows():
-            terms = {(0,) * w: row[0]}
-            for t in range(w):
-                exps = tuple(1 if q == t else 0 for q in range(w))
-                terms[exps] = row[t + 1]
-            imgs.append(SparsePoly(field, w, terms))
-        return tuple(imgs)
+        if self._images is None:
+            w = self.nvars_out
+            imgs = []
+            for row in self.coefficient_rows():
+                terms = {(0,) * w: row[0]}
+                for t in range(w):
+                    exps = tuple(1 if q == t else 0 for q in range(w))
+                    terms[exps] = row[t + 1]
+                imgs.append(SparsePoly(self.field, w, terms))
+            self._images = tuple(imgs)
+        return self._images
 
     def apply(self, f: SparsePoly) -> SparsePoly:
         if f.field != self.field or f.nvars != self.n:
@@ -420,14 +426,32 @@ def _family_sizes(fs):
     return delta, ell
 
 
-def _c_candidates(field: FieldSpec, budget: int):
-    # lazy on purpose: exact-mode budgets are far too large to materialize
-    if field.kind == "prime":
-        budget = min(budget, field.p - 1)
-    v = 1
-    while v <= budget:
-        yield field.from_int(v)
-        v += 1
+def pc_candidates(field: FieldSpec, p_max: int, c_max: int, c_per_p: int = 0):
+    """The (p, c) parameter pairs every search and exact enumeration walks:
+    p ascending over the primes up to p_max, then c = 1, 2, ... up to
+    c_max + c_per_p * p, capped at the nonzero elements of a prime field.
+    Lazy: exact-mode budgets are far too large to materialize."""
+    for p in iter_primes():
+        if p > p_max:
+            return
+        top = c_max + c_per_p * p
+        if field.kind == "prime":
+            top = min(top, field.p - 1)
+        for v in range(1, top + 1):
+            yield p, field.from_int(v)
+
+
+def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
+    """May a Vandermonde reduction preserve trdeg r of degree-delta inputs?
+
+    It needs characteristic 0 or above delta^r.  Over F_2 it also needs
+    r < 2: the only nonzero c is 1, which sends every variable to the same
+    affine form 1 + z_0 + ... + z_r, so the images have trdeg at most 1.
+    """
+    ch = field.characteristic
+    if ch == 2 and r >= 2:
+        return False
+    return ch == 0 or ch > delta ** max(1, r)
 
 
 def _certify(fs, mp, r0: int, seed: int):
@@ -446,6 +470,35 @@ def _certify(fs, mp, r0: int, seed: int):
     return None
 
 
+def _search_start(fs, r, mode, seed):
+    """The checks and the input certificate every map search starts from:
+    (input certificate, target r, which defaults to max(1, trdeg))."""
+    if mode not in ("adaptive", "exact"):
+        raise ValueError("mode must be adaptive or exact")
+    if not fs:
+        raise ValueError("need at least one polynomial")
+    input_cert = trdeg(fs, mode="auto", seed=seed)
+    r0 = input_cert.r
+    if r is None:
+        r = max(1, r0)
+    if r < r0:
+        raise ValueError("r=%d below the input transcendence degree %d" % (r, r0))
+    return input_cert, r
+
+
+def _first_faithful(fs, maps, input_cert, seed, name, p_max):
+    """The first candidate map whose images keep the input trdeg."""
+    tried = 0
+    for mp in maps:
+        tried += 1
+        cert = _certify(fs, mp, input_cert.r, seed)
+        if cert is not None:
+            return FaithfulResult(mp, input_cert, cert, tried)
+    raise SearchExhausted(
+        "no certified %s map after %d candidates (p bound %d)" % (name, tried, p_max)
+    )
+
+
 def search_kronecker_map(
     fs,
     r: int | None = None,
@@ -460,40 +513,23 @@ def search_kronecker_map(
     the per-prime c sample to the full closed-form h1 budget.  Works in any
     characteristic.  Raises SearchExhausted past the closed-form p bound.
     """
-    if mode not in ("adaptive", "exact"):
-        raise ValueError("mode must be adaptive or exact")
-    if not fs:
-        raise ValueError("need at least one polynomial")
+    input_cert, r = _search_start(fs, r, mode, seed)
     field = fs[0].field
     n = fs[0].nvars
-    input_cert = trdeg(fs, mode="auto", seed=seed)
-    r0 = input_cert.r
-    if r is None:
-        r = max(1, r0)
-    if r < r0:
-        raise ValueError("r=%d below the input transcendence degree %d" % (r, r0))
     if r > n:
         raise ValueError("r cannot exceed the number of variables")
     delta, _ = _family_sizes(fs)
     d = max((f.degree() or 0) for f in fs)
     sched = schedule("any-char", n=n, delta=delta, r=r, d=d)
     D = delta ** (r + 1) + 1
-    tried = 0
-    for p in iter_primes():
-        if p > sched.p_max:
-            break
-        budget = sched.h1_size if mode == "exact" else max(1, delta ** r * r * p)
-        for c in _c_candidates(field, budget):
-            for kept in itertools.combinations(range(1, n + 1), r):
-                mp = KroneckerMap(field, n, r, kept, D, p, c)
-                tried += 1
-                cert = _certify(fs, mp, r0, seed)
-                if cert is not None:
-                    return FaithfulResult(mp, input_cert, cert, tried)
-    raise SearchExhausted(
-        "no certified Kronecker map after %d candidates (p bound %d)"
-        % (tried, sched.p_max)
+    # exact mode: the closed-form c sample; adaptive: delta^r * r per unit of p
+    c_max, c_per_p = (sched.h1_size, 0) if mode == "exact" else (0, delta ** r * r)
+    maps = (
+        KroneckerMap(field, n, r, kept, D, p, c)
+        for p, c in pc_candidates(field, sched.p_max, c_max, c_per_p)
+        for kept in itertools.combinations(range(1, n + 1), r)
     )
+    return _first_faithful(fs, maps, input_cert, seed, "Kronecker", sched.p_max)
 
 
 def search_vandermonde_map(
@@ -504,49 +540,34 @@ def search_vandermonde_map(
 ) -> FaithfulResult:
     """Certified Vandermonde-style reduction for the family fs.
 
-    Requires characteristic zero or larger than delta^r.  Candidate order is
-    p ascending over primes, then c ascending.  Adaptive mode uses the
-    smallest D1, D2 the faithfulness argument allows; exact mode uses the
-    closed-form schedule values.  Raises SearchExhausted past the p bound.
+    Requires vandermonde_applies: characteristic zero or larger than
+    delta^r, and r < 2 over F_2.  Candidate order is p ascending over
+    primes, then c ascending.  Adaptive mode uses the smallest D1, D2 the
+    faithfulness argument allows; exact mode uses the closed-form schedule
+    values.  Raises SearchExhausted past the p bound.
     """
-    if mode not in ("adaptive", "exact"):
-        raise ValueError("mode must be adaptive or exact")
-    if not fs:
-        raise ValueError("need at least one polynomial")
+    input_cert, r = _search_start(fs, r, mode, seed)
     field = fs[0].field
     n = fs[0].nvars
-    input_cert = trdeg(fs, mode="auto", seed=seed)
     r0 = input_cert.r
-    if r is None:
-        r = max(1, r0)
-    if r < r0:
-        raise ValueError("r=%d below the input transcendence degree %d" % (r, r0))
     delta, ell = _family_sizes(fs)
-    ch = field.characteristic
-    if ch != 0 and ch <= delta ** max(1, r0):
+    if not vandermonde_applies(field, delta, r0):
         raise FieldError(
-            "Vandermonde reduction needs characteristic 0 or > delta^r "
-            "(char %d, delta %d, r %d)" % (ch, delta, r0)
+            "Vandermonde reduction needs characteristic 0 or > delta^r, "
+            "and r < 2 over F_2 (char %d, delta %d, r %d)"
+            % (field.characteristic, delta, r0)
         )
     d = max((f.degree() or 0) for f in fs)
     sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=d, ell=ell)
     if mode == "exact":
         D1, D2 = sched.D1, sched.D2
+        c_max, c_per_p = sched.h1_size, 0
     else:
         D1 = max(delta * r + 1, (n + 1) ** (r + 1))
         D2 = 2
-    tried = 0
-    for p in iter_primes():
-        if p > sched.p_max:
-            break
-        budget = sched.h1_size if mode == "exact" else max(1, delta * r * p)
-        for c in _c_candidates(field, budget):
-            mp = VandermondeMap(field, n, r, D1, D2, p, c)
-            tried += 1
-            cert = _certify(fs, mp, r0, seed)
-            if cert is not None:
-                return FaithfulResult(mp, input_cert, cert, tried)
-    raise SearchExhausted(
-        "no certified Vandermonde map after %d candidates (p bound %d)"
-        % (tried, sched.p_max)
+        c_max, c_per_p = 0, delta * r
+    maps = (
+        VandermondeMap(field, n, r, D1, D2, p, c)
+        for p, c in pc_candidates(field, sched.p_max, c_max, c_per_p)
     )
+    return _first_faithful(fs, maps, input_cert, seed, "Vandermonde", sched.p_max)

@@ -14,8 +14,8 @@ from pitkit.hitting import (
     bad_prime_census,
     hitting_set_arbitrary_char,
     hitting_set_depth4,
-    hitting_set_sparse_inputs,
     pit,
+    pit_circuit,
 )
 from pitkit.independence import annihilator, trdeg, verify_trdeg_certificate
 from pitkit.polynomials import SparsePoly, normalize_monic, poly_from_text, poly_to_text
@@ -55,34 +55,9 @@ def _full_sum(C):
     return total
 
 
-def _pit_composed(C, seed):
-    """The composed-circuit driver: trdeg, then the matching construction."""
-    inners = list(C.inputs)
-    field = C.field
-    r0 = trdeg(inners, seed=seed).r
-    if r0 == 0:
-        point = tuple(field.zero() for _ in range(C.nvars))
-        return field.is_zero(field.normalize(C.evaluate(point)))
-    delta = max(1, max((f.degree() or 0) for f in inners))
-    ell = max(1, max(f.num_terms() for f in inners))
-    d = max(1, C.degree_bound())
-    ch = field.characteristic
-    if ch == 0 or ch > delta ** r0:
-        hs = hitting_set_sparse_inputs(
-            field, C.nvars, d, r0, delta, ell, polys=inners, seed=seed
-        )
-    else:
-        hs = hitting_set_arbitrary_char(
-            field, C.nvars, d, r0, delta, polys=inners, seed=seed
-        )
-    return pit(C.evaluate, hs).outcome == "zero"
-
-
-def _pit_depth4(C, seed, R=None):
-    hs = hitting_set_depth4(
-        C.field, C.nvars, C.delta, C.k, C.s, R=R, circuit=C, seed=seed
-    )
-    return pit(C.oracle(), hs).outcome == "zero"
+def _pit_zero(C, seed, R=None):
+    """The driver's verdict on C, as "is C zero"."""
+    return pit_circuit(C, seed=seed, R=R).outcome == "zero"
 
 
 def test_ac1_tightness_family():
@@ -119,8 +94,9 @@ def test_ac3_quartic_family_faithful_map():
     found = search_vandermonde_map(fs, r=3, seed=0)
     assert found.input_cert.r == 3
     assert found.image_cert.r == 3
+    assert verify_trdeg_certificate(fs, found.input_cert)
     imgs = [found.map.apply(f) for f in fs]
-    assert verify_trdeg_certificate(imgs, found.image_cert)
+    assert verify_trdeg_certificate(imgs, found.image_cert, upper_bound=found.input_cert.r)
     _report("AC3", t0, 60, "r=3 preserved by certified Vandermonde reduction")
 
 
@@ -129,28 +105,28 @@ def test_ac4_pit_agrees_with_expand():
     composed_n = zeros = 0
     for seed in range(100):
         C = rand_composed(seed)
-        assert _pit_composed(C, seed) == C.expand(10 ** 6).is_zero, seed
+        assert _pit_zero(C, seed) == C.expand(10 ** 6).is_zero, seed
         composed_n += 1
     for seed in range(12):
         C = zero_composed(seed)
         assert C.expand(10 ** 6).is_zero
-        assert _pit_composed(C, seed) is True, seed
+        assert _pit_zero(C, seed) is True, seed
         composed_n += 1
         zeros += 1
     depth4_n = 0
     for seed in range(100):
         C = rand_depth4(seed)
-        assert _pit_depth4(C, seed) == C.expand(10 ** 6).is_zero, seed
+        assert _pit_zero(C, seed) == C.expand(10 ** 6).is_zero, seed
         depth4_n += 1
     for seed in range(8):
         C = cancelling_depth4(seed)
-        assert _pit_depth4(C, seed) is True, seed
+        assert _pit_zero(C, seed) is True, seed
         depth4_n += 1
         zeros += 1
     for field in (Q, BIG_FIELD):
         L = lifted_identity(2, field)
         assert _full_sum(L).is_zero
-        assert _pit_depth4(L, 0, R=3) is True, field.kind
+        assert _pit_zero(L, 0, R=3) is True, field.kind
         depth4_n += 1
         zeros += 1
     assert composed_n >= 100 and depth4_n >= 100 and zeros >= 20
@@ -312,7 +288,7 @@ def test_ac9_reruns_are_byte_identical():
 
     def composed_run(seed):
         C = rand_composed(seed)
-        return json.dumps({"zero": _pit_composed(C, seed)}, sort_keys=True)
+        return json.dumps({"zero": _pit_zero(C, seed)}, sort_keys=True)
 
     def schedule_run(seed):
         s = schedule("sparse-char0", n=1 + seed % 3, delta=1 + seed % 2, r=1, d=3, ell=2)

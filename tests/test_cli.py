@@ -15,6 +15,7 @@ from _gen import RATIONAL, cancelling_depth4
 
 Q = RATIONAL
 F101 = FieldSpec("prime", 101)
+F2 = FieldSpec("prime", 2)
 
 TIGHT_FAMILY = {
     "field": {"kind": "rational"},
@@ -226,6 +227,70 @@ def test_verify_rejects_tampered_reports(tmp_path, capsys):
     assert "witness value" in json.loads(out)["detail"]
 
 
+def test_verify_rejects_forged_bruteforce_certificate(tmp_path, capsys):
+    # {x1, x1^2} has trdeg 1; the forgery claims 2 with the chain caps
+    # lowered to 1, below the degree of the annihilator x1^2 - x2
+    pair = dump(tmp_path, "pair.json", PAIR_FAMILY)
+    code, out, _ = run(capsys, ["trdeg", pair, "--mode", "bruteforce"])
+    report = json.loads(out)
+    cert = report["certificate"]
+    assert code == 0 and cert["r"] == 1
+    report["r"] = cert["r"] = 2
+    cert["basis"] = [0, 1]
+    cert["witness"]["independence_chain"] = [
+        {"subset": [0], "cap": 1, "method": "kernel-empty"},
+        {"subset": [0, 1], "cap": 1, "method": "kernel-empty"},
+    ]
+    cert["witness"]["dependent_extensions"] = []
+    bad = dump(tmp_path, "bad.json", report)
+    code, out, _ = run(capsys, ["verify", bad, "--against", pair])
+    assert code == 4
+    assert json.loads(out)["verified"] is False
+
+
+def test_verify_rejects_forged_evaluated_jacobian_certificate(tmp_path, capsys):
+    # rank 1 at the point, but the forgery claims r = 0 against a bound of 0
+    # that it declares itself
+    pair = dump(tmp_path, "pair.json", PAIR_FAMILY)
+    code, out, _ = run(capsys, ["trdeg", pair])
+    report = json.loads(out)
+    report["r"] = 0
+    report["certificate"] = {
+        "r": 0,
+        "mode": "jacobian",
+        "basis": [],
+        "witness": {
+            "method": "evaluated-jacobian-meets-upper-bound",
+            "upper_bound": 0,
+            "point": ["3"],
+        },
+    }
+    bad = dump(tmp_path, "bad.json", report)
+    code, out, _ = run(capsys, ["verify", bad, "--against", pair])
+    assert code == 4
+    assert json.loads(out)["verified"] is False
+
+
+def test_pit_over_f2_with_affine_inners_of_trdeg_two(tmp_path, capsys):
+    # over F_2 no Vandermonde map keeps trdeg 2, so the driver takes the
+    # any-characteristic (Kronecker) set; this input used to run without end
+    inners = [P(t, 2, F2) for t in ("x1 + 1", "x1 + x2 + 1", "x2")]
+    for outer, code_want, outcome in (("x1 + x2 + x3", 0, "zero"), ("x1 + x2", 1, "nonzero")):
+        circ = ComposedCircuit(Circuit.from_poly(P(outer, 3, F2)), inners)
+        obj = circ.to_json_dict()
+        assert obj["field"] == {"kind": "prime", "p": 2} and obj["nvars"] == 2
+        assert obj["kind"] == "composed"
+        assert obj["inputs"] == ["x1 + 1", "x1 + x2 + 1", "x2"]
+        path = dump(tmp_path, "f2.json", obj)
+        code, out, _ = run(capsys, ["pit", path])
+        verdict = json.loads(out)["verdict"]
+        assert code == code_want and verdict["outcome"] == outcome
+        assert verdict["provenance"]["construction"] == "any-char"
+        report = dump(tmp_path, "report.json", out)
+        code, out, _ = run(capsys, ["verify", report, "--against", path])
+        assert code == 0 and json.loads(out)["verified"] is True
+
+
 def test_hitting_set_stream(capsys):
     argv = [
         "hitting-set", "--kind", "sparse-char0", "--n", "1", "--d", "3",
@@ -316,6 +381,11 @@ def test_malformed_inputs_exit_three(tmp_path, capsys):
     hugefam = dump(tmp_path, "huge.json",
                    {"field": {"kind": "prime", "p": 2 ** 89 - 1}, "nvars": 1, "polys": ["x1"]})
     assert run(capsys, ["trdeg", hugefam])[0] == 3
+    # a pit report whose config lost a key: nothing to re-run it with
+    zero = dump(tmp_path, "zero.json", zero_composition().to_json_dict())
+    report = json.loads(run(capsys, ["pit", zero])[1])
+    del report["config"]["seed"]
+    assert run(capsys, ["verify", dump(tmp_path, "noseed.json", report), "--against", zero])[0] == 3
     # an int literal past Python's 4300-digit conversion limit
     longfam = dump(tmp_path, "long.json", '{"field": {"kind": "prime", "p": 1%s1}, '
                    '"nvars": 1, "polys": ["x1"]}' % ("0" * 4999))

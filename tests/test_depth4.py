@@ -17,8 +17,7 @@ from pitkit.depth4 import (
 )
 from pitkit.linalg import rank as matrix_rank
 from pitkit.polynomials import SparsePoly, gcd_poly, normalize_monic, poly_from_text, poly_to_text
-from pitkit.primes import iter_primes
-from pitkit.varmaps import VandermondeMap, _c_candidates, schedule
+from pitkit.varmaps import VandermondeMap, pc_candidates, schedule
 
 from _gen import (
     BIG_FIELD,
@@ -219,9 +218,8 @@ def _first_candidates(C, R=None):
     r = schedule("depth4", n=n, delta=delta, k=C.k, s=C.s, r=R).r
     D2 = delta + 1
     D1 = max(2 * delta * delta + 1, delta * r + 1, (n + 1) ** (r + 1), D2)
-    for p in itertools.islice(iter_primes(), 3):
-        for c in _c_candidates(C.field, max(8, 2 * delta * C.k * C.s * r) + p):
-            yield VandermondeMap(C.field, n, r, D1, D2, p, c)
+    for p, c in pc_candidates(C.field, 5, max(8, 2 * delta * C.k * C.s * r), 1):
+        yield VandermondeMap(C.field, n, r, D1, D2, p, c)
 
 
 def _mapped_rows(C, mp):

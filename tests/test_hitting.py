@@ -13,6 +13,7 @@ from pitkit.hitting import (
     hitting_set_depth4,
     hitting_set_sparse_inputs,
     pit,
+    pit_circuit,
     sz_grid,
 )
 from pitkit.independence import trdeg
@@ -27,6 +28,7 @@ from _gen import (
     rand_depth4,
     rand_poly,
     rand_sparse_univariate,
+    smallchar_instance,
 )
 
 Q = RATIONAL
@@ -249,6 +251,26 @@ def test_arbitrary_char_exact_mode_streams_deterministically():
     first = list(itertools.islice(a.points(), 5))
     assert first == list(itertools.islice(b.points(), 5))
     assert all(len(p) == 1 for p in first)
+
+
+def test_exact_vandermonde_sets_over_f2_from_trdeg_two_are_not_certified():
+    # c = 1 is the only candidate, so every point has x1 = x2, and x1 + x2
+    # (1-sparse linear inputs x1, x2 of trdeg 2 under the outer y1 + y2) is
+    # a nonzero member of the class that vanishes on all of them
+    hs = hitting_set_sparse_inputs(F2, 2, 1, 2, 1, 2, mode="exact")
+    assert hs.guarantee == "corpus" and hs.provenance["char_gate"] is False
+    assert all(p[0] == p[1] for p in itertools.islice(hs.points(), 200))
+    assert hitting_set_depth4(F2, 2, 1, 3, 1, mode="exact").guarantee == "corpus"
+    assert hitting_set_depth4(F2, 2, 1, 2, 1, mode="exact").guarantee == "certified"
+
+
+def test_driver_answers_every_small_characteristic_instance():
+    # F_2 instances with affine inners of trdeg 2 used to walk primes up to
+    # p_max ~ 6.9e9 in the Vandermonde search; they take the Kronecker set
+    for seed in range(60):
+        C, _ = smallchar_instance(seed)
+        v = pit_circuit(C, seed=seed)
+        assert (v.outcome == "zero") == C.expand(10 ** 4).is_zero, seed
 
 
 def test_depth4_lifted_identity_is_zero():

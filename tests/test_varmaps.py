@@ -16,6 +16,7 @@ from pitkit.varmaps import (
     schedule,
     search_kronecker_map,
     search_vandermonde_map,
+    vandermonde_applies,
 )
 
 Q = FieldSpec("rational")
@@ -184,7 +185,8 @@ def test_search_certificates_reverify():
     fs = tightness_family()
     res = search_vandermonde_map(fs, r=2)
     assert verify_trdeg_certificate(fs, res.input_cert)
-    assert verify_trdeg_certificate([res.map.apply(f) for f in fs], res.image_cert)
+    imgs = [res.map.apply(f) for f in fs]
+    assert verify_trdeg_certificate(imgs, res.image_cert, upper_bound=res.input_cert.r)
 
 
 def test_search_rejects_r_below_trdeg():
@@ -198,6 +200,13 @@ def test_vandermonde_char_gate():
     F2 = FieldSpec("prime", 2)
     with pytest.raises(FieldError):
         search_vandermonde_map([P("x1^2", 1, F2)], r=1)
+    # over F_2 the only c is 1: every x_i maps to the same affine form
+    with pytest.raises(FieldError):
+        search_vandermonde_map([P("x1 + 1", 2, F2), P("x2", 2, F2)])
+    assert vandermonde_applies(F2, 1, 1) and not vandermonde_applies(F2, 1, 2)
+    F3 = FieldSpec("prime", 3)
+    assert vandermonde_applies(F3, 1, 2) and not vandermonde_applies(F3, 2, 2)
+    assert vandermonde_applies(Q, 5, 4)
 
 
 def test_map_json_round_trip():
