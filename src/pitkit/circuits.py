@@ -9,11 +9,14 @@ forward pass.  Three JSON circuit kinds round-trip bit-exactly: "dag",
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .fields import FieldError, FieldSpec
 from .polynomials import (
     BudgetExceeded,
     ParseError,
     SparsePoly,
+    _prepare_point,
     poly_from_text,
     poly_to_text,
 )
@@ -39,7 +42,7 @@ class BlackboxOracle:
 class Circuit:
     """An arithmetic circuit as a topologically ordered node list."""
 
-    __slots__ = ("field", "nvars", "nodes", "output")
+    __slots__ = ("field", "nvars", "nodes", "output", "_int_nodes")
 
     def __init__(self, field: FieldSpec, nvars: int, nodes, output: int):
         nodes = tuple(self._check_node(field, nvars, i, n) for i, n in enumerate(nodes))
@@ -49,6 +52,16 @@ class Circuit:
         self.nvars = nvars
         self.nodes = nodes
         self.output = output
+        # the nodes with integer consts; None when some rational const is
+        # not an integer
+        if field.kind == "prime":
+            self._int_nodes = nodes
+        elif all(n[1].denominator == 1 for n in nodes if n[0] == "const"):
+            self._int_nodes = tuple(
+                ("const", n[1].numerator) if n[0] == "const" else n for n in nodes
+            )
+        else:
+            self._int_nodes = None
 
     @staticmethod
     def _check_node(field, nvars, i, node):
@@ -69,10 +82,20 @@ class Circuit:
         raise ValueError("unknown node kind %r" % (op,))
 
     def evaluate(self, point):
-        """Evaluate at a tuple of raw elements; memoized forward pass."""
+        """Evaluate at a tuple of raw elements; memoized forward pass.
+
+        Integer arithmetic over F_p (residues), and over Q when every input
+        and every const is an integer; the Fraction loop below is for the
+        other rational points and circuits.
+        """
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
         field = self.field
+        if field.kind == "prime":
+            return self._forward_int(_prepare_point(field, point), field.p)
+        a, q = _prepare_point(field, point)
+        if q == 1 and self._int_nodes is not None:
+            return Fraction(self._forward_int(a, None))
         pt = [field.normalize(v) for v in point]
         vals = [None] * len(self.nodes)
         for i, node in enumerate(self.nodes):
@@ -93,6 +116,31 @@ class Circuit:
                     if field.is_zero(acc):
                         break
                 vals[i] = acc
+        return vals[self.output]
+
+    def _forward_int(self, pt, p):
+        """The forward pass over integer inputs, reduced mod p unless p is
+        None."""
+        vals = [0] * len(self._int_nodes)
+        for i, (op, arg) in enumerate(self._int_nodes):
+            if op == "add":
+                acc = 0
+                for k in arg:
+                    acc += vals[k]
+                vals[i] = acc if p is None else acc % p
+            elif op == "mul":
+                acc = 1
+                for k in arg:
+                    acc *= vals[k]
+                    if p is not None:
+                        acc %= p
+                    if not acc:
+                        break
+                vals[i] = acc
+            elif op == "input":
+                vals[i] = pt[arg]
+            else:
+                vals[i] = arg
         return vals[self.output]
 
     def oracle(self) -> BlackboxOracle:
@@ -294,13 +342,15 @@ class Depth4Circuit:
         return Depth4Circuit(self.field, self.nvars, self.delta, [self.rows[i] for i in I])
 
     def evaluate(self, point):
+        if len(point) != self.nvars:
+            raise ValueError("point arity != nvars")
         field = self.field
-        pt = [field.normalize(v) for v in point]
+        x = _prepare_point(field, point)
         acc = field.zero()
         for row in self.rows:
             prod = field.one()
             for f in row:
-                prod = field.mul(prod, f.eval(pt))
+                prod = field.mul(prod, f._eval_prepared(x))
                 if field.is_zero(prod):
                     break
             acc = field.add(acc, prod)
@@ -391,8 +441,10 @@ class ComposedCircuit:
         return self.inputs[0].nvars
 
     def evaluate(self, point):
-        inner_vals = [f.eval(point) for f in self.inputs]
-        return self.outer.evaluate(inner_vals)
+        if len(point) != self.nvars:
+            raise ValueError("point arity != nvars")
+        x = _prepare_point(self.field, point)
+        return self.outer.evaluate([f._eval_prepared(x) for f in self.inputs])
 
     def degree_bound(self) -> int:
         dmax = max((f.degree() or 0) for f in self.inputs)

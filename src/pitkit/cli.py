@@ -18,6 +18,7 @@ coefficients, and the operators + - * ^.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -434,7 +435,9 @@ def _verify_depth4(report, against):
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh namespace per call
     ap = argparse.ArgumentParser(
         prog="pitkit",
         description="Blackbox polynomial identity testing via algebraic "

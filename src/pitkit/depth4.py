@@ -11,9 +11,10 @@ are certified per candidate, never assumed from the parameter ranges.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .circuits import DEFAULT_EXPAND_BUDGET, Depth4Circuit
-from .independence import jacobian_rank, trdeg
+from .independence import jacobian, randomized_rank, trdeg, upper_bound_certificate
 from .polynomials import (
     BudgetExceeded,
     SparsePoly,
@@ -335,7 +336,8 @@ def search_depth4_map(
     tried with p ascending over primes and c ascending; enumeration stops at
     the closed-form p bound.  r defaults to 1 for k = 2 (where it is proven
     sufficient) and k*s otherwise; conjecture_R opts into a smaller
-    speculative bound.
+    speculative bound.  Over F_2 the only c is 1, so a circuit with a
+    target min(rank, r) of 2 or more raises SearchExhausted at once.
     """
     if mode not in ("adaptive", "exact"):
         raise ValueError("mode must be adaptive or exact")
@@ -365,7 +367,14 @@ def search_depth4_map(
                     "rank of a subcircuit's simple part is not decidable "
                     "within budget"
                 )
-            subsets.append((I, sub, sim, facs, rho.r))
+            subsets.append((I, sub, sim, facs, jacobian(facs), rho.r))
+    if field.characteristic == 2 and any(min(rho, r) >= 2 for *_, rho in subsets):
+        # over F_2 the only c is 1: every variable maps to the same affine
+        # form 1 + z_0 + ... + z_r, so no image has trdeg 2 or more
+        raise SearchExhausted(
+            "no depth-4 map over F_2 keeps a rank of 2 or more (target %d)"
+            % max(min(rho, r) for *_, rho in subsets)
+        )
 
     if mode == "exact":
         c_max, c_per_p = sched.h1_size, 0
@@ -392,11 +401,11 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget):
     None.
 
     Each entry of subsets is (I, C_I, sim = simple_part(C_I), the distinct
-    factors of sim, the rank of sim).  Every distinct factor is mapped once
-    per candidate, and all legs share the image.  A rank leg holds when the
-    images of sim's factors keep rank min(rank, r).  A preservation leg
-    holds when no factor of C_I maps to zero and h = gcd_i psi(sim_i) is
-    constant or sum_i psi(sim_i) = 0.  Proof: the rows of psi(C_I) are
+    factors of sim, their jacobian, the rank of sim).  Every distinct factor
+    is mapped at most once per candidate, and all legs share the image.  A
+    rank leg holds when the images of sim's factors keep rank min(rank, r).
+    A preservation leg holds when no factor of C_I maps to zero and
+    h = gcd_i psi(sim_i) is constant or sum_i psi(sim_i) = 0.  Proof: the rows of psi(C_I) are
     psi(g) * psi(sim_i), so simple_part(psi(C_I)) = psi(sim) / h up to a
     unit, which is psi(sim) up to a unit iff h is constant or both are zero.
     """
@@ -404,26 +413,34 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget):
     # rank legs first: evaluated rank never exceeds the function-field rank,
     # which never exceeds trdeg, so meeting the target at one point already
     # proves the lower bound, and degenerate (p, c) candidates die on cheap
-    # point evaluations before the gcd-based preservation pass below
-    ch = mp.field.characteristic
+    # point evaluations before the gcd-based preservation pass below.  The
+    # image Jacobian is read through the chain rule (mp.jacobian_at on the
+    # precomputed jacobian J of the factors); only the symbolic trdeg
+    # fallback needs the images themselves.
+    field, w = mp.field, mp.nvars_out
+    ch = field.characteristic
     bounds = []
-    for I, sub, sim, facs, rho in subsets:
-        imgs = [image(f) for f in facs]
+    for I, sub, sim, facs, J, rho in subsets:
+        jac_at = partial(mp.jacobian_at, J)
         target = min(rho, r)
-        bound = jacobian_rank(imgs, method="randomized", seed=seed, trials=4)
+        bound = randomized_rank(jac_at, field, w, seed=seed, trials=4)
         if bound < target:
             if ch == 0 or ch >= (1 << 20):
                 # over a big field a candidate of full image rank passes the
                 # evaluated screen almost surely; treat the miss as a reject
                 # and let a later candidate win
                 return None
-            cert = trdeg(imgs, mode="auto", seed=seed, upper_bound=rho)
+            # images cannot gain trdeg, so rho bounds theirs; the symbolic
+            # trdeg of the images only when no seeded point reaches it
+            cert = upper_bound_certificate(jac_at, field, w, rho, seed=seed)
+            if cert is None:
+                cert = trdeg([image(f) for f in facs], mode="auto", seed=seed)
             bound = cert.r
             if bound < target:
                 return None
         bounds.append(bound)
     evidence = []
-    for (I, sub, sim, facs, rho), bound in zip(subsets, bounds):
+    for (I, sub, sim, facs, J, rho), bound in zip(subsets, bounds):
         if not _preserves_simple_part(sub, sim, image, expand_budget):
             return None
         evidence.append(

@@ -79,13 +79,22 @@ def jacobian_rank(fs, method: str = "symbolic", seed: int = 0, trials: int = 3) 
     if method == "symbolic":
         return linalg.poly_matrix_rank(J)[0]
     if method == "randomized":
-        rng = random.Random(_subseed(seed, 1))
-        best = 0
-        for _ in range(max(1, trials)):
-            pt = _random_point(field, rng, n)
-            best = max(best, linalg.rank(linalg.eval_matrix(J, pt), field))
-        return best
+        return randomized_rank(
+            lambda pt: linalg.eval_matrix(J, pt), field, n, seed=seed, trials=trials
+        )
     raise ValueError("method must be 'symbolic' or 'randomized'")
+
+
+def randomized_rank(jac_at, field, nvars: int, seed: int = 0, trials: int = 3) -> int:
+    """The randomized method of jacobian_rank, for a Jacobian given by its
+    values: jac_at(pt) is the evaluated Jacobian at a point of nvars
+    coordinates.  Max rank over `trials` seeded random points."""
+    rng = random.Random(_subseed(seed, 1))
+    best = 0
+    for _ in range(max(1, trials)):
+        pt = _random_point(field, rng, nvars)
+        best = max(best, linalg.rank(jac_at(pt), field))
+    return best
 
 
 class TrdegCertificate:
@@ -153,7 +162,6 @@ def trdeg(
     mode: str = "auto",
     seed: int = 0,
     col_budget: int = DEFAULT_COLUMN_BUDGET,
-    upper_bound=None,
 ) -> TrdegCertificate:
     """Transcendence degree of the family fs with a certificate.
 
@@ -163,34 +171,12 @@ def trdeg(
     search at the Perron cap; exact in every characteristic.
     mode "auto": Jacobian first, bruteforce fallback when the gate fails,
     flagged lower bound if the fallback exceeds its budget.
-
-    upper_bound, when the caller knows trdeg(fs) <= B (e.g. images under a
-    ring homomorphism cannot gain trdeg), enables a cheap exact certificate:
-    an evaluated Jacobian of rank B proves equality in any characteristic.
     """
     if mode not in ("auto", "jacobian", "bruteforce"):
         raise ValueError("mode must be auto, jacobian, or bruteforce")
     field, n = _check_family(fs)
     m = len(fs)
     delta = _max_degree(fs)
-
-    if upper_bound is not None and mode in ("auto", "jacobian"):
-        J = jacobian(fs)
-        rng = random.Random(_subseed(seed, 2))
-        for _ in range(4):
-            pt = _random_point(field, rng, n)
-            rho, pivot_rows, _ = linalg.echelon(linalg.eval_matrix(J, pt), field)
-            if rho >= upper_bound:
-                return TrdegCertificate(
-                    rho,
-                    "jacobian",
-                    pivot_rows,
-                    {
-                        "method": "evaluated-jacobian-meets-upper-bound",
-                        "upper_bound": upper_bound,
-                        "point": [field.scalar_to_json(v) for v in pt],
-                    },
-                )
 
     if mode in ("auto", "jacobian"):
         rho, prows, pcols = linalg.poly_matrix_rank(jacobian(fs))
@@ -213,6 +199,31 @@ def trdeg(
         except BudgetExceeded:
             return symbolic("jacobian-lower-bound", "bruteforce-budget-exceeded")
     return _trdeg_bruteforce(fs, seed, col_budget)
+
+
+def upper_bound_certificate(jac_at, field, nvars: int, upper_bound: int, seed: int = 0):
+    """A cheap exact certificate for a family whose trdeg the caller knows
+    to be at most upper_bound (e.g. images under a ring homomorphism, which
+    cannot gain trdeg): an evaluated Jacobian of rank upper_bound proves
+    equality in any characteristic.  jac_at gives the Jacobian by its
+    values, as in randomized_rank.  The certificate of the first of four
+    seeded points where the rank reaches upper_bound, or None."""
+    rng = random.Random(_subseed(seed, 2))
+    for _ in range(4):
+        pt = _random_point(field, rng, nvars)
+        rho, pivot_rows, _ = linalg.echelon(jac_at(pt), field)
+        if rho >= upper_bound:
+            return TrdegCertificate(
+                rho,
+                "jacobian",
+                pivot_rows,
+                {
+                    "method": "evaluated-jacobian-meets-upper-bound",
+                    "upper_bound": upper_bound,
+                    "point": [field.scalar_to_json(v) for v in pt],
+                },
+            )
+    return None
 
 
 def _monomials_upto(nvars: int, cap: int):
@@ -328,13 +339,14 @@ def _subset_dependent(polys, cap: int, seed: int, col_budget: int):
     if run_eval:
         _, steps = _monomial_basis(len(polys), cap)
         rng = random.Random(_subseed(seed, 3))
+        p = field.p
         rows = []
         for _ in range(ncols + 8):
-            pt = tuple(rng.randrange(field.p) for _ in range(n))
+            pt = tuple(rng.randrange(p) for _ in range(n))
             fv = [f.eval(pt) for f in polys]
-            vals = [field.one()]
+            vals = [1]
             for j, i in steps[1:]:
-                vals.append(field.mul(vals[j], fv[i]))
+                vals.append(vals[j] * fv[i] % p)
             rows.append(vals)
         if linalg.rank(rows, field) == ncols:
             return False, None, "evaluation-full-rank"

@@ -10,9 +10,11 @@ answers."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from .polynomials import SparsePoly, bareiss
+from .polynomials import SparsePoly, _prepare_point, bareiss
 
 _NP_LIMIT = 1 << 31
 # Below this many entries the per-column numpy overhead outweighs the
@@ -183,4 +185,25 @@ def poly_matrix_det(M) -> SparsePoly:
 
 def eval_matrix(M, point):
     """Evaluate a SparsePoly matrix at a point; returns raw rows."""
-    return [[entry.eval(point) for entry in row] for row in M]
+    if not M or not M[0]:
+        return [list(row) for row in M]
+    first = M[0][0]
+    if len(point) != first.nvars:
+        raise ValueError("point arity != nvars")
+    x = _prepare_point(first.field, point)
+    return [[entry._eval_prepared(x) for entry in row] for row in M]
+
+
+def matmul(A, B, field):
+    """The product of two raw matrices (lists of rows).  Integer sums: of
+    residues over F_p, of numerators over Q when every entry is an integer;
+    Fractions otherwise."""
+    cols = list(zip(*B))
+    if field.kind == "prime":
+        p = field.p
+        return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A]
+    if all(v.denominator == 1 for M in (A, B) for row in M for v in row):
+        A = [[v.numerator for v in row] for row in A]
+        cols = [[v.numerator for v in col] for col in cols]
+        return [[Fraction(sum(a * b for a, b in zip(row, col))) for col in cols] for row in A]
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in A]

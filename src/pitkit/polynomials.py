@@ -14,6 +14,7 @@ and round-trips exactly on canonical output.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -37,10 +38,33 @@ def gradedlex_key(exps):
     return (sum(exps), exps)
 
 
-class SparsePoly:
-    """Immutable-by-convention sparse polynomial over a FieldSpec."""
+def _prepare_point(field, point):
+    """A point in the integer form the evaluation kernels take.
 
-    __slots__ = ("field", "nvars", "terms", "_hash")
+    Over F_p the residues of the coordinates.  Over Q the pair (a, q): q is
+    the least common denominator of the coordinates and a their numerators
+    over q, so that coordinate i is a[i] / q.
+    """
+    if field.kind == "prime":
+        p = field.p
+        return [v % p if type(v) is int else field.normalize(v) for v in point]
+    vals = [v if type(v) is Fraction else field.normalize(v) for v in point]
+    nums = [v.numerator for v in vals]
+    dens = [v.denominator for v in vals]
+    q = math.lcm(*dens)
+    if q == 1:
+        return nums, 1
+    return [a * (q // d) for a, d in zip(nums, dens)], q
+
+
+class SparsePoly:
+    """Immutable-by-convention sparse polynomial over a FieldSpec.
+
+    Nothing assigns to terms after construction, which is what lets eval
+    cache the polynomial's integer evaluation form (_compile) on first use.
+    """
+
+    __slots__ = ("field", "nvars", "terms", "_hash", "_compiled")
 
     def __init__(self, field: FieldSpec, nvars: int, terms):
         if nvars < 0:
@@ -59,6 +83,7 @@ class SparsePoly:
         self.nvars = nvars
         self.terms = clean
         self._hash = None
+        self._compiled = None
 
     # -- constructors --------------------------------------------------------
 
@@ -233,6 +258,7 @@ class SparsePoly:
         p.nvars = nvars
         p.terms = terms
         p._hash = None
+        p._compiled = None
         return p
 
     # -- evaluation and substitution -----------------------------------------------
@@ -240,26 +266,69 @@ class SparsePoly:
     def eval(self, point):
         """Evaluate at a point of raw elements; returns raw.
 
-        Per-variable powers go through square-and-multiply; repeated
-        exponents are cached for the duration of the call.
+        Integer arithmetic throughout: the point goes through
+        _prepare_point, the polynomial through _compile (once), and
+        _eval_prepared does the sum.
         """
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
-        field = self.field
-        pt = [field.normalize(v) for v in point]
-        cache = {}
-        acc = field.zero()
-        for exps, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exps):
-                if e:
-                    w = cache.get((i, e))
-                    if w is None:
-                        w = field.pow(pt[i], e)
-                        cache[(i, e)] = w
-                    v = field.mul(v, w)
-            acc = field.add(acc, v)
-        return acc
+        return self._eval_prepared(_prepare_point(self.field, point))
+
+    def _eval_prepared(self, x):
+        """The value at a point x in _prepare_point form.
+
+        Over F_p a sum of residues with one reduction per factor.  Over Q,
+        with x = (a, q), one integer sum over the cleared denominators,
+        f(a/q) = sum N_e a^e q^(d-|e|) / (D q^d), made a Fraction at the end.
+        """
+        den, terms, d = self._compiled or self._compile()
+        if self.field.kind == "prime":
+            p = self.field.p
+            acc = 0
+            for c, mon, _ in terms:
+                for i, e in mon:
+                    c = c * (x[i] if e == 1 else pow(x[i], e, p)) % p
+                acc += c
+            return acc % p
+        a, q = x
+        acc = 0
+        if q == 1:
+            for c, mon, _ in terms:
+                for i, e in mon:
+                    c *= a[i] if e == 1 else a[i] ** e
+                acc += c
+        else:
+            qpow = [1]
+            for _ in range(d):
+                qpow.append(qpow[-1] * q)
+            for c, mon, k in terms:
+                c *= qpow[d - k]
+                for i, e in mon:
+                    c *= a[i] if e == 1 else a[i] ** e
+                acc += c
+            den *= qpow[d]
+        return Fraction(acc) if den == 1 else Fraction(acc, den)
+
+    def _compile(self):
+        """(D, terms, d): the evaluation form, built once per polynomial.
+
+        terms lists (N, ((var, exp), ...), total degree) with integer N,
+        zero exponents left out; D is the common denominator of the
+        coefficients (N = D * coefficient) and 1 over F_p; d is the total
+        degree (0 for the zero polynomial).
+        """
+        prime = self.field.kind == "prime"
+        den = 1 if prime else math.lcm(*(c.denominator for c in self.terms.values()))
+        terms = tuple(
+            (
+                c if prime else c.numerator * (den // c.denominator),
+                tuple((i, e) for i, e in enumerate(exps) if e),
+                sum(exps),
+            )
+            for exps, c in self.terms.items()
+        )
+        self._compiled = (den, terms, max((t[2] for t in terms), default=0))
+        return self._compiled
 
     def derivative(self, i: int):
         """Formal partial derivative in variable i.

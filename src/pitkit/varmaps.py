@@ -24,10 +24,14 @@ but toy inputs, which is why the searches default to adaptive mode.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
+from functools import partial
 
+from . import linalg
 from .fields import FieldError, FieldSpec
-from .independence import jacobian_rank, trdeg
-from .polynomials import SparsePoly
+from .independence import jacobian, randomized_rank, trdeg, upper_bound_certificate
+from .polynomials import SparsePoly, _prepare_point
 from .primes import iter_primes
 
 
@@ -185,7 +189,7 @@ class KroneckerMap:
     """x_i -> z_(position in I) for i in I, else the constant c^(D^j mod p)
     where j counts the dropped variable's position (1-based)."""
 
-    __slots__ = ("field", "n", "r", "kept", "D", "p", "c", "_images")
+    __slots__ = ("field", "n", "r", "kept", "D", "p", "c", "_images", "_constants")
 
     def __init__(self, field: FieldSpec, n: int, r: int, kept, D: int, p: int, c):
         kept = tuple(sorted(kept))
@@ -208,6 +212,7 @@ class KroneckerMap:
         self.p = p
         self.c = c
         self._images = None
+        self._constants = None
 
     @property
     def nvars_out(self) -> int:
@@ -215,17 +220,19 @@ class KroneckerMap:
 
     def constants(self):
         """Per-variable substitution constants; None marks a kept variable."""
-        field = self.field
-        kept_set = set(self.kept)
-        out = []
-        j = 0
-        for i in range(1, self.n + 1):
-            if i in kept_set:
-                out.append(None)
-            else:
-                j += 1
-                out.append(field.pow(self.c, pow(self.D, j, self.p)))
-        return out
+        if self._constants is None:
+            field = self.field
+            kept_set = set(self.kept)
+            out = []
+            j = 0
+            for i in range(1, self.n + 1):
+                if i in kept_set:
+                    out.append(None)
+                else:
+                    j += 1
+                    out.append(field.pow(self.c, pow(self.D, j, self.p)))
+            self._constants = tuple(out)
+        return list(self._constants)
 
     def images(self):
         if self._images is None:
@@ -249,11 +256,17 @@ class KroneckerMap:
         """The x-space point this map sends the z-point a to."""
         if len(a) != self.r:
             raise ValueError("expected a point with %d coordinates" % self.r)
-        pos = {v: t for t, v in enumerate(self.kept)}
-        out = []
-        for i, const in enumerate(self.constants(), start=1):
-            out.append(self.field.normalize(a[pos[i]]) if const is None else const)
+        out = self.constants()
+        for t, i in enumerate(self.kept):
+            out[i - 1] = self.field.normalize(a[t])
         return tuple(out)
+
+    def jacobian_at(self, J, a):
+        """The Jacobian of the images of fs at the z-point a, where J is
+        jacobian(fs): by the chain rule J(f o phi)(a) = J_f(phi(a)) J_phi,
+        and J_phi selects the columns of the kept variables."""
+        kept = [[row[i - 1] for i in self.kept] for row in J]
+        return linalg.eval_matrix(kept, self.point_images(a))
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,7 +293,7 @@ class KroneckerMap:
 class VandermondeMap:
     """x_i -> c^(D1^i mod p) + c^(D2^i mod p) z_0 + sum_j c^(i (n+1)^j mod p) z_j."""
 
-    __slots__ = ("field", "n", "r", "D1", "D2", "p", "c", "_rows", "_images")
+    __slots__ = ("field", "n", "r", "D1", "D2", "p", "c", "_rows", "_images", "_int_cols")
 
     def __init__(self, field: FieldSpec, n: int, r: int, D1: int, D2: int, p: int, c):
         if n < 1 or r < 1:
@@ -299,6 +312,7 @@ class VandermondeMap:
         self.c = c
         self._rows = None
         self._images = None
+        self._int_cols = None
 
     @property
     def nvars_out(self) -> int:
@@ -338,19 +352,51 @@ class VandermondeMap:
             raise ValueError("polynomial ring does not match the map")
         return f.substitute(self.images())
 
+    def _integer_columns(self):
+        """(constants, z-columns, L): the coefficient rows times their
+        common denominator L, as integers, split into the column of
+        constants and one column per z_t (L = 1 and the residues themselves
+        over F_p)."""
+        if self._int_cols is None:
+            rows = self.coefficient_rows()
+            if self.field.kind == "prime":
+                L = 1
+            else:
+                L = math.lcm(*(v.denominator for row in rows for v in row))
+                rows = [[v.numerator * (L // v.denominator) for v in row] for row in rows]
+            cols = tuple(zip(*rows))
+            self._int_cols = (cols[0], cols[1:], L)
+        return self._int_cols
+
     def point_images(self, a):
         """The x-space point this map sends the z-point a to."""
         if len(a) != self.nvars_out:
             raise ValueError("expected a point with %d coordinates" % self.nvars_out)
         field = self.field
-        a = [field.normalize(v) for v in a]
-        out = []
-        for row in self.coefficient_rows():
-            acc = row[0]
-            for t, av in enumerate(a):
-                acc = field.add(acc, field.mul(row[t + 1], av))
-            out.append(acc)
-        return tuple(out)
+        const, cols, L = self._integer_columns()
+        if field.kind == "prime":
+            a, q = _prepare_point(field, a), 1
+        else:
+            a, q = _prepare_point(field, a)
+        out = list(const) if q == 1 else [c * q for c in const]
+        for col, v in zip(cols, a):
+            if v:
+                out = [x + c * v for x, c in zip(out, col)]
+        if field.kind == "prime":
+            p = field.p
+            return tuple(x % p for x in out)
+        den = L * q
+        if den == 1:
+            return tuple(map(Fraction, out))
+        return tuple(Fraction(x, den) for x in out)
+
+    def jacobian_at(self, J, a):
+        """The Jacobian of the images of fs at the z-point a, where J is
+        jacobian(fs): by the chain rule J(f o psi)(a) = J_f(psi(a)) J_psi,
+        and J_psi is the matrix of the z-coefficients of the rows."""
+        x = self.point_images(a)
+        Jpsi = [row[1:] for row in self.coefficient_rows()]
+        return linalg.matmul(linalg.eval_matrix(J, x), Jpsi, self.field)
 
     def to_json_dict(self) -> dict:
         return {
@@ -454,17 +500,28 @@ def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
     return ch == 0 or ch > delta ** max(1, r)
 
 
-def _certify(fs, mp, r0: int, seed: int):
-    imgs = [mp.apply(f) for f in fs]
-    ch = imgs[0].field.characteristic
+def _certify(fs, J, mp, r0: int, seed: int):
+    """The image certificate of trdeg r0 for the candidate mp, or None.
+
+    J = jacobian(fs).  The evaluated legs read the image Jacobian through
+    the chain rule (mp.jacobian_at), so the images mp(f) are built only
+    when the symbolic trdeg fallback runs.
+    """
+    field = mp.field
+    jac_at = partial(mp.jacobian_at, J)
+    ch = field.characteristic
     if ch == 0 or ch >= (1 << 20):
         # Evaluated-rank screen.  A faithful candidate shows rank r0 at a
         # random point with overwhelming probability over a big field, so a
         # candidate that misses r0 on every sampled point is rejected without
         # paying for symbolic elimination; the next candidate takes its turn.
-        if jacobian_rank(imgs, method="randomized", seed=seed, trials=4) < r0:
+        if randomized_rank(jac_at, field, mp.nvars_out, seed=seed, trials=4) < r0:
             return None
-    cert = trdeg(imgs, mode="auto", seed=seed, upper_bound=r0)
+    # images cannot gain trdeg, so r0 bounds theirs; the symbolic trdeg of
+    # the images only when no seeded point reaches it
+    cert = upper_bound_certificate(jac_at, field, mp.nvars_out, r0, seed=seed)
+    if cert is None:
+        cert = trdeg([mp.apply(f) for f in fs], mode="auto", seed=seed)
     if cert.exact and cert.r == r0:
         return cert
     return None
@@ -488,10 +545,11 @@ def _search_start(fs, r, mode, seed):
 
 def _first_faithful(fs, maps, input_cert, seed, name, p_max):
     """The first candidate map whose images keep the input trdeg."""
+    J = jacobian(fs)
     tried = 0
     for mp in maps:
         tried += 1
-        cert = _certify(fs, mp, input_cert.r, seed)
+        cert = _certify(fs, J, mp, input_cert.r, seed)
         if cert is not None:
             return FaithfulResult(mp, input_cert, cert, tried)
     raise SearchExhausted(

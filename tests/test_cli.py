@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -289,6 +290,36 @@ def test_pit_over_f2_with_affine_inners_of_trdeg_two(tmp_path, capsys):
         report = dump(tmp_path, "report.json", out)
         code, out, _ = run(capsys, ["verify", report, "--against", path])
         assert code == 0 and json.loads(out)["verified"] is True
+
+
+def test_pit_depth4_over_f2_of_rank_two_exits_four(tmp_path, capsys):
+    # over F_2 the only c is 1, so no depth-4 map keeps a rank of 2; the
+    # search refuses at once instead of walking primes without end
+    obj = {"kind": "depth4", "field": {"kind": "prime", "p": 2}, "nvars": 2,
+           "delta": 1, "rows": [["x1"], ["x2"], ["x1 + x2"]]}
+    path = dump(tmp_path, "f2d4.json", obj)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["pit", path, "--R", "2"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4 and out == ""
+    assert "F_2" in json.loads(err)["error"]
+
+
+def test_consecutive_main_calls_keep_no_state(tmp_path, capsys):
+    # the parser is built once per process; options of one call must not
+    # reach the next
+    path = dump(tmp_path, "zero.json", zero_composition().to_json_dict())
+    code, out, _ = run(capsys, ["pit", path, "--seed", "5", "--conjecture-R", "--R", "3"])
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 5
+    tight = dump(tmp_path, "tight.json", TIGHT_FAMILY)
+    assert run(capsys, ["trdeg", tight, "--seed", "7"])[0] == 0
+    code, out, _ = run(capsys, ["pit", path])
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "mode": "adaptive", "seed": 0, "max_points": 200_000, "R": None,
+        "conjecture_R": False,
+    }
 
 
 def test_hitting_set_stream(capsys):
