@@ -142,6 +142,27 @@ class Circuit:
                 degs[i] = sum(degs[k] for k in node[1])
         return degs[self.output]
 
+    def value_bits(self, input_bits: int) -> int:
+        """Over Q, a bound on the bit length of every numerator and
+        denominator the forward pass meets at an integer point whose
+        coordinates have at most input_bits bits.  A product adds its
+        factors' bounds; a sum of k terms adds ceil(log2 k) to their
+        largest bound when every const is an integer, and to the sum of
+        their bounds otherwise (cross-multiplied denominators)."""
+        integral = self._int_nodes is not None
+        bits = [0] * len(self.nodes)
+        for i, (op, arg) in enumerate(self.nodes):
+            if op == "input":
+                bits[i] = input_bits
+            elif op == "const":
+                bits[i] = max(arg.numerator.bit_length(), arg.denominator.bit_length())
+            elif op == "mul":
+                bits[i] = sum(bits[k] for k in arg)
+            else:
+                kids = [bits[k] for k in arg]
+                bits[i] = (max(kids) if integral else sum(kids)) + (len(arg) - 1).bit_length()
+        return max(bits)
+
     def expand(self, budget: int = DEFAULT_EXPAND_BUDGET) -> SparsePoly:
         """Expand to a SparsePoly; raise BudgetExceeded when any intermediate
         grows past `budget` terms (the error message says to use PIT instead)."""

@@ -24,6 +24,7 @@ from .circuits import ComposedCircuit, Depth4Circuit
 from .depth4 import search_depth4_map
 from .fields import FieldSpec
 from .independence import trdeg
+from .polynomials import BudgetExceeded
 from .varmaps import (
     KroneckerMap,
     VandermondeMap,
@@ -106,8 +107,23 @@ def pit(oracle, hs: HittingSet, max_points=None) -> PitVerdict:
     return PitVerdict("zero", None, None, checked, hs.guarantee, hs.provenance)
 
 
+# The largest grid axis any hitting set builds, and the largest value, in
+# bits, pit_circuit evaluates a dag to over Q; past either the input is
+# refused with BudgetExceeded before anything is built.
+MAX_GRID_AXIS = 1 << 20
+MAX_VALUE_BITS = 1 << 20
+
+
 def _grid_values(field: FieldSpec, want: int):
-    """First `want` field elements for one grid axis, plus a truncation flag."""
+    """First `want` field elements for one grid axis, plus a truncation flag.
+
+    Raises BudgetExceeded, before building anything, when the axis would
+    hold more than MAX_GRID_AXIS values.
+    """
+    axis = want if field.kind == "rational" else min(want, field.p)
+    if axis > MAX_GRID_AXIS:
+        # the sizes themselves may be too long to print
+        raise BudgetExceeded("a grid axis exceeds the limit of %d values" % MAX_GRID_AXIS)
     vals = field.sample_elements(want, start=0)
     return vals, len(vals) < want
 
@@ -207,6 +223,7 @@ def hitting_set_sparse_inputs(
     mode: str = "adaptive",
     polys=None,
     seed: int = 0,
+    input_cert=None,
 ) -> HittingSet:
     """Hitting set for degree-d compositions of ell-sparse degree-delta
     polynomials with transcendence degree r, via Vandermonde reductions.
@@ -214,7 +231,9 @@ def hitting_set_sparse_inputs(
     Exact mode streams the full closed-form family (all primes up to the
     schedule bound, the c sample, the grid); certified when a Vandermonde
     reduction applies and the field hosts the full grid.  Adaptive mode
-    needs the concrete input family and uses its one certified map.
+    needs the concrete input family and uses its one certified map;
+    input_cert, the family's trdeg certificate when the caller has it,
+    spares the search from computing it again.
     """
     sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=d, ell=ell)
     if mode == "exact":
@@ -222,7 +241,7 @@ def hitting_set_sparse_inputs(
     if mode == "adaptive":
         if not polys:
             raise ValueError("adaptive mode needs the concrete input family")
-        found = search_vandermonde_map(polys, r=r, seed=seed)
+        found = search_vandermonde_map(polys, r=r, seed=seed, input_cert=input_cert)
         evidence = {"image_certificate": found.image_cert.to_json_dict()}
         return _adaptive_set(field, n, "sparse-char0", found.map, evidence, d)
     raise ValueError("mode must be 'exact' or 'adaptive'")
@@ -237,12 +256,14 @@ def hitting_set_arbitrary_char(
     mode: str = "adaptive",
     polys=None,
     seed: int = 0,
+    input_cert=None,
 ) -> HittingSet:
     """Hitting set for degree-d compositions of degree-delta polynomials of
     transcendence degree r over any characteristic, via Kronecker maps.
 
     The exact enumeration unions over all primes up to the schedule bound,
     the c sample, and all r-subsets of kept variables; the grid has arity r.
+    Adaptive mode takes input_cert as hitting_set_sparse_inputs does.
     """
     sched = schedule("any-char", n=n, delta=delta, r=r, d=d)
     if mode == "exact":
@@ -271,7 +292,7 @@ def hitting_set_arbitrary_char(
     if mode == "adaptive":
         if not polys:
             raise ValueError("adaptive mode needs the concrete input family")
-        found = search_kronecker_map(polys, r=min(r, n), seed=seed)
+        found = search_kronecker_map(polys, r=min(r, n), seed=seed, input_cert=input_cert)
         evidence = {"image_certificate": found.image_cert.to_json_dict()}
         return _adaptive_set(field, n, "any-char", found.map, evidence, d)
     raise ValueError("mode must be 'exact' or 'adaptive'")
@@ -325,9 +346,15 @@ def pit_circuit(
     there).  A composed circuit C(f_1, ..., f_m) first gets r0 = trdeg(f):
     r0 = 0 makes it a constant, decided by one evaluation; otherwise its
     points come from the sparse-input (Vandermonde) set when a Vandermonde
-    reduction applies, else from the any-characteristic (Kronecker) set.  A
-    plain dag runs over the grid sized to its syntactic degree, without the
-    degree claim when the field cannot host d + 1 values.
+    reduction applies, else from the any-characteristic (Kronecker) set,
+    and both searches start from that certificate.  A plain dag runs over
+    the grid sized to its syntactic degree.
+
+    A grid too small for the degree (truncated to a small field, or a dag
+    grid without its degree bound) cannot see every nonzero polynomial, so
+    exhausting it answers "inconclusive", not "zero".  A dag whose grid
+    axis or whose values over Q would exceed MAX_GRID_AXIS or
+    MAX_VALUE_BITS raises BudgetExceeded before any evaluation.
     """
     field, n = circ.field, circ.nvars
     if isinstance(circ, Depth4Circuit):
@@ -336,9 +363,11 @@ def pit_circuit(
             circuit=circ if mode == "adaptive" else None,
             seed=seed, conjecture_R=conjecture_R,
         )
+        truncated = hs.provenance["grid_truncated"]
     elif isinstance(circ, ComposedCircuit):
         inputs = list(circ.inputs)
-        r0 = trdeg(inputs, mode="auto", seed=seed).r
+        input_cert = trdeg(inputs, mode="auto", seed=seed)
+        r0 = input_cert.r
         if r0 == 0:
             point = tuple(field.zero() for _ in range(n))
             value = field.normalize(circ.evaluate(point))
@@ -352,17 +381,32 @@ def pit_circuit(
         if vandermonde_applies(field, delta, r0):
             ell = max(1, max(f.num_terms() for f in inputs))
             hs = hitting_set_sparse_inputs(
-                field, n, d, r0, delta, ell, mode=mode, polys=polys, seed=seed
+                field, n, d, r0, delta, ell, mode=mode, polys=polys, seed=seed,
+                input_cert=input_cert,
             )
         else:
             hs = hitting_set_arbitrary_char(
-                field, n, d, r0, delta, mode=mode, polys=polys, seed=seed
+                field, n, d, r0, delta, mode=mode, polys=polys, seed=seed,
+                input_cert=input_cert,
             )
+        truncated = hs.provenance["grid_truncated"]
     else:
         d = max(1, circ.syntactic_degree())
-        values = field.sample_elements(d + 1)
-        hs = sz_grid(field, values, n, d=d if len(values) > d else None)
-    return pit(circ.oracle(), hs, max_points=max_points)
+        if field.kind == "rational":
+            # the grid's largest coordinate is d
+            bits = circ.value_bits(d.bit_length())
+            if bits > MAX_VALUE_BITS:
+                raise BudgetExceeded(
+                    "dag values may exceed the limit of %d bits" % MAX_VALUE_BITS
+                )
+        values, truncated = _grid_values(field, d + 1)
+        hs = sz_grid(field, values, n, d=None if truncated else d)
+    verdict = pit(circ.oracle(), hs, max_points=max_points)
+    if verdict.outcome == "zero" and truncated:
+        return PitVerdict(
+            "inconclusive", None, None, verdict.points_checked, hs.guarantee, hs.provenance
+        )
+    return verdict
 
 
 def bad_prime_census(f, primes):

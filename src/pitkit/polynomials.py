@@ -461,11 +461,104 @@ def _content(f: SparsePoly, v: int) -> SparsePoly:
     return acc
 
 
+# the word prime the gcd certificate reduces integer numerators modulo over Q
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _gcd_point(p: int, nvars: int):
+    """The fixed point mod p at which the gcd certificate specializes every
+    variable but one: nonzero residues spread by a golden-ratio step."""
+    return [1 + (i + 1) * 0x9E3779B97F4A7C15 % (p - 1) for i in range(nvars)]
+
+
+def _degrees(f: SparsePoly):
+    return [max(col) for col in zip(*f.terms)]
+
+
+def _specialize(f: SparsePoly, v: int, deg: int, point, p: int):
+    """Dense coefficients (low to high) of f mod p as a polynomial in x_v,
+    every other variable fixed at point; over Q f's integer numerators."""
+    out = [0] * (deg + 1)
+    for c, mon, _ in (f._compiled or f._compile())[1]:
+        k = 0
+        for i, e in mon:
+            if i == v:
+                k = e
+            else:
+                c = c * pow(point[i], e, p) % p
+        out[k] += c
+    return [c % p for c in out]
+
+
+def _gcd_degree_mod(a, b, p: int) -> int:
+    """Degree of gcd(a, b) over F_p for dense coefficient lists (low to
+    high) with nonzero leading entries."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        a = a[:]
+        nb = len(b)
+        while len(a) >= nb:
+            q = a[-1] * inv % p
+            shift = len(a) - nb
+            for j in range(nb - 1):
+                a[shift + j] = (a[shift + j] - q * b[j]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _gcd_certificate(f: SparsePoly, g: SparsePoly):
+    """gcd(f, g) for nonzero f and g when a modular image settles it, else
+    None.
+
+    For each variable v in which both sides have positive degree, fix every
+    other variable at _gcd_point mod p (the field's p over F_p, _GCD_PRIME
+    over Q, where f and g are reduced through their integer numerators) and
+    take the univariate gcd mod p.  When lc_v of both sides survives at the
+    point, a common factor h of positive degree in v stays a common factor
+    of degree deg_v h there: over Q by Gauss's lemma, h can be taken in Z[x]
+    dividing the numerators in Z[x], and reduction mod p is a ring map.  So
+    if every such gcd is constant, gcd(f, g) is constant.  If every such
+    gcd has the degree of one side, that side may divide the other, which
+    an exact division decides.  Anything else is left to the PRS.
+    """
+    df, dg = _degrees(f), _degrees(g)
+    shared = [v for v in range(f.nvars) if df[v] and dg[v]]
+    if not shared:
+        return SparsePoly.one(f.field, f.nvars)
+    p = f.field.p if f.field.kind == "prime" else _GCD_PRIME
+    point = _gcd_point(p, f.nvars)
+    coprime = g_in_f = f_in_g = True
+    for v in shared:
+        a = _specialize(f, v, df[v], point, p)
+        b = _specialize(g, v, dg[v], point, p)
+        if not a[-1] or not b[-1]:
+            return None
+        d = _gcd_degree_mod(a, b, p)
+        coprime = coprime and d == 0
+        g_in_f = g_in_f and d == dg[v]
+        f_in_g = f_in_g and d == df[v]
+        if not (coprime or g_in_f or f_in_g):
+            return None
+    if coprime:
+        return SparsePoly.one(f.field, f.nvars)
+    # a divisor's degree in each variable is at most the other side's
+    if g_in_f and all(a <= b for a, b in zip(dg, df)) and divides(g, f):
+        return normalize_monic(g)
+    if f_in_g and all(a <= b for a, b in zip(df, dg)) and divides(f, g):
+        return normalize_monic(f)
+    return None
+
+
 def gcd_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """Greatest common divisor, primitive Euclidean recursion on variables.
 
     The unique representative returned is monic under graded-lex.  Both
-    arguments zero is rejected: no gcd exists.
+    arguments zero is rejected: no gcd exists.  A modular certificate
+    (_gcd_certificate) answers first when the gcd is constant or one side
+    divides the other; the recursion runs only when it cannot.
     """
     f._check_ring(g)
     if f.is_zero and g.is_zero:
@@ -474,6 +567,9 @@ def gcd_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
         return normalize_monic(g)
     if g.is_zero:
         return normalize_monic(f)
+    known = _gcd_certificate(f, g)
+    if known is not None:
+        return known
     v = None
     for i in range(f.nvars):
         if f.degree_in(i) > 0 or g.degree_in(i) > 0:

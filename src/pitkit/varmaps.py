@@ -24,13 +24,14 @@ but toy inputs, which is why the searches default to adaptive mode.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import partial
 
 from . import linalg
 from .fields import FieldError, FieldSpec
 from .independence import jacobian, randomized_rank, trdeg, upper_bound_certificate
-from .polynomials import SparsePoly, _prepare_point
+from .polynomials import BudgetExceeded, SparsePoly, _prepare_point
 from .primes import iter_primes
 
 
@@ -89,6 +90,21 @@ def conjectured_rank_bound(delta: int, k: int, s: int) -> int:
     return max(1, delta * k * ceil_log2(s + 1))
 
 
+# The largest power, in bits, schedule() computes; its logarithm is
+# compared first, so a larger one is refused without being built.
+MAX_SCHEDULE_BITS = 1 << 20
+
+
+def _power(base: int, exp: int) -> int:
+    """base ** exp for base >= 2, or BudgetExceeded when it would have more
+    than MAX_SCHEDULE_BITS bits."""
+    if exp > MAX_SCHEDULE_BITS or exp * math.log2(base) > MAX_SCHEDULE_BITS:
+        raise BudgetExceeded(
+            "a schedule size exceeds the limit of %d bits" % MAX_SCHEDULE_BITS
+        )
+    return base ** exp
+
+
 def schedule(
     kind: str,
     *,
@@ -101,7 +117,10 @@ def schedule(
     s: int | None = None,
     conjecture_R: bool = False,
 ) -> ParamSchedule:
-    """Parameter sizes for the certified enumeration of each family."""
+    """Parameter sizes for the certified enumeration of each family.
+
+    Raises BudgetExceeded when a size would exceed 2^MAX_SCHEDULE_BITS.
+    """
     if n < 1 or delta < 1:
         raise ValueError("need n >= 1 and delta >= 1")
     if kind == "sparse-char0":
@@ -109,10 +128,10 @@ def schedule(
             raise ValueError("sparse-char0 needs r, d, and ell")
         if r < 1 or d < 0 or ell < 1:
             raise ValueError("bad sparse-char0 sizes")
-        D1 = (2 * delta * n) ** (r + 1)
+        D1 = _power(2 * delta * n, r + 1)
         D2 = 2
         lg = ceil_log2(D1)
-        p_max = (2 * n * r * ell) ** (2 * (r + 1)) * lg * lg + 1
+        p_max = _power(2 * n * r * ell, 2 * (r + 1)) * lg * lg + 1
         return ParamSchedule(
             kind,
             r,
@@ -130,7 +149,7 @@ def schedule(
             raise ValueError("bad any-char sizes")
         D = delta ** (r + 1) + 1
         lg = ceil_log2(D)
-        p_max = (n + delta ** r) ** (8 * delta ** (r + 1)) * lg * lg + 1
+        p_max = _power(n + delta ** r, 8 * delta ** (r + 1)) * lg * lg + 1
         return ParamSchedule(
             kind,
             r,
@@ -154,12 +173,12 @@ def schedule(
             rr = conjectured_rank_bound(delta, k, s)
         else:
             rr = k * s
-        D1 = (2 * delta * n) ** (2 * rr)
+        D1 = _power(2 * delta * n, 2 * rr)
         D2 = delta + 1
         lg = ceil_log2(D1)
         p_max = (
             2 ** (2 * (k + 1))
-            * (2 * k * rr * s * n * delta ** 2) ** (8 * delta ** 2 + 4 * delta * rr)
+            * _power(2 * k * rr * s * n * delta ** 2, 8 * delta ** 2 + 4 * delta * rr)
             * lg
             * lg
             + 1
@@ -525,14 +544,17 @@ def _certify(fs, J, mp, r0: int, seed: int):
     return None
 
 
-def _search_start(fs, r, mode, seed):
+def _search_start(fs, r, mode, seed, input_cert):
     """The checks and the input certificate every map search starts from:
-    (input certificate, target r, which defaults to max(1, trdeg))."""
+    (input certificate, target r, which defaults to max(1, trdeg)).  The
+    certificate is trdeg(fs, mode="auto", seed=seed), computed here unless
+    the caller passes it."""
     if mode not in ("adaptive", "exact"):
         raise ValueError("mode must be adaptive or exact")
     if not fs:
         raise ValueError("need at least one polynomial")
-    input_cert = trdeg(fs, mode="auto", seed=seed)
+    if input_cert is None:
+        input_cert = trdeg(fs, mode="auto", seed=seed)
     r0 = input_cert.r
     if r is None:
         r = max(1, r0)
@@ -560,6 +582,7 @@ def search_kronecker_map(
     r: int | None = None,
     mode: str = "adaptive",
     seed: int = 0,
+    input_cert=None,
 ) -> FaithfulResult:
     """Smallest certified Kronecker substitution for the family fs.
 
@@ -568,8 +591,10 @@ def search_kronecker_map(
     images provably keep the transcendence degree wins.  Exact mode widens
     the per-prime c sample to the full closed-form h1 budget.  Works in any
     characteristic.  Raises SearchExhausted past the closed-form p bound.
+    input_cert, when given, must be trdeg(fs, mode="auto", seed=seed); the
+    search then does not compute it again.
     """
-    input_cert, r = _search_start(fs, r, mode, seed)
+    input_cert, r = _search_start(fs, r, mode, seed, input_cert)
     field = fs[0].field
     n = fs[0].nvars
     if r > n:
@@ -593,6 +618,7 @@ def search_vandermonde_map(
     r: int | None = None,
     mode: str = "adaptive",
     seed: int = 0,
+    input_cert=None,
 ) -> FaithfulResult:
     """Certified Vandermonde-style reduction for the family fs.
 
@@ -600,9 +626,10 @@ def search_vandermonde_map(
     delta^r, and r < 2 over F_2.  Candidate order is p ascending over
     primes, then c ascending.  Adaptive mode uses the smallest D1, D2 the
     faithfulness argument allows; exact mode uses the closed-form schedule
-    values.  Raises SearchExhausted past the p bound.
+    values.  Raises SearchExhausted past the p bound.  input_cert as in
+    search_kronecker_map.
     """
-    input_cert, r = _search_start(fs, r, mode, seed)
+    input_cert, r = _search_start(fs, r, mode, seed, input_cert)
     field = fs[0].field
     n = fs[0].nvars
     r0 = input_cert.r

@@ -306,6 +306,63 @@ def test_pit_depth4_over_f2_of_rank_two_exits_four(tmp_path, capsys):
     assert "F_2" in json.loads(err)["error"]
 
 
+def test_pit_over_f2_on_a_grid_too_small_for_the_degree_is_inconclusive(tmp_path, capsys):
+    # x1^2 + x1 vanishes on all of F_2 but is not zero: exhausting the
+    # two-value grid proves nothing, as a dag (no degree bound) and as a
+    # composed circuit (truncated grid)
+    f = P("x1^2 + x1", 1, F2)
+    cases = [
+        ("dag", Circuit.from_poly(f), 2, ("degree_bound", None)),
+        ("composed", ComposedCircuit(Circuit.from_poly(f), [P("x1", 1, F2)]), 4,
+         ("grid_truncated", True)),
+    ]
+    for kind, circ, points, (key, value) in cases:
+        path = dump(tmp_path, kind + ".json", circ.to_json_dict())
+        code, out, _ = run(capsys, ["pit", path])
+        verdict = json.loads(out)["verdict"]
+        assert code == 2, kind
+        assert verdict["outcome"] == "inconclusive", kind
+        assert verdict["points_checked"] == points, kind
+        assert verdict["provenance"][key] is value, kind
+        report = dump(tmp_path, kind + ".out.json", out)
+        code, out, _ = run(capsys, ["verify", report, "--against", path])
+        assert code == 0 and json.loads(out)["verified"], kind
+
+
+def _pit_in_subprocess(path, seconds=30):
+    # a subprocess with a timeout, so that a regression to a hang fails
+    # the test instead of stalling the suite
+    return subprocess.run(
+        [sys.executable, "-m", "pitkit.cli", "pit", path],
+        capture_output=True, text=True, timeout=seconds,
+    )
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec("prime", (1 << 61) - 1)], ids=["Q", "F2^61-1"])
+def test_pit_refuses_a_repeated_squaring_dag(tmp_path, field):
+    # x1 squared 40 times, 41 nodes of syntactic degree 2^40: over Q its
+    # values would have up to 41 * 2^40 bits, and over either field its
+    # grid axis would hold 2^40 + 1 values
+    nodes = [{"op": "input", "var": 0}]
+    while len(nodes) < 41:
+        nodes.append({"op": "mul", "args": [len(nodes) - 1, len(nodes) - 1]})
+    obj = {"kind": "dag", "field": field.to_json(), "nvars": 1, "nodes": nodes,
+           "output": 40}
+    proc = _pit_in_subprocess(dump(tmp_path, "squaring.json", obj))
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "exceed" in json.loads(proc.stderr)["error"]
+
+
+def test_pit_refuses_a_depth4_file_of_huge_delta(tmp_path):
+    # the depth-4 schedule's p bound has about 3 * 10^12 bits here;
+    # it is refused by its logarithm before any power is built
+    obj = {"kind": "depth4", "field": {"kind": "rational"}, "nvars": 2,
+           "delta": 100000, "rows": [["x1", "x2"], ["x1 + 1", "x2"]]}
+    proc = _pit_in_subprocess(dump(tmp_path, "huge_delta.json", obj))
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "schedule size" in json.loads(proc.stderr)["error"]
+
+
 def test_consecutive_main_calls_keep_no_state(tmp_path, capsys):
     # the parser is built once per process; options of one call must not
     # reach the next

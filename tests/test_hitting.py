@@ -270,7 +270,13 @@ def test_driver_answers_every_small_characteristic_instance():
     for seed in range(60):
         C, _ = smallchar_instance(seed)
         v = pit_circuit(C, seed=seed)
-        assert (v.outcome == "zero") == C.expand(10 ** 4).is_zero, seed
+        zero = C.expand(10 ** 4).is_zero
+        # constant compositions evaluate once, on no grid
+        truncated = v.provenance.get("grid_truncated", False)
+        assert (v.outcome == "nonzero") == (not zero), seed
+        if v.outcome == "zero":
+            assert not truncated and zero, seed
+        assert (v.outcome == "inconclusive") == (truncated and zero), seed
 
 
 def test_depth4_lifted_identity_is_zero():
