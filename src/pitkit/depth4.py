@@ -11,13 +11,22 @@ are certified per candidate, never assumed from the parameter ranges.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import partial
 
 from .circuits import DEFAULT_EXPAND_BUDGET, Depth4Circuit
-from .independence import jacobian, randomized_rank, trdeg, upper_bound_certificate
+from .independence import (
+    _random_point,
+    _subseed,
+    jacobian,
+    randomized_rank,
+    trdeg,
+    upper_bound_certificate,
+)
 from .polynomials import (
     BudgetExceeded,
     SparsePoly,
+    _prepare_point,
     divide_exact,
     divides,
     gcd_poly,
@@ -228,7 +237,8 @@ def verify_simple_preservation(
         raise ValueError("map parameters below the preservation thresholds")
     if mp.n != C.nvars or mp.field != C.field:
         raise ValueError("map does not match the circuit ring")
-    return _preserves_simple_part(C, simple_part(C), _memo_apply(mp), budget)
+    image = _memo_apply(mp)
+    return _preserves_simple_part(C, simple_part(C), image, _zero_test(mp, image, 0), budget)
 
 
 def _memo_apply(mp):
@@ -244,9 +254,24 @@ def _memo_apply(mp):
     return image
 
 
-def _preserves_simple_part(C, sim, image, budget):
-    """The criterion of verify_simple_preservation, for sim = simple_part(C)
-    and image = psi applied to one polynomial.
+def _zero_test(mp, image, seed):
+    """f -> is psi(f) zero?, for psi = mp and image = _memo_apply(mp).
+
+    psi(f) takes the value f(psi(a)) at a z-point a, so a nonzero value at
+    one seeded point a proves psi(f) != 0 without building the image; only
+    a zero value falls back to image(f).is_zero.  The answer does not
+    depend on the point.
+    """
+    field = mp.field
+    a = _random_point(field, random.Random(_subseed(seed, 4)), mp.nvars_out)
+    x = _prepare_point(field, mp.point_images(a))
+    return lambda f: not f._eval_prepared(x) and image(f).is_zero
+
+
+def _preserves_simple_part(C, sim, image, maps_to_zero, budget):
+    """The criterion of verify_simple_preservation, for sim = simple_part(C),
+    image = psi applied to one polynomial and maps_to_zero(f) = psi(f) == 0
+    (see _zero_test).
 
     h = gcd_i psi(sim_i) is nonconstant iff some irreducible divides a
     factor image in every row.  So the test carries the nonconstant gcds of
@@ -254,7 +279,7 @@ def _preserves_simple_part(C, sim, image, budget):
     products; h is constant iff that set runs empty.  Only a nonconstant h
     leaves the mapped sum to expand, and preservation then needs it zero.
     """
-    if any(image(f).is_zero for row in C.rows for f in row):
+    if any(maps_to_zero(f) for row in C.rows for f in row):
         return False
     common = {img for img in map(image, sim.rows[0]) if not img.is_constant}
     for row in sim.rows[1:]:
@@ -423,7 +448,9 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget):
     for I, sub, sim, facs, J, rho in subsets:
         jac_at = partial(mp.jacobian_at, J)
         target = min(rho, r)
-        bound = randomized_rank(jac_at, field, w, seed=seed, trials=4)
+        # rho bounds the rank of the images at every point (their trdeg is at
+        # most rho), so stopping there leaves the max over the trials as it is
+        bound = randomized_rank(jac_at, field, w, seed=seed, trials=4, ceiling=rho)
         if bound < target:
             if ch == 0 or ch >= (1 << 20):
                 # over a big field a candidate of full image rank passes the
@@ -439,9 +466,10 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget):
             if bound < target:
                 return None
         bounds.append(bound)
+    maps_to_zero = _zero_test(mp, image, seed)
     evidence = []
     for (I, sub, sim, facs, J, rho), bound in zip(subsets, bounds):
-        if not _preserves_simple_part(sub, sim, image, expand_budget):
+        if not _preserves_simple_part(sub, sim, image, maps_to_zero, expand_budget):
             return None
         evidence.append(
             {

@@ -73,6 +73,7 @@ def jacobian_rank(fs, method: str = "symbolic", seed: int = 0, trials: int = 3) 
     symbolic: fraction-free Bareiss elimination on the polynomial entries.
     randomized: max rank of the Jacobian evaluated at `trials` seeded random
     points; always <= the symbolic rank, since evaluation is a specialization.
+    It stops early only at min(rows, cols), which no point can exceed.
     """
     field, n = _check_family(fs)
     J = jacobian(fs)
@@ -85,15 +86,29 @@ def jacobian_rank(fs, method: str = "symbolic", seed: int = 0, trials: int = 3) 
     raise ValueError("method must be 'symbolic' or 'randomized'")
 
 
-def randomized_rank(jac_at, field, nvars: int, seed: int = 0, trials: int = 3) -> int:
+def randomized_rank(
+    jac_at, field, nvars: int, seed: int = 0, trials: int = 3, ceiling: int | None = None
+) -> int:
     """The randomized method of jacobian_rank, for a Jacobian given by its
     values: jac_at(pt) is the evaluated Jacobian at a point of nvars
-    coordinates.  Max rank over `trials` seeded random points."""
+    coordinates.  Max rank over `trials` seeded random points.
+
+    The trials stop once the best rank reaches min(rows, cols, ceiling).
+    No point can pass min(rows, cols).  A ceiling that bounds the rank at
+    every point, such as the trdeg of the family (an evaluated Jacobian's
+    rank is at most the trdeg in every characteristic), leaves the answer
+    equal to the max over all trials.  Any other ceiling leaves
+    min(answer, ceiling) unchanged, which is all a caller that compares the
+    answer against the ceiling reads."""
     rng = random.Random(_subseed(seed, 1))
     best = 0
     for _ in range(max(1, trials)):
         pt = _random_point(field, rng, nvars)
-        best = max(best, linalg.rank(jac_at(pt), field))
+        M = jac_at(pt)
+        best = max(best, linalg.rank(M, field))
+        top = min(len(M), len(M[0]) if M else 0)
+        if best >= (top if ceiling is None else min(top, ceiling)):
+            break
     return best
 
 

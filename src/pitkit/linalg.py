@@ -1,12 +1,17 @@
 """Exact linear algebra: scalar matrices over a field, Bareiss on polynomial
 matrices.
 
-Scalar matrices go through one echelon routine with two loops: a numpy int64
-loop for prime moduli below 2^31 on matrices of at least _NP_MIN_ENTRIES
-entries, and a pure-Python loop for everything else (small matrices, big
-primes, rationals).  Both pivot on the first nonzero entry of each column and
-scale the pivot row to 1, so they produce the same echelon form and the same
-answers."""
+Scalar matrices go through one echelon routine with two loops on integers: a
+numpy int64 loop for prime moduli below 2^31 on matrices of at least
+_NP_MIN_ENTRIES entries, and a pure-Python loop for everything else (small
+matrices, big primes, rationals).  Over F_p both loops work on residues and
+scale the pivot row to 1.  Over Q the Python loop clears the matrix of its
+denominators and runs Bareiss's fraction-free elimination (Math. Comp. 1968):
+every update divides exactly by the previous pivot, so no Fraction is built
+until the kernel vector.  Every loop pivots on the first nonzero entry of
+each column.  The rows below a pivot are then nonzero multiples of those of
+elimination in the field, entry for entry, so the zero pattern, the rank,
+the pivot rows and the kernel vector are the same whatever the loop."""
 
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ def echelon(matrix, field):
     right-kernel vector or None: columns are scanned left to right, and the
     vector has a 1 in the first column that depends on its predecessors and
     zeros in all later columns, so it is deterministic and minimal in column
-    order.
+    order.  Its entries are raw elements (Fractions over Q).
     """
     if not matrix or not matrix[0]:
         return 0, [], None
@@ -60,6 +65,17 @@ def _echelon_loop(matrix, field):
     return _echelon_py
 
 
+def _integer_rows(matrix, field):
+    """A matrix of raw elements as integer rows with the same row space:
+    the residues in [0, p) over F_p, and over Q the rows times the common
+    denominator of the entries."""
+    if field.kind == "prime":
+        p = field.p
+        return [[v % p if type(v) is int else field.normalize(v) for v in row] for row in matrix]
+    rows = [[v if type(v) is Fraction else field.normalize(v) for v in row] for row in matrix]
+    return _numerators(rows)[0]
+
+
 def _first_dependent(pivot_cols, cols):
     """The first column without a pivot, or None; every column left of it
     is a pivot column, so pivot k sits in column k there."""
@@ -76,7 +92,13 @@ def _first_dependent(pivot_cols, cols):
 
 def _echelon_np(matrix, field, until_kernel):
     p = field.p
-    A = np.array(matrix, dtype=np.int64) % p
+    A = np.array(matrix)
+    if A.dtype == np.int64:
+        A %= p
+    else:
+        # Fractions, bools or ints past int64: numpy would truncate or
+        # round them, so reduce them entry by entry as the Python loop does
+        A = np.array(_integer_rows(matrix, field), dtype=np.int64)
     rows, cols = A.shape
     idx = list(range(rows))
     pivot_cols = []
@@ -120,17 +142,19 @@ def _echelon_np(matrix, field, until_kernel):
 
 
 def _echelon_py(matrix, field, until_kernel):
-    A = [[field.normalize(v) for v in row] for row in matrix]
+    p = field.p if field.kind == "prime" else 0
+    A = _integer_rows(matrix, field)
     rows, cols = len(A), len(A[0])
     idx = list(range(rows))
     pivot_cols = []
+    prev = 1  # over Q: the previous Bareiss pivot, which divides every update
     r = 0
     for j in range(cols):
         if r == rows:
             break
         piv = None
         for i in range(r, rows):
-            if A[i][j] != 0:
+            if A[i][j]:
                 piv = i
                 break
         if piv is None:
@@ -140,26 +164,39 @@ def _echelon_py(matrix, field, until_kernel):
         if piv != r:
             A[r], A[piv] = A[piv], A[r]
             idx[r], idx[piv] = idx[piv], idx[r]
-        inv = field.inv(A[r][j])
-        A[r] = [field.mul(x, inv) for x in A[r]]
-        for i in range(r + 1, rows):
-            x = A[i][j]
-            if x != 0:
-                A[i] = [field.sub(a, field.mul(x, b)) for a, b in zip(A[i], A[r])]
+        top = A[r]
+        if p:
+            inv = pow(top[j], -1, p)
+            top = A[r] = [a * inv % p for a in top]
+            for i in range(r + 1, rows):
+                x = A[i][j]
+                if x:
+                    A[i] = [(a - x * b) % p for a, b in zip(A[i], top)]
+        else:
+            # every row below is updated, also those with a zero in column
+            # j: that keeps each entry a minor of the matrix, which is what
+            # makes the division by the previous pivot exact
+            d = top[j]
+            for i in range(r + 1, rows):
+                x = A[i][j]
+                A[i] = [(d * a - x * b) // prev for a, b in zip(A[i], top)]
+            prev = d
         pivot_cols.append(j)
         r += 1
     kernel = None
     j = _first_dependent(pivot_cols, cols)
     if j is not None:
+        # over Q the pivot rows are not scaled to 1: divide by the pivot, in
+        # Fractions, so the entries are raw elements of Q
         kernel = [field.zero()] * cols
         kernel[j] = field.one()
         for k in range(j - 1, -1, -1):
-            s = field.zero()
             rowk = A[k]
+            s = 0
             for c in range(k + 1, j + 1):
-                if rowk[c] != 0 and kernel[c] != 0:
-                    s = field.add(s, field.mul(rowk[c], kernel[c]))
-            kernel[k] = field.neg(s)
+                if rowk[c] and kernel[c]:
+                    s += rowk[c] * kernel[c]
+            kernel[k] = (-s) % p if p else Fraction(-s) / rowk[k]
     return r, sorted(idx[:r]), kernel
 
 

@@ -532,7 +532,7 @@ def _certify(fs, J, mp, r0: int, seed: int):
         # random point with overwhelming probability over a big field, so a
         # candidate that misses r0 on every sampled point is rejected without
         # paying for symbolic elimination; the next candidate takes its turn.
-        if randomized_rank(jac_at, field, mp.nvars_out, seed=seed, trials=4) < r0:
+        if randomized_rank(jac_at, field, mp.nvars_out, seed=seed, trials=4, ceiling=r0) < r0:
             return None
     # images cannot gain trdeg, so r0 bounds theirs; the symbolic trdeg of
     # the images only when no seeded point reaches it

@@ -159,6 +159,38 @@ def test_numpy_and_python_echelon_loops_agree(p):
                 assert all(sum(a * b for a, b in zip(row, kernel)) % p == 0 for row in M)
 
 
+def _is_kernel_vector(M, field, v):
+    p = field.p
+    return any(v) and all(
+        sum(field.normalize(a) * c for a, c in zip(row, v)) % p == 0 for row in M
+    )
+
+
+def test_numpy_loop_normalizes_fraction_entries():
+    # (i + j) / 2 has the rank of i + j over F_101: 2.  Cast straight to
+    # int64, the Fractions were truncated, and the loop found rank 3.
+    M = [[fractions.Fraction(i + j, 2) for j in range(8)] for i in range(8)]
+    assert len(M) * len(M[0]) >= _NP_MIN_ENTRIES
+    assert echelon(M, F101) == _echelon_np(M, F101, False) == _echelon_py(M, F101, False)
+    r, pivot_rows, kernel = echelon(M, F101)
+    assert (r, pivot_rows) == (2, [0, 1])
+    # column 2 = 2 * column 1 - column 0
+    assert kernel == [1, 99, 1, 0, 0, 0, 0, 0] == kernel_vector(M, F101)
+    assert _is_kernel_vector(M, F101, kernel)
+
+
+@pytest.mark.parametrize("p", [101, (1 << 31) - 1])
+def test_numpy_loop_reduces_big_integer_entries(p):
+    # 2^70 + i*j is c + i*j mod p with c != 0: rank 2.  Cast straight to
+    # int64, the entries past 2^63 raised OverflowError.
+    F = FieldSpec("prime", p)
+    M = [[(1 << 70) + i * j for j in range(8)] for i in range(8)]
+    assert echelon(M, F) == _echelon_np(M, F, False) == _echelon_py(M, F, False)
+    r, pivot_rows, kernel = echelon(M, F)
+    assert (r, pivot_rows) == (2, [0, 1])
+    assert kernel == kernel_vector(M, F) and _is_kernel_vector(M, F, kernel)
+
+
 def _to_sympy(f, xs):
     import sympy
 

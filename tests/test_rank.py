@@ -1,0 +1,259 @@
+"""Differential tests of the scalar echelon and of the evaluated-rank screen.
+
+linalg.echelon runs on integers: residues over F_p (a numpy int64 loop for
+p < 2^31 from _NP_MIN_ENTRIES entries on, a pure-Python loop otherwise) and
+Bareiss's fraction-free elimination over Q.  The references are textbook
+elimination in the field (Fractions over Q, residues over F_p) and sympy's
+rank over QQ and GF(p).  randomized_rank stops at a ceiling; a ceiling that
+bounds the rank at every point must leave its answer alone.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+from hypothesis import assume, given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from pitkit.fields import FieldSpec  # noqa: E402
+from pitkit.independence import (  # noqa: E402
+    _random_point,
+    _subseed,
+    jacobian,
+    randomized_rank,
+    trdeg,
+)
+from pitkit.linalg import (  # noqa: E402
+    _NP_MIN_ENTRIES,
+    _echelon_loop,
+    _echelon_np,
+    _echelon_py,
+    echelon,
+    eval_matrix,
+    kernel_vector,
+    rank,
+)
+from pitkit.polynomials import SparsePoly  # noqa: E402
+
+Q = FieldSpec("rational")
+F101 = FieldSpec("prime", 101)
+F31 = FieldSpec("prime", (1 << 31) - 1)
+F61 = FieldSpec("prime", (1 << 61) - 1)
+FIELDS = [Q, F101, F31, F61]
+FIELD_IDS = ["Q", "F101", "F2^31-1", "F2^61-1"]
+
+
+def elements(field):
+    """Raw elements as callers pass them: over Q ints and Fractions; over
+    F_p residues, unreduced ints (negative ones, and ones past 2^63) and
+    Fractions whose denominator is a unit."""
+    fractions = st.fractions(min_value=-30, max_value=30, max_denominator=9)
+    if field.kind == "rational":
+        return st.one_of(st.integers(-30, 30), fractions)
+    p = field.p
+    return st.one_of(
+        st.integers(0, p - 1),
+        st.integers(-(1 << 70), 1 << 70),
+        fractions.filter(lambda v: v.denominator % p),
+    )
+
+
+@st.composite
+def planted(draw, field, large):
+    """A matrix of rank at most k: a product L R of a rows x k and a k x cols
+    matrix, computed over Q (reduction to F_p is a ring homomorphism on
+    these entries), with some rows and columns then zeroed.  large picks
+    the side of _NP_MIN_ENTRIES the size falls on."""
+    if large:
+        rows, cols = draw(st.integers(8, 12)), draw(st.integers(8, 12))
+    else:
+        rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(rows, cols)))
+    entries = st.one_of(st.just(0), elements(field))
+    L = [[draw(entries) for _ in range(k)] for _ in range(rows)]
+    R = [[draw(entries) for _ in range(cols)] for _ in range(k)]
+    M = [[sum(L[i][t] * R[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        M[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in M:
+            row[j] = 0
+    assert (rows * cols >= _NP_MIN_ENTRIES) == large
+    return M
+
+
+def to_field(field, v):
+    v = Fraction(v)
+    if field.kind == "rational":
+        return v
+    return v.numerator * pow(v.denominator, -1, field.p) % field.p
+
+
+def reference(matrix, field, until_kernel=False):
+    """(rank, pivot_rows): elimination in the field, the first nonzero entry
+    of each column as pivot (rows swapped, not rotated), the pivot row
+    scaled to 1.  With until_kernel it stops at the first column without a
+    pivot."""
+    p = field.p if field.kind == "prime" else None
+
+    def reduce(v):
+        return v % p if p else v
+
+    A = [[to_field(field, v) for v in row] for row in matrix]
+    rows, cols = len(A), len(A[0])
+    idx = list(range(rows))
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if A[i][j] != 0), None)
+        if piv is None:
+            if until_kernel:
+                break
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        idx[r], idx[piv] = idx[piv], idx[r]
+        s = pow(A[r][j], -1, p) if p else 1 / A[r][j]
+        A[r] = [reduce(a * s) for a in A[r]]
+        for i in range(r + 1, rows):
+            x = A[i][j]
+            A[i] = [reduce(a - x * b) for a, b in zip(A[i], A[r])]
+        r += 1
+    return r, sorted(idx[:r])
+
+
+def sympy_rank(matrix, field):
+    if not matrix or not matrix[0]:
+        return 0
+    if field.kind == "rational":
+        dom = sympy.QQ
+        rows = [[dom(v.numerator, v.denominator) for v in map(Fraction, row)] for row in matrix]
+    else:
+        dom = sympy.GF(field.p)
+        rows = [[dom(to_field(field, v)) for v in row] for row in matrix]
+    return DomainMatrix(rows, (len(matrix), len(matrix[0])), dom).rank()
+
+
+def check_kernel(matrix, field, kernel):
+    """kernel is the unique vector with a 1 in the first dependent column j,
+    zeros after it, and matrix * kernel = 0; or None when the columns are
+    independent."""
+    cols = len(matrix[0])
+    if kernel is None:
+        assert sympy_rank(matrix, field) == cols
+        return
+    one = to_field(field, 1)
+    j = max(c for c in range(cols) if kernel[c] != 0)
+    assert kernel[j] == one and len(kernel) == cols
+    left = [row[:j] for row in matrix]
+    assert sympy_rank(left, field) == j  # every column left of j is independent
+    for row in matrix:
+        acc = sum(to_field(field, a) * c for a, c in zip(row, kernel))
+        assert (acc % field.p if field.kind == "prime" else acc) == 0
+    if field.kind == "rational":
+        assert all(type(c) is Fraction for c in kernel)
+    else:
+        assert all(type(c) is int and 0 <= c < field.p for c in kernel)
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_echelon_matches_field_elimination_and_sympy(field, large, data):
+    M = data.draw(planted(field, large))
+    r, pivot_rows, kernel = echelon(M, field)
+    assert (r, pivot_rows) == reference(M, field)
+    assert r == sympy_rank(M, field)
+    assert sympy_rank([M[i] for i in pivot_rows], field) == r
+    check_kernel(M, field, kernel)
+    assert kernel_vector(M, field) == kernel
+    # stopping at the first dependent column: same kernel, and the rank
+    # and pivot rows of the columns left of it
+    early = _echelon_loop(M, field)(M, field, True)
+    assert early[:2] == reference(M, field, until_kernel=True)
+    assert early[2] == kernel
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+@pytest.mark.parametrize("field", [F101, F31], ids=FIELD_IDS[1:3])
+@given(data=st.data())
+def test_numpy_and_integer_loops_agree_on_raw_elements(field, large, data):
+    M = data.draw(planted(field, large))
+    for until_kernel in (False, True):
+        assert _echelon_np(M, field, until_kernel) == _echelon_py(M, field, until_kernel)
+
+
+# -- the evaluated-rank screen -------------------------------------------------
+
+
+@st.composite
+def dependent_families(draw, field):
+    """(family, n): up to four polynomials built from at most n base
+    polynomials by products, sums and squares, so that the trdeg can be
+    well below min(m, n)."""
+    n = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.integers(-9, 9).filter(bool)
+    base = []
+    for _ in range(draw(st.integers(1, n))):
+        f = SparsePoly(field, n, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
+        assume(not f.is_constant)
+        base.append(f)
+    fs = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        fs.append(draw(st.sampled_from([a, a * b, a + b, a * a + b])))
+    return fs, n
+
+
+@pytest.mark.parametrize("field", [Q, F61], ids=["Q", "F2^61-1"])
+@given(data=st.data())
+def test_rank_screen_with_a_true_ceiling_returns_the_all_trials_max(field, data):
+    fs, n = data.draw(dependent_families(field))
+    seed = data.draw(st.integers(0, 1000))
+    cert = trdeg(fs, mode="auto", seed=seed)
+    assume(cert.exact)
+    J = jacobian(fs)
+
+    def jac_at(pt):
+        return eval_matrix(J, pt)
+
+    rng = random.Random(_subseed(seed, 1))
+    full = max(rank(jac_at(_random_point(field, rng, n)), field) for _ in range(4))
+    assert full <= cert.r
+    assert randomized_rank(jac_at, field, n, seed=seed, trials=4, ceiling=cert.r) == full
+    assert randomized_rank(jac_at, field, n, seed=seed, trials=4) == full
+
+
+def counting_jac_at(fs):
+    """(jac_at, calls): the evaluated Jacobian of fs, and the list of the
+    points it was asked for."""
+    J = jacobian(fs)
+    calls = []
+
+    def jac_at(pt):
+        calls.append(pt)
+        return eval_matrix(J, pt)
+
+    return jac_at, calls
+
+
+def test_rank_screen_stops_at_the_first_point_that_reaches_the_ceiling():
+    x = [SparsePoly.variable(Q, 3, i) for i in range(3)]
+    u = x[0] * x[1]
+    fs = [u, u + x[2], u * u]  # a 3 x 3 Jacobian of rank 2 = trdeg
+    jac_at, calls = counting_jac_at(fs)
+    assert randomized_rank(jac_at, Q, 3, seed=5, trials=4, ceiling=2) == 2
+    assert len(calls) == 1
+    # without a ceiling only min(rows, cols) = 3 stops it, out of reach
+    jac_at, calls = counting_jac_at(fs)
+    assert randomized_rank(jac_at, Q, 3, seed=5, trials=4) == 2
+    assert len(calls) == 4
+    # a 2 x 3 Jacobian of rank 2 stops at min(rows, cols) with no ceiling
+    jac_at, calls = counting_jac_at([x[0], x[1] * x[2]])
+    assert randomized_rank(jac_at, Q, 3, seed=5, trials=4) == 2
+    assert len(calls) == 1
