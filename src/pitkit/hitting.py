@@ -10,6 +10,15 @@ guarantee:
   be met exactly (e.g. the base field has too few elements); exhausting the
   enumeration proves zeroness for inputs covered by that certificate only.
 
+Every construction ends on a grid with one axis of field values per
+variable, and every polynomial evaluated on it has total degree <= d (the
+maps are affine).  When the axis holds d + 1 distinct values v_0..v_d, the
+points whose index sum is at most d (the lattice simplex, comb(d + w, w)
+points in w variables) already see every nonzero such polynomial, and the
+set enumerates only those ("points": "simplex").  A grid truncated to a
+small field, or a grid without a degree bound, is enumerated whole
+("points": "grid").
+
 Exact-mode enumerations are complete but their closed-form sizes are
 astronomically large for all but toy parameters; pit() therefore takes a
 max_points cutoff and reports "inconclusive" when the stream is cut short.
@@ -114,22 +123,64 @@ MAX_GRID_AXIS = 1 << 20
 MAX_VALUE_BITS = 1 << 20
 
 
-def _grid_values(field: FieldSpec, want: int):
-    """First `want` field elements for one grid axis, plus a truncation flag.
+def _grid_values(field: FieldSpec, d: int):
+    """The first d + 1 field elements for one grid axis, and the degree
+    its lattice simplex certifies: d, or None when the field has fewer
+    elements (the axis is truncated, and the whole grid is walked).
 
     Raises BudgetExceeded, before building anything, when the axis would
     hold more than MAX_GRID_AXIS values.
     """
+    want = d + 1
     axis = want if field.kind == "rational" else min(want, field.p)
     if axis > MAX_GRID_AXIS:
         # the sizes themselves may be too long to print
         raise BudgetExceeded("a grid axis exceeds the limit of %d values" % MAX_GRID_AXIS)
     vals = field.sample_elements(want, start=0)
-    return vals, len(vals) < want
+    return vals, d if len(vals) == want else None
+
+
+def _lattice(values, w: int, d=None):
+    """The points of values^w whose indices sum to at most d, lazily, in
+    lexicographic order (a subsequence of itertools.product); with d=None,
+    the whole product.
+
+    With d + 1 distinct values v_0..v_d, a polynomial f of total degree
+    <= d that vanishes on these comb(d + w, w) points is zero (Chung and
+    Yao, SIAM J. Numer. Anal. 1977).  Write f = sum_k g_k N_k in the Newton
+    basis N_k = prod_{j<k} (x_w - v_j) of its last variable, g_k of total
+    degree <= d - k.  Once g_0..g_{k-1} are zero, f on the slice x_w = v_k
+    is g_k N_k(v_k) with N_k(v_k) != 0, and the slice holds the simplex of
+    degree d - k in w - 1 variables; by induction on w, g_k = 0.
+    """
+    if d is None:
+        yield from itertools.product(values, repeat=w)
+        return
+    idx = [0] * w
+    total = 0
+    while True:
+        yield tuple(values[i] for i in idx)
+        # the next index vector: bump the last coordinate that can grow
+        # once the coordinates after it are reset to 0
+        k = w - 1
+        while k >= 0 and total >= d:
+            total -= idx[k]
+            idx[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        idx[k] += 1
+        total += 1
+
+
+def _lattice_size(axis: int, w: int, d=None) -> int:
+    """The number of points _lattice yields for an axis of that size."""
+    return axis ** w if d is None else math.comb(d + w, w)
 
 
 def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
-    """The grid values^r; certified for total degree <= d when the axis has
+    """The grid values^r, or with a total-degree bound d its lattice
+    simplex (_lattice): certified for total degree <= d when the axis has
     more than d distinct values."""
     values = tuple(field.normalize(v) for v in values)
     if len(set(values)) != len(values):
@@ -148,19 +199,22 @@ def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
             "axis_size": len(values),
             "arity": r,
             "degree_bound": d,
+            "points": "simplex" if certified else "grid",
         },
-        len(values) ** r,
-        lambda: itertools.product(values, repeat=r),
+        _lattice_size(len(values), r, d),
+        lambda: _lattice(values, r, d),
     )
 
 
-def _map_points(grid, maps):
+def _map_points(grid, maps, d=None):
     """A HittingSet factory: mp.point_images(a) for every map mp of the
-    iterable maps() and every a in grid^(mp.nvars_out), in that order."""
+    iterable maps() and every a of _lattice(grid, mp.nvars_out, d), in that
+    order.  d is the total degree of the polynomials the points test, or
+    None for the whole grid (an axis truncated below d + 1 values)."""
 
     def factory():
         for mp in maps():
-            for a in itertools.product(grid, repeat=mp.nvars_out):
+            for a in _lattice(grid, mp.nvars_out, d):
                 yield mp.point_images(a)
 
     return factory
@@ -168,18 +222,20 @@ def _map_points(grid, maps):
 
 def _exact_vandermonde_set(field, n, construction, sched, delta, sound=True):
     """Every Vandermonde map of a closed-form schedule, in (p, c) order,
-    over the grid of h2_size values per axis.  Certified when a Vandermonde
-    reduction applies (varmaps.vandermonde_applies), the field hosts the
-    full grid, and the schedule is sound (no conjectured rank bound)."""
+    over the simplex of total degree h2_size - 1 in the grid of h2_size
+    values per axis.  Certified when a Vandermonde reduction applies
+    (varmaps.vandermonde_applies), the field hosts the full grid, and the
+    schedule is sound (no conjectured rank bound)."""
     r = sched.r
     char_ok = vandermonde_applies(field, delta, r)
-    grid, truncated = _grid_values(field, sched.h2_size)
+    grid, d = _grid_values(field, sched.h2_size - 1)
     provenance = {
         "construction": construction,
         "mode": "exact",
         "schedule": sched.to_json_dict(),
         "char_gate": char_ok,
-        "grid_truncated": truncated,
+        "grid_truncated": d is None,
+        "points": "grid" if d is None else "simplex",
     }
 
     def maps():
@@ -189,27 +245,30 @@ def _exact_vandermonde_set(field, n, construction, sched, delta, sound=True):
     return HittingSet(
         field,
         n,
-        "certified" if char_ok and not truncated and sound else "corpus",
+        "certified" if char_ok and d is not None and sound else "corpus",
         provenance,
-        sched.p_max * sched.h1_size * len(grid) ** (r + 1),
-        _map_points(grid, maps),
+        sched.p_max * sched.h1_size * _lattice_size(len(grid), r + 1, d),
+        _map_points(grid, maps, d),
     )
 
 
 def _adaptive_set(field, n, construction, mp, evidence, d):
-    """The corpus hitting set of one certified map: the images of the grid
-    with d + 1 values per axis.  evidence joins the provenance."""
-    grid, truncated = _grid_values(field, d + 1)
+    """The corpus hitting set of one certified map: the images of the
+    simplex of total degree d in the grid with d + 1 values per axis, or of
+    the whole grid when the field truncates the axis.  evidence joins the
+    provenance."""
+    grid, d = _grid_values(field, d)
     provenance = {
         "construction": construction,
         "mode": "adaptive",
         "map": mp.to_json_dict(),
-        "grid_truncated": truncated,
+        "grid_truncated": d is None,
+        "points": "grid" if d is None else "simplex",
     }
     provenance.update(evidence)
     return HittingSet(
-        field, n, "corpus", provenance, len(grid) ** mp.nvars_out,
-        _map_points(grid, lambda: (mp,)),
+        field, n, "corpus", provenance, _lattice_size(len(grid), mp.nvars_out, d),
+        _map_points(grid, lambda: (mp,), d),
     )
 
 
@@ -262,17 +321,19 @@ def hitting_set_arbitrary_char(
     transcendence degree r over any characteristic, via Kronecker maps.
 
     The exact enumeration unions over all primes up to the schedule bound,
-    the c sample, and all r-subsets of kept variables; the grid has arity r.
+    the c sample, and all r-subsets of kept variables; the grid has arity r
+    and is walked on its simplex of total degree d unless truncated.
     Adaptive mode takes input_cert as hitting_set_sparse_inputs does.
     """
     sched = schedule("any-char", n=n, delta=delta, r=r, d=d)
     if mode == "exact":
-        grid, truncated = _grid_values(field, sched.h2_size)
+        grid, deg = _grid_values(field, sched.h2_size - 1)
         provenance = {
             "construction": "any-char",
             "mode": "exact",
             "schedule": sched.to_json_dict(),
-            "grid_truncated": truncated,
+            "grid_truncated": deg is None,
+            "points": "grid" if deg is None else "simplex",
         }
         subsets = list(itertools.combinations(range(1, n + 1), min(r, n)))
 
@@ -284,10 +345,11 @@ def hitting_set_arbitrary_char(
         return HittingSet(
             field,
             n,
-            "certified" if not truncated else "corpus",
+            "certified" if deg is not None else "corpus",
             provenance,
-            sched.p_max * sched.h1_size * len(subsets) * len(grid) ** min(r, n),
-            _map_points(grid, maps),
+            sched.p_max * sched.h1_size * len(subsets)
+            * _lattice_size(len(grid), min(r, n), deg),
+            _map_points(grid, maps, deg),
         )
     if mode == "adaptive":
         if not polys:
@@ -348,7 +410,7 @@ def pit_circuit(
     points come from the sparse-input (Vandermonde) set when a Vandermonde
     reduction applies, else from the any-characteristic (Kronecker) set,
     and both searches start from that certificate.  A plain dag runs over
-    the grid sized to its syntactic degree.
+    the simplex of the grid sized to its syntactic degree.
 
     A grid too small for the degree (truncated to a small field, or a dag
     grid without its degree bound) cannot see every nonzero polynomial, so
@@ -399,8 +461,9 @@ def pit_circuit(
                 raise BudgetExceeded(
                     "dag values may exceed the limit of %d bits" % MAX_VALUE_BITS
                 )
-        values, truncated = _grid_values(field, d + 1)
-        hs = sz_grid(field, values, n, d=None if truncated else d)
+        values, deg = _grid_values(field, d)
+        hs = sz_grid(field, values, n, d=deg)
+        truncated = deg is None
     verdict = pit(circ.oracle(), hs, max_points=max_points)
     if verdict.outcome == "zero" and truncated:
         return PitVerdict(

@@ -329,6 +329,29 @@ def test_pit_over_f2_on_a_grid_too_small_for_the_degree_is_inconclusive(tmp_path
         assert code == 0 and json.loads(out)["verified"], kind
 
 
+def test_verify_rejects_zero_reports_with_forged_point_counts(tmp_path, capsys):
+    # verify re-runs the enumeration, so neither the full-grid count (9
+    # values per axis, 2 axes) nor a "grid" label passes for the simplex
+    path = dump(tmp_path, "zero.json", zero_composition().to_json_dict())
+    code, out, _ = run(capsys, ["pit", path])
+    honest = json.loads(out)
+    assert code == 0 and honest["verdict"]["provenance"]["points"] == "simplex"
+    counted = json.loads(out)
+    counted["verdict"]["points_checked"] = 9 ** 2
+    labelled = json.loads(out)
+    labelled["verdict"]["provenance"]["points"] = "grid"
+    for name, report, code_want in [
+        ("honest", honest, 0), ("counted", counted, 4), ("labelled", labelled, 4)
+    ]:
+        report_path = dump(tmp_path, name + ".json", report)
+        code, out, _ = run(capsys, ["verify", report_path, "--against", path])
+        assert code == code_want, name
+        if code_want:
+            assert json.loads(out) == {
+                "command": "verify", "verified": False, "detail": "re-run verdict differs"
+            }, name
+
+
 def _pit_in_subprocess(path, seconds=30):
     # a subprocess with a timeout, so that a regression to a hang fails
     # the test instead of stalling the suite
@@ -391,7 +414,7 @@ def test_hitting_set_stream(capsys):
     assert len(lines) == 6
     header = json.loads(lines[0])
     assert header["command"] == "hitting-set"
-    assert header["size_bound"] == 67600
+    assert header["size_bound"] == 42250
     assert header["guarantee"] == "certified"
     assert header["arity"] == 1
     for line in lines[1:]:

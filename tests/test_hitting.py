@@ -122,7 +122,7 @@ def test_pit_zero_oracle_exhausts():
     orc = BlackboxOracle(F101, 2, lambda pt: F101.zero(), degree_bound=0)
     v = pit(orc, g)
     assert v.outcome == "zero"
-    assert v.points_checked == 9
+    assert v.points_checked == 6
     assert v.guarantee == "certified"
     assert v.witness is None and v.value is None
 
@@ -163,7 +163,7 @@ def test_sparse_inputs_zero_composition():
     hs = hitting_set_sparse_inputs(Q, 1, C.degree_bound(), 1, 2, 3, polys=C.inputs)
     v = pit(C.evaluate, hs)
     assert v.outcome == "zero"
-    assert v.points_checked == 81
+    assert v.points_checked == 45
     assert v.guarantee == "corpus"
     assert hs.provenance["construction"] == "sparse-char0"
     assert hs.provenance["mode"] == "adaptive"
@@ -200,7 +200,7 @@ def test_sparse_inputs_quartic_family_witnessed():
 def test_sparse_inputs_exact_mode_is_certified():
     hs = hitting_set_sparse_inputs(Q, 1, 3, 1, 1, 1, mode="exact")
     assert hs.guarantee == "certified"
-    assert hs.size_bound == 67600
+    assert hs.size_bound == 42250
     orc = BlackboxOracle(Q, 1, lambda pt: Q.zero(), degree_bound=3)
     v = pit(orc, hs, max_points=50)
     assert v.outcome == "inconclusive"
@@ -279,12 +279,38 @@ def test_driver_answers_every_small_characteristic_instance():
         assert (v.outcome == "inconclusive") == (truncated and zero), seed
 
 
+def test_truncated_any_char_set_walks_the_whole_grid():
+    # a degree-3 bound wants 4 values per axis and F_3 hosts 3: the simplex
+    # lemma needs d + 1 values, so the whole truncated grid is walked
+    xs = [poly_from_text(t, F3, 2) for t in ("x1", "x2")]
+    hs = hitting_set_arbitrary_char(F3, 2, 3, 2, 1, polys=xs)
+    assert hs.provenance["grid_truncated"] is True
+    assert hs.provenance["points"] == "grid"
+    assert hs.size_bound == 3 ** 2
+    pts = [tuple(int(c) for c in p) for p in hs.points()]
+    assert pts == list(itertools.product(range(3), repeat=2))
+    exact = hitting_set_arbitrary_char(F3, 2, 3, 2, 1, mode="exact")
+    assert exact.provenance["points"] == "grid"
+
+
+def test_small_field_witness_off_the_simplex_is_found():
+    # smallchar_instance seed 38: inners x1 + 1 and x2 over F_2 of degree
+    # bound 2 on a two-value axis; the witness (1, 1) has index sum 2, past
+    # any simplex the truncated axis could hold
+    C, zero = smallchar_instance(38)
+    assert not zero
+    v = pit_circuit(C, seed=38)
+    assert v.outcome == "nonzero"
+    assert tuple(int(c) for c in v.witness) == (1, 1)
+    assert v.provenance["points"] == "grid"
+
+
 def test_depth4_lifted_identity_is_zero():
     L = lifted_identity(2, Q)
     hs = hitting_set_depth4(Q, L.nvars, L.delta, L.k, L.s, R=3, circuit=L)
     v = pit(L.oracle(), hs)
     assert v.outcome == "zero"
-    assert v.points_checked == 81
+    assert v.points_checked == 15
     assert v.guarantee == "corpus"
     assert hs.provenance["construction"] == "depth4"
 
@@ -294,7 +320,7 @@ def test_depth4_cancelling_rows_are_zero():
     hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C)
     v = pit(C.oracle(), hs)
     assert v.outcome == "zero"
-    assert v.points_checked == 49
+    assert v.points_checked == 28
 
 
 def test_depth4_random_nonzero_agree_with_expand():
