@@ -409,10 +409,12 @@ def search_depth4_map(
         # move on quickly instead of exhausting a lemma-sized sample
         c_max, c_per_p = max(8, 2 * delta * C.k * C.s * r), 1
     tried = 0
+    # affine-image keys of the candidates that failed a preservation leg
+    failed = set()
     for p, c in pc_candidates(field, sched.p_max, c_max, c_per_p):
         mp = VandermondeMap(field, n, r, D1, D2, p, c)
         tried += 1
-        evidence = _certify_depth4(mp, subsets, r, seed, expand_budget)
+        evidence = _certify_depth4(mp, subsets, r, seed, expand_budget, failed)
         if evidence is not None:
             return Depth4MapResult(mp, r, evidence, tried)
     raise SearchExhausted(
@@ -421,7 +423,7 @@ def search_depth4_map(
     )
 
 
-def _certify_depth4(mp, subsets, r, seed, expand_budget):
+def _certify_depth4(mp, subsets, r, seed, expand_budget, failed):
     """Per-subset evidence that the map psi = mp respects the circuit, or
     None.
 
@@ -433,7 +435,20 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget):
     h = gcd_i psi(sim_i) is constant or sum_i psi(sim_i) = 0.  Proof: the rows of psi(C_I) are
     psi(g) * psi(sim_i), so simple_part(psi(C_I)) = psi(sim) / h up to a
     unit, which is psi(sim) up to a unit iff h is constant or both are zero.
+
+    Two screens come first and evaluate nothing (README, "How candidates
+    are screened").  The linear rank k of mp bounds the trdeg of every
+    image family, so k below some subset's target rejects.  failed holds
+    the affine-image keys of earlier candidates of this search whose
+    preservation leg failed; a candidate with the same key differs from
+    one of them by an invertible affine change of z, an automorphism of
+    F[z] that keeps every preservation verdict, so it is rejected too.  A
+    preservation failure here adds mp's key to failed.  A rank-leg miss
+    does not: over a big field it depends on the seeded points.
     """
+    k, key = mp.affine_summary()
+    if key in failed or any(k < min(rho, r) for *_, rho in subsets):
+        return None
     image = _memo_apply(mp)
     # rank legs first: evaluated rank never exceeds the function-field rank,
     # which never exceeds trdeg, so meeting the target at one point already
@@ -448,9 +463,10 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget):
     for I, sub, sim, facs, J, rho in subsets:
         jac_at = partial(mp.jacobian_at, J)
         target = min(rho, r)
-        # rho bounds the rank of the images at every point (their trdeg is at
-        # most rho), so stopping there leaves the max over the trials as it is
-        bound = randomized_rank(jac_at, field, w, seed=seed, trials=4, ceiling=rho)
+        # rho and k bound the rank of the images at every point (their trdeg
+        # is at most both), so stopping there leaves the max over the trials
+        # as it is
+        bound = randomized_rank(jac_at, field, w, seed=seed, trials=4, ceiling=min(rho, k))
         if bound < target:
             if ch == 0 or ch >= (1 << 20):
                 # over a big field a candidate of full image rank passes the
@@ -470,6 +486,7 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget):
     evidence = []
     for (I, sub, sim, facs, J, rho), bound in zip(subsets, bounds):
         if not _preserves_simple_part(sub, sim, image, maps_to_zero, expand_budget):
+            failed.add(key)
             return None
         evidence.append(
             {

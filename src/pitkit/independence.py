@@ -95,11 +95,13 @@ def randomized_rank(
 
     The trials stop once the best rank reaches min(rows, cols, ceiling).
     No point can pass min(rows, cols).  A ceiling that bounds the rank at
-    every point, such as the trdeg of the family (an evaluated Jacobian's
-    rank is at most the trdeg in every characteristic), leaves the answer
-    equal to the max over all trials.  Any other ceiling leaves
-    min(answer, ceiling) unchanged, which is all a caller that compares the
-    answer against the ceiling reads."""
+    every point leaves the answer equal to the max over all trials.  Such
+    bounds are the trdeg of the family (an evaluated Jacobian's rank is at
+    most the trdeg in every characteristic) and, for the images of an
+    affine map x = b + M z, the linear rank of M (the images lie in a ring
+    generated by rank(M) linear forms, so their trdeg is at most that).
+    Any other ceiling leaves min(answer, ceiling) unchanged, which is all a
+    caller that compares the answer against the ceiling reads."""
     rng = random.Random(_subseed(seed, 1))
     best = 0
     for _ in range(max(1, trials)):

@@ -11,7 +11,11 @@ every update divides exactly by the previous pivot, so no Fraction is built
 until the kernel vector.  Every loop pivots on the first nonzero entry of
 each column.  The rows below a pivot are then nonzero multiples of those of
 elimination in the field, entry for entry, so the zero pattern, the rank,
-the pivot rows and the kernel vector are the same whatever the loop."""
+the pivot rows and the kernel vector are the same whatever the loop.
+
+reduced_echelon is the one other scalar elimination: Gauss-Jordan to the
+canonical basis of a row space, which the Vandermonde candidate screens use
+as the key of an affine image."""
 
 from __future__ import annotations
 
@@ -72,7 +76,8 @@ def _integer_rows(matrix, field):
     if field.kind == "prime":
         p = field.p
         return [[v % p if type(v) is int else field.normalize(v) for v in row] for row in matrix]
-    rows = [[v if type(v) is Fraction else field.normalize(v) for v in row] for row in matrix]
+    rows = [[v if type(v) in (Fraction, int) else field.normalize(v) for v in row]
+            for row in matrix]
     return _numerators(rows)[0]
 
 
@@ -198,6 +203,51 @@ def _echelon_py(matrix, field, until_kernel):
                     s += rowk[c] * kernel[c]
             kernel[k] = (-s) % p if p else Fraction(-s) / rowk[k]
     return r, sorted(idx[:r]), kernel
+
+
+def reduced_echelon(matrix, field):
+    """(rank, rows): the nonzero rows of the reduced row echelon form of a
+    list-of-rows matrix of raw elements, as tuples: residues over F_p, and
+    over Q each row scaled to the primitive integer vector with a positive
+    pivot.  They are a canonical basis of the row space: two matrices of
+    the same width have the same row space iff they have the same rows
+    here.  Gauss-Jordan on integers, for the small matrices whose
+    canonical form is the point (echelon gives ranks and kernels); over Q
+    every update divides the row by its content, so no Fraction is built."""
+    p = field.p if field.kind == "prime" else 0
+    A = _integer_rows(matrix, field)
+    rows, cols = len(A), len(A[0]) if A else 0
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if A[i][j]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        top = A[r]
+        if p:
+            inv = pow(top[j], -1, p)
+            top = A[r] = [a * inv % p for a in top]
+        d = top[j]  # over Q: rows are scaled by d, not divided by it
+        for i in range(rows):
+            x = A[i][j]
+            if x and i != r:
+                if p:
+                    A[i] = [(a - x * b) % p for a, b in zip(A[i], top)]
+                else:
+                    row = [d * a - x * b for a, b in zip(A[i], top)]
+                    g = math.gcd(*row)
+                    A[i] = [a // g for a in row] if g > 1 else row
+        r += 1
+    if not p:
+        for i in range(r):
+            row = A[i]
+            g = math.gcd(*row)
+            if next(a for a in row if a) < 0:
+                g = -g
+            A[i] = [a // g for a in row]
+    return r, tuple(map(tuple, A[:r]))
 
 
 # -- polynomial matrices -------------------------------------------------------

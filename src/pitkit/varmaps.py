@@ -16,9 +16,12 @@ The search helpers enumerate candidates in a fixed order (p ascending over
 primes, c ascending, variable subsets in lexicographic order) and certify
 each candidate by recomputing the transcendence degree of the images, so a
 returned map is correct regardless of which lemma motivated the parameter
-ranges.  ParamSchedule packages the closed-form parameter sizes used by the
-certified enumeration bounds; the integers are astronomically large for all
-but toy inputs, which is why the searches default to adaptive mode.
+ranges.  A Vandermonde candidate whose linear rank is below the target
+cannot keep it and is rejected before any point is evaluated
+(VandermondeMap.affine_summary).  ParamSchedule packages the closed-form
+parameter sizes used by the certified enumeration bounds; the integers are
+astronomically large for all but toy inputs, which is why the searches
+default to adaptive mode.
 """
 
 from __future__ import annotations
@@ -311,7 +314,9 @@ class KroneckerMap:
 class VandermondeMap:
     """x_i -> c^(D1^i mod p) + c^(D2^i mod p) z_0 + sum_j c^(i (n+1)^j mod p) z_j."""
 
-    __slots__ = ("field", "n", "r", "D1", "D2", "p", "c", "_rows", "_images", "_int_cols")
+    __slots__ = (
+        "field", "n", "r", "D1", "D2", "p", "c", "_rows", "_images", "_int_cols", "_summary"
+    )
 
     def __init__(self, field: FieldSpec, n: int, r: int, D1: int, D2: int, p: int, c):
         if n < 1 or r < 1:
@@ -331,6 +336,7 @@ class VandermondeMap:
         self._rows = None
         self._images = None
         self._int_cols = None
+        self._summary = None
 
     @property
     def nvars_out(self) -> int:
@@ -351,6 +357,26 @@ class VandermondeMap:
                 rows.append(tuple(row))
             self._rows = tuple(rows)
         return self._rows
+
+    def affine_summary(self):
+        """(k, key) for the affine part x = b + M z of the map: k = rank(M),
+        the linear rank, and key the canonical form of the affine image
+        b + colspace(M), exact in every field (no residues of rationals).
+
+        Both come from one reduced echelon of the homogenized spanning
+        vectors (1, b) and (0, M_t), t = 0..r, whose span determines the
+        image and is determined by it: the image is {x : (1, x) in the
+        span}, and the first vector is the only one with a nonzero first
+        coordinate, so the span has rank 1 + k.  Two maps with one key
+        differ by an invertible affine change of z (README, "How candidates
+        are screened")."""
+        if self._summary is None:
+            # (1, b) times L, the common denominator of the coefficients
+            const, cols, L = self._integer_columns()
+            vectors = [(L,) + const] + [(0,) + col for col in cols]
+            rank, key = linalg.reduced_echelon(vectors, self.field)
+            self._summary = (rank - 1, key)
+        return self._summary
 
     def images(self):
         if self._images is None:
@@ -520,10 +546,16 @@ def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
 def _certify(fs, J, mp, r0: int, seed: int):
     """The image certificate of trdeg r0 for the candidate mp, or None.
 
-    J = jacobian(fs).  The evaluated legs read the image Jacobian through
-    the chain rule (mp.jacobian_at), so the images mp(f) are built only
-    when the symbolic trdeg fallback runs.
+    J = jacobian(fs).  A Vandermonde candidate whose linear rank k (see
+    VandermondeMap.affine_summary) is below r0 is rejected before any
+    point is evaluated: with M = B C and k = rank(M), every image
+    f(b + B (C z)) lies in F[C z], so the images have trdeg at most k.
+    The evaluated legs read the image Jacobian through the chain rule
+    (mp.jacobian_at), so the images mp(f) are built only when the symbolic
+    trdeg fallback runs.
     """
+    if isinstance(mp, VandermondeMap) and mp.affine_summary()[0] < r0:
+        return None
     field = mp.field
     jac_at = partial(mp.jacobian_at, J)
     ch = field.characteristic

@@ -208,15 +208,41 @@ def test_screen_miss_falls_back_to_symbolic_images(monkeypatch):
 
 
 def test_small_field_vandermonde_search_builds_images_only_on_fallback(monkeypatch):
-    # over F_101 there is no randomized screen; a degenerate candidate misses
-    # the evaluated leg and is rejected by the symbolic trdeg of its images
+    # over F_101 there is no randomized screen, but all 31 rejected
+    # candidates have linear rank below the input trdeg 3 and die on that
+    # point-free screen, so no image is ever built
     applied = []
     real_apply = VandermondeMap.apply
     monkeypatch.setattr(VandermondeMap, "apply",
                         lambda mp, f: applied.append(f) or real_apply(mp, f))
     fs = [poly_from_text(t, F101, 3) for t in ("x1 + x2^2", "x2*x3", "x3")]
     found = search_vandermonde_map(fs)
-    assert found.candidates_tried > 1 and applied
-    assert len(applied) == len(fs) * (found.candidates_tried - 1)
+    assert applied == []
+    assert (found.map.p, found.map.c, found.candidates_tried) == (5, 2, 32)
+    assert found.image_cert.to_json_dict() == {
+        "r": 3, "mode": "jacobian", "basis": [0, 1, 2],
+        "witness": {"method": "evaluated-jacobian-meets-upper-bound",
+                    "upper_bound": 3, "point": [47, 93, 52, 1]},
+    }
     imgs = [real_apply(found.map, f) for f in fs]
     assert verify_trdeg_certificate(imgs, found.image_cert, upper_bound=found.input_cert.r)
+
+
+def test_small_field_vandermonde_fallback_rejects_full_linear_rank_candidate(monkeypatch):
+    # over F_101 with n = 4, the candidate p = 2, c = 2 sends x1 and x3 to
+    # the same affine form 2 + z0 + 2 z1 while its linear rank is full
+    # (2 = r + 1, from x2 -> 2 + z0 + z1): it passes the point-free screen,
+    # misses the evaluated leg, and the symbolic trdeg of its images
+    # (x1 - x3 maps to 0) rejects it.  The c = 1 candidates have linear
+    # rank 1, the input trdeg, and take the same route; p = 3, c = 2 wins
+    applied = []
+    real_apply = VandermondeMap.apply
+    monkeypatch.setattr(VandermondeMap, "apply",
+                        lambda mp, f: applied.append(mp) or real_apply(mp, f))
+    fs = [poly_from_text("x1 - x3", F101, 4)]
+    found = search_vandermonde_map(fs)
+    assert (found.map.p, found.map.c, found.candidates_tried) == (3, 2, 4)
+    rejected = [mp for mp in applied if mp is not found.map]
+    assert [(mp.p, mp.c, mp.affine_summary()[0]) for mp in rejected] == [
+        (2, 1, 1), (2, 2, 2), (3, 1, 1)]
+    assert rejected[1].nvars_out == 2 and real_apply(rejected[1], fs[0]).is_zero
