@@ -18,11 +18,9 @@ from .polynomials import (
     divide_exact,
     divides,
     gcd_poly,
-    kronecker,
     normalize_monic,
     poly_from_text,
     poly_to_text,
-    resultant,
 )
 from .circuits import (
     BlackboxOracle,
@@ -90,11 +88,9 @@ __all__ = [
     "divide_exact",
     "divides",
     "gcd_poly",
-    "kronecker",
     "normalize_monic",
     "poly_from_text",
     "poly_to_text",
-    "resultant",
     "BlackboxOracle",
     "Circuit",
     "ComposedCircuit",

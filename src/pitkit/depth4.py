@@ -165,43 +165,19 @@ def simple_part(C: Depth4Circuit) -> Depth4Circuit:
     return Depth4Circuit(field, C.nvars, delta_out, rows_out)
 
 
-def is_minimal(
-    C: Depth4Circuit,
-    zero_test: str = "expand",
-    budget: int = DEFAULT_EXPAND_BUDGET,
-    k_cap: int = 12,
-    max_points=None,
-    R=None,
-) -> bool:
+def is_minimal(C: Depth4Circuit, budget: int = DEFAULT_EXPAND_BUDGET, k_cap: int = 12) -> bool:
     """True when no proper nonempty subset of the rows sums to zero.
 
-    Checks the 2^k - 2 proper subsets smallest first and stops at the first
-    vanishing one.  zero_test "expand" decides each subset by exact
-    expansion; "hitting-set" runs the subset through the depth-4 hitting set
-    instead (R optionally overriding its rank bound) and raises if that
-    enumeration is cut off by max_points.
+    Checks the 2^k - 2 proper subsets smallest first, each by exact
+    expansion, and stops at the first vanishing one.
     """
-    if zero_test not in ("expand", "hitting-set"):
-        raise ValueError("zero_test must be 'expand' or 'hitting-set'")
     if C.k > k_cap:
         raise ValueError("k=%d exceeds the subset cap %d" % (C.k, k_cap))
     # size-1 subsets are single products of nonzero factors, never zero
     for size in range(2, C.k):
         for I in itertools.combinations(range(C.k), size):
-            sub = C.subcircuit(I)
-            if zero_test == "expand":
-                if sub.expand(budget).is_zero:
-                    return False
-            else:
-                from . import hitting  # deferred, hitting imports this module
-
-                verdict = hitting.pit_circuit(sub, R=R, max_points=max_points)
-                if verdict.outcome == "inconclusive":
-                    raise BudgetExceeded(
-                        "hitting-set minimality check cut off by max_points"
-                    )
-                if verdict.outcome == "zero":
-                    return False
+            if C.subcircuit(I).expand(budget).is_zero:
+                return False
     return True
 
 

@@ -1,37 +1,27 @@
 """Exact linear algebra: scalar matrices over a field, Bareiss on polynomial
 matrices.
 
-Scalar matrices go through one echelon routine with two loops on integers: a
-numpy int64 loop for prime moduli below 2^31 on matrices of at least
-_NP_MIN_ENTRIES entries, and a pure-Python loop for everything else (small
-matrices, big primes, rationals).  Over F_p both loops work on residues and
-scale the pivot row to 1.  Over Q the Python loop clears the matrix of its
-denominators and runs Bareiss's fraction-free elimination (Math. Comp. 1968):
-every update divides exactly by the previous pivot, so no Fraction is built
-until the kernel vector.  Every loop pivots on the first nonzero entry of
-each column.  The rows below a pivot are then nonzero multiples of those of
-elimination in the field, entry for entry, so the zero pattern, the rank,
-the pivot rows and the kernel vector are the same whatever the loop.
+Scalar matrices go through one forward elimination on integers, _eliminate.
+Over F_p it works on residues and scales each pivot row to 1.  Over Q it
+clears the matrix of its denominators and runs Bareiss's fraction-free
+elimination (Math. Comp. 1968): every update divides exactly by the previous
+pivot, so no Fraction is built until the kernel vector.  It pivots on the
+first nonzero entry of each column, so the rows below a pivot are nonzero
+multiples of those of elimination in the field, entry for entry: the zero
+pattern, the rank, the pivot rows and the kernel vector are those of
+textbook elimination.
 
-reduced_echelon is the one other scalar elimination: Gauss-Jordan to the
-canonical basis of a row space, which the Vandermonde candidate screens use
-as the key of an affine image."""
+echelon and kernel_vector back-substitute its rows into the first kernel
+vector.  reduced_echelon back-reduces them to the reduced row echelon form,
+the canonical basis of a row space that the Vandermonde candidate screens
+use as the key of an affine image."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from .polynomials import SparsePoly, _prepare_point, bareiss
-
-_NP_LIMIT = 1 << 31
-# Below this many entries the per-column numpy overhead outweighs the
-# vectorized row updates.  Measured on random dense matrices, mod 101 and
-# mod 2^31 - 1: pure Python wins up to 8x8 (6x6: 42 vs 68 us mod 101), numpy
-# from about 64 entries on (10x10: 120 vs 136 us; 60x60: 1.5 vs 17 ms).
-_NP_MIN_ENTRIES = 64
+from .polynomials import SparsePoly, _prepare_point, divide_exact
 
 
 def echelon(matrix, field):
@@ -46,7 +36,7 @@ def echelon(matrix, field):
     """
     if not matrix or not matrix[0]:
         return 0, [], None
-    return _echelon_loop(matrix, field)(matrix, field, False)
+    return _echelon(matrix, field, False)
 
 
 def rank(matrix, field) -> int:
@@ -59,14 +49,7 @@ def kernel_vector(matrix, field):
     Elimination stops at the first dependent column."""
     if not matrix or not matrix[0]:
         return None
-    return _echelon_loop(matrix, field)(matrix, field, True)[2]
-
-
-def _echelon_loop(matrix, field):
-    if field.kind == "prime" and field.p < _NP_LIMIT:
-        if len(matrix) * len(matrix[0]) >= _NP_MIN_ENTRIES:
-            return _echelon_np
-    return _echelon_py
+    return _echelon(matrix, field, True)[2]
 
 
 def _integer_rows(matrix, field):
@@ -81,74 +64,12 @@ def _integer_rows(matrix, field):
     return _numerators(rows)[0]
 
 
-def _first_dependent(pivot_cols, cols):
-    """The first column without a pivot, or None; every column left of it
-    is a pivot column, so pivot k sits in column k there."""
-    j = 0
-    while j < len(pivot_cols) and pivot_cols[j] == j:
-        j += 1
-    return j if j < cols else None
-
-
-# The two loops below share their contract: (rank, pivot_rows, kernel) as in
-# echelon.  With until_kernel they stop at the first dependent column, so the
-# kernel is the same and rank and pivot_rows cover the columns left of it.
-
-
-def _echelon_np(matrix, field, until_kernel):
-    p = field.p
-    A = np.array(matrix)
-    if A.dtype == np.int64:
-        A %= p
-    else:
-        # Fractions, bools or ints past int64: numpy would truncate or
-        # round them, so reduce them entry by entry as the Python loop does
-        A = np.array(_integer_rows(matrix, field), dtype=np.int64)
-    rows, cols = A.shape
-    idx = list(range(rows))
-    pivot_cols = []
-    r = 0
-    for j in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(A[r:, j])[0]
-        if nz.size == 0:
-            if until_kernel:
-                break
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-            idx[r], idx[i] = idx[i], idx[r]
-        inv = pow(int(A[r, j]), -1, p)
-        A[r] = A[r] * inv % p
-        below = A[r + 1 :, j]
-        mask = below != 0
-        if mask.any():
-            A[r + 1 :][mask] = (A[r + 1 :][mask] - np.outer(below[mask], A[r])) % p
-        pivot_cols.append(j)
-        r += 1
-    kernel = None
-    j = _first_dependent(pivot_cols, cols)
-    if j is not None:
-        # back-substitute over the echelon rows left of column j.  Python
-        # ints here: an int64 dot product would overflow near p^2.
-        kernel = [0] * cols
-        kernel[j] = 1
-        for k in range(j - 1, -1, -1):
-            rowk = A[k]
-            s = 0
-            for c in range(k + 1, j + 1):
-                x = int(rowk[c])
-                if x and kernel[c]:
-                    s += x * kernel[c]
-            kernel[k] = (-s) % p
-    return r, sorted(idx[:r]), kernel
-
-
-def _echelon_py(matrix, field, until_kernel):
-    p = field.p if field.kind == "prime" else 0
-    A = _integer_rows(matrix, field)
+def _eliminate(A, p, until_kernel):
+    """Forward elimination of the integer rows A in place; p is the modulus,
+    0 over Q.  Returns (rank, idx, pivot_cols): A[:rank] are the echelon
+    rows, idx[i] the original index of row i, and pivot_cols the pivot
+    column of each echelon row.  With until_kernel it stops at the first
+    column without a pivot."""
     rows, cols = len(A), len(A[0])
     idx = list(range(rows))
     pivot_cols = []
@@ -188,9 +109,24 @@ def _echelon_py(matrix, field, until_kernel):
             prev = d
         pivot_cols.append(j)
         r += 1
+    return r, idx, pivot_cols
+
+
+def _echelon(matrix, field, until_kernel):
+    """(rank, pivot_rows, kernel) as in echelon.  With until_kernel the
+    kernel is the same, and rank and pivot_rows cover the columns left of
+    the first dependent column."""
+    p = field.p if field.kind == "prime" else 0
+    A = _integer_rows(matrix, field)
+    r, idx, pivot_cols = _eliminate(A, p, until_kernel)
+    cols = len(A[0])
+    # the first column without a pivot; every column left of it is a pivot
+    # column, so pivot k sits in column k there
+    j = 0
+    while j < r and pivot_cols[j] == j:
+        j += 1
     kernel = None
-    j = _first_dependent(pivot_cols, cols)
-    if j is not None:
+    if j < cols:
         # over Q the pivot rows are not scaled to 1: divide by the pivot, in
         # Fractions, so the entries are raw elements of Q
         kernel = [field.zero()] * cols
@@ -211,42 +147,29 @@ def reduced_echelon(matrix, field):
     over Q each row scaled to the primitive integer vector with a positive
     pivot.  They are a canonical basis of the row space: two matrices of
     the same width have the same row space iff they have the same rows
-    here.  Gauss-Jordan on integers, for the small matrices whose
-    canonical form is the point (echelon gives ranks and kernels); over Q
-    every update divides the row by its content, so no Fraction is built."""
+    here.  The echelon rows of _eliminate are reduced from the last up:
+    each is made canonical, then cleared from the rows above it."""
+    if not matrix or not matrix[0]:
+        return 0, ()
     p = field.p if field.kind == "prime" else 0
     A = _integer_rows(matrix, field)
-    rows, cols = len(A), len(A[0]) if A else 0
-    r = 0
-    for j in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if A[i][j]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        top = A[r]
-        if p:
-            inv = pow(top[j], -1, p)
-            top = A[r] = [a * inv % p for a in top]
-        d = top[j]  # over Q: rows are scaled by d, not divided by it
-        for i in range(rows):
+    r, _, pivot_cols = _eliminate(A, p, False)
+    for k in range(r - 1, -1, -1):
+        j = pivot_cols[k]
+        top = A[k]
+        if not p:  # over F_p the pivot is 1 already
+            g = math.gcd(*top)
+            if top[j] < 0:
+                g = -g
+            top = A[k] = [a // g for a in top]
+        d = top[j]
+        for i in range(k):
             x = A[i][j]
-            if x and i != r:
+            if x:
                 if p:
                     A[i] = [(a - x * b) % p for a, b in zip(A[i], top)]
                 else:
-                    row = [d * a - x * b for a, b in zip(A[i], top)]
-                    g = math.gcd(*row)
-                    A[i] = [a // g for a in row] if g > 1 else row
-        r += 1
-    if not p:
-        for i in range(r):
-            row = A[i]
-            g = math.gcd(*row)
-            if next(a for a in row if a) < 0:
-                g = -g
-            A[i] = [a // g for a in row]
+                    A[i] = [d * a - x * b for a, b in zip(A[i], top)]
     return r, tuple(map(tuple, A[:r]))
 
 
@@ -256,19 +179,43 @@ def reduced_echelon(matrix, field):
 def poly_matrix_rank(M):
     """(rank, pivot_rows, pivot_cols) of a SparsePoly matrix.
 
-    Fraction-free Bareiss elimination (polynomials.bareiss); at each step the
-    pivot is the lowest-degree nonzero entry in the current column.
-    pivot_rows holds original row indices, so the listed submatrix has a
-    nonzero minor.
+    Fraction-free elimination (Bareiss, Math. Comp. 1968): every interior
+    division is exact.  At each step the pivot is the lowest-degree nonzero
+    entry of the current column.  pivot_rows holds original row indices, so
+    the listed submatrix has a nonzero minor.
     """
     if not M or not M[0]:
         return 0, [], []
-    return bareiss(M)[:3]
-
-
-def poly_matrix_det(M) -> SparsePoly:
-    """Determinant of a square SparsePoly matrix (Bareiss, row pivoting)."""
-    return bareiss(M)[3]
+    field, nvars = M[0][0].field, M[0][0].nvars
+    zero = SparsePoly.zero(field, nvars)
+    A = [row[:] for row in M]
+    idx = list(range(len(A)))
+    rows, cols = len(A), len(A[0])
+    prev = SparsePoly.one(field, nvars)
+    pivot_cols = []
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
+        piv, best = None, None
+        for i in range(r, rows):
+            if not A[i][j].is_zero:
+                d = A[i][j].degree()
+                if best is None or d < best:
+                    piv, best = i, d
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            idx[r], idx[piv] = idx[piv], idx[r]
+        for i in range(r + 1, rows):
+            for c in range(j + 1, cols):
+                A[i][c] = divide_exact(A[r][j] * A[i][c] - A[i][j] * A[r][c], prev)
+            A[i][j] = zero
+        prev = A[r][j]
+        pivot_cols.append(j)
+        r += 1
+    return r, idx[:r], pivot_cols
 
 
 def eval_matrix(M, point):

@@ -595,119 +595,6 @@ def gcd_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     return normalize_monic(d * divide_exact(fp, _content(fp, v)))
 
 
-# -- resultants ----------------------------------------------------------------------
-
-
-def resultant(f: SparsePoly, g: SparsePoly, v: int) -> SparsePoly:
-    """Resultant of f and g with respect to variable v.
-
-    Sylvester matrix over the remaining variables, determinant by
-    fraction-free Bareiss elimination (all interior divisions exact).
-    """
-    f._check_ring(g)
-    a, b = f.degree_in(v), g.degree_in(v)
-    if a == 0 or b == 0:
-        raise ValueError("resultant needs positive degree in the variable on both sides")
-    n = a + b
-    field, nvars = f.field, f.nvars
-    zero = SparsePoly.zero(field, nvars)
-    fc = [f.coeff_in(v, a - i) for i in range(a + 1)]  # descending in v
-    gc = [g.coeff_in(v, b - i) for i in range(b + 1)]
-    M = []
-    for i in range(b):
-        row = [zero] * n
-        row[i : i + a + 1] = fc
-        M.append(row)
-    for i in range(a):
-        row = [zero] * n
-        row[i : i + b + 1] = gc
-        M.append(row)
-    return bareiss(M)[3]
-
-
-def bareiss(M):
-    """(rank, pivot_rows, pivot_cols, det) of a SparsePoly matrix.
-
-    Fraction-free elimination (Bareiss, Math. Comp. 1968): every interior
-    division is exact.  At each step the pivot is the lowest-degree nonzero
-    entry of the current column.  pivot_rows holds original row indices, so
-    the listed submatrix has a nonzero minor.  det is the determinant of a
-    square matrix: the last pivot, signed by the row swaps, at full rank,
-    and zero otherwise (and for non-square matrices).
-    """
-    field = M[0][0].field
-    nvars = M[0][0].nvars
-    zero = SparsePoly.zero(field, nvars)
-    A = [row[:] for row in M]
-    idx = list(range(len(A)))
-    rows, cols = len(A), len(A[0])
-    prev = SparsePoly.one(field, nvars)
-    sign = 1
-    pivot_cols = []
-    r = 0
-    for j in range(cols):
-        if r == rows:
-            break
-        piv, best = None, None
-        for i in range(r, rows):
-            if not A[i][j].is_zero:
-                d = A[i][j].degree()
-                if best is None or d < best:
-                    piv, best = i, d
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            idx[r], idx[piv] = idx[piv], idx[r]
-            sign = -sign
-        for i in range(r + 1, rows):
-            for c in range(j + 1, cols):
-                A[i][c] = divide_exact(A[r][j] * A[i][c] - A[i][j] * A[r][c], prev)
-            A[i][j] = zero
-        prev = A[r][j]
-        pivot_cols.append(j)
-        r += 1
-    det = zero
-    if rows == cols == r:
-        det = -prev if sign < 0 else prev
-    return r, idx[:r], pivot_cols, det
-
-
-# -- Kronecker substitution --------------------------------------------------------
-
-
-def kronecker(f: SparsePoly, D: int, allow_high_degree=False) -> SparsePoly:
-    """Substitute x_i -> t^(D^i) (1-based i), producing a univariate poly in t.
-
-    For deg(f) < D distinct monomials land on distinct powers of t (base-D
-    digits), so no coefficients merge.  The exponent tower is plain integer
-    arithmetic on exponents; nothing is ever expanded as a dense polynomial.
-    """
-    if D < 2:
-        raise ValueError("Kronecker base D must be >= 2")
-    if not allow_high_degree:
-        d = f.degree()
-        if d is not None and d >= D:
-            raise ValueError(
-                "degree %d not below Kronecker base %d (injectivity lost); "
-                "pass allow_high_degree=True to override" % (d, D)
-            )
-    weights = [D ** (i + 1) for i in range(f.nvars)]
-    out = {}
-    field = f.field
-    for exps, c in f.terms.items():
-        e = sum(w * k for w, k in zip(weights, exps))
-        if e in out:
-            acc = field.add(out[e], c)
-            if field.is_zero(acc):
-                del out[e]
-            else:
-                out[e] = acc
-        else:
-            out[e] = c
-    return SparsePoly._raw(field, 1, {(e,): c for e, c in out.items()})
-
-
 # -- text format --------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"(\d+)|([a-z]\d*)|(\^)|(\*)|(\+)|(-)|(/)|(\S)")

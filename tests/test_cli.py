@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+import pitkit
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.cli import main
 from pitkit.fields import FieldSpec
@@ -531,6 +533,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "pit" in proc.stdout
+
+
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import pitkit.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    # pitkit has no runtime dependency.  Compared with the modules loaded
+    # before the import, since site may already load packages of its own.
+    src = os.path.dirname(os.path.dirname(pitkit.__file__))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src],
+                          capture_output=True, text=True, check=True)
+    added = json.loads(proc.stdout)
+    assert "pitkit.cli" in added
+    foreign = [m for m in added
+               if m.partition(".")[0] not in sys.stdlib_module_names | {"pitkit"}]
+    assert foreign == []
 
 
 @pytest.mark.skipif(shutil.which("pitkit") is None, reason="console script not on PATH")

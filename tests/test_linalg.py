@@ -1,4 +1,5 @@
 import fractions
+import itertools
 import random
 
 import pytest
@@ -6,17 +7,14 @@ import pytest
 from _gen import rand_poly
 from pitkit.fields import FieldSpec
 from pitkit.linalg import (
-    _NP_MIN_ENTRIES,
-    _echelon_np,
-    _echelon_py,
     echelon,
     eval_matrix,
     kernel_vector,
-    poly_matrix_det,
     poly_matrix_rank,
     rank,
+    reduced_echelon,
 )
-from pitkit.polynomials import SparsePoly, poly_from_text, resultant
+from pitkit.polynomials import SparsePoly
 
 Q = FieldSpec("rational")
 F101 = FieldSpec("prime", 101)
@@ -60,20 +58,19 @@ def test_rank_fraction_agrees():
 
 
 def test_rank_near_int64_boundary():
-    # pivot products around (2^31)^2 must not overflow the fast path
+    # pivot products around (2^31)^2
     p = (1 << 31) - 1
     F = FieldSpec("prime", p)
     M = _mat(F, [[p - 1, 1], [p - 2, 2]])
     assert rank(M, F) == 1
     M2 = _mat(F, [[p - 1, 1], [p - 2, 3]])
     assert rank(M2, F) == 2
-    # padded with an identity block to the size the numpy loop takes
+    # padded with an identity block to 8 x 8
     for rows, want in (([[p - 1, 1], [p - 2, 2]], 7), ([[p - 1, 1], [p - 2, 3]], 8)):
         padded = [row + [0] * 6 for row in rows]
         padded += [[0] * (2 + i) + [1] + [0] * (5 - i) for i in range(6)]
-        assert len(padded) * len(padded[0]) >= _NP_MIN_ENTRIES
         assert rank(_mat(F, padded), F) == want
-    # same matrices through the pure-python lane of a wider modulus
+    # same matrices over a wider modulus
     big = FieldSpec("prime", (1 << 61) - 1)
     assert rank(_mat(big, [[-1, 1], [-2, 2]]), big) == 1
     assert rank(_mat(big, [[-1, 1], [-2, 3]]), big) == 2
@@ -102,14 +99,6 @@ def test_eval_matrix():
             assert E[i][j] == M[i][j].eval(pt)
 
 
-def test_poly_matrix_det():
-    x = SparsePoly.variable(Q, 2, 0)
-    one = SparsePoly.one(Q, 2)
-    assert poly_matrix_det([[x, one], [one, x]]) == poly_from_text("x1^2 - 1", Q, 2)
-    y = SparsePoly.variable(Q, 2, 1)
-    assert poly_matrix_det([[x, y], [x, y]]).is_zero
-
-
 def test_poly_matrix_rank():
     x = SparsePoly.variable(Q, 2, 0)
     y = SparsePoly.variable(Q, 2, 1)
@@ -128,35 +117,31 @@ def test_evaluated_rank_never_exceeds_symbolic():
 
 
 def _low_rank(rng, p, rows, cols, k):
-    """A rows x cols matrix mod p of rank at most k, entries spread over
-    [0, p) so that products reach p^2 on the int64 path."""
+    """A rows x cols matrix mod p of rank at most k: the product of a
+    rows x k and a k x cols matrix with entries in [0, p), left unreduced,
+    so that the entries come near k p^2."""
     left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
     right = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
-    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
 
 
 @pytest.mark.parametrize("p", [101, (1 << 31) - 1])
-def test_numpy_and_python_echelon_loops_agree(p):
+def test_echelon_kernel_is_valid_on_low_rank_matrices(p):
     F = FieldSpec("prime", p)
     rng = random.Random(p)
     shapes = [(3, 3), (2, 5), (6, 4), (7, 9), (8, 8), (12, 9), (9, 20), (30, 24)]
-    sizes = [rows * cols for rows, cols in shapes]
-    assert min(sizes) < _NP_MIN_ENTRIES <= max(sizes)
     for rows, cols in shapes:
         for k in (1, min(rows, cols) - 1, min(rows, cols)):
             M = _low_rank(rng, p, rows, cols, max(k, 1))
-            fast, slow = _echelon_np(M, F, False), _echelon_py(M, F, False)
-            assert fast == slow, (rows, cols, k)
-            assert echelon(M, F) == slow
+            r, pivot_rows, kernel = echelon(M, F)
+            assert r == len(pivot_rows) and r <= max(k, 1), (rows, cols, k)
+            assert rank([M[i] for i in pivot_rows], F) == r
+            assert reduced_echelon(M, F)[0] == r
             # stopping at the first dependent column finds the same kernel
-            early = _echelon_py(M, F, True)
-            assert _echelon_np(M, F, True) == early
-            assert early[2] == slow[2] == kernel_vector(M, F)
-            r, pivot_rows, kernel = slow
-            assert r == len(pivot_rows) and r <= max(k, 1)
+            assert kernel_vector(M, F) == kernel
+            assert (kernel is None) == (r == cols)
             if kernel is not None:
-                assert any(kernel)
-                assert all(sum(a * b for a, b in zip(row, kernel)) % p == 0 for row in M)
+                assert _is_kernel_vector(M, F, kernel)
 
 
 def _is_kernel_vector(M, field, v):
@@ -166,12 +151,10 @@ def _is_kernel_vector(M, field, v):
     )
 
 
-def test_numpy_loop_normalizes_fraction_entries():
-    # (i + j) / 2 has the rank of i + j over F_101: 2.  Cast straight to
-    # int64, the Fractions were truncated, and the loop found rank 3.
+def test_echelon_normalizes_fraction_entries():
+    # (i + j) / 2 has the rank of i + j over F_101: 2.  Truncated to
+    # integers, the Fractions gave rank 3.
     M = [[fractions.Fraction(i + j, 2) for j in range(8)] for i in range(8)]
-    assert len(M) * len(M[0]) >= _NP_MIN_ENTRIES
-    assert echelon(M, F101) == _echelon_np(M, F101, False) == _echelon_py(M, F101, False)
     r, pivot_rows, kernel = echelon(M, F101)
     assert (r, pivot_rows) == (2, [0, 1])
     # column 2 = 2 * column 1 - column 0
@@ -180,12 +163,11 @@ def test_numpy_loop_normalizes_fraction_entries():
 
 
 @pytest.mark.parametrize("p", [101, (1 << 31) - 1])
-def test_numpy_loop_reduces_big_integer_entries(p):
-    # 2^70 + i*j is c + i*j mod p with c != 0: rank 2.  Cast straight to
-    # int64, the entries past 2^63 raised OverflowError.
+def test_echelon_reduces_big_integer_entries(p):
+    # 2^70 + i*j is c + i*j mod p with c != 0: rank 2.  Entries past 2^63
+    # do not fit a machine word.
     F = FieldSpec("prime", p)
     M = [[(1 << 70) + i * j for j in range(8)] for i in range(8)]
-    assert echelon(M, F) == _echelon_np(M, F, False) == _echelon_py(M, F, False)
     r, pivot_rows, kernel = echelon(M, F)
     assert (r, pivot_rows) == (2, [0, 1])
     assert kernel == kernel_vector(M, F) and _is_kernel_vector(M, F, kernel)
@@ -203,43 +185,51 @@ def _to_sympy(f, xs):
     return total
 
 
-def _same_poly(ours, theirs, xs):
-    import sympy
+def _sympy_minor_rank(M, dom, xs):
+    """(rank, minor): the rank of a SparsePoly matrix by the definition, the
+    largest k with a nonzero k x k minor, in sympy's polynomial ring dom,
+    and minor(rows, cols), that minor's determinant for any index lists."""
+    from sympy.polys.matrices import DomainMatrix
 
-    field = ours.field
-    want = {}
-    for exps, c in sympy.Poly(theirs, *xs).as_dict().items():
-        c = sympy.Rational(c)
-        v = field.normalize(fractions.Fraction(int(c.p), int(c.q)))
-        if not field.is_zero(v):
-            want[tuple(exps)] = v
-    return ours.terms == want
+    rows, cols = len(M), len(M[0])
+    D = DomainMatrix([[dom.from_sympy(_to_sympy(f, xs)) for f in row] for row in M],
+                     (rows, cols), dom)
+
+    def minor(I, J):
+        return D.extract(list(I), list(J)).det()
+
+    r = 0
+    for k in range(1, min(rows, cols) + 1):
+        if any(minor(I, J) for I in itertools.combinations(range(rows), k)
+               for J in itertools.combinations(range(cols), k)):
+            r = k
+    return r, minor
 
 
 @pytest.mark.parametrize("field", [Q, F101], ids=["Q", "F101"])
-def test_bareiss_det_and_resultant_agree_with_sympy(field):
+def test_poly_matrix_rank_agrees_with_sympy(field):
+    # the reference is sympy's determinant in QQ[x1, x2] or GF(101)[x1, x2];
+    # sympy's own rank() fails over GF(p)[x1, x2], where it cannot convert
+    # constants to the fraction field
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols("x1 x2")
+    dom = (sympy.QQ if field.kind == "rational" else sympy.GF(field.p))[xs]
     rng = random.Random(41)
-    for size in (1, 2, 3):
-        for _ in range(6):
-            M = [[rand_poly(rng, field, 2, 2, 2) for _ in range(size)] for _ in range(size)]
-            if size > 1 and rng.random() < 0.3:
-                M[-1] = list(M[0])  # singular: det 0
-            ours = poly_matrix_det(M)
-            theirs = sympy.Matrix([[_to_sympy(f, xs) for f in row] for row in M]).det()
-            assert _same_poly(ours, sympy.expand(theirs), xs)
-    # the reference is the determinant of sympy's Sylvester matrix: sympy's
-    # resultant() answers Res(g, f) = -Res(f, g) for some odd-degree pairs
-    from sympy.polys.subresultants_qq_zz import sylvester
-
-    checked = 0
-    for _ in range(12):
-        f = rand_poly(rng, field, 2, 3, 3)
-        g = rand_poly(rng, field, 2, 3, 3)
-        if f.degree_in(0) == 0 or g.degree_in(0) == 0:
-            continue
-        theirs = sylvester(_to_sympy(f, xs), _to_sympy(g, xs), xs[0]).det()
-        assert _same_poly(resultant(f, g, 0), sympy.expand(theirs), xs)
-        checked += 1
-    assert checked >= 5
+    ranks = set()
+    for rows, cols in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)):
+        for _ in range(3):
+            M = [[rand_poly(rng, field, 2, 2, 2) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.5:
+                # a polynomial combination of two rows: rank deficient
+                a, b = rand_poly(rng, field, 2, 1, 2), rand_poly(rng, field, 2, 1, 2)
+                M[-1] = [a * u + b * v for u, v in zip(M[0], M[1 % (rows - 1)])]
+            if rng.random() < 0.3:
+                M[rng.randrange(rows)][rng.randrange(cols)] = SparsePoly.zero(field, 2)
+            r, pivot_rows, pivot_cols = poly_matrix_rank(M)
+            want, minor = _sympy_minor_rank(M, dom, xs)
+            assert r == want == len(pivot_rows) == len(pivot_cols), (rows, cols)
+            if r:
+                assert minor(pivot_rows, pivot_cols)
+            ranks.add((min(rows, cols), r))
+    # full and deficient ranks both occur
+    assert any(r < m for m, r in ranks) and any(r == m > 1 for m, r in ranks)

@@ -12,11 +12,9 @@ from pitkit.polynomials import (
     divides,
     gcd_poly,
     gradedlex_key,
-    kronecker,
     normalize_monic,
     poly_from_text,
     poly_to_text,
-    resultant,
 )
 
 Q = FieldSpec("rational")
@@ -124,53 +122,6 @@ def test_divide_exact():
     assert divide_exact(f, g) == P("x1 + x2", 2)
     with pytest.raises(ExactDivisionError):
         divide_exact(P("x1^2 + 1", 2), g)
-
-
-def test_resultant_examples():
-    assert resultant(P("x1 + 1", 1), P("x1 - 1", 1), 0) == P("-2", 1)
-    assert resultant(P("x1^2 - x2", 2), P("x1 - x2", 2), 0) == P("x2^2 - x2", 2)
-    f = P("x1^2 + x2", 2)
-    assert resultant(f, f, 0).is_zero  # shared factor
-    assert resultant(P("x1^2 - x2^2", 2), P("x1 - x2", 2), 0).is_zero
-
-
-def test_resultant_var_degree_precondition():
-    with pytest.raises(Exception):
-        resultant(P("x2", 2), P("x1", 2), 0)
-
-
-def test_resultant_detects_common_factor():
-    # res_x(f, g) = 0 iff gcd(f, g) has positive degree in x
-    rng = random.Random(31)
-    checked = 0
-    for _ in range(120):
-        f = rand_poly(rng, Q, 2, 2, 3)
-        g = rand_poly(rng, Q, 2, 2, 3)
-        if f.degree_in(0) == 0 or g.degree_in(0) == 0:
-            continue
-        r = resultant(f, g, 0)
-        shares = gcd_poly(f, g).degree_in(0) > 0
-        assert r.is_zero == shares
-        checked += 1
-    assert checked >= 20
-
-
-def test_kronecker_examples():
-    f = P("x1 + x2", 2)
-    assert poly_to_text(kronecker(f, 3), style="t") == "t^9 + t^3"
-    g = P("x1*x2", 2) - P("x1*x2", 2)
-    assert kronecker(g, 3).is_zero
-    assert poly_to_text(kronecker(P("x1^2 + x2", 2), 3), style="t") == "t^9 + t^6"
-
-
-def test_kronecker_injective_below_degree_bound():
-    rng = random.Random(7)
-    for _ in range(30):
-        f = rand_poly(rng, Q, 3, 3, 4)
-        g = rand_poly(rng, Q, 3, 3, 4)
-        if f == g:
-            continue
-        assert kronecker(f, 4) != kronecker(g, 4)
 
 
 def test_text_round_trip():

@@ -1,13 +1,14 @@
 """Differential tests of the scalar echelon and of the evaluated-rank screen.
 
-linalg.echelon runs on integers: residues over F_p (a numpy int64 loop for
-p < 2^31 from _NP_MIN_ENTRIES entries on, a pure-Python loop otherwise) and
+linalg's one forward elimination runs on integers: residues over F_p and
 Bareiss's fraction-free elimination over Q.  The references are textbook
 elimination in the field (Fractions over Q, residues over F_p) and sympy's
-rank over QQ and GF(p).  randomized_rank stops at a ceiling; a ceiling that
-bounds the rank at every point must leave its answer alone.
+rank and reduced row echelon form over QQ and GF(p).  randomized_rank stops
+at a ceiling; a ceiling that bounds the rank at every point must leave its
+answer alone.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,14 +29,12 @@ from pitkit.independence import (  # noqa: E402
     trdeg,
 )
 from pitkit.linalg import (  # noqa: E402
-    _NP_MIN_ENTRIES,
-    _echelon_loop,
-    _echelon_np,
-    _echelon_py,
+    _echelon,
     echelon,
     eval_matrix,
     kernel_vector,
     rank,
+    reduced_echelon,
 )
 from pitkit.polynomials import SparsePoly  # noqa: E402
 
@@ -48,16 +47,17 @@ FIELD_IDS = ["Q", "F101", "F2^31-1", "F2^61-1"]
 
 
 def elements(field):
-    """Raw elements as callers pass them: over Q ints and Fractions; over
-    F_p residues, unreduced ints (negative ones, and ones past 2^63) and
-    Fractions whose denominator is a unit."""
+    """Raw elements as callers pass them: over Q ints (some past 2^63) and
+    Fractions; over F_p residues, unreduced ints (negative ones, and ones
+    past 2^63) and Fractions whose denominator is a unit."""
     fractions = st.fractions(min_value=-30, max_value=30, max_denominator=9)
+    big = st.integers(-(1 << 70), 1 << 70)
     if field.kind == "rational":
-        return st.one_of(st.integers(-30, 30), fractions)
+        return st.one_of(st.integers(-30, 30), fractions, big)
     p = field.p
     return st.one_of(
         st.integers(0, p - 1),
-        st.integers(-(1 << 70), 1 << 70),
+        big,
         fractions.filter(lambda v: v.denominator % p),
     )
 
@@ -66,8 +66,8 @@ def elements(field):
 def planted(draw, field, large):
     """A matrix of rank at most k: a product L R of a rows x k and a k x cols
     matrix, computed over Q (reduction to F_p is a ring homomorphism on
-    these entries), with some rows and columns then zeroed.  large picks
-    the side of _NP_MIN_ENTRIES the size falls on."""
+    these entries), with some rows and columns then zeroed.  large picks 8
+    to 12 rows and columns, small 1 to 7."""
     if large:
         rows, cols = draw(st.integers(8, 12)), draw(st.integers(8, 12))
     else:
@@ -82,7 +82,6 @@ def planted(draw, field, large):
     for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
         for row in M:
             row[j] = 0
-    assert (rows * cols >= _NP_MIN_ENTRIES) == large
     return M
 
 
@@ -173,18 +172,43 @@ def test_echelon_matches_field_elimination_and_sympy(field, large, data):
     assert kernel_vector(M, field) == kernel
     # stopping at the first dependent column: same kernel, and the rank
     # and pivot rows of the columns left of it
-    early = _echelon_loop(M, field)(M, field, True)
+    early = _echelon(M, field, True)
     assert early[:2] == reference(M, field, until_kernel=True)
     assert early[2] == kernel
 
 
+def sympy_rref(matrix, field):
+    """The nonzero rows of sympy's reduced row echelon form, as reduced_echelon
+    gives them: residues over F_p, and over Q each row scaled to the
+    primitive integer vector with a positive pivot."""
+    if field.kind == "rational":
+        dom = sympy.QQ
+        rows = [[dom(v.numerator, v.denominator) for v in map(Fraction, row)] for row in matrix]
+    else:
+        dom = sympy.GF(field.p)
+        rows = [[dom(to_field(field, v)) for v in row] for row in matrix]
+    R, pivots = DomainMatrix(rows, (len(matrix), len(matrix[0])), dom).rref()
+    out = []
+    for row in R.to_list()[: len(pivots)]:
+        if field.kind == "prime":
+            out.append(tuple(dom.to_int(v) % field.p for v in row))
+            continue
+        row = [Fraction(int(v.numerator), int(v.denominator)) for v in row]
+        den = math.lcm(*(v.denominator for v in row))
+        ints = [int(v * den) for v in row]
+        g = math.gcd(*ints)  # the pivot is 1, so positive already
+        out.append(tuple(v // g for v in ints))
+    return len(pivots), tuple(out)
+
+
 @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
-@pytest.mark.parametrize("field", [F101, F31], ids=FIELD_IDS[1:3])
+@pytest.mark.parametrize("field", [Q, F101, F61], ids=["Q", "F101", "F2^61-1"])
 @given(data=st.data())
-def test_numpy_and_integer_loops_agree_on_raw_elements(field, large, data):
+def test_reduced_echelon_matches_sympy_rref(field, large, data):
     M = data.draw(planted(field, large))
-    for until_kernel in (False, True):
-        assert _echelon_np(M, field, until_kernel) == _echelon_py(M, field, until_kernel)
+    r, rows = reduced_echelon(M, field)
+    assert (r, rows) == sympy_rref(M, field)
+    assert r == echelon(M, field)[0]
 
 
 # -- the evaluated-rank screen -------------------------------------------------
