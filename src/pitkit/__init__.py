@@ -23,7 +23,6 @@ from .polynomials import (
     poly_to_text,
 )
 from .circuits import (
-    BlackboxOracle,
     Circuit,
     ComposedCircuit,
     Depth4Circuit,
@@ -33,11 +32,11 @@ from .independence import (
     TrdegCertificate,
     annihilator,
     jacobian,
-    jacobian_rank,
     trdeg,
     verify_trdeg_certificate,
 )
 from .varmaps import (
+    AffineMap,
     FaithfulResult,
     KroneckerMap,
     ParamSchedule,
@@ -91,7 +90,6 @@ __all__ = [
     "normalize_monic",
     "poly_from_text",
     "poly_to_text",
-    "BlackboxOracle",
     "Circuit",
     "ComposedCircuit",
     "Depth4Circuit",
@@ -99,9 +97,9 @@ __all__ = [
     "TrdegCertificate",
     "annihilator",
     "jacobian",
-    "jacobian_rank",
     "trdeg",
     "verify_trdeg_certificate",
+    "AffineMap",
     "FaithfulResult",
     "KroneckerMap",
     "ParamSchedule",

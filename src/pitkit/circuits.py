@@ -24,21 +24,6 @@ from .polynomials import (
 DEFAULT_EXPAND_BUDGET = 10 ** 6
 
 
-class BlackboxOracle:
-    """Evaluation-only access to a polynomial: point in, raw value out."""
-
-    __slots__ = ("field", "nvars", "degree_bound", "fn")
-
-    def __init__(self, field, nvars, fn, degree_bound=None):
-        self.field = field
-        self.nvars = nvars
-        self.fn = fn
-        self.degree_bound = degree_bound
-
-    def __call__(self, point):
-        return self.fn(point)
-
-
 class Circuit:
     """An arithmetic circuit as a topologically ordered node list."""
 
@@ -122,11 +107,6 @@ class Circuit:
             else:
                 vals[i] = arg
         return vals[self.output]
-
-    def oracle(self) -> BlackboxOracle:
-        return BlackboxOracle(
-            self.field, self.nvars, self.evaluate, degree_bound=self.syntactic_degree()
-        )
 
     def syntactic_degree(self) -> int:
         degs = [0] * len(self.nodes)
@@ -357,11 +337,6 @@ class Depth4Circuit:
             acc = field.add(acc, prod)
         return acc
 
-    def oracle(self) -> BlackboxOracle:
-        return BlackboxOracle(
-            self.field, self.nvars, self.evaluate, degree_bound=self.degree_bound()
-        )
-
     def expand(self, budget: int = DEFAULT_EXPAND_BUDGET) -> SparsePoly:
         acc = SparsePoly.zero(self.field, self.nvars)
         for row in self.rows:
@@ -450,11 +425,6 @@ class ComposedCircuit:
     def degree_bound(self) -> int:
         dmax = max((f.degree() or 0) for f in self.inputs)
         return self.outer.syntactic_degree() * dmax
-
-    def oracle(self) -> BlackboxOracle:
-        return BlackboxOracle(
-            self.field, self.nvars, self.evaluate, degree_bound=self.degree_bound()
-        )
 
     def to_circuit(self) -> Circuit:
         return Circuit.compose(self.outer, list(self.inputs))

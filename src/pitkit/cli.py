@@ -113,7 +113,7 @@ def _load_family(path: str):
         fs = [poly_from_text(t, field, nvars) for t in texts]
     except (KeyError, TypeError) as e:
         raise _InputError("%s: missing or malformed key (%s)" % (path, e))
-    except (ParseError, FieldError) as e:
+    except (ParseError, FieldError, ValueError) as e:
         raise _InputError("%s: %s" % (path, e))
     return field, nvars, fs
 
@@ -321,19 +321,15 @@ def cmd_verify(args) -> int:
     report = _load_json(args.report)
     if not isinstance(report, dict) or "command" not in report:
         raise _InputError("%s does not look like a command report" % args.report)
-    cmd = report["command"]
-    if cmd == "trdeg":
-        verified, detail = _verify_trdeg(report, args.against)
-    elif cmd == "annihilator":
-        verified, detail = _verify_annihilator(report, args.against)
-    elif cmd == "faithful":
-        verified, detail = _verify_faithful(report, args.against)
-    elif cmd == "pit":
-        verified, detail = _verify_pit(report, args.against)
-    elif cmd == "depth4":
-        verified, detail = _verify_depth4(report, args.against)
-    else:
-        raise _InputError("cannot verify reports of command %r" % cmd)
+    try:
+        check = _VERIFIERS[report["command"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable command
+        raise _InputError("cannot verify reports of command %r" % (report["command"],))
+    try:
+        verified, detail = check(report, args.against)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise _InputError("%s: missing or malformed report field (%s: %s)"
+                          % (args.report, type(e).__name__, e))
     _emit({"command": "verify", "verified": verified, "detail": detail})
     return EXIT_ZERO if verified else EXIT_ERROR
 
@@ -369,7 +365,10 @@ def _verify_annihilator(report, against):
 def _verify_faithful(report, against):
     field, nvars, fs = _load_family(against)
     result = report["result"]
-    mp = map_from_json_dict(result["map"])
+    try:
+        mp = map_from_json_dict(result["map"])
+    except ValueError as e:  # FieldError included: a bad c
+        raise _InputError("the report's map is malformed: %s" % e)
     if mp.n != nvars or mp.field != field:
         return False, "the map's ring (n=%d, %r) is not the family's (n=%d, %r)" % (
             mp.n, mp.field, nvars, field)
@@ -430,6 +429,15 @@ def _verify_depth4(report, against):
         if depth4mod.is_minimal(circ, budget=report["config"]["budget_expand"]) != report["minimal"]:
             return False, "minimality differs"
     return True, "decomposition, rank, and minimality re-checked"
+
+
+_VERIFIERS = {
+    "trdeg": _verify_trdeg,
+    "annihilator": _verify_annihilator,
+    "faithful": _verify_faithful,
+    "pit": _verify_pit,
+    "depth4": _verify_depth4,
+}
 
 
 # -- parser ----------------------------------------------------------------------

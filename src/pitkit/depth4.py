@@ -324,9 +324,7 @@ class Depth4MapResult:
 def search_depth4_map(
     C: Depth4Circuit,
     R: int | None = None,
-    mode: str = "adaptive",
     seed: int = 0,
-    expand_budget: int = DEFAULT_EXPAND_BUDGET,
     conjecture_R: bool = False,
 ) -> Depth4MapResult:
     """A Vandermonde map certified to respect this circuit's structure.
@@ -340,8 +338,6 @@ def search_depth4_map(
     speculative bound.  Over F_2 the only c is 1, so a circuit with a
     target min(rank, r) of 2 or more raises SearchExhausted at once.
     """
-    if mode not in ("adaptive", "exact"):
-        raise ValueError("mode must be adaptive or exact")
     field = C.field
     n = C.nvars
     delta = C.delta
@@ -350,10 +346,7 @@ def search_depth4_map(
     )
     r = sched.r
     D2 = delta + 1
-    if mode == "exact":
-        D1 = sched.D1
-    else:
-        D1 = max(2 * delta * delta + 1, delta * r + 1, (n + 1) ** (r + 1), D2)
+    D1 = max(2 * delta * delta + 1, delta * r + 1, (n + 1) ** (r + 1), D2)
 
     # subset data does not depend on the candidate; compute it once
     subsets = []
@@ -377,20 +370,17 @@ def search_depth4_map(
             % max(min(rho, r) for *_, rho in subsets)
         )
 
-    if mode == "exact":
-        c_max, c_per_p = sched.h1_size, 0
-    else:
-        # keep the per-prime sample small: when a prime's residue pattern
-        # is degenerate (p = 2 collapses most exponents) no c works, so
-        # move on quickly instead of exhausting a lemma-sized sample
-        c_max, c_per_p = max(8, 2 * delta * C.k * C.s * r), 1
+    # keep the per-prime sample small: when a prime's residue pattern is
+    # degenerate (p = 2 collapses most exponents) no c works, so move on
+    # quickly instead of exhausting a lemma-sized sample
+    c_max, c_per_p = max(8, 2 * delta * C.k * C.s * r), 1
     tried = 0
     # affine-image keys of the candidates that failed a preservation leg
     failed = set()
     for p, c in pc_candidates(field, sched.p_max, c_max, c_per_p):
         mp = VandermondeMap(field, n, r, D1, D2, p, c)
         tried += 1
-        evidence = _certify_depth4(mp, subsets, r, seed, expand_budget, failed)
+        evidence = _certify_depth4(mp, subsets, r, seed, failed)
         if evidence is not None:
             return Depth4MapResult(mp, r, evidence, tried)
     raise SearchExhausted(
@@ -399,7 +389,7 @@ def search_depth4_map(
     )
 
 
-def _certify_depth4(mp, subsets, r, seed, expand_budget, failed):
+def _certify_depth4(mp, subsets, r, seed, failed):
     """Per-subset evidence that the map psi = mp respects the circuit, or
     None.
 
@@ -442,7 +432,7 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget, failed):
         # rho and k bound the rank of the images at every point (their trdeg
         # is at most both), so stopping there leaves the max over the trials
         # as it is
-        bound = randomized_rank(jac_at, field, w, seed=seed, trials=4, ceiling=min(rho, k))
+        bound = randomized_rank(jac_at, field, w, seed=seed, ceiling=min(rho, k))
         if bound < target:
             if ch == 0 or ch >= (1 << 20):
                 # over a big field a candidate of full image rank passes the
@@ -461,7 +451,7 @@ def _certify_depth4(mp, subsets, r, seed, expand_budget, failed):
     maps_to_zero = _zero_test(mp, image, seed)
     evidence = []
     for (I, sub, sim, facs, J, rho), bound in zip(subsets, bounds):
-        if not _preserves_simple_part(sub, sim, image, maps_to_zero, expand_budget):
+        if not _preserves_simple_part(sub, sim, image, maps_to_zero, DEFAULT_EXPAND_BUDGET):
             failed.add(key)
             return None
         evidence.append(

@@ -180,7 +180,10 @@ class FieldSpec:
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, str):
-            return Fraction(obj)
+            try:
+                return Fraction(obj)
+            except (ValueError, ZeroDivisionError) as e:
+                raise FieldError("bad rational scalar %r: %s" % (obj, e))
         raise FieldError("rational scalar must be int or 'num/den' string")
 
 

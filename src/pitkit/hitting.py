@@ -206,70 +206,62 @@ def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
     )
 
 
-def _map_points(grid, maps, d=None):
-    """A HittingSet factory: mp.point_images(a) for every map mp of the
-    iterable maps() and every a of _lattice(grid, mp.nvars_out, d), in that
-    order.  d is the total degree of the polynomials the points test, or
-    None for the whole grid (an axis truncated below d + 1 values)."""
+def _image_set(field, n, provenance, maps, count, w, d, certified):
+    """The hitting set of the images of a lattice simplex under a stream of
+    maps: mp.point_images(a) for every map mp of maps() (count of them, each
+    of w output variables) and every a of the simplex of total degree d in
+    the grid with d + 1 values per axis, or of the whole grid when the
+    field truncates the axis.  Certified when certified is true and the
+    axis is whole.  provenance gains "grid_truncated" and "points"."""
+    grid, d = _grid_values(field, d)
+    provenance = dict(
+        provenance, grid_truncated=d is None, points="grid" if d is None else "simplex"
+    )
 
     def factory():
         for mp in maps():
-            for a in _lattice(grid, mp.nvars_out, d):
+            for a in _lattice(grid, w, d):
                 yield mp.point_images(a)
 
-    return factory
+    return HittingSet(
+        field,
+        n,
+        "certified" if certified and d is not None else "corpus",
+        provenance,
+        count * _lattice_size(len(grid), w, d),
+        factory,
+    )
 
 
 def _exact_vandermonde_set(field, n, construction, sched, delta, sound=True):
     """Every Vandermonde map of a closed-form schedule, in (p, c) order,
-    over the simplex of total degree h2_size - 1 in the grid of h2_size
-    values per axis.  Certified when a Vandermonde reduction applies
-    (varmaps.vandermonde_applies), the field hosts the full grid, and the
-    schedule is sound (no conjectured rank bound)."""
+    over the simplex of total degree h2_size - 1.  Certified when a
+    Vandermonde reduction applies (varmaps.vandermonde_applies), the field
+    hosts the full grid, and the schedule is sound (no conjectured rank
+    bound)."""
     r = sched.r
     char_ok = vandermonde_applies(field, delta, r)
-    grid, d = _grid_values(field, sched.h2_size - 1)
     provenance = {
         "construction": construction,
         "mode": "exact",
         "schedule": sched.to_json_dict(),
         "char_gate": char_ok,
-        "grid_truncated": d is None,
-        "points": "grid" if d is None else "simplex",
     }
 
     def maps():
         for p, c in pc_candidates(field, sched.p_max, sched.h1_size):
             yield VandermondeMap(field, n, r, sched.D1, sched.D2, p, c)
 
-    return HittingSet(
-        field,
-        n,
-        "certified" if char_ok and d is not None and sound else "corpus",
-        provenance,
-        sched.p_max * sched.h1_size * _lattice_size(len(grid), r + 1, d),
-        _map_points(grid, maps, d),
-    )
+    return _image_set(field, n, provenance, maps, sched.p_max * sched.h1_size, r + 1,
+                      sched.h2_size - 1, char_ok and sound)
 
 
 def _adaptive_set(field, n, construction, mp, evidence, d):
-    """The corpus hitting set of one certified map: the images of the
-    simplex of total degree d in the grid with d + 1 values per axis, or of
-    the whole grid when the field truncates the axis.  evidence joins the
-    provenance."""
-    grid, d = _grid_values(field, d)
-    provenance = {
-        "construction": construction,
-        "mode": "adaptive",
-        "map": mp.to_json_dict(),
-        "grid_truncated": d is None,
-        "points": "grid" if d is None else "simplex",
-    }
-    provenance.update(evidence)
-    return HittingSet(
-        field, n, "corpus", provenance, _lattice_size(len(grid), mp.nvars_out, d),
-        _map_points(grid, lambda: (mp,), d),
-    )
+    """The corpus hitting set of one certified map over the simplex of total
+    degree d; evidence joins the provenance."""
+    provenance = dict(evidence, construction=construction, mode="adaptive",
+                      map=mp.to_json_dict())
+    return _image_set(field, n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False)
 
 
 def hitting_set_sparse_inputs(
@@ -327,14 +319,8 @@ def hitting_set_arbitrary_char(
     """
     sched = schedule("any-char", n=n, delta=delta, r=r, d=d)
     if mode == "exact":
-        grid, deg = _grid_values(field, sched.h2_size - 1)
-        provenance = {
-            "construction": "any-char",
-            "mode": "exact",
-            "schedule": sched.to_json_dict(),
-            "grid_truncated": deg is None,
-            "points": "grid" if deg is None else "simplex",
-        }
+        provenance = {"construction": "any-char", "mode": "exact",
+                      "schedule": sched.to_json_dict()}
         subsets = list(itertools.combinations(range(1, n + 1), min(r, n)))
 
         def maps():
@@ -342,15 +328,9 @@ def hitting_set_arbitrary_char(
                 for kept in subsets:
                     yield KroneckerMap(field, n, len(kept), kept, sched.D1, p, c)
 
-        return HittingSet(
-            field,
-            n,
-            "certified" if deg is not None else "corpus",
-            provenance,
-            sched.p_max * sched.h1_size * len(subsets)
-            * _lattice_size(len(grid), min(r, n), deg),
-            _map_points(grid, maps, deg),
-        )
+        return _image_set(field, n, provenance, maps,
+                          sched.p_max * sched.h1_size * len(subsets), min(r, n),
+                          sched.h2_size - 1, True)
     if mode == "adaptive":
         if not polys:
             raise ValueError("adaptive mode needs the concrete input family")
@@ -464,7 +444,7 @@ def pit_circuit(
         values, deg = _grid_values(field, d)
         hs = sz_grid(field, values, n, d=deg)
         truncated = deg is None
-    verdict = pit(circ.oracle(), hs, max_points=max_points)
+    verdict = pit(circ.evaluate, hs, max_points=max_points)
     if verdict.outcome == "zero" and truncated:
         return PitVerdict(
             "inconclusive", None, None, verdict.points_checked, hs.guarantee, hs.provenance

@@ -67,31 +67,15 @@ def _random_point(field: FieldSpec, rng: random.Random, n: int):
     return tuple(Fraction(rng.randrange(-(10 ** 9), 10 ** 9 + 1)) for _ in range(n))
 
 
-def jacobian_rank(fs, method: str = "symbolic", seed: int = 0, trials: int = 3) -> int:
-    """Rank of the Jacobian of fs.
-
-    symbolic: fraction-free Bareiss elimination on the polynomial entries.
-    randomized: max rank of the Jacobian evaluated at `trials` seeded random
-    points; always <= the symbolic rank, since evaluation is a specialization.
-    It stops early only at min(rows, cols), which no point can exceed.
-    """
-    field, n = _check_family(fs)
-    J = jacobian(fs)
-    if method == "symbolic":
-        return linalg.poly_matrix_rank(J)[0]
-    if method == "randomized":
-        return randomized_rank(
-            lambda pt: linalg.eval_matrix(J, pt), field, n, seed=seed, trials=trials
-        )
-    raise ValueError("method must be 'symbolic' or 'randomized'")
+# the seeded points randomized_rank and upper_bound_certificate try
+_TRIALS = 4
 
 
-def randomized_rank(
-    jac_at, field, nvars: int, seed: int = 0, trials: int = 3, ceiling: int | None = None
-) -> int:
-    """The randomized method of jacobian_rank, for a Jacobian given by its
-    values: jac_at(pt) is the evaluated Jacobian at a point of nvars
-    coordinates.  Max rank over `trials` seeded random points.
+def randomized_rank(jac_at, field, nvars: int, seed: int = 0, ceiling: int | None = None) -> int:
+    """The rank of a Jacobian given by its values, as a lower bound: jac_at(pt)
+    is the evaluated Jacobian at a point of nvars coordinates.  Max rank
+    over _TRIALS seeded random points; never above the symbolic rank, since
+    evaluation is a specialization.
 
     The trials stop once the best rank reaches min(rows, cols, ceiling).
     No point can pass min(rows, cols).  A ceiling that bounds the rank at
@@ -104,7 +88,7 @@ def randomized_rank(
     caller that compares the answer against the ceiling reads."""
     rng = random.Random(_subseed(seed, 1))
     best = 0
-    for _ in range(max(1, trials)):
+    for _ in range(_TRIALS):
         pt = _random_point(field, rng, nvars)
         M = jac_at(pt)
         best = max(best, linalg.rank(M, field))
@@ -223,10 +207,10 @@ def upper_bound_certificate(jac_at, field, nvars: int, upper_bound: int, seed: i
     to be at most upper_bound (e.g. images under a ring homomorphism, which
     cannot gain trdeg): an evaluated Jacobian of rank upper_bound proves
     equality in any characteristic.  jac_at gives the Jacobian by its
-    values, as in randomized_rank.  The certificate of the first of four
-    seeded points where the rank reaches upper_bound, or None."""
+    values, as in randomized_rank.  The certificate of the first of
+    _TRIALS seeded points where the rank reaches upper_bound, or None."""
     rng = random.Random(_subseed(seed, 2))
-    for _ in range(4):
+    for _ in range(_TRIALS):
         pt = _random_point(field, rng, nvars)
         rho, pivot_rows, _ = linalg.echelon(jac_at(pt), field)
         if rho >= upper_bound:

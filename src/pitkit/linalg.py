@@ -229,19 +229,6 @@ def eval_matrix(M, point):
     return [[entry._eval_prepared(x) for entry in row] for row in M]
 
 
-def matmul(A, B, field):
-    """The product of two raw matrices (lists of rows), one integer sum per
-    entry: of residues over F_p, and over Q of numerators over the common
-    denominator of each matrix, made a Fraction at the end."""
-    cols = list(zip(*B))
-    if field.kind == "prime":
-        p = field.p
-        return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A]
-    (A, da), (cols, db) = _numerators(A), _numerators(cols)
-    den = da * db
-    return [[Fraction(sum(a * b for a, b in zip(row, col)), den) for col in cols] for row in A]
-
-
 def _numerators(M):
     """(integer rows, D): the rows of a rational matrix times their common
     denominator D."""

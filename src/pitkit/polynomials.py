@@ -671,11 +671,10 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int, style: str = "x") ->
                 den = take()
                 if den is None or not den.isdigit():
                     raise ParseError("bad fraction denominator")
-                if field.kind == "prime":
-                    val = field.div(field.from_int(num), field.from_int(int(den)))
-                else:
-                    val = Fraction(num, int(den))
-                return ("coeff", val)
+                den = field.from_int(int(den))
+                if field.is_zero(den):
+                    raise ParseError("zero denominator in %s/%s" % (t, toks[pos - 1]))
+                return ("coeff", field.div(field.from_int(num), den))
             return ("coeff", field.from_int(num))
         if t[0].isalpha():
             idx = _var_index(style, t, nvars)

@@ -1,7 +1,11 @@
 """Variable-count reduction maps that preserve transcendence degree.
 
-Two constructions, both substituting curve points parameterized by a prime
-modulus p and a field element c:
+Both of the paper's reductions are affine maps x = b + M z whose nonzero
+entries are powers of a field element c, with exponents reduced mod a prime
+p.  AffineMap holds the one representation, integer columns built from an
+exponent table, and implements images, apply, point_images, affine_summary
+and the chain-rule jacobian_at once.  The two constructions only give the
+table:
 
 * KroneckerMap (kind "phi"): keeps a chosen r-subset of the variables alive
   as z_1..z_r and pins every dropped variable to the constant c^(D^j mod p),
@@ -16,12 +20,11 @@ The search helpers enumerate candidates in a fixed order (p ascending over
 primes, c ascending, variable subsets in lexicographic order) and certify
 each candidate by recomputing the transcendence degree of the images, so a
 returned map is correct regardless of which lemma motivated the parameter
-ranges.  A Vandermonde candidate whose linear rank is below the target
-cannot keep it and is rejected before any point is evaluated
-(VandermondeMap.affine_summary).  ParamSchedule packages the closed-form
-parameter sizes used by the certified enumeration bounds; the integers are
-astronomically large for all but toy inputs, which is why the searches
-default to adaptive mode.
+ranges.  A candidate whose linear rank is below the target cannot keep it
+and is rejected before any point is evaluated (AffineMap.affine_summary).
+ParamSchedule packages the closed-form parameter sizes used by the
+certified enumeration bounds; the integers are astronomically large for all
+but toy inputs, which is why the searches default to adaptive mode.
 """
 
 from __future__ import annotations
@@ -206,157 +209,47 @@ def schedule(
     raise ValueError("unknown schedule kind %r" % (kind,))
 
 
-class KroneckerMap:
-    """x_i -> z_(position in I) for i in I, else the constant c^(D^j mod p)
-    where j counts the dropped variable's position (1-based)."""
+class AffineMap:
+    """A reduction map x_i -> b_i + sum_t M[i][t] z_t whose nonzero entries
+    are powers of c: the one representation behind phi and psi.
 
-    __slots__ = ("field", "n", "r", "kept", "D", "p", "c", "_images", "_constants")
+    A subclass gives the exponent table (_exponents): row i holds the
+    exponent of the constant b_i and of each M[i][t], None for a zero
+    entry.  The map keeps only its integer columns (b, the columns M_t, L),
+    with x = (b + M z) / L: residues with L = 1 over F_p, and over Q, with
+    c = a/q and E the largest exponent, c^e as a^e q^(E - e) over L = q^E.
+    """
 
-    def __init__(self, field: FieldSpec, n: int, r: int, kept, D: int, p: int, c):
-        kept = tuple(sorted(kept))
-        if not (1 <= r <= n):
-            raise ValueError("need 1 <= r <= n")
-        if len(kept) != r or len(set(kept)) != r:
-            raise ValueError("kept must be r distinct variable indices")
-        if any(i < 1 or i > n for i in kept):
-            raise ValueError("kept indices are 1-based in [1, n]")
-        if D < 2 or p < 2:
-            raise ValueError("need D >= 2 and p >= 2")
+    __slots__ = ("field", "n", "r", "p", "c", "_cols", "_images", "_summary")
+
+    def __init__(self, field: FieldSpec, n: int, r: int, p: int, c):
         c = field.normalize(c)
         if field.is_zero(c):
             raise ValueError("c must be nonzero")
         self.field = field
         self.n = n
         self.r = r
-        self.kept = kept
-        self.D = D
         self.p = p
         self.c = c
+        self._cols = None
         self._images = None
-        self._constants = None
-
-    @property
-    def nvars_out(self) -> int:
-        return self.r
-
-    def constants(self):
-        """Per-variable substitution constants; None marks a kept variable."""
-        if self._constants is None:
-            field = self.field
-            kept_set = set(self.kept)
-            out = []
-            j = 0
-            for i in range(1, self.n + 1):
-                if i in kept_set:
-                    out.append(None)
-                else:
-                    j += 1
-                    out.append(field.pow(self.c, pow(self.D, j, self.p)))
-            self._constants = tuple(out)
-        return list(self._constants)
-
-    def images(self):
-        if self._images is None:
-            field = self.field
-            pos = {v: t for t, v in enumerate(self.kept)}
-            imgs = []
-            for i, const in enumerate(self.constants(), start=1):
-                if const is None:
-                    imgs.append(SparsePoly.variable(field, self.r, pos[i]))
-                else:
-                    imgs.append(SparsePoly.constant(field, self.r, const))
-            self._images = tuple(imgs)
-        return self._images
-
-    def apply(self, f: SparsePoly) -> SparsePoly:
-        if f.field != self.field or f.nvars != self.n:
-            raise ValueError("polynomial ring does not match the map")
-        return f.substitute(self.images())
-
-    def point_images(self, a):
-        """The x-space point this map sends the z-point a to."""
-        if len(a) != self.r:
-            raise ValueError("expected a point with %d coordinates" % self.r)
-        out = self.constants()
-        for t, i in enumerate(self.kept):
-            out[i - 1] = self.field.normalize(a[t])
-        return tuple(out)
-
-    def jacobian_at(self, J, a):
-        """The Jacobian of the images of fs at the z-point a, where J is
-        jacobian(fs): by the chain rule J(f o phi)(a) = J_f(phi(a)) J_phi,
-        and J_phi selects the columns of the kept variables."""
-        kept = [[row[i - 1] for i in self.kept] for row in J]
-        return linalg.eval_matrix(kept, self.point_images(a))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "phi",
-            "field": self.field.to_json(),
-            "n": self.n,
-            "r": self.r,
-            "I": list(self.kept),
-            "D": self.D,
-            "p": self.p,
-            "c": self.field.scalar_to_json(self.c),
-        }
-
-    def __repr__(self):
-        return "KroneckerMap(n=%d, r=%d, I=%s, D=%d, p=%d)" % (
-            self.n,
-            self.r,
-            list(self.kept),
-            self.D,
-            self.p,
-        )
-
-
-class VandermondeMap:
-    """x_i -> c^(D1^i mod p) + c^(D2^i mod p) z_0 + sum_j c^(i (n+1)^j mod p) z_j."""
-
-    __slots__ = (
-        "field", "n", "r", "D1", "D2", "p", "c", "_rows", "_images", "_int_cols", "_summary"
-    )
-
-    def __init__(self, field: FieldSpec, n: int, r: int, D1: int, D2: int, p: int, c):
-        if n < 1 or r < 1:
-            raise ValueError("need n >= 1 and r >= 1")
-        if D1 < 2 or D2 < 2 or p < 2:
-            raise ValueError("need D1, D2, p >= 2")
-        c = field.normalize(c)
-        if field.is_zero(c):
-            raise ValueError("c must be nonzero")
-        self.field = field
-        self.n = n
-        self.r = r
-        self.D1 = D1
-        self.D2 = D2
-        self.p = p
-        self.c = c
-        self._rows = None
-        self._images = None
-        self._int_cols = None
         self._summary = None
 
-    @property
-    def nvars_out(self) -> int:
-        return self.r + 1
-
-    def coefficient_rows(self):
-        """Row i (1-based variable index): (constant, coef of z_0, ..., z_r)."""
-        if self._rows is None:
-            field = self.field
-            base = self.n + 1
-            rows = []
-            for i in range(1, self.n + 1):
-                row = [field.pow(self.c, pow(self.D1, i, self.p))]
-                row.append(field.pow(self.c, pow(self.D2, i, self.p)))
-                for j in range(1, self.r + 1):
-                    e = (i * pow(base, j, self.p)) % self.p
-                    row.append(field.pow(self.c, e))
-                rows.append(tuple(row))
-            self._rows = tuple(rows)
-        return self._rows
+    def _integer_columns(self):
+        """(b, M-columns, L) as integers, built once from the exponent table."""
+        if self._cols is None:
+            table = self._exponents()
+            exps = {e for row in table for e in row if e is not None}
+            if self.field.kind == "prime":
+                L = 1
+                power = {e: pow(self.c, e, self.field.p) for e in exps}
+            else:
+                a, q, E = self.c.numerator, self.c.denominator, max(exps)
+                L = q ** E
+                power = {e: a ** e * q ** (E - e) for e in exps}
+            cols = tuple(zip(*[[0 if e is None else power[e] for e in row] for row in table]))
+            self._cols = (cols[0], cols[1:], L)
+        return self._cols
 
     def affine_summary(self):
         """(k, key) for the affine part x = b + M z of the map: k = rank(M),
@@ -364,14 +257,14 @@ class VandermondeMap:
         b + colspace(M), exact in every field (no residues of rationals).
 
         Both come from one reduced echelon of the homogenized spanning
-        vectors (1, b) and (0, M_t), t = 0..r, whose span determines the
-        image and is determined by it: the image is {x : (1, x) in the
-        span}, and the first vector is the only one with a nonzero first
-        coordinate, so the span has rank 1 + k.  Two maps with one key
-        differ by an invertible affine change of z (README, "How candidates
-        are screened")."""
+        vectors (1, b) and (0, M_t), whose span determines the image and is
+        determined by it: the image is {x : (1, x) in the span}, and the
+        first vector is the only one with a nonzero first coordinate, so
+        the span has rank 1 + k.  Two maps with one key differ by an
+        invertible affine change of z (README, "How candidates are
+        screened")."""
         if self._summary is None:
-            # (1, b) times L, the common denominator of the coefficients
+            # (1, b) times L
             const, cols, L = self._integer_columns()
             vectors = [(L,) + const] + [(0,) + col for col in cols]
             rank, key = linalg.reduced_echelon(vectors, self.field)
@@ -379,15 +272,18 @@ class VandermondeMap:
         return self._summary
 
     def images(self):
+        """The image polynomial of each x_i, in z_0..z_(w-1)."""
         if self._images is None:
-            w = self.nvars_out
+            field, w = self.field, self.nvars_out
+            const, cols, L = self._integer_columns()
+            units = [tuple(1 if q == t else 0 for q in range(w)) for t in range(w)]
             imgs = []
-            for row in self.coefficient_rows():
-                terms = {(0,) * w: row[0]}
-                for t in range(w):
-                    exps = tuple(1 if q == t else 0 for q in range(w))
-                    terms[exps] = row[t + 1]
-                imgs.append(SparsePoly(self.field, w, terms))
+            for i, b in enumerate(const):
+                terms = {(0,) * w: Fraction(b, L)} if b else {}
+                for unit, col in zip(units, cols):
+                    if col[i]:
+                        terms[unit] = Fraction(col[i], L)
+                imgs.append(SparsePoly(field, w, terms))
             self._images = tuple(imgs)
         return self._images
 
@@ -395,21 +291,6 @@ class VandermondeMap:
         if f.field != self.field or f.nvars != self.n:
             raise ValueError("polynomial ring does not match the map")
         return f.substitute(self.images())
-
-    def _integer_columns(self):
-        """(constants, z-columns, L): the coefficient rows times their
-        common denominator L, as integers, split into the column of
-        constants and one column per z_t (L = 1 and the residues themselves
-        over F_p)."""
-        if self._int_cols is None:
-            rows = self.coefficient_rows()
-            if self.field.kind == "prime":
-                L = 1
-            else:
-                rows, L = linalg._numerators(rows)
-            cols = tuple(zip(*rows))
-            self._int_cols = (cols[0], cols[1:], L)
-        return self._int_cols
 
     def point_images(self, a):
         """The x-space point this map sends the z-point a to."""
@@ -435,11 +316,107 @@ class VandermondeMap:
 
     def jacobian_at(self, J, a):
         """The Jacobian of the images of fs at the z-point a, where J is
-        jacobian(fs): by the chain rule J(f o psi)(a) = J_f(psi(a)) J_psi,
-        and J_psi is the matrix of the z-coefficients of the rows."""
-        x = self.point_images(a)
-        Jpsi = [row[1:] for row in self.coefficient_rows()]
-        return linalg.matmul(linalg.eval_matrix(J, x), Jpsi, self.field)
+        jacobian(fs): by the chain rule J(f o mp)(a) = J_f(mp(a)) M, one
+        integer dot product per entry.  J is evaluated only in the variables
+        whose row of M is nonzero; the others add nothing."""
+        const, cols, L = self._integer_columns()
+        live = [i for i in range(self.n) if any(col[i] for col in cols)]
+        field = self.field
+        x = _prepare_point(field, self.point_images(a))
+        vals = [[row[i]._eval_prepared(x) for i in live] for row in J]
+        cols = [[col[i] for i in live] for col in cols]
+        if field.kind == "prime":
+            p = field.p
+            return [[sum(u * v for u, v in zip(row, col)) % p for col in cols] for row in vals]
+        vals, den = linalg._numerators(vals)
+        den *= L
+        return [[Fraction(sum(u * v for u, v in zip(row, col)), den) for col in cols]
+                for row in vals]
+
+
+class KroneckerMap(AffineMap):
+    """x_i -> z_(position in I) for i in I, else the constant c^(D^j mod p)
+    where j counts the dropped variable's position (1-based)."""
+
+    __slots__ = ("kept", "D")
+
+    def __init__(self, field: FieldSpec, n: int, r: int, kept, D: int, p: int, c):
+        kept = tuple(sorted(kept))
+        if not (1 <= r <= n):
+            raise ValueError("need 1 <= r <= n")
+        if len(kept) != r or len(set(kept)) != r:
+            raise ValueError("kept must be r distinct variable indices")
+        if any(i < 1 or i > n for i in kept):
+            raise ValueError("kept indices are 1-based in [1, n]")
+        if D < 2 or p < 2:
+            raise ValueError("need D >= 2 and p >= 2")
+        super().__init__(field, n, r, p, c)
+        self.kept = kept
+        self.D = D
+
+    @property
+    def nvars_out(self) -> int:
+        return self.r
+
+    def _exponents(self):
+        pos = {v: t for t, v in enumerate(self.kept)}
+        rows = []
+        j = 0
+        for i in range(1, self.n + 1):
+            row = [None] * (self.r + 1)
+            if i in pos:
+                row[pos[i] + 1] = 0
+            else:
+                j += 1
+                row[0] = pow(self.D, j, self.p)
+            rows.append(row)
+        return rows
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "phi",
+            "field": self.field.to_json(),
+            "n": self.n,
+            "r": self.r,
+            "I": list(self.kept),
+            "D": self.D,
+            "p": self.p,
+            "c": self.field.scalar_to_json(self.c),
+        }
+
+    def __repr__(self):
+        return "KroneckerMap(n=%d, r=%d, I=%s, D=%d, p=%d)" % (
+            self.n,
+            self.r,
+            list(self.kept),
+            self.D,
+            self.p,
+        )
+
+
+class VandermondeMap(AffineMap):
+    """x_i -> c^(D1^i mod p) + c^(D2^i mod p) z_0 + sum_j c^(i (n+1)^j mod p) z_j."""
+
+    __slots__ = ("D1", "D2")
+
+    def __init__(self, field: FieldSpec, n: int, r: int, D1: int, D2: int, p: int, c):
+        if n < 1 or r < 1:
+            raise ValueError("need n >= 1 and r >= 1")
+        if D1 < 2 or D2 < 2 or p < 2:
+            raise ValueError("need D1, D2, p >= 2")
+        super().__init__(field, n, r, p, c)
+        self.D1 = D1
+        self.D2 = D2
+
+    @property
+    def nvars_out(self) -> int:
+        return self.r + 1
+
+    def _exponents(self):
+        p = self.p
+        steps = [pow(self.n + 1, j, p) for j in range(1, self.r + 1)]
+        return [[pow(self.D1, i, p), pow(self.D2, i, p)] + [i * s % p for s in steps]
+                for i in range(1, self.n + 1)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -546,15 +523,15 @@ def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
 def _certify(fs, J, mp, r0: int, seed: int):
     """The image certificate of trdeg r0 for the candidate mp, or None.
 
-    J = jacobian(fs).  A Vandermonde candidate whose linear rank k (see
-    VandermondeMap.affine_summary) is below r0 is rejected before any
-    point is evaluated: with M = B C and k = rank(M), every image
-    f(b + B (C z)) lies in F[C z], so the images have trdeg at most k.
-    The evaluated legs read the image Jacobian through the chain rule
-    (mp.jacobian_at), so the images mp(f) are built only when the symbolic
-    trdeg fallback runs.
+    J = jacobian(fs).  A candidate whose linear rank k (see
+    AffineMap.affine_summary) is below r0 is rejected before any point is
+    evaluated: with M = B C and k = rank(M), every image f(b + B (C z))
+    lies in F[C z], so the images have trdeg at most k.  (A Kronecker
+    candidate has k = r >= r0 and always passes.)  The evaluated legs read
+    the image Jacobian through the chain rule (mp.jacobian_at), so the
+    images mp(f) are built only when the symbolic trdeg fallback runs.
     """
-    if isinstance(mp, VandermondeMap) and mp.affine_summary()[0] < r0:
+    if mp.affine_summary()[0] < r0:
         return None
     field = mp.field
     jac_at = partial(mp.jacobian_at, J)
@@ -564,7 +541,7 @@ def _certify(fs, J, mp, r0: int, seed: int):
         # random point with overwhelming probability over a big field, so a
         # candidate that misses r0 on every sampled point is rejected without
         # paying for symbolic elimination; the next candidate takes its turn.
-        if randomized_rank(jac_at, field, mp.nvars_out, seed=seed, trials=4, ceiling=r0) < r0:
+        if randomized_rank(jac_at, field, mp.nvars_out, seed=seed, ceiling=r0) < r0:
             return None
     # images cannot gain trdeg, so r0 bounds theirs; the symbolic trdeg of
     # the images only when no seeded point reaches it

@@ -275,7 +275,7 @@ def test_ac9_reruns_are_byte_identical():
     def depth4_run(seed):
         C = rand_depth4(seed)
         hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C, seed=seed)
-        v = pit(C.oracle(), hs)
+        v = pit(C.evaluate, hs)
         return json.dumps(
             {"verdict": v.to_json_dict(C.field), "provenance": hs.provenance},
             sort_keys=True, default=str,

@@ -5,7 +5,6 @@ import pytest
 
 from _gen import rand_poly
 from pitkit.circuits import (
-    BlackboxOracle,
     Circuit,
     ComposedCircuit,
     Depth4Circuit,
@@ -130,18 +129,6 @@ def test_sparse_factors_first_appearance_order():
     rows = [[shared, P("x3", 3)], [P("x3", 3), shared, P("x1", 3)]]
     C = Depth4Circuit(Q, 3, 1, rows)
     assert C.sparse_factors() == [shared, P("x3", 3), P("x1", 3)]
-
-
-def test_blackbox_oracle():
-    C = Depth4Circuit(Q, 2, 2, [[P("x1*x2", 2)]])
-    orc = C.oracle()
-    assert orc.nvars == 2
-    assert orc.degree_bound == C.degree_bound()
-    pt = _pt(Q, 3, 4)
-    assert orc(pt) == Q.from_int(12)
-    raw = BlackboxOracle(Q, 1, lambda p: Q.one())
-    assert raw(_pt(Q, 0)) == Q.one()
-    assert raw.degree_bound is None
 
 
 def test_json_round_trip_bit_exact():

@@ -526,6 +526,218 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+
+# -- frozen reports of the two reduction maps -----------------------------------
+
+# (x1 - 1)(x2 - 1) and x3^2: c = 1 pins every dropped variable to 1 and kills
+# the first, so the phi search moves on to c = 2
+FROZEN_FAMILY = ["x1*x2 - x1 - x2 + 1", "x3^2"]
+
+# the reports and the stream below as printed before the two maps shared one
+# affine representation; the reports compacted by json.dumps(sort_keys=True)
+FROZEN_FAITHFUL = {
+    ('rational', 'phi'): (
+        '{"command": "faithful", "config": {"kind": "phi", "mode": "adaptive", "r": null, '
+        '"seed": 0}, "result": {"candidates_tried": 5, "image_certificate": {"basis": [0, '
+        '1], "mode": "jacobian", "r": 2, '
+        '"witness": {"method": "evaluated-jacobian-meets-upper-bound", '
+        '"point": ["-210085211", "560439575"], "upper_bound": 2}}, '
+        '"input_certificate": {"basis": [0, 1], "mode": "jacobian", "r": 2, '
+        '"witness": {"max_degree": 2, "method": "symbolic-rank", "pivot_cols": [0, 2], '
+        '"pivot_rows": [0, 1]}}, "map": {"D": 9, "I": [1, 3], "c": "2", '
+        '"field": {"kind": "rational"}, "kind": "phi", "n": 3, "p": 2, "r": 2}}}'
+    ),
+    ('rational', 'psi'): (
+        '{"command": "faithful", "config": {"kind": "psi", "mode": "adaptive", "r": null, '
+        '"seed": 0}, "result": {"candidates_tried": 10, "image_certificate": {"basis": [0, '
+        '1], "mode": "jacobian", "r": 2, '
+        '"witness": {"method": "evaluated-jacobian-meets-upper-bound", '
+        '"point": ["-210085211", "560439575", "-127411613"], "upper_bound": 2}}, '
+        '"input_certificate": {"basis": [0, 1], "mode": "jacobian", "r": 2, '
+        '"witness": {"max_degree": 2, "method": "symbolic-rank", "pivot_cols": [0, 2], '
+        '"pivot_rows": [0, 1]}}, "map": {"D1": 64, "D2": 2, "c": "2", '
+        '"field": {"kind": "rational"}, "kind": "psi", "n": 3, "p": 3, "r": 2}}}'
+    ),
+    ('101', 'phi'): (
+        '{"command": "faithful", "config": {"kind": "phi", "mode": "adaptive", "r": null, '
+        '"seed": 0}, "result": {"candidates_tried": 5, "image_certificate": {"basis": [0, '
+        '1], "mode": "jacobian", "r": 2, '
+        '"witness": {"method": "evaluated-jacobian-meets-upper-bound", "point": [47, 93], '
+        '"upper_bound": 2}}, "input_certificate": {"basis": [0, 1], "mode": "jacobian", '
+        '"r": 2, "witness": {"max_degree": 2, "method": "symbolic-rank", "pivot_cols": [0, '
+        '2], "pivot_rows": [0, 1]}}, "map": {"D": 9, "I": [1, 3], "c": 2, '
+        '"field": {"kind": "prime", "p": 101}, "kind": "phi", "n": 3, "p": 2, "r": 2}}}'
+    ),
+    ('101', 'psi'): (
+        '{"command": "faithful", "config": {"kind": "psi", "mode": "adaptive", "r": null, '
+        '"seed": 0}, "result": {"candidates_tried": 10, "image_certificate": {"basis": [0, '
+        '1], "mode": "jacobian", "r": 2, '
+        '"witness": {"method": "evaluated-jacobian-meets-upper-bound", "point": [47, 93, '
+        '52], "upper_bound": 2}}, "input_certificate": {"basis": [0, 1], '
+        '"mode": "jacobian", "r": 2, "witness": {"max_degree": 2, '
+        '"method": "symbolic-rank", "pivot_cols": [0, 2], "pivot_rows": [0, 1]}}, '
+        '"map": {"D1": 64, "D2": 2, "c": 2, "field": {"kind": "prime", "p": 101}, '
+        '"kind": "psi", "n": 3, "p": 3, "r": 2}}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("field, kind", sorted(FROZEN_FAITHFUL))
+def test_faithful_reports_are_frozen(tmp_path, capsys, field, kind):
+    spec = {"kind": "rational"} if field == "rational" else {"kind": "prime", "p": int(field)}
+    fam = dump(tmp_path, "fam.json", {"field": spec, "nvars": 3, "polys": FROZEN_FAMILY})
+    code, out, _ = run(capsys, ["faithful", fam, "--kind", kind])
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True) == FROZEN_FAITHFUL[field, kind]
+    report = dump(tmp_path, "report.json", out)
+    assert run(capsys, ["verify", report, "--against", fam])[0] == 0
+
+
+FROZEN_ANY_CHAR_STREAM = [
+    '{"arity": 3, "command": "hitting-set", "config": {"R": null, "conjecture_R": false, '
+    '"d": 2, "delta": 2, "ell": null, "field": "rational", "k": null, "kind": "any-char", '
+    '"max_points": 24, "n": 3, "r": 2, "s": null}, "guarantee": "certified", '
+    '"provenance": {"construction": "any-char", "grid_truncated": false, "mode": "exact", '
+    '"points": "simplex", "schedule": {"D1": 9, "D2": null, '
+    '"h1_size": 156129342417386969617737454408060393056718757648798515336, "h2_size": 3, '
+    '"kind": "any-char", '
+    '"p_max": 19516167802173371202217181801007549132089844706099814417, "params": {"d": 2, '
+    '"delta": 2, "n": 3, "r": 2}, "provenance": "exact-any-char", "r": 2}}, '
+    '"size_bound": 548468360182927575580377666997103088967319980211945084946788978'
+    '45730512902003116409963156912979013463945111184016}',
+    '{"point": ["0", "0", "1"]}',
+    '{"point": ["0", "1", "1"]}',
+    '{"point": ["0", "2", "1"]}',
+    '{"point": ["1", "0", "1"]}',
+    '{"point": ["1", "1", "1"]}',
+    '{"point": ["2", "0", "1"]}',
+    '{"point": ["0", "1", "0"]}',
+    '{"point": ["0", "1", "1"]}',
+    '{"point": ["0", "1", "2"]}',
+    '{"point": ["1", "1", "0"]}',
+    '{"point": ["1", "1", "1"]}',
+    '{"point": ["2", "1", "0"]}',
+    '{"point": ["1", "0", "0"]}',
+    '{"point": ["1", "0", "1"]}',
+    '{"point": ["1", "0", "2"]}',
+    '{"point": ["1", "1", "0"]}',
+    '{"point": ["1", "1", "1"]}',
+    '{"point": ["1", "2", "0"]}',
+    '{"point": ["0", "0", "2"]}',
+    '{"point": ["0", "1", "2"]}',
+    '{"point": ["0", "2", "2"]}',
+    '{"point": ["1", "0", "2"]}',
+    '{"point": ["1", "1", "2"]}',
+    '{"point": ["2", "0", "2"]}',
+]
+
+
+def test_exact_any_char_stream_is_frozen(capsys):
+    # 18 points for c = 1 (three kept pairs, six simplex points each), then c = 2
+    code, out, _ = run(capsys, [
+        "hitting-set", "--kind", "any-char", "--n", "3", "--d", "2", "--r", "2",
+        "--delta", "2", "--max-points", "24",
+    ])
+    assert code == 0
+    assert out.splitlines() == FROZEN_ANY_CHAR_STREAM
+
+
+# -- zero denominators and malformed reports exit 3 ----------------------------
+
+
+@pytest.mark.parametrize("field, text", [
+    ({"kind": "rational"}, "1/0*x1"),
+    ({"kind": "prime", "p": 7}, "x1 + 3/7"),
+], ids=["Q", "F7"])
+def test_zero_denominator_in_polynomial_text_exits_three(tmp_path, capsys, field, text):
+    fam = dump(tmp_path, "fam.json", {"field": field, "nvars": 1, "polys": [text]})
+    code, out, err = run(capsys, ["trdeg", fam])
+    assert (code, out) == (3, "")
+    assert "zero denominator" in json.loads(err)["error"]
+
+
+def test_zero_denominator_in_a_dag_const_exits_three(tmp_path, capsys):
+    dag = {"field": {"kind": "rational"}, "nvars": 1, "kind": "dag", "output": 2,
+           "nodes": [{"op": "input", "var": 0}, {"op": "const", "value": "1/0"},
+                     {"op": "add", "args": [0, 1]}]}
+    code, out, err = run(capsys, ["pit", dump(tmp_path, "dag.json", dag)])
+    assert (code, out) == (3, "")
+    assert "1/0" in json.loads(err)["error"]
+
+
+def test_zero_denominator_in_a_map_c_exits_three(tmp_path, capsys):
+    tight = dump(tmp_path, "tight.json", TIGHT_FAMILY)
+    report = json.loads(run(capsys, ["faithful", tight, "--kind", "psi"])[1])
+    report["result"]["map"]["c"] = "1/0"
+    bad = dump(tmp_path, "bad.json", report)
+    code, out, err = run(capsys, ["verify", bad, "--against", tight])
+    assert (code, out) == (3, "")
+    assert "1/0" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("nvars", ["abc", -1])
+def test_family_with_a_bad_nvars_exits_three(tmp_path, capsys, nvars):
+    fam = dump(tmp_path, "fam.json", dict(PAIR_FAMILY, nvars=nvars))
+    code, out, err = run(capsys, ["trdeg", fam])
+    assert (code, out) == (3, "")
+    assert "error" in json.loads(err)
+
+
+def _drop(*path):
+    def edit(report):
+        for key in path[:-1]:
+            report = report[key]
+        del report[path[-1]]
+    return edit
+
+
+def _set(value, *path):
+    def edit(report):
+        for key in path[:-1]:
+            report = report[key]
+        report[path[-1]] = value
+    return edit
+
+
+MALFORMED_REPORTS = {
+    "pit-witness-null": (["pit", "dag"], _set(None, "verdict", "witness")),
+    "pit-no-verdict": (["pit", "dag"], _drop("verdict")),
+    "trdeg-no-certificate": (["trdeg", "tight"], _drop("certificate")),
+    "annihilator-no-cap": (["annihilator", "pair", "--cap", "2"], _drop("config", "cap")),
+    "faithful-no-map-field": (["faithful", "tight", "--kind", "psi"],
+                              _drop("result", "map", "field")),
+    "bruteforce-basis-string": (["trdeg", "pair", "--mode", "bruteforce"],
+                                _set(["0"], "certificate", "basis")),
+    "pit-verdict-list": (["pit", "dag"], _set([], "verdict")),
+    "trdeg-witness-list": (["trdeg", "tight"], _set([], "certificate", "witness")),
+    "faithful-unknown-map-kind": (["faithful", "tight", "--kind", "psi"],
+                                  _set("xyz", "result", "map", "kind")),
+    "faithful-map-D1-one": (["faithful", "tight", "--kind", "psi"],
+                            _set(1, "result", "map", "D1")),
+    "unhashable-command": (["trdeg", "tight"], _set(["trdeg"], "command")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REPORTS))
+def test_verify_of_a_malformed_report_exits_three(tmp_path, capsys, name):
+    files = {
+        "dag": dump(tmp_path, "dag.json",
+                    Circuit.from_poly(P("x1^2 - x2", 2, F101)).to_json_dict()),
+        "tight": dump(tmp_path, "tight.json", TIGHT_FAMILY),
+        "pair": dump(tmp_path, "pair.json", PAIR_FAMILY),
+    }
+    (cmd, name_of_input, *flags), edit = MALFORMED_REPORTS[name]
+    against = files[name_of_input]
+    code, out, _ = run(capsys, [cmd, against] + flags)
+    assert code in (0, 1)
+    report = json.loads(out)
+    edit(report)
+    bad = dump(tmp_path, "bad.json", report)
+    code, out, err = run(capsys, ["verify", bad, "--against", against])
+    assert (code, out) == (3, "")
+    assert "error" in json.loads(err)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pitkit.cli", "--help"],

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pitkit.circuits import BlackboxOracle, Circuit, ComposedCircuit
+from pitkit.circuits import Circuit, ComposedCircuit
 from pitkit.fields import FieldSpec
 from pitkit.hitting import (
     bad_prime_bound,
@@ -119,8 +119,7 @@ def test_grid_complete_for_small_univariates_exhaustively():
 
 def test_pit_zero_oracle_exhausts():
     g = sz_grid(F101, vals(F101, 3), 2, d=2)
-    orc = BlackboxOracle(F101, 2, lambda pt: F101.zero(), degree_bound=0)
-    v = pit(orc, g)
+    v = pit(lambda pt: F101.zero(), g)
     assert v.outcome == "zero"
     assert v.points_checked == 6
     assert v.guarantee == "certified"
@@ -129,7 +128,7 @@ def test_pit_zero_oracle_exhausts():
 
 def test_pit_constant_one_stops_at_first_point():
     g = sz_grid(F101, vals(F101, 3), 2, d=2)
-    v = pit(BlackboxOracle(F101, 2, lambda pt: F101.one()), g)
+    v = pit(lambda pt: F101.one(), g)
     assert v.outcome == "nonzero"
     assert v.points_checked == 1
     assert tuple(int(c) for c in v.witness) == (0, 0)
@@ -137,8 +136,7 @@ def test_pit_constant_one_stops_at_first_point():
 
 def test_pit_budget_cutoff_is_inconclusive():
     g = sz_grid(F101, vals(F101, 3), 2, d=2)
-    orc = BlackboxOracle(F101, 2, lambda pt: F101.zero())
-    v = pit(orc, g, max_points=3)
+    v = pit(lambda pt: F101.zero(), g, max_points=3)
     assert v.outcome == "inconclusive"
     assert v.points_checked == 3
 
@@ -153,7 +151,7 @@ def test_verdict_json_shape():
     assert d["points_checked"] == 1
     assert d["guarantee"] == "certified"
     assert d["provenance"]["construction"] == "sz-grid"
-    z = pit(BlackboxOracle(F101, 1, lambda pt: F101.zero()), g).to_json_dict(F101)
+    z = pit(lambda pt: F101.zero(), g).to_json_dict(F101)
     assert z["witness"] is None and z["value"] is None
 
 
@@ -201,8 +199,7 @@ def test_sparse_inputs_exact_mode_is_certified():
     hs = hitting_set_sparse_inputs(Q, 1, 3, 1, 1, 1, mode="exact")
     assert hs.guarantee == "certified"
     assert hs.size_bound == 42250
-    orc = BlackboxOracle(Q, 1, lambda pt: Q.zero(), degree_bound=3)
-    v = pit(orc, hs, max_points=50)
+    v = pit(lambda pt: Q.zero(), hs, max_points=50)
     assert v.outcome == "inconclusive"
     assert v.points_checked == 50
 
@@ -308,7 +305,7 @@ def test_small_field_witness_off_the_simplex_is_found():
 def test_depth4_lifted_identity_is_zero():
     L = lifted_identity(2, Q)
     hs = hitting_set_depth4(Q, L.nvars, L.delta, L.k, L.s, R=3, circuit=L)
-    v = pit(L.oracle(), hs)
+    v = pit(L.evaluate, hs)
     assert v.outcome == "zero"
     assert v.points_checked == 15
     assert v.guarantee == "corpus"
@@ -318,7 +315,7 @@ def test_depth4_lifted_identity_is_zero():
 def test_depth4_cancelling_rows_are_zero():
     C = cancelling_depth4(4)
     hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C)
-    v = pit(C.oracle(), hs)
+    v = pit(C.evaluate, hs)
     assert v.outcome == "zero"
     assert v.points_checked == 28
 
@@ -327,7 +324,7 @@ def test_depth4_random_nonzero_agree_with_expand():
     for seed in range(10):
         C = rand_depth4(seed)
         hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C, seed=seed)
-        v = pit(C.oracle(), hs)
+        v = pit(C.evaluate, hs)
         assert (v.outcome == "zero") == C.expand(10 ** 6).is_zero
 
 
@@ -345,7 +342,7 @@ def test_pit_deterministic_reruns():
     runs = []
     for _ in range(2):
         hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C, seed=5)
-        v = pit(C.oracle(), hs)
+        v = pit(C.evaluate, hs)
         runs.append(json.dumps(v.to_json_dict(C.field), sort_keys=True))
     assert runs[0] == runs[1]
 

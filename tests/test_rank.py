@@ -249,8 +249,8 @@ def test_rank_screen_with_a_true_ceiling_returns_the_all_trials_max(field, data)
     rng = random.Random(_subseed(seed, 1))
     full = max(rank(jac_at(_random_point(field, rng, n)), field) for _ in range(4))
     assert full <= cert.r
-    assert randomized_rank(jac_at, field, n, seed=seed, trials=4, ceiling=cert.r) == full
-    assert randomized_rank(jac_at, field, n, seed=seed, trials=4) == full
+    assert randomized_rank(jac_at, field, n, seed=seed, ceiling=cert.r) == full
+    assert randomized_rank(jac_at, field, n, seed=seed) == full
 
 
 def counting_jac_at(fs):
@@ -271,13 +271,13 @@ def test_rank_screen_stops_at_the_first_point_that_reaches_the_ceiling():
     u = x[0] * x[1]
     fs = [u, u + x[2], u * u]  # a 3 x 3 Jacobian of rank 2 = trdeg
     jac_at, calls = counting_jac_at(fs)
-    assert randomized_rank(jac_at, Q, 3, seed=5, trials=4, ceiling=2) == 2
+    assert randomized_rank(jac_at, Q, 3, seed=5, ceiling=2) == 2
     assert len(calls) == 1
     # without a ceiling only min(rows, cols) = 3 stops it, out of reach
     jac_at, calls = counting_jac_at(fs)
-    assert randomized_rank(jac_at, Q, 3, seed=5, trials=4) == 2
+    assert randomized_rank(jac_at, Q, 3, seed=5) == 2
     assert len(calls) == 4
     # a 2 x 3 Jacobian of rank 2 stops at min(rows, cols) with no ceiling
     jac_at, calls = counting_jac_at([x[0], x[1] * x[2]])
-    assert randomized_rank(jac_at, Q, 3, seed=5, trials=4) == 2
+    assert randomized_rank(jac_at, Q, 3, seed=5) == 2
     assert len(calls) == 1

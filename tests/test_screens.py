@@ -119,7 +119,9 @@ def test_linear_rank_bounds_image_jacobian_rank_and_trdeg(field, data):
     n = data.draw(st.integers(2, 4))
     mp = data.draw(vandermonde_maps(field, n))
     k, _ = mp.affine_summary()
-    M = [row[1:] for row in mp.coefficient_rows()]
+    w = mp.nvars_out
+    units = [tuple(int(q == t) for q in range(w)) for t in range(w)]
+    M = [[img.terms.get(u, field.zero()) for u in units] for img in mp.images()]
     assert k == linalg.rank(M, field) <= min(n, mp.nvars_out)
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     fs = [rand_poly(rng, field, n, 2, 3) for _ in range(data.draw(st.integers(1, 3)))]
@@ -127,10 +129,9 @@ def test_linear_rank_bounds_image_jacobian_rank_and_trdeg(field, data):
     seed = data.draw(st.integers(0, 50))
     # seeded points: no trial of the screen, with or without a ceiling,
     # passes k, and a ceiling of k leaves the max over the trials as it is
-    full = randomized_rank(lambda a: mp.jacobian_at(J, a), field, mp.nvars_out,
-                           seed=seed, trials=4)
+    full = randomized_rank(lambda a: mp.jacobian_at(J, a), field, mp.nvars_out, seed=seed)
     capped = randomized_rank(lambda a: mp.jacobian_at(J, a), field, mp.nvars_out,
-                             seed=seed, trials=4, ceiling=k)
+                             seed=seed, ceiling=k)
     assert full == capped <= k
     if mp.nvars_out <= 3:
         assert trdeg([mp.apply(f) for f in fs], mode="auto", seed=seed).r <= k
@@ -189,8 +190,6 @@ def depth4_cases(field):
     yield "gcd-sharing k=3 #%d", [
         (gcd_depth4(seed, field, k=3), {"R": 3}) for seed in range(2)]
     yield "lifted identity #%d", [(lifted_identity(2, field), {"R": 3})]
-    yield "exact #%d", [
-        (rand_depth4(7, field, k=2, s=1, n=2, delta=1), {"mode": "exact"})]
 
 
 @pytest.mark.parametrize("field", SEARCH_FIELDS, ids=SEARCH_IDS)

@@ -1,12 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from _gen import rand_poly
 from pitkit.fields import FieldError, FieldSpec
 from pitkit.independence import trdeg, verify_trdeg_certificate
-from pitkit.polynomials import poly_from_text, poly_to_text
+from pitkit.polynomials import SparsePoly, poly_from_text, poly_to_text
 from pitkit.varmaps import (
     KroneckerMap,
     VandermondeMap,
@@ -82,27 +83,45 @@ def test_schedule_json():
     assert d["params"]["ell"] == 2
 
 
-def test_kronecker_map_images():
-    # n=3, r=1, I={1}, D=5, p=3, c=2: residues 5 mod 3 = 2 and 25 mod 3 = 1,
-    # so the dropped variables go to 2^2 = 4 and 2^1 = 2
-    mp = KroneckerMap(F101, 3, 1, [1], 5, 3, F101.from_int(2))
-    imgs = [mp.apply(P("x%d" % (i + 1), 3, F101)) for i in range(3)]
+# c as a residue, and over Q with a denominator, so that the integer columns
+# of the maps are scaled by L = q^E
+MAP_FIELDS = [
+    (F101, 2),
+    (Q, Fraction(3, 2)),
+    (Q, Fraction(-5, 7)),
+    (FieldSpec("prime", (1 << 61) - 1), 3),
+]
+MAP_IDS = ["F101", "Q-3/2", "Q-neg5/7", "F2^61-1"]
+
+
+def power(field, c, e):
+    """c^e as a Fraction power over Q and a modular power over F_p."""
+    return Fraction(c) ** e if field.kind == "rational" else pow(c, e, field.p)
+
+
+@pytest.mark.parametrize("field, c", MAP_FIELDS, ids=MAP_IDS)
+def test_kronecker_map_images(field, c):
+    # n=3, r=1, I={1}, D=5, p=3: residues 5 mod 3 = 2 and 25 mod 3 = 1,
+    # so the dropped variables go to c^2 and c^1
+    mp = KroneckerMap(field, 3, 1, [1], 5, 3, c)
+    imgs = [mp.apply(P("x%d" % (i + 1), 3, field)) for i in range(3)]
     assert poly_to_text(imgs[0], style="z") == "z0"
-    assert imgs[1] == P("4", 1, F101)
-    assert imgs[2] == P("2", 1, F101)
+    assert imgs[1] == SparsePoly.constant(field, 1, power(field, c, 2))
+    assert imgs[2] == SparsePoly.constant(field, 1, power(field, c, 1))
 
 
-def test_vandermonde_map_images():
+@pytest.mark.parametrize("field, c", MAP_FIELDS, ids=MAP_IDS)
+def test_vandermonde_map_images(field, c):
     # spot-check the definition against plain integer arithmetic
-    n, r, D1, D2, p, c = 2, 1, 3, 2, 5, 2
-    mv = VandermondeMap(F101, n, r, D1, D2, p, F101.from_int(c))
+    n, r, D1, D2, p = 2, 1, 3, 2, 5
+    mv = VandermondeMap(field, n, r, D1, D2, p, c)
     for i in range(1, n + 1):
         want = {
-            (0, 0): F101.from_int(pow(c, pow(D1, i, p), 101)),
-            (1, 0): F101.from_int(pow(c, pow(D2, i, p), 101)),
-            (0, 1): F101.from_int(pow(c, (i * 3) % p, 101)),
+            (0, 0): power(field, c, pow(D1, i, p)),
+            (1, 0): power(field, c, pow(D2, i, p)),
+            (0, 1): power(field, c, (i * 3) % p),
         }
-        img = mv.apply(P("x%d" % i, n, F101))
+        img = mv.apply(P("x%d" % i, n, field))
         assert dict(img.sorted_terms()) == want
 
 
