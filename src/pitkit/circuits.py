@@ -24,6 +24,13 @@ from .polynomials import (
 DEFAULT_EXPAND_BUDGET = 10 ** 6
 
 
+def _json_int(value, key):
+    """value when it is a JSON integer; ParseError for a bool, float or string."""
+    if type(value) is not int:
+        raise ParseError("%r must be an integer, not %r" % (key, value))
+    return value
+
+
 class Circuit:
     """An arithmetic circuit as a topologically ordered node list."""
 
@@ -265,14 +272,15 @@ class Circuit:
         for nd in obj["nodes"]:
             op = nd["op"]
             if op == "input":
-                nodes.append(("input", nd["var"]))
+                nodes.append(("input", _json_int(nd["var"], "var")))
             elif op == "const":
                 nodes.append(("const", field.scalar_from_json(nd["value"])))
             elif op in ("add", "mul"):
-                nodes.append((op, tuple(nd["args"])))
+                nodes.append((op, tuple(_json_int(k, "args") for k in nd["args"])))
             else:
                 raise ParseError("unknown node op %r" % op)
-        return Circuit(field, obj["nvars"], nodes, obj["output"])
+        return Circuit(field, _json_int(obj["nvars"], "nvars"), nodes,
+                       _json_int(obj["output"], "output"))
 
 
 class Depth4Circuit:
@@ -376,11 +384,11 @@ class Depth4Circuit:
     @staticmethod
     def from_json_dict(obj) -> "Depth4Circuit":
         field = FieldSpec.from_json(obj["field"])
-        nvars = obj["nvars"]
+        nvars = _json_int(obj["nvars"], "nvars")
         rows = [
             [poly_from_text(t, field, nvars) for t in row] for row in obj["rows"]
         ]
-        return Depth4Circuit(field, nvars, obj["delta"], rows)
+        return Depth4Circuit(field, nvars, _json_int(obj["delta"], "delta"), rows)
 
 
 class ComposedCircuit:
@@ -452,7 +460,8 @@ class ComposedCircuit:
         m = len(obj["inputs"])
         outer_obj.setdefault("nvars", m)
         outer = Circuit.from_json_dict(outer_obj)
-        inputs = [poly_from_text(t, field, obj["nvars"]) for t in obj["inputs"]]
+        nvars = _json_int(obj["nvars"], "nvars")
+        inputs = [poly_from_text(t, field, nvars) for t in obj["inputs"]]
         return ComposedCircuit(outer, inputs)
 
 

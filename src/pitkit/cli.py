@@ -28,6 +28,7 @@ from .circuits import (
     DEFAULT_EXPAND_BUDGET,
     ComposedCircuit,
     Depth4Circuit,
+    _json_int,
     circuit_from_json_dict,
 )
 from .fields import FieldError, FieldSpec
@@ -106,7 +107,7 @@ def _load_family(path: str):
     obj = _load_json(path)
     try:
         field = FieldSpec.from_json(obj["field"])
-        nvars = int(obj["nvars"])
+        nvars = _json_int(obj["nvars"], "nvars")
         texts = obj["polys"]
         if not isinstance(texts, list) or not texts:
             raise _InputError("%s: 'polys' must be a nonempty list" % path)
@@ -250,28 +251,17 @@ def cmd_hitting_set(args) -> int:
     if args.kind == "sparse-char0":
         if args.r is None or args.d is None or args.ell is None:
             raise _InputError("sparse-char0 needs --n --d --r --delta --ell")
-        hs = hittingmod.hitting_set_sparse_inputs(
-            field, args.n, args.d, args.r, args.delta, args.ell, mode="exact"
-        )
+        hs = hittingmod.hitting_set_sparse_inputs(field, args.n, args.d, args.r, args.delta,
+                                                  args.ell)
     elif args.kind == "any-char":
         if args.r is None or args.d is None:
             raise _InputError("any-char needs --n --d --r --delta")
-        hs = hittingmod.hitting_set_arbitrary_char(
-            field, args.n, args.d, args.r, args.delta, mode="exact"
-        )
+        hs = hittingmod.hitting_set_arbitrary_char(field, args.n, args.d, args.r, args.delta)
     elif args.kind == "depth4":
         if args.k is None or args.s is None:
             raise _InputError("depth4 needs --n --delta --k --s")
-        hs = hittingmod.hitting_set_depth4(
-            field,
-            args.n,
-            args.delta,
-            args.k,
-            args.s,
-            R=args.R,
-            mode="exact",
-            conjecture_R=args.conjecture_R,
-        )
+        hs = hittingmod.hitting_set_depth4(field, args.n, args.delta, args.k, args.s, R=args.R,
+                                           conjecture_R=args.conjecture_R)
     else:
         raise _InputError("unknown hitting-set kind %r" % args.kind)
     header = {
@@ -388,6 +378,11 @@ def _verify_faithful(report, against):
 def _verify_pit(report, against):
     circ = _load_circuit(against)
     field = circ.field
+    config = report["config"]
+    if (not isinstance(config, dict) or sorted(config) != sorted(_PIT_CONFIG)
+            or config["mode"] not in ("adaptive", "exact")):
+        raise _InputError("a pit report's config holds exactly %s, and mode is 'adaptive' "
+                          "or 'exact'" % ", ".join(_PIT_CONFIG))
     stored = report["verdict"]
     if stored["outcome"] == "nonzero":
         point = tuple(field.scalar_from_json(v) for v in stored["witness"])
@@ -398,9 +393,6 @@ def _verify_pit(report, against):
             return False, "witness value does not match"
         return True, "witness re-evaluated"
     # zero / inconclusive: re-run the identical enumeration and compare
-    config = report["config"]
-    if not isinstance(config, dict) or sorted(config) != sorted(_PIT_CONFIG):
-        raise _InputError("a pit report's config holds exactly %s" % ", ".join(_PIT_CONFIG))
     verdict = hittingmod.pit_circuit(circ, **config)
     ok = _json_ready(verdict.to_json_dict(field)) == stored
     if verdict.provenance == {"construction": "constant-composition"}:

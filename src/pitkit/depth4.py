@@ -25,14 +25,14 @@ from .independence import (
 )
 from .polynomials import (
     BudgetExceeded,
+    ExactDivisionError,
     SparsePoly,
     _prepare_point,
     divide_exact,
-    divides,
     gcd_poly,
     normalize_monic,
 )
-from .varmaps import SearchExhausted, VandermondeMap, pc_candidates, schedule
+from .varmaps import SearchExhausted, VandermondeMap, first_certified, pc_candidates, schedule
 
 
 class CoprimeBasis:
@@ -102,8 +102,11 @@ def coprime_basis(C: Depth4Circuit) -> CoprimeBasis:
         for f in row:
             work = f
             for bi, b in enumerate(basis):
-                while divides(b, work):
-                    work = divide_exact(work, b)
+                while True:
+                    try:
+                        work = divide_exact(work, b)
+                    except ExactDivisionError:
+                        break
                     exps[bi] += 1
             if not work.is_constant:
                 raise AssertionError("coprime basis failed to exhaust a factor")
@@ -338,9 +341,7 @@ def search_depth4_map(
     speculative bound.  Over F_2 the only c is 1, so a circuit with a
     target min(rank, r) of 2 or more raises SearchExhausted at once.
     """
-    field = C.field
-    n = C.nvars
-    delta = C.delta
+    field, n, delta = C.field, C.nvars, C.delta
     sched = schedule(
         "depth4", n=n, delta=delta, k=C.k, s=C.s, r=R, conjecture_R=conjecture_R
     )
@@ -373,20 +374,16 @@ def search_depth4_map(
     # keep the per-prime sample small: when a prime's residue pattern is
     # degenerate (p = 2 collapses most exponents) no c works, so move on
     # quickly instead of exhausting a lemma-sized sample
-    c_max, c_per_p = max(8, 2 * delta * C.k * C.s * r), 1
-    tried = 0
+    maps = (
+        VandermondeMap(field, n, r, D1, D2, p, c)
+        for p, c in pc_candidates(field, sched.p_max, max(8, 2 * delta * C.k * C.s * r), 1)
+    )
     # affine-image keys of the candidates that failed a preservation leg
     failed = set()
-    for p, c in pc_candidates(field, sched.p_max, c_max, c_per_p):
-        mp = VandermondeMap(field, n, r, D1, D2, p, c)
-        tried += 1
-        evidence = _certify_depth4(mp, subsets, r, seed, failed)
-        if evidence is not None:
-            return Depth4MapResult(mp, r, evidence, tried)
-    raise SearchExhausted(
-        "no certified depth-4 map after %d candidates (p bound %d)"
-        % (tried, sched.p_max)
+    mp, evidence, tried = first_certified(
+        maps, lambda mp: _certify_depth4(mp, subsets, r, seed, failed), "depth-4", sched.p_max
     )
+    return Depth4MapResult(mp, r, evidence, tried)
 
 
 def _certify_depth4(mp, subsets, r, seed, failed):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 
 from .circuits import ComposedCircuit, Depth4Circuit
 from .depth4 import search_depth4_map
@@ -35,9 +36,7 @@ from .fields import FieldSpec
 from .independence import trdeg
 from .polynomials import BudgetExceeded
 from .varmaps import (
-    KroneckerMap,
-    VandermondeMap,
-    pc_candidates,
+    family_sizes,
     schedule,
     search_kronecker_map,
     search_vandermonde_map,
@@ -233,149 +232,63 @@ def _image_set(field, n, provenance, maps, count, w, d, certified):
     )
 
 
-def _exact_vandermonde_set(field, n, construction, sched, delta, sound=True):
-    """Every Vandermonde map of a closed-form schedule, in (p, c) order,
-    over the simplex of total degree h2_size - 1.  Certified when a
-    Vandermonde reduction applies (varmaps.vandermonde_applies), the field
-    hosts the full grid, and the schedule is sound (no conjectured rank
-    bound)."""
-    r = sched.r
-    char_ok = vandermonde_applies(field, delta, r)
-    provenance = {
-        "construction": construction,
-        "mode": "exact",
-        "schedule": sched.to_json_dict(),
-        "char_gate": char_ok,
-    }
-
-    def maps():
-        for p, c in pc_candidates(field, sched.p_max, sched.h1_size):
-            yield VandermondeMap(field, n, r, sched.D1, sched.D2, p, c)
-
-    return _image_set(field, n, provenance, maps, sched.p_max * sched.h1_size, r + 1,
-                      sched.h2_size - 1, char_ok and sound)
+def _exact_set(field, n, construction, sched, certified, **provenance):
+    """Every map of the closed-form family sched.maps(field, n) over the
+    simplex of total degree h2_size - 1; provenance joins the set's."""
+    provenance.update(construction=construction, mode="exact", schedule=sched.to_json_dict())
+    return _image_set(field, n, provenance, partial(sched.maps, field, n), sched.count(n),
+                      sched.w(n), sched.h2_size - 1, certified)
 
 
-def _adaptive_set(field, n, construction, mp, evidence, d):
+def _adaptive_set(mp, construction, evidence, d):
     """The corpus hitting set of one certified map over the simplex of total
     degree d; evidence joins the provenance."""
     provenance = dict(evidence, construction=construction, mode="adaptive",
                       map=mp.to_json_dict())
-    return _image_set(field, n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False)
+    return _image_set(mp.field, mp.n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False)
 
 
-def hitting_set_sparse_inputs(
-    field: FieldSpec,
-    n: int,
-    d: int,
-    r: int,
-    delta: int,
-    ell: int,
-    mode: str = "adaptive",
-    polys=None,
-    seed: int = 0,
-    input_cert=None,
-) -> HittingSet:
-    """Hitting set for degree-d compositions of ell-sparse degree-delta
-    polynomials with transcendence degree r, via Vandermonde reductions.
-
-    Exact mode streams the full closed-form family (all primes up to the
-    schedule bound, the c sample, the grid); certified when a Vandermonde
-    reduction applies and the field hosts the full grid.  Adaptive mode
-    needs the concrete input family and uses its one certified map;
-    input_cert, the family's trdeg certificate when the caller has it,
-    spares the search from computing it again.
-    """
+def hitting_set_sparse_inputs(field: FieldSpec, n: int, d: int, r: int, delta: int,
+                              ell: int) -> HittingSet:
+    """The closed-form hitting set for degree-d compositions of ell-sparse
+    degree-delta polynomials with transcendence degree r, via Vandermonde
+    reductions: every map of the schedule (all primes up to its bound, the
+    c sample) over the grid.  Certified when a Vandermonde reduction
+    applies (varmaps.vandermonde_applies) and the field hosts the full
+    grid."""
     sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=d, ell=ell)
-    if mode == "exact":
-        return _exact_vandermonde_set(field, n, "sparse-char0", sched, delta)
-    if mode == "adaptive":
-        if not polys:
-            raise ValueError("adaptive mode needs the concrete input family")
-        found = search_vandermonde_map(polys, r=r, seed=seed, input_cert=input_cert)
-        evidence = {"image_certificate": found.image_cert.to_json_dict()}
-        return _adaptive_set(field, n, "sparse-char0", found.map, evidence, d)
-    raise ValueError("mode must be 'exact' or 'adaptive'")
+    char_ok = vandermonde_applies(field, delta, r)
+    return _exact_set(field, n, "sparse-char0", sched, char_ok, char_gate=char_ok)
 
 
-def hitting_set_arbitrary_char(
-    field: FieldSpec,
-    n: int,
-    d: int,
-    r: int,
-    delta: int,
-    mode: str = "adaptive",
-    polys=None,
-    seed: int = 0,
-    input_cert=None,
-) -> HittingSet:
-    """Hitting set for degree-d compositions of degree-delta polynomials of
-    transcendence degree r over any characteristic, via Kronecker maps.
+def hitting_set_arbitrary_char(field: FieldSpec, n: int, d: int, r: int,
+                               delta: int) -> HittingSet:
+    """The closed-form hitting set for degree-d compositions of degree-delta
+    polynomials of transcendence degree r over any characteristic, via
+    Kronecker maps.
 
-    The exact enumeration unions over all primes up to the schedule bound,
-    the c sample, and all r-subsets of kept variables; the grid has arity r
-    and is walked on its simplex of total degree d unless truncated.
-    Adaptive mode takes input_cert as hitting_set_sparse_inputs does.
+    The enumeration unions over all primes up to the schedule bound, the c
+    sample, and all r-subsets of kept variables; the grid has arity r and
+    is walked on its simplex of total degree d unless truncated.
     """
     sched = schedule("any-char", n=n, delta=delta, r=r, d=d)
-    if mode == "exact":
-        provenance = {"construction": "any-char", "mode": "exact",
-                      "schedule": sched.to_json_dict()}
-        subsets = list(itertools.combinations(range(1, n + 1), min(r, n)))
-
-        def maps():
-            for p, c in pc_candidates(field, sched.p_max, sched.h1_size):
-                for kept in subsets:
-                    yield KroneckerMap(field, n, len(kept), kept, sched.D1, p, c)
-
-        return _image_set(field, n, provenance, maps,
-                          sched.p_max * sched.h1_size * len(subsets), min(r, n),
-                          sched.h2_size - 1, True)
-    if mode == "adaptive":
-        if not polys:
-            raise ValueError("adaptive mode needs the concrete input family")
-        found = search_kronecker_map(polys, r=min(r, n), seed=seed, input_cert=input_cert)
-        evidence = {"image_certificate": found.image_cert.to_json_dict()}
-        return _adaptive_set(field, n, "any-char", found.map, evidence, d)
-    raise ValueError("mode must be 'exact' or 'adaptive'")
+    return _exact_set(field, n, "any-char", sched, True)
 
 
-def hitting_set_depth4(
-    field: FieldSpec,
-    n: int,
-    delta: int,
-    k: int,
-    s: int,
-    R=None,
-    mode: str = "adaptive",
-    circuit: Depth4Circuit | None = None,
-    seed: int = 0,
-    conjecture_R: bool = False,
-) -> HittingSet:
-    """Hitting set for depth-4 powered products with k rows, up to s factors
-    per row, factor degree at most delta.
+def hitting_set_depth4(field: FieldSpec, n: int, delta: int, k: int, s: int, R=None,
+                       conjecture_R: bool = False) -> HittingSet:
+    """The closed-form hitting set for depth-4 powered products with k rows,
+    up to s factors per row, factor degree at most delta.
 
     The reduction arity is r+1 where r is 1 for k=2, the proven k*s bound
-    otherwise, or a speculative smaller bound under conjecture_R (which
-    always downgrades the guarantee to "corpus").  Adaptive mode certifies a
-    map against the one concrete circuit.
+    otherwise (or R when given), or a speculative smaller bound under
+    conjecture_R.  Certified when a Vandermonde reduction applies, the field
+    hosts the full grid and the bound is not conjectured.
     """
-    sched = schedule(
-        "depth4", n=n, delta=delta, k=k, s=s, r=R, conjecture_R=conjecture_R
-    )
-    if mode == "exact":
-        return _exact_vandermonde_set(
-            field, n, "depth4", sched, delta, sound=not sched.params.get("conjectured")
-        )
-    if mode == "adaptive":
-        if circuit is None:
-            raise ValueError("adaptive mode needs the concrete circuit")
-        found = search_depth4_map(
-            circuit, R=R, seed=seed, conjecture_R=conjecture_R
-        )
-        evidence = {"evidence": found.evidence}
-        return _adaptive_set(field, n, "depth4", found.map, evidence, delta * s)
-    raise ValueError("mode must be 'exact' or 'adaptive'")
+    sched = schedule("depth4", n=n, delta=delta, k=k, s=s, r=R, conjecture_R=conjecture_R)
+    char_ok = vandermonde_applies(field, delta, sched.r)
+    return _exact_set(field, n, "depth4", sched, char_ok and not sched.params["conjectured"],
+                      char_gate=char_ok)
 
 
 def pit_circuit(
@@ -384,13 +297,16 @@ def pit_circuit(
 ) -> PitVerdict:
     """Blackbox PIT of a circuit through the construction that fits it.
 
-    Depth-4 circuits use the depth-4 hitting set (R and conjecture_R as
+    Depth-4 circuits use the depth-4 construction (R and conjecture_R as
     there).  A composed circuit C(f_1, ..., f_m) first gets r0 = trdeg(f):
     r0 = 0 makes it a constant, decided by one evaluation; otherwise its
-    points come from the sparse-input (Vandermonde) set when a Vandermonde
-    reduction applies, else from the any-characteristic (Kronecker) set,
-    and both searches start from that certificate.  A plain dag runs over
-    the simplex of the grid sized to its syntactic degree.
+    points come from the sparse-input (Vandermonde) construction when a
+    Vandermonde reduction applies, else from the any-characteristic
+    (Kronecker) one.  Exact mode walks the closed-form hitting set; adaptive
+    mode searches one map certified for this circuit (the searches start
+    from the trdeg certificate) and walks its images.  A plain dag runs
+    over the simplex of the grid sized to its syntactic degree, in either
+    mode.
 
     A grid too small for the degree (truncated to a small field, or a dag
     grid without its degree bound) cannot see every nonzero polynomial, so
@@ -398,13 +314,18 @@ def pit_circuit(
     axis or whose values over Q would exceed MAX_GRID_AXIS or
     MAX_VALUE_BITS raises BudgetExceeded before any evaluation.
     """
+    if mode not in ("adaptive", "exact"):
+        raise ValueError("mode must be 'exact' or 'adaptive'")
+    exact = mode == "exact"
     field, n = circ.field, circ.nvars
     if isinstance(circ, Depth4Circuit):
-        hs = hitting_set_depth4(
-            field, n, circ.delta, circ.k, circ.s, R=R, mode=mode,
-            circuit=circ if mode == "adaptive" else None,
-            seed=seed, conjecture_R=conjecture_R,
-        )
+        if exact:
+            hs = hitting_set_depth4(field, n, circ.delta, circ.k, circ.s, R=R,
+                                    conjecture_R=conjecture_R)
+        else:
+            found = search_depth4_map(circ, R=R, seed=seed, conjecture_R=conjecture_R)
+            hs = _adaptive_set(found.map, "depth4", {"evidence": found.evidence},
+                               circ.delta * circ.s)
         truncated = hs.provenance["grid_truncated"]
     elif isinstance(circ, ComposedCircuit):
         inputs = list(circ.inputs)
@@ -417,20 +338,20 @@ def pit_circuit(
             if field.is_zero(value):
                 return PitVerdict("zero", None, None, 1, "certified", provenance)
             return PitVerdict("nonzero", point, value, 1, "certified", provenance)
-        delta = max(1, max((f.degree() or 0) for f in inputs))
+        delta, ell = family_sizes(inputs)
         d = max(1, circ.degree_bound())
-        polys = inputs if mode == "adaptive" else None
-        if vandermonde_applies(field, delta, r0):
-            ell = max(1, max(f.num_terms() for f in inputs))
-            hs = hitting_set_sparse_inputs(
-                field, n, d, r0, delta, ell, mode=mode, polys=polys, seed=seed,
-                input_cert=input_cert,
-            )
+        sparse = vandermonde_applies(field, delta, r0)
+        if exact and sparse:
+            hs = hitting_set_sparse_inputs(field, n, d, r0, delta, ell)
+        elif exact:
+            hs = hitting_set_arbitrary_char(field, n, d, r0, delta)
         else:
-            hs = hitting_set_arbitrary_char(
-                field, n, d, r0, delta, mode=mode, polys=polys, seed=seed,
-                input_cert=input_cert,
-            )
+            search = search_vandermonde_map if sparse else search_kronecker_map
+            # r0 <= n: trdeg never exceeds the number of variables
+            found = search(inputs, r=r0, seed=seed, input_cert=input_cert)
+            evidence = {"image_certificate": found.image_cert.to_json_dict()}
+            hs = _adaptive_set(found.map, "sparse-char0" if sparse else "any-char",
+                               evidence, d)
         truncated = hs.provenance["grid_truncated"]
     else:
         d = max(1, circ.syntactic_degree())

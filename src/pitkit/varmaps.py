@@ -22,9 +22,11 @@ each candidate by recomputing the transcendence degree of the images, so a
 returned map is correct regardless of which lemma motivated the parameter
 ranges.  A candidate whose linear rank is below the target cannot keep it
 and is rejected before any point is evaluated (AffineMap.affine_summary).
-ParamSchedule packages the closed-form parameter sizes used by the
-certified enumeration bounds; the integers are astronomically large for all
-but toy inputs, which is why the searches default to adaptive mode.
+ParamSchedule packages the closed-form parameter sizes of each family and
+enumerates its maps (ParamSchedule.maps), the one enumerator behind the
+exact hitting sets and the exact searches; the integers are astronomically
+large for all but toy inputs, which is why the searches default to adaptive
+mode.  first_certified is the one candidate loop of every search.
 """
 
 from __future__ import annotations
@@ -85,6 +87,35 @@ class ParamSchedule:
             "params": self.params,
             "provenance": self.provenance,
         }
+
+    def w(self, n: int) -> int:
+        """The number of output variables of every map of the family."""
+        return min(self.r, n) if self.kind == "any-char" else self.r + 1
+
+    def count(self, n: int) -> int:
+        """A bound on the number of maps maps(field, n) yields: p_max * h1_size
+        per kept subset (there are fewer primes than p_max, and a prime
+        field caps the c sample)."""
+        count = self.p_max * self.h1_size
+        if self.kind == "any-char":
+            count *= math.comb(n, self.w(n))
+        return count
+
+    def maps(self, field: FieldSpec, n: int):
+        """The closed-form family, lazily: every (p, c) of pc_candidates up
+        to p_max with the c sample h1_size, in that order; for "any-char" a
+        KroneckerMap per kept w(n)-subset (lexicographic) with D = D1, else
+        a VandermondeMap with D1 and D2."""
+        pcs = pc_candidates(field, self.p_max, self.h1_size)
+        if self.kind != "any-char":
+            for p, c in pcs:
+                yield VandermondeMap(field, n, self.r, self.D1, self.D2, p, c)
+            return
+        w = self.w(n)
+        subsets = list(itertools.combinations(range(1, n + 1), w))
+        for p, c in pcs:
+            for kept in subsets:
+                yield KroneckerMap(field, n, w, kept, self.D1, p, c)
 
     def __repr__(self):
         return "ParamSchedule(kind=%r, r=%d)" % (self.kind, self.r)
@@ -486,7 +517,9 @@ class FaithfulResult:
         }
 
 
-def _family_sizes(fs):
+def family_sizes(fs):
+    """(delta, ell) of a family: its largest degree and its largest number
+    of terms, each at least 1."""
     delta = max(1, max((f.degree() or 0) for f in fs))
     ell = max(1, max(f.num_terms() for f in fs))
     return delta, ell
@@ -572,94 +605,91 @@ def _search_start(fs, r, mode, seed, input_cert):
     return input_cert, r
 
 
-def _first_faithful(fs, maps, input_cert, seed, name, p_max):
-    """The first candidate map whose images keep the input trdeg."""
-    J = jacobian(fs)
+def first_certified(maps, certify, name, p_max):
+    """The first map of maps that certify proves: (map, proof, tried), where
+    proof = certify(map) is not None and tried counts the candidates up to
+    and including it.  Raises SearchExhausted when maps runs out; name and
+    the p bound p_max go into its message."""
     tried = 0
     for mp in maps:
         tried += 1
-        cert = _certify(fs, J, mp, input_cert.r, seed)
-        if cert is not None:
-            return FaithfulResult(mp, input_cert, cert, tried)
+        proof = certify(mp)
+        if proof is not None:
+            return mp, proof, tried
     raise SearchExhausted(
         "no certified %s map after %d candidates (p bound %d)" % (name, tried, p_max)
     )
 
 
-def search_kronecker_map(
-    fs,
-    r: int | None = None,
-    mode: str = "adaptive",
-    seed: int = 0,
-    input_cert=None,
-) -> FaithfulResult:
+def _first_faithful(fs, maps, input_cert, seed, name, p_max):
+    """The first candidate map whose images keep the input trdeg."""
+    J = jacobian(fs)
+    mp, cert, tried = first_certified(
+        maps, lambda mp: _certify(fs, J, mp, input_cert.r, seed), name, p_max
+    )
+    return FaithfulResult(mp, input_cert, cert, tried)
+
+
+def search_kronecker_map(fs, r: int | None = None, mode: str = "adaptive", seed: int = 0,
+                         input_cert=None) -> FaithfulResult:
     """Smallest certified Kronecker substitution for the family fs.
 
     Candidates are tried with p ascending over primes, then c ascending,
     then the kept subset I in lexicographic order; the first candidate whose
-    images provably keep the transcendence degree wins.  Exact mode widens
-    the per-prime c sample to the full closed-form h1 budget.  Works in any
+    images provably keep the transcendence degree wins.  Exact mode walks
+    the closed-form family, schedule("any-char", ...).maps(field, n), whose
+    c sample per prime is the full h1 budget.  Works in any
     characteristic.  Raises SearchExhausted past the closed-form p bound.
     input_cert, when given, must be trdeg(fs, mode="auto", seed=seed); the
     search then does not compute it again.
     """
     input_cert, r = _search_start(fs, r, mode, seed, input_cert)
-    field = fs[0].field
-    n = fs[0].nvars
+    field, n = fs[0].field, fs[0].nvars
     if r > n:
         raise ValueError("r cannot exceed the number of variables")
-    delta, _ = _family_sizes(fs)
-    d = max((f.degree() or 0) for f in fs)
-    sched = schedule("any-char", n=n, delta=delta, r=r, d=d)
-    D = delta ** (r + 1) + 1
-    # exact mode: the closed-form c sample; adaptive: delta^r * r per unit of p
-    c_max, c_per_p = (sched.h1_size, 0) if mode == "exact" else (0, delta ** r * r)
-    maps = (
-        KroneckerMap(field, n, r, kept, D, p, c)
-        for p, c in pc_candidates(field, sched.p_max, c_max, c_per_p)
-        for kept in itertools.combinations(range(1, n + 1), r)
-    )
+    delta, _ = family_sizes(fs)
+    # the search walks maps, not a grid: the grid degree d is immaterial
+    sched = schedule("any-char", n=n, delta=delta, r=r, d=delta)
+    if mode == "exact":
+        maps = sched.maps(field, n)
+    else:
+        # the c sample grows by delta^r * r per unit of p
+        maps = (
+            KroneckerMap(field, n, r, kept, sched.D1, p, c)
+            for p, c in pc_candidates(field, sched.p_max, 0, delta ** r * r)
+            for kept in itertools.combinations(range(1, n + 1), r)
+        )
     return _first_faithful(fs, maps, input_cert, seed, "Kronecker", sched.p_max)
 
 
-def search_vandermonde_map(
-    fs,
-    r: int | None = None,
-    mode: str = "adaptive",
-    seed: int = 0,
-    input_cert=None,
-) -> FaithfulResult:
+def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", seed: int = 0,
+                           input_cert=None) -> FaithfulResult:
     """Certified Vandermonde-style reduction for the family fs.
 
     Requires vandermonde_applies: characteristic zero or larger than
     delta^r, and r < 2 over F_2.  Candidate order is p ascending over
     primes, then c ascending.  Adaptive mode uses the smallest D1, D2 the
-    faithfulness argument allows; exact mode uses the closed-form schedule
-    values.  Raises SearchExhausted past the p bound.  input_cert as in
-    search_kronecker_map.
+    faithfulness argument allows; exact mode walks the closed-form family,
+    schedule("sparse-char0", ...).maps(field, n).  Raises SearchExhausted
+    past the p bound.  input_cert as in search_kronecker_map.
     """
     input_cert, r = _search_start(fs, r, mode, seed, input_cert)
-    field = fs[0].field
-    n = fs[0].nvars
+    field, n = fs[0].field, fs[0].nvars
     r0 = input_cert.r
-    delta, ell = _family_sizes(fs)
+    delta, ell = family_sizes(fs)
     if not vandermonde_applies(field, delta, r0):
         raise FieldError(
             "Vandermonde reduction needs characteristic 0 or > delta^r, "
             "and r < 2 over F_2 (char %d, delta %d, r %d)"
             % (field.characteristic, delta, r0)
         )
-    d = max((f.degree() or 0) for f in fs)
-    sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=d, ell=ell)
+    sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=delta, ell=ell)
     if mode == "exact":
-        D1, D2 = sched.D1, sched.D2
-        c_max, c_per_p = sched.h1_size, 0
+        maps = sched.maps(field, n)
     else:
         D1 = max(delta * r + 1, (n + 1) ** (r + 1))
-        D2 = 2
-        c_max, c_per_p = 0, delta * r
-    maps = (
-        VandermondeMap(field, n, r, D1, D2, p, c)
-        for p, c in pc_candidates(field, sched.p_max, c_max, c_per_p)
-    )
+        maps = (
+            VandermondeMap(field, n, r, D1, 2, p, c)
+            for p, c in pc_candidates(field, sched.p_max, 0, delta * r)
+        )
     return _first_faithful(fs, maps, input_cert, seed, "Vandermonde", sched.p_max)

@@ -10,17 +10,16 @@ import time
 
 from pitkit.depth4 import gcd_part, search_depth4_map, simple_part, verify_simple_preservation
 from pitkit.fields import FieldSpec
-from pitkit.hitting import (
-    bad_prime_census,
-    hitting_set_arbitrary_char,
-    hitting_set_depth4,
-    pit,
-    pit_circuit,
-)
+from pitkit.hitting import _adaptive_set, bad_prime_census, pit, pit_circuit
 from pitkit.independence import annihilator, trdeg, verify_trdeg_certificate
 from pitkit.polynomials import SparsePoly, normalize_monic, poly_from_text, poly_to_text
 from pitkit.primes import primes_in
-from pitkit.varmaps import conjectured_rank_bound, schedule, search_vandermonde_map
+from pitkit.varmaps import (
+    conjectured_rank_bound,
+    schedule,
+    search_kronecker_map,
+    search_vandermonde_map,
+)
 
 from _gen import (
     AGREE_FIELD,
@@ -181,13 +180,11 @@ def test_ac7_small_characteristic_path():
     for seed in range(60):
         C, is_zero = smallchar_instance(seed)
         inners = list(C.inputs)
-        field = C.field
         r0 = trdeg(inners, seed=seed).r
-        delta = max(1, max((f.degree() or 0) for f in inners))
         d = max(1, C.degree_bound())
-        hs = hitting_set_arbitrary_char(
-            field, C.nvars, d, max(r0, 1), delta, polys=inners, seed=seed
-        )
+        found = search_kronecker_map(inners, r=min(max(r0, 1), C.nvars), seed=seed)
+        evidence = {"image_certificate": found.image_cert.to_json_dict()}
+        hs = _adaptive_set(found.map, "any-char", evidence, d)
         verdict = pit(C.evaluate, hs)
         assert (verdict.outcome == "zero") == is_zero, seed
         zeros += is_zero
@@ -274,7 +271,8 @@ def test_ac9_reruns_are_byte_identical():
 
     def depth4_run(seed):
         C = rand_depth4(seed)
-        hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C, seed=seed)
+        found = search_depth4_map(C, seed=seed)
+        hs = _adaptive_set(found.map, "depth4", {"evidence": found.evidence}, C.delta * C.s)
         v = pit(C.evaluate, hs)
         return json.dumps(
             {"verdict": v.to_json_dict(C.field), "provenance": hs.provenance},

@@ -354,13 +354,24 @@ def test_verify_rejects_zero_reports_with_forged_point_counts(tmp_path, capsys):
             }, name
 
 
-def _pit_in_subprocess(path, seconds=30):
-    # a subprocess with a timeout, so that a regression to a hang fails
-    # the test instead of stalling the suite
+# the source directory of the pitkit under test, for child interpreters
+SRC = os.path.dirname(os.path.dirname(pitkit.__file__))
+
+
+def _cli_in_subprocess(args, seconds=30):
+    """`python -m pitkit.cli args` running the pitkit under test, with a
+    timeout, so that a regression to a hang fails the test instead of
+    stalling the suite."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
     return subprocess.run(
-        [sys.executable, "-m", "pitkit.cli", "pit", path],
-        capture_output=True, text=True, timeout=seconds,
+        [sys.executable, "-m", "pitkit.cli", *args],
+        capture_output=True, text=True, timeout=seconds, env=env,
     )
+
+
+def _pit_in_subprocess(path):
+    return _cli_in_subprocess(["pit", path])
 
 
 @pytest.mark.parametrize("field", [Q, FieldSpec("prime", (1 << 61) - 1)], ids=["Q", "F2^61-1"])
@@ -642,6 +653,95 @@ def test_exact_any_char_stream_is_frozen(capsys):
     assert out.splitlines() == FROZEN_ANY_CHAR_STREAM
 
 
+# the exact paths no benchmark workload runs, as printed before the
+# closed-form families shared one enumerator (ParamSchedule.maps): the
+# first 12 points of a sparse-input and a depth-4 stream, and the exact
+# phi and psi searches on FROZEN_FAMILY over F_101
+FROZEN_EXACT_STREAMS = {
+    "sparse-char0": (
+        ["--n", "2", "--d", "2", "--r", "1", "--delta", "1", "--ell", "2"],
+        [
+            '{"arity": 2, "command": "hitting-set", "config": {"R": null, '
+            '"conjecture_R": false, "d": 2, "delta": 1, "ell": 2, "field": "rational", '
+            '"k": null, "kind": "sparse-char0", "max_points": 12, "n": 2, "r": 1, '
+            '"s": null}, "guarantee": "certified", "provenance": {"char_gate": true, '
+            '"construction": "sparse-char0", "grid_truncated": false, "mode": "exact", '
+            '"points": "simplex", "schedule": {"D1": 16, "D2": 2, "h1_size": 65537, '
+            '"h2_size": 3, "kind": "sparse-char0", "p_max": 65537, "params": {"d": 2, '
+            '"delta": 1, "ell": 2, "n": 2, "r": 1}, "provenance": "exact-sparse-char0", '
+            '"r": 1}}, "size_bound": 25770590214}',
+            '{"point": ["1", "1"]}', '{"point": ["2", "2"]}', '{"point": ["3", "3"]}',
+            '{"point": ["2", "2"]}', '{"point": ["3", "3"]}', '{"point": ["3", "3"]}',
+            '{"point": ["1", "1"]}', '{"point": ["3", "2"]}', '{"point": ["5", "3"]}',
+            '{"point": ["2", "2"]}', '{"point": ["4", "3"]}', '{"point": ["3", "3"]}',
+        ],
+    ),
+    "depth4": (
+        ["--n", "2", "--delta", "1", "--k", "3", "--s", "1", "--R", "2"],
+        [
+            '{"arity": 2, "command": "hitting-set", "config": {"R": 2, '
+            '"conjecture_R": false, "d": null, "delta": 1, "ell": null, '
+            '"field": "rational", "k": 3, "kind": "depth4", "max_points": 12, "n": 2, '
+            '"r": null, "s": 1}, "guarantee": "certified", "provenance": {"char_gate": '
+            'true, "construction": "depth4", "grid_truncated": false, "mode": "exact", '
+            '"points": "simplex", "schedule": {"D1": 256, "D2": 2, '
+            '"h1_size": 114346345751910504496663364160, "h2_size": 2, "kind": "depth4", '
+            '"p_max": 198517961374844625862262785, "params": {"conjectured": false, '
+            '"delta": 1, "k": 3, "n": 2, "s": 1}, "provenance": "exact-depth4", '
+            '"r": 2}}, "size_bound": '
+            '90799213797329593597003107962686163711366462352283142400}',
+            '{"point": ["1", "1"]}', '{"point": ["2", "2"]}', '{"point": ["2", "2"]}',
+            '{"point": ["2", "2"]}', '{"point": ["1", "1"]}', '{"point": ["3", "2"]}',
+            '{"point": ["3", "2"]}', '{"point": ["2", "2"]}', '{"point": ["1", "1"]}',
+            '{"point": ["4", "2"]}', '{"point": ["4", "2"]}', '{"point": ["2", "2"]}',
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_EXACT_STREAMS))
+def test_exact_streams_are_frozen(capsys, kind):
+    flags, lines = FROZEN_EXACT_STREAMS[kind]
+    code, out, _ = run(capsys, ["hitting-set", "--kind", kind, *flags, "--max-points", "12"])
+    assert code == 0
+    assert out.splitlines() == lines
+
+
+FROZEN_EXACT_FAITHFUL = {
+    "phi": (
+        '{"command": "faithful", "config": {"kind": "phi", "mode": "exact", "r": null, '
+        '"seed": 0}, "result": {"candidates_tried": 5, "image_certificate": {"basis": [0, '
+        '1], "mode": "jacobian", "r": 2, "witness": {"method": '
+        '"evaluated-jacobian-meets-upper-bound", "point": [47, 93], "upper_bound": 2}}, '
+        '"input_certificate": {"basis": [0, 1], "mode": "jacobian", "r": 2, "witness": '
+        '{"max_degree": 2, "method": "symbolic-rank", "pivot_cols": [0, 2], '
+        '"pivot_rows": [0, 1]}}, "map": {"D": 9, "I": [1, 3], "c": 2, "field": {"kind": '
+        '"prime", "p": 101}, "kind": "phi", "n": 3, "p": 2, "r": 2}}}'
+    ),
+    "psi": (
+        '{"command": "faithful", "config": {"kind": "psi", "mode": "exact", "r": null, '
+        '"seed": 0}, "result": {"candidates_tried": 102, "image_certificate": {"basis": '
+        '[0, 1], "mode": "jacobian", "r": 2, "witness": {"method": '
+        '"evaluated-jacobian-meets-upper-bound", "point": [47, 93, 52], "upper_bound": '
+        '2}}, "input_certificate": {"basis": [0, 1], "mode": "jacobian", "r": 2, '
+        '"witness": {"max_degree": 2, "method": "symbolic-rank", "pivot_cols": [0, 2], '
+        '"pivot_rows": [0, 1]}}, "map": {"D1": 1728, "D2": 2, "c": 2, "field": {"kind": '
+        '"prime", "p": 101}, "kind": "psi", "n": 3, "p": 3, "r": 2}}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_EXACT_FAITHFUL))
+def test_exact_faithful_reports_are_frozen(tmp_path, capsys, kind):
+    spec = {"kind": "prime", "p": 101}
+    fam = dump(tmp_path, "fam.json", {"field": spec, "nvars": 3, "polys": FROZEN_FAMILY})
+    code, out, _ = run(capsys, ["faithful", fam, "--kind", kind, "--mode", "exact"])
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True) == FROZEN_EXACT_FAITHFUL[kind]
+    report = dump(tmp_path, "report.json", out)
+    assert run(capsys, ["verify", report, "--against", fam])[0] == 0
+
+
 # -- zero denominators and malformed reports exit 3 ----------------------------
 
 
@@ -675,7 +775,7 @@ def test_zero_denominator_in_a_map_c_exits_three(tmp_path, capsys):
     assert "1/0" in json.loads(err)["error"]
 
 
-@pytest.mark.parametrize("nvars", ["abc", -1])
+@pytest.mark.parametrize("nvars", ["abc", -1, 2.5, "2", 1.0, True])
 def test_family_with_a_bad_nvars_exits_three(tmp_path, capsys, nvars):
     fam = dump(tmp_path, "fam.json", dict(PAIR_FAMILY, nvars=nvars))
     code, out, err = run(capsys, ["trdeg", fam])
@@ -699,6 +799,39 @@ def _set(value, *path):
     return edit
 
 
+_DAG = {"field": {"kind": "rational"}, "nvars": 1, "kind": "dag", "output": 1,
+        "nodes": [{"op": "input", "var": 0}, {"op": "add", "args": [0, 0]}]}
+_DEPTH4 = {"field": {"kind": "rational"}, "nvars": 2, "kind": "depth4", "delta": 1,
+           "rows": [["x1", "x2"], ["x1 + 1", "x2"]]}
+_COMPOSED = {"field": {"kind": "rational"}, "nvars": 1, "kind": "composed",
+             "inputs": ["x1"], "outer": {"nodes": [{"op": "input", "var": 0}], "output": 0}}
+
+
+def _with(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    _set(value, *path)(obj)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    _with(_DEPTH4, ["delta"], 1.5),
+    _with(_DEPTH4, ["nvars"], "2"),
+    _with(_DAG, ["output"], 1.0),
+    _with(_DAG, ["nodes", 0, "var"], 0.0),
+    _with(_DAG, ["nodes", 1, "args"], [0.0, 0]),
+    _with(_DAG, ["nodes", 1, "args"], [True, 0]),
+    _with(_DAG, ["nvars"], 1.0),
+    _with(_COMPOSED, ["nvars"], 2.5),
+    _with(_COMPOSED, ["outer", "output"], False),
+], ids=["depth4-delta-1.5", "depth4-nvars-str", "dag-output-1.0", "dag-var-0.0",
+        "dag-args-float", "dag-args-bool", "dag-nvars-1.0", "composed-nvars-2.5",
+        "composed-outer-output-bool"])
+def test_circuit_with_a_non_integer_field_exits_three(tmp_path, capsys, obj):
+    code, out, err = run(capsys, ["pit", dump(tmp_path, "circ.json", obj)])
+    assert (code, out) == (3, "")
+    assert "must be an integer" in json.loads(err)["error"]
+
+
 MALFORMED_REPORTS = {
     "pit-witness-null": (["pit", "dag"], _set(None, "verdict", "witness")),
     "pit-no-verdict": (["pit", "dag"], _drop("verdict")),
@@ -715,6 +848,7 @@ MALFORMED_REPORTS = {
     "faithful-map-D1-one": (["faithful", "tight", "--kind", "psi"],
                             _set(1, "result", "map", "D1")),
     "unhashable-command": (["trdeg", "tight"], _set(["trdeg"], "command")),
+    "pit-unknown-mode": (["pit", "dag"], _set("bogus", "config", "mode")),
 }
 
 
@@ -739,10 +873,7 @@ def test_verify_of_a_malformed_report_exits_three(tmp_path, capsys, name):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pitkit.cli", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = _cli_in_subprocess(["--help"])
     assert proc.returncode == 0
     assert "pit" in proc.stdout
 
@@ -759,8 +890,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 def test_cli_imports_only_the_standard_library():
     # pitkit has no runtime dependency.  Compared with the modules loaded
     # before the import, since site may already load packages of its own.
-    src = os.path.dirname(os.path.dirname(pitkit.__file__))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, SRC],
                           capture_output=True, text=True, check=True)
     added = json.loads(proc.stdout)
     assert "pitkit.cli" in added

@@ -7,6 +7,7 @@ import pytest
 from pitkit.circuits import Circuit, ComposedCircuit
 from pitkit.fields import FieldSpec
 from pitkit.hitting import (
+    _adaptive_set,
     bad_prime_bound,
     bad_prime_census,
     hitting_set_arbitrary_char,
@@ -19,6 +20,7 @@ from pitkit.hitting import (
 from pitkit.independence import trdeg
 from pitkit.polynomials import SparsePoly, poly_from_text
 from pitkit.primes import primes_in
+from pitkit.varmaps import search_kronecker_map
 
 from _gen import (
     RATIONAL,
@@ -155,24 +157,32 @@ def test_verdict_json_shape():
     assert z["witness"] is None and z["value"] is None
 
 
+def kronecker_set(polys, r, d):
+    """The adaptive any-char set as pit_circuit builds it, pinned to the
+    Kronecker reduction even where a Vandermonde one applies: the first
+    certified Kronecker map over the simplex of degree d."""
+    found = search_kronecker_map(polys, r=r)
+    evidence = {"image_certificate": found.image_cert.to_json_dict()}
+    return _adaptive_set(found.map, "any-char", evidence, d)
+
+
 def test_sparse_inputs_zero_composition():
     f = poly_from_text("x1^2 + 2*x1", Q, 1)
     C = composed(Q, "x2 - x1^2", [f, f * f])
-    hs = hitting_set_sparse_inputs(Q, 1, C.degree_bound(), 1, 2, 3, polys=C.inputs)
-    v = pit(C.evaluate, hs)
+    v = pit_circuit(C)
     assert v.outcome == "zero"
     assert v.points_checked == 45
     assert v.guarantee == "corpus"
-    assert hs.provenance["construction"] == "sparse-char0"
-    assert hs.provenance["mode"] == "adaptive"
-    assert "map" in hs.provenance and "image_certificate" in hs.provenance
+    assert v.provenance["construction"] == "sparse-char0"
+    assert v.provenance["mode"] == "adaptive"
+    assert "map" in v.provenance and "image_certificate" in v.provenance
 
 
 def test_sparse_inputs_independent_pair_witnessed():
     xs = [poly_from_text(t, Q, 2) for t in ("x1", "x2")]
     C = composed(Q, "x1 + x2", xs)
-    hs = hitting_set_sparse_inputs(Q, 2, C.degree_bound(), 2, 1, 1, polys=xs)
-    v = pit(C.evaluate, hs)
+    v = pit_circuit(C)
+    assert v.provenance["construction"] == "sparse-char0"
     assert v.outcome == "nonzero"
     assert v.points_checked == 1
     assert not Q.is_zero(C.evaluate(v.witness))
@@ -186,17 +196,15 @@ def test_sparse_inputs_quartic_family_witnessed():
     outer = rand_poly(rng, Q, 4, 3, 5)
     assert not outer.is_zero
     C = ComposedCircuit(Circuit.from_poly(outer), fs)
-    delta = max(f.degree() for f in fs)
-    ell = max(f.num_terms() for f in fs)
-    hs = hitting_set_sparse_inputs(Q, 4, C.degree_bound(), 3, delta, ell, polys=fs, seed=0)
-    v = pit(C.evaluate, hs)
+    v = pit_circuit(C, seed=0)
+    assert v.provenance["construction"] == "sparse-char0"
     assert v.outcome == "nonzero"
     assert v.points_checked == 1
     assert not Q.is_zero(C.evaluate(v.witness))
 
 
 def test_sparse_inputs_exact_mode_is_certified():
-    hs = hitting_set_sparse_inputs(Q, 1, 3, 1, 1, 1, mode="exact")
+    hs = hitting_set_sparse_inputs(Q, 1, 3, 1, 1, 1)
     assert hs.guarantee == "certified"
     assert hs.size_bound == 42250
     v = pit(lambda pt: Q.zero(), hs, max_points=50)
@@ -204,15 +212,10 @@ def test_sparse_inputs_exact_mode_is_certified():
     assert v.points_checked == 50
 
 
-def test_sparse_inputs_adaptive_needs_polys():
-    with pytest.raises(ValueError, match="input family"):
-        hitting_set_sparse_inputs(Q, 1, 3, 1, 1, 1, mode="adaptive")
-
-
 def test_arbitrary_char_zero_over_f2():
     g1 = poly_from_text("x1", F2, 1)
     C = composed(F2, "x1 + x2", [g1, g1])
-    hs = hitting_set_arbitrary_char(F2, 1, 2, 1, 1, polys=[g1, g1])
+    hs = kronecker_set([g1, g1], 1, 2)
     v = pit(C.evaluate, hs)
     assert v.outcome == "zero"
     assert v.points_checked == 2
@@ -224,7 +227,7 @@ def test_arbitrary_char_constant_one_over_f2():
     f1 = poly_from_text("x1", F2, 1)
     f2 = poly_from_text("x1 + 1", F2, 1)
     C = composed(F2, "x1 + x2", [f1, f2])
-    hs = hitting_set_arbitrary_char(F2, 1, 2, 1, 1, polys=[f1, f2])
+    hs = kronecker_set([f1, f2], 1, 2)
     v = pit(C.evaluate, hs)
     assert v.outcome == "nonzero"
     assert v.points_checked == 1
@@ -235,15 +238,15 @@ def test_arbitrary_char_f3_agrees_with_expand():
     h = poly_from_text("x1^2 + x1", F3, 1)
     C = composed(F3, "x1*x2 + 1", [h, h * h])
     assert not C.expand(10 ** 6).is_zero
-    hs = hitting_set_arbitrary_char(F3, 1, C.degree_bound(), 1, 2, polys=[h, h * h])
+    hs = kronecker_set([h, h * h], 1, C.degree_bound())
     v = pit(C.evaluate, hs)
     assert v.outcome == "nonzero"
     assert not F3.is_zero(C.evaluate(v.witness))
 
 
 def test_arbitrary_char_exact_mode_streams_deterministically():
-    a = hitting_set_arbitrary_char(Q, 1, 2, 1, 1, mode="exact")
-    b = hitting_set_arbitrary_char(Q, 1, 2, 1, 1, mode="exact")
+    a = hitting_set_arbitrary_char(Q, 1, 2, 1, 1)
+    b = hitting_set_arbitrary_char(Q, 1, 2, 1, 1)
     assert a.guarantee == "certified"
     first = list(itertools.islice(a.points(), 5))
     assert first == list(itertools.islice(b.points(), 5))
@@ -254,11 +257,11 @@ def test_exact_vandermonde_sets_over_f2_from_trdeg_two_are_not_certified():
     # c = 1 is the only candidate, so every point has x1 = x2, and x1 + x2
     # (1-sparse linear inputs x1, x2 of trdeg 2 under the outer y1 + y2) is
     # a nonzero member of the class that vanishes on all of them
-    hs = hitting_set_sparse_inputs(F2, 2, 1, 2, 1, 2, mode="exact")
+    hs = hitting_set_sparse_inputs(F2, 2, 1, 2, 1, 2)
     assert hs.guarantee == "corpus" and hs.provenance["char_gate"] is False
     assert all(p[0] == p[1] for p in itertools.islice(hs.points(), 200))
-    assert hitting_set_depth4(F2, 2, 1, 3, 1, mode="exact").guarantee == "corpus"
-    assert hitting_set_depth4(F2, 2, 1, 2, 1, mode="exact").guarantee == "certified"
+    assert hitting_set_depth4(F2, 2, 1, 3, 1).guarantee == "corpus"
+    assert hitting_set_depth4(F2, 2, 1, 2, 1).guarantee == "certified"
 
 
 def test_driver_answers_every_small_characteristic_instance():
@@ -280,13 +283,13 @@ def test_truncated_any_char_set_walks_the_whole_grid():
     # a degree-3 bound wants 4 values per axis and F_3 hosts 3: the simplex
     # lemma needs d + 1 values, so the whole truncated grid is walked
     xs = [poly_from_text(t, F3, 2) for t in ("x1", "x2")]
-    hs = hitting_set_arbitrary_char(F3, 2, 3, 2, 1, polys=xs)
+    hs = kronecker_set(xs, 2, 3)
     assert hs.provenance["grid_truncated"] is True
     assert hs.provenance["points"] == "grid"
     assert hs.size_bound == 3 ** 2
     pts = [tuple(int(c) for c in p) for p in hs.points()]
     assert pts == list(itertools.product(range(3), repeat=2))
-    exact = hitting_set_arbitrary_char(F3, 2, 3, 2, 1, mode="exact")
+    exact = hitting_set_arbitrary_char(F3, 2, 3, 2, 1)
     assert exact.provenance["points"] == "grid"
 
 
@@ -304,18 +307,16 @@ def test_small_field_witness_off_the_simplex_is_found():
 
 def test_depth4_lifted_identity_is_zero():
     L = lifted_identity(2, Q)
-    hs = hitting_set_depth4(Q, L.nvars, L.delta, L.k, L.s, R=3, circuit=L)
-    v = pit(L.evaluate, hs)
+    v = pit_circuit(L, R=3)
     assert v.outcome == "zero"
     assert v.points_checked == 15
     assert v.guarantee == "corpus"
-    assert hs.provenance["construction"] == "depth4"
+    assert v.provenance["construction"] == "depth4"
 
 
 def test_depth4_cancelling_rows_are_zero():
     C = cancelling_depth4(4)
-    hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C)
-    v = pit(C.evaluate, hs)
+    v = pit_circuit(C)
     assert v.outcome == "zero"
     assert v.points_checked == 28
 
@@ -323,17 +324,16 @@ def test_depth4_cancelling_rows_are_zero():
 def test_depth4_random_nonzero_agree_with_expand():
     for seed in range(10):
         C = rand_depth4(seed)
-        hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C, seed=seed)
-        v = pit(C.evaluate, hs)
+        v = pit_circuit(C, seed=seed)
         assert (v.outcome == "zero") == C.expand(10 ** 6).is_zero
 
 
 def test_depth4_exact_mode_top_fanin_two():
     # k=2 pins the rank bound at 1 and needs no characteristic gate
-    hs = hitting_set_depth4(Q, 2, 1, 2, 1, mode="exact")
+    hs = hitting_set_depth4(Q, 2, 1, 2, 1)
     assert hs.guarantee == "certified"
     assert hs.provenance["schedule"]["r"] == 1
-    hs2 = hitting_set_depth4(F2, 2, 1, 2, 1, mode="exact")
+    hs2 = hitting_set_depth4(F2, 2, 1, 2, 1)
     assert hs2.provenance["schedule"]["r"] == 1
 
 
@@ -341,8 +341,7 @@ def test_pit_deterministic_reruns():
     C = rand_depth4(5)
     runs = []
     for _ in range(2):
-        hs = hitting_set_depth4(C.field, C.nvars, C.delta, C.k, C.s, circuit=C, seed=5)
-        v = pit(C.evaluate, hs)
+        v = pit_circuit(C, seed=5)
         runs.append(json.dumps(v.to_json_dict(C.field), sort_keys=True))
     assert runs[0] == runs[1]
 

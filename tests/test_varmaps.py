@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,11 +9,15 @@ from _gen import rand_poly
 from pitkit.fields import FieldError, FieldSpec
 from pitkit.independence import trdeg, verify_trdeg_certificate
 from pitkit.polynomials import SparsePoly, poly_from_text, poly_to_text
+from pitkit.primes import primes_in
 from pitkit.varmaps import (
     KroneckerMap,
+    SearchExhausted,
     VandermondeMap,
     ceil_log2,
     conjectured_rank_bound,
+    family_sizes,
+    first_certified,
     map_from_json_dict,
     schedule,
     search_kronecker_map,
@@ -247,3 +252,39 @@ def test_search_determinism():
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
         b.to_json_dict(), sort_keys=True
     )
+
+
+def test_exact_psi_search_takes_the_first_certified_map_of_the_schedule():
+    # (x1 - 1)(x2 - 1) and x3^2 over F_101, trdeg 2: the exact search walks
+    # schedule("sparse-char0", ...).maps(field, n) and stops at the first
+    # map whose images keep trdeg 2; every earlier map loses it
+    fs = [P("x1*x2 - x1 - x2 + 1", 3, F101), P("x3^2", 3, F101)]
+    res = search_vandermonde_map(fs, mode="exact")
+    delta, ell = family_sizes(fs)
+    sched = schedule("sparse-char0", n=3, delta=delta, r=2, d=2, ell=ell)
+    walked = list(itertools.islice(sched.maps(F101, 3), res.candidates_tried))
+    assert res.candidates_tried == 102
+    assert walked[-1].to_json_dict() == res.map.to_json_dict()
+    assert all(trdeg([mp.apply(f) for f in fs]).r < 2 for mp in walked[:-1])
+
+
+def test_schedule_maps_match_count_and_arity():
+    for kind, kw in (("any-char", {"r": 2, "d": 1}), ("sparse-char0", {"r": 1, "d": 1, "ell": 1}),
+                     ("depth4", {"k": 2, "s": 1})):
+        sched = schedule(kind, n=2, delta=1, **kw)
+        maps = list(itertools.islice(sched.maps(F101, 2), 10 ** 4))
+        # F_101 caps the c sample at 100 per prime, far below h1_size
+        assert len(maps) < sched.count(2)
+        assert {mp.nvars_out for mp in maps} == {sched.w(2)}
+    # one map per prime up to p_max and per c; count is p_max * h1_size
+    sched = schedule("any-char", n=1, delta=1, r=1, d=1)
+    walked = sum(1 for _ in sched.maps(Q, 1))
+    assert walked == len(primes_in(sched.p_max)) * sched.h1_size < sched.count(1)
+
+
+def test_first_certified_returns_the_first_proof():
+    assert first_certified(iter("abcd"), lambda m: m.upper() if m > "b" else None,
+                           "toy", 7) == ("c", "C", 3)
+    with pytest.raises(SearchExhausted, match="no certified toy map after 4 candidates "
+                                              r"\(p bound 7\)"):
+        first_certified(iter("abcd"), lambda m: None, "toy", 7)
