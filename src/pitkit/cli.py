@@ -291,7 +291,11 @@ def cmd_faithful(args) -> int:
     if args.kind == "phi":
         found = search_kronecker_map(fs, r=args.r, mode=args.mode, seed=args.seed)
     elif args.kind == "psi":
-        found = search_vandermonde_map(fs, r=args.r, mode=args.mode, seed=args.seed)
+        try:
+            found = search_vandermonde_map(fs, r=args.r, mode=args.mode, seed=args.seed)
+        except FieldError as e:
+            # the family is well formed, its field is unsupported
+            return _fail(str(e), EXIT_ERROR)
     else:
         raise _InputError("--kind must be 'phi' or 'psi'")
     _emit(

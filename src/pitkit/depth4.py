@@ -15,17 +15,9 @@ import random
 from functools import partial
 
 from .circuits import DEFAULT_EXPAND_BUDGET, Depth4Circuit
-from .independence import (
-    _random_point,
-    _subseed,
-    jacobian,
-    randomized_rank,
-    trdeg,
-    upper_bound_certificate,
-)
+from .independence import _random_point, _subseed, evaluated_rank, jacobian, trdeg
 from .polynomials import (
     BudgetExceeded,
-    ExactDivisionError,
     SparsePoly,
     _prepare_point,
     divide_exact,
@@ -51,69 +43,51 @@ class CoprimeBasis:
         self.row_scalars = tuple(row_scalars)
 
 
-def _refine_pairwise_coprime(polys):
-    """Split the given monic polynomials until pairwise coprime.
-
-    Replaces any pair (a, b) with a common factor g by {g, a/g, b/g}; the
-    total degree of the pool strictly drops each round, so this terminates.
-    """
-    basis = sorted(set(polys), key=lambda f: f.sort_key())
-    while True:
-        replaced = False
-        for ai in range(len(basis)):
-            for bi in range(ai + 1, len(basis)):
-                a, b = basis[ai], basis[bi]
-                g = gcd_poly(a, b)
-                if g.is_constant:
-                    continue
-                pool = set(basis)
-                pool.discard(a)
-                pool.discard(b)
-                pool.add(g)
-                qa = divide_exact(a, g)
-                if not qa.is_constant:
-                    pool.add(normalize_monic(qa))
-                qb = divide_exact(b, g)
-                if not qb.is_constant:
-                    pool.add(normalize_monic(qb))
-                basis = sorted(pool, key=lambda f: f.sort_key())
-                replaced = True
-                break
-            if replaced:
-                break
-        if not replaced:
-            return basis
-
-
 def coprime_basis(C: Depth4Circuit) -> CoprimeBasis:
-    field = C.field
-    monic_factors = []
-    for row in C.rows:
-        for f in row:
-            if not f.is_constant:
-                monic_factors.append(normalize_monic(f))
-    basis = _refine_pairwise_coprime(monic_factors)
+    """The pairwise-coprime basis of the circuit's factors, by factor
+    refinement that carries each row's exponents (Bach, Driscoll and
+    Shallit, "Factor refinement", J. Algorithms 1993).
 
-    row_exponents = []
+    Every distinct monic factor starts on a worklist with its multiplicity
+    in each row.  An element a taken from the list is checked against the
+    elements already known to be pairwise coprime; at the first b with a
+    nonconstant g = gcd(a, b), b leaves that set and g, a/g and b/g go on
+    the list, with exponents from a^ea b^eb = g^(ea+eb) (a/g)^ea (b/g)^eb
+    (a constant quotient is dropped).  Each split lowers the total degree
+    of the list and the set, so this terminates.  Row scalars are the
+    leading coefficients the factors lose to being made monic.
+    """
+    field, k = C.field, C.k
+    todo = {}
     row_scalars = []
-    for row in C.rows:
-        exps = [0] * len(basis)
+    for i, row in enumerate(C.rows):
         scalar = field.one()
         for f in row:
-            work = f
-            for bi, b in enumerate(basis):
-                while True:
-                    try:
-                        work = divide_exact(work, b)
-                    except ExactDivisionError:
-                        break
-                    exps[bi] += 1
-            if not work.is_constant:
-                raise AssertionError("coprime basis failed to exhaust a factor")
-            scalar = field.mul(scalar, work.constant_term())
-        row_exponents.append(exps)
+            scalar = field.mul(scalar, f.leading_coefficient())
+            if not f.is_constant:
+                todo.setdefault(normalize_monic(f), [0] * k)[i] += 1
         row_scalars.append(scalar)
-    return CoprimeBasis(basis, row_exponents, row_scalars)
+    todo = list(todo.items())
+    done = []
+    while todo:
+        a, ea = todo.pop()
+        for j, (b, eb) in enumerate(done):
+            g = gcd_poly(a, b)
+            if g.is_constant:
+                continue
+            del done[j]
+            todo.append((g, [x + y for x, y in zip(ea, eb)]))
+            for u, eu in ((a, ea), (b, eb)):
+                q = divide_exact(u, g)
+                if not q.is_constant:
+                    todo.append((q, eu))
+            break
+        else:
+            done.append((a, ea))
+    done.sort(key=lambda be: be[0].sort_key())
+    return CoprimeBasis(
+        [b for b, _ in done], [[eb[i] for _, eb in done] for i in range(k)], row_scalars
+    )
 
 
 def _min_exponents(cb: CoprimeBasis):
@@ -193,23 +167,23 @@ def rank(C: Depth4Circuit, seed: int = 0) -> int:
     return cert.r
 
 
-def verify_simple_preservation(
-    C: Depth4Circuit, mp: VandermondeMap, budget: int = DEFAULT_EXPAND_BUDGET
-) -> bool:
+def verify_simple_preservation(C: Depth4Circuit, mp: VandermondeMap) -> bool:
     """Does mapping commute with taking simple parts on this circuit?
 
     True exactly when the image of simple_part(C) equals simple_part of the
-    image circuit up to a unit, with no factor of C mapped to zero.  The
-    map must satisfy D1 >= 2*delta^2 + 1 and D1 >= D2 >= delta + 1, the
-    regime in which preservation can hold at all for degree-delta factors.
+    image circuit up to a unit, with no factor of C mapped to zero.  A
+    simple part is a tuple of rows, not their sum, so a map that sends the
+    circuit to zero preserves nothing by that alone.  The map must satisfy
+    D1 >= 2*delta^2 + 1 and D1 >= D2 >= delta + 1, the regime in which
+    preservation can hold at all for degree-delta factors.
 
     Criterion: no factor of C maps to zero, and h = gcd_i psi(sim_i) is
-    constant or sum_i psi(sim_i) = 0, where sim_i are the rows of
-    simple_part(C).  Proof: row i of C is g * sim_i and psi is a ring
-    homomorphism, so the rows of psi(C) are psi(g) * psi(sim_i) and
-    simple_part(psi(C)) = psi(sim) / h up to a unit.  That equals psi(sim)
-    up to a unit iff h is constant or both sides are zero.  Neither
-    simple part of the image is computed; see _preserves_simple_part.
+    constant, where sim_i are the rows of simple_part(C).  Proof: row i of
+    C is g * sim_i and psi is a ring homomorphism, so the rows of psi(C)
+    are psi(g) * psi(sim_i) and simple_part(psi(C)) = psi(sim) / h up to a
+    unit, row by row.  That equals psi(sim) up to a unit iff h is
+    constant.  Neither simple part of the image is computed; see
+    _preserves_simple_part.
     """
     delta = C.delta
     if mp.D1 < 2 * delta * delta + 1 or mp.D2 < delta + 1 or mp.D1 < mp.D2:
@@ -217,7 +191,7 @@ def verify_simple_preservation(
     if mp.n != C.nvars or mp.field != C.field:
         raise ValueError("map does not match the circuit ring")
     image = _memo_apply(mp)
-    return _preserves_simple_part(C, simple_part(C), image, _zero_test(mp, image, 0), budget)
+    return _preserves_simple_part(C, simple_part(C), image, _zero_test(mp, image, 0))
 
 
 def _memo_apply(mp):
@@ -247,7 +221,7 @@ def _zero_test(mp, image, seed):
     return lambda f: not f._eval_prepared(x) and image(f).is_zero
 
 
-def _preserves_simple_part(C, sim, image, maps_to_zero, budget):
+def _preserves_simple_part(C, sim, image, maps_to_zero):
     """The criterion of verify_simple_preservation, for sim = simple_part(C),
     image = psi applied to one polynomial and maps_to_zero(f) = psi(f) == 0
     (see _zero_test).
@@ -255,8 +229,7 @@ def _preserves_simple_part(C, sim, image, maps_to_zero, budget):
     h = gcd_i psi(sim_i) is nonconstant iff some irreducible divides a
     factor image in every row.  So the test carries the nonconstant gcds of
     one factor image per row, row by row, never a gcd of expanded row
-    products; h is constant iff that set runs empty.  Only a nonconstant h
-    leaves the mapped sum to expand, and preservation then needs it zero.
+    products; h is constant iff that set runs empty.
     """
     if any(maps_to_zero(f) for row in C.rows for f in row):
         return False
@@ -270,11 +243,7 @@ def _preserves_simple_part(C, sim, image, maps_to_zero, budget):
                 if not g.is_constant:
                     shared.add(g)
         common = shared
-    if not common:
-        return True
-    rows = [[image(f) for f in row] for row in sim.rows]
-    lead = rows[0][0]
-    return Depth4Circuit(lead.field, lead.nvars, sim.delta, rows).expand(budget).is_zero
+    return not common
 
 
 def lift_identity(C: Depth4Circuit, delta_target: int) -> Depth4Circuit:
@@ -339,7 +308,8 @@ def search_depth4_map(
     the closed-form p bound.  r defaults to 1 for k = 2 (where it is proven
     sufficient) and k*s otherwise; conjecture_R opts into a smaller
     speculative bound.  Over F_2 the only c is 1, so a circuit with a
-    target min(rank, r) of 2 or more raises SearchExhausted at once.
+    target min(rank, r) of 2 or more raises SearchExhausted at once, and
+    any other one past p = 2 (see first_certified).
     """
     field, n, delta = C.field, C.nvars, C.delta
     sched = schedule(
@@ -393,11 +363,15 @@ def _certify_depth4(mp, subsets, r, seed, failed):
     Each entry of subsets is (I, C_I, sim = simple_part(C_I), the distinct
     factors of sim, their jacobian, the rank of sim).  Every distinct factor
     is mapped at most once per candidate, and all legs share the image.  A
-    rank leg holds when the images of sim's factors keep rank min(rank, r).
+    rank leg holds when the images of sim's factors keep rank min(rank, r):
+    one seeded evaluated_rank pass, with ceiling min(rank, k), reads the
+    image Jacobian through the chain rule (mp.jacobian_at on the
+    precomputed jacobian of the factors).  A miss rejects over a big
+    field; over a small field the symbolic trdeg of the images decides.
     A preservation leg holds when no factor of C_I maps to zero and
-    h = gcd_i psi(sim_i) is constant or sum_i psi(sim_i) = 0.  Proof: the rows of psi(C_I) are
+    h = gcd_i psi(sim_i) is constant.  Proof: the rows of psi(C_I) are
     psi(g) * psi(sim_i), so simple_part(psi(C_I)) = psi(sim) / h up to a
-    unit, which is psi(sim) up to a unit iff h is constant or both are zero.
+    unit, which is psi(sim) up to a unit iff h is constant.
 
     Two screens come first and evaluate nothing (README, "How candidates
     are screened").  The linear rank k of mp bounds the trdeg of every
@@ -416,39 +390,30 @@ def _certify_depth4(mp, subsets, r, seed, failed):
     # rank legs first: evaluated rank never exceeds the function-field rank,
     # which never exceeds trdeg, so meeting the target at one point already
     # proves the lower bound, and degenerate (p, c) candidates die on cheap
-    # point evaluations before the gcd-based preservation pass below.  The
-    # image Jacobian is read through the chain rule (mp.jacobian_at on the
-    # precomputed jacobian J of the factors); only the symbolic trdeg
-    # fallback needs the images themselves.
+    # point evaluations before the gcd-based preservation pass below
     field, w = mp.field, mp.nvars_out
     ch = field.characteristic
     bounds = []
     for I, sub, sim, facs, J, rho in subsets:
-        jac_at = partial(mp.jacobian_at, J)
         target = min(rho, r)
         # rho and k bound the rank of the images at every point (their trdeg
         # is at most both), so stopping there leaves the max over the trials
         # as it is
-        bound = randomized_rank(jac_at, field, w, seed=seed, ceiling=min(rho, k))
+        bound = evaluated_rank(partial(mp.jacobian_at, J), field, w, min(rho, k), seed)[0]
         if bound < target:
             if ch == 0 or ch >= (1 << 20):
                 # over a big field a candidate of full image rank passes the
                 # evaluated screen almost surely; treat the miss as a reject
                 # and let a later candidate win
                 return None
-            # images cannot gain trdeg, so rho bounds theirs; the symbolic
-            # trdeg of the images only when no seeded point reaches it
-            cert = upper_bound_certificate(jac_at, field, w, rho, seed=seed)
-            if cert is None:
-                cert = trdeg([image(f) for f in facs], mode="auto", seed=seed)
-            bound = cert.r
+            bound = trdeg([image(f) for f in facs], mode="auto", seed=seed).r
             if bound < target:
                 return None
         bounds.append(bound)
     maps_to_zero = _zero_test(mp, image, seed)
     evidence = []
     for (I, sub, sim, facs, J, rho), bound in zip(subsets, bounds):
-        if not _preserves_simple_part(sub, sim, image, maps_to_zero, DEFAULT_EXPAND_BUDGET):
+        if not _preserves_simple_part(sub, sim, image, maps_to_zero):
             failed.add(key)
             return None
         evidence.append(

@@ -67,33 +67,41 @@ def _random_point(field: FieldSpec, rng: random.Random, n: int):
     return tuple(Fraction(rng.randrange(-(10 ** 9), 10 ** 9 + 1)) for _ in range(n))
 
 
-# the seeded points randomized_rank and upper_bound_certificate try
+# the seeded points evaluated_rank tries
 _TRIALS = 4
 
 
-def randomized_rank(jac_at, field, nvars: int, seed: int = 0, ceiling: int | None = None) -> int:
-    """The rank of a Jacobian given by its values, as a lower bound: jac_at(pt)
-    is the evaluated Jacobian at a point of nvars coordinates.  Max rank
-    over _TRIALS seeded random points; never above the symbolic rank, since
-    evaluation is a specialization.
+def evaluated_rank(jac_at, field, nvars: int, ceiling: int, seed: int = 0):
+    """The rank of a Jacobian given by its values, as a lower bound, with
+    the point that shows it: (rank, pivot rows, point).  jac_at(pt) is the
+    evaluated Jacobian at a point of nvars coordinates.  The rank is the
+    max over _TRIALS seeded random points, taken at the first point that
+    reaches it; it never exceeds the symbolic rank, since evaluation is a
+    specialization.  The points are the ones a report names, so they stay
+    the stream of _subseed(seed, 2).
 
-    The trials stop once the best rank reaches min(rows, cols, ceiling).
-    No point can pass min(rows, cols).  A ceiling that bounds the rank at
+    The trials stop once the rank reaches min(rows, cols, ceiling).  No
+    point can pass min(rows, cols).  A ceiling that bounds the rank at
     every point leaves the answer equal to the max over all trials.  Such
     bounds are the trdeg of the family (an evaluated Jacobian's rank is at
     most the trdeg in every characteristic) and, for the images of an
     affine map x = b + M z, the linear rank of M (the images lie in a ring
     generated by rank(M) linear forms, so their trdeg is at most that).
-    Any other ceiling leaves min(answer, ceiling) unchanged, which is all a
-    caller that compares the answer against the ceiling reads."""
-    rng = random.Random(_subseed(seed, 1))
-    best = 0
+    Any other ceiling leaves min(rank, ceiling) unchanged, which is all a
+    caller that compares the rank against the ceiling reads.
+
+    A rank that meets a known upper bound on the trdeg (images under a
+    ring homomorphism cannot gain trdeg) proves equality in any
+    characteristic; evaluated_certificate records it."""
+    rng = random.Random(_subseed(seed, 2))
+    best = (-1, [], None)
     for _ in range(_TRIALS):
         pt = _random_point(field, rng, nvars)
         M = jac_at(pt)
-        best = max(best, linalg.rank(M, field))
-        top = min(len(M), len(M[0]) if M else 0)
-        if best >= (top if ceiling is None else min(top, ceiling)):
+        rho, pivot_rows, _ = linalg.echelon(M, field)
+        if rho > best[0]:
+            best = (rho, pivot_rows, pt)
+        if rho >= min(len(M), len(M[0]) if M else 0, ceiling):
             break
     return best
 
@@ -202,29 +210,20 @@ def trdeg(
     return _trdeg_bruteforce(fs, seed, col_budget)
 
 
-def upper_bound_certificate(jac_at, field, nvars: int, upper_bound: int, seed: int = 0):
-    """A cheap exact certificate for a family whose trdeg the caller knows
-    to be at most upper_bound (e.g. images under a ring homomorphism, which
-    cannot gain trdeg): an evaluated Jacobian of rank upper_bound proves
-    equality in any characteristic.  jac_at gives the Jacobian by its
-    values, as in randomized_rank.  The certificate of the first of
-    _TRIALS seeded points where the rank reaches upper_bound, or None."""
-    rng = random.Random(_subseed(seed, 2))
-    for _ in range(_TRIALS):
-        pt = _random_point(field, rng, nvars)
-        rho, pivot_rows, _ = linalg.echelon(jac_at(pt), field)
-        if rho >= upper_bound:
-            return TrdegCertificate(
-                rho,
-                "jacobian",
-                pivot_rows,
-                {
-                    "method": "evaluated-jacobian-meets-upper-bound",
-                    "upper_bound": upper_bound,
-                    "point": [field.scalar_to_json(v) for v in pt],
-                },
-            )
-    return None
+def evaluated_certificate(field, rank: int, pivot_rows, point) -> TrdegCertificate:
+    """The exact certificate of trdeg rank for a family whose trdeg the
+    caller knows to be at most rank: an evaluated Jacobian of that rank at
+    point, with those pivot rows (see evaluated_rank)."""
+    return TrdegCertificate(
+        rank,
+        "jacobian",
+        pivot_rows,
+        {
+            "method": "evaluated-jacobian-meets-upper-bound",
+            "upper_bound": rank,
+            "point": [field.scalar_to_json(v) for v in point],
+        },
+    )
 
 
 def _monomials_upto(nvars: int, cap: int):

@@ -38,7 +38,7 @@ from functools import partial
 
 from . import linalg
 from .fields import FieldError, FieldSpec
-from .independence import jacobian, randomized_rank, trdeg, upper_bound_certificate
+from .independence import evaluated_certificate, evaluated_rank, jacobian, trdeg
 from .polynomials import BudgetExceeded, SparsePoly, _prepare_point
 from .primes import iter_primes
 
@@ -560,27 +560,25 @@ def _certify(fs, J, mp, r0: int, seed: int):
     AffineMap.affine_summary) is below r0 is rejected before any point is
     evaluated: with M = B C and k = rank(M), every image f(b + B (C z))
     lies in F[C z], so the images have trdeg at most k.  (A Kronecker
-    candidate has k = r >= r0 and always passes.)  The evaluated legs read
-    the image Jacobian through the chain rule (mp.jacobian_at), so the
-    images mp(f) are built only when the symbolic trdeg fallback runs.
+    candidate has k = r >= r0 and always passes.)  Then one seeded
+    evaluated_rank pass reads the image Jacobian through the chain rule
+    (mp.jacobian_at): it is the rank screen and the certificate at once.
+    The images cannot gain trdeg, so a point of rank r0 proves trdeg r0.
+    A miss rejects over a big field, where a faithful candidate shows rank
+    r0 at a random point with overwhelming probability; over a small field
+    the symbolic trdeg of the images decides, and only there are the
+    images mp(f) built.
     """
     if mp.affine_summary()[0] < r0:
         return None
     field = mp.field
-    jac_at = partial(mp.jacobian_at, J)
+    rho, pivot_rows, pt = evaluated_rank(partial(mp.jacobian_at, J), field, mp.nvars_out, r0, seed)
+    if rho == r0:
+        return evaluated_certificate(field, rho, pivot_rows, pt)
     ch = field.characteristic
     if ch == 0 or ch >= (1 << 20):
-        # Evaluated-rank screen.  A faithful candidate shows rank r0 at a
-        # random point with overwhelming probability over a big field, so a
-        # candidate that misses r0 on every sampled point is rejected without
-        # paying for symbolic elimination; the next candidate takes its turn.
-        if randomized_rank(jac_at, field, mp.nvars_out, seed=seed, ceiling=r0) < r0:
-            return None
-    # images cannot gain trdeg, so r0 bounds theirs; the symbolic trdeg of
-    # the images only when no seeded point reaches it
-    cert = upper_bound_certificate(jac_at, field, mp.nvars_out, r0, seed=seed)
-    if cert is None:
-        cert = trdeg([mp.apply(f) for f in fs], mode="auto", seed=seed)
+        return None
+    cert = trdeg([mp.apply(f) for f in fs], mode="auto", seed=seed)
     if cert.exact and cert.r == r0:
         return cert
     return None
@@ -609,9 +607,17 @@ def first_certified(maps, certify, name, p_max):
     """The first map of maps that certify proves: (map, proof, tried), where
     proof = certify(map) is not None and tried counts the candidates up to
     and including it.  Raises SearchExhausted when maps runs out; name and
-    the p bound p_max go into its message."""
+    the p bound p_max go into its message.  Over F_2 the only c is 1, and
+    every power of 1 is 1, so every prime repeats the maps of p = 2: the
+    search walks p = 2 only and raises SearchExhausted at the first map
+    with p > 2."""
     tried = 0
     for mp in maps:
+        if mp.field.characteristic == 2 and mp.p > 2:
+            raise SearchExhausted(
+                "no certified %s map over F_2 after %d candidates: every prime "
+                "repeats the maps of p = 2" % (name, tried)
+            )
         tried += 1
         proof = certify(mp)
         if proof is not None:
@@ -639,7 +645,8 @@ def search_kronecker_map(fs, r: int | None = None, mode: str = "adaptive", seed:
     images provably keep the transcendence degree wins.  Exact mode walks
     the closed-form family, schedule("any-char", ...).maps(field, n), whose
     c sample per prime is the full h1 budget.  Works in any
-    characteristic.  Raises SearchExhausted past the closed-form p bound.
+    characteristic.  Raises SearchExhausted past the closed-form p bound,
+    or over F_2 past p = 2 (see first_certified).
     input_cert, when given, must be trdeg(fs, mode="auto", seed=seed); the
     search then does not compute it again.
     """
@@ -671,7 +678,8 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     primes, then c ascending.  Adaptive mode uses the smallest D1, D2 the
     faithfulness argument allows; exact mode walks the closed-form family,
     schedule("sparse-char0", ...).maps(field, n).  Raises SearchExhausted
-    past the p bound.  input_cert as in search_kronecker_map.
+    past the p bound, or over F_2 past p = 2 (see first_certified).
+    input_cert as in search_kronecker_map.
     """
     input_cert, r = _search_start(fs, r, mode, seed, input_cert)
     field, n = fs[0].field, fs[0].nvars

@@ -308,6 +308,48 @@ def test_pit_depth4_over_f2_of_rank_two_exits_four(tmp_path, capsys):
     assert "F_2" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("field", [Q, FieldSpec("prime", (1 << 61) - 1)], ids=["Q", "F2^61-1"])
+def test_pit_depth4_killed_by_the_first_candidate_is_nonzero(tmp_path, capsys, field):
+    # p = 2, c = 1 sends x1 and x2 to the same form, so it maps x1 - x2 to
+    # zero; that candidate keeps no simple part and must not certify a zero
+    obj = {"kind": "depth4", "field": field.to_json(), "nvars": 2, "delta": 1,
+           "rows": [["x1"], ["x2", "-1"]]}
+    path = dump(tmp_path, "difference.json", obj)
+    code, out, _ = run(capsys, ["pit", path])
+    assert code == 1 and json.loads(out)["verdict"]["outcome"] == "nonzero"
+    report = dump(tmp_path, "report.json", out)
+    code, out, _ = run(capsys, ["verify", report, "--against", path])
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
+# (x1 + 1)(x2 + 1) and x3^2 keep trdeg 2 under no c = 1 Kronecker map
+F2_PAIR = ["x1*x2 + x1 + x2 + 1", "x3^2"]
+F2_UNREACHABLE = {
+    "composed": ComposedCircuit(Circuit.from_poly(P("x1 + x2", 2, F2)),
+                                [P(t, 3, F2) for t in F2_PAIR]).to_json_dict(),
+    # c = 1 maps x1 + x2 to 2 (1 + z0 + z1) = 0
+    "depth4-killed-factor": {"kind": "depth4", "field": F2.to_json(), "nvars": 2,
+                             "delta": 1, "rows": [["x1 + x2"], ["x1"]]},
+    # c = 1 maps x1 and x2 to one form: the rows share it, nothing is kept
+    "depth4-sum": {"kind": "depth4", "field": F2.to_json(), "nvars": 2,
+                   "delta": 1, "rows": [["x1"], ["x2"]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(F2_UNREACHABLE))
+def test_f2_searches_stop_after_p_two(tmp_path, name):
+    # over F_2 every prime repeats the maps of p = 2, so a search that finds
+    # none there refuses; the failure guarded against is a hang
+    calls = [["pit", dump(tmp_path, name + ".json", F2_UNREACHABLE[name])]]
+    if name == "composed":
+        family = {"field": F2.to_json(), "nvars": 3, "polys": F2_PAIR}
+        calls.append(["faithful", dump(tmp_path, "family.json", family), "--kind", "phi"])
+    for args in calls:
+        proc = _cli_in_subprocess(args)
+        assert proc.returncode == 4 and proc.stdout == "", args
+        assert "F_2" in json.loads(proc.stderr)["error"], args
+
+
 def test_pit_over_f2_on_a_grid_too_small_for_the_degree_is_inconclusive(tmp_path, capsys):
     # x1^2 + x1 vanishes on all of F_2 but is not zero: exhausting the
     # two-value grid proves nothing, as a dag (no degree bound) and as a
@@ -526,6 +568,13 @@ def test_resource_errors_exit_four(tmp_path, capsys):
     code, _, err = run(capsys, ["faithful", tight, "--kind", "psi", "--r", "1"])
     assert code == 4
     assert "below the input transcendence degree" in json.loads(err)["error"]
+    # a Vandermonde map over F_3 cannot keep trdeg 2 of degree-2 inputs: the
+    # field is unsupported, the input well formed
+    f3 = dump(tmp_path, "f3.json", {"field": {"kind": "prime", "p": 3}, "nvars": 3,
+                                    "polys": ["x1^2 + x2", "x2*x3"]})
+    code, _, err = run(capsys, ["faithful", f3, "--kind", "psi"])
+    assert code == 4
+    assert "Vandermonde reduction needs characteristic 0" in json.loads(err)["error"]
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pitkit.circuits import DEFAULT_EXPAND_BUDGET, Depth4Circuit
+from pitkit.circuits import Depth4Circuit
 from pitkit.depth4 import (
     coprime_basis,
     gcd_part,
@@ -15,8 +15,10 @@ from pitkit.depth4 import (
     simple_part,
     verify_simple_preservation,
 )
+from pitkit.fields import FieldSpec
+from pitkit.hitting import pit_circuit
 from pitkit.linalg import rank as matrix_rank
-from pitkit.polynomials import SparsePoly, gcd_poly, normalize_monic, poly_from_text, poly_to_text
+from pitkit.polynomials import SparsePoly, gcd_poly, poly_from_text, poly_to_text
 from pitkit.varmaps import VandermondeMap, pc_candidates, schedule
 
 from _gen import (
@@ -25,10 +27,13 @@ from _gen import (
     cancelling_depth4,
     depth3_identity,
     gcd_depth4,
+    lifted_identity,
     rand_depth4,
 )
 
 Q = RATIONAL
+F3 = FieldSpec("prime", 3)
+F101 = FieldSpec("prime", 101)
 
 
 def P(text, nvars):
@@ -188,22 +193,25 @@ def test_simple_preservation_threshold():
         verify_simple_preservation(C, low)
 
 
-def _old_verify_simple_preservation(C, mp, budget=DEFAULT_EXPAND_BUDGET):
-    """The earlier definition, kept as an oracle: expand the image of the
-    simple part and the simple part of the image, compare up to a unit."""
+def _preserved_row_by_row(C, mp):
+    """The definition, kept as an oracle: no factor of C maps to zero, and
+    the simple part of the image circuit is the image of the simple part,
+    row product by row product, up to one unit."""
 
     def image_circuit(circ):
         rows = [[mp.apply(f) for f in row] for row in circ.rows]
-        return Depth4Circuit(mp.field, mp.nvars_out, C.delta, rows)
+        return Depth4Circuit(mp.field, mp.nvars_out, circ.delta, rows)
 
-    sim = simple_part(C)
     try:
-        lhs = image_circuit(sim).expand(budget)
-        rhs = simple_part(image_circuit(C)).expand(budget)
+        image = image_circuit(C)
     except ValueError:
         # the map killed a factor
         return False
-    return normalize_monic(lhs) == normalize_monic(rhs)
+    lhs = image_circuit(simple_part(C))
+    rhs = simple_part(image)
+    field = C.field
+    unit = field.div(rhs.term(0).leading_coefficient(), lhs.term(0).leading_coefficient())
+    return all(rhs.term(i) == lhs.term(i).scale(unit) for i in range(C.k))
 
 
 def _first_candidates(C, R=None):
@@ -242,7 +250,7 @@ def test_preservation_agrees_with_old_definition(field):
                 sim = simple_part(sub)
                 for mp in maps:
                     new = verify_simple_preservation(sub, mp)
-                    assert new == _old_verify_simple_preservation(sub, mp), (I, mp, mp.c)
+                    assert new == _preserved_row_by_row(sub, mp), (I, mp, mp.c)
                     pairs += 1
                     if any(f.is_zero for row in _mapped_rows(sub, mp) for f in row):
                         killed += 1
@@ -252,11 +260,27 @@ def test_preservation_agrees_with_old_definition(field):
                         h = mapped.term(0)
                         for i in range(1, mapped.k):
                             h = gcd_poly(h, mapped.term(i))
-                        # only the vanishing sum makes these preserved
-                        vanished += not h.is_constant
+                        if not h.is_constant:
+                            # the map sends the subcircuit to zero and shares
+                            # a factor between its rows: not preserved
+                            vanished += 1
+                            assert new is False, (I, mp, mp.c)
     assert pairs > 1000
     assert killed > 0
     assert vanished > 0
+
+
+def test_a_map_that_kills_the_circuit_certifies_no_zero():
+    # over F_3 the first candidate, p = 2 and c = 1, sends all three
+    # variables to one form and this nonzero circuit to zero; its rows share
+    # a factor image, so the candidate keeps no simple part
+    C = rand_depth4(2, F3, k=2, s=2, n=3, delta=1)
+    assert not C.expand().is_zero
+    first = next(_first_candidates(C))
+    assert (first.p, first.c) == (2, 1)
+    assert first.apply(full_sum(C)).is_zero
+    assert verify_simple_preservation(C, first) is False
+    assert pit_circuit(C).outcome == "nonzero"
 
 
 def test_lift_preserves_simple_minimal_identity():
@@ -311,6 +335,56 @@ def test_search_depth4_map_frozen_run():
         assert entry["image_rank_at_least"] == entry["rank"]
         assert entry["simple_part_preserved"] is True
     assert verify_simple_preservation(G, res.map) is True
+
+
+# searches over small prime fields as run before the evaluated rank screen
+# and the rank certificate became one pass: (circuit, keywords, map (r, D1,
+# D2, p, c), candidates_tried, evidence (I, rank, image_rank_at_least)).
+# Over F_101 and F_3 a rank leg can miss at every seeded point and fall
+# back to the symbolic trdeg of the images; the first, fourth and sixth
+# cases take that path.
+FROZEN_SMALL_FIELD_SEARCHES = [
+    (lifted_identity(2, F101), {"R": 3},
+     (3, 625, 3, 5, 2), 79,
+     [([0], 0, 0), ([1], 0, 0), ([2], 0, 0), ([0, 1], 2, 2), ([0, 2], 2, 2), ([1, 2], 2, 2),
+      ([0, 1, 2], 2, 2)]),
+    (gcd_depth4(0, F101, k=3), {"R": 3},
+     (3, 256, 3, 5, 2), 202,
+     [([0], 0, 0), ([1], 0, 0), ([2], 0, 0), ([0, 1], 2, 2), ([0, 2], 2, 2), ([1, 2], 3, 3),
+      ([0, 1, 2], 3, 3)]),
+    (rand_depth4(1, F101, k=2, s=2, n=3, delta=2), {},
+     (1, 16, 3, 3, 2), 20,
+     [([0], 0, 0), ([1], 0, 0), ([0, 1], 2, 2)]),
+    (rand_depth4(6, F3, k=2, s=2, n=3, delta=1), {},
+     (1, 16, 2, 3, 2), 4,
+     [([0], 0, 0), ([1], 0, 0), ([0, 1], 1, 1)]),
+    (rand_depth4(3, F3, k=2, s=2, n=3, delta=2), {},
+     (1, 16, 3, 5, 2), 6,
+     [([0], 0, 0), ([1], 0, 0), ([0, 1], 3, 2)]),
+    (lifted_identity(2, F3), {"R": 3},
+     (3, 625, 3, 7, 2), 8,
+     [([0], 0, 0), ([1], 0, 0), ([2], 0, 0), ([0, 1], 2, 2), ([0, 2], 2, 2), ([1, 2], 2, 2),
+      ([0, 1, 2], 2, 2)]),
+    (gcd_depth4(0, F3, k=3), {"R": 3},
+     (3, 256, 3, 7, 2), 8,
+     [([0], 0, 0), ([1], 0, 0), ([2], 0, 0), ([0, 1], 3, 3), ([0, 2], 3, 3), ([1, 2], 2, 2),
+      ([0, 1, 2], 3, 3)]),
+]
+
+
+@pytest.mark.parametrize("C, kw, mp, tried, evidence", FROZEN_SMALL_FIELD_SEARCHES)
+def test_small_field_depth4_searches_are_frozen(C, kw, mp, tried, evidence):
+    res = search_depth4_map(C, **kw)
+    r, D1, D2, p, c = mp
+    assert res.map.to_json_dict() == {
+        "kind": "psi", "field": C.field.to_json(), "n": C.nvars, "r": r,
+        "D1": D1, "D2": D2, "p": p, "c": c,
+    }
+    assert res.candidates_tried == tried
+    assert res.evidence == [
+        {"I": I, "rank": rho, "image_rank_at_least": bound, "simple_part_preserved": True}
+        for I, rho, bound in evidence
+    ]
 
 
 def test_search_depth4_map_deterministic():

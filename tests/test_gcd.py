@@ -1,9 +1,11 @@
 """Differential tests of the gcd core: gcd_poly (with its modular
 certificate in front of the primitive PRS), divide_exact and coprime_basis,
 against sympy over Q, F_101 and F_(2^61-1), and over F_2 and F_3 where the
-certificate's fixed point collapses and the PRS answers.
+certificate's fixed point collapses and the PRS answers.  coprime_basis is
+also compared with the pairwise refinement plus trial division it replaced.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -185,6 +187,67 @@ def test_coprime_basis_matches_sympy(field, data):
         for f in row:
             expected *= to_sympy(f)
         assert product == expected
+
+
+def refined_and_trial_divided(C):
+    """The earlier coprime_basis, kept as an oracle: refine the distinct
+    monic factors pair by pair, restarting the scan after every split,
+    then recover each row's exponents and scalar by trial division.
+    Returns (basis, row exponents, row scalars)."""
+    basis = sorted({normalize_monic(f) for row in C.rows for f in row if not f.is_constant},
+                   key=lambda f: f.sort_key())
+    split = True
+    while split:
+        split = False
+        for a, b in itertools.combinations(basis, 2):
+            g = gcd_poly(a, b)
+            if g.is_constant:
+                continue
+            pool = set(basis) - {a, b}
+            pool.add(g)
+            for q in (divide_exact(a, g), divide_exact(b, g)):
+                if not q.is_constant:
+                    pool.add(normalize_monic(q))
+            basis = sorted(pool, key=lambda f: f.sort_key())
+            split = True
+            break
+    exponents, scalars = [], []
+    for row in C.rows:
+        exps = [0] * len(basis)
+        scalar = C.field.one()
+        for f in row:
+            for i, b in enumerate(basis):
+                while True:
+                    try:
+                        f = divide_exact(f, b)
+                    except ExactDivisionError:
+                        break
+                    exps[i] += 1
+            assert f.is_constant
+            scalar = C.field.mul(scalar, f.constant_term())
+        exponents.append(tuple(exps))
+        scalars.append(scalar)
+    return tuple(basis), tuple(exponents), tuple(scalars)
+
+
+@pytest.mark.parametrize("field", [Q, F101, F3, F2], ids=["Q", "F101", "F3", "F2"])
+@given(st.data())
+def test_coprime_basis_matches_refinement_and_trial_division(field, data):
+    n = data.draw(st.integers(1, 3))
+    pool = [data.draw(polys(field, n, max_exp=2, max_terms=3, nonconstant=True))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    pick = st.sampled_from(pool)
+    factor = st.one_of(
+        pick,  # shared between rows, or repeated within one
+        st.tuples(pick, pick).map(lambda ab: ab[0] * ab[1]),
+        st.tuples(pick, st.integers(2, 3)).map(lambda fe: fe[0] ** fe[1]),
+        polys(field, n, max_exp=2, max_terms=3),  # fresh, possibly a constant
+    )
+    rows = [[data.draw(factor) for _ in range(data.draw(st.integers(1, 3)))]
+            for _ in range(data.draw(st.integers(2, 3)))]
+    C = Depth4Circuit(field, n, max(1, max(f.degree() for row in rows for f in row)), rows)
+    cb = coprime_basis(C)
+    assert (cb.basis, cb.row_exponents, cb.row_scalars) == refined_and_trial_divided(C)
 
 
 @pytest.mark.parametrize("field", [F2, F3, Q, F101, F61], ids=["F2", "F3"] + FIELD_IDS)

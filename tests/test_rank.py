@@ -3,7 +3,7 @@
 linalg's one forward elimination runs on integers: residues over F_p and
 Bareiss's fraction-free elimination over Q.  The references are textbook
 elimination in the field (Fractions over Q, residues over F_p) and sympy's
-rank and reduced row echelon form over QQ and GF(p).  randomized_rank stops
+rank and reduced row echelon form over QQ and GF(p).  evaluated_rank stops
 at a ceiling; a ceiling that bounds the rank at every point must leave its
 answer alone.
 """
@@ -24,8 +24,8 @@ from pitkit.fields import FieldSpec  # noqa: E402
 from pitkit.independence import (  # noqa: E402
     _random_point,
     _subseed,
+    evaluated_rank,
     jacobian,
-    randomized_rank,
     trdeg,
 )
 from pitkit.linalg import (  # noqa: E402
@@ -246,11 +246,12 @@ def test_rank_screen_with_a_true_ceiling_returns_the_all_trials_max(field, data)
     def jac_at(pt):
         return eval_matrix(J, pt)
 
-    rng = random.Random(_subseed(seed, 1))
+    rng = random.Random(_subseed(seed, 2))
     full = max(rank(jac_at(_random_point(field, rng, n)), field) for _ in range(4))
     assert full <= cert.r
-    assert randomized_rank(jac_at, field, n, seed=seed, ceiling=cert.r) == full
-    assert randomized_rank(jac_at, field, n, seed=seed) == full
+    assert evaluated_rank(jac_at, field, n, cert.r, seed)[0] == full
+    # a ceiling of n, the column count, stops only at min(rows, cols)
+    assert evaluated_rank(jac_at, field, n, n, seed)[0] == full
 
 
 def counting_jac_at(fs):
@@ -271,13 +272,13 @@ def test_rank_screen_stops_at_the_first_point_that_reaches_the_ceiling():
     u = x[0] * x[1]
     fs = [u, u + x[2], u * u]  # a 3 x 3 Jacobian of rank 2 = trdeg
     jac_at, calls = counting_jac_at(fs)
-    assert randomized_rank(jac_at, Q, 3, seed=5, ceiling=2) == 2
+    assert evaluated_rank(jac_at, Q, 3, 2, seed=5)[0] == 2
     assert len(calls) == 1
-    # without a ceiling only min(rows, cols) = 3 stops it, out of reach
+    # with the ceiling 3 only min(rows, cols) = 3 stops it, out of reach
     jac_at, calls = counting_jac_at(fs)
-    assert randomized_rank(jac_at, Q, 3, seed=5) == 2
+    assert evaluated_rank(jac_at, Q, 3, 3, seed=5)[0] == 2
     assert len(calls) == 4
-    # a 2 x 3 Jacobian of rank 2 stops at min(rows, cols) with no ceiling
+    # a 2 x 3 Jacobian of rank 2 stops at min(rows, cols) under the ceiling 3
     jac_at, calls = counting_jac_at([x[0], x[1] * x[2]])
-    assert randomized_rank(jac_at, Q, 3, seed=5) == 2
+    assert evaluated_rank(jac_at, Q, 3, 3, seed=5)[0] == 2
     assert len(calls) == 1

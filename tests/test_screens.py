@@ -23,7 +23,7 @@ from pitkit import depth4, linalg, varmaps  # noqa: E402
 from pitkit.circuits import Depth4Circuit  # noqa: E402
 from pitkit.depth4 import search_depth4_map, verify_simple_preservation  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
-from pitkit.independence import jacobian, randomized_rank, trdeg  # noqa: E402
+from pitkit.independence import evaluated_rank, jacobian, trdeg  # noqa: E402
 from pitkit.polynomials import poly_from_text  # noqa: E402
 from pitkit.varmaps import VandermondeMap, search_vandermonde_map  # noqa: E402
 
@@ -127,11 +127,12 @@ def test_linear_rank_bounds_image_jacobian_rank_and_trdeg(field, data):
     fs = [rand_poly(rng, field, n, 2, 3) for _ in range(data.draw(st.integers(1, 3)))]
     J = jacobian(fs)
     seed = data.draw(st.integers(0, 50))
-    # seeded points: no trial of the screen, with or without a ceiling,
-    # passes k, and a ceiling of k leaves the max over the trials as it is
-    full = randomized_rank(lambda a: mp.jacobian_at(J, a), field, mp.nvars_out, seed=seed)
-    capped = randomized_rank(lambda a: mp.jacobian_at(J, a), field, mp.nvars_out,
-                             seed=seed, ceiling=k)
+    # seeded points: no trial of the screen, with a ceiling of w (out of
+    # reach: only min(rows, cols) stops it) or of k, passes k, and a ceiling
+    # of k leaves the max over the trials as it is
+    w = mp.nvars_out
+    full = evaluated_rank(lambda a: mp.jacobian_at(J, a), field, w, w, seed)[0]
+    capped = evaluated_rank(lambda a: mp.jacobian_at(J, a), field, w, k, seed)[0]
     assert full == capped <= k
     if mp.nvars_out <= 3:
         assert trdeg([mp.apply(f) for f in fs], mode="auto", seed=seed).r <= k
@@ -242,12 +243,12 @@ def test_a_rank_leg_miss_does_not_reject_the_key(screens, monkeypatch):
     assert second.affine_summary()[1] == first.map.affine_summary()[1]
     if not screens:
         no_screens(monkeypatch)
-    real_rank = depth4.randomized_rank
+    real_rank = depth4.evaluated_rank
 
     def unlucky_first(jac_at, *args, **kw):
         mp = jac_at.func.__self__
-        return 0 if (mp.p, mp.c) == (2, 1) else real_rank(jac_at, *args, **kw)
+        return (0, [], None) if (mp.p, mp.c) == (2, 1) else real_rank(jac_at, *args, **kw)
 
-    monkeypatch.setattr(depth4, "randomized_rank", unlucky_first)
+    monkeypatch.setattr(depth4, "evaluated_rank", unlucky_first)
     found = search_depth4_map(C)
     assert (found.map.p, found.map.c, found.candidates_tried) == (2, 2, 2)

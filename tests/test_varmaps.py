@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -282,9 +283,20 @@ def test_schedule_maps_match_count_and_arity():
     assert walked == len(primes_in(sched.p_max)) * sched.h1_size < sched.count(1)
 
 
+def _toy_maps(field, ps):
+    """Stand-ins for candidate maps: first_certified reads only field and p."""
+    return [SimpleNamespace(field=field, p=p, name=name) for p, name in zip(ps, "abcd")]
+
+
 def test_first_certified_returns_the_first_proof():
-    assert first_certified(iter("abcd"), lambda m: m.upper() if m > "b" else None,
-                           "toy", 7) == ("c", "C", 3)
+    toys = _toy_maps(F101, [2, 2, 3, 3])
+    assert first_certified(iter(toys), lambda m: m.name.upper() if m.name > "b" else None,
+                           "toy", 7) == (toys[2], "C", 3)
     with pytest.raises(SearchExhausted, match="no certified toy map after 4 candidates "
                                               r"\(p bound 7\)"):
-        first_certified(iter("abcd"), lambda m: None, "toy", 7)
+        first_certified(iter(toys), lambda m: None, "toy", 7)
+    # over F_2 every prime repeats the maps of p = 2: the loop stops at p = 3
+    with pytest.raises(SearchExhausted, match="no certified toy map over F_2 after 2 "
+                                              "candidates"):
+        first_certified(iter(_toy_maps(FieldSpec("prime", 2), [2, 2, 3, 3])),
+                        lambda m: None, "toy", 7)
