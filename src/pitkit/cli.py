@@ -11,8 +11,8 @@ Input file formats:
 * polynomial family: {"field": {...}, "nvars": n, "polys": ["x1^2 + x2", ...]}
 * circuit: {"field": {...}, "nvars": n, "kind": "dag"|"depth4"|"composed", ...}
 
-Polynomial text uses variables x1..xn (or z0..zr, or t), integer or num/den
-coefficients, and the operators + - * ^.
+Polynomial text in input files uses the variables x1..xn only, integer or
+num/den coefficients, and the operators + - * ^.
 """
 
 from __future__ import annotations

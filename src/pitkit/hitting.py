@@ -122,6 +122,15 @@ MAX_GRID_AXIS = 1 << 20
 MAX_VALUE_BITS = 1 << 20
 
 
+def _check_axis(field: FieldSpec, d: int):
+    """Raise BudgetExceeded when a grid axis for total degree d would hold
+    more than MAX_GRID_AXIS values."""
+    axis = d + 1 if field.kind == "rational" else min(d + 1, field.p)
+    if axis > MAX_GRID_AXIS:
+        # the sizes themselves may be too long to print
+        raise BudgetExceeded("a grid axis exceeds the limit of %d values" % MAX_GRID_AXIS)
+
+
 def _grid_values(field: FieldSpec, d: int):
     """The first d + 1 field elements for one grid axis, and the degree
     its lattice simplex certifies: d, or None when the field has fewer
@@ -130,11 +139,8 @@ def _grid_values(field: FieldSpec, d: int):
     Raises BudgetExceeded, before building anything, when the axis would
     hold more than MAX_GRID_AXIS values.
     """
+    _check_axis(field, d)
     want = d + 1
-    axis = want if field.kind == "rational" else min(want, field.p)
-    if axis > MAX_GRID_AXIS:
-        # the sizes themselves may be too long to print
-        raise BudgetExceeded("a grid axis exceeds the limit of %d values" % MAX_GRID_AXIS)
     vals = field.sample_elements(want, start=0)
     return vals, d if len(vals) == want else None
 
@@ -325,7 +331,7 @@ def pit_circuit(
         else:
             found = search_depth4_map(circ, R=R, seed=seed, conjecture_R=conjecture_R)
             hs = _adaptive_set(found.map, "depth4", {"evidence": found.evidence},
-                               circ.delta * circ.s)
+                               circ.degree_bound())
         truncated = hs.provenance["grid_truncated"]
     elif isinstance(circ, ComposedCircuit):
         inputs = list(circ.inputs)
@@ -346,6 +352,9 @@ def pit_circuit(
         elif exact:
             hs = hitting_set_arbitrary_char(field, n, d, r0, delta)
         else:
+            # _image_set would refuse the grid axis of the map found; refuse
+            # it before the search, which can run long at such degrees
+            _check_axis(field, d)
             search = search_vandermonde_map if sparse else search_kronecker_map
             # r0 <= n: trdeg never exceeds the number of variables
             found = search(inputs, r=r0, seed=seed, input_cert=input_cert)

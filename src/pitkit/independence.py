@@ -98,7 +98,7 @@ def evaluated_rank(jac_at, field, nvars: int, ceiling: int, seed: int = 0):
     for _ in range(_TRIALS):
         pt = _random_point(field, rng, nvars)
         M = jac_at(pt)
-        rho, pivot_rows, _ = linalg.echelon(M, field)
+        rho, pivot_rows = linalg.echelon(M, field)
         if rho > best[0]:
             best = (rho, pivot_rows, pt)
         if rho >= min(len(M), len(M[0]) if M else 0, ceiling):
@@ -424,7 +424,7 @@ def verify_trdeg_certificate(
         w = cert.witness
         if w.get("method") == "evaluated-jacobian-meets-upper-bound":
             pt = [field.scalar_from_json(v) for v in w["point"]]
-            rho, prows, _ = linalg.echelon(linalg.eval_matrix(J, pt), field)
+            rho, prows = linalg.echelon(linalg.eval_matrix(J, pt), field)
             return rho == cert.r and basis == prows and cert.r in (min(m, n), upper_bound)
         rho, prows, _ = linalg.poly_matrix_rank(J)
         if rho != cert.r or basis != prows:

@@ -1,42 +1,42 @@
-"""Exact linear algebra: scalar matrices over a field, Bareiss on polynomial
-matrices.
+"""Exact linear algebra: one forward elimination, _eliminate, for scalar
+matrices over a field and for polynomial matrices.
 
-Scalar matrices go through one forward elimination on integers, _eliminate.
-Over F_p it works on residues and scales each pivot row to 1.  Over Q it
-clears the matrix of its denominators and runs Bareiss's fraction-free
-elimination (Math. Comp. 1968): every update divides exactly by the previous
-pivot, so no Fraction is built until the kernel vector.  It pivots on the
-first nonzero entry of each column, so the rows below a pivot are nonzero
+Scalar matrices are taken to integer rows first.  Over F_p _eliminate works
+on residues and scales each pivot row to 1.  Over Q it clears the matrix of
+its denominators and runs Bareiss's fraction-free elimination (Math. Comp.
+1968): after the first step every update divides exactly by the previous
+pivot, so no Fraction is built until the kernel vector.  The same Bareiss
+steps run on SparsePoly matrices over F[x] (poly_matrix_rank), where the
+exact division is divide_exact.  Scalar elimination pivots on the first
+nonzero entry of each column, so the rows below a pivot are nonzero
 multiples of those of elimination in the field, entry for entry: the zero
 pattern, the rank, the pivot rows and the kernel vector are those of
 textbook elimination.
 
-echelon and kernel_vector back-substitute its rows into the first kernel
-vector.  reduced_echelon back-reduces them to the reduced row echelon form,
-the canonical basis of a row space that the Vandermonde candidate screens
-use as the key of an affine image."""
+kernel_vector back-substitutes the echelon rows into the first kernel
+vector; echelon and rank read only the rank and the pivot rows.
+reduced_echelon back-reduces the rows to the reduced row echelon form, the
+canonical basis of a row space that the Vandermonde candidate screens use
+as the key of an affine image."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .polynomials import SparsePoly, _prepare_point, divide_exact
+from .polynomials import SparsePoly, _prepare_point
 
 
 def echelon(matrix, field):
-    """(rank, pivot_rows, kernel) of a list-of-rows matrix of raw elements.
+    """(rank, pivot_rows) of a list-of-rows matrix of raw elements.
 
     pivot_rows lists, ascending, the original indices of the rows that carry
-    the pivots, so those rows are linearly independent.  kernel is the first
-    right-kernel vector or None: columns are scanned left to right, and the
-    vector has a 1 in the first column that depends on its predecessors and
-    zeros in all later columns, so it is deterministic and minimal in column
-    order.  Its entries are raw elements (Fractions over Q).
+    the pivots, so those rows are linearly independent.
     """
     if not matrix or not matrix[0]:
-        return 0, [], None
-    return _echelon(matrix, field, False)
+        return 0, []
+    r, idx, _ = _eliminate(*_integer_rows(matrix, field), False)
+    return r, sorted(idx[:r])
 
 
 def rank(matrix, field) -> int:
@@ -45,44 +45,68 @@ def rank(matrix, field) -> int:
 
 
 def kernel_vector(matrix, field):
-    """First right-kernel vector of the matrix, or None (see echelon).
-    Elimination stops at the first dependent column."""
+    """First right-kernel vector of a list-of-rows matrix of raw elements,
+    or None.  Columns are scanned left to right, and the vector has a 1 in
+    the first column that depends on its predecessors and zeros in all later
+    columns, so it is deterministic and minimal in column order.  Its
+    entries are raw elements (Fractions over Q).
+
+    Elimination stops at the first dependent column j, so pivot k sits in
+    column k for every k < j, and j is the rank."""
     if not matrix or not matrix[0]:
         return None
-    return _echelon(matrix, field, True)[2]
+    A, p = _integer_rows(matrix, field)
+    j = _eliminate(A, p, True)[0]
+    cols = len(A[0])
+    if j == cols:
+        return None
+    # over Q the pivot rows are not scaled to 1: divide by the pivot, in
+    # Fractions, so the entries are raw elements of Q
+    kernel = [field.zero()] * cols
+    kernel[j] = field.one()
+    for k in range(j - 1, -1, -1):
+        rowk = A[k]
+        s = sum(rowk[c] * kernel[c] for c in range(k + 1, j + 1) if rowk[c] and kernel[c])
+        kernel[k] = (-s) % p if p else Fraction(-s) / rowk[k]
+    return kernel
 
 
 def _integer_rows(matrix, field):
-    """A matrix of raw elements as integer rows with the same row space:
-    the residues in [0, p) over F_p, and over Q the rows times the common
-    denominator of the entries."""
+    """(A, p): a matrix of raw elements as integer rows A with the same row
+    space, and the modulus _eliminate works with.  Over F_p the residues in
+    [0, p) and p; over Q the rows times the common denominator of the
+    entries, and 0."""
     if field.kind == "prime":
         p = field.p
-        return [[v % p if type(v) is int else field.normalize(v) for v in row] for row in matrix]
+        return [[v % p if type(v) is int else field.normalize(v) for v in row]
+                for row in matrix], p
     rows = [[v if type(v) in (Fraction, int) else field.normalize(v) for v in row]
             for row in matrix]
-    return _numerators(rows)[0]
+    return _numerators(rows)[0], 0
 
 
-def _eliminate(A, p, until_kernel):
-    """Forward elimination of the integer rows A in place; p is the modulus,
-    0 over Q.  Returns (rank, idx, pivot_cols): A[:rank] are the echelon
+def _eliminate(A, p, until_kernel, size=None):
+    """Forward elimination of the rows A in place: integers, or with p = 0
+    SparsePolys.  p is the modulus of integer residues, 0 for Bareiss over Z
+    or F[x].  Returns (rank, idx, pivot_cols): A[:rank] are the echelon
     rows, idx[i] the original index of row i, and pivot_cols the pivot
-    column of each echelon row.  With until_kernel it stops at the first
-    column without a pivot."""
+    column of each echelon row.  The pivot is the first nonzero entry of
+    its column, or with a size key the first of least size.  With
+    until_kernel it stops at the first column without a pivot."""
     rows, cols = len(A), len(A[0])
+    zero = A[0][0] - A[0][0]  # of the entries' ring
     idx = list(range(rows))
     pivot_cols = []
-    prev = 1  # over Q: the previous Bareiss pivot, which divides every update
+    prev = None  # Bareiss: the previous pivot, which divides every update
     r = 0
     for j in range(cols):
         if r == rows:
             break
-        piv = None
-        for i in range(r, rows):
-            if A[i][j]:
-                piv = i
-                break
+        nonzero = (i for i in range(r, rows) if A[i][j])
+        if size is None:
+            piv = next(nonzero, None)
+        else:
+            piv = min(nonzero, key=lambda i: size(A[i][j]), default=None)
         if piv is None:
             if until_kernel:
                 break
@@ -102,43 +126,19 @@ def _eliminate(A, p, until_kernel):
             # every row below is updated, also those with a zero in column
             # j: that keeps each entry a minor of the matrix, which is what
             # makes the division by the previous pivot exact
-            d = top[j]
+            d, right = top[j], top[j + 1:]
             for i in range(r + 1, rows):
-                x = A[i][j]
-                A[i] = [(d * a - x * b) // prev for a, b in zip(A[i], top)]
+                row = A[i]
+                x = row[j]
+                if prev is None:
+                    row[j + 1:] = [d * a - x * b for a, b in zip(row[j + 1:], right)]
+                else:
+                    row[j + 1:] = [(d * a - x * b) // prev for a, b in zip(row[j + 1:], right)]
+                row[j] = zero
             prev = d
         pivot_cols.append(j)
         r += 1
     return r, idx, pivot_cols
-
-
-def _echelon(matrix, field, until_kernel):
-    """(rank, pivot_rows, kernel) as in echelon.  With until_kernel the
-    kernel is the same, and rank and pivot_rows cover the columns left of
-    the first dependent column."""
-    p = field.p if field.kind == "prime" else 0
-    A = _integer_rows(matrix, field)
-    r, idx, pivot_cols = _eliminate(A, p, until_kernel)
-    cols = len(A[0])
-    # the first column without a pivot; every column left of it is a pivot
-    # column, so pivot k sits in column k there
-    j = 0
-    while j < r and pivot_cols[j] == j:
-        j += 1
-    kernel = None
-    if j < cols:
-        # over Q the pivot rows are not scaled to 1: divide by the pivot, in
-        # Fractions, so the entries are raw elements of Q
-        kernel = [field.zero()] * cols
-        kernel[j] = field.one()
-        for k in range(j - 1, -1, -1):
-            rowk = A[k]
-            s = 0
-            for c in range(k + 1, j + 1):
-                if rowk[c] and kernel[c]:
-                    s += rowk[c] * kernel[c]
-            kernel[k] = (-s) % p if p else Fraction(-s) / rowk[k]
-    return r, sorted(idx[:r]), kernel
 
 
 def reduced_echelon(matrix, field):
@@ -151,8 +151,7 @@ def reduced_echelon(matrix, field):
     each is made canonical, then cleared from the rows above it."""
     if not matrix or not matrix[0]:
         return 0, ()
-    p = field.p if field.kind == "prime" else 0
-    A = _integer_rows(matrix, field)
+    A, p = _integer_rows(matrix, field)
     r, _, pivot_cols = _eliminate(A, p, False)
     for k in range(r - 1, -1, -1):
         j = pivot_cols[k]
@@ -177,44 +176,15 @@ def reduced_echelon(matrix, field):
 
 
 def poly_matrix_rank(M):
-    """(rank, pivot_rows, pivot_cols) of a SparsePoly matrix.
-
-    Fraction-free elimination (Bareiss, Math. Comp. 1968): every interior
-    division is exact.  At each step the pivot is the lowest-degree nonzero
-    entry of the current column.  pivot_rows holds original row indices, so
-    the listed submatrix has a nonzero minor.
+    """(rank, pivot_rows, pivot_cols) of a SparsePoly matrix, by _eliminate's
+    Bareiss steps over F[x].  At each step the pivot is the nonzero entry of
+    least degree in the current column, the first on ties.  pivot_rows holds
+    original row indices in pivot order, so the listed submatrix has a
+    nonzero minor.
     """
     if not M or not M[0]:
         return 0, [], []
-    field, nvars = M[0][0].field, M[0][0].nvars
-    zero = SparsePoly.zero(field, nvars)
-    A = [row[:] for row in M]
-    idx = list(range(len(A)))
-    rows, cols = len(A), len(A[0])
-    prev = SparsePoly.one(field, nvars)
-    pivot_cols = []
-    r = 0
-    for j in range(cols):
-        if r == rows:
-            break
-        piv, best = None, None
-        for i in range(r, rows):
-            if not A[i][j].is_zero:
-                d = A[i][j].degree()
-                if best is None or d < best:
-                    piv, best = i, d
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            idx[r], idx[piv] = idx[piv], idx[r]
-        for i in range(r + 1, rows):
-            for c in range(j + 1, cols):
-                A[i][c] = divide_exact(A[r][j] * A[i][c] - A[i][j] * A[r][c], prev)
-            A[i][j] = zero
-        prev = A[r][j]
-        pivot_cols.append(j)
-        r += 1
+    r, idx, pivot_cols = _eliminate([row[:] for row in M], 0, False, SparsePoly.degree)
     return r, idx[:r], pivot_cols
 
 

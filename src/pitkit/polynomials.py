@@ -116,6 +116,9 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     @property
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -228,6 +231,10 @@ class SparsePoly:
                 else:
                     out[e] = acc
         return self._raw(field, self.nvars, out)
+
+    def __floordiv__(self, other):
+        """The exact quotient (divide_exact)."""
+        return divide_exact(self, other)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -658,8 +665,6 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int, style: str = "x") ->
         pos += 1
         return t
 
-    acc = SparsePoly.zero(field, nvars)
-
     def parse_factor():
         t = take()
         if t is None:
@@ -703,6 +708,10 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int, style: str = "x") ->
             break
         return tuple(exps), coeff
 
+    # the terms summed in one dict, as SparsePoly.__add__ sums them; adding
+    # each term to the polynomial so far would copy it once per term
+    terms = {}
+    zero = field.zero()
     sign = 1
     if peek() in ("+", "-"):
         sign = -1 if take() == "-" else 1
@@ -710,14 +719,18 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int, style: str = "x") ->
         exps, coeff = parse_term()
         if sign < 0:
             coeff = field.neg(coeff)
-        acc = acc + SparsePoly.monomial(field, nvars, exps, coeff)
+        c = field.add(terms.get(exps, zero), coeff)
+        if field.is_zero(c):
+            terms.pop(exps, None)
+        else:
+            terms[exps] = c
         nxt = peek()
         if nxt is None:
             break
         if nxt not in ("+", "-"):
             raise ParseError("expected '+' or '-', got %r" % nxt)
         sign = -1 if take() == "-" else 1
-    return acc
+    return SparsePoly(field, nvars, terms)
 
 
 def _coeff_text(field: FieldSpec, c) -> str:

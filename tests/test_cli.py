@@ -441,6 +441,18 @@ def test_pit_refuses_a_depth4_file_of_huge_delta(tmp_path):
     assert "schedule size" in json.loads(proc.stderr)["error"]
 
 
+def test_pit_refuses_a_composed_circuit_of_huge_degree_before_the_search(tmp_path):
+    # the grid axis for degree 10^8 is refused before the Vandermonde search,
+    # which evaluates the inputs' Jacobian at that degree and ran past 20 s
+    obj = {"kind": "composed", "field": {"kind": "rational"}, "nvars": 2,
+           "inputs": ["x1^100000000 + x2", "x2"],
+           "outer": {"nodes": [{"op": "input", "var": 0}, {"op": "input", "var": 1},
+                               {"op": "add", "args": [0, 1]}], "output": 2}}
+    proc = _pit_in_subprocess(dump(tmp_path, "huge_degree.json", obj))
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "a grid axis exceeds the limit of 1048576 values"
+
+
 def test_consecutive_main_calls_keep_no_state(tmp_path, capsys):
     # the parser is built once per process; options of one call must not
     # reach the next
@@ -535,6 +547,11 @@ def test_malformed_inputs_exit_three(tmp_path, capsys):
     badpoly = dump(tmp_path, "badpoly.json",
                    {"field": {"kind": "rational"}, "nvars": 1, "polys": ["x1 $"]})
     assert run(capsys, ["trdeg", badpoly])[0] == 3
+    # input files use x1..xn only
+    zfam = dump(tmp_path, "zfam.json",
+                {"field": {"kind": "rational"}, "nvars": 2, "polys": ["z0 + z1"]})
+    code, _, err = run(capsys, ["trdeg", zfam])
+    assert code == 3 and "unknown variable 'z0'" in json.loads(err)["error"]
     assert run(capsys, [
         "hitting-set", "--kind", "sparse-char0", "--n", "1", "--d", "2",
         "--r", "1", "--delta", "1",

@@ -1,9 +1,12 @@
-"""Differential tests of the scalar echelon and of the evaluated-rank screen.
+"""Differential tests of the scalar echelon, of the polynomial Bareiss and of
+the evaluated-rank screen.
 
 linalg's one forward elimination runs on integers: residues over F_p and
 Bareiss's fraction-free elimination over Q.  The references are textbook
 elimination in the field (Fractions over Q, residues over F_p) and sympy's
-rank and reduced row echelon form over QQ and GF(p).  evaluated_rank stops
+rank and reduced row echelon form over QQ and GF(p).  poly_matrix_rank runs
+the same elimination on polynomials; its reference is the separate loop it
+ran on before, with the pivot of least degree.  evaluated_rank stops
 at a ceiling; a ceiling that bounds the rank at every point must leave its
 answer alone.
 """
@@ -29,17 +32,18 @@ from pitkit.independence import (  # noqa: E402
     trdeg,
 )
 from pitkit.linalg import (  # noqa: E402
-    _echelon,
     echelon,
     eval_matrix,
     kernel_vector,
+    poly_matrix_rank,
     rank,
     reduced_echelon,
 )
-from pitkit.polynomials import SparsePoly  # noqa: E402
+from pitkit.polynomials import SparsePoly, divide_exact  # noqa: E402
 
 Q = FieldSpec("rational")
 F101 = FieldSpec("prime", 101)
+F2 = FieldSpec("prime", 2)
 F31 = FieldSpec("prime", (1 << 31) - 1)
 F61 = FieldSpec("prime", (1 << 61) - 1)
 FIELDS = [Q, F101, F31, F61]
@@ -92,11 +96,10 @@ def to_field(field, v):
     return v.numerator * pow(v.denominator, -1, field.p) % field.p
 
 
-def reference(matrix, field, until_kernel=False):
+def reference(matrix, field):
     """(rank, pivot_rows): elimination in the field, the first nonzero entry
     of each column as pivot (rows swapped, not rotated), the pivot row
-    scaled to 1.  With until_kernel it stops at the first column without a
-    pivot."""
+    scaled to 1."""
     p = field.p if field.kind == "prime" else None
 
     def reduce(v):
@@ -111,8 +114,6 @@ def reference(matrix, field, until_kernel=False):
             break
         piv = next((i for i in range(r, rows) if A[i][j] != 0), None)
         if piv is None:
-            if until_kernel:
-                break
             continue
         A[r], A[piv] = A[piv], A[r]
         idx[r], idx[piv] = idx[piv], idx[r]
@@ -164,17 +165,11 @@ def check_kernel(matrix, field, kernel):
 @given(data=st.data())
 def test_echelon_matches_field_elimination_and_sympy(field, large, data):
     M = data.draw(planted(field, large))
-    r, pivot_rows, kernel = echelon(M, field)
+    r, pivot_rows = echelon(M, field)
     assert (r, pivot_rows) == reference(M, field)
     assert r == sympy_rank(M, field)
     assert sympy_rank([M[i] for i in pivot_rows], field) == r
-    check_kernel(M, field, kernel)
-    assert kernel_vector(M, field) == kernel
-    # stopping at the first dependent column: same kernel, and the rank
-    # and pivot rows of the columns left of it
-    early = _echelon(M, field, True)
-    assert early[:2] == reference(M, field, until_kernel=True)
-    assert early[2] == kernel
+    check_kernel(M, field, kernel_vector(M, field))
 
 
 def sympy_rref(matrix, field):
@@ -209,6 +204,81 @@ def test_reduced_echelon_matches_sympy_rref(field, large, data):
     r, rows = reduced_echelon(M, field)
     assert (r, rows) == sympy_rref(M, field)
     assert r == echelon(M, field)[0]
+
+
+# -- the polynomial Bareiss ---------------------------------------------------
+
+
+def separate_poly_bareiss(M):
+    """The polynomial Bareiss loop poly_matrix_rank ran on before it shared
+    _eliminate with the scalar matrices, kept as the oracle: the pivot is
+    the first entry of least degree in its column, every update of a column
+    right of it is divided by the previous pivot (the polynomial 1 at the
+    first step), and pivot_rows stay in pivot order."""
+    if not M or not M[0]:
+        return 0, [], []
+    field, nvars = M[0][0].field, M[0][0].nvars
+    zero = SparsePoly.zero(field, nvars)
+    A = [row[:] for row in M]
+    idx = list(range(len(A)))
+    rows, cols = len(A), len(A[0])
+    prev = SparsePoly.one(field, nvars)
+    pivot_cols = []
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
+        piv, best = None, None
+        for i in range(r, rows):
+            if not A[i][j].is_zero:
+                d = A[i][j].degree()
+                if best is None or d < best:
+                    piv, best = i, d
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            idx[r], idx[piv] = idx[piv], idx[r]
+        for i in range(r + 1, rows):
+            for c in range(j + 1, cols):
+                A[i][c] = divide_exact(A[r][j] * A[i][c] - A[i][j] * A[r][c], prev)
+            A[i][j] = zero
+        prev = A[r][j]
+        pivot_cols.append(j)
+        r += 1
+    return r, idx[:r], pivot_cols
+
+
+@st.composite
+def poly_matrices(draw, field):
+    """A 1..4 x 1..4 SparsePoly matrix in two variables.  Its entries are
+    zero or of degree at most 2 on six monomials, so candidate pivots often
+    tie in degree, and a row below the first may be a polynomial
+    combination of rows above it, so the rank falls short."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    monos = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    nonzero = st.dictionaries(monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    terms = st.one_of(st.just({}), nonzero, nonzero, nonzero)
+
+    def entry():
+        return SparsePoly(field, 2, draw(terms))
+
+    M = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            u, v = (M[draw(st.integers(0, i - 1))] for _ in range(2))
+            a, b = entry(), entry()
+            M[i] = [a * s + b * t for s, t in zip(u, v)]
+    return M
+
+
+@pytest.mark.parametrize("field", [Q, F101, F2], ids=["Q", "F101", "F2"])
+@given(data=st.data())
+def test_poly_matrix_rank_matches_the_separate_bareiss_loop(field, data):
+    M = data.draw(poly_matrices(field))
+    before = [row[:] for row in M]
+    assert poly_matrix_rank(M) == separate_poly_bareiss(M)
+    assert M == before
 
 
 # -- the evaluated-rank screen -------------------------------------------------
