@@ -4,7 +4,9 @@ A HittingSet is a deterministic lazily-enumerated point set with a stated
 guarantee:
 
 * "certified": the closed-form construction covers the whole stated class,
-  so exhausting the enumeration proves the blackbox is the zero polynomial.
+  or the points are the circuit's own simplex (a dag's grid, or an
+  adaptive reduction that cannot reduce, below), so exhausting the
+  enumeration proves the blackbox is the zero polynomial.
 * "corpus": the points come from a map certified for one concrete input
   family (adaptive mode) or from a construction whose hypotheses could not
   be met exactly (e.g. the base field has too few elements); exhausting the
@@ -18,6 +20,14 @@ points in w variables) already see every nonzero such polynomial, and the
 set enumerates only those ("points": "simplex").  A grid truncated to a
 small field, or a grid without a degree bound, is enumerated whole
 ("points": "grid").
+
+An adaptive reduction cuts n variables down to w: w = r + 1 for a
+Vandermonde map (composed circuits, depth-4) and w = r for a Kronecker
+map.  When w >= n it cuts nothing, and comb(d + n, n) <= comb(d + w, w):
+the circuit's own simplex of total degree d in its n variables is never
+larger than a map's, needs no map search, and is certified unless the
+field truncates the axis.  pit_circuit walks it, and its provenance says
+"map": "identity" and gives w.
 
 Exact-mode enumerations are complete but their closed-form sizes are
 astronomically large for all but toy parameters; pit() therefore takes a
@@ -34,9 +44,10 @@ from .circuits import ComposedCircuit, Depth4Circuit
 from .depth4 import search_depth4_map
 from .fields import FieldSpec
 from .independence import trdeg
-from .polynomials import BudgetExceeded
+from .polynomials import MAX_VALUE_BITS, BudgetExceeded
 from .varmaps import (
     family_sizes,
+    map_arity,
     schedule,
     search_kronecker_map,
     search_vandermonde_map,
@@ -115,11 +126,10 @@ def pit(oracle, hs: HittingSet, max_points=None) -> PitVerdict:
     return PitVerdict("zero", None, None, checked, hs.guarantee, hs.provenance)
 
 
-# The largest grid axis any hitting set builds, and the largest value, in
-# bits, pit_circuit evaluates a dag to over Q; past either the input is
-# refused with BudgetExceeded before anything is built.
+# The largest grid axis any hitting set builds; past it (or past
+# MAX_VALUE_BITS for a dag's values over Q) the input is refused with
+# BudgetExceeded before anything is built.
 MAX_GRID_AXIS = 1 << 20
-MAX_VALUE_BITS = 1 << 20
 
 
 def _check_axis(field: FieldSpec, d: int):
@@ -216,17 +226,18 @@ def _image_set(field, n, provenance, maps, count, w, d, certified):
     maps: mp.point_images(a) for every map mp of maps() (count of them, each
     of w output variables) and every a of the simplex of total degree d in
     the grid with d + 1 values per axis, or of the whole grid when the
-    field truncates the axis.  Certified when certified is true and the
-    axis is whole.  provenance gains "grid_truncated" and "points"."""
+    field truncates the axis; maps=None is the identity (w = n, count 1).
+    Certified when certified is true and the axis is whole.  provenance
+    gains "grid_truncated" and "points"."""
     grid, d = _grid_values(field, d)
     provenance = dict(
         provenance, grid_truncated=d is None, points="grid" if d is None else "simplex"
     )
 
     def factory():
-        for mp in maps():
-            for a in _lattice(grid, w, d):
-                yield mp.point_images(a)
+        if maps is None:
+            return _lattice(grid, w, d)
+        return (mp.point_images(a) for mp in maps() for a in _lattice(grid, w, d))
 
     return HittingSet(
         field,
@@ -252,6 +263,14 @@ def _adaptive_set(mp, construction, evidence, d):
     provenance = dict(evidence, construction=construction, mode="adaptive",
                       map=mp.to_json_dict())
     return _image_set(mp.field, mp.n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False)
+
+
+def _identity_set(field, n, construction, w, d):
+    """The certified set of an adaptive reduction to w >= n variables,
+    which cuts nothing: the circuit's own simplex of total degree d, no
+    larger than a map's (module docstring) and found without a search."""
+    provenance = {"construction": construction, "mode": "adaptive", "map": "identity", "w": w}
+    return _image_set(field, n, provenance, None, 1, n, d, True)
 
 
 def hitting_set_sparse_inputs(field: FieldSpec, n: int, d: int, r: int, delta: int,
@@ -308,11 +327,15 @@ def pit_circuit(
     r0 = 0 makes it a constant, decided by one evaluation; otherwise its
     points come from the sparse-input (Vandermonde) construction when a
     Vandermonde reduction applies, else from the any-characteristic
-    (Kronecker) one.  Exact mode walks the closed-form hitting set; adaptive
-    mode searches one map certified for this circuit (the searches start
-    from the trdeg certificate) and walks its images.  A plain dag runs
-    over the simplex of the grid sized to its syntactic degree, in either
-    mode.
+    (Kronecker) one.  Exact mode walks the closed-form hitting set.
+    Adaptive mode first takes the map's output arity w (r + 1 for depth-4
+    with the schedule's rank bound r, r0 + 1 for a Vandermonde map, r0 for
+    a Kronecker one).  When w >= n no map can reduce, and it walks the
+    circuit's own simplex of degree degree_bound(), certified, with
+    "map": "identity" in the provenance.  Otherwise it searches one map
+    certified for this circuit (the searches start from the trdeg
+    certificate) and walks its images.  A plain dag runs over the simplex
+    of the grid sized to its syntactic degree, in either mode.
 
     A grid too small for the degree (truncated to a small field, or a dag
     grid without its degree bound) cannot see every nonzero polynomial, so
@@ -329,9 +352,14 @@ def pit_circuit(
             hs = hitting_set_depth4(field, n, circ.delta, circ.k, circ.s, R=R,
                                     conjecture_R=conjecture_R)
         else:
-            found = search_depth4_map(circ, R=R, seed=seed, conjecture_R=conjecture_R)
-            hs = _adaptive_set(found.map, "depth4", {"evidence": found.evidence},
-                               circ.degree_bound())
+            w = schedule("depth4", n=n, delta=circ.delta, k=circ.k, s=circ.s, r=R,
+                         conjecture_R=conjecture_R).w(n)
+            if w >= n:
+                hs = _identity_set(field, n, "depth4", w, circ.degree_bound())
+            else:
+                found = search_depth4_map(circ, R=R, seed=seed, conjecture_R=conjecture_R)
+                hs = _adaptive_set(found.map, "depth4", {"evidence": found.evidence},
+                                   circ.degree_bound())
         truncated = hs.provenance["grid_truncated"]
     elif isinstance(circ, ComposedCircuit):
         inputs = list(circ.inputs)
@@ -352,15 +380,20 @@ def pit_circuit(
         elif exact:
             hs = hitting_set_arbitrary_char(field, n, d, r0, delta)
         else:
-            # _image_set would refuse the grid axis of the map found; refuse
-            # it before the search, which can run long at such degrees
-            _check_axis(field, d)
-            search = search_vandermonde_map if sparse else search_kronecker_map
-            # r0 <= n: trdeg never exceeds the number of variables
-            found = search(inputs, r=r0, seed=seed, input_cert=input_cert)
-            evidence = {"image_certificate": found.image_cert.to_json_dict()}
-            hs = _adaptive_set(found.map, "sparse-char0" if sparse else "any-char",
-                               evidence, d)
+            construction = "sparse-char0" if sparse else "any-char"
+            w = map_arity(construction, r0, n)
+            if w >= n:
+                hs = _identity_set(field, n, construction, w, d)
+            else:
+                # _image_set would refuse the grid axis of the map found;
+                # refuse it before the search, which can run long at such
+                # degrees
+                _check_axis(field, d)
+                search = search_vandermonde_map if sparse else search_kronecker_map
+                # r0 <= n: trdeg never exceeds the number of variables
+                found = search(inputs, r=r0, seed=seed, input_cert=input_cert)
+                evidence = {"image_certificate": found.image_cert.to_json_dict()}
+                hs = _adaptive_set(found.map, construction, evidence, d)
         truncated = hs.provenance["grid_truncated"]
     else:
         d = max(1, circ.syntactic_degree())

@@ -61,10 +61,14 @@ def _subseed(seed: int, salt: int) -> int:
     return (seed * 1_000_003 + salt * 7_919 + 12_345) % (1 << 62)
 
 
+# the coordinates of a seeded point over Q lie in [-POINT_BOUND, POINT_BOUND]
+POINT_BOUND = 10 ** 9
+
+
 def _random_point(field: FieldSpec, rng: random.Random, n: int):
     if field.kind == "prime":
         return tuple(rng.randrange(field.p) for _ in range(n))
-    return tuple(Fraction(rng.randrange(-(10 ** 9), 10 ** 9 + 1)) for _ in range(n))
+    return tuple(Fraction(rng.randrange(-POINT_BOUND, POINT_BOUND + 1)) for _ in range(n))
 
 
 # the seeded points evaluated_rank tries

@@ -29,6 +29,13 @@ class BudgetExceeded(RuntimeError):
     """A size budget was hit; the caller should switch strategy (e.g. PIT)."""
 
 
+# The largest value, in bits, pitkit evaluates a polynomial to over Q: a
+# dag on its grid (hitting.pit_circuit) and a family at a seeded point
+# (varmaps.search_vandermonde_map); past it the input is refused with
+# BudgetExceeded before any evaluation.
+MAX_VALUE_BITS = 1 << 20
+
+
 class ParseError(ValueError):
     pass
 

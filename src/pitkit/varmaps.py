@@ -38,8 +38,8 @@ from functools import partial
 
 from . import linalg
 from .fields import FieldError, FieldSpec
-from .independence import evaluated_certificate, evaluated_rank, jacobian, trdeg
-from .polynomials import BudgetExceeded, SparsePoly, _prepare_point
+from .independence import POINT_BOUND, evaluated_certificate, evaluated_rank, jacobian, trdeg
+from .polynomials import MAX_VALUE_BITS, BudgetExceeded, SparsePoly, _prepare_point
 from .primes import iter_primes
 
 
@@ -51,6 +51,14 @@ def ceil_log2(x: int) -> int:
 
 class SearchExhausted(RuntimeError):
     """Candidate enumeration hit its bound without certifying a map."""
+
+
+def map_arity(kind: str, r: int, n: int) -> int:
+    """The number of output variables of a map of the family kind that keeps
+    trdeg (or rank) r of inputs in n variables: min(r, n) for a Kronecker
+    map ("any-char"), r + 1 for a Vandermonde one ("sparse-char0",
+    "depth4")."""
+    return min(r, n) if kind == "any-char" else r + 1
 
 
 class ParamSchedule:
@@ -90,7 +98,7 @@ class ParamSchedule:
 
     def w(self, n: int) -> int:
         """The number of output variables of every map of the family."""
-        return min(self.r, n) if self.kind == "any-char" else self.r + 1
+        return map_arity(self.kind, self.r, n)
 
     def count(self, n: int) -> int:
         """A bound on the number of maps maps(field, n) yields: p_max * h1_size
@@ -679,12 +687,20 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     faithfulness argument allows; exact mode walks the closed-form family,
     schedule("sparse-char0", ...).maps(field, n).  Raises SearchExhausted
     past the p bound, or over F_2 past p = 2 (see first_certified).
+    Over Q it raises BudgetExceeded, before any candidate, when delta
+    times the bits of a seeded point coordinate exceeds MAX_VALUE_BITS:
+    the Jacobian is evaluated at such points.
     input_cert as in search_kronecker_map.
     """
     input_cert, r = _search_start(fs, r, mode, seed, input_cert)
     field, n = fs[0].field, fs[0].nvars
     r0 = input_cert.r
     delta, ell = family_sizes(fs)
+    if field.kind == "rational" and delta * POINT_BOUND.bit_length() > MAX_VALUE_BITS:
+        raise BudgetExceeded(
+            "Jacobian values at a seeded point may exceed the limit of %d bits"
+            % MAX_VALUE_BITS
+        )
     if not vandermonde_applies(field, delta, r0):
         raise FieldError(
             "Vandermonde reduction needs characteristic 0 or > delta^r, "

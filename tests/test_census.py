@@ -1,0 +1,143 @@
+"""A census of tiny depth-4 circuits: every circuit of a small family, not a
+sample, goes through pit_circuit and is checked against its expansion.
+
+The family: k rows of s linear factors a_1 x_1 + ... + a_n x_n + a_0, every
+a_i in {-1, 0, 1} and some a_i with i >= 1 nonzero, rows and circuits taken
+as multisets (the sum does not depend on their order).  k = 1 is left out:
+a one-row circuit is a product of nonzero factors, and the depth-4
+schedule starts at k = 2.  For n = 2 every map has w >= n variables and
+pit walks the circuit's own simplex; the n = 3, k = 2 slice has w = 2 < n,
+so the map search runs.
+
+Reports also make the round trip through the CLI: `pitkit pit`, then
+`pitkit verify` of the report (accepted), of the report with its outcome
+flipped (rejected) and, for a zero found through a map, of the report
+rewritten to claim the identity simplex (rejected).  The round trip costs
+a few file writes and reads per report, so it takes every zero,
+inconclusive and map-search report, and every STRIDE-th nonzero report of
+the identity slices; the full round trip of every circuit takes about 20 s.
+"""
+
+import itertools
+import json
+import math
+
+import pytest
+
+from pitkit.circuits import Depth4Circuit
+from pitkit.cli import main
+from pitkit.fields import FieldSpec
+from pitkit.hitting import pit_circuit
+from pitkit.polynomials import SparsePoly
+from pitkit.varmaps import SearchExhausted
+
+FIELDS = {"F2": FieldSpec("prime", 2), "F3": FieldSpec("prime", 3), "Q": FieldSpec("rational")}
+
+# (n, k, s, the number of circuits taken in enumeration order, or None for all)
+SLICES = [(2, 2, 1, None), (2, 3, 1, None), (2, 2, 2, 60), (3, 2, 1, 60)]
+
+# the CLI's default pit config, as a report holds it
+CONFIG = {"mode": "adaptive", "seed": 0, "max_points": 200_000, "R": None,
+          "conjecture_R": False}
+
+STRIDE = 32
+
+
+def linear_factors(field, n):
+    """The distinct nonconstant polynomials of degree 1 whose coefficients
+    are -1, 0 or 1, in a fixed order."""
+    out, seen = [], set()
+    for coeffs in itertools.product((0, 1, -1), repeat=n + 1):
+        terms = {}
+        for i, c in enumerate(coeffs):
+            if field.is_zero(field.from_int(c)):
+                continue
+            e = [0] * n
+            if i:
+                e[i - 1] = 1
+            terms[tuple(e)] = field.from_int(c)
+        f = SparsePoly(field, n, terms)
+        if f.degree() == 1 and f not in seen:
+            seen.add(f)
+            out.append(f)
+    return out
+
+
+def census(field, n, k, s, cap):
+    rows = itertools.combinations_with_replacement(linear_factors(field, n), s)
+    circuits = itertools.combinations_with_replacement(list(rows), k)
+    for rs in itertools.islice(circuits, cap):
+        yield Depth4Circuit(field, n, 1, rs)
+
+
+def cli(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def forged_identity(report, n, d):
+    """A zero report of a map search rewritten to claim that no map was
+    needed: the circuit's own certified simplex of degree d."""
+    verdict, prov = report["verdict"], report["verdict"]["provenance"]
+    provenance = {
+        "construction": prov["construction"], "mode": "adaptive", "map": "identity",
+        "w": prov["map"]["r"] + 1, "grid_truncated": False, "points": "simplex",
+    }
+    return dict(report, verdict=dict(verdict, guarantee="certified", provenance=provenance,
+                                     points_checked=math.comb(d + n, n)))
+
+
+def flipped(report, n):
+    """The report with its outcome flipped: zero to nonzero (witness at the
+    origin), anything else to zero."""
+    if report["verdict"]["outcome"] == "zero":
+        change = {"outcome": "nonzero", "witness": [0] * n, "value": 1}
+    else:
+        change = {"outcome": "zero", "witness": None, "value": None}
+    return dict(report, verdict=dict(report["verdict"], **change))
+
+
+def round_trip(capsys, tmp_path, C, verdict, identity):
+    """`pitkit pit` on C gives verdict; `pitkit verify` accepts its report
+    and rejects the forgeries."""
+    n = C.nvars
+    circ_path = str(tmp_path / "circuit.json")
+    report_path = str(tmp_path / "report.json")
+    with open(circ_path, "w") as fh:
+        fh.write(json.dumps(C.to_json_dict()))
+    _, out = cli(capsys, ["pit", circ_path])
+    report = json.loads(out)
+    assert report["verdict"] == verdict
+    forged = [flipped(report, n)]
+    if verdict["outcome"] == "zero" and not identity:
+        forged.append(forged_identity(report, n, C.degree_bound()))
+    for rep, want in [(report, 0)] + [(f, 4) for f in forged]:
+        with open(report_path, "w") as fh:
+            fh.write(json.dumps(rep))
+        code, out = cli(capsys, ["verify", report_path, "--against", circ_path])
+        assert code == want and json.loads(out)["verified"] is (want == 0)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_census_of_linear_depth4_circuits(tmp_path, capsys, name):
+    field = FIELDS[name]
+    for n, k, s, cap in SLICES:
+        for i, C in enumerate(census(field, n, k, s, cap)):
+            tag = (n, k, s, C.to_json_dict()["rows"])
+            try:
+                v = pit_circuit(C, **CONFIG)
+            except SearchExhausted:
+                # over F_2 the only c is 1, and a map search may find no map
+                assert name == "F2" and n == 3, tag
+                continue
+            if v.outcome == "inconclusive":
+                # a grid truncated to F_2 proves nothing either way
+                assert name == "F2" and v.provenance["grid_truncated"], tag
+            else:
+                assert (v.outcome == "zero") == C.expand().is_zero, tag
+            # the map search runs exactly when its maps have w < n variables
+            identity = v.provenance["map"] == "identity"
+            assert identity == (n == 2 or k > 2), tag
+            if v.outcome != "nonzero" or not identity or i % STRIDE == 0:
+                verdict = json.loads(json.dumps(v.to_json_dict(field)))
+                round_trip(capsys, tmp_path, C, verdict, identity)

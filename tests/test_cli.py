@@ -295,10 +295,11 @@ def test_pit_over_f2_with_affine_inners_of_trdeg_two(tmp_path, capsys):
 
 
 def test_pit_depth4_over_f2_of_rank_two_exits_four(tmp_path, capsys):
-    # over F_2 the only c is 1, so no depth-4 map keeps a rank of 2; the
-    # search refuses instead of walking primes without end.  The time bound
-    # is loose on purpose: the failure it guards against is a hang.
-    obj = {"kind": "depth4", "field": {"kind": "prime", "p": 2}, "nvars": 2,
+    # over F_2 the only c is 1, so no depth-4 map keeps a rank of 2; with
+    # n = 4 > w = R + 1 = 3 the search runs and refuses instead of walking
+    # primes without end.  The time bound is loose on purpose: the failure
+    # it guards against is a hang.
+    obj = {"kind": "depth4", "field": {"kind": "prime", "p": 2}, "nvars": 4,
            "delta": 1, "rows": [["x1"], ["x2"], ["x1 + x2"]]}
     path = dump(tmp_path, "f2d4.json", obj)
     t0 = time.perf_counter()
@@ -306,6 +307,17 @@ def test_pit_depth4_over_f2_of_rank_two_exits_four(tmp_path, capsys):
     assert time.perf_counter() - t0 < 10.0
     assert code == 4 and out == ""
     assert "F_2" in json.loads(err)["error"]
+    # with n = 2 no map can reduce: the circuit's own simplex proves
+    # x1 + x2 + (x1 + x2) = 0 over F_2, with no search
+    path = dump(tmp_path, "f2d4n2.json", dict(obj, nvars=2))
+    code, out, _ = run(capsys, ["pit", path, "--R", "2"])
+    verdict = json.loads(out)["verdict"]
+    assert code == 0 and verdict["outcome"] == "zero"
+    assert verdict["guarantee"] == "certified" and verdict["points_checked"] == 3
+    assert verdict["provenance"]["map"] == "identity" and verdict["provenance"]["w"] == 3
+    report = dump(tmp_path, "report.json", out)
+    code, out, _ = run(capsys, ["verify", report, "--against", path])
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 @pytest.mark.parametrize("field", [Q, FieldSpec("prime", (1 << 61) - 1)], ids=["Q", "F2^61-1"])
@@ -322,16 +334,18 @@ def test_pit_depth4_killed_by_the_first_candidate_is_nonzero(tmp_path, capsys, f
     assert code == 0 and json.loads(out)["verified"] is True
 
 
-# (x1 + 1)(x2 + 1) and x3^2 keep trdeg 2 under no c = 1 Kronecker map
+# (x1 + 1)(x2 + 1) and x3^2 keep trdeg 2 under no c = 1 Kronecker map; each
+# circuit has n = 3 variables, more than the w = 2 of its maps, so a map
+# is searched
 F2_PAIR = ["x1*x2 + x1 + x2 + 1", "x3^2"]
 F2_UNREACHABLE = {
     "composed": ComposedCircuit(Circuit.from_poly(P("x1 + x2", 2, F2)),
                                 [P(t, 3, F2) for t in F2_PAIR]).to_json_dict(),
     # c = 1 maps x1 + x2 to 2 (1 + z0 + z1) = 0
-    "depth4-killed-factor": {"kind": "depth4", "field": F2.to_json(), "nvars": 2,
+    "depth4-killed-factor": {"kind": "depth4", "field": F2.to_json(), "nvars": 3,
                              "delta": 1, "rows": [["x1 + x2"], ["x1"]]},
     # c = 1 maps x1 and x2 to one form: the rows share it, nothing is kept
-    "depth4-sum": {"kind": "depth4", "field": F2.to_json(), "nvars": 2,
+    "depth4-sum": {"kind": "depth4", "field": F2.to_json(), "nvars": 3,
                    "delta": 1, "rows": [["x1"], ["x2"]]},
 }
 
@@ -348,16 +362,33 @@ def test_f2_searches_stop_after_p_two(tmp_path, name):
         proc = _cli_in_subprocess(args)
         assert proc.returncode == 4 and proc.stdout == "", args
         assert "F_2" in json.loads(proc.stderr)["error"], args
+    if name != "composed":
+        # the same rows in n = 2 = w variables: no search, and the
+        # circuit's own simplex finds a witness at (0, 1)
+        path = dump(tmp_path, name + "-n2.json", dict(F2_UNREACHABLE[name], nvars=2))
+        proc = _pit_in_subprocess(path)
+        verdict = json.loads(proc.stdout)["verdict"]
+        assert proc.returncode == 1 and verdict["outcome"] == "nonzero"
+        assert verdict["witness"] == [0, 1] and verdict["value"] == 1
+        assert verdict["guarantee"] == "certified"
+        assert verdict["provenance"]["map"] == "identity"
+        report = dump(tmp_path, "report.json", proc.stdout)
+        proc = _cli_in_subprocess(["verify", report, "--against", path])
+        assert proc.returncode == 0 and json.loads(proc.stdout)["verified"] is True
 
 
 def test_pit_over_f2_on_a_grid_too_small_for_the_degree_is_inconclusive(tmp_path, capsys):
     # x1^2 + x1 vanishes on all of F_2 but is not zero: exhausting the
     # two-value grid proves nothing, as a dag (no degree bound) and as a
-    # composed circuit (truncated grid)
+    # composed circuit (truncated grid), on its own one-variable grid (w = 2
+    # > n = 1, no map) and on the two-variable image grid of a psi map
+    # (inner x1 in n = 3 > w variables)
     f = P("x1^2 + x1", 1, F2)
     cases = [
         ("dag", Circuit.from_poly(f), 2, ("degree_bound", None)),
-        ("composed", ComposedCircuit(Circuit.from_poly(f), [P("x1", 1, F2)]), 4,
+        ("composed", ComposedCircuit(Circuit.from_poly(f), [P("x1", 1, F2)]), 2,
+         ("grid_truncated", True)),
+        ("composed-map", ComposedCircuit(Circuit.from_poly(f), [P("x1", 3, F2)]), 4,
          ("grid_truncated", True)),
     ]
     for kind, circ, points, (key, value) in cases:
@@ -451,6 +482,20 @@ def test_pit_refuses_a_composed_circuit_of_huge_degree_before_the_search(tmp_pat
     proc = _pit_in_subprocess(dump(tmp_path, "huge_degree.json", obj))
     assert proc.returncode == 4 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "a grid axis exceeds the limit of 1048576 values"
+
+
+def test_faithful_psi_refuses_a_family_of_huge_degree_before_the_search(tmp_path):
+    # over Q the Vandermonde search evaluates the Jacobian at seeded points
+    # with 30-bit coordinates; at degree 10^8 those values would have
+    # billions of bits, and the search ran past 10 s
+    family = {"field": {"kind": "rational"}, "nvars": 2,
+              "polys": ["x1^100000000 + x2", "x2"]}
+    path = dump(tmp_path, "huge_family.json", family)
+    for mode in ("adaptive", "exact"):
+        proc = _cli_in_subprocess(["faithful", path, "--kind", "psi", "--mode", mode])
+        assert proc.returncode == 4 and proc.stdout == "", mode
+        assert json.loads(proc.stderr)["error"] == (
+            "Jacobian values at a seeded point may exceed the limit of 1048576 bits"), mode
 
 
 def test_consecutive_main_calls_keep_no_state(tmp_path, capsys):

@@ -18,7 +18,7 @@ from pitkit.hitting import (
     sz_grid,
 )
 from pitkit.independence import trdeg
-from pitkit.polynomials import SparsePoly, poly_from_text
+from pitkit.polynomials import SparsePoly, poly_from_text, poly_to_text
 from pitkit.primes import primes_in
 from pitkit.varmaps import search_kronecker_map
 
@@ -167,7 +167,20 @@ def kronecker_set(polys, r, d):
 
 
 def test_sparse_inputs_zero_composition():
+    # trdeg 1 in one variable: a psi map would have w = 2 > n = 1, so the
+    # circuit's own simplex of degree 8 is walked, certified, no search
     f = poly_from_text("x1^2 + 2*x1", Q, 1)
+    C = composed(Q, "x2 - x1^2", [f, f * f])
+    v = pit_circuit(C)
+    assert v.outcome == "zero"
+    assert v.points_checked == 9
+    assert v.guarantee == "certified"
+    assert v.provenance["construction"] == "sparse-char0"
+    assert v.provenance["mode"] == "adaptive"
+    assert v.provenance["map"] == "identity" and v.provenance["w"] == 2
+    assert "image_certificate" not in v.provenance
+    # trdeg 1 in three variables: w = 2 < n, the map search runs
+    f = poly_from_text("x1^2 + 2*x2*x3", Q, 3)
     C = composed(Q, "x2 - x1^2", [f, f * f])
     v = pit_circuit(C)
     assert v.outcome == "zero"
@@ -175,14 +188,25 @@ def test_sparse_inputs_zero_composition():
     assert v.guarantee == "corpus"
     assert v.provenance["construction"] == "sparse-char0"
     assert v.provenance["mode"] == "adaptive"
-    assert "map" in v.provenance and "image_certificate" in v.provenance
+    assert v.provenance["map"]["kind"] == "psi" and "image_certificate" in v.provenance
 
 
 def test_sparse_inputs_independent_pair_witnessed():
+    # n = 2: the identity simplex starts at the origin, where x1 + x2 is 0
     xs = [poly_from_text(t, Q, 2) for t in ("x1", "x2")]
     C = composed(Q, "x1 + x2", xs)
     v = pit_circuit(C)
     assert v.provenance["construction"] == "sparse-char0"
+    assert v.provenance["map"] == "identity"
+    assert v.outcome == "nonzero"
+    assert v.points_checked == 2
+    assert not Q.is_zero(C.evaluate(v.witness))
+    # n = 4 > w = 3: the first image of the psi map found is a witness
+    xs = [poly_from_text(t, Q, 4) for t in ("x1", "x2")]
+    C = composed(Q, "x1 + x2", xs)
+    v = pit_circuit(C)
+    assert v.provenance["construction"] == "sparse-char0"
+    assert v.provenance["map"]["kind"] == "psi"
     assert v.outcome == "nonzero"
     assert v.points_checked == 1
     assert not Q.is_zero(C.evaluate(v.witness))
@@ -197,7 +221,18 @@ def test_sparse_inputs_quartic_family_witnessed():
     assert not outer.is_zero
     C = ComposedCircuit(Circuit.from_poly(outer), fs)
     v = pit_circuit(C, seed=0)
+    # w = 4 = n: the identity simplex, which starts at the origin
     assert v.provenance["construction"] == "sparse-char0"
+    assert v.provenance["map"] == "identity"
+    assert v.outcome == "nonzero"
+    assert v.points_checked == 3
+    assert not Q.is_zero(C.evaluate(v.witness))
+    # the same quartics in five variables: w = 4 < n, a psi map is searched
+    fs = [poly_from_text(poly_to_text(f), Q, 5) for f in fs]
+    C = ComposedCircuit(Circuit.from_poly(outer), fs)
+    v = pit_circuit(C, seed=0)
+    assert v.provenance["construction"] == "sparse-char0"
+    assert v.provenance["map"]["kind"] == "psi"
     assert v.outcome == "nonzero"
     assert v.points_checked == 1
     assert not Q.is_zero(C.evaluate(v.witness))
@@ -306,12 +341,22 @@ def test_small_field_witness_off_the_simplex_is_found():
 
 
 def test_depth4_lifted_identity_is_zero():
+    # n = 4 = w = R + 1: the identity simplex of degree 2, certified
     L = lifted_identity(2, Q)
     v = pit_circuit(L, R=3)
     assert v.outcome == "zero"
     assert v.points_checked == 15
+    assert v.guarantee == "certified"
+    assert v.provenance["construction"] == "depth4"
+    assert v.provenance["map"] == "identity" and v.provenance["w"] == 4
+    # n = 6 > w: a depth-4 map is searched, and its images walked
+    L = lifted_identity(3, Q)
+    v = pit_circuit(L, R=3)
+    assert v.outcome == "zero"
+    assert v.points_checked == 35
     assert v.guarantee == "corpus"
     assert v.provenance["construction"] == "depth4"
+    assert v.provenance["map"]["kind"] == "psi" and "evidence" in v.provenance
 
 
 def test_depth4_cancelling_rows_are_zero():
