@@ -265,11 +265,11 @@ def _adaptive_set(mp, construction, evidence, d):
     return _image_set(mp.field, mp.n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False)
 
 
-def _identity_set(field, n, construction, w, d):
-    """The certified set of an adaptive reduction to w >= n variables,
-    which cuts nothing: the circuit's own simplex of total degree d, no
-    larger than a map's (module docstring) and found without a search."""
-    provenance = {"construction": construction, "mode": "adaptive", "map": "identity", "w": w}
+def _identity_set(field, n, construction, w, d, mode="adaptive"):
+    """The certified set of a reduction to w >= n variables, which cuts
+    nothing: the circuit's own simplex of total degree d, no larger than a
+    map's (module docstring) and found without a search."""
+    provenance = {"construction": construction, "mode": mode, "map": "identity", "w": w}
     return _image_set(field, n, provenance, None, 1, n, d, True)
 
 
@@ -323,8 +323,9 @@ def pit_circuit(
     """Blackbox PIT of a circuit through the construction that fits it.
 
     Depth-4 circuits use the depth-4 construction (R and conjecture_R as
-    there).  A composed circuit C(f_1, ..., f_m) first gets r0 = trdeg(f):
-    r0 = 0 makes it a constant, decided by one evaluation; otherwise its
+    there); one with a single row walks its own simplex in either mode.  A
+    composed circuit C(f_1, ..., f_m) first gets r0 = trdeg(f): r0 = 0
+    makes it a constant, decided by one evaluation; otherwise its
     points come from the sparse-input (Vandermonde) construction when a
     Vandermonde reduction applies, else from the any-characteristic
     (Kronecker) one.  Exact mode walks the closed-form hitting set.
@@ -348,7 +349,11 @@ def pit_circuit(
     exact = mode == "exact"
     field, n = circ.field, circ.nvars
     if isinstance(circ, Depth4Circuit):
-        if exact:
+        if circ.k == 1:
+            # one row, a product of nonzero factors: no depth-4 family has
+            # k = 1, and no map can do better than the circuit's own simplex
+            hs = _identity_set(field, n, "depth4", n, circ.degree_bound(), mode)
+        elif exact:
             hs = hitting_set_depth4(field, n, circ.delta, circ.k, circ.s, R=R,
                                     conjecture_R=conjecture_R)
         else:

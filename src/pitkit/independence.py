@@ -18,6 +18,7 @@ said otherwise):
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -258,10 +259,12 @@ def _column_count(u: int, cap: int, col_budget: int) -> int:
     return ncols
 
 
+@functools.lru_cache(maxsize=64)
 def _monomial_basis(u: int, cap: int):
     """The monomials of _monomials_upto(u, cap) and how to build each from
     an earlier one: steps[j] = (j', i) when monomial j is monomial j' times
-    y_i, None for monomial 0 (the constant 1)."""
+    y_i, None for monomial 0 (the constant 1).  Cached, so both are
+    tuples."""
     monos = _monomials_upto(u, cap)
     index = {mono: j for j, mono in enumerate(monos)}
     steps = [None]
@@ -270,7 +273,16 @@ def _monomial_basis(u: int, cap: int):
         prev = list(mono)
         prev[i] -= 1
         steps.append((index[tuple(prev)], i))
-    return monos, steps
+    return tuple(monos), tuple(steps)
+
+
+def _packed_terms(f, bits: int):
+    """The terms of f as (key, coefficient) pairs, each exponent vector
+    packed into one int of `bits` bits per variable, x_1 lowest."""
+    return [
+        (sum(e << (bits * v) for v, e in enumerate(exps)), c)
+        for exps, c in f.terms.items()
+    ]
 
 
 def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
@@ -283,6 +295,16 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     monic under graded-lex, lives in m fresh variables, and is verified by
     substitution before being returned.  Raises BudgetExceeded when the
     basis has more than col_budget monomials.
+
+    The columns are built on packed monomials (Monagan and Pearce, CASC
+    2007): each exponent vector of fs becomes one int of B =
+    (cap * delta).bit_length() bits per variable, delta the largest degree
+    in fs, so a product of two terms is one int addition.  Every term of
+    every product, cancelled or not, has total degree at most cap * delta <
+    2^B, so every exponent fits its slot and no carry reaches the next one:
+    distinct monomials keep distinct keys.  The keys index the rows and are
+    never unpacked.  Over F_p the dense rows are residues already and go
+    straight to the elimination behind linalg.kernel_vector.
     """
     field, n = _check_family(fs)
     m = len(fs)
@@ -290,31 +312,49 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
         raise ValueError("cap must be nonnegative")
     ncols = _column_count(m, cap, col_budget)
     monos, steps = _monomial_basis(m, cap)
+    bits = (cap * _max_degree(fs)).bit_length()
+    packed = [_packed_terms(f, bits) for f in fs]
+    p = field.p if field.kind == "prime" else 0
 
+    # composed[j] holds the terms of monomial j at fs, in the order
+    # SparsePoly.__mul__ would leave them: the row order is the same
+    zero = field.zero()
     composed = []
     row_index = {}
-    cols = []
-    for step in steps:
-        poly = SparsePoly.one(field, n) if step is None else composed[step[0]] * fs[step[1]]
-        composed.append(poly)
-        col = {}
-        for exps, c in poly.terms.items():
-            ridx = row_index.setdefault(exps, len(row_index))
-            col[ridx] = c
-        cols.append(col)
-
-    nrows = len(row_index)
-    zero = field.zero()
-    matrix = [[zero] * ncols for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for ridx, c in col.items():
+    matrix = []
+    for j, step in enumerate(steps):
+        if step is None:
+            terms = {0: field.one()}
+        else:
+            terms = {}
+            factor = packed[step[1]]
+            for e1, c1 in composed[step[0]].items():
+                for e2, c2 in factor:
+                    e = e1 + e2
+                    if p:
+                        acc = (terms.get(e, 0) + c1 * c2) % p
+                    else:
+                        acc = terms.get(e, 0) + c1 * c2
+                    if acc == 0:
+                        terms.pop(e, None)
+                    else:
+                        terms[e] = acc
+        composed.append(terms)
+        for e, c in terms.items():
+            ridx = row_index.get(e)
+            if ridx is None:
+                ridx = row_index[e] = len(matrix)
+                matrix.append([zero] * ncols)
             matrix[ridx][j] = c
-    if nrows == 0:
+    if not matrix:
         # every composed monomial is the zero polynomial (only possible if
         # some f is zero and cap >= 1); x_i with f_i = 0 annihilates
-        matrix = [[zero] * ncols]
+        matrix.append([zero] * ncols)
 
-    vec = linalg.kernel_vector(matrix, field)
+    if p:
+        vec = linalg._kernel_of_rows(matrix, p, field)
+    else:
+        vec = linalg.kernel_vector(matrix, field)
     if vec is None:
         return None
     terms = {monos[j]: v for j, v in enumerate(vec) if not field.is_zero(field.normalize(v))}

@@ -49,13 +49,19 @@ def kernel_vector(matrix, field):
     or None.  Columns are scanned left to right, and the vector has a 1 in
     the first column that depends on its predecessors and zeros in all later
     columns, so it is deterministic and minimal in column order.  Its
-    entries are raw elements (Fractions over Q).
+    entries are raw elements (Fractions over Q)."""
+    if not matrix or not matrix[0]:
+        return None
+    return _kernel_of_rows(*_integer_rows(matrix, field), field)
+
+
+def _kernel_of_rows(A, p, field):
+    """kernel_vector of the integer rows A with modulus p, as _integer_rows
+    gives them; A is eliminated in place.  A caller whose rows are residues
+    in [0, p) already passes them here without the copy.
 
     Elimination stops at the first dependent column j, so pivot k sits in
     column k for every k < j, and j is the rank."""
-    if not matrix or not matrix[0]:
-        return None
-    A, p = _integer_rows(matrix, field)
     j = _eliminate(A, p, True)[0]
     cols = len(A[0])
     if j == cols:

@@ -1,5 +1,7 @@
 """Prime enumeration and deterministic primality testing."""
 
+import functools
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Miller-Rabin with the witness set above is deterministic below this bound
@@ -7,6 +9,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+# every FieldSpec("prime", p) tests its modulus, and one CLI call builds the
+# same field up to three times; the bound keeps iter_primes, which tests
+# every odd k, from growing the cache without end.  A refused modulus
+# raises, and lru_cache keeps no exception, so it is refused every time.
+@functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below ~3.3e24."""
     if n < 2:

@@ -107,6 +107,22 @@ def test_pit_depth4_circuit(tmp_path, capsys):
     assert json.loads(out)["circuit_kind"] == "depth4"
 
 
+@pytest.mark.parametrize("mode", ["adaptive", "exact"])
+def test_pit_one_row_depth4_walks_its_own_simplex(tmp_path, capsys, mode):
+    # no depth-4 family has k = 1; this circuit once exited 4 ("bad depth4 sizes")
+    circ = {"kind": "depth4", "field": {"kind": "rational"}, "nvars": 2, "delta": 1,
+            "rows": [["x1", "x2"]]}
+    path = dump(tmp_path, "row.json", circ)
+    code, out, _ = run(capsys, ["pit", path, "--mode", mode])
+    verdict = json.loads(out)["verdict"]
+    assert code == 1 and verdict["outcome"] == "nonzero"
+    assert verdict["guarantee"] == "certified"
+    assert verdict["provenance"] == {"construction": "depth4", "mode": mode, "map": "identity",
+                                     "w": 2, "grid_truncated": False, "points": "simplex"}
+    report = dump(tmp_path, "report.json", out)
+    assert run(capsys, ["verify", report, "--against", path])[0] == 0
+
+
 def test_trdeg_report(tmp_path, capsys):
     path = dump(tmp_path, "tight.json", TIGHT_FAMILY)
     code, out, _ = run(capsys, ["trdeg", path])
@@ -851,6 +867,140 @@ def test_exact_faithful_reports_are_frozen(tmp_path, capsys, kind):
     assert json.dumps(json.loads(out), sort_keys=True) == FROZEN_EXACT_FAITHFUL[kind]
     report = dump(tmp_path, "report.json", out)
     assert run(capsys, ["verify", report, "--against", fam])[0] == 0
+
+
+# three triangular families of the certify-verify corpus (seed 21) over F_2
+# and F_3: the Jacobian gate fails there, so trdeg and the phi search's
+# input certificate run the annihilator search.  The reports as printed
+# before the annihilator's map was built on packed monomials.
+FROZEN_BRUTEFORCE_FAMILIES = {
+    "F2-0": (2, ["x1 + 1", "x1^2 + x2", "x1^2 + x1 + x2 + 1"]),
+    "F2-3": (2, ["x1", "x1^2 + x2 + 1", "x1^3 + x1*x2 + x1"]),
+    "F3-0": (3, ["x1 + 1", "-x1^2 + x2 - 1", "-x1^3 - x1^2 + x1*x2 - x1 + x2 - 1"]),
+}
+
+BRUTEFORCE_CALLS = {
+    "trdeg": ["trdeg"],
+    "annihilator-2": ["annihilator", "--cap", "2"],
+    "annihilator-1": ["annihilator", "--cap", "1"],
+    "phi": ["faithful", "--kind", "phi"],
+}
+
+FROZEN_BRUTEFORCE = {
+    ('F2-0', 'trdeg'): (
+        '{"certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, "witness": '
+        '{"dependent_extensions": [{"annihilator": "x1 + x2 + x3", "cap": 4, "subset": '
+        '[0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
+        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
+        '"subset": [0, 1]}], "method": "greedy-matroid-extension"}}, "command": '
+        '"trdeg", "config": {"budget_columns": 50000, "mode": "auto", "seed": 0}, '
+        '"exact": true, "r": 2}'
+    ),
+    ('F2-0', 'annihilator-2'): (
+        '{"annihilator": "x1 + x2 + x3", "command": "annihilator", "config": '
+        '{"budget_columns": 50000, "cap": 2}, "found": true, "m": 3}'
+    ),
+    ('F2-0', 'annihilator-1'): (
+        '{"annihilator": "x1 + x2 + x3", "command": "annihilator", "config": '
+        '{"budget_columns": 50000, "cap": 1}, "found": true, "m": 3}'
+    ),
+    ('F2-0', 'phi'): (
+        '{"command": "faithful", "config": {"kind": "phi", "mode": "adaptive", "r": '
+        'null, "seed": 0}, "result": {"candidates_tried": 1, "image_certificate": '
+        '{"basis": [0, 1], "mode": "jacobian", "r": 2, "witness": {"method": '
+        '"evaluated-jacobian-meets-upper-bound", "point": [1, 1], "upper_bound": 2}}, '
+        '"input_certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, '
+        '"witness": {"dependent_extensions": [{"annihilator": "x1 + x2 + x3", "cap": 4, '
+        '"subset": [0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
+        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
+        '"subset": [0, 1]}], "method": "greedy-matroid-extension"}}, "map": {"D": 9, '
+        '"I": [1, 2], "c": 1, "field": {"kind": "prime", "p": 2}, "kind": "phi", "n": '
+        '3, "p": 2, "r": 2}}}'
+    ),
+    ('F2-3', 'trdeg'): (
+        '{"certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, "witness": '
+        '{"dependent_extensions": [{"annihilator": "x1*x2 + x3", "cap": 9, "subset": '
+        '[0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
+        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
+        '"subset": [0, 1]}], "method": "greedy-matroid-extension"}}, "command": '
+        '"trdeg", "config": {"budget_columns": 50000, "mode": "auto", "seed": 0}, '
+        '"exact": true, "r": 2}'
+    ),
+    ('F2-3', 'annihilator-2'): (
+        '{"annihilator": "x1*x2 + x3", "command": "annihilator", "config": '
+        '{"budget_columns": 50000, "cap": 2}, "found": true, "m": 3}'
+    ),
+    ('F2-3', 'annihilator-1'): (
+        '{"annihilator": null, "command": "annihilator", "config": {"budget_columns": '
+        '50000, "cap": 1}, "found": false, "m": 3}'
+    ),
+    ('F2-3', 'phi'): (
+        '{"command": "faithful", "config": {"kind": "phi", "mode": "adaptive", "r": '
+        'null, "seed": 0}, "result": {"candidates_tried": 1, "image_certificate": '
+        '{"basis": [0, 1], "mode": "jacobian", "r": 2, "witness": {"method": '
+        '"evaluated-jacobian-meets-upper-bound", "point": [1, 1], "upper_bound": 2}}, '
+        '"input_certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, '
+        '"witness": {"dependent_extensions": [{"annihilator": "x1*x2 + x3", "cap": 9, '
+        '"subset": [0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
+        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
+        '"subset": [0, 1]}], "method": "greedy-matroid-extension"}}, "map": {"D": 28, '
+        '"I": [1, 2], "c": 1, "field": {"kind": "prime", "p": 2}, "kind": "phi", "n": '
+        '3, "p": 2, "r": 2}}}'
+    ),
+    ('F3-0', 'trdeg'): (
+        '{"certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, "witness": '
+        '{"dependent_extensions": [{"annihilator": "x1*x2 + 2*x3", "cap": 9, "subset": '
+        '[0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
+        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": '
+        '"evaluation-full-rank", "subset": [0, 1]}], "method": '
+        '"greedy-matroid-extension"}}, "command": "trdeg", "config": {"budget_columns": '
+        '50000, "mode": "auto", "seed": 0}, "exact": true, "r": 2}'
+    ),
+    ('F3-0', 'annihilator-2'): (
+        '{"annihilator": "x1*x2 + 2*x3", "command": "annihilator", "config": '
+        '{"budget_columns": 50000, "cap": 2}, "found": true, "m": 3}'
+    ),
+    ('F3-0', 'annihilator-1'): (
+        '{"annihilator": null, "command": "annihilator", "config": {"budget_columns": '
+        '50000, "cap": 1}, "found": false, "m": 3}'
+    ),
+    ('F3-0', 'phi'): (
+        '{"command": "faithful", "config": {"kind": "phi", "mode": "adaptive", "r": '
+        'null, "seed": 0}, "result": {"candidates_tried": 1, "image_certificate": '
+        '{"basis": [0, 1], "mode": "jacobian", "r": 2, "witness": {"method": '
+        '"evaluated-jacobian-meets-upper-bound", "point": [1, 2], "upper_bound": 2}}, '
+        '"input_certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, '
+        '"witness": {"dependent_extensions": [{"annihilator": "x1*x2 + 2*x3", "cap": 9, '
+        '"subset": [0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
+        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": '
+        '"evaluation-full-rank", "subset": [0, 1]}], "method": '
+        '"greedy-matroid-extension"}}, "map": {"D": 28, "I": [1, 2], "c": 1, "field": '
+        '{"kind": "prime", "p": 3}, "kind": "phi", "n": 3, "p": 2, "r": 2}}}'
+    ),
+}
+
+
+def bruteforce_family(tmp_path, tag):
+    p, polys = FROZEN_BRUTEFORCE_FAMILIES[tag]
+    return dump(tmp_path, "fam.json",
+                {"field": {"kind": "prime", "p": p}, "nvars": 3, "polys": polys})
+
+
+@pytest.mark.parametrize("tag, call", sorted(FROZEN_BRUTEFORCE))
+def test_bruteforce_trdeg_reports_are_frozen(tmp_path, capsys, tag, call):
+    fam = bruteforce_family(tmp_path, tag)
+    argv = BRUTEFORCE_CALLS[call]
+    code, out, _ = run(capsys, [argv[0], fam, *argv[1:]])
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True) == FROZEN_BRUTEFORCE[tag, call]
+
+
+@pytest.mark.parametrize("tag, call", sorted(FROZEN_BRUTEFORCE))
+def test_bruteforce_trdeg_reports_verify(tmp_path, capsys, tag, call):
+    fam = bruteforce_family(tmp_path, tag)
+    report = dump(tmp_path, "report.json", FROZEN_BRUTEFORCE[tag, call])
+    code, out, _ = run(capsys, ["verify", report, "--against", fam])
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 # -- zero denominators and malformed reports exit 3 ----------------------------

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from pitkit.primes import is_prime, iter_primes, primes_in
 
 
@@ -44,3 +46,15 @@ def test_is_prime_agrees_with_sieve():
     sieve = set(primes_in(500))
     for n in range(501):
         assert is_prime(n) == (n in sieve)
+
+
+def test_is_prime_cache_is_bounded_and_keeps_no_refusal():
+    # iter_primes tests every odd k, so an unbounded cache would grow without end
+    assert is_prime.cache_info().maxsize is not None
+    for _ in range(2):
+        assert is_prime((1 << 61) - 1)
+        assert not is_prime((1 << 61) + 1)
+    # 2^89 - 1 is past the deterministic bound: refused on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            is_prime((1 << 89) - 1)
