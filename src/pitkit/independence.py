@@ -18,7 +18,6 @@ said otherwise):
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -259,12 +258,10 @@ def _column_count(u: int, cap: int, col_budget: int) -> int:
     return ncols
 
 
-@functools.lru_cache(maxsize=64)
 def _monomial_basis(u: int, cap: int):
     """The monomials of _monomials_upto(u, cap) and how to build each from
     an earlier one: steps[j] = (j', i) when monomial j is monomial j' times
-    y_i, None for monomial 0 (the constant 1).  Cached, so both are
-    tuples."""
+    y_i, None for monomial 0 (the constant 1)."""
     monos = _monomials_upto(u, cap)
     index = {mono: j for j, mono in enumerate(monos)}
     steps = [None]
@@ -273,7 +270,7 @@ def _monomial_basis(u: int, cap: int):
         prev = list(mono)
         prev[i] -= 1
         steps.append((index[tuple(prev)], i))
-    return tuple(monos), tuple(steps)
+    return monos, steps
 
 
 def _packed_terms(f, bits: int):
@@ -304,7 +301,8 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     2^B, so every exponent fits its slot and no carry reaches the next one:
     distinct monomials keep distinct keys.  The keys index the rows and are
     never unpacked.  Over F_p the dense rows are residues already and go
-    straight to the elimination behind linalg.kernel_vector.
+    straight to linalg.kernel_of_integer_rows, the elimination behind
+    linalg.kernel_vector, without its copy into integer rows.
     """
     field, n = _check_family(fs)
     m = len(fs)
@@ -316,8 +314,10 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     packed = [_packed_terms(f, bits) for f in fs]
     p = field.p if field.kind == "prime" else 0
 
-    # composed[j] holds the terms of monomial j at fs, in the order
-    # SparsePoly.__mul__ would leave them: the row order is the same
+    # composed[j] holds the nonzero terms of monomial j at fs; a finished
+    # column is reduced once (over F_p) and its cancelled terms dropped.  A
+    # row comes where its key first appears, and the kernel vector does not
+    # depend on the row order
     zero = field.zero()
     composed = []
     row_index = {}
@@ -331,14 +331,11 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
             for e1, c1 in composed[step[0]].items():
                 for e2, c2 in factor:
                     e = e1 + e2
-                    if p:
-                        acc = (terms.get(e, 0) + c1 * c2) % p
-                    else:
-                        acc = terms.get(e, 0) + c1 * c2
-                    if acc == 0:
-                        terms.pop(e, None)
-                    else:
-                        terms[e] = acc
+                    terms[e] = terms.get(e, 0) + c1 * c2
+            if p:
+                terms = {e: c % p for e, c in terms.items() if c % p}
+            else:
+                terms = {e: c for e, c in terms.items() if c}
         composed.append(terms)
         for e, c in terms.items():
             ridx = row_index.get(e)
@@ -352,7 +349,7 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
         matrix.append([zero] * ncols)
 
     if p:
-        vec = linalg._kernel_of_rows(matrix, p, field)
+        vec = linalg.kernel_of_integer_rows(matrix, p, field)
     else:
         vec = linalg.kernel_vector(matrix, field)
     if vec is None:

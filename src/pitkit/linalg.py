@@ -52,13 +52,14 @@ def kernel_vector(matrix, field):
     entries are raw elements (Fractions over Q)."""
     if not matrix or not matrix[0]:
         return None
-    return _kernel_of_rows(*_integer_rows(matrix, field), field)
+    return kernel_of_integer_rows(*_integer_rows(matrix, field), field)
 
 
-def _kernel_of_rows(A, p, field):
-    """kernel_vector of the integer rows A with modulus p, as _integer_rows
-    gives them; A is eliminated in place.  A caller whose rows are residues
-    in [0, p) already passes them here without the copy.
+def kernel_of_integer_rows(A, p, field):
+    """kernel_vector of the integer rows A with the modulus p, as
+    _integer_rows gives them: residues in [0, p), or integers with p = 0
+    over Q.  A is eliminated in place.  A caller whose rows are residues
+    already passes them here without the copy.
 
     Elimination stops at the first dependent column j, so pivot k sits in
     column k for every k < j, and j is the rank."""

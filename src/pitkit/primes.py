@@ -10,12 +10,17 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 # every FieldSpec("prime", p) tests its modulus, and one CLI call builds the
-# same field up to three times; the bound keeps iter_primes, which tests
-# every odd k, from growing the cache without end.  A refused modulus
-# raises, and lru_cache keeps no exception, so it is refused every time.
-@functools.lru_cache(maxsize=256)
+# same field up to three times.  iter_primes tests every odd k through
+# _miller_rabin, so this bounded cache holds only the moduli asked for.  A
+# refused modulus raises, and lru_cache keeps no exception, so it is refused
+# every time.
+@functools.lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below ~3.3e24."""
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -60,6 +65,6 @@ def iter_primes():
     yield 2
     k = 3
     while True:
-        if is_prime(k):
+        if _miller_rabin(k):
             yield k
         k += 2

@@ -51,6 +51,11 @@ def test_is_prime_agrees_with_sieve():
 def test_is_prime_cache_is_bounded_and_keeps_no_refusal():
     # iter_primes tests every odd k, so an unbounded cache would grow without end
     assert is_prime.cache_info().maxsize is not None
+    # enumeration does not go through the cache, so it cannot evict a modulus
+    is_prime.cache_clear()
+    assert is_prime((1 << 61) - 1)
+    list(itertools.islice(iter_primes(), 1000))
+    assert is_prime.cache_info().currsize == 1
     for _ in range(2):
         assert is_prime((1 << 61) - 1)
         assert not is_prime((1 << 61) + 1)
