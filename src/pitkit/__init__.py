@@ -52,6 +52,7 @@ from .depth4 import (
     CoprimeBasis,
     Depth4MapResult,
     coprime_basis,
+    gcd_and_simple_part,
     gcd_part,
     is_minimal,
     lift_identity,
@@ -114,6 +115,7 @@ __all__ = [
     "Depth4MapResult",
     "coprime_basis",
     "depth4_rank",
+    "gcd_and_simple_part",
     "gcd_part",
     "is_minimal",
     "lift_identity",

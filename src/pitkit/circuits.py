@@ -16,7 +16,6 @@ from .polynomials import (
     BudgetExceeded,
     ParseError,
     SparsePoly,
-    _prepare_point,
     poly_from_text,
     poly_to_text,
 )
@@ -83,9 +82,9 @@ class Circuit:
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
         field = self.field
+        a, q = field.integers(point)
         if field.kind == "prime":
-            return self._forward(self.nodes, _prepare_point(field, point), field.p)
-        a, q = _prepare_point(field, point)
+            return self._forward(self.nodes, a, field.p)
         if q == 1 and self._int_nodes is not None:
             return Fraction(self._forward(self._int_nodes, a, None))
         return self._forward(self.nodes, [field.normalize(v) for v in point], None)
@@ -334,7 +333,7 @@ class Depth4Circuit:
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
         field = self.field
-        x = _prepare_point(field, point)
+        x = field.integers(point)
         acc = field.zero()
         for row in self.rows:
             prod = field.one()
@@ -427,7 +426,7 @@ class ComposedCircuit:
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
-        x = _prepare_point(self.field, point)
+        x = self.field.integers(point)
         return self.outer.evaluate([f._eval_prepared(x) for f in self.inputs])
 
     def degree_bound(self) -> int:

@@ -221,8 +221,7 @@ def cmd_depth4(args) -> int:
     circ = _load_circuit(args.circuit)
     if not isinstance(circ, Depth4Circuit):
         raise _InputError("the depth4 command needs a circuit of kind 'depth4'")
-    g = depth4mod.gcd_part(circ)
-    sim = depth4mod.simple_part(circ)
+    g, sim = depth4mod.gcd_and_simple_part(circ)
     rank = depth4mod.rank(circ, seed=args.seed)
     minimal = None
     if not args.skip_minimal:
@@ -410,10 +409,9 @@ def _verify_depth4(report, against):
     circ = _load_circuit(against)
     if not isinstance(circ, Depth4Circuit):
         return False, "against-file is not a depth4 circuit"
-    g = depth4mod.gcd_part(circ)
+    g, sim = depth4mod.gcd_and_simple_part(circ)
     if poly_to_text(g) != report["gcd"]:
         return False, "gcd differs"
-    sim = depth4mod.simple_part(circ)
     if [[poly_to_text(f) for f in row] for row in sim.rows] != report["simple"]:
         return False, "simple part differs"
     product = g * sim.expand()

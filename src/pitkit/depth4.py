@@ -19,7 +19,6 @@ from .independence import _random_point, _subseed, evaluated_rank, jacobian, trd
 from .polynomials import (
     BudgetExceeded,
     SparsePoly,
-    _prepare_point,
     divide_exact,
     gcd_poly,
     normalize_monic,
@@ -94,9 +93,18 @@ def _min_exponents(cb: CoprimeBasis):
     return [min(row[b] for row in cb.row_exponents) for b in range(len(cb.basis))]
 
 
+def gcd_and_simple_part(C: Depth4Circuit):
+    """(gcd_part(C), simple_part(C)), from one coprime basis."""
+    cb = coprime_basis(C)
+    return _gcd_part(C, cb), _simple_part(C, cb)
+
+
 def gcd_part(C: Depth4Circuit) -> SparsePoly:
     """Monic gcd of the k row products."""
-    cb = coprime_basis(C)
+    return _gcd_part(C, coprime_basis(C))
+
+
+def _gcd_part(C, cb):
     mins = _min_exponents(cb)
     g = SparsePoly.one(C.field, C.nvars)
     for b, e in zip(cb.basis, mins):
@@ -116,8 +124,11 @@ def simple_part(C: Depth4Circuit) -> Depth4Circuit:
     at most delta, but if it ever did the output circuit's recorded delta is
     raised to fit rather than producing an invalid circuit.
     """
+    return _simple_part(C, coprime_basis(C))
+
+
+def _simple_part(C, cb):
     field = C.field
-    cb = coprime_basis(C)
     mins = _min_exponents(cb)
     delta_out = max([C.delta] + [b.degree() for b in cb.basis])
     rows_out = []
@@ -217,7 +228,7 @@ def _zero_test(mp, image, seed):
     """
     field = mp.field
     a = _random_point(field, random.Random(_subseed(seed, 4)), mp.nvars_out)
-    x = _prepare_point(field, mp.point_images(a))
+    x = field.integers(mp.point_images(a))
     return lambda f: not f._eval_prepared(x) and image(f).is_zero
 
 

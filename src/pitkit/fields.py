@@ -3,11 +3,13 @@
 Raw field elements are plain Python values: canonical residues in [0, p) for a
 prime field, `fractions.Fraction` in lowest terms for the rationals.  A
 FieldSpec bundles arithmetic on raw values.  Mixed-field operations are
-rejected everywhere.
+rejected everywhere.  The exact kernels run on integers: integers() and
+from_integers() are the one conversion into that form and back.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .primes import is_prime
@@ -123,15 +125,38 @@ class FieldSpec:
 
     def pow(self, a, e: int):
         """a**e by square-and-multiply (builtin pow); e may be negative."""
-        if self.kind == "prime":
-            if e < 0:
-                a = self.inv(a)
-                e = -e
-            return pow(a, e, self.p)
         if e < 0:
             a = self.inv(a)
             e = -e
-        return a ** e
+        return pow(a, e, self.p) if self.kind == "prime" else a ** e
+
+    # -- the integer form ------------------------------------------------------
+
+    def integers(self, values):
+        """(ints, den) with values[i] = ints[i] / den: residues and den = 1
+        over F_p, numerators over the least common denominator over Q."""
+        if self.kind == "prime":
+            p = self.p
+            return [v % p if type(v) is int else self.normalize(v) for v in values], 1
+        vals = [v if type(v) in (Fraction, int) else self.normalize(v) for v in values]
+        # a set: lcm gets the distinct denominators (mostly just 1), not one
+        # argument per value, which measurably raised peak memory
+        den = math.lcm(*{v.denominator for v in vals})
+        if den == 1:
+            return [v.numerator for v in vals], 1
+        return [v.numerator * (den // v.denominator) for v in vals], den
+
+    def from_integers(self, ints, den=1):
+        """The raw elements ints[i] / den, the inverse of integers."""
+        if self.kind == "prime":
+            p = self.p
+            if den == 1:
+                return [v % p for v in ints]
+            inv = pow(den, -1, p)
+            return [v * inv % p for v in ints]
+        if den == 1:
+            return [Fraction(v) for v in ints]
+        return [Fraction(v, den) for v in ints]
 
     # -- element enumeration -------------------------------------------------
 

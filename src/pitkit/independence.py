@@ -274,12 +274,14 @@ def _monomial_basis(u: int, cap: int):
 
 
 def _packed_terms(f, bits: int):
-    """The terms of f as (key, coefficient) pairs, each exponent vector
-    packed into one int of `bits` bits per variable, x_1 lowest."""
+    """(terms, D): the terms of D * f, D from FieldSpec.integers, as (key,
+    integer) pairs, each exponent vector packed into one int of `bits` bits
+    per variable, x_1 lowest."""
+    coeffs, den = f.field.integers(f.terms.values())
     return [
         (sum(e << (bits * v) for v, e in enumerate(exps)), c)
-        for exps, c in f.terms.items()
-    ]
+        for exps, c in zip(f.terms, coeffs)
+    ], den
 
 
 def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
@@ -293,6 +295,11 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     substitution before being returned.  Raises BudgetExceeded when the
     basis has more than col_budget monomials.
 
+    The map is built on integers in every field, for the cleared members
+    g_i = D_i f_i (D_i = 1 over F_p): its column j is D^e_j times that of
+    fs, so the first dependent column j0 stays, and the kernel vector G
+    gives F_j = G_j D^e_j / D^e_j0, still 1 at j0.
+
     The columns are built on packed monomials (Monagan and Pearce, CASC
     2007): each exponent vector of fs becomes one int of B =
     (cap * delta).bit_length() bits per variable, delta the largest degree
@@ -300,8 +307,8 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     every product, cancelled or not, has total degree at most cap * delta <
     2^B, so every exponent fits its slot and no carry reaches the next one:
     distinct monomials keep distinct keys.  The keys index the rows and are
-    never unpacked.  Over F_p the dense rows are residues already and go
-    straight to linalg.kernel_of_integer_rows, the elimination behind
+    never unpacked.  The dense integer rows go straight to
+    linalg.kernel_of_integer_rows, the elimination behind
     linalg.kernel_vector, without its copy into integer rows.
     """
     field, n = _check_family(fs)
@@ -311,20 +318,21 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     ncols = _column_count(m, cap, col_budget)
     monos, steps = _monomial_basis(m, cap)
     bits = (cap * _max_degree(fs)).bit_length()
-    packed = [_packed_terms(f, bits) for f in fs]
-    p = field.p if field.kind == "prime" else 0
+    packed, dens = zip(*[_packed_terms(f, bits) for f in fs])
+    p = field.characteristic
 
-    # composed[j] holds the nonzero terms of monomial j at fs; a finished
-    # column is reduced once (over F_p) and its cancelled terms dropped.  A
-    # row comes where its key first appears, and the kernel vector does not
-    # depend on the row order
-    zero = field.zero()
+    # composed[j] holds the nonzero terms of monomial j at the g_i, scale[j]
+    # its D^e_j; a finished column is reduced once (over F_p) and its
+    # cancelled terms dropped.  A row comes where its key first appears,
+    # and the kernel vector does not depend on the row order
     composed = []
+    scale = []
     row_index = {}
     matrix = []
     for j, step in enumerate(steps):
         if step is None:
-            terms = {0: field.one()}
+            terms = {0: 1}
+            scale.append(1)
         else:
             terms = {}
             factor = packed[step[1]]
@@ -336,26 +344,26 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
                 terms = {e: c % p for e, c in terms.items() if c % p}
             else:
                 terms = {e: c for e, c in terms.items() if c}
+            scale.append(scale[step[0]] * dens[step[1]])
         composed.append(terms)
         for e, c in terms.items():
             ridx = row_index.get(e)
             if ridx is None:
                 ridx = row_index[e] = len(matrix)
-                matrix.append([zero] * ncols)
+                matrix.append([0] * ncols)
             matrix[ridx][j] = c
     if not matrix:
         # every composed monomial is the zero polynomial (only possible if
         # some f is zero and cap >= 1); x_i with f_i = 0 annihilates
-        matrix.append([zero] * ncols)
+        matrix.append([0] * ncols)
 
-    if p:
-        vec = linalg.kernel_of_integer_rows(matrix, p, field)
-    else:
-        vec = linalg.kernel_vector(matrix, field)
+    vec = linalg.kernel_of_integer_rows(matrix, p, field)
     if vec is None:
         return None
-    terms = {monos[j]: v for j, v in enumerate(vec) if not field.is_zero(field.normalize(v))}
-    F = SparsePoly(field, m, terms)
+    j0 = max(j for j, v in enumerate(vec) if v)
+    ratio = field.from_integers(scale, scale[j0])
+    F = SparsePoly(field, m, {monos[j]: field.mul(v, r)
+                              for j, (v, r) in enumerate(zip(vec, ratio)) if v})
     if not F.substitute(fs).is_zero:
         raise AssertionError("kernel vector failed substitution check")
     return normalize_monic(F)

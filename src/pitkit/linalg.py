@@ -1,30 +1,31 @@
 """Exact linear algebra: one forward elimination, _eliminate, for scalar
 matrices over a field and for polynomial matrices.
 
-Scalar matrices are taken to integer rows first.  Over F_p _eliminate works
-on residues and scales each pivot row to 1.  Over Q it clears the matrix of
-its denominators and runs Bareiss's fraction-free elimination (Math. Comp.
-1968): after the first step every update divides exactly by the previous
-pivot, so no Fraction is built until the kernel vector.  The same Bareiss
-steps run on SparsePoly matrices over F[x] (poly_matrix_rank), where the
-exact division is divide_exact.  Scalar elimination pivots on the first
+Scalar matrices are taken to integer rows first (FieldSpec.integers).  Over
+F_p _eliminate works on residues and scales each pivot row to 1.  Over Q it
+runs Bareiss's fraction-free elimination (Math. Comp. 1968) on the
+numerators: after the first step every update divides exactly by the
+previous pivot, so no Fraction is built until the kernel vector.  The same
+Bareiss steps run on SparsePoly matrices over F[x] (poly_matrix_rank),
+where the exact division is divide_exact.  Scalar elimination pivots on the first
 nonzero entry of each column, so the rows below a pivot are nonzero
 multiples of those of elimination in the field, entry for entry: the zero
 pattern, the rank, the pivot rows and the kernel vector are those of
 textbook elimination.
 
-kernel_vector back-substitutes the echelon rows into the first kernel
-vector; echelon and rank read only the rank and the pivot rows.
+kernel_of_integer_rows back-substitutes the echelon rows into the first
+kernel vector; echelon and rank read only the rank and the pivot rows.
 reduced_echelon back-reduces the rows to the reduced row echelon form, the
 canonical basis of a row space that the Vandermonde candidate screens use
 as the key of an affine image."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from .polynomials import SparsePoly, _prepare_point
+from .polynomials import SparsePoly
 
 
 def echelon(matrix, field):
@@ -56,10 +57,10 @@ def kernel_vector(matrix, field):
 
 
 def kernel_of_integer_rows(A, p, field):
-    """kernel_vector of the integer rows A with the modulus p, as
-    _integer_rows gives them: residues in [0, p), or integers with p = 0
-    over Q.  A is eliminated in place.  A caller whose rows are residues
-    already passes them here without the copy.
+    """kernel_vector of the integer rows A with the modulus p =
+    field.characteristic: residues in [0, p), or integers over Q.  A is
+    eliminated in place.  A caller whose rows are integers already passes
+    them here without the copy.
 
     Elimination stops at the first dependent column j, so pivot k sits in
     column k for every k < j, and j is the rank."""
@@ -79,17 +80,12 @@ def kernel_of_integer_rows(A, p, field):
 
 
 def _integer_rows(matrix, field):
-    """(A, p): a matrix of raw elements as integer rows A with the same row
-    space, and the modulus _eliminate works with.  Over F_p the residues in
-    [0, p) and p; over Q the rows times the common denominator of the
-    entries, and 0."""
-    if field.kind == "prime":
-        p = field.p
-        return [[v % p if type(v) is int else field.normalize(v) for v in row]
-                for row in matrix], p
-    rows = [[v if type(v) in (Fraction, int) else field.normalize(v) for v in row]
-            for row in matrix]
-    return _numerators(rows)[0], 0
+    """(A, p): a matrix of raw elements as integer rows A over one
+    denominator (FieldSpec.integers), so with the same row space, and the
+    modulus _eliminate works with, p = field.characteristic."""
+    cols = len(matrix[0])
+    flat = field.integers(itertools.chain.from_iterable(matrix))[0]
+    return [flat[i:i + cols] for i in range(0, len(flat), cols)], field.characteristic
 
 
 def _eliminate(A, p, until_kernel, size=None):
@@ -139,8 +135,10 @@ def _eliminate(A, p, until_kernel, size=None):
                 x = row[j]
                 if prev is None:
                     row[j + 1:] = [d * a - x * b for a, b in zip(row[j + 1:], right)]
-                else:
+                elif x:
                     row[j + 1:] = [(d * a - x * b) // prev for a, b in zip(row[j + 1:], right)]
+                else:
+                    row[j + 1:] = [d * a // prev for a in row[j + 1:]]
                 row[j] = zero
             prev = d
         pivot_cols.append(j)
@@ -202,14 +200,5 @@ def eval_matrix(M, point):
     first = M[0][0]
     if len(point) != first.nvars:
         raise ValueError("point arity != nvars")
-    x = _prepare_point(first.field, point)
+    x = first.field.integers(point)
     return [[entry._eval_prepared(x) for entry in row] for row in M]
-
-
-def _numerators(M):
-    """(integer rows, D): the rows of a rational matrix times their common
-    denominator D."""
-    # a set: lcm gets the distinct denominators (mostly just 1), not one
-    # argument per entry, which measurably raised peak memory
-    den = math.lcm(*{v.denominator for row in M for v in row})
-    return [[v.numerator * (den // v.denominator) for v in row] for row in M], den

@@ -10,11 +10,14 @@ The text format accepted and produced here looks like ``3*x1^2*x2 - x3 + 7``.
 Variables are x1..xn (1-based), z0..zr (0-based, used for reduced rings), or
 the single letter t for univariate images.  Parsing is whitespace-insensitive
 and round-trips exactly on canonical output.
+
+Evaluation runs on integers: the point and the coefficients are taken to
+the integer form of FieldSpec.integers (residues over F_p, numerators over
+one denominator over Q), and the value is made a raw element at the end.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -43,25 +46,6 @@ class ParseError(ValueError):
 def gradedlex_key(exps):
     """Sort key: graded-lex, larger key = later monomial."""
     return (sum(exps), exps)
-
-
-def _prepare_point(field, point):
-    """A point in the integer form the evaluation kernels take.
-
-    Over F_p the residues of the coordinates.  Over Q the pair (a, q): q is
-    the least common denominator of the coordinates and a their numerators
-    over q, so that coordinate i is a[i] / q.
-    """
-    if field.kind == "prime":
-        p = field.p
-        return [v % p if type(v) is int else field.normalize(v) for v in point]
-    vals = [v if type(v) is Fraction else field.normalize(v) for v in point]
-    nums = [v.numerator for v in vals]
-    dens = [v.denominator for v in vals]
-    q = math.lcm(*dens)
-    if q == 1:
-        return nums, 1
-    return [a * (q // d) for a, d in zip(nums, dens)], q
 
 
 class SparsePoly:
@@ -281,30 +265,31 @@ class SparsePoly:
         """Evaluate at a point of raw elements; returns raw.
 
         Integer arithmetic throughout: the point goes through
-        _prepare_point, the polynomial through _compile (once), and
+        FieldSpec.integers, the polynomial through _compile (once), and
         _eval_prepared does the sum.
         """
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
-        return self._eval_prepared(_prepare_point(self.field, point))
+        return self._eval_prepared(self.field.integers(point))
 
     def _eval_prepared(self, x):
-        """The value at a point x in _prepare_point form.
+        """The value at a point x = (a, q) in the integer form of
+        FieldSpec.integers, coordinate i being a[i] / q.
 
-        Over F_p a sum of residues with one reduction per factor.  Over Q,
-        with x = (a, q), one integer sum over the cleared denominators,
+        Over F_p (q = 1) a sum of residues with one reduction per factor.
+        Over Q one integer sum over the cleared denominators,
         f(a/q) = sum N_e a^e q^(d-|e|) / (D q^d), made a Fraction at the end.
         """
         den, terms, d = self._compiled or self._compile()
+        a, q = x
         if self.field.kind == "prime":
             p = self.field.p
             acc = 0
             for c, mon, _ in terms:
                 for i, e in mon:
-                    c = c * (x[i] if e == 1 else pow(x[i], e, p)) % p
+                    c = c * (a[i] if e == 1 else pow(a[i], e, p)) % p
                 acc += c
             return acc % p
-        a, q = x
         qpow = [1]
         for _ in range(d):
             qpow.append(qpow[-1] * q)
@@ -320,20 +305,15 @@ class SparsePoly:
     def _compile(self):
         """(D, terms, d): the evaluation form, built once per polynomial.
 
-        terms lists (N, ((var, exp), ...), total degree) with integer N,
-        zero exponents left out; D is the common denominator of the
-        coefficients (N = D * coefficient) and 1 over F_p; d is the total
-        degree (0 for the zero polynomial).
+        terms lists (N, ((var, exp), ...), total degree) with the
+        coefficients in the integer form of FieldSpec.integers, N = D *
+        coefficient, zero exponents left out; D is their common denominator
+        (1 over F_p); d is the total degree (0 for the zero polynomial).
         """
-        prime = self.field.kind == "prime"
-        den = 1 if prime else math.lcm(*(c.denominator for c in self.terms.values()))
+        nums, den = self.field.integers(self.terms.values())
         terms = tuple(
-            (
-                c if prime else c.numerator * (den // c.denominator),
-                tuple((i, e) for i, e in enumerate(exps) if e),
-                sum(exps),
-            )
-            for exps, c in self.terms.items()
+            (N, tuple((i, e) for i, e in enumerate(exps) if e), sum(exps))
+            for N, exps in zip(nums, self.terms)
         )
         self._compiled = (den, terms, max((t[2] for t in terms), default=0))
         return self._compiled
@@ -740,15 +720,6 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int, style: str = "x") ->
     return SparsePoly(field, nvars, terms)
 
 
-def _coeff_text(field: FieldSpec, c) -> str:
-    if field.kind == "prime":
-        return str(c)
-    c = field.normalize(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def poly_to_text(f: SparsePoly, style: str = "x") -> str:
     """Canonical text: terms descending graded-lex, e.g. ``3*x1^2*x2 - x3 + 7``."""
     if f.is_zero:
@@ -756,7 +727,7 @@ def poly_to_text(f: SparsePoly, style: str = "x") -> str:
     field = f.field
     parts = []
     for exps, c in f.sorted_terms():
-        ctext = _coeff_text(field, c)
+        ctext = str(field.scalar_to_json(c))
         negative = ctext.startswith("-")
         if negative:
             ctext = ctext[1:]

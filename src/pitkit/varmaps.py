@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import partial
 
 from . import linalg
 from .fields import FieldError, FieldSpec
 from .independence import POINT_BOUND, evaluated_certificate, evaluated_rank, jacobian, trdeg
-from .polynomials import MAX_VALUE_BITS, BudgetExceeded, SparsePoly, _prepare_point
+from .polynomials import MAX_VALUE_BITS, BudgetExceeded, SparsePoly
 from .primes import iter_primes
 
 
@@ -208,7 +207,7 @@ def schedule(
     if kind == "depth4":
         if k is None or s is None:
             raise ValueError("depth4 needs k and s")
-        if k < 2 or s < 1:
+        if k < 2 or s < 1 or (k > 2 and r is not None and r < 1):
             raise ValueError("bad depth4 sizes")
         if k == 2:
             rr = 1
@@ -315,13 +314,15 @@ class AffineMap:
         if self._images is None:
             field, w = self.field, self.nvars_out
             const, cols, L = self._integer_columns()
+            const = field.from_integers(const, L)
+            cols = [field.from_integers(col, L) for col in cols]
             units = [tuple(1 if q == t else 0 for q in range(w)) for t in range(w)]
             imgs = []
             for i, b in enumerate(const):
-                terms = {(0,) * w: Fraction(b, L)} if b else {}
+                terms = {(0,) * w: b} if b else {}
                 for unit, col in zip(units, cols):
                     if col[i]:
-                        terms[unit] = Fraction(col[i], L)
+                        terms[unit] = col[i]
                 imgs.append(SparsePoly(field, w, terms))
             self._images = tuple(imgs)
         return self._images
@@ -333,44 +334,37 @@ class AffineMap:
 
     def point_images(self, a):
         """The x-space point this map sends the z-point a to."""
+        return tuple(self.field.from_integers(*self._integer_image(a)))
+
+    def _integer_image(self, a):
+        """point_images(a) as (ints, den), not reduced."""
         if len(a) != self.nvars_out:
             raise ValueError("expected a point with %d coordinates" % self.nvars_out)
-        field = self.field
         const, cols, L = self._integer_columns()
-        if field.kind == "prime":
-            a, q = _prepare_point(field, a), 1
-        else:
-            a, q = _prepare_point(field, a)
+        a, q = self.field.integers(a)
         out = list(const) if q == 1 else [c * q for c in const]
         for col, v in zip(cols, a):
             if v:
                 out = [x + c * v for x, c in zip(out, col)]
-        if field.kind == "prime":
-            p = field.p
-            return tuple(x % p for x in out)
-        den = L * q
-        if den == 1:
-            return tuple(map(Fraction, out))
-        return tuple(Fraction(x, den) for x in out)
+        return out, L * q
 
     def jacobian_at(self, J, a):
         """The Jacobian of the images of fs at the z-point a, where J is
         jacobian(fs): by the chain rule J(f o mp)(a) = J_f(mp(a)) M, one
-        integer dot product per entry.  J is evaluated only in the variables
+        integer dot product per entry, on the entries of J(mp(a)) over
+        their common denominator.  J is evaluated only in the variables
         whose row of M is nonzero; the others add nothing."""
         const, cols, L = self._integer_columns()
         live = [i for i in range(self.n) if any(col[i] for col in cols)]
-        field = self.field
-        x = _prepare_point(field, self.point_images(a))
-        vals = [[row[i]._eval_prepared(x) for i in live] for row in J]
+        field, width = self.field, len(live)
+        x = self._integer_image(a)
+        vals, den = field.integers([row[i]._eval_prepared(x) for row in J for i in live])
+        rows = [vals[k * width:(k + 1) * width] for k in range(len(J))]
         cols = [[col[i] for i in live] for col in cols]
-        if field.kind == "prime":
-            p = field.p
-            return [[sum(u * v for u, v in zip(row, col)) % p for col in cols] for row in vals]
-        vals, den = linalg._numerators(vals)
-        den *= L
-        return [[Fraction(sum(u * v for u, v in zip(row, col)), den) for col in cols]
-                for row in vals]
+        w = len(cols)
+        out = field.from_integers(
+            [sum(u * v for u, v in zip(row, col)) for row in rows for col in cols], den * L)
+        return [out[k * w:(k + 1) * w] for k in range(len(J))]
 
 
 class KroneckerMap(AffineMap):

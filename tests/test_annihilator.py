@@ -156,3 +156,17 @@ def test_packed_map_on_fixed_families(field, texts, nvars, cap):
     fs = [poly_from_text(t, field, nvars) for t in texts]
     check_against_reference(fs, cap)
 
+
+@pytest.mark.parametrize("texts, nvars, cap", [
+    # no annihilator up to cap 6: 84 columns of a cleared family
+    (["x1 + 2/3", "x2 + 5/7*x1^2 - 1", "x1*x2 + 3*x3^2 + 1/2"], 3, 6),
+    # annihilators with fractional coefficients, so D^e_j differs by column
+    (["x1 + 2/3", "5/7*x1^2 - 1"], 1, 2),
+    (["1/2*x1*x2 + 1/3", "x1 + 3/4", "2/5*x2"], 2, 2),
+    (["1/3*x1^2", "x1^3 + 1/2", "x2"], 2, 6),
+])
+def test_cleared_members_over_q(texts, nvars, cap):
+    # the map is built on D_i f_i; its kernel vector, rescaled by
+    # D^e_j / D^e_j0, must be the one of fs itself
+    fs = [poly_from_text(t, Q, nvars) for t in texts]
+    check_against_reference(fs, cap)

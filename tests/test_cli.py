@@ -170,6 +170,52 @@ def test_depth4_rejects_other_kinds(tmp_path, capsys):
     assert "depth4" in json.loads(err)["error"]
 
 
+def test_depth4_report_and_its_verify_share_one_coprime_basis(tmp_path, capsys, monkeypatch):
+    from pitkit import depth4
+    calls = []
+    real = depth4.coprime_basis
+    monkeypatch.setattr(depth4, "coprime_basis", lambda C: calls.append(C) or real(C))
+    path = dump(tmp_path, "d4.json", shared_factor_depth4().to_json_dict())
+    code, out, _ = run(capsys, ["depth4", path])
+    assert code == 0 and len(calls) == 1
+    report = dump(tmp_path, "report.json", out)
+    code, out, _ = run(capsys, ["verify", report, "--against", path])
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert len(calls) == 2
+
+
+THREE_ROWS = {"kind": "depth4", "field": {"kind": "rational"}, "nvars": 4, "delta": 1,
+              "rows": [["x1", "x2"], ["x2", "x3"], ["x1 + x3", "x4"]]}
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "exact"])
+@pytest.mark.parametrize("R", ["0", "-1"])
+def test_pit_depth4_refuses_R_below_one(tmp_path, capsys, mode, R):
+    # R bounds the rank only for k >= 3; it once leaked "math domain error"
+    # (R = 0) and a ceil_log2 error (R = -1)
+    path = dump(tmp_path, "k3.json", THREE_ROWS)
+    code, out, err = run(capsys, ["pit", path, "--R", R, "--mode", mode, "--max-points", "5"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "bad depth4 sizes"
+
+
+def test_pit_depth4_with_two_rows_ignores_R(tmp_path, capsys):
+    path = dump(tmp_path, "k2.json", dict(THREE_ROWS, rows=THREE_ROWS["rows"][:2]))
+    code, out, _ = run(capsys, ["pit", path])
+    for R in ("0", "-1"):
+        code_R, out_R, _ = run(capsys, ["pit", path, "--R", R])
+        assert code_R == code == 1
+        assert json.loads(out_R)["verdict"] == json.loads(out)["verdict"]
+
+
+@pytest.mark.parametrize("R", ["0", "-1"])
+def test_hitting_set_depth4_refuses_R_below_one(capsys, R):
+    code, out, err = run(capsys, ["hitting-set", "--kind", "depth4", "--n", "3", "--delta", "1",
+                                  "--k", "3", "--s", "2", "--R", R, "--max-points", "2"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "bad depth4 sizes"
+
+
 def test_faithful_report(tmp_path, capsys):
     pair = dump(tmp_path, "pair.json", PAIR_FAMILY)
     code, out, _ = run(capsys, ["faithful", pair, "--kind", "phi"])

@@ -7,6 +7,7 @@ import pytest
 from pitkit.circuits import Depth4Circuit
 from pitkit.depth4 import (
     coprime_basis,
+    gcd_and_simple_part,
     gcd_part,
     is_minimal,
     lift_identity,
@@ -83,6 +84,8 @@ def test_gcd_times_simple_matches_expansion():
         assert (g * full_sum(S) - full_sum(C)).is_zero
         # dividing the shared part out leaves nothing shared
         assert gcd_part(S).is_constant
+        g_both, S_both = gcd_and_simple_part(C)
+        assert g_both == g and (S_both.delta, S_both.rows) == (S.delta, S.rows)
 
 
 def test_coprime_basis_shape_and_reconstruction():
