@@ -5,6 +5,11 @@ Node kinds for the DAG are input/const/add/mul with n-ary add and mul.  Nodes
 may only reference earlier nodes (validated), which keeps evaluation a single
 forward pass.  Three JSON circuit kinds round-trip bit-exactly: "dag",
 "depth4", and "composed".
+
+Every kind is a Blackbox with one evaluation, on the integer form of
+FieldSpec.integers: a point (a, q) in, a value (num, den) out.  The
+hitting-set walk (hitting.pit) calls it on the set's integer stream;
+evaluate(point) is the same evaluation between two conversions.
 """
 
 from __future__ import annotations
@@ -30,7 +35,23 @@ def _json_int(value, key):
     return value
 
 
-class Circuit:
+class Blackbox:
+    """What the three circuit kinds share: one evaluation on the integer
+    form of FieldSpec.integers, _evaluate_integers(x) -> (num, den), which
+    the hitting-set walk calls, and evaluate at raw points around it."""
+
+    __slots__ = ()
+
+    def evaluate(self, point):
+        """The value at a tuple of raw elements: _evaluate_integers between
+        one conversion in and one out."""
+        if len(point) != self.nvars:
+            raise ValueError("point arity != nvars")
+        num, den = self._evaluate_integers(self.field.integers(point))
+        return self.field.from_integers([num], den)[0]
+
+
+class Circuit(Blackbox):
     """An arithmetic circuit as a topologically ordered node list."""
 
     __slots__ = ("field", "nvars", "nodes", "output", "_int_nodes")
@@ -72,22 +93,22 @@ class Circuit:
             return (op, kids)
         raise ValueError("unknown node kind %r" % (op,))
 
-    def evaluate(self, point):
-        """Evaluate at a tuple of raw elements; memoized forward pass.
+    def _evaluate_integers(self, x):
+        """The value at x = (a, q), point[i] = a[i] / q in the integer form
+        of FieldSpec.integers, as (num, den) with value num / den.
 
-        Integer arithmetic over F_p (residues), and over Q when every input
-        and every const is an integer; Fractions for the other rational
-        points and circuits.
+        One forward pass: mod p over F_p (residues, q = 1), and over Q on
+        integers when q = 1 and every const is an integer; on Fractions
+        for the other rational points and circuits.
         """
-        if len(point) != self.nvars:
-            raise ValueError("point arity != nvars")
+        a, q = x
         field = self.field
-        a, q = field.integers(point)
         if field.kind == "prime":
-            return self._forward(self.nodes, a, field.p)
+            return self._forward(self.nodes, a, field.p), 1
         if q == 1 and self._int_nodes is not None:
-            return Fraction(self._forward(self._int_nodes, a, None))
-        return self._forward(self.nodes, [field.normalize(v) for v in point], None)
+            return self._forward(self._int_nodes, a, None), 1
+        v = self._forward(self.nodes, field.from_integers(a, q), None)
+        return v.numerator, v.denominator
 
     def _forward(self, nodes, pt, p):
         """The forward pass over `nodes` at input values pt, reduced mod p
@@ -282,7 +303,7 @@ class Circuit:
                        _json_int(obj["output"], "output"))
 
 
-class Depth4Circuit:
+class Depth4Circuit(Blackbox):
     """Sum of k products of sparse polynomials of degree at most delta."""
 
     __slots__ = ("field", "nvars", "delta", "rows")
@@ -329,20 +350,33 @@ class Depth4Circuit:
             raise ValueError("row subset out of range")
         return Depth4Circuit(self.field, self.nvars, self.delta, [self.rows[i] for i in I])
 
-    def evaluate(self, point):
-        if len(point) != self.nvars:
-            raise ValueError("point arity != nvars")
-        field = self.field
-        x = field.integers(point)
-        acc = field.zero()
+    def _evaluate_integers(self, x):
+        """The sum of the rows' products of the factors' values at x (see
+        Blackbox): residues over F_p, and over Q numerators and
+        denominators multiplied out, not reduced."""
+        if self.field.kind == "prime":
+            p = self.field.p
+            acc = 0
+            for row in self.rows:
+                prod = 1
+                for f in row:
+                    prod = prod * f._eval_integers(x)[0] % p
+                    if not prod:
+                        break
+                acc += prod
+            return acc % p, 1
+        num, den = 0, 1
         for row in self.rows:
-            prod = field.one()
+            pn = pd = 1
             for f in row:
-                prod = field.mul(prod, f._eval_prepared(x))
-                if field.is_zero(prod):
+                fn, fd = f._eval_integers(x)
+                pn *= fn
+                pd *= fd
+                if not pn:
                     break
-            acc = field.add(acc, prod)
-        return acc
+            if pn:
+                num, den = num * pd + pn * den, den * pd
+        return num, den
 
     def expand(self, budget: int = DEFAULT_EXPAND_BUDGET) -> SparsePoly:
         acc = SparsePoly.zero(self.field, self.nvars)
@@ -390,7 +424,7 @@ class Depth4Circuit:
         return Depth4Circuit(field, nvars, _json_int(obj["delta"], "delta"), rows)
 
 
-class ComposedCircuit:
+class ComposedCircuit(Blackbox):
     """C'(x) = C(f_1(x), ..., f_m(x)) with an explicit sparse input list.
 
     The outer circuit runs over y_1..y_m; keeping the inner polynomials
@@ -423,11 +457,17 @@ class ComposedCircuit:
     def nvars(self):
         return self.inputs[0].nvars
 
-    def evaluate(self, point):
-        if len(point) != self.nvars:
-            raise ValueError("point arity != nvars")
-        x = self.field.integers(point)
-        return self.outer.evaluate([f._eval_prepared(x) for f in self.inputs])
+    def _evaluate_integers(self, x):
+        """The outer circuit's value at the inner values (see Blackbox).
+        Over F_p the inner residues go straight into the outer pass; over
+        Q the inner values are put over one denominator, 1 when every
+        inner value is an integer."""
+        nums, whole = [], True
+        for f in self.inputs:
+            num, den = f._eval_integers(x)
+            nums.append(num if den == 1 else Fraction(num, den))
+            whole = whole and den == 1
+        return self.outer._evaluate_integers((nums, 1) if whole else self.field.integers(nums))
 
     def degree_bound(self) -> int:
         dmax = max((f.degree() or 0) for f in self.inputs)

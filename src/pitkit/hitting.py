@@ -29,6 +29,15 @@ larger than a map's, needs no map search, and is certified unless the
 field truncates the axis.  pit_circuit walks it, and its provenance says
 "map": "identity" and gives w.
 
+A set holds one stream of points in the integer form of
+FieldSpec.integers, (ints, den) with coordinate i = ints[i] / den: the
+lattice of the grid's integers, or its images under each map
+(AffineMap._integer_image), residues over F_p and numerators over one
+denominator over Q.  pit() walks that stream through the circuit's own
+integer evaluation (circuits.Blackbox) and makes only the witness and its
+value raw elements; points() is the raw view of the same stream, which
+`hitting-set` prints.
+
 Exact-mode enumerations are complete but their closed-form sizes are
 astronomically large for all but toy parameters; pit() therefore takes a
 max_points cutoff and reports "inconclusive" when the stream is cut short.
@@ -40,7 +49,7 @@ import itertools
 import math
 from functools import partial
 
-from .circuits import ComposedCircuit, Depth4Circuit
+from .circuits import Blackbox, ComposedCircuit, Depth4Circuit
 from .depth4 import search_depth4_map
 from .fields import FieldSpec
 from .independence import trdeg
@@ -56,7 +65,11 @@ from .varmaps import (
 
 
 class HittingSet:
-    """Deterministic point enumeration with a guarantee label."""
+    """Deterministic point enumeration with a guarantee label.
+
+    The set holds one stream of points in the integer form of
+    FieldSpec.integers, (ints, den) with coordinate i = ints[i] / den;
+    points() is its raw view."""
 
     __slots__ = ("field", "arity", "guarantee", "provenance", "size_bound", "_factory")
 
@@ -70,9 +83,14 @@ class HittingSet:
         self.size_bound = size_bound
         self._factory = factory
 
-    def points(self):
-        """A fresh iterator over the point tuples."""
+    def integer_points(self):
+        """A fresh iterator over the points as (ints, den)."""
         return self._factory()
+
+    def points(self):
+        """A fresh iterator over the point tuples of raw elements."""
+        from_integers = self.field.from_integers
+        return (tuple(from_integers(ints, den)) for ints, den in self._factory())
 
 
 class PitVerdict:
@@ -109,20 +127,30 @@ class PitVerdict:
 def pit(oracle, hs: HittingSet, max_points=None) -> PitVerdict:
     """Evaluate the oracle over the hitting set until a nonzero value.
 
-    The oracle is any callable taking one point tuple; points are consumed
-    in the set's deterministic order.
+    The oracle is a circuit (circuits.Blackbox), evaluated on the set's
+    integer stream, or any callable taking one point tuple of raw
+    elements.  Points are consumed in the set's deterministic order; only
+    the witness and its value are made raw elements.
     """
     field = hs.field
+    if isinstance(oracle, Blackbox):
+        value = oracle._evaluate_integers
+    else:
+        def value(x):
+            (num,), den = field.integers([oracle(tuple(field.from_integers(*x)))])
+            return num, den
     checked = 0
-    for pt in hs.points():
+    for x in hs.integer_points():
         if max_points is not None and checked >= max_points:
             return PitVerdict(
                 "inconclusive", None, None, checked, hs.guarantee, hs.provenance
             )
-        v = field.normalize(oracle(pt))
+        num, den = value(x)
         checked += 1
-        if not field.is_zero(v):
-            return PitVerdict("nonzero", pt, v, checked, hs.guarantee, hs.provenance)
+        if num:
+            witness = tuple(field.from_integers(*x))
+            v = field.from_integers([num], den)[0]
+            return PitVerdict("nonzero", witness, v, checked, hs.guarantee, hs.provenance)
     return PitVerdict("zero", None, None, checked, hs.guarantee, hs.provenance)
 
 
@@ -188,6 +216,13 @@ def _lattice(values, w: int, d=None):
         total += 1
 
 
+def _integer_lattice(field, values, w, d=None):
+    """_lattice(values, w, d) in the integer form: (ints, den) per point,
+    den the axis's common denominator."""
+    ints, den = field.integers(values)
+    return ((pt, den) for pt in _lattice(ints, w, d))
+
+
 def _lattice_size(axis: int, w: int, d=None) -> int:
     """The number of points _lattice yields for an axis of that size."""
     return axis ** w if d is None else math.comb(d + w, w)
@@ -217,13 +252,13 @@ def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
             "points": "simplex" if certified else "grid",
         },
         _lattice_size(len(values), r, d),
-        lambda: _lattice(values, r, d),
+        partial(_integer_lattice, field, values, r, d),
     )
 
 
 def _image_set(field, n, provenance, maps, count, w, d, certified):
     """The hitting set of the images of a lattice simplex under a stream of
-    maps: mp.point_images(a) for every map mp of maps() (count of them, each
+    maps: the image of a for every map mp of maps() (count of them, each
     of w output variables) and every a of the simplex of total degree d in
     the grid with d + 1 values per axis, or of the whole grid when the
     field truncates the axis; maps=None is the identity (w = n, count 1).
@@ -236,8 +271,8 @@ def _image_set(field, n, provenance, maps, count, w, d, certified):
 
     def factory():
         if maps is None:
-            return _lattice(grid, w, d)
-        return (mp.point_images(a) for mp in maps() for a in _lattice(grid, w, d))
+            return _integer_lattice(field, grid, w, d)
+        return (mp._integer_image(x) for mp in maps() for x in _integer_lattice(field, grid, w, d))
 
     return HittingSet(
         field,
@@ -412,7 +447,7 @@ def pit_circuit(
         values, deg = _grid_values(field, d)
         hs = sz_grid(field, values, n, d=deg)
         truncated = deg is None
-    verdict = pit(circ.evaluate, hs, max_points=max_points)
+    verdict = pit(circ, hs, max_points=max_points)
     if verdict.outcome == "zero" and truncated:
         return PitVerdict(
             "inconclusive", None, None, verdict.points_checked, hs.guarantee, hs.provenance

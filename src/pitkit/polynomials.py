@@ -274,11 +274,19 @@ class SparsePoly:
 
     def _eval_prepared(self, x):
         """The value at a point x = (a, q) in the integer form of
-        FieldSpec.integers, coordinate i being a[i] / q.
+        FieldSpec.integers, coordinate i being a[i] / q, as a raw element:
+        _eval_integers made a Fraction over Q."""
+        num, den = self._eval_integers(x)
+        if self.field.kind == "prime":
+            return num
+        return Fraction(num) if den == 1 else Fraction(num, den)
 
-        Over F_p (q = 1) a sum of residues with one reduction per factor.
-        Over Q one integer sum over the cleared denominators,
-        f(a/q) = sum N_e a^e q^(d-|e|) / (D q^d), made a Fraction at the end.
+    def _eval_integers(self, x):
+        """The value at x = (a, q) as (N, D) with value N / D.
+
+        Over F_p (q = 1) a sum of residues with one reduction per factor,
+        and D = 1.  Over Q one integer sum over the cleared denominators,
+        f(a/q) = sum N_e a^e q^(d-|e|) / (D q^d), not reduced.
         """
         den, terms, d = self._compiled or self._compile()
         a, q = x
@@ -289,18 +297,20 @@ class SparsePoly:
                 for i, e in mon:
                     c = c * (a[i] if e == 1 else pow(a[i], e, p)) % p
                 acc += c
-            return acc % p
-        qpow = [1]
-        for _ in range(d):
-            qpow.append(qpow[-1] * q)
+            return acc % p, 1
+        if q != 1:
+            qpow = [1]
+            for _ in range(d):
+                qpow.append(qpow[-1] * q)
+            den *= qpow[d]
         acc = 0
         for c, mon, k in terms:
-            c *= qpow[d - k]
+            if q != 1:
+                c *= qpow[d - k]
             for i, e in mon:
                 c *= a[i] if e == 1 else a[i] ** e
             acc += c
-        den *= qpow[d]
-        return Fraction(acc) if den == 1 else Fraction(acc, den)
+        return acc, den
 
     def _compile(self):
         """(D, terms, d): the evaluation form, built once per polynomial.
@@ -365,14 +375,26 @@ class SparsePoly:
                 cache[(i, e)] = got
             return got
 
-        acc = SparsePoly.zero(tf, tn)
+        # every term's image summed into one dict and reduced once at the
+        # end; adding each term to the sum so far would copy it per term
+        out = {}
+        one = (0,) * tn
         for exps, c in self.terms.items():
-            prod = SparsePoly.constant(tf, tn, c)
+            prod = None
             for i, e in enumerate(exps):
                 if e:
-                    prod = prod * img_pow(i, e)
-            acc = acc + prod
-        return acc
+                    prod = img_pow(i, e) if prod is None else prod * img_pow(i, e)
+            if prod is None:
+                out[one] = out.get(one, 0) + c
+                continue
+            for m, v in prod.terms.items():
+                out[m] = out.get(m, 0) + c * v
+        if tf.kind == "prime":
+            p = tf.p
+            out = {m: v % p for m, v in out.items() if v % p}
+        else:
+            out = {m: v for m, v in out.items() if v}
+        return self._raw(tf, tn, out)
 
     def coeff_in(self, v: int, k: int):
         """Coefficient of x_v^k, as a polynomial in the same ring (v-degree 0)."""

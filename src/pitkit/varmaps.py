@@ -334,18 +334,24 @@ class AffineMap:
 
     def point_images(self, a):
         """The x-space point this map sends the z-point a to."""
-        return tuple(self.field.from_integers(*self._integer_image(a)))
+        field = self.field
+        return tuple(field.from_integers(*self._integer_image(field.integers(a))))
 
-    def _integer_image(self, a):
-        """point_images(a) as (ints, den), not reduced."""
+    def _integer_image(self, x):
+        """The image of the z-point x = (a, q) in the integer form of
+        FieldSpec.integers, in that form: (residues, 1) over F_p, and over
+        Q numerators over L * q, not reduced."""
+        a, q = x
         if len(a) != self.nvars_out:
             raise ValueError("expected a point with %d coordinates" % self.nvars_out)
         const, cols, L = self._integer_columns()
-        a, q = self.field.integers(a)
         out = list(const) if q == 1 else [c * q for c in const]
         for col, v in zip(cols, a):
             if v:
                 out = [x + c * v for x, c in zip(out, col)]
+        if self.field.kind == "prime":
+            p = self.field.p
+            return [v % p for v in out], 1
         return out, L * q
 
     def jacobian_at(self, J, a):
@@ -357,7 +363,7 @@ class AffineMap:
         const, cols, L = self._integer_columns()
         live = [i for i in range(self.n) if any(col[i] for col in cols)]
         field, width = self.field, len(live)
-        x = self._integer_image(a)
+        x = self._integer_image(field.integers(a))
         vals, den = field.integers([row[i]._eval_prepared(x) for row in J for i in live])
         rows = [vals[k * width:(k + 1) * width] for k in range(len(J))]
         cols = [[col[i] for i in live] for col in cols]

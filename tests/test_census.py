@@ -1,5 +1,7 @@
-"""A census of tiny depth-4 circuits: every circuit of a small family, not a
-sample, goes through pit_circuit and is checked against its expansion.
+"""A census of tiny circuits: every circuit of a small family, not a sample,
+goes through pit_circuit and is checked against its expansion.  The
+families are depth-4 circuits with linear factors, composed circuits with
+one- or two-term inners, and dags of up to three gates.
 
 The family: k rows of s linear factors a_1 x_1 + ... + a_n x_n + a_0, every
 a_i in {-1, 0, 1} and some a_i with i >= 1 nonzero, rows and circuits taken
@@ -16,6 +18,17 @@ rewritten to claim the identity simplex (rejected).  The round trip costs
 a few file writes and reads per report, so it takes every zero,
 inconclusive and map-search report, and every STRIDE-th nonzero report of
 the identity slices; the full round trip of every circuit takes about 20 s.
+
+A composed circuit C(f_1, ..., f_m) takes its inners from the nonzero
+polynomials of one or two terms of degree <= 2 with coefficients -1 or 1,
+and one of three outers: y1 + y2 over unordered pairs, y1^2 - y2 over
+ordered pairs and the zero compositions (f, f^2), and y1*y2 - y3 over
+unordered pairs with y3 = f1*f2 (zero) and f1*f2 + 1 (which is a zero inner
+when f1*f2 = -1).  A dag has the leaves x_1..x_n, 1 and -1, and each gate
+adds or multiplies two earlier nodes; its output is the last gate.  A
+search that ends in SearchExhausted or BudgetExceeded (the CLI's exit 4)
+is counted, not failed.  The tier-1 slices are capped; the full census's
+counts are kept in CHANGES.md.
 """
 
 import itertools
@@ -24,11 +37,11 @@ import math
 
 import pytest
 
-from pitkit.circuits import Depth4Circuit
+from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.cli import main
 from pitkit.fields import FieldSpec
 from pitkit.hitting import pit_circuit
-from pitkit.polynomials import SparsePoly
+from pitkit.polynomials import BudgetExceeded, SparsePoly, poly_from_text
 from pitkit.varmaps import SearchExhausted
 
 FIELDS = {"F2": FieldSpec("prime", 2), "F3": FieldSpec("prime", 3), "Q": FieldSpec("rational")}
@@ -142,3 +155,104 @@ def test_census_of_linear_depth4_circuits(tmp_path, capsys, name):
             if v.outcome != "nonzero" or not identity or i % STRIDE == 0:
                 verdict = json.loads(json.dumps(v.to_json_dict(field)))
                 round_trip(capsys, tmp_path, C, verdict, identity)
+
+
+# (n, outer, inner terms, the number of circuits taken, or None for all);
+# the full census runs COMPOSED_FULL and DAG_FULL with no cap
+COMPOSED_SLICES = [(2, "x1 + x2", 1, None), (2, "x1^2 - x2", 1, None),
+                   (2, "x1*x2 - x3", 1, None), (2, "x1 + x2", 2, 150),
+                   (2, "x1*x2 - x3", 2, 150), (3, "x1^2 - x2", 2, 100)]
+COMPOSED_FULL = [(n, outer, 2, None) for n in (2, 3)
+                 for outer in ("x1 + x2", "x1^2 - x2", "x1*x2 - x3")]
+# (n, gates, the number of circuits taken, or None for all)
+DAG_SLICES = [(2, 1, None), (2, 2, None), (2, 3, 400)]
+DAG_FULL = [(n, g, None) for n in (1, 2) for g in (1, 2, 3)]
+
+
+def small_inners(field, n, terms):
+    """The distinct nonzero polynomials of at most `terms` terms of degree
+    <= 2 whose coefficients are -1 or 1, in a fixed order."""
+    monos = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    monos.sort(key=lambda e: (sum(e), e))
+    out, seen = [], set()
+    for k in range(1, terms + 1):
+        for ms in itertools.combinations(monos, k):
+            for cs in itertools.product((1, -1), repeat=k):
+                f = SparsePoly(field, n, {m: field.from_int(c) for m, c in zip(ms, cs)})
+                if f and f not in seen:
+                    seen.add(f)
+                    out.append(f)
+    return out
+
+
+def composed_census(field, n, outer, terms, cap):
+    inners = small_inners(field, n, terms)
+    m = 3 if "x3" in outer else 2
+    C = Circuit.from_poly(poly_from_text(outer, field, m))
+    if outer == "x1 + x2":
+        tuples = itertools.combinations_with_replacement(inners, 2)
+    elif outer == "x1^2 - x2":
+        tuples = itertools.chain(itertools.product(inners, repeat=2),
+                                 ((f, f * f) for f in inners))
+    else:
+        one = SparsePoly.one(field, n)
+        tuples = ((f, g, h) for f, g in itertools.combinations_with_replacement(inners, 2)
+                  for h in (f * g, f * g + one))
+    for fs in itertools.islice(tuples, cap):
+        yield ComposedCircuit(C, fs)
+
+
+def dag_census(field, n, gates, cap):
+    leaves = [("input", i) for i in range(n)] + [("const", 1), ("const", -1)]
+
+    def grow(nodes, left):
+        if not left:
+            yield Circuit(field, n, nodes, len(nodes) - 1)
+            return
+        for op in ("add", "mul"):
+            for kids in itertools.combinations_with_replacement(range(len(nodes)), 2):
+                yield from grow(nodes + [(op, kids)], left - 1)
+
+    yield from itertools.islice(grow(leaves, gates), cap)
+
+
+def check(C, field_name, tally):
+    """pit_circuit on C against its expansion; tally counts the outcomes."""
+    try:
+        v = pit_circuit(C, **CONFIG)
+    except (SearchExhausted, BudgetExceeded):
+        tally["exit 4"] = tally.get("exit 4", 0) + 1
+        return
+    tally[v.outcome] = tally.get(v.outcome, 0) + 1
+    tag = json.dumps(C.to_json_dict())
+    if v.outcome == "inconclusive":
+        # only a grid truncated to a small field proves nothing
+        assert field_name != "Q", tag
+        assert v.provenance.get("grid_truncated") or v.provenance.get("points") == "grid", tag
+    else:
+        assert (v.outcome == "zero") == C.expand().is_zero, tag
+    if v.outcome == "nonzero":
+        assert C.evaluate(v.witness) == v.value and not C.field.is_zero(v.value), tag
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_census_of_small_composed_circuits(name):
+    tally = {}
+    for n, outer, terms, cap in COMPOSED_SLICES:
+        for C in composed_census(FIELDS[name], n, outer, terms, cap):
+            check(C, name, tally)
+    # every slice has zero compositions, and Q answers every circuit
+    assert tally.get("zero", 0) > 0 and tally.get("nonzero", 0) > 0
+    if name == "Q":
+        assert set(tally) == {"zero", "nonzero"}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_census_of_small_dags(name):
+    tally = {}
+    for n, gates, cap in DAG_SLICES:
+        for C in dag_census(FIELDS[name], n, gates, cap):
+            check(C, name, tally)
+    assert tally.get("zero", 0) > 0 and tally.get("nonzero", 0) > 0
+    if name == "Q":
+        assert set(tally) == {"zero", "nonzero"}

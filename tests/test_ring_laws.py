@@ -79,3 +79,26 @@ def test_text_round_trip(field, data):
     g = poly_from_text(text, field, n, style=style)
     assert g == f
     assert poly_to_text(g, style=style) == text
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_substitute_is_the_sum_of_the_term_images(field, data):
+    """f(g_1, ..., g_n) = sum of c * prod g_i^e_i, summed one term at a time
+    with +, and terms that cancel across f's terms leave nothing: x1^2 - x2
+    at (g, g^2) is zero."""
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    f = data.draw(polys(field, n))
+    images = [data.draw(polys(field, m)) for _ in range(n)]
+    want = SparsePoly.zero(field, m)
+    for exps, c in f.terms.items():
+        term = SparsePoly.constant(field, m, c)
+        for g, e in zip(images, exps):
+            term = term * g ** e
+        want = want + term
+    got = f.substitute(images)
+    assert got == want and all(not field.is_zero(c) for c in got.terms.values())
+    g = images[0]
+    x1, x2 = SparsePoly.variable(field, 2, 0), SparsePoly.variable(field, 2, 1)
+    assert (x1 ** 2 - x2).substitute([g, g * g]).terms == {}
