@@ -9,7 +9,7 @@ reductions; hitting turns all of that into deterministic point sets and a
 PIT driver; cli exposes the lot as the `pitkit` command.
 """
 
-from .fields import DEFAULT_PRIME, FieldError, FieldSpec, prime_field, rational_field
+from .fields import DEFAULT_PRIME, FieldError, FieldSpec
 from .polynomials import (
     BudgetExceeded,
     ExactDivisionError,
@@ -79,8 +79,6 @@ __all__ = [
     "DEFAULT_PRIME",
     "FieldError",
     "FieldSpec",
-    "prime_field",
-    "rational_field",
     "BudgetExceeded",
     "ExactDivisionError",
     "ParseError",

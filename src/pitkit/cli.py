@@ -327,9 +327,18 @@ def cmd_verify(args) -> int:
     return EXIT_ZERO if verified else EXIT_ERROR
 
 
+def _certificate(obj, nvars):
+    """A report's TrdegCertificate, whose witness point has nvars coordinates."""
+    cert = TrdegCertificate.from_json_dict(obj)
+    point = cert.witness.get("point")
+    if point is not None and len(point) != nvars:
+        raise _InputError("a witness point has %d coordinates, not %d" % (len(point), nvars))
+    return cert
+
+
 def _verify_trdeg(report, against):
     field, nvars, fs = _load_family(against)
-    cert = TrdegCertificate.from_json_dict(report["certificate"])
+    cert = _certificate(report["certificate"], nvars)
     if cert.r != report["r"]:
         return False, "certificate r does not match the reported r"
     ok = verify_trdeg_certificate(fs, cert)
@@ -365,8 +374,8 @@ def _verify_faithful(report, against):
     if mp.n != nvars or mp.field != field:
         return False, "the map's ring (n=%d, %r) is not the family's (n=%d, %r)" % (
             mp.n, mp.field, nvars, field)
-    in_cert = TrdegCertificate.from_json_dict(result["input_certificate"])
-    img_cert = TrdegCertificate.from_json_dict(result["image_certificate"])
+    in_cert = _certificate(result["input_certificate"], nvars)
+    img_cert = _certificate(result["image_certificate"], mp.nvars_out)
     if in_cert.r != img_cert.r:
         return False, "certificates disagree on r"
     if not verify_trdeg_certificate(fs, in_cert):

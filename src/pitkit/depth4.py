@@ -228,8 +228,8 @@ def _zero_test(mp, image, seed):
     """
     field = mp.field
     a = _random_point(field, random.Random(_subseed(seed, 4)), mp.nvars_out)
-    x = field.integers(mp.point_images(a))
-    return lambda f: not f._eval_prepared(x) and image(f).is_zero
+    x = mp._integer_image(field.integers(a))
+    return lambda f: not f._eval_integers(x)[0] and image(f).is_zero
 
 
 def _preserves_simple_part(C, sim, image, maps_to_zero):

@@ -139,12 +139,19 @@ class FieldSpec:
             p = self.p
             return [v % p if type(v) is int else self.normalize(v) for v in values], 1
         vals = [v if type(v) in (Fraction, int) else self.normalize(v) for v in values]
+        return self.over_one_denominator([(v.numerator, v.denominator) for v in vals])
+
+    def over_one_denominator(self, pairs):
+        """integers() of the values N / D given as pairs (N, D) of ints, D >
+        0, without a Fraction: the numerators over the lcm of the D, not
+        reduced.  Over F_p each N is a residue and D = 1, as
+        SparsePoly._eval_integers gives them."""
         # a set: lcm gets the distinct denominators (mostly just 1), not one
         # argument per value, which measurably raised peak memory
-        den = math.lcm(*{v.denominator for v in vals})
+        den = math.lcm(*{D for _, D in pairs})
         if den == 1:
-            return [v.numerator for v in vals], 1
-        return [v.numerator * (den // v.denominator) for v in vals], den
+            return [N for N, _ in pairs], 1
+        return [N * (den // D) for N, D in pairs], den
 
     def from_integers(self, ints, den=1):
         """The raw elements ints[i] / den, the inverse of integers."""
@@ -210,11 +217,3 @@ class FieldSpec:
             except (ValueError, ZeroDivisionError) as e:
                 raise FieldError("bad rational scalar %r: %s" % (obj, e))
         raise FieldError("rational scalar must be int or 'num/den' string")
-
-
-def prime_field(p: int) -> FieldSpec:
-    return FieldSpec("prime", p)
-
-
-def rational_field() -> FieldSpec:
-    return FieldSpec("rational")

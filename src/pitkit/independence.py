@@ -25,6 +25,7 @@ from fractions import Fraction
 from . import linalg
 from .fields import FieldSpec
 from .polynomials import (
+    MAX_VALUE_BITS,
     BudgetExceeded,
     SparsePoly,
     normalize_monic,
@@ -78,7 +79,8 @@ _TRIALS = 4
 def evaluated_rank(jac_at, field, nvars: int, ceiling: int, seed: int = 0):
     """The rank of a Jacobian given by its values, as a lower bound, with
     the point that shows it: (rank, pivot rows, point).  jac_at(pt) is the
-    evaluated Jacobian at a point of nvars coordinates.  The rank is the
+    evaluated Jacobian at a point of nvars coordinates as (rows, den), in
+    the integer form of linalg.eval_matrix.  The rank is the
     max over _TRIALS seeded random points, taken at the first point that
     reaches it; it never exceeds the symbolic rank, since evaluation is a
     specialization.  The points are the ones a report names, so they stay
@@ -101,13 +103,22 @@ def evaluated_rank(jac_at, field, nvars: int, ceiling: int, seed: int = 0):
     best = (-1, [], None)
     for _ in range(_TRIALS):
         pt = _random_point(field, rng, nvars)
-        M = jac_at(pt)
-        rho, pivot_rows = linalg.echelon(M, field)
+        M = jac_at(pt)[0]
+        rho, pivot_rows = linalg.rank(M, field.characteristic)
         if rho > best[0]:
             best = (rho, pivot_rows, pt)
         if rho >= min(len(M), len(M[0]) if M else 0, ceiling):
             break
     return best
+
+
+def check_value_bits(field, delta: int, bits: int, point: str):
+    """Over Q, raise BudgetExceeded before evaluating the Jacobian of a
+    family of degree delta at a point whose integer form has up to bits
+    bits, when its values could pass MAX_VALUE_BITS."""
+    if field.kind == "rational" and delta * bits > MAX_VALUE_BITS:
+        raise BudgetExceeded("Jacobian values at %s may exceed the limit of %d bits"
+                             % (point, MAX_VALUE_BITS))
 
 
 class TrdegCertificate:
@@ -308,8 +319,7 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     2^B, so every exponent fits its slot and no carry reaches the next one:
     distinct monomials keep distinct keys.  The keys index the rows and are
     never unpacked.  The dense integer rows go straight to
-    linalg.kernel_of_integer_rows, the elimination behind
-    linalg.kernel_vector, without its copy into integer rows.
+    linalg.kernel_vector.
     """
     field, n = _check_family(fs)
     m = len(fs)
@@ -357,7 +367,7 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
         # some f is zero and cap >= 1); x_i with f_i = 0 annihilates
         matrix.append([0] * ncols)
 
-    vec = linalg.kernel_of_integer_rows(matrix, p, field)
+    vec = linalg.kernel_vector(matrix, p, field)
     if vec is None:
         return None
     j0 = max(j for j, v in enumerate(vec) if v)
@@ -391,13 +401,13 @@ def _subset_dependent(polys, cap: int, seed: int, col_budget: int):
         p = field.p
         rows = []
         for _ in range(ncols + 8):
-            pt = tuple(rng.randrange(p) for _ in range(n))
-            fv = [f.eval(pt) for f in polys]
+            x = [rng.randrange(p) for _ in range(n)], 1
+            fv = [f._eval_integers(x)[0] for f in polys]
             vals = [1]
             for j, i in steps[1:]:
                 vals.append(vals[j] * fv[i] % p)
             rows.append(vals)
-        if linalg.rank(rows, field) == ncols:
+        if linalg.rank(rows, p)[0] == ncols:
             return False, None, "evaluation-full-rank"
     F = annihilator(polys, cap, col_budget)
     if F is None:
@@ -461,7 +471,8 @@ def verify_trdeg_certificate(
     meet an upper bound the verifier knows: min(m, n), or upper_bound, which
     the caller passes when it has proven trdeg(fs) <= upper_bound itself
     (e.g. fs are images under a ring homomorphism of a family whose
-    certificate of trdeg upper_bound it has verified).
+    certificate of trdeg upper_bound it has verified).  A witness point
+    too large to evaluate at raises BudgetExceeded (check_value_bits).
     """
     field, n = _check_family(fs)
     m = len(fs)
@@ -472,8 +483,10 @@ def verify_trdeg_certificate(
         J = jacobian(fs)
         w = cert.witness
         if w.get("method") == "evaluated-jacobian-meets-upper-bound":
-            pt = [field.scalar_from_json(v) for v in w["point"]]
-            rho, prows = linalg.echelon(linalg.eval_matrix(J, pt), field)
+            x = field.integers([field.scalar_from_json(v) for v in w["point"]])
+            bits = max(abs(v).bit_length() for v in x[0] + [x[1]])
+            check_value_bits(field, _max_degree(fs), bits, "the witness point")
+            rho, prows = linalg.rank(linalg.eval_matrix(J, x)[0], field.characteristic)
             return rho == cert.r and basis == prows and cert.r in (min(m, n), upper_bound)
         rho, prows, _ = linalg.poly_matrix_rank(J)
         if rho != cert.r or basis != prows:

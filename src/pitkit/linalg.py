@@ -1,69 +1,57 @@
 """Exact linear algebra: one forward elimination, _eliminate, for scalar
 matrices over a field and for polynomial matrices.
 
-Scalar matrices are taken to integer rows first (FieldSpec.integers).  Over
-F_p _eliminate works on residues and scales each pivot row to 1.  Over Q it
-runs Bareiss's fraction-free elimination (Math. Comp. 1968) on the
-numerators: after the first step every update divides exactly by the
-previous pivot, so no Fraction is built until the kernel vector.  The same
-Bareiss steps run on SparsePoly matrices over F[x] (poly_matrix_rank),
-where the exact division is divide_exact.  Scalar elimination pivots on the first
+A scalar matrix is only ever given as integer rows A, eliminated in place,
+with the modulus p = field.characteristic: residues in [0, p) over F_p, and
+over Q integers, such as numerators over one denominator (FieldSpec.integers),
+which have the same row space.  Over F_p _eliminate scales each pivot row
+to 1.  Over Q it runs Bareiss's fraction-free elimination (Math. Comp.
+1968): after the first step every update divides exactly by the previous
+pivot, so no Fraction is built until the kernel vector.  The same Bareiss
+steps run on SparsePoly matrices over F[x] (poly_matrix_rank), where the
+exact division is divide_exact.  Scalar elimination pivots on the first
 nonzero entry of each column, so the rows below a pivot are nonzero
 multiples of those of elimination in the field, entry for entry: the zero
 pattern, the rank, the pivot rows and the kernel vector are those of
-textbook elimination.
+textbook elimination, and scaling a row by a nonzero constant changes none.
 
-kernel_of_integer_rows back-substitutes the echelon rows into the first
-kernel vector; echelon and rank read only the rank and the pivot rows.
-reduced_echelon back-reduces the rows to the reduced row echelon form, the
-canonical basis of a row space that the Vandermonde candidate screens use
-as the key of an affine image."""
+rank reads the rank and the pivot rows; kernel_vector back-substitutes the
+echelon rows into the first kernel vector; reduced_echelon back-reduces
+them to the canonical basis of a row space that the Vandermonde candidate
+screens use as the key of an affine image."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from .polynomials import SparsePoly
 
 
-def echelon(matrix, field):
-    """(rank, pivot_rows) of a list-of-rows matrix of raw elements.
+def rank(A, p):
+    """(rank, pivot_rows) of the integer rows A with the modulus p.
 
     pivot_rows lists, ascending, the original indices of the rows that carry
     the pivots, so those rows are linearly independent.
     """
-    if not matrix or not matrix[0]:
+    if not A or not A[0]:
         return 0, []
-    r, idx, _ = _eliminate(*_integer_rows(matrix, field), False)
+    r, idx, _ = _eliminate(A, p, False)
     return r, sorted(idx[:r])
 
 
-def rank(matrix, field) -> int:
-    """Rank of a list-of-rows matrix of raw field elements."""
-    return echelon(matrix, field)[0]
-
-
-def kernel_vector(matrix, field):
-    """First right-kernel vector of a list-of-rows matrix of raw elements,
-    or None.  Columns are scanned left to right, and the vector has a 1 in
-    the first column that depends on its predecessors and zeros in all later
-    columns, so it is deterministic and minimal in column order.  Its
-    entries are raw elements (Fractions over Q)."""
-    if not matrix or not matrix[0]:
-        return None
-    return kernel_of_integer_rows(*_integer_rows(matrix, field), field)
-
-
-def kernel_of_integer_rows(A, p, field):
-    """kernel_vector of the integer rows A with the modulus p =
-    field.characteristic: residues in [0, p), or integers over Q.  A is
-    eliminated in place.  A caller whose rows are integers already passes
-    them here without the copy.
+def kernel_vector(A, p, field):
+    """The first right-kernel vector of the integer rows A with the modulus
+    p = field.characteristic, or None.  Columns are scanned left to right,
+    and the vector has a 1 in the first column that depends on its
+    predecessors and zeros in all later columns, so it is deterministic and
+    minimal in column order.  Its entries are raw elements of field
+    (Fractions over Q).
 
     Elimination stops at the first dependent column j, so pivot k sits in
     column k for every k < j, and j is the rank."""
+    if not A or not A[0]:
+        return None
     j = _eliminate(A, p, True)[0]
     cols = len(A[0])
     if j == cols:
@@ -77,15 +65,6 @@ def kernel_of_integer_rows(A, p, field):
         s = sum(rowk[c] * kernel[c] for c in range(k + 1, j + 1) if rowk[c] and kernel[c])
         kernel[k] = (-s) % p if p else Fraction(-s) / rowk[k]
     return kernel
-
-
-def _integer_rows(matrix, field):
-    """(A, p): a matrix of raw elements as integer rows A over one
-    denominator (FieldSpec.integers), so with the same row space, and the
-    modulus _eliminate works with, p = field.characteristic."""
-    cols = len(matrix[0])
-    flat = field.integers(itertools.chain.from_iterable(matrix))[0]
-    return [flat[i:i + cols] for i in range(0, len(flat), cols)], field.characteristic
 
 
 def _eliminate(A, p, until_kernel, size=None):
@@ -146,17 +125,16 @@ def _eliminate(A, p, until_kernel, size=None):
     return r, idx, pivot_cols
 
 
-def reduced_echelon(matrix, field):
-    """(rank, rows): the nonzero rows of the reduced row echelon form of a
-    list-of-rows matrix of raw elements, as tuples: residues over F_p, and
+def reduced_echelon(A, p):
+    """(rank, rows): the nonzero rows of the reduced row echelon form of the
+    integer rows A with the modulus p, as tuples: residues over F_p, and
     over Q each row scaled to the primitive integer vector with a positive
     pivot.  They are a canonical basis of the row space: two matrices of
     the same width have the same row space iff they have the same rows
     here.  The echelon rows of _eliminate are reduced from the last up:
     each is made canonical, then cleared from the rows above it."""
-    if not matrix or not matrix[0]:
+    if not A or not A[0]:
         return 0, ()
-    A, p = _integer_rows(matrix, field)
     r, _, pivot_cols = _eliminate(A, p, False)
     for k in range(r - 1, -1, -1):
         j = pivot_cols[k]
@@ -193,12 +171,15 @@ def poly_matrix_rank(M):
     return r, idx[:r], pivot_cols
 
 
-def eval_matrix(M, point):
-    """Evaluate a SparsePoly matrix at a point; returns raw rows."""
+def eval_matrix(M, x):
+    """The SparsePoly matrix M at the point x = (a, q) in the integer form
+    of FieldSpec.integers, in that form: (rows, den), entry (i, j) being
+    rows[i][j] / den, residues and den = 1 over F_p."""
     if not M or not M[0]:
-        return [list(row) for row in M]
+        return [[] for _ in M], 1
     first = M[0][0]
-    if len(point) != first.nvars:
+    if len(x[0]) != first.nvars:
         raise ValueError("point arity != nvars")
-    x = first.field.integers(point)
-    return [[entry._eval_prepared(x) for entry in row] for row in M]
+    cols = len(M[0])
+    flat, den = first.field.over_one_denominator([f._eval_integers(x) for row in M for f in row])
+    return [flat[i:i + cols] for i in range(0, len(flat), cols)], den

@@ -266,20 +266,12 @@ class SparsePoly:
 
         Integer arithmetic throughout: the point goes through
         FieldSpec.integers, the polynomial through _compile (once), and
-        _eval_prepared does the sum.
+        _eval_integers does the sum.
         """
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
-        return self._eval_prepared(self.field.integers(point))
-
-    def _eval_prepared(self, x):
-        """The value at a point x = (a, q) in the integer form of
-        FieldSpec.integers, coordinate i being a[i] / q, as a raw element:
-        _eval_integers made a Fraction over Q."""
-        num, den = self._eval_integers(x)
-        if self.field.kind == "prime":
-            return num
-        return Fraction(num) if den == 1 else Fraction(num, den)
+        num, den = self._eval_integers(self.field.integers(point))
+        return self.field.from_integers([num], den)[0]
 
     def _eval_integers(self, x):
         """The value at x = (a, q) as (N, D) with value N / D.

@@ -37,8 +37,9 @@ from functools import partial
 
 from . import linalg
 from .fields import FieldError, FieldSpec
-from .independence import POINT_BOUND, evaluated_certificate, evaluated_rank, jacobian, trdeg
-from .polynomials import MAX_VALUE_BITS, BudgetExceeded, SparsePoly
+from .independence import (POINT_BOUND, check_value_bits, evaluated_certificate,
+                           evaluated_rank, jacobian, trdeg)
+from .polynomials import BudgetExceeded, SparsePoly
 from .primes import iter_primes
 
 
@@ -304,8 +305,8 @@ class AffineMap:
         if self._summary is None:
             # (1, b) times L
             const, cols, L = self._integer_columns()
-            vectors = [(L,) + const] + [(0,) + col for col in cols]
-            rank, key = linalg.reduced_echelon(vectors, self.field)
+            vectors = [[L, *const]] + [[0, *col] for col in cols]
+            rank, key = linalg.reduced_echelon(vectors, self.field.characteristic)
             self._summary = (rank - 1, key)
         return self._summary
 
@@ -356,21 +357,22 @@ class AffineMap:
 
     def jacobian_at(self, J, a):
         """The Jacobian of the images of fs at the z-point a, where J is
-        jacobian(fs): by the chain rule J(f o mp)(a) = J_f(mp(a)) M, one
-        integer dot product per entry, on the entries of J(mp(a)) over
-        their common denominator.  J is evaluated only in the variables
-        whose row of M is nonzero; the others add nothing."""
+        jacobian(fs), in the integer form of linalg.eval_matrix: (rows,
+        den).  By the chain rule J(f o mp)(a) = J_f(mp(a)) M, one integer
+        dot product per entry, on the entries of J(mp(a)) over their common
+        denominator.  J is evaluated only in the variables whose row of M
+        is nonzero; the others add nothing."""
         const, cols, L = self._integer_columns()
         live = [i for i in range(self.n) if any(col[i] for col in cols)]
-        field, width = self.field, len(live)
+        field = self.field
         x = self._integer_image(field.integers(a))
-        vals, den = field.integers([row[i]._eval_prepared(x) for row in J for i in live])
-        rows = [vals[k * width:(k + 1) * width] for k in range(len(J))]
+        rows, den = linalg.eval_matrix([[row[i] for i in live] for row in J], x)
         cols = [[col[i] for i in live] for col in cols]
-        w = len(cols)
-        out = field.from_integers(
-            [sum(u * v for u, v in zip(row, col)) for row in rows for col in cols], den * L)
-        return [out[k * w:(k + 1) * w] for k in range(len(J))]
+        p = field.characteristic
+        out = [[sum(u * v for u, v in zip(row, col)) for col in cols] for row in rows]
+        if p:
+            return [[v % p for v in row] for row in out], 1
+        return out, den * L
 
 
 class KroneckerMap(AffineMap):
@@ -696,11 +698,7 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     field, n = fs[0].field, fs[0].nvars
     r0 = input_cert.r
     delta, ell = family_sizes(fs)
-    if field.kind == "rational" and delta * POINT_BOUND.bit_length() > MAX_VALUE_BITS:
-        raise BudgetExceeded(
-            "Jacobian values at a seeded point may exceed the limit of %d bits"
-            % MAX_VALUE_BITS
-        )
+    check_value_bits(field, delta, POINT_BOUND.bit_length(), "a seeded point")
     if not vandermonde_applies(field, delta, r0):
         raise FieldError(
             "Vandermonde reduction needs characteristic 0 or > delta^r, "

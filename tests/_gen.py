@@ -38,6 +38,18 @@ def rand_poly(rng, field, nvars, max_deg, max_terms, coeff_bound=3):
     return SparsePoly(field, nvars, terms)
 
 
+def int_rows(matrix, field):
+    """(A, p): a list-of-rows matrix of raw elements (or ints) as the
+    integer rows that linalg takes, all over one denominator
+    (FieldSpec.integers), and the modulus p = field.characteristic.  The
+    rows are fresh lists, so linalg may eliminate them in place."""
+    if not matrix:
+        return [], field.characteristic
+    cols = len(matrix[0])
+    flat = field.integers([v for row in matrix for v in row])[0]
+    return [flat[i:i + cols] for i in range(0, len(flat), cols)], field.characteristic
+
+
 def rand_family(seed):
     """Family for the jacobian-vs-bruteforce agreement corpus.
 

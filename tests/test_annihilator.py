@@ -20,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from _gen import int_rows  # noqa: E402
 from pitkit import independence, linalg  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
 from pitkit.independence import (  # noqa: E402
@@ -52,8 +53,8 @@ def reference_kernel(fs, cap):
             g = g * f ** e
         images.append(g)
     rows = sorted({e for g in images for e in g.terms}) or [None]
-    vec = linalg.kernel_vector([[g.terms.get(e, field.zero()) for g in images] for e in rows],
-                               field)
+    matrix = [[g.terms.get(e, field.zero()) for g in images] for e in rows]
+    vec = linalg.kernel_vector(*int_rows(matrix, field), field)
     if vec is None:
         return None
     return SparsePoly(field, m, dict(zip(monos, vec)))

@@ -560,6 +560,40 @@ def test_faithful_psi_refuses_a_family_of_huge_degree_before_the_search(tmp_path
             "Jacobian values at a seeded point may exceed the limit of 1048576 bits"), mode
 
 
+def _evaluated_trdeg_report(tmp_path, point):
+    """(report, family) paths: {x1^20000} over Q and a trdeg report whose
+    certificate is an evaluated Jacobian of rank 1 at point."""
+    family = dump(tmp_path, "power.json",
+                  {"field": {"kind": "rational"}, "nvars": 1, "polys": ["x1^20000"]})
+    witness = {"method": "evaluated-jacobian-meets-upper-bound", "upper_bound": 1,
+               "point": point}
+    report = {"command": "trdeg", "r": 1,
+              "certificate": {"r": 1, "mode": "jacobian", "basis": [0], "witness": witness}}
+    return dump(tmp_path, "report.json", report), family
+
+
+def test_verify_rejects_a_witness_point_of_the_wrong_arity_as_malformed(tmp_path):
+    report, family = _evaluated_trdeg_report(tmp_path, ["2", "3"])
+    proc = _cli_in_subprocess(["verify", report, "--against", family], seconds=20)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "has 2 coordinates, not 1" in json.loads(proc.stderr)["error"]
+    # the right arity verifies
+    report, family = _evaluated_trdeg_report(tmp_path, ["2"])
+    proc = _cli_in_subprocess(["verify", report, "--against", family], seconds=20)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["verified"] is True
+
+
+@pytest.mark.parametrize("digits", [400, 4000])
+def test_verify_refuses_a_huge_witness_point_before_evaluating(tmp_path, digits):
+    # degree 20000 times a coordinate of 400 digits (1,329 bits) passes
+    # MAX_VALUE_BITS; evaluating took 10.7 s, and 4,000 digits ran past 60 s
+    report, family = _evaluated_trdeg_report(tmp_path, ["7" * digits])
+    proc = _cli_in_subprocess(["verify", report, "--against", family], seconds=20)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == (
+        "Jacobian values at the witness point may exceed the limit of 1048576 bits")
+
+
 def test_consecutive_main_calls_keep_no_state(tmp_path, capsys):
     # the parser is built once per process; options of one call must not
     # reach the next

@@ -73,7 +73,7 @@ def test_randomized_rank_never_exceeds_symbolic():
         fs = [rand_poly(rng, HUGE, n, 2, 3) for _ in range(m)]
         J = jacobian(fs)
         sym = jacobian_rank(fs)
-        rnd = evaluated_rank(lambda pt: eval_matrix(J, pt), HUGE, n, n, seed)[0]
+        rnd = evaluated_rank(lambda pt: eval_matrix(J, HUGE.integers(pt)), HUGE, n, n, seed)[0]
         assert rnd <= sym
         agree += rnd == sym
         total += 1

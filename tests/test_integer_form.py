@@ -72,7 +72,8 @@ def test_from_integers_divides_by_den_over_a_prime_field(field):
 # -- the conversion lives in one module -----------------------------------------
 
 SRC = pathlib.Path(pitkit.__file__).parent
-REMOVED = {"_prepare_point", "_numerators"}
+REMOVED = {"_prepare_point", "_numerators", "_integer_rows", "_eval_prepared",
+           "kernel_of_integer_rows", "echelon"}
 
 
 def _names(tree):

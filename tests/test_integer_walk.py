@@ -8,7 +8,8 @@ the value with a forward pass in field arithmetic, points() with the
 lattice and the map images recomputed from their definitions, and
 pit_circuit's verdict with a walk of evaluate over points().  A guard
 counts the conversions inside pit_circuit: they must not grow with the
-number of points walked.
+number of points walked, and the evaluated-Jacobian certificate of a map
+must reach elimination without converting an entry back to raw elements.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from unittest import mock
 
 import pytest
 
-from pitkit import hitting
+from pitkit import hitting, varmaps
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.fields import FieldSpec
 from pitkit.hitting import (
@@ -30,6 +31,7 @@ from pitkit.hitting import (
     pit_circuit,
     sz_grid,
 )
+from pitkit.independence import evaluated_rank, jacobian
 from pitkit.polynomials import BudgetExceeded, SparsePoly, poly_from_text
 from pitkit.varmaps import KroneckerMap, SearchExhausted, VandermondeMap, schedule
 
@@ -339,8 +341,8 @@ def test_pit_circuit_is_a_walk_of_evaluate_over_points(field, data):
 # -- no conversion per point --------------------------------------------------------------
 
 
-def conversions(C):
-    """pit_circuit's verdict on C and the number of FieldSpec.integers and
+def conversions(run, *args):
+    """run(*args) and the number of FieldSpec.integers and
     FieldSpec.from_integers calls it made."""
     counts = Counter()
 
@@ -354,8 +356,8 @@ def conversions(C):
 
     with mock.patch.object(FieldSpec, "integers", counting("integers")), \
             mock.patch.object(FieldSpec, "from_integers", counting("from_integers")):
-        verdict = pit_circuit(C)
-    return verdict, counts
+        value = run(*args)
+    return value, counts
 
 
 def zero_compositions(field, k):
@@ -373,7 +375,7 @@ def zero_compositions(field, k):
 
 @pytest.mark.parametrize("field", [Q, BIG], ids=["Q", "F2^61-1"])
 def test_the_walk_converts_no_point(field):
-    walks = [[conversions(C) for C in zero_compositions(field, k)] for k in (3, 4)]
+    walks = [[conversions(pit_circuit, C) for C in zero_compositions(field, k)] for k in (3, 4)]
     for (short, short_counts), (long, long_counts) in zip(*walks):
         assert short.outcome == long.outcome == "zero"
         assert 50 <= short.points_checked < long.points_checked
@@ -382,3 +384,19 @@ def test_the_walk_converts_no_point(field):
         assert sum(short_counts.values()) < 20
     assert walks[0][0][0].provenance["map"] == "identity"
     assert walks[0][1][0].provenance["map"]["kind"] == "psi"
+
+
+@pytest.mark.parametrize("field", [Q, BIG], ids=["Q", "F2^61-1"])
+def test_the_evaluated_jacobian_converts_no_entry(field):
+    # trdeg 3 in three variables, kept by the psi map with c = 3/2 over Q:
+    # its columns and the Jacobian entries have denominators
+    fs = [poly_from_text(t, field, 3) for t in ("x1 + x2^2", "x2*x3", "x1^2*x3 + 1/3*x2")]
+    c = Fraction(3, 2) if field.kind == "rational" else 2
+    mp = VandermondeMap(field, 3, 3, 256, 2, 5, c)
+    J = jacobian(fs)
+    cert, counts = conversions(varmaps._certify, fs, J, mp, 3, 0)
+    assert cert is not None and cert.witness["method"] == "evaluated-jacobian-meets-upper-bound"
+    assert counts["from_integers"] == 0
+    (rho, _, _), counts = conversions(evaluated_rank, lambda a: mp.jacobian_at(J, a), field,
+                                      4, 3, 0)
+    assert rho == 3 and counts["from_integers"] == 0

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from _gen import rand_poly
+from _gen import int_rows, rand_poly
 from pitkit.fields import FieldSpec
 from pitkit.linalg import (
-    echelon,
     eval_matrix,
     kernel_vector,
     poly_matrix_rank,
@@ -21,32 +20,37 @@ F101 = FieldSpec("prime", 101)
 
 
 def _mat(field, rows):
-    return [[field.from_int(v) for v in row] for row in rows]
+    """The integer rows and modulus of a matrix of ints taken into field."""
+    return int_rows([[field.from_int(v) for v in row] for row in rows], field)
+
+
+def _rank(A, p):
+    return rank(A, p)[0]
 
 
 def test_rank_basic():
-    assert rank(_mat(F101, [[1, 2], [2, 4]]), F101) == 1
-    assert rank(_mat(F101, [[1, 0], [0, 1]]), F101) == 2
-    assert rank(_mat(Q, [[0, 0], [0, 0]]), Q) == 0
-    assert rank([], F101) == 0
+    assert _rank(*_mat(F101, [[1, 2], [2, 4]])) == 1
+    assert _rank(*_mat(F101, [[1, 0], [0, 1]])) == 2
+    assert _rank(*_mat(Q, [[0, 0], [0, 0]])) == 0
+    assert _rank([], 101) == 0
 
 
 def test_rank_is_modular():
     # rows collide mod 5 but not over the rationals
     M = [[1, 2], [6, 7]]
-    assert rank(_mat(FieldSpec("prime", 5), M), FieldSpec("prime", 5)) == 1
-    assert rank(_mat(Q, M), Q) == 2
+    assert _rank(*_mat(FieldSpec("prime", 5), M)) == 1
+    assert _rank(*_mat(Q, M)) == 2
 
 
 def test_rank_invariant_under_row_ops():
     rng = random.Random(3)
     for _ in range(20):
         M = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-        r = rank(_mat(F101, M), F101)
+        r = _rank(*_mat(F101, M))
         swapped = [M[1], M[0], M[2]]
-        assert rank(_mat(F101, swapped), F101) == r
+        assert _rank(*_mat(F101, swapped)) == r
         scaled = [[7 * v for v in M[0]]] + M[1:]
-        assert rank(_mat(F101, scaled), F101) == r
+        assert _rank(*_mat(F101, scaled)) == r
 
 
 def test_rank_fraction_agrees():
@@ -54,7 +58,7 @@ def test_rank_fraction_agrees():
     rng = random.Random(17)
     for _ in range(20):
         M = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
-        assert rank(_mat(Q, M), Q) == sympy.Matrix(M).rank()
+        assert _rank(*_mat(Q, M)) == sympy.Matrix(M).rank()
 
 
 def test_rank_near_int64_boundary():
@@ -62,30 +66,30 @@ def test_rank_near_int64_boundary():
     p = (1 << 31) - 1
     F = FieldSpec("prime", p)
     M = _mat(F, [[p - 1, 1], [p - 2, 2]])
-    assert rank(M, F) == 1
+    assert _rank(*M) == 1
     M2 = _mat(F, [[p - 1, 1], [p - 2, 3]])
-    assert rank(M2, F) == 2
+    assert _rank(*M2) == 2
     # padded with an identity block to 8 x 8
     for rows, want in (([[p - 1, 1], [p - 2, 2]], 7), ([[p - 1, 1], [p - 2, 3]], 8)):
         padded = [row + [0] * 6 for row in rows]
         padded += [[0] * (2 + i) + [1] + [0] * (5 - i) for i in range(6)]
-        assert rank(_mat(F, padded), F) == want
+        assert _rank(*_mat(F, padded)) == want
     # same matrices over a wider modulus
     big = FieldSpec("prime", (1 << 61) - 1)
-    assert rank(_mat(big, [[-1, 1], [-2, 2]]), big) == 1
-    assert rank(_mat(big, [[-1, 1], [-2, 3]]), big) == 2
+    assert _rank(*_mat(big, [[-1, 1], [-2, 2]])) == 1
+    assert _rank(*_mat(big, [[-1, 1], [-2, 3]])) == 2
 
 
 def test_kernel_vector():
-    M = _mat(F101, [[1, 2], [2, 4]])
-    v = kernel_vector(M, F101)
+    M = [[F101.from_int(v) for v in row] for row in [[1, 2], [2, 4]]]
+    v = kernel_vector(*int_rows(M, F101), F101)
     assert v is not None and any(not F101.is_zero(c) for c in v)
     for row in M:
         acc = F101.zero()
         for a, c in zip(row, v):
             acc = F101.add(acc, F101.mul(a, c))
         assert F101.is_zero(acc)
-    assert kernel_vector(_mat(F101, [[1, 0], [0, 1]]), F101) is None
+    assert kernel_vector(*_mat(F101, [[1, 0], [0, 1]]), F101) is None
 
 
 def test_eval_matrix():
@@ -93,10 +97,10 @@ def test_eval_matrix():
     y = SparsePoly.variable(Q, 2, 1)
     M = [[x, y], [x * y, x + y]]
     pt = (Q.from_int(3), Q.from_int(5))
-    E = eval_matrix(M, pt)
+    E, den = eval_matrix(M, Q.integers(pt))
     for i in range(2):
         for j in range(2):
-            assert E[i][j] == M[i][j].eval(pt)
+            assert Q.from_integers(E[i], den)[j] == M[i][j].eval(pt)
 
 
 def test_poly_matrix_rank():
@@ -126,7 +130,7 @@ def test_evaluated_rank_never_exceeds_symbolic():
         M = [[rand_poly(rng, Q, 2, 2, 2) for _ in range(3)] for _ in range(2)]
         sym = poly_matrix_rank(M)[0]
         pt = (Q.from_int(rng.randint(-20, 20)), Q.from_int(rng.randint(-20, 20)))
-        assert rank(eval_matrix(M, pt), Q) <= sym
+        assert _rank(eval_matrix(M, Q.integers(pt))[0], 0) <= sym
 
 
 def _low_rank(rng, p, rows, cols, k):
@@ -146,11 +150,11 @@ def test_echelon_kernel_is_valid_on_low_rank_matrices(p):
     for rows, cols in shapes:
         for k in (1, min(rows, cols) - 1, min(rows, cols)):
             M = _low_rank(rng, p, rows, cols, max(k, 1))
-            r, pivot_rows = echelon(M, F)
+            r, pivot_rows = rank(*int_rows(M, F))
             assert r == len(pivot_rows) and r <= max(k, 1), (rows, cols, k)
-            assert rank([M[i] for i in pivot_rows], F) == r
-            assert reduced_echelon(M, F)[0] == r
-            kernel = kernel_vector(M, F)
+            assert _rank(*int_rows([M[i] for i in pivot_rows], F)) == r
+            assert reduced_echelon(*int_rows(M, F))[0] == r
+            kernel = kernel_vector(*int_rows(M, F), F)
             assert (kernel is None) == (r == cols)
             if kernel is not None:
                 assert _is_kernel_vector(M, F, kernel)
@@ -167,9 +171,9 @@ def test_echelon_normalizes_fraction_entries():
     # (i + j) / 2 has the rank of i + j over F_101: 2.  Truncated to
     # integers, the Fractions gave rank 3.
     M = [[fractions.Fraction(i + j, 2) for j in range(8)] for i in range(8)]
-    assert echelon(M, F101) == (2, [0, 1])
+    assert rank(*int_rows(M, F101)) == (2, [0, 1])
     # column 2 = 2 * column 1 - column 0
-    kernel = kernel_vector(M, F101)
+    kernel = kernel_vector(*int_rows(M, F101), F101)
     assert kernel == [1, 99, 1, 0, 0, 0, 0, 0]
     assert _is_kernel_vector(M, F101, kernel)
 
@@ -180,8 +184,8 @@ def test_echelon_reduces_big_integer_entries(p):
     # do not fit a machine word.
     F = FieldSpec("prime", p)
     M = [[(1 << 70) + i * j for j in range(8)] for i in range(8)]
-    assert echelon(M, F) == (2, [0, 1])
-    assert _is_kernel_vector(M, F, kernel_vector(M, F))
+    assert rank(*int_rows(M, F)) == (2, [0, 1])
+    assert _is_kernel_vector(M, F, kernel_vector(*int_rows(M, F), F))
 
 
 def _to_sympy(f, xs):

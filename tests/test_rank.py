@@ -31,8 +31,8 @@ from pitkit.independence import (  # noqa: E402
     jacobian,
     trdeg,
 )
+from _gen import int_rows  # noqa: E402
 from pitkit.linalg import (  # noqa: E402
-    echelon,
     eval_matrix,
     kernel_vector,
     poly_matrix_rank,
@@ -40,6 +40,7 @@ from pitkit.linalg import (  # noqa: E402
     reduced_echelon,
 )
 from pitkit.polynomials import SparsePoly, divide_exact  # noqa: E402
+from pitkit.varmaps import KroneckerMap, VandermondeMap  # noqa: E402
 
 Q = FieldSpec("rational")
 F101 = FieldSpec("prime", 101)
@@ -165,11 +166,11 @@ def check_kernel(matrix, field, kernel):
 @given(data=st.data())
 def test_echelon_matches_field_elimination_and_sympy(field, large, data):
     M = data.draw(planted(field, large))
-    r, pivot_rows = echelon(M, field)
+    r, pivot_rows = rank(*int_rows(M, field))
     assert (r, pivot_rows) == reference(M, field)
     assert r == sympy_rank(M, field)
     assert sympy_rank([M[i] for i in pivot_rows], field) == r
-    check_kernel(M, field, kernel_vector(M, field))
+    check_kernel(M, field, kernel_vector(*int_rows(M, field), field))
 
 
 def sympy_rref(matrix, field):
@@ -201,9 +202,9 @@ def sympy_rref(matrix, field):
 @given(data=st.data())
 def test_reduced_echelon_matches_sympy_rref(field, large, data):
     M = data.draw(planted(field, large))
-    r, rows = reduced_echelon(M, field)
+    r, rows = reduced_echelon(*int_rows(M, field))
     assert (r, rows) == sympy_rref(M, field)
-    assert r == echelon(M, field)[0]
+    assert r == rank(*int_rows(M, field))[0]
 
 
 # -- the polynomial Bareiss ---------------------------------------------------
@@ -285,13 +286,12 @@ def test_poly_matrix_rank_matches_the_separate_bareiss_loop(field, data):
 
 
 @st.composite
-def dependent_families(draw, field):
+def dependent_families(draw, field, coeffs=st.integers(-9, 9).filter(bool)):
     """(family, n): up to four polynomials built from at most n base
     polynomials by products, sums and squares, so that the trdeg can be
     well below min(m, n)."""
     n = draw(st.integers(1, 3))
     monos = st.tuples(*[st.integers(0, 2)] * n)
-    coeffs = st.integers(-9, 9).filter(bool)
     base = []
     for _ in range(draw(st.integers(1, n))):
         f = SparsePoly(field, n, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
@@ -314,10 +314,11 @@ def test_rank_screen_with_a_true_ceiling_returns_the_all_trials_max(field, data)
     J = jacobian(fs)
 
     def jac_at(pt):
-        return eval_matrix(J, pt)
+        return eval_matrix(J, field.integers(pt))
 
     rng = random.Random(_subseed(seed, 2))
-    full = max(rank(jac_at(_random_point(field, rng, n)), field) for _ in range(4))
+    full = max(rank(jac_at(_random_point(field, rng, n))[0], field.characteristic)[0]
+               for _ in range(4))
     assert full <= cert.r
     assert evaluated_rank(jac_at, field, n, cert.r, seed)[0] == full
     # a ceiling of n, the column count, stops only at min(rows, cols)
@@ -332,7 +333,7 @@ def counting_jac_at(fs):
 
     def jac_at(pt):
         calls.append(pt)
-        return eval_matrix(J, pt)
+        return eval_matrix(J, Q.integers(pt))
 
     return jac_at, calls
 
@@ -352,3 +353,27 @@ def test_rank_screen_stops_at_the_first_point_that_reaches_the_ceiling():
     jac_at, calls = counting_jac_at([x[0], x[1] * x[2]])
     assert evaluated_rank(jac_at, Q, 3, 3, seed=5)[0] == 2
     assert len(calls) == 1
+
+
+@given(data=st.data())
+def test_chain_rule_integer_rows_keep_the_rank_and_pivot_rows_over_q(data):
+    """mp.jacobian_at hands linalg.rank integer rows over one unreduced
+    denominator, never a Fraction.  Over Q, with rational coefficients, c =
+    3/2 and rational points, their (rank, pivot_rows) is that of textbook
+    Fraction elimination of the symbolic image Jacobian at the same point."""
+    rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    fs, n = data.draw(dependent_families(Q, rationals.filter(bool)))
+    J = jacobian(fs)
+    c = Fraction(3, 2)
+    maps = [VandermondeMap(Q, n, 2, 28, 2, 11, c), VandermondeMap(Q, n, 1, 9, 2, 5, c),
+            KroneckerMap(Q, n, min(2, n), sorted({1, n}), 10, 13, c)]
+    for mp in maps:
+        Jimg = jacobian([mp.apply(f) for f in fs])
+        w = mp.nvars_out
+        a = data.draw(st.lists(st.fractions(-30, 30, max_denominator=7), min_size=w, max_size=w))
+        raw = [[g.eval(a) for g in row] for row in Jimg]
+        rows, den = mp.jacobian_at(J, a)
+        assert all(type(v) is int for row in rows for v in row) and type(den) is int
+        got = rank(rows, 0)
+        assert got == reference(raw, Q)
+        assert got[0] == sympy_rank(raw, Q)

@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _gen import gcd_depth4, lifted_identity, rand_depth4, rand_poly  # noqa: E402
+from _gen import gcd_depth4, int_rows, lifted_identity, rand_depth4, rand_poly  # noqa: E402
 from pitkit import depth4, linalg, varmaps  # noqa: E402
 from pitkit.circuits import Depth4Circuit  # noqa: E402
 from pitkit.depth4 import search_depth4_map, verify_simple_preservation  # noqa: E402
@@ -66,8 +66,8 @@ def test_reduced_echelon_is_a_canonical_basis_of_the_row_space(field, data):
     cols = data.draw(st.integers(1, 5))
     ints = st.integers(-4, 4)
     A = [[field.normalize(data.draw(ints)) for _ in range(cols)] for _ in range(rows)]
-    rank, basis = linalg.reduced_echelon(A, field)
-    assert rank == linalg.rank(A, field) == len(basis)
+    rank, basis = linalg.reduced_echelon(*int_rows(A, field))
+    assert rank == linalg.rank(*int_rows(A, field))[0] == len(basis)
     # an invertible row transform (a random unit lower-triangular matrix
     # times a permutation) keeps the row space and so the canonical rows
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
@@ -77,16 +77,16 @@ def test_reduced_echelon_is_a_canonical_basis_of_the_row_space(field, data):
         for j in range(i):
             x = field.from_int(rng.randint(-3, 3))
             B[i] = [field.add(a, field.mul(x, b)) for a, b in zip(B[i], B[j])]
-    assert linalg.reduced_echelon(B, field) == (rank, basis)
+    assert linalg.reduced_echelon(*int_rows(B, field)) == (rank, basis)
     # and each canonical row lies in the row space of A
     for row in basis:
-        assert linalg.rank(A + [list(row)], field) == rank
+        assert linalg.rank(*int_rows(A + [list(row)], field))[0] == rank
 
 
 def test_reduced_echelon_rows_over_q_are_primitive_with_positive_pivot():
     A = [[Fraction(2), Fraction(4), Fraction(1, 3)], [Fraction(-1), Fraction(-2), Fraction(5)]]
-    assert linalg.reduced_echelon(A, Q) == (2, ((1, 2, 0), (0, 0, 1)))
-    assert linalg.reduced_echelon([[Fraction(-3, 2), Fraction(9, 4)]], Q) == (1, ((2, -3),))
+    assert linalg.reduced_echelon(*int_rows(A, Q)) == (2, ((1, 2, 0), (0, 0, 1)))
+    assert linalg.reduced_echelon(*int_rows([[Fraction(-3, 2), Fraction(9, 4)]], Q)) == (1, ((2, -3),))
 
 
 def test_summary_of_a_p2_map_is_the_diagonal_line_for_every_c():
@@ -122,7 +122,7 @@ def test_linear_rank_bounds_image_jacobian_rank_and_trdeg(field, data):
     w = mp.nvars_out
     units = [tuple(int(q == t) for q in range(w)) for t in range(w)]
     M = [[img.terms.get(u, field.zero()) for u in units] for img in mp.images()]
-    assert k == linalg.rank(M, field) <= min(n, mp.nvars_out)
+    assert k == linalg.rank(*int_rows(M, field))[0] <= min(n, mp.nvars_out)
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     fs = [rand_poly(rng, field, n, 2, 3) for _ in range(data.draw(st.integers(1, 3)))]
     J = jacobian(fs)
