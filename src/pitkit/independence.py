@@ -11,13 +11,17 @@ said otherwise):
   min(m, n); any subset larger than n is dependent outright.
 * if a size-u subset with max degree delta is dependent, it admits an
   annihilating polynomial of total degree at most delta^(u-1), so searching
-  up to that cap decides dependence of the subset exactly.
+  up to that cap decides dependence of the subset exactly.  The search
+  (annihilator) streams the columns of its linear map degree by degree and
+  stops at the first dependent one, so the cap bounds it: a subset whose
+  first dependency has low degree never builds the columns above it.
 * algebraic independence is a matroid: a maximal independent set found by
   greedy single-element extension has the full rank as its size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -241,9 +245,9 @@ def evaluated_certificate(field, rank: int, pivot_rows, point) -> TrdegCertifica
     )
 
 
-def _monomials_upto(nvars: int, cap: int):
-    """Exponent tuples with total degree <= cap, ascending graded-lex."""
-    out = []
+def _monomials(u: int, cap: int):
+    """Exponent tuples in u variables of total degree <= cap, ascending
+    graded-lex: by degree, and lexicographically within one degree."""
 
     def compositions(d, k):
         if k == 1:
@@ -254,8 +258,26 @@ def _monomials_upto(nvars: int, cap: int):
                 yield (first,) + rest
 
     for d in range(cap + 1):
-        out.extend(compositions(d, nvars))
-    return out
+        yield from compositions(d, u)
+
+
+def _monomial_products(u: int, cap: int, one, times):
+    """The value of each monomial of _monomials(u, cap), in that order, made
+    degree by degree: one for the constant monomial, and times(v, i) for a
+    monomial whose first variable is y_i, v the value of the monomial over
+    y_i.  Only the last degree's values are kept."""
+    last, layer, deg = {}, {}, 0
+    for mono in _monomials(u, cap):
+        d = sum(mono)
+        if d != deg:
+            last, layer, deg = layer, {}, d
+        if d:
+            i = next(k for k, e in enumerate(mono) if e)
+            value = times(last[mono[:i] + (mono[i] - 1,) + mono[i + 1:]], i)
+        else:
+            value = one
+        layer[mono] = value
+        yield value
 
 
 def _column_count(u: int, cap: int, col_budget: int) -> int:
@@ -267,21 +289,6 @@ def _column_count(u: int, cap: int, col_budget: int) -> int:
             "monomial basis has %d columns, budget is %d" % (ncols, col_budget)
         )
     return ncols
-
-
-def _monomial_basis(u: int, cap: int):
-    """The monomials of _monomials_upto(u, cap) and how to build each from
-    an earlier one: steps[j] = (j', i) when monomial j is monomial j' times
-    y_i, None for monomial 0 (the constant 1)."""
-    monos = _monomials_upto(u, cap)
-    index = {mono: j for j, mono in enumerate(monos)}
-    steps = [None]
-    for mono in monos[1:]:
-        i = next(k for k, e in enumerate(mono) if e > 0)
-        prev = list(mono)
-        prev[i] -= 1
-        steps.append((index[tuple(prev)], i))
-    return monos, steps
 
 
 def _packed_terms(f, bits: int):
@@ -298,13 +305,14 @@ def _packed_terms(f, bits: int):
 def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     """A nonzero F with deg(F) <= cap and F(f_1, ..., f_m) = 0, or None.
 
-    Exhaustive and exact: the linear map sending the coefficient vector of F
-    to the coefficient vector of F(f_1, ..., f_m) is materialized over the
-    monomial basis of degree <= cap (graded-lex ascending columns) and its
-    kernel is computed by exact elimination.  The returned polynomial is
-    monic under graded-lex, lives in m fresh variables, and is verified by
-    substitution before being returned.  Raises BudgetExceeded when the
-    basis has more than col_budget monomials.
+    Exhaustive and exact: the columns of the linear map sending the
+    coefficient vector of F to that of F(f_1, ..., f_m), over the monomial
+    basis of degree <= cap in graded-lex order, stream to
+    linalg.kernel_vector, whose kernel vector, 1 at the first dependent
+    column, is unique; no later column is built, so cap bounds the search.
+    The returned polynomial is monic under graded-lex, lives in m fresh
+    variables, and is verified by substitution before being returned.
+    Raises BudgetExceeded when the basis has more than col_budget monomials.
 
     The map is built on integers in every field, for the cleared members
     g_i = D_i f_i (D_i = 1 over F_p): its column j is D^e_j times that of
@@ -318,62 +326,36 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     every product, cancelled or not, has total degree at most cap * delta <
     2^B, so every exponent fits its slot and no carry reaches the next one:
     distinct monomials keep distinct keys.  The keys index the rows and are
-    never unpacked.  The dense integer rows go straight to
-    linalg.kernel_vector.
+    never unpacked.  A column is one of the last degree's times one g_i,
+    reduced once (over F_p), its cancelled terms dropped.
     """
     field, n = _check_family(fs)
     m = len(fs)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    ncols = _column_count(m, cap, col_budget)
-    monos, steps = _monomial_basis(m, cap)
+    _column_count(m, cap, col_budget)
     bits = (cap * _max_degree(fs)).bit_length()
     packed, dens = zip(*[_packed_terms(f, bits) for f in fs])
     p = field.characteristic
 
-    # composed[j] holds the nonzero terms of monomial j at the g_i, scale[j]
-    # its D^e_j; a finished column is reduced once (over F_p) and its
-    # cancelled terms dropped.  A row comes where its key first appears,
-    # and the kernel vector does not depend on the row order
-    composed = []
-    scale = []
-    row_index = {}
-    matrix = []
-    for j, step in enumerate(steps):
-        if step is None:
-            terms = {0: 1}
-            scale.append(1)
-        else:
-            terms = {}
-            factor = packed[step[1]]
-            for e1, c1 in composed[step[0]].items():
-                for e2, c2 in factor:
-                    e = e1 + e2
-                    terms[e] = terms.get(e, 0) + c1 * c2
-            if p:
-                terms = {e: c % p for e, c in terms.items() if c % p}
-            else:
-                terms = {e: c for e, c in terms.items() if c}
-            scale.append(scale[step[0]] * dens[step[1]])
-        composed.append(terms)
-        for e, c in terms.items():
-            ridx = row_index.get(e)
-            if ridx is None:
-                ridx = row_index[e] = len(matrix)
-                matrix.append([0] * ncols)
-            matrix[ridx][j] = c
-    if not matrix:
-        # every composed monomial is the zero polynomial (only possible if
-        # some f is zero and cap >= 1); x_i with f_i = 0 annihilates
-        matrix.append([0] * ncols)
+    def times(column, i):
+        terms = {}
+        for e1, c1 in column.items():
+            for e2, c2 in packed[i]:
+                e = e1 + e2
+                terms[e] = terms.get(e, 0) + c1 * c2
+        if p:
+            return {e: c % p for e, c in terms.items() if c % p}
+        return {e: c for e, c in terms.items() if c}
 
-    vec = linalg.kernel_vector(matrix, p, field)
+    vec = linalg.kernel_vector(_monomial_products(m, cap, {0: 1}, times), p, field)
     if vec is None:
         return None
-    j0 = max(j for j, v in enumerate(vec) if v)
-    ratio = field.from_integers(scale, scale[j0])
-    F = SparsePoly(field, m, {monos[j]: field.mul(v, r)
-                              for j, (v, r) in enumerate(zip(vec, ratio)) if v})
+    monos = list(itertools.islice(_monomials(m, cap), len(vec)))
+    scale = [math.prod(d ** e for d, e in zip(dens, mono)) for mono in monos]
+    ratio = field.from_integers(scale, scale[-1])
+    F = SparsePoly(field, m, {mono: field.mul(v, r)
+                              for mono, v, r in zip(monos, vec, ratio) if v})
     if not F.substitute(fs).is_zero:
         raise AssertionError("kernel vector failed substitution check")
     return normalize_monic(F)
@@ -396,18 +378,16 @@ def _subset_dependent(polys, cap: int, seed: int, col_budget: int):
         and field.p ** min(n, 64) > ncols * 2
     )
     if run_eval:
-        _, steps = _monomial_basis(len(polys), cap)
         rng = random.Random(_subseed(seed, 3))
         p = field.p
-        rows = []
-        for _ in range(ncols + 8):
-            x = [rng.randrange(p) for _ in range(n)], 1
-            fv = [f._eval_integers(x)[0] for f in polys]
-            vals = [1]
-            for j, i in steps[1:]:
-                vals.append(vals[j] * fv[i] % p)
-            rows.append(vals)
-        if linalg.rank(rows, p)[0] == ncols:
+        points = [([rng.randrange(p) for _ in range(n)], 1) for _ in range(ncols + 8)]
+        # the values of each member at every point; each monomial's column
+        # of values at the points is one row of the transposed matrix
+        fvs = [[f._eval_integers(x)[0] for x in points] for f in polys]
+        cols = list(_monomial_products(
+            len(polys), cap, [1] * len(points),
+            lambda vals, i: [a * b % p for a, b in zip(vals, fvs[i])]))
+        if linalg.rank(cols, p)[0] == ncols:
             return False, None, "evaluation-full-rank"
     F = annihilator(polys, cap, col_budget)
     if F is None:

@@ -1,5 +1,5 @@
 """Exact linear algebra: one forward elimination, _eliminate, for scalar
-matrices over a field and for polynomial matrices.
+and polynomial matrices, and kernel_vector on a stream of sparse columns.
 
 A scalar matrix is only ever given as integer rows A, eliminated in place,
 with the modulus p = field.characteristic: residues in [0, p) over F_p, and
@@ -7,23 +7,24 @@ over Q integers, such as numerators over one denominator (FieldSpec.integers),
 which have the same row space.  Over F_p _eliminate scales each pivot row
 to 1.  Over Q it runs Bareiss's fraction-free elimination (Math. Comp.
 1968): after the first step every update divides exactly by the previous
-pivot, so no Fraction is built until the kernel vector.  The same Bareiss
-steps run on SparsePoly matrices over F[x] (poly_matrix_rank), where the
-exact division is divide_exact.  Scalar elimination pivots on the first
-nonzero entry of each column, so the rows below a pivot are nonzero
-multiples of those of elimination in the field, entry for entry: the zero
-pattern, the rank, the pivot rows and the kernel vector are those of
-textbook elimination, and scaling a row by a nonzero constant changes none.
+pivot, so no Fraction is built.  The same Bareiss steps run on SparsePoly
+matrices over F[x] (poly_matrix_rank), where the exact division is
+divide_exact.  Scalar elimination pivots on the first nonzero entry of each
+column, so the rows below a pivot are nonzero multiples of those of
+elimination in the field, entry for entry: the zero pattern, the rank and
+the pivot rows are those of textbook elimination, and scaling a row by a
+nonzero constant changes none.
 
-rank reads the rank and the pivot rows; kernel_vector back-substitutes the
-echelon rows into the first kernel vector; reduced_echelon back-reduces
-them to the canonical basis of a row space that the Vandermonde candidate
-screens use as the key of an affine image."""
+rank reads the rank and the pivot rows; reduced_echelon back-reduces them
+to the canonical basis of a row space that the Vandermonde candidate
+screens use as the key of an affine image.  kernel_vector reads a matrix
+column by column and stops at the first column that depends on those
+before it, whose combination of them is the kernel vector: no back
+substitution, and no later column is built."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .polynomials import SparsePoly
 
@@ -36,45 +37,61 @@ def rank(A, p):
     """
     if not A or not A[0]:
         return 0, []
-    r, idx, _ = _eliminate(A, p, False)
+    r, idx, _ = _eliminate(A, p)
     return r, sorted(idx[:r])
 
 
-def kernel_vector(A, p, field):
-    """The first right-kernel vector of the integer rows A with the modulus
-    p = field.characteristic, or None.  Columns are scanned left to right,
-    and the vector has a 1 in the first column that depends on its
-    predecessors and zeros in all later columns, so it is deterministic and
-    minimal in column order.  Its entries are raw elements of field
-    (Fractions over Q).
+def kernel_vector(columns, p, field):
+    """The first kernel vector of a stream of integer columns with the
+    modulus p = field.characteristic, or None.  Each column is a dict {row
+    key: integer} of its nonzero entries (residues over F_p), the keys
+    mutually ordered.  The vector has a 1 at the first column j that
+    depends on the columns before it and support in columns 0..j, so it is
+    unique; it is returned as its entries 0..j, raw elements of field
+    (Fractions over Q).  No column after j is read.
 
-    Elimination stops at the first dependent column j, so pivot k sits in
-    column k for every k < j, and j is the rank."""
-    if not A or not A[0]:
-        return None
-    j = _eliminate(A, p, True)[0]
-    cols = len(A[0])
-    if j == cols:
-        return None
-    # over Q the pivot rows are not scaled to 1: divide by the pivot, in
-    # Fractions, so the entries are raw elements of Q
-    kernel = [field.zero()] * cols
-    kernel[j] = field.one()
-    for k in range(j - 1, -1, -1):
-        rowk = A[k]
-        s = sum(rowk[c] * kernel[c] for c in range(k + 1, j + 1) if rowk[c] and kernel[c])
-        kernel[k] = (-s) % p if p else Fraction(-s) / rowk[k]
-    return kernel
+    A column is reduced against the independent columns before it and
+    carries its combination of the columns.  Each independent column is the
+    pivot of its largest key: while the largest key of a column is a pivot,
+    the column is cross-multiplied with that pivot's column to cancel it,
+    and over Q divided, with its combination, by their common content.  A
+    column whose largest key is no pivot is independent; one that reduces
+    to zero is dependent, and its combination is the kernel vector."""
+    pivots = {}  # pivot key -> (its reduced column, the combination)
+    for j, col in enumerate(columns):
+        vec, comb = col, {j: 1}
+        while vec and (key := max(vec)) in pivots:
+            top, top_comb = pivots[key]
+            g = math.gcd(vec[key], top[key])
+            s, t = top[key] // g, -vec[key] // g
+            vec, comb = _combine(s, vec, t, top, p), _combine(s, comb, t, top_comb, p)
+            if not p:
+                g = math.gcd(*vec.values(), *comb.values())
+                vec, comb = ({k: c // g for k, c in d.items()} for d in (vec, comb))
+        if not vec:
+            return field.from_integers([comb.get(i, 0) for i in range(j + 1)], comb[j])
+        pivots[key] = vec, comb
+    return None
 
 
-def _eliminate(A, p, until_kernel, size=None):
+def _combine(s, x, t, y, p):
+    """s x + t y of the sparse vectors x and y, mod p when p, without zero
+    entries."""
+    out = {k: s * c for k, c in x.items()}
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + t * c
+    if p:
+        return {k: c % p for k, c in out.items() if c % p}
+    return {k: c for k, c in out.items() if c}
+
+
+def _eliminate(A, p, size=None):
     """Forward elimination of the rows A in place: integers, or with p = 0
     SparsePolys.  p is the modulus of integer residues, 0 for Bareiss over Z
     or F[x].  Returns (rank, idx, pivot_cols): A[:rank] are the echelon
     rows, idx[i] the original index of row i, and pivot_cols the pivot
     column of each echelon row.  The pivot is the first nonzero entry of
-    its column, or with a size key the first of least size.  With
-    until_kernel it stops at the first column without a pivot."""
+    its column, or with a size key the first of least size."""
     rows, cols = len(A), len(A[0])
     zero = A[0][0] - A[0][0]  # of the entries' ring
     idx = list(range(rows))
@@ -90,8 +107,6 @@ def _eliminate(A, p, until_kernel, size=None):
         else:
             piv = min(nonzero, key=lambda i: size(A[i][j]), default=None)
         if piv is None:
-            if until_kernel:
-                break
             continue
         if piv != r:
             A[r], A[piv] = A[piv], A[r]
@@ -135,7 +150,7 @@ def reduced_echelon(A, p):
     each is made canonical, then cleared from the rows above it."""
     if not A or not A[0]:
         return 0, ()
-    r, _, pivot_cols = _eliminate(A, p, False)
+    r, _, pivot_cols = _eliminate(A, p)
     for k in range(r - 1, -1, -1):
         j = pivot_cols[k]
         top = A[k]
@@ -167,7 +182,7 @@ def poly_matrix_rank(M):
     """
     if not M or not M[0]:
         return 0, [], []
-    r, idx, pivot_cols = _eliminate([row[:] for row in M], 0, False, SparsePoly.degree)
+    r, idx, pivot_cols = _eliminate([row[:] for row in M], 0, SparsePoly.degree)
     return r, idx[:r], pivot_cols
 
 

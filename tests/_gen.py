@@ -50,6 +50,15 @@ def int_rows(matrix, field):
     return [flat[i:i + cols] for i in range(0, len(flat), cols)], field.characteristic
 
 
+def int_columns(matrix, field):
+    """(columns, p): the columns of int_rows(matrix, field) as
+    linalg.kernel_vector takes them, one dict {row index: integer} of the
+    nonzero entries per column, and the modulus p."""
+    A, p = int_rows(matrix, field)
+    cols = len(matrix[0]) if matrix else 0
+    return [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(cols)], p
+
+
 def rand_family(seed):
     """Family for the jacobian-vs-bruteforce agreement corpus.
 

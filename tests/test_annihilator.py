@@ -1,6 +1,8 @@
-"""The annihilator's linear map, built on packed monomials, against a
-direct reference built from SparsePoly products over the same monomial
-basis.
+"""The annihilator's linear map, built on packed monomials and streamed to
+linalg.kernel_vector column by column, against a direct reference: the
+dense matrix of SparsePoly products over the same monomial basis, whose
+first kernel vector comes from Gauss-Jordan elimination in the field, apart
+from linalg.
 
 annihilator packs every exponent vector into one int of B =
 (cap * delta).bit_length() bits per variable.  The families with cap * delta
@@ -11,6 +13,7 @@ unique combination with a 1 at the first dependent column, whatever the
 row order.
 """
 
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -20,11 +23,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _gen import int_rows  # noqa: E402
 from pitkit import independence, linalg  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
 from pitkit.independence import (  # noqa: E402
-    _monomials_upto,
     _perron_cap,
     _subset_dependent,
     annihilator,
@@ -40,21 +41,53 @@ FIELD_IDS = ["F2", "F3", "F101", "F2^61-1", "Q"]
 TIGHT = [(1, 1), (3, 1), (1, 3), (7, 1), (5, 3), (3, 5)]
 
 
+def graded_lex(m, cap):
+    """The exponent tuples in m variables of degree <= cap, ascending
+    graded-lex: by degree, then lexicographically."""
+    monos = itertools.product(range(cap + 1), repeat=m)
+    return sorted((e for e in monos if sum(e) <= cap), key=lambda e: (sum(e), e))
+
+
+def first_kernel_vector(matrix, field):
+    """The kernel vector of the dense matrix of raw elements with a 1 in the
+    first column that depends on those before it, and zeros after it, by
+    Gauss-Jordan elimination in the field; or None.  In the reduced form
+    every column left of that column j is a pivot column, pivot k in column
+    k, so the vector is -R[k][j] at k < j."""
+    R = [row[:] for row in matrix]
+    cols = len(R[0])
+    r = 0
+    for j in range(cols):
+        piv = next((i for i in range(r, len(R)) if not field.is_zero(R[i][j])), None)
+        if piv is None:
+            vec = [field.neg(R[k][j]) for k in range(j)] + [field.one()]
+            return vec + [field.zero()] * (cols - j - 1)
+        R[r], R[piv] = R[piv], R[r]
+        inv = field.inv(R[r][j])
+        R[r] = [field.mul(a, inv) for a in R[r]]
+        for i in range(len(R)):
+            x = R[i][j]
+            if i != r and not field.is_zero(x):
+                R[i] = [field.sub(a, field.mul(x, b)) for a, b in zip(R[i], R[r])]
+        r += 1
+    return None
+
+
 def reference_kernel(fs, cap):
     """The first kernel vector of F -> F(fs) over the monomials of degree
     <= cap, as a polynomial in len(fs) variables, or None.  Column j is the
     product of the powers of fs in monomial j; rows are in sorted order."""
     field, n, m = fs[0].field, fs[0].nvars, len(fs)
-    monos = _monomials_upto(m, cap)
+    monos = graded_lex(m, cap)
     images = []
     for mono in monos:
         g = SparsePoly.one(field, n)
         for f, e in zip(fs, mono):
             g = g * f ** e
         images.append(g)
-    rows = sorted({e for g in images for e in g.terms}) or [None]
+    rows = sorted({e for g in images for e in g.terms})
     matrix = [[g.terms.get(e, field.zero()) for g in images] for e in rows]
-    vec = linalg.kernel_vector(*int_rows(matrix, field), field)
+    vec = first_kernel_vector(matrix, field)
     if vec is None:
         return None
     return SparsePoly(field, m, dict(zip(monos, vec)))
@@ -171,3 +204,28 @@ def test_cleared_members_over_q(texts, nvars, cap):
     # D^e_j / D^e_j0, must be the one of fs itself
     fs = [poly_from_text(t, Q, nvars) for t in texts]
     check_against_reference(fs, cap)
+
+
+def test_stream_stops_at_the_first_dependent_column():
+    # F = {f, g, f g} over F_3 has Perron cap 4^2 = 16, 969 columns, but
+    # y1 y2 - y3 annihilates it at degree 2: the ten columns of degree <= 2
+    # are all kernel_vector may read
+    F3 = FieldSpec("prime", 3)
+    fs = [poly_from_text(t, F3, 3) for t in ("x1^2 + x2", "x2*x3", "x1^2*x2*x3 + x2^2*x3")]
+    assert fs[2] == fs[0] * fs[1]
+    cap = _perron_cap(fs)
+    assert cap == 16 and independence._column_count(3, cap, 10 ** 6) == 969
+    read = []
+    kernel_vector = linalg.kernel_vector
+
+    def counting(columns, p, field):
+        def counted():
+            for col in columns:
+                read.append(col)
+                yield col
+        return kernel_vector(counted(), p, field)
+
+    with mock.patch.object(linalg, "kernel_vector", counting):
+        A = annihilator(fs, cap)
+    assert 0 < len(read) <= 10
+    assert A == annihilator(fs, 2) == poly_from_text("x1*x2 - x3", F3, 3)

@@ -161,7 +161,8 @@ def test_census_of_linear_depth4_circuits(tmp_path, capsys, name):
 # the full census runs COMPOSED_FULL and DAG_FULL with no cap
 COMPOSED_SLICES = [(2, "x1 + x2", 1, None), (2, "x1^2 - x2", 1, None),
                    (2, "x1*x2 - x3", 1, None), (2, "x1 + x2", 2, 150),
-                   (2, "x1*x2 - x3", 2, 150), (3, "x1^2 - x2", 2, 100)]
+                   (2, "x1*x2 - x3", 2, 150), (3, "x1^2 - x2", 2, 100),
+                   (3, "x1*x2 - x3", 2, 300)]
 COMPOSED_FULL = [(n, outer, 2, None) for n in (2, 3)
                  for outer in ("x1 + x2", "x1^2 - x2", "x1*x2 - x3")]
 # (n, gates, the number of circuits taken, or None for all)

@@ -493,14 +493,20 @@ def test_verify_rejects_zero_reports_with_forged_point_counts(tmp_path, capsys):
 SRC = os.path.dirname(os.path.dirname(pitkit.__file__))
 
 
-def _cli_in_subprocess(args, seconds=30):
+def _cli_in_subprocess(args, seconds=30, memory=None):
     """`python -m pitkit.cli args` running the pitkit under test, with a
     timeout, so that a regression to a hang fails the test instead of
-    stalling the suite."""
+    stalling the suite.  With memory, the child limits its own address
+    space to that many bytes (RLIMIT_AS) before it imports pitkit."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    run = ["-m", "pitkit.cli"]
+    if memory is not None:
+        run = ["-c", "import resource, runpy; "
+               "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+               "runpy.run_module('pitkit.cli', run_name='__main__')" % (memory, memory)]
     return subprocess.run(
-        [sys.executable, "-m", "pitkit.cli", *args],
+        [sys.executable, *run, *args],
         capture_output=True, text=True, timeout=seconds, env=env,
     )
 
@@ -558,6 +564,36 @@ def test_faithful_psi_refuses_a_family_of_huge_degree_before_the_search(tmp_path
         assert proc.returncode == 4 and proc.stdout == "", mode
         assert json.loads(proc.stderr)["error"] == (
             "Jacobian values at a seeded point may exceed the limit of 1048576 bits"), mode
+
+
+def test_an_oversized_annihilator_search_answers_in_bounded_memory(tmp_path):
+    # {x1, x2, x3} at cap 60 has 39,711 columns, under the default budget.
+    # The dense map of every column ran out of a 2 GB address space (an
+    # uncaught MemoryError), and verify of the absent report reached 7.6 GB
+    family = dump(tmp_path, "vars.json", {"field": {"kind": "rational"}, "nvars": 3,
+                                          "polys": ["x1", "x2", "x3"]})
+    proc = _cli_in_subprocess(["annihilator", family, "--cap", "60"], 60, 2 << 30)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["found"] is False and report["config"]["cap"] == 60
+    path = dump(tmp_path, "absent.json", proc.stdout)
+    proc = _cli_in_subprocess(["verify", path, "--against", family], 60, 2 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verified"] is True
+
+
+def test_verify_searches_an_absent_annihilator_within_its_own_budget(tmp_path):
+    # cap 1000 over three members is about 1.7 * 10^8 columns; the report's
+    # budget of 10^9 would let verify enumerate them all
+    family = dump(tmp_path, "vars.json", {"field": {"kind": "rational"}, "nvars": 3,
+                                          "polys": ["x1", "x2", "x3"]})
+    report = {"command": "annihilator", "config": {"cap": 1000, "budget_columns": 10 ** 9},
+              "found": False, "annihilator": None, "m": 3}
+    proc = _cli_in_subprocess(["verify", dump(tmp_path, "report.json", report),
+                               "--against", family], seconds=20)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == (
+        "monomial basis has 167668501 columns, budget is 50000")
 
 
 def _evaluated_trdeg_report(tmp_path, point):

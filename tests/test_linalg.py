@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from _gen import int_rows, rand_poly
+from _gen import int_columns, int_rows, rand_poly
 from pitkit.fields import FieldSpec
 from pitkit.linalg import (
     eval_matrix,
@@ -22,6 +22,11 @@ F101 = FieldSpec("prime", 101)
 def _mat(field, rows):
     """The integer rows and modulus of a matrix of ints taken into field."""
     return int_rows([[field.from_int(v) for v in row] for row in rows], field)
+
+
+def _cols(field, rows):
+    """The integer columns and modulus of a matrix of ints taken into field."""
+    return int_columns([[field.from_int(v) for v in row] for row in rows], field)
 
 
 def _rank(A, p):
@@ -82,14 +87,14 @@ def test_rank_near_int64_boundary():
 
 def test_kernel_vector():
     M = [[F101.from_int(v) for v in row] for row in [[1, 2], [2, 4]]]
-    v = kernel_vector(*int_rows(M, F101), F101)
+    v = kernel_vector(*int_columns(M, F101), F101)
     assert v is not None and any(not F101.is_zero(c) for c in v)
     for row in M:
         acc = F101.zero()
         for a, c in zip(row, v):
             acc = F101.add(acc, F101.mul(a, c))
         assert F101.is_zero(acc)
-    assert kernel_vector(*_mat(F101, [[1, 0], [0, 1]]), F101) is None
+    assert kernel_vector(*_cols(F101, [[1, 0], [0, 1]]), F101) is None
 
 
 def test_eval_matrix():
@@ -154,7 +159,7 @@ def test_echelon_kernel_is_valid_on_low_rank_matrices(p):
             assert r == len(pivot_rows) and r <= max(k, 1), (rows, cols, k)
             assert _rank(*int_rows([M[i] for i in pivot_rows], F)) == r
             assert reduced_echelon(*int_rows(M, F))[0] == r
-            kernel = kernel_vector(*int_rows(M, F), F)
+            kernel = kernel_vector(*int_columns(M, F), F)
             assert (kernel is None) == (r == cols)
             if kernel is not None:
                 assert _is_kernel_vector(M, F, kernel)
@@ -173,8 +178,8 @@ def test_echelon_normalizes_fraction_entries():
     M = [[fractions.Fraction(i + j, 2) for j in range(8)] for i in range(8)]
     assert rank(*int_rows(M, F101)) == (2, [0, 1])
     # column 2 = 2 * column 1 - column 0
-    kernel = kernel_vector(*int_rows(M, F101), F101)
-    assert kernel == [1, 99, 1, 0, 0, 0, 0, 0]
+    kernel = kernel_vector(*int_columns(M, F101), F101)
+    assert kernel == [1, 99, 1]
     assert _is_kernel_vector(M, F101, kernel)
 
 
@@ -185,7 +190,7 @@ def test_echelon_reduces_big_integer_entries(p):
     F = FieldSpec("prime", p)
     M = [[(1 << 70) + i * j for j in range(8)] for i in range(8)]
     assert rank(*int_rows(M, F)) == (2, [0, 1])
-    assert _is_kernel_vector(M, F, kernel_vector(*int_rows(M, F), F))
+    assert _is_kernel_vector(M, F, kernel_vector(*int_columns(M, F), F))
 
 
 def _to_sympy(f, xs):

@@ -31,7 +31,7 @@ from pitkit.independence import (  # noqa: E402
     jacobian,
     trdeg,
 )
-from _gen import int_rows  # noqa: E402
+from _gen import int_columns, int_rows  # noqa: E402
 from pitkit.linalg import (  # noqa: E402
     eval_matrix,
     kernel_vector,
@@ -140,16 +140,16 @@ def sympy_rank(matrix, field):
 
 
 def check_kernel(matrix, field, kernel):
-    """kernel is the unique vector with a 1 in the first dependent column j,
-    zeros after it, and matrix * kernel = 0; or None when the columns are
-    independent."""
+    """kernel lists the unique vector with a 1 in the first dependent column
+    j up to that column, and matrix * kernel = 0; or is None when the
+    columns are independent."""
     cols = len(matrix[0])
     if kernel is None:
         assert sympy_rank(matrix, field) == cols
         return
     one = to_field(field, 1)
-    j = max(c for c in range(cols) if kernel[c] != 0)
-    assert kernel[j] == one and len(kernel) == cols
+    j = len(kernel) - 1
+    assert kernel[j] == one and j < cols
     left = [row[:j] for row in matrix]
     assert sympy_rank(left, field) == j  # every column left of j is independent
     for row in matrix:
@@ -170,7 +170,7 @@ def test_echelon_matches_field_elimination_and_sympy(field, large, data):
     assert (r, pivot_rows) == reference(M, field)
     assert r == sympy_rank(M, field)
     assert sympy_rank([M[i] for i in pivot_rows], field) == r
-    check_kernel(M, field, kernel_vector(*int_rows(M, field), field))
+    check_kernel(M, field, kernel_vector(*int_columns(M, field), field))
 
 
 def sympy_rref(matrix, field):
