@@ -186,7 +186,7 @@ def _kind_of(circ):
 
 def cmd_trdeg(args) -> int:
     field, nvars, fs = _load_family(args.polys)
-    cert = trdeg(fs, mode=args.mode, seed=args.seed, col_budget=args.budget_columns)
+    cert = trdeg(fs, mode=args.mode, col_budget=args.budget_columns)
     _emit(
         {
             "command": "trdeg",
@@ -222,7 +222,7 @@ def cmd_depth4(args) -> int:
     if not isinstance(circ, Depth4Circuit):
         raise _InputError("the depth4 command needs a circuit of kind 'depth4'")
     g, sim = depth4mod.gcd_and_simple_part(circ)
-    rank = depth4mod.rank(circ, seed=args.seed)
+    rank = depth4mod.rank(circ)
     minimal = None
     if not args.skip_minimal:
         minimal = depth4mod.is_minimal(circ, budget=args.budget_expand)
@@ -427,7 +427,7 @@ def _verify_depth4(report, against):
     product = g * sim.expand()
     if not (product - circ.expand()).is_zero:
         return False, "gcd * simple part does not reproduce the circuit"
-    if depth4mod.rank(circ, seed=report["config"]["seed"]) != report["rank"]:
+    if depth4mod.rank(circ) != report["rank"]:
         return False, "rank differs"
     if report["minimal"] is not None:
         if depth4mod.is_minimal(circ, budget=report["config"]["budget_expand"]) != report["minimal"]:
@@ -445,6 +445,11 @@ _VERIFIERS = {
 
 
 # -- parser ----------------------------------------------------------------------
+
+
+# trdeg and the depth-4 rank draw no random point; the option stays so that
+# old command lines run, and its value is echoed in the report's config
+_UNUSED_SEED = "accepted and echoed in config; does not change the result"
 
 
 @functools.cache
@@ -470,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trdeg", help="transcendence degree of a family")
     p.add_argument("polys", help="polynomial family JSON file")
     p.add_argument("--mode", choices=["auto", "jacobian", "bruteforce"], default="auto")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_UNUSED_SEED)
     p.add_argument("--budget-columns", type=int, default=DEFAULT_COLUMN_BUDGET)
     p.set_defaults(fn=cmd_trdeg)
 
@@ -482,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depth4", help="gcd/simple decomposition, rank, minimality")
     p.add_argument("circuit", help="depth-4 circuit JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_UNUSED_SEED)
     p.add_argument("--budget-expand", type=int, default=DEFAULT_EXPAND_BUDGET)
     p.add_argument("--skip-minimal", action="store_true")
     p.set_defaults(fn=cmd_depth4)

@@ -169,10 +169,10 @@ def is_minimal(C: Depth4Circuit, budget: int = DEFAULT_EXPAND_BUDGET, k_cap: int
     return True
 
 
-def rank(C: Depth4Circuit, seed: int = 0) -> int:
+def rank(C: Depth4Circuit) -> int:
     """Transcendence degree of the circuit's factor set Sp(C)."""
     facs = C.sparse_factors()
-    cert = trdeg(facs, mode="auto", seed=seed)
+    cert = trdeg(facs, mode="auto")
     if not cert.exact:
         raise BudgetExceeded("rank computation fell back to an inexact certificate")
     return cert.r
@@ -337,7 +337,7 @@ def search_depth4_map(
             sub = C.subcircuit(I)
             sim = simple_part(sub)
             facs = sim.sparse_factors()
-            rho = trdeg(facs, mode="auto", seed=seed)
+            rho = trdeg(facs, mode="auto")
             if not rho.exact:
                 raise BudgetExceeded(
                     "rank of a subcircuit's simple part is not decidable "
@@ -417,7 +417,7 @@ def _certify_depth4(mp, subsets, r, seed, failed):
                 # evaluated screen almost surely; treat the miss as a reject
                 # and let a later candidate win
                 return None
-            bound = trdeg([image(f) for f in facs], mode="auto", seed=seed).r
+            bound = trdeg([image(f) for f in facs], mode="auto").r
             if bound < target:
                 return None
         bounds.append(bound)

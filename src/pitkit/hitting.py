@@ -403,7 +403,7 @@ def pit_circuit(
         truncated = hs.provenance["grid_truncated"]
     elif isinstance(circ, ComposedCircuit):
         inputs = list(circ.inputs)
-        input_cert = trdeg(inputs, mode="auto", seed=seed)
+        input_cert = trdeg(inputs, mode="auto")
         r0 = input_cert.r
         if r0 == 0:
             point = tuple(field.zero() for _ in range(n))

@@ -11,10 +11,13 @@ said otherwise):
   min(m, n); any subset larger than n is dependent outright.
 * if a size-u subset with max degree delta is dependent, it admits an
   annihilating polynomial of total degree at most delta^(u-1), so searching
-  up to that cap decides dependence of the subset exactly.  The search
-  (annihilator) streams the columns of its linear map degree by degree and
-  stops at the first dependent one, so the cap bounds it: a subset whose
-  first dependency has low degree never builds the columns above it.
+  up to that cap decides dependence of the subset exactly.  That search,
+  annihilator, is the one decision of subset dependence, for the brute-force
+  trdeg and for its verification alike, and it draws no random point, so
+  neither takes a seed.  It streams the columns of its linear map degree by
+  degree and stops at the first dependent one, so the cap bounds it: a
+  subset whose first dependency has low degree never builds the columns
+  above it.
 * algebraic independence is a matroid: a maximal independent set found by
   greedy single-element extension has the full rank as its size.
 """
@@ -38,6 +41,10 @@ from .polynomials import (
 )
 
 DEFAULT_COLUMN_BUDGET = 50_000
+# the entries, over the columns it has built, past which an annihilator
+# search raises BudgetExceeded: linalg.kernel_vector keeps every column
+# before the first dependent one
+MAX_STREAM_ENTRIES = 2_000_000
 
 
 def _check_family(fs):
@@ -188,17 +195,17 @@ def _jacobian_trusted(field, delta: int, rho: int, m: int, n: int) -> bool:
 def trdeg(
     fs,
     mode: str = "auto",
-    seed: int = 0,
     col_budget: int = DEFAULT_COLUMN_BUDGET,
 ) -> TrdegCertificate:
     """Transcendence degree of the family fs with a certificate.
 
     mode "jacobian": symbolic Jacobian rank; exact when the characteristic
     gate passes, otherwise returned as a flagged lower bound.
-    mode "bruteforce": greedy matroid extension decided by annihilator
-    search at the Perron cap; exact in every characteristic.
+    mode "bruteforce": greedy matroid extension, each extension decided by
+    one annihilator search at the Perron cap; exact in every characteristic.
     mode "auto": Jacobian first, bruteforce fallback when the gate fails,
     flagged lower bound if the fallback exceeds its budget.
+    No mode evaluates at a random point, so the answer depends on fs alone.
     """
     if mode not in ("auto", "jacobian", "bruteforce"):
         raise ValueError("mode must be auto, jacobian, or bruteforce")
@@ -223,10 +230,10 @@ def trdeg(
         if mode == "jacobian":
             return symbolic("jacobian-lower-bound", "symbolic-rank-untrusted-characteristic")
         try:
-            return _trdeg_bruteforce(fs, seed, col_budget)
+            return _trdeg_bruteforce(fs, col_budget)
         except BudgetExceeded:
             return symbolic("jacobian-lower-bound", "bruteforce-budget-exceeded")
-    return _trdeg_bruteforce(fs, seed, col_budget)
+    return _trdeg_bruteforce(fs, col_budget)
 
 
 def evaluated_certificate(field, rank: int, pivot_rows, point) -> TrdegCertificate:
@@ -261,11 +268,11 @@ def _monomials(u: int, cap: int):
         yield from compositions(d, u)
 
 
-def _monomial_products(u: int, cap: int, one, times):
-    """The value of each monomial of _monomials(u, cap), in that order, made
-    degree by degree: one for the constant monomial, and times(v, i) for a
-    monomial whose first variable is y_i, v the value of the monomial over
-    y_i.  Only the last degree's values are kept."""
+def _monomial_products(u: int, cap: int, times):
+    """The packed column of each monomial of _monomials(u, cap), in that
+    order, made degree by degree: {0: 1} for the constant monomial, and
+    times(v, i) for a monomial whose first variable is y_i, v the column of
+    the monomial over y_i.  Only the last degree's columns are kept."""
     last, layer, deg = {}, {}, 0
     for mono in _monomials(u, cap):
         d = sum(mono)
@@ -275,7 +282,7 @@ def _monomial_products(u: int, cap: int, one, times):
             i = next(k for k, e in enumerate(mono) if e)
             value = times(last[mono[:i] + (mono[i] - 1,) + mono[i + 1:]], i)
         else:
-            value = one
+            value = {0: 1}
         layer[mono] = value
         yield value
 
@@ -312,7 +319,8 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     column, is unique; no later column is built, so cap bounds the search.
     The returned polynomial is monic under graded-lex, lives in m fresh
     variables, and is verified by substitution before being returned.
-    Raises BudgetExceeded when the basis has more than col_budget monomials.
+    Raises BudgetExceeded when the basis has more than col_budget monomials,
+    or once the columns built hold more than MAX_STREAM_ENTRIES entries.
 
     The map is built on integers in every field, for the cleared members
     g_i = D_i f_i (D_i = 1 over F_p): its column j is D^e_j times that of
@@ -337,18 +345,27 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     bits = (cap * _max_degree(fs)).bit_length()
     packed, dens = zip(*[_packed_terms(f, bits) for f in fs])
     p = field.characteristic
+    held = 1  # the entries of the columns built, the constant one's first
 
     def times(column, i):
+        nonlocal held
         terms = {}
         for e1, c1 in column.items():
             for e2, c2 in packed[i]:
                 e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
         if p:
-            return {e: c % p for e, c in terms.items() if c % p}
-        return {e: c for e, c in terms.items() if c}
+            terms = {e: c % p for e, c in terms.items() if c % p}
+        else:
+            terms = {e: c for e, c in terms.items() if c}
+        held += len(terms)
+        if held > MAX_STREAM_ENTRIES:
+            raise BudgetExceeded(
+                "the annihilator's columns hold more than %d entries" % MAX_STREAM_ENTRIES
+            )
+        return terms
 
-    vec = linalg.kernel_vector(_monomial_products(m, cap, {0: 1}, times), p, field)
+    vec = linalg.kernel_vector(_monomial_products(m, cap, times), p, field)
     if vec is None:
         return None
     monos = list(itertools.islice(_monomials(m, cap), len(vec)))
@@ -361,47 +378,13 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     return normalize_monic(F)
 
 
-def _subset_dependent(polys, cap: int, seed: int, col_budget: int):
-    """Decide dependence of a polynomial subset exactly.
-
-    Returns (dependent, annihilator_or_None, method_tag).  Phase 1 evaluates
-    every monomial column at seeded points: full column rank of that matrix
-    already proves there is no annihilator at the cap (specialization can
-    only lose rank), which is the common fast exit for independent subsets
-    over a decent-sized prime field.  Phase 2 is the exact symbolic kernel.
-    """
-    field, n = _check_family(polys)
-    ncols = _column_count(len(polys), cap, col_budget)
-    run_eval = (
-        field.kind == "prime"
-        and field.p < (1 << 31)
-        and field.p ** min(n, 64) > ncols * 2
-    )
-    if run_eval:
-        rng = random.Random(_subseed(seed, 3))
-        p = field.p
-        points = [([rng.randrange(p) for _ in range(n)], 1) for _ in range(ncols + 8)]
-        # the values of each member at every point; each monomial's column
-        # of values at the points is one row of the transposed matrix
-        fvs = [[f._eval_integers(x)[0] for x in points] for f in polys]
-        cols = list(_monomial_products(
-            len(polys), cap, [1] * len(points),
-            lambda vals, i: [a * b % p for a, b in zip(vals, fvs[i])]))
-        if linalg.rank(cols, p)[0] == ncols:
-            return False, None, "evaluation-full-rank"
-    F = annihilator(polys, cap, col_budget)
-    if F is None:
-        return False, None, "kernel-empty"
-    return True, F, "kernel"
-
-
 def _perron_cap(polys) -> int:
     """max(1, delta)^(u-1): a dependent size-u subset of max degree delta has
     an annihilator of at most this degree."""
     return max(1, _max_degree(polys)) ** (len(polys) - 1)
 
 
-def _trdeg_bruteforce(fs, seed: int, col_budget: int) -> TrdegCertificate:
+def _trdeg_bruteforce(fs, col_budget: int) -> TrdegCertificate:
     field, n = _check_family(fs)
     m = len(fs)
     basis = []
@@ -417,8 +400,8 @@ def _trdeg_bruteforce(fs, seed: int, col_budget: int) -> TrdegCertificate:
             continue
         polys = [fs[i] for i in subset]
         cap = _perron_cap(polys)
-        dep, ann, method = _subset_dependent(polys, cap, seed, col_budget)
-        if dep:
+        ann = annihilator(polys, cap, col_budget)
+        if ann is not None:
             extensions.append(
                 {
                     "subset": subset,
@@ -428,7 +411,7 @@ def _trdeg_bruteforce(fs, seed: int, col_budget: int) -> TrdegCertificate:
             )
         else:
             basis.append(j)
-            chain.append({"subset": subset, "cap": cap, "method": method})
+            chain.append({"subset": subset, "cap": cap, "method": "kernel-empty"})
     return TrdegCertificate(
         len(basis),
         "bruteforce",
@@ -504,10 +487,11 @@ def verify_trdeg_certificate(
                 return False
             if not F.substitute(polys).is_zero:
                 return False
+        # a chain entry's method is not read, so a report whose chain
+        # carries an older tag verifies as well
         for entry in chain:
             polys = [fs[i] for i in entry["subset"]]
-            dep, _, _ = _subset_dependent(polys, _perron_cap(polys), 0, col_budget)
-            if dep:
+            if annihilator(polys, _perron_cap(polys), col_budget) is not None:
                 return False
         expected_dependents = set(range(m)) - set(basis)
         if seen_dependent != expected_dependents:

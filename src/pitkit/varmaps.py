@@ -588,23 +588,23 @@ def _certify(fs, J, mp, r0: int, seed: int):
     ch = field.characteristic
     if ch == 0 or ch >= (1 << 20):
         return None
-    cert = trdeg([mp.apply(f) for f in fs], mode="auto", seed=seed)
+    cert = trdeg([mp.apply(f) for f in fs], mode="auto")
     if cert.exact and cert.r == r0:
         return cert
     return None
 
 
-def _search_start(fs, r, mode, seed, input_cert):
+def _search_start(fs, r, mode, input_cert):
     """The checks and the input certificate every map search starts from:
     (input certificate, target r, which defaults to max(1, trdeg)).  The
-    certificate is trdeg(fs, mode="auto", seed=seed), computed here unless
-    the caller passes it."""
+    certificate is trdeg(fs, mode="auto"), computed here unless the caller
+    passes it."""
     if mode not in ("adaptive", "exact"):
         raise ValueError("mode must be adaptive or exact")
     if not fs:
         raise ValueError("need at least one polynomial")
     if input_cert is None:
-        input_cert = trdeg(fs, mode="auto", seed=seed)
+        input_cert = trdeg(fs, mode="auto")
     r0 = input_cert.r
     if r is None:
         r = max(1, r0)
@@ -657,10 +657,10 @@ def search_kronecker_map(fs, r: int | None = None, mode: str = "adaptive", seed:
     c sample per prime is the full h1 budget.  Works in any
     characteristic.  Raises SearchExhausted past the closed-form p bound,
     or over F_2 past p = 2 (see first_certified).
-    input_cert, when given, must be trdeg(fs, mode="auto", seed=seed); the
+    input_cert, when given, must be trdeg(fs, mode="auto"); the
     search then does not compute it again.
     """
-    input_cert, r = _search_start(fs, r, mode, seed, input_cert)
+    input_cert, r = _search_start(fs, r, mode, input_cert)
     field, n = fs[0].field, fs[0].nvars
     if r > n:
         raise ValueError("r cannot exceed the number of variables")
@@ -694,7 +694,7 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     the Jacobian is evaluated at such points.
     input_cert as in search_kronecker_map.
     """
-    input_cert, r = _search_start(fs, r, mode, seed, input_cert)
+    input_cert, r = _search_start(fs, r, mode, input_cert)
     field, n = fs[0].field, fs[0].nvars
     r0 = input_cert.r
     delta, ell = family_sizes(fs)

@@ -27,10 +27,14 @@ from pitkit import independence, linalg  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
 from pitkit.independence import (  # noqa: E402
     _perron_cap,
-    _subset_dependent,
     annihilator,
 )
-from pitkit.polynomials import SparsePoly, normalize_monic, poly_from_text  # noqa: E402
+from pitkit.polynomials import (  # noqa: E402
+    BudgetExceeded,
+    SparsePoly,
+    normalize_monic,
+    poly_from_text,
+)
 
 Q = FieldSpec("rational")
 FIELDS = [FieldSpec("prime", 2), FieldSpec("prime", 3), FieldSpec("prime", 101),
@@ -167,11 +171,11 @@ def test_subset_dependent_at_the_perron_cap(field, data):
     # the designed dependence: the last member is a product or sum of others
     if u >= 2 and data.draw(st.booleans()):
         fs[-1] = fs[0] * fs[1] if u >= 3 and delta == 1 else fs[0] + fs[-2]
+    # the subset is dependent iff it has an annihilator at the Perron cap
     cap = _perron_cap(fs)
-    seed = data.draw(st.integers(0, 3))
-    dep, ann, method = _subset_dependent(fs, cap, seed, independence.DEFAULT_COLUMN_BUDGET)
+    ann = annihilator(fs, cap)
     ref = reference_kernel(fs, cap)
-    assert dep == (ref is not None), method
+    assert (ann is not None) == (ref is not None)
     assert ann == (None if ref is None else normalize_monic(ref))
 
 
@@ -229,3 +233,14 @@ def test_stream_stops_at_the_first_dependent_column():
         A = annihilator(fs, cap)
     assert 0 < len(read) <= 10
     assert A == annihilator(fs, 2) == poly_from_text("x1*x2 - x3", F3, 3)
+
+
+def test_the_search_counts_the_entries_of_the_columns_it_builds():
+    # (x1 + x2 + x3)^j has comb(j + 2, 2) terms: the columns up to cap 3
+    # hold 1 + 3 + 6 + 10 = 20 entries, all kept, since none is dependent
+    fs = [poly_from_text("x1 + x2 + x3", FieldSpec("prime", 101), 3)]
+    with mock.patch.object(independence, "MAX_STREAM_ENTRIES", 20):
+        assert annihilator(fs, 3) is None
+    with mock.patch.object(independence, "MAX_STREAM_ENTRIES", 19):
+        with pytest.raises(BudgetExceeded, match="hold more than 19 entries"):
+            annihilator(fs, 3)

@@ -11,6 +11,7 @@ import pitkit
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.cli import main
 from pitkit.fields import FieldSpec
+from pitkit.independence import MAX_STREAM_ENTRIES
 from pitkit.polynomials import SparsePoly, poly_from_text
 from pitkit.varmaps import schedule
 
@@ -582,6 +583,41 @@ def test_an_oversized_annihilator_search_answers_in_bounded_memory(tmp_path):
     assert json.loads(proc.stdout)["verified"] is True
 
 
+def test_an_annihilator_search_that_keeps_too_many_entries_exits_four(tmp_path):
+    # {x1 + x2 + x3} at cap 40,000 has 40,001 columns, under the default
+    # budget, but column j, (x1 + x2 + x3)^j, has comb(j + 2, 2) terms, and
+    # the search keeps every column
+    family = dump(tmp_path, "sum.json", {"field": {"kind": "prime", "p": 101}, "nvars": 3,
+                                         "polys": ["x1 + x2 + x3"]})
+    report = {"annihilator": None, "command": "annihilator",
+              "config": {"budget_columns": 50000, "cap": 40000}, "found": False, "m": 1}
+    report = dump(tmp_path, "absent.json", report)
+    for args in (["verify", report, "--against", family],
+                 ["annihilator", family, "--cap", "40000"]):
+        proc = _cli_in_subprocess(args, 20, 2 << 30)
+        assert proc.returncode == 4 and proc.stdout == "", (args, proc.stderr)
+        assert json.loads(proc.stderr)["error"] == (
+            "the annihilator's columns hold more than %d entries" % MAX_STREAM_ENTRIES)
+
+
+def test_trdeg_of_a_low_degree_dependency_under_a_high_perron_cap(tmp_path):
+    # the last member is the product of the other two, so the Jacobian gate
+    # fails over F_101 and trdeg decides each subset by annihilator search.
+    # delta = 7 gives the three members a Perron cap of 49 (22,100 columns,
+    # under the budget), and the dependency sits at degree 2
+    family = dump(tmp_path, "fam.json", {"field": {"kind": "prime", "p": 101}, "nvars": 3,
+                                         "polys": ["x1^5 + x2", "x2*x3",
+                                                   "x1^5*x2*x3 + x2^2*x3"]})
+    proc = _cli_in_subprocess(["trdeg", family], 20, 2 << 30)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["r"], report["exact"], report["certificate"]["mode"]) == (2, True, "bruteforce")
+    path = dump(tmp_path, "report.json", proc.stdout)
+    proc = _cli_in_subprocess(["verify", path, "--against", family], 20, 2 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verified"] is True
+
+
 def test_verify_searches_an_absent_annihilator_within_its_own_budget(tmp_path):
     # cap 1000 over three members is about 1.7 * 10^8 columns; the report's
     # budget of 10^9 would let verify enumerate them all
@@ -1007,7 +1043,7 @@ FROZEN_BRUTEFORCE = {
         '{"certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, "witness": '
         '{"dependent_extensions": [{"annihilator": "x1 + x2 + x3", "cap": 4, "subset": '
         '[0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
-        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
+        '"kernel-empty", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
         '"subset": [0, 1]}], "method": "greedy-matroid-extension"}}, "command": '
         '"trdeg", "config": {"budget_columns": 50000, "mode": "auto", "seed": 0}, '
         '"exact": true, "r": 2}'
@@ -1028,7 +1064,7 @@ FROZEN_BRUTEFORCE = {
         '"input_certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, '
         '"witness": {"dependent_extensions": [{"annihilator": "x1 + x2 + x3", "cap": 4, '
         '"subset": [0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
-        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
+        '"kernel-empty", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
         '"subset": [0, 1]}], "method": "greedy-matroid-extension"}}, "map": {"D": 9, '
         '"I": [1, 2], "c": 1, "field": {"kind": "prime", "p": 2}, "kind": "phi", "n": '
         '3, "p": 2, "r": 2}}}'
@@ -1037,7 +1073,7 @@ FROZEN_BRUTEFORCE = {
         '{"certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, "witness": '
         '{"dependent_extensions": [{"annihilator": "x1*x2 + x3", "cap": 9, "subset": '
         '[0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
-        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
+        '"kernel-empty", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
         '"subset": [0, 1]}], "method": "greedy-matroid-extension"}}, "command": '
         '"trdeg", "config": {"budget_columns": 50000, "mode": "auto", "seed": 0}, '
         '"exact": true, "r": 2}'
@@ -1058,7 +1094,7 @@ FROZEN_BRUTEFORCE = {
         '"input_certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, '
         '"witness": {"dependent_extensions": [{"annihilator": "x1*x2 + x3", "cap": 9, '
         '"subset": [0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
-        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
+        '"kernel-empty", "subset": [0]}, {"cap": 2, "method": "kernel-empty", '
         '"subset": [0, 1]}], "method": "greedy-matroid-extension"}}, "map": {"D": 28, '
         '"I": [1, 2], "c": 1, "field": {"kind": "prime", "p": 2}, "kind": "phi", "n": '
         '3, "p": 2, "r": 2}}}'
@@ -1067,8 +1103,8 @@ FROZEN_BRUTEFORCE = {
         '{"certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, "witness": '
         '{"dependent_extensions": [{"annihilator": "x1*x2 + 2*x3", "cap": 9, "subset": '
         '[0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
-        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": '
-        '"evaluation-full-rank", "subset": [0, 1]}], "method": '
+        '"kernel-empty", "subset": [0]}, {"cap": 2, "method": '
+        '"kernel-empty", "subset": [0, 1]}], "method": '
         '"greedy-matroid-extension"}}, "command": "trdeg", "config": {"budget_columns": '
         '50000, "mode": "auto", "seed": 0}, "exact": true, "r": 2}'
     ),
@@ -1088,8 +1124,8 @@ FROZEN_BRUTEFORCE = {
         '"input_certificate": {"basis": [0, 1], "mode": "bruteforce", "r": 2, '
         '"witness": {"dependent_extensions": [{"annihilator": "x1*x2 + 2*x3", "cap": 9, '
         '"subset": [0, 1, 2]}], "independence_chain": [{"cap": 1, "method": '
-        '"evaluation-full-rank", "subset": [0]}, {"cap": 2, "method": '
-        '"evaluation-full-rank", "subset": [0, 1]}], "method": '
+        '"kernel-empty", "subset": [0]}, {"cap": 2, "method": '
+        '"kernel-empty", "subset": [0, 1]}], "method": '
         '"greedy-matroid-extension"}}, "map": {"D": 28, "I": [1, 2], "c": 1, "field": '
         '{"kind": "prime", "p": 3}, "kind": "phi", "n": 3, "p": 2, "r": 2}}}'
     ),
@@ -1111,10 +1147,29 @@ def test_bruteforce_trdeg_reports_are_frozen(tmp_path, capsys, tag, call):
     assert json.dumps(json.loads(out), sort_keys=True) == FROZEN_BRUTEFORCE[tag, call]
 
 
-@pytest.mark.parametrize("tag, call", sorted(FROZEN_BRUTEFORCE))
+def screen_tagged(report, caps):
+    """report as printed while an evaluation screen decided some independent
+    subsets before the annihilator search: their chain entries, of these
+    caps, said "evaluation-full-rank"."""
+    entry = '{"cap": %d, "method": "%s"'
+    for cap in caps:
+        assert entry % (cap, "kernel-empty") in report
+        report = report.replace(entry % (cap, "kernel-empty"),
+                                entry % (cap, "evaluation-full-rank"))
+    return report
+
+
+VERIFIED_BRUTEFORCE = {
+    **FROZEN_BRUTEFORCE,
+    ("F2-0", "trdeg-screen-tagged"): screen_tagged(FROZEN_BRUTEFORCE["F2-0", "trdeg"], [1]),
+    ("F3-0", "phi-screen-tagged"): screen_tagged(FROZEN_BRUTEFORCE["F3-0", "phi"], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("tag, call", sorted(VERIFIED_BRUTEFORCE))
 def test_bruteforce_trdeg_reports_verify(tmp_path, capsys, tag, call):
     fam = bruteforce_family(tmp_path, tag)
-    report = dump(tmp_path, "report.json", FROZEN_BRUTEFORCE[tag, call])
+    report = dump(tmp_path, "report.json", VERIFIED_BRUTEFORCE[tag, call])
     code, out, _ = run(capsys, ["verify", report, "--against", fam])
     assert code == 0 and json.loads(out)["verified"] is True
 

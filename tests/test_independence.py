@@ -1,10 +1,12 @@
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 
 from _gen import rand_poly
+from pitkit import independence
 from pitkit.fields import FieldSpec
 from pitkit.linalg import eval_matrix, poly_matrix_rank
 from pitkit.independence import (
@@ -15,7 +17,7 @@ from pitkit.independence import (
     trdeg,
     verify_trdeg_certificate,
 )
-from pitkit.polynomials import SparsePoly, normalize_monic, poly_from_text
+from pitkit.polynomials import BudgetExceeded, SparsePoly, normalize_monic, poly_from_text
 
 Q = FieldSpec("rational")
 F2 = FieldSpec("prime", 2)
@@ -117,6 +119,27 @@ def test_small_characteristic_gate():
     jac = trdeg(fs, mode="jacobian")
     assert jac.r == 0 and not jac.exact and jac.mode == "jacobian-lower-bound"
 
+
+
+def test_an_independent_subset_past_the_entry_limit_gives_a_flagged_bound():
+    # over F_5 the Jacobian gate fails (5 <= 2^4), and the annihilator
+    # search alone decides each subset; the independent {f1, f2, f3} keeps
+    # every column it builds, 1,555 entries at its Perron cap 4.  No other
+    # decision stands in when a search passes the limit: trdeg gives the
+    # Jacobian rank as a flagged lower bound
+    F5 = FieldSpec("prime", 5)
+    texts = ["x1^2 + 2*x2*x3 + x4 + 1", "x2^2 + x3*x4 - x1 + 3", "x3^2 + 2*x1*x4 + x2^2 + x1"]
+    fs = [P(t, 4, F5) for t in texts]
+    fs.append(fs[0] + fs[1])
+    cert = trdeg(fs)
+    assert (cert.r, cert.exact) == (3, True)
+    assert [e["method"] for e in cert.witness["independence_chain"]] == ["kernel-empty"] * 3
+    with mock.patch.object(independence, "MAX_STREAM_ENTRIES", 1554):
+        bound = trdeg(fs)
+        with pytest.raises(BudgetExceeded):
+            trdeg(fs, mode="bruteforce")
+    assert (bound.r, bound.exact, bound.mode) == (3, False, "jacobian-lower-bound")
+    assert bound.witness["method"] == "bruteforce-budget-exceeded"
 
 def test_annihilator_dependent_pair():
     A = annihilator([P("x1", 1), P("x1^2", 1)], 2)

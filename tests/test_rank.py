@@ -309,7 +309,7 @@ def dependent_families(draw, field, coeffs=st.integers(-9, 9).filter(bool)):
 def test_rank_screen_with_a_true_ceiling_returns_the_all_trials_max(field, data):
     fs, n = data.draw(dependent_families(field))
     seed = data.draw(st.integers(0, 1000))
-    cert = trdeg(fs, mode="auto", seed=seed)
+    cert = trdeg(fs, mode="auto")
     assume(cert.exact)
     J = jacobian(fs)
 
