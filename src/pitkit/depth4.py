@@ -23,7 +23,8 @@ from .polynomials import (
     gcd_poly,
     normalize_monic,
 )
-from .varmaps import SearchExhausted, VandermondeMap, first_certified, pc_candidates, schedule
+from .varmaps import (SearchExhausted, VandermondeMap, first_certified, schedule,
+                      vandermonde_candidates)
 
 
 class CoprimeBasis:
@@ -315,8 +316,10 @@ def search_depth4_map(
     A candidate is accepted only if, for every nonempty subset I of the
     rows, it preserves the simple part of the subcircuit C_I and keeps the
     rank of that simple part up to the target min(rank, r).  Candidates are
-    tried with p ascending over primes and c ascending; enumeration stops at
-    the closed-form p bound.  r defaults to 1 for k = 2 (where it is proven
+    tried with p ascending over primes and c ascending, and a prime where no
+    c can reach the largest target is counted without being walked
+    (varmaps.vandermonde_candidates); enumeration stops at the closed-form
+    p bound.  r defaults to 1 for k = 2 (where it is proven
     sufficient) and k*s otherwise; conjecture_R opts into a smaller
     speculative bound.  Over F_2 the only c is 1, so a circuit with a
     target min(rank, r) of 2 or more raises SearchExhausted at once, and
@@ -344,21 +347,20 @@ def search_depth4_map(
                     "within budget"
                 )
             subsets.append((I, sub, sim, facs, jacobian(facs), rho.r))
-    if field.characteristic == 2 and any(min(rho, r) >= 2 for *_, rho in subsets):
+    # _certify_depth4 rejects every map of linear rank below this
+    floor = max(min(rho, r) for *_, rho in subsets)
+    if field.characteristic == 2 and floor >= 2:
         # over F_2 the only c is 1: every variable maps to the same affine
         # form 1 + z_0 + ... + z_r, so no image has trdeg 2 or more
         raise SearchExhausted(
-            "no depth-4 map over F_2 keeps a rank of 2 or more (target %d)"
-            % max(min(rho, r) for *_, rho in subsets)
+            "no depth-4 map over F_2 keeps a rank of 2 or more (target %d)" % floor
         )
 
     # keep the per-prime sample small: when a prime's residue pattern is
     # degenerate (p = 2 collapses most exponents) no c works, so move on
     # quickly instead of exhausting a lemma-sized sample
-    maps = (
-        VandermondeMap(field, n, r, D1, D2, p, c)
-        for p, c in pc_candidates(field, sched.p_max, max(8, 2 * delta * C.k * C.s * r), 1)
-    )
+    maps = vandermonde_candidates(field, n, r, D1, D2, sched.p_max,
+                                  max(8, 2 * delta * C.k * C.s * r), 1, floor)
     # affine-image keys of the candidates that failed a preservation leg
     failed = set()
     mp, evidence, tried = first_certified(
@@ -379,14 +381,18 @@ def _certify_depth4(mp, subsets, r, seed, failed):
     image Jacobian through the chain rule (mp.jacobian_at on the
     precomputed jacobian of the factors).  A miss rejects over a big
     field; over a small field the symbolic trdeg of the images decides.
+    A subset of rank 0 has only constant factors, so its bound is 0 with
+    no evaluation.
     A preservation leg holds when no factor of C_I maps to zero and
     h = gcd_i psi(sim_i) is constant.  Proof: the rows of psi(C_I) are
     psi(g) * psi(sim_i), so simple_part(psi(C_I)) = psi(sim) / h up to a
     unit, which is psi(sim) up to a unit iff h is constant.
 
     Two screens come first and evaluate nothing (README, "How candidates
-    are screened").  The linear rank k of mp bounds the trdeg of every
-    image family, so k below some subset's target rejects.  failed holds
+    are screened"); the candidate stream of search_depth4_map has already
+    skipped every prime whose generic linear rank is below the largest
+    target.  The linear rank k of mp bounds the trdeg of every image
+    family, so k below some subset's target rejects.  failed holds
     the affine-image keys of earlier candidates of this search whose
     preservation leg failed; a candidate with the same key differs from
     one of them by an invertible affine change of z, an automorphism of
@@ -406,6 +412,10 @@ def _certify_depth4(mp, subsets, r, seed, failed):
     ch = field.characteristic
     bounds = []
     for I, sub, sim, facs, J, rho in subsets:
+        if rho == 0:
+            # every factor of sim is constant, so the image Jacobian is zero
+            bounds.append(0)
+            continue
         target = min(rho, r)
         # rho and k bound the rank of the images at every point (their trdeg
         # is at most both), so stopping there leaves the max over the trials

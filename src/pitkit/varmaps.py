@@ -21,11 +21,13 @@ primes, c ascending, variable subsets in lexicographic order) and certify
 each candidate by recomputing the transcendence degree of the images, so a
 returned map is correct regardless of which lemma motivated the parameter
 ranges.  A candidate whose linear rank is below the target cannot keep it
-and is rejected before any point is evaluated (AffineMap.affine_summary).
+and is rejected before any point is evaluated (AffineMap.affine_summary);
+a prime at which no c can reach the target is skipped whole
+(vandermonde_candidates, the one enumerator of Vandermonde maps).
 ParamSchedule packages the closed-form parameter sizes of each family and
-enumerates its maps (ParamSchedule.maps), the one enumerator behind the
-exact hitting sets and the exact searches; the integers are astronomically
-large for all but toy inputs, which is why the searches default to adaptive
+enumerates its maps (ParamSchedule.maps), unscreened, behind the exact
+hitting sets and the exact searches; the integers are astronomically large
+for all but toy inputs, which is why the searches default to adaptive
 mode.  first_certified is the one candidate loop of every search.
 """
 
@@ -113,15 +115,15 @@ class ParamSchedule:
         """The closed-form family, lazily: every (p, c) of pc_candidates up
         to p_max with the c sample h1_size, in that order; for "any-char" a
         KroneckerMap per kept w(n)-subset (lexicographic) with D = D1, else
-        a VandermondeMap with D1 and D2."""
-        pcs = pc_candidates(field, self.p_max, self.h1_size)
+        a VandermondeMap with D1 and D2.  No prime is skipped: a hitting
+        set needs the points of every map."""
         if self.kind != "any-char":
-            for p, c in pcs:
-                yield VandermondeMap(field, n, self.r, self.D1, self.D2, p, c)
+            yield from vandermonde_candidates(field, n, self.r, self.D1, self.D2, self.p_max,
+                                              self.h1_size, 0, 0)
             return
         w = self.w(n)
         subsets = list(itertools.combinations(range(1, n + 1), w))
-        for p, c in pcs:
+        for p, c in pc_candidates(field, self.p_max, self.h1_size):
             for kept in subsets:
                 yield KroneckerMap(field, n, w, kept, self.D1, p, c)
 
@@ -435,6 +437,34 @@ class KroneckerMap(AffineMap):
         )
 
 
+def vandermonde_exponents(n: int, r: int, D1: int, D2: int, p: int):
+    """The exponent table of every VandermondeMap with these n, r, D1, D2
+    and p, whatever c is: row i - 1 holds the exponents (D1^i, D2^i,
+    i (n+1)^1, ..., i (n+1)^r), each mod p."""
+    steps = [pow(n + 1, j, p) for j in range(1, r + 1)]
+    return [[pow(D1, i, p), pow(D2, i, p)] + [i * s % p for s in steps]
+            for i in range(1, n + 1)]
+
+
+def generic_linear_rank(n: int, r: int, D1: int, D2: int, p: int) -> int:
+    """The rank of the linear part M of a VandermondeMap at prime p over
+    Q(c), c an indeterminate: an upper bound on the linear rank
+    (AffineMap.affine_summary) of every c at p, in every field.
+
+    Every entry of M is c^e, so a k x k minor of M is an integer polynomial
+    in c whose coefficients are sums of k! signs, of absolute value at most
+    w! for w = r + 1 columns.  By Cauchy's bound every root of a nonzero one
+    has absolute value at most 1 + w!, so M at C0 = w! + 2 keeps every
+    nonzero minor: its integer rank is the rank over Q(c).  A minor that
+    vanishes over Z[c] vanishes mod every prime, and evaluating at c can
+    only send more minors to 0, so no field and no c gives a larger rank.
+    """
+    c0 = math.factorial(r + 1) + 2
+    table = vandermonde_exponents(n, r, D1, D2, p)
+    power = {e: c0 ** e for row in table for e in row[1:]}
+    return linalg.rank([[power[e] for e in row[1:]] for row in table], 0)[0]
+
+
 class VandermondeMap(AffineMap):
     """x_i -> c^(D1^i mod p) + c^(D2^i mod p) z_0 + sum_j c^(i (n+1)^j mod p) z_j."""
 
@@ -454,10 +484,7 @@ class VandermondeMap(AffineMap):
         return self.r + 1
 
     def _exponents(self):
-        p = self.p
-        steps = [pow(self.n + 1, j, p) for j in range(1, self.r + 1)]
-        return [[pow(self.D1, i, p), pow(self.D2, i, p)] + [i * s % p for s in steps]
-                for i in range(1, self.n + 1)]
+        return vandermonde_exponents(self.n, self.r, self.D1, self.D2, self.p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -535,19 +562,56 @@ def family_sizes(fs):
     return delta, ell
 
 
-def pc_candidates(field: FieldSpec, p_max: int, c_max: int, c_per_p: int = 0):
-    """The (p, c) parameter pairs every search and exact enumeration walks:
-    p ascending over the primes up to p_max, then c = 1, 2, ... up to
-    c_max + c_per_p * p, capped at the nonzero elements of a prime field.
-    Lazy: exact-mode budgets are far too large to materialize."""
+def _c_samples(field: FieldSpec, p_max: int, c_max: int, c_per_p: int):
+    """(p, top) for p ascending over the primes up to p_max, where the c
+    sample at p is 1, 2, ..., top = c_max + c_per_p * p, capped at the
+    nonzero elements of a prime field."""
     for p in iter_primes():
         if p > p_max:
             return
         top = c_max + c_per_p * p
         if field.kind == "prime":
             top = min(top, field.p - 1)
+        yield p, top
+
+
+def pc_candidates(field: FieldSpec, p_max: int, c_max: int, c_per_p: int = 0):
+    """The (p, c) parameter pairs every search and exact enumeration walks:
+    p ascending over the primes up to p_max, then c = 1, 2, ... up to
+    c_max + c_per_p * p, capped at the nonzero elements of a prime field.
+    Lazy: exact-mode budgets are far too large to materialize."""
+    for p, top in _c_samples(field, p_max, c_max, c_per_p):
         for v in range(1, top + 1):
             yield p, field.from_int(v)
+
+
+class SkippedPrime:
+    """The count candidates at prime p of a search over field that no c
+    can certify (see vandermonde_candidates)."""
+
+    __slots__ = ("field", "p", "count")
+
+    def __init__(self, field: FieldSpec, p: int, count: int):
+        self.field = field
+        self.p = p
+        self.count = count
+
+
+def vandermonde_candidates(field: FieldSpec, n: int, r: int, D1: int, D2: int, p_max: int,
+                           c_max: int, c_per_p: int, floor: int):
+    """The VandermondeMap of every (p, c) of pc_candidates(field, p_max,
+    c_max, c_per_p), in that order, for a search that rejects every map of
+    linear rank below floor: the whole-prime screen.  At a prime whose
+    generic_linear_rank is below floor, no c reaches floor, so one
+    SkippedPrime with the size of its c sample stands for its maps.  The
+    bound is computed only for floor >= 2: every entry c^e of M is nonzero,
+    so every map has linear rank at least 1."""
+    for p, top in _c_samples(field, p_max, c_max, c_per_p):
+        if floor >= 2 and generic_linear_rank(n, r, D1, D2, p) < floor:
+            yield SkippedPrime(field, p, top)
+            continue
+        for v in range(1, top + 1):
+            yield VandermondeMap(field, n, r, D1, D2, p, field.from_int(v))
 
 
 def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
@@ -616,11 +680,12 @@ def _search_start(fs, r, mode, input_cert):
 def first_certified(maps, certify, name, p_max):
     """The first map of maps that certify proves: (map, proof, tried), where
     proof = certify(map) is not None and tried counts the candidates up to
-    and including it.  Raises SearchExhausted when maps runs out; name and
-    the p bound p_max go into its message.  Over F_2 the only c is 1, and
-    every power of 1 is 1, so every prime repeats the maps of p = 2: the
-    search walks p = 2 only and raises SearchExhausted at the first map
-    with p > 2."""
+    and including it.  A SkippedPrime among the maps counts as its count
+    candidates, none of them certified.  Raises SearchExhausted when maps
+    runs out; name and the p bound p_max go into its message.  Over F_2 the
+    only c is 1, and every power of 1 is 1, so every prime repeats the maps
+    of p = 2: the search walks p = 2 only and raises SearchExhausted at the
+    first map or SkippedPrime with p > 2."""
     tried = 0
     for mp in maps:
         if mp.field.characteristic == 2 and mp.p > 2:
@@ -628,6 +693,9 @@ def first_certified(maps, certify, name, p_max):
                 "no certified %s map over F_2 after %d candidates: every prime "
                 "repeats the maps of p = 2" % (name, tried)
             )
+        if isinstance(mp, SkippedPrime):
+            tried += mp.count
+            continue
         tried += 1
         proof = certify(mp)
         if proof is not None:
@@ -687,7 +755,9 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     delta^r, and r < 2 over F_2.  Candidate order is p ascending over
     primes, then c ascending.  Adaptive mode uses the smallest D1, D2 the
     faithfulness argument allows; exact mode walks the closed-form family,
-    schedule("sparse-char0", ...).maps(field, n).  Raises SearchExhausted
+    schedule("sparse-char0", ...).maps(field, n).  Both skip, and count,
+    every prime whose generic linear rank is below the input trdeg (see
+    vandermonde_candidates).  Raises SearchExhausted
     past the p bound, or over F_2 past p = 2 (see first_certified).
     Over Q it raises BudgetExceeded, before any candidate, when delta
     times the bits of a seeded point coordinate exceeds MAX_VALUE_BITS:
@@ -706,12 +776,11 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
             % (field.characteristic, delta, r0)
         )
     sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=delta, ell=ell)
+    # _certify rejects every map of linear rank below r0
     if mode == "exact":
-        maps = sched.maps(field, n)
+        maps = vandermonde_candidates(field, n, r, sched.D1, sched.D2, sched.p_max,
+                                      sched.h1_size, 0, r0)
     else:
         D1 = max(delta * r + 1, (n + 1) ** (r + 1))
-        maps = (
-            VandermondeMap(field, n, r, D1, 2, p, c)
-            for p, c in pc_candidates(field, sched.p_max, 0, delta * r)
-        )
+        maps = vandermonde_candidates(field, n, r, D1, 2, sched.p_max, 0, delta * r, r0)
     return _first_faithful(fs, maps, input_cert, seed, "Vandermonde", sched.p_max)

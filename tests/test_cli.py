@@ -1021,6 +1021,23 @@ def test_exact_faithful_reports_are_frozen(tmp_path, capsys, kind):
     assert run(capsys, ["verify", report, "--against", fam])[0] == 0
 
 
+@pytest.mark.parametrize("field", [Q, FieldSpec("prime", (1 << 61) - 1)], ids=["Q", "F2^61-1"])
+def test_exact_psi_search_skips_whole_primes_below_the_input_trdeg(tmp_path, field):
+    # trdeg 3 in 3 variables: at p = 2 and p = 3 every c has linear rank
+    # below 3 (generic ranks 1 and 2), and the exact c sample per prime is
+    # the whole h1_size, so without the whole-prime screen the search never
+    # reaches p = 5.  Each skipped prime counts its sample: 2 * h1_size + 2
+    fam = dump(tmp_path, "fam.json", {"field": field.to_json(), "nvars": 3,
+                                      "polys": ["x1 + x2^2", "x2*x3", "x1^2 + x3"]})
+    proc = _cli_in_subprocess(["faithful", fam, "--kind", "psi", "--mode", "exact"])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["map"]["p"], field.scalar_from_json(result["map"]["c"])) == (5, 2)
+    assert result["candidates_tried"] == 7616996750131214
+    report = dump(tmp_path, "report.json", proc.stdout)
+    assert _cli_in_subprocess(["verify", report, "--against", fam]).returncode == 0
+
+
 # three triangular families of the certify-verify corpus (seed 21) over F_2
 # and F_3: the Jacobian gate fails there, so trdeg and the phi search's
 # input certificate run the annihilator search.  The reports as printed

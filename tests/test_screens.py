@@ -4,9 +4,11 @@ VandermondeMap.affine_summary gives the linear rank k of a map x = b + M z
 and a canonical key of its affine image b + colspace(M).  The searches
 reject a candidate whose k is below the target (the rank bound) and, in
 the depth-4 search, a candidate whose key repeats one whose preservation
-leg failed (equal keys).  Tested here: the two lemmas as hypothesis
-properties, the canonical form behind the key, and differential runs
-showing that the screens change no search result.
+leg failed (equal keys).  Before either, the candidate stream skips every
+prime whose generic linear rank (varmaps.generic_linear_rank) is below
+the target (the whole-prime screen).  Tested here: the lemmas as
+hypothesis properties, the canonical form behind the key, and
+differential runs showing that the screens change no search result.
 """
 
 import random
@@ -38,9 +40,10 @@ SEARCH_IDS = ["Q", "F101", "F2^61-1"]
 
 def no_screens(monkeypatch):
     """Make every summary the no-op one: full linear rank, and a key no
-    other map shares."""
+    other map shares; and every prime's generic linear rank full."""
     monkeypatch.setattr(VandermondeMap, "affine_summary",
                         lambda mp: (mp.nvars_out, object()))
+    monkeypatch.setattr(varmaps, "generic_linear_rank", lambda n, r, *_: r + 1)
 
 
 @st.composite
@@ -136,6 +139,71 @@ def test_linear_rank_bounds_image_jacobian_rank_and_trdeg(field, data):
     assert full == capped <= k
     if mp.nvars_out <= 3:
         assert trdeg([mp.apply(f) for f in fs], mode="auto").r <= k
+
+
+# -- the whole-prime screen ---------------------------------------------------
+
+
+F2 = FieldSpec("prime", 2)
+BOUND_FIELDS = [F2, F3, F101, F61, Q]
+BOUND_IDS = ["F2", "F3", "F101", "F2^61-1", "Q"]
+
+
+@given(st.data())
+@pytest.mark.parametrize("field", BOUND_FIELDS, ids=BOUND_IDS)
+def test_generic_linear_rank_bounds_the_linear_rank_of_every_c(field, data):
+    n = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    D1 = data.draw(st.integers(2, 400))
+    D2 = data.draw(st.integers(2, 6))
+    bound = varmaps.generic_linear_rank(n, r, D1, D2, p)
+    assert 1 <= bound <= min(n, r + 1)
+    top = 12 if field.kind == "rational" else min(12, field.p - 1)
+    cs = [field.from_int(v) for v in range(1, top + 1)]
+    if field.kind == "rational":
+        cs += [Q.div(Q.from_int(a), Q.from_int(3)) for a in (-2, -1, 1, 2)]
+    ranks = [VandermondeMap(field, n, r, D1, D2, p, c).affine_summary()[0] for c in cs]
+    assert max(ranks) <= bound
+
+
+def test_generic_linear_ranks_of_the_exact_psi_schedule():
+    # {x1 + x2^2, x2*x3, x1^2 + x3}: n = r = 3, delta = 2, ell = 2.  The
+    # exact search needs linear rank 3; only p = 5 can give it
+    sched = varmaps.schedule("sparse-char0", n=3, delta=2, r=3, d=2, ell=2)
+    assert (sched.D1, sched.D2) == (20736, 2)
+    assert [varmaps.generic_linear_rank(3, 3, sched.D1, sched.D2, p)
+            for p in (2, 3, 5)] == [1, 2, 3]
+
+
+def _walk(maps, fs, r0, seed):
+    """(map, candidates_tried) of the first map of maps that _certify
+    proves, or the SearchExhausted message."""
+    J = jacobian(fs)
+    try:
+        mp, _, tried = varmaps.first_certified(
+            maps, lambda mp: varmaps._certify(fs, J, mp, r0, seed), "test", 13)
+    except varmaps.SearchExhausted as exc:
+        return str(exc)
+    return mp.to_json_dict(), tried
+
+
+@given(st.data())
+@pytest.mark.parametrize("field", SEARCH_FIELDS, ids=SEARCH_IDS)
+def test_screened_stream_finds_the_map_of_the_plain_stream(field, data):
+    n = data.draw(st.integers(2, 4))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    fs = [rand_poly(rng, field, n, 2, 3) for _ in range(data.draw(st.integers(2, 3)))]
+    r0 = trdeg(fs).r
+    r = data.draw(st.integers(max(1, r0), 3))
+    D1 = data.draw(st.integers(2, 100))
+    D2 = data.draw(st.integers(2, 6))
+    c_max, c_per_p = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 1))
+    seed = data.draw(st.integers(0, 50))
+    plain = (VandermondeMap(field, n, r, D1, D2, p, c)
+             for p, c in varmaps.pc_candidates(field, 13, c_max, c_per_p))
+    screened = varmaps.vandermonde_candidates(field, n, r, D1, D2, 13, c_max, c_per_p, r0)
+    assert _walk(screened, fs, r0, seed) == _walk(plain, fs, r0, seed)
 
 
 # -- lemma 2: equal keys, equal preservation verdicts ------------------------

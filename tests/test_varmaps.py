@@ -14,6 +14,7 @@ from pitkit.primes import primes_in
 from pitkit.varmaps import (
     KroneckerMap,
     SearchExhausted,
+    SkippedPrime,
     VandermondeMap,
     ceil_log2,
     conjectured_rank_bound,
@@ -300,3 +301,17 @@ def test_first_certified_returns_the_first_proof():
                                               "candidates"):
         first_certified(iter(_toy_maps(FieldSpec("prime", 2), [2, 2, 3, 3])),
                         lambda m: None, "toy", 7)
+
+
+def test_first_certified_counts_a_skipped_prime_as_its_candidates():
+    toys = _toy_maps(F101, [3, 3])
+    maps = [SkippedPrime(F101, 2, 40), *toys]
+    assert first_certified(iter(maps), lambda m: m.name if m.name == "b" else None,
+                           "toy", 7) == (toys[1], "b", 42)
+    with pytest.raises(SearchExhausted, match="after 42 candidates"):
+        first_certified(iter(maps), lambda m: None, "toy", 7)
+    # the F_2 rule reads a skipped prime as it reads a map
+    F2 = FieldSpec("prime", 2)
+    maps = [SkippedPrime(F2, 2, 1), SkippedPrime(F2, 3, 1)]
+    with pytest.raises(SearchExhausted, match="over F_2 after 1 candidates"):
+        first_certified(iter(maps), lambda m: None, "toy", 7)
