@@ -185,58 +185,138 @@ def verify_simple_preservation(C: Depth4Circuit, mp: VandermondeMap) -> bool:
     True exactly when the image of simple_part(C) equals simple_part of the
     image circuit up to a unit, with no factor of C mapped to zero.  A
     simple part is a tuple of rows, not their sum, so a map that sends the
-    circuit to zero preserves nothing by that alone.  The map must satisfy
-    D1 >= 2*delta^2 + 1 and D1 >= D2 >= delta + 1, the regime in which
-    preservation can hold at all for degree-delta factors.
+    circuit to zero preserves nothing by that alone.  The map must be a
+    VandermondeMap with D1 >= 2*delta^2 + 1 and D1 >= D2 >= delta + 1, the
+    regime in which preservation can hold at all for degree-delta factors.
 
     Criterion: no factor of C maps to zero, and h = gcd_i psi(sim_i) is
     constant, where sim_i are the rows of simple_part(C).  Proof: row i of
     C is g * sim_i and psi is a ring homomorphism, so the rows of psi(C)
     are psi(g) * psi(sim_i) and simple_part(psi(C)) = psi(sim) / h up to a
     unit, row by row.  That equals psi(sim) up to a unit iff h is
-    constant.  Neither simple part of the image is computed; see
-    _preserves_simple_part.
+    constant.  Neither simple part of the image is computed; the decision
+    is the one search_depth4_map makes (_preservation).
     """
+    if not isinstance(mp, VandermondeMap):
+        raise ValueError("simple-part preservation is decided for Vandermonde maps only")
     delta = C.delta
     if mp.D1 < 2 * delta * delta + 1 or mp.D2 < delta + 1 or mp.D1 < mp.D2:
         raise ValueError("map parameters below the preservation thresholds")
     if mp.n != C.nvars or mp.field != C.field:
         raise ValueError("map does not match the circuit ring")
-    image = _memo_apply(mp)
-    return _preserves_simple_part(C, simple_part(C), image, _zero_test(mp, image, 0))
+    return _preservation(mp, _memo(mp.apply), 0)(C, simple_part(C))
 
 
-def _memo_apply(mp):
-    """mp.apply, computed once per distinct polynomial."""
+def _memo(fn):
+    """fn, computed once per distinct polynomial while the returned
+    function lives (one candidate)."""
     images = {}
 
     def image(f):
         img = images.get(f)
         if img is None:
-            img = images[f] = mp.apply(f)
+            img = images[f] = fn(f)
         return img
 
     return image
 
 
-def _zero_test(mp, image, seed):
-    """f -> is psi(f) zero?, for psi = mp and image = _memo_apply(mp).
+def _preservation(mp, image, seed):
+    """The one preservation decision for the Vandermonde map psi = mp, as
+    a function (C, sim) -> bool: the criterion of verify_simple_preservation
+    for sim = simple_part(C), with image = _memo(mp.apply).  sim is None for
+    a one-row C: one row is its own gcd, so its simple part is one constant
+    row, and only "no factor of C maps to zero" is left to check.
 
-    psi(f) takes the value f(psi(a)) at a z-point a, so a nonzero value at
-    one seeded point a proves psi(f) != 0 without building the image; only
-    a zero value falls back to image(f).is_zero.  The answer does not
-    depend on the point.
+    Each factor f is first restricted to the line z = a + t e_0 through a
+    seeded point a: line(f) = f(b + M a + t M_0) (_on_line), memoized like
+    image and exact in every field.  Every entry c^e of the column M_0 is
+    nonzero.  With k the linear rank of M:
+
+    - k = 1: every column of M is a multiple of M_0, so psi(f) = F(l) for
+      F(s) = f(b + s M_0) and the linear form l = mu.z with mu_0 = 1, and
+      line(f) = F(mu.a + t).  Both s -> l and s -> mu.a + t are injective
+      maps out of F[s] that keep zero-ness and gcd constancy, so the line
+      verdict is the verdict, pass or fail.
+    - k >= 2: when deg line(f) = deg f for every factor f of sim, the
+      z_0-leading coefficient of each psi(f) is the nonzero constant
+      f_top(M_0), and so is that of every factor of psi(f).  A nonconstant
+      h dividing a factor image in every row then stays nonconstant on the
+      line, so a pass on the line proves preservation, and line(f) != 0
+      proves psi(f) != 0.  Any other outcome is decided on the full images.
+    """
+    k = mp.affine_summary()[0]
+    line = _memo(_on_line(mp, seed))
+
+    def maps_to_zero(f):
+        return line(f).is_zero and (k == 1 or image(f).is_zero)
+
+    def preserved(C, sim):
+        if sim is None:
+            return not any(maps_to_zero(f) for f in C.rows[0])
+        if k == 1:
+            return _preserves_simple_part(C, sim, line, maps_to_zero)
+        if (all(line(f).degree() == f.degree() for row in sim.rows for f in row)
+                and _preserves_simple_part(C, sim, line, maps_to_zero)):
+            return True
+        return _preserves_simple_part(C, sim, image, maps_to_zero)
+
+    return preserved
+
+
+def _on_line(mp, seed):
+    """f -> f(b + M a + t M_0) in F[t], psi(f) restricted to the line
+    z = a + t e_0 through the seeded point a, computed in the integer form.
+
+    The line is x = (u + v t) / D with integer u, v, and f = (1/den) sum
+    N_m x^m over its total degree d, so den D^d f(x) = sum N_m D^(d-|m|)
+    (u + v t)^m: integer coefficient lists, with the powers of each
+    (u_i + v_i t) shared by every f, and one conversion at the end.
     """
     field = mp.field
+    p = field.characteristic
     a = _random_point(field, random.Random(_subseed(seed, 4)), mp.nvars_out)
-    x = mp._integer_image(field.integers(a))
-    return lambda f: not f._eval_integers(x)[0] and image(f).is_zero
+    u, D = mp._integer_image(field.integers(a))
+    _, cols, L = mp._integer_columns()
+    # u is over L * q and M_0 over L
+    v = [x * (D // L) for x in cols[0]]
+    powers = {}
+
+    def power(i, e):
+        got = powers.get((i, e))
+        if got is None:
+            got = [1] if e == 0 else _convolve(power(i, e - 1), (u[i], v[i]), p)
+            powers[(i, e)] = got
+        return got
+
+    def restrict(f):
+        den, terms, d = f._compiled or f._compile()
+        acc = [0] * (d + 1)
+        for N, mon, deg in terms:
+            c = [N * D ** (d - deg)]
+            for i, e in mon:
+                c = _convolve(c, power(i, e), p)
+            for j, x in enumerate(c):
+                acc[j] += x
+        coeffs = field.from_integers(acc, den * D ** d)
+        return SparsePoly._raw(field, 1, {(j,): x for j, x in enumerate(coeffs) if x})
+
+    return restrict
+
+
+def _convolve(c1, c2, p):
+    """The product of two coefficient lists, reduced mod p when p > 0."""
+    out = [0] * (len(c1) + len(c2) - 1)
+    for i, x in enumerate(c1):
+        for j, y in enumerate(c2):
+            out[i + j] += x * y
+    return [x % p for x in out] if p else out
 
 
 def _preserves_simple_part(C, sim, image, maps_to_zero):
     """The criterion of verify_simple_preservation, for sim = simple_part(C),
-    image = psi applied to one polynomial and maps_to_zero(f) = psi(f) == 0
-    (see _zero_test).
+    image = psi applied to one polynomial (or its restriction to a line)
+    and maps_to_zero(f) = psi(f) == 0 (see _preservation).
 
     h = gcd_i psi(sim_i) is nonconstant iff some irreducible divides a
     factor image in every row.  So the test carries the nonconstant gcds of
@@ -323,7 +403,12 @@ def search_depth4_map(
     sufficient) and k*s otherwise; conjecture_R opts into a smaller
     speculative bound.  Over F_2 the only c is 1, so a circuit with a
     target min(rank, r) of 2 or more raises SearchExhausted at once, and
-    any other one past p = 2 (see first_certified).
+    any other one past p = 2 (see first_certified).  A one-row subset is
+    its own gcd, so its simple part is one constant row of rank 0: it gets
+    no coprime basis, trdeg or jacobian, and a candidate only has to keep
+    its factors nonzero.  Preservation is decided on a line of z-space
+    first (_preservation): for a candidate of linear rank 1 always, for
+    one of higher linear rank whenever the line proves it.
     """
     field, n, delta = C.field, C.nvars, C.delta
     sched = schedule(
@@ -338,6 +423,11 @@ def search_depth4_map(
     for size in range(1, C.k + 1):
         for I in itertools.combinations(range(C.k), size):
             sub = C.subcircuit(I)
+            if size == 1:
+                # one row is its own gcd: its simple part is one constant
+                # row, of rank 0 (see _preservation for sim = None)
+                subsets.append((I, sub, None, (), None, 0))
+                continue
             sim = simple_part(sub)
             facs = sim.sparse_factors()
             rho = trdeg(facs, mode="auto")
@@ -374,8 +464,9 @@ def _certify_depth4(mp, subsets, r, seed, failed):
     None.
 
     Each entry of subsets is (I, C_I, sim = simple_part(C_I), the distinct
-    factors of sim, their jacobian, the rank of sim).  Every distinct factor
-    is mapped at most once per candidate, and all legs share the image.  A
+    factors of sim, their jacobian, the rank of sim); for a one-row C_I it
+    is (I, C_I, None, (), None, 0).  Every distinct factor is mapped at
+    most once per candidate, and all legs share the image.  A
     rank leg holds when the images of sim's factors keep rank min(rank, r):
     one seeded evaluated_rank pass, with ceiling min(rank, k), reads the
     image Jacobian through the chain rule (mp.jacobian_at on the
@@ -386,7 +477,10 @@ def _certify_depth4(mp, subsets, r, seed, failed):
     A preservation leg holds when no factor of C_I maps to zero and
     h = gcd_i psi(sim_i) is constant.  Proof: the rows of psi(C_I) are
     psi(g) * psi(sim_i), so simple_part(psi(C_I)) = psi(sim) / h up to a
-    unit, which is psi(sim) up to a unit iff h is constant.
+    unit, which is psi(sim) up to a unit iff h is constant.  _preservation
+    decides it on univariate restrictions of the images to one line
+    wherever that is exact, and builds psi's images in w variables only
+    where the line leaves the verdict open.
 
     Two screens come first and evaluate nothing (README, "How candidates
     are screened"); the candidate stream of search_depth4_map has already
@@ -403,7 +497,7 @@ def _certify_depth4(mp, subsets, r, seed, failed):
     k, key = mp.affine_summary()
     if key in failed or any(k < min(rho, r) for *_, rho in subsets):
         return None
-    image = _memo_apply(mp)
+    image = _memo(mp.apply)
     # rank legs first: evaluated rank never exceeds the function-field rank,
     # which never exceeds trdeg, so meeting the target at one point already
     # proves the lower bound, and degenerate (p, c) candidates die on cheap
@@ -431,10 +525,10 @@ def _certify_depth4(mp, subsets, r, seed, failed):
             if bound < target:
                 return None
         bounds.append(bound)
-    maps_to_zero = _zero_test(mp, image, seed)
+    preserved = _preservation(mp, image, seed)
     evidence = []
     for (I, sub, sim, facs, J, rho), bound in zip(subsets, bounds):
-        if not _preserves_simple_part(sub, sim, image, maps_to_zero):
+        if not preserved(sub, sim):
             failed.add(key)
             return None
         evidence.append(

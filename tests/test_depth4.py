@@ -20,7 +20,7 @@ from pitkit.fields import FieldSpec
 from pitkit.hitting import pit_circuit
 from pitkit.linalg import rank as matrix_rank
 from pitkit.polynomials import SparsePoly, gcd_poly, poly_from_text, poly_to_text
-from pitkit.varmaps import VandermondeMap, pc_candidates, schedule
+from pitkit.varmaps import KroneckerMap, VandermondeMap, pc_candidates, schedule
 
 from _gen import (
     BIG_FIELD,
@@ -197,6 +197,13 @@ def test_simple_preservation_threshold():
         verify_simple_preservation(C, low)
 
 
+def test_simple_preservation_refuses_a_kronecker_map():
+    C = circuit([["x1"], ["x2"]], 2, 1)
+    phi = KroneckerMap(Q, 2, 1, [1], D=3, p=5, c=Q.from_int(2))
+    with pytest.raises(ValueError, match="Vandermonde maps only"):
+        verify_simple_preservation(C, phi)
+
+
 def _preserved_row_by_row(C, mp):
     """The definition, kept as an oracle: no factor of C maps to zero, and
     the simple part of the image circuit is the image of the simple part,
@@ -232,7 +239,7 @@ def _mapped_rows(C, mp):
     return [[mp.apply(f) for f in row] for row in C.rows]
 
 
-@pytest.mark.parametrize("field", [Q, BIG_FIELD], ids=["Q", "F_2^61-1"])
+@pytest.mark.parametrize("field", [Q, BIG_FIELD, F3, F101], ids=["Q", "F_2^61-1", "F3", "F101"])
 def test_preservation_agrees_with_old_definition(field):
     # c = 1 sends every x_i to the same affine form, so x1 - x2 maps to 0
     killable = [["x1 - x2", "x1 + x3"], ["x2", "x3"]]
@@ -269,7 +276,8 @@ def test_preservation_agrees_with_old_definition(field):
                             # a factor between its rows: not preserved
                             vanished += 1
                             assert new is False, (I, mp, mp.c)
-    assert pairs > 1000
+    # over F_3 each prime has only c = 1 and c = 2
+    assert pairs > (100 if field == F3 else 1000)
     assert killed > 0
     assert vanished > 0
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from _gen import gcd_depth4, int_rows, lifted_identity, rand_depth4, rand_poly  # noqa: E402
@@ -25,8 +25,8 @@ from pitkit import depth4, linalg, varmaps  # noqa: E402
 from pitkit.circuits import Depth4Circuit  # noqa: E402
 from pitkit.depth4 import search_depth4_map, verify_simple_preservation  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
-from pitkit.independence import evaluated_rank, jacobian, trdeg  # noqa: E402
-from pitkit.polynomials import poly_from_text  # noqa: E402
+from pitkit.independence import _random_point, _subseed, evaluated_rank, jacobian, trdeg  # noqa: E402
+from pitkit.polynomials import SparsePoly, poly_from_text  # noqa: E402
 from pitkit.varmaps import VandermondeMap, search_vandermonde_map  # noqa: E402
 
 Q = FieldSpec("rational")
@@ -38,12 +38,27 @@ SEARCH_FIELDS = [Q, F101, F61]
 SEARCH_IDS = ["Q", "F101", "F2^61-1"]
 
 
+def full_images_only(mp, image, seed):
+    """depth4._preservation without the line leg and the one-row shortcut:
+    every subset, one-row ones too, gets its simple part, and the
+    criterion runs on the images in w variables."""
+
+    def preserved(C, sim):
+        if sim is None:
+            sim = depth4.simple_part(C)
+        return depth4._preserves_simple_part(C, sim, image, lambda f: image(f).is_zero)
+
+    return preserved
+
+
 def no_screens(monkeypatch):
     """Make every summary the no-op one: full linear rank, and a key no
-    other map shares; and every prime's generic linear rank full."""
+    other map shares; every prime's generic linear rank full; and decide
+    every preservation leg on the full images (full_images_only)."""
     monkeypatch.setattr(VandermondeMap, "affine_summary",
                         lambda mp: (mp.nvars_out, object()))
     monkeypatch.setattr(varmaps, "generic_linear_rank", lambda n, r, *_: r + 1)
+    monkeypatch.setattr(depth4, "_preservation", full_images_only)
 
 
 @st.composite
@@ -236,9 +251,11 @@ def test_equal_keys_give_equal_preservation_verdicts(field, data):
     assert verify_simple_preservation(C, m1) == verify_simple_preservation(C, m2)
 
 
-def test_equal_key_pairs_cover_both_verdicts():
+def test_equal_key_pairs_cover_both_verdicts(monkeypatch):
     # the lemma above is not vacuous: among p = 2 maps of one key, some
-    # circuits keep their simple part and some do not
+    # circuits keep their simple part and some do not.  These maps have
+    # linear rank 1, so the line decides both verdicts, and no image in w
+    # variables is ever built
     field = F101
     x = [poly_from_text("x%d" % i, field, 3) for i in (1, 2, 3)]
     one = poly_from_text("1", field, 3)
@@ -246,8 +263,92 @@ def test_equal_key_pairs_cover_both_verdicts():
     lost = Depth4Circuit(field, 3, 2, [[x[0]], [x[1]]])
     maps = [VandermondeMap(field, 3, 1, 16, 3, 2, c) for c in (1, 2, 5)]
     assert len({mp.affine_summary() for mp in maps}) == 1
+    assert maps[0].affine_summary()[0] == 1
+
+    def no_image(mp, f):
+        raise AssertionError("a full image was built")
+
+    monkeypatch.setattr(varmaps.AffineMap, "apply", no_image)
     assert [verify_simple_preservation(kept, mp) for mp in maps] == [True] * 3
     assert [verify_simple_preservation(lost, mp) for mp in maps] == [False] * 3
+
+
+def test_one_row_subsets_get_no_coprime_basis(monkeypatch):
+    # k = 2: of the subsets {0}, {1} and {0, 1}, only the pair needs a
+    # simple part
+    calls = []
+    real = depth4.coprime_basis
+    monkeypatch.setattr(depth4, "coprime_basis", lambda C: calls.append(C) or real(C))
+    found = search_depth4_map(rand_depth4(2, Q, k=2, s=2, n=3))
+    assert [e["I"] for e in found.evidence] == [[0], [1], [0, 1]]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=["F3", "F101", "Q", "F2^61-1"])
+def test_line_decision_matches_the_full_images(field):
+    """The line leg of depth4._preservation gives the verdict of the
+    criterion on the full images, on random subcircuits and maps.  The
+    draws reach a rank-1 pass and fail, and maps of rank >= 2 that the line
+    decides and that fall back to the full images."""
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 4))
+        mp = data.draw(vandermonde_maps(field, n))
+        delta = data.draw(st.integers(1, 2))
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        k = data.draw(st.integers(1, 3))
+        rows = [[rand_poly(rng, field, n, delta, 3) for _ in range(data.draw(st.integers(1, 2)))]
+                for _ in range(k)]
+        # x = b + M z; the line of the leg runs along M_0
+        b = [img.terms.get((0,) * mp.nvars_out, field.zero()) for img in mp.images()]
+        m0 = [img.terms[(1,) + (0,) * mp.r] for img in mp.images()]
+        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        extra = data.draw(st.sampled_from(["none", "a shared factor", "a shared root"]))
+        if extra == "a shared factor":
+            g = rand_poly(rng, field, n, 1, 2)
+            rows = [[g] + row for row in rows]
+        elif extra == "a shared root":
+            # x_j - x_j(b + M_0) in each row: their images under a map of
+            # linear rank 1 all vanish where the one linear form is 1
+            for row in rows:
+                j = rng.randrange(n)
+                row.insert(0, SparsePoly(field, n, {
+                    unit[j]: field.one(), (0,) * n: field.neg(field.add(b[j], m0[j]))}))
+        if data.draw(st.booleans()):
+            # a factor whose top form vanishes at M_0, so that its line
+            # image drops in degree
+            rows[0].append(SparsePoly(field, n, {
+                unit[0]: m0[1], unit[1]: field.neg(m0[0]), (0,) * n: field.one()}))
+        C = Depth4Circuit(field, n, delta, rows)
+        seed = data.draw(st.integers(0, 50))
+        full = depth4._memo(mp.apply)
+        expected = depth4._preserves_simple_part(
+            C, depth4.simple_part(C), full, lambda f: full(f).is_zero)
+        built = []
+        image = depth4._memo(lambda f: built.append(f) or mp.apply(f))
+        got = depth4._preservation(mp, image, seed)(C, depth4.simple_part(C) if k > 1 else None)
+        assert got == expected
+        # the line images are psi(f) at z = a + t e_0 for the seeded a
+        a = _random_point(field, random.Random(_subseed(seed, 4)), mp.nvars_out)
+        t = SparsePoly(field, 1, {(1,): field.one()})
+        z = [t + SparsePoly.constant(field, 1, a[0])] + [
+            SparsePoly.constant(field, 1, x) for x in a[1:]]
+        on_line = depth4._on_line(mp, seed)
+        for f in {f for row in C.rows for f in row}:
+            assert on_line(f) == full(f).substitute(z)
+        rank = mp.affine_summary()[0]
+        if rank == 1:
+            assert not built
+            seen.add(("rank 1", got))
+        else:
+            seen.add(("rank >= 2", "fallback" if built else "line"))
+
+    check()
+    assert seen == {("rank 1", True), ("rank 1", False),
+                    ("rank >= 2", "line"), ("rank >= 2", "fallback")}
 
 
 # -- the screens change no search result --------------------------------------
