@@ -22,6 +22,7 @@ from .polynomials import (
     divide_exact,
     gcd_poly,
     normalize_monic,
+    substitution,
 )
 from .varmaps import (SearchExhausted, VandermondeMap, first_certified, schedule,
                       vandermonde_candidates)
@@ -229,7 +230,7 @@ def _preservation(mp, image, seed):
     row, and only "no factor of C maps to zero" is left to check.
 
     Each factor f is first restricted to the line z = a + t e_0 through a
-    seeded point a: line(f) = f(b + M a + t M_0) (_on_line), memoized like
+    seeded point a: line(f) = f(b + M a + t M_0) (_line), memoized like
     image and exact in every field.  Every entry c^e of the column M_0 is
     nonzero.  With k the linear rank of M:
 
@@ -246,7 +247,7 @@ def _preservation(mp, image, seed):
       proves psi(f) != 0.  Any other outcome is decided on the full images.
     """
     k = mp.affine_summary()[0]
-    line = _memo(_on_line(mp, seed))
+    line = _memo(_line(mp, seed))
 
     def maps_to_zero(f):
         return line(f).is_zero and (k == 1 or image(f).is_zero)
@@ -264,53 +265,16 @@ def _preservation(mp, image, seed):
     return preserved
 
 
-def _on_line(mp, seed):
+def _line(mp, seed):
     """f -> f(b + M a + t M_0) in F[t], psi(f) restricted to the line
-    z = a + t e_0 through the seeded point a, computed in the integer form.
-
-    The line is x = (u + v t) / D with integer u, v, and f = (1/den) sum
-    N_m x^m over its total degree d, so den D^d f(x) = sum N_m D^(d-|m|)
-    (u + v t)^m: integer coefficient lists, with the powers of each
-    (u_i + v_i t) shared by every f, and one conversion at the end.
-    """
+    z = a + t e_0 through the seeded point a: polynomials.substitution on
+    the one-column map x = (u + v t) / D, built from the integer form."""
     field = mp.field
-    p = field.characteristic
     a = _random_point(field, random.Random(_subseed(seed, 4)), mp.nvars_out)
     u, D = mp._integer_image(field.integers(a))
     _, cols, L = mp._integer_columns()
-    # u is over L * q and M_0 over L
-    v = [x * (D // L) for x in cols[0]]
-    powers = {}
-
-    def power(i, e):
-        got = powers.get((i, e))
-        if got is None:
-            got = [1] if e == 0 else _convolve(power(i, e - 1), (u[i], v[i]), p)
-            powers[(i, e)] = got
-        return got
-
-    def restrict(f):
-        den, terms, d = f._compiled or f._compile()
-        acc = [0] * (d + 1)
-        for N, mon, deg in terms:
-            c = [N * D ** (d - deg)]
-            for i, e in mon:
-                c = _convolve(c, power(i, e), p)
-            for j, x in enumerate(c):
-                acc[j] += x
-        coeffs = field.from_integers(acc, den * D ** d)
-        return SparsePoly._raw(field, 1, {(j,): x for j, x in enumerate(coeffs) if x})
-
-    return restrict
-
-
-def _convolve(c1, c2, p):
-    """The product of two coefficient lists, reduced mod p when p > 0."""
-    out = [0] * (len(c1) + len(c2) - 1)
-    for i, x in enumerate(c1):
-        for j, y in enumerate(c2):
-            out[i + j] += x * y
-    return [x % p for x in out] if p else out
+    # u is over D = L * q and M_0 over L
+    return substitution(field, 1, [{(0,): x, (1,): y * (D // L)} for x, y in zip(u, cols[0])], D)
 
 
 def _preserves_simple_part(C, sim, image, maps_to_zero):

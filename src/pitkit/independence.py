@@ -36,6 +36,8 @@ from .polynomials import (
     BudgetExceeded,
     SparsePoly,
     normalize_monic,
+    pack,
+    packed_product,
     poly_from_text,
     poly_to_text,
 )
@@ -298,17 +300,6 @@ def _column_count(u: int, cap: int, col_budget: int) -> int:
     return ncols
 
 
-def _packed_terms(f, bits: int):
-    """(terms, D): the terms of D * f, D from FieldSpec.integers, as (key,
-    integer) pairs, each exponent vector packed into one int of `bits` bits
-    per variable, x_1 lowest."""
-    coeffs, den = f.field.integers(f.terms.values())
-    return [
-        (sum(e << (bits * v) for v, e in enumerate(exps)), c)
-        for exps, c in zip(f.terms, coeffs)
-    ], den
-
-
 def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     """A nonzero F with deg(F) <= cap and F(f_1, ..., f_m) = 0, or None.
 
@@ -327,8 +318,9 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     fs, so the first dependent column j0 stays, and the kernel vector G
     gives F_j = G_j D^e_j / D^e_j0, still 1 at j0.
 
-    The columns are built on packed monomials (Monagan and Pearce, CASC
-    2007): each exponent vector of fs becomes one int of B =
+    The columns are built on packed monomials (polynomials.pack and
+    packed_product, Monagan and Pearce, CASC 2007), as every substitution
+    is: each exponent vector of fs becomes one int of B =
     (cap * delta).bit_length() bits per variable, delta the largest degree
     in fs, so a product of two terms is one int addition.  Every term of
     every product, cancelled or not, has total degree at most cap * delta <
@@ -343,21 +335,14 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
         raise ValueError("cap must be nonnegative")
     _column_count(m, cap, col_budget)
     bits = (cap * _max_degree(fs)).bit_length()
-    packed, dens = zip(*[_packed_terms(f, bits) for f in fs])
+    nums, dens = zip(*[field.integers(f.terms.values()) for f in fs])
+    packed = [pack(zip(f.terms, c), bits) for f, c in zip(fs, nums)]
     p = field.characteristic
     held = 1  # the entries of the columns built, the constant one's first
 
     def times(column, i):
         nonlocal held
-        terms = {}
-        for e1, c1 in column.items():
-            for e2, c2 in packed[i]:
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        if p:
-            terms = {e: c % p for e, c in terms.items() if c % p}
-        else:
-            terms = {e: c for e, c in terms.items() if c}
+        terms = packed_product(column, packed[i], p)
         held += len(terms)
         if held > MAX_STREAM_ENTRIES:
             raise BudgetExceeded(

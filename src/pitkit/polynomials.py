@@ -11,9 +11,10 @@ Variables are x1..xn (1-based), z0..zr (0-based, used for reduced rings), or
 the single letter t for univariate images.  Parsing is whitespace-insensitive
 and round-trips exactly on canonical output.
 
-Evaluation runs on integers: the point and the coefficients are taken to
-the integer form of FieldSpec.integers (residues over F_p, numerators over
-one denominator over Q), and the value is made a raw element at the end.
+Evaluation and substitution run on integers: the point or the images and
+the coefficients are taken to the integer form of FieldSpec.integers
+(residues over F_p, numerators over one denominator over Q), and the
+result is made raw elements at the end.
 """
 
 from __future__ import annotations
@@ -346,7 +347,8 @@ class SparsePoly:
         """Ring homomorphism: send variable i to images[i].
 
         All images must live in one common ring over the same field; the
-        result lives there.  Image powers are cached across terms.
+        result lives there.  The images go to the integer form over one
+        common denominator, and substitution expands.
         """
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
@@ -358,35 +360,10 @@ class SparsePoly:
                 raise ValueError("images live in different rings")
         if tf != self.field:
             raise FieldError("substitution must stay over one field")
-        cache = {}
-
-        def img_pow(i, e):
-            got = cache.get((i, e))
-            if got is None:
-                got = images[i] ** e
-                cache[(i, e)] = got
-            return got
-
-        # every term's image summed into one dict and reduced once at the
-        # end; adding each term to the sum so far would copy it per term
-        out = {}
-        one = (0,) * tn
-        for exps, c in self.terms.items():
-            prod = None
-            for i, e in enumerate(exps):
-                if e:
-                    prod = img_pow(i, e) if prod is None else prod * img_pow(i, e)
-            if prod is None:
-                out[one] = out.get(one, 0) + c
-                continue
-            for m, v in prod.terms.items():
-                out[m] = out.get(m, 0) + c * v
-        if tf.kind == "prime":
-            p = tf.p
-            out = {m: v % p for m, v in out.items() if v % p}
-        else:
-            out = {m: v for m, v in out.items() if v}
-        return self._raw(tf, tn, out)
+        nums, den = tf.integers([c for g in images for c in g.terms.values()])
+        nums = iter(nums)
+        ints = [{exps: next(nums) for exps in g.terms} for g in images]
+        return substitution(tf, tn, ints, den)(self)
 
     def coeff_in(self, v: int, k: int):
         """Coefficient of x_v^k, as a polynomial in the same ring (v-degree 0)."""
@@ -398,6 +375,84 @@ class SparsePoly:
 
     def __repr__(self):
         return "SparsePoly(%s)" % poly_to_text(self)
+
+
+# -- substitution on packed monomials ---------------------------------------------
+
+
+def pack(terms, bits: int):
+    """{key: c} for the pairs (exps, c) of terms with c != 0, each exponent
+    vector packed into one int of `bits` bits per variable, the first
+    variable lowest (Monagan and Pearce, CASC 2007).  While every exponent
+    stays below 2^bits, distinct vectors get distinct keys and the key of
+    a product of monomials is the sum of their keys."""
+    return {sum(e << (bits * v) for v, e in enumerate(exps)): c for exps, c in terms if c}
+
+
+def packed_product(a, b, p: int):
+    """The product of two integer polynomials on packed monomials, dicts
+    {key: int}, reduced mod p when p > 0, its cancelled terms dropped."""
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            terms[e] = terms.get(e, 0) + c1 * c2
+    if p:
+        return {e: c % p for e, c in terms.items() if c % p}
+    return {e: c for e, c in terms.items() if c}
+
+
+def substitution(field: FieldSpec, nvars: int, images, den: int):
+    """f -> f(g_1 / den, ..., g_n / den), the one expansion of a polynomial
+    under a substitution (SparsePoly.substitute, varmaps.AffineMap.apply
+    and the line of depth4._line).
+
+    images[i] is the integer polynomial g_i in nvars variables, a dict
+    {exponent tuple: int}, over den in the integer form of
+    FieldSpec.integers (residues and den = 1 over F_p).  With f = (1/D)
+    sum N_m x^m of total degree d (SparsePoly._compile),
+
+        D den^d f(g / den) = sum N_m den^(d - |m|) prod g_i^(m_i),
+
+    one integer sum on packed monomials (pack, packed_product), made raw
+    elements by one from_integers at the end.  Each power g_i^e is built
+    from g_i^(e-1) and kept while the returned function lives, for every
+    f it expands.  No exponent of a term of f's expansion exceeds d times
+    the largest degree of the g_i, which sets the packing width; a wider
+    one packs the powers again.
+    """
+    p = field.characteristic
+    deg = max((sum(m) for g in images for m in g), default=0)
+    bits, powers = -1, []
+
+    def power(i, e):
+        pw = powers[i]
+        while len(pw) <= e:
+            pw.append(packed_product(pw[-1], pw[1], p))
+        return pw[e]
+
+    def expand(f):
+        nonlocal bits, powers
+        D, terms, d = f._compiled or f._compile()
+        need = (max(d, 1) * deg).bit_length()
+        if need > bits:
+            bits = need
+            powers = [[{0: 1}, pack(g.items(), bits)] for g in images]
+        acc = {}
+        for N, mon, k in terms:
+            if den != 1:
+                N *= den ** (d - k)
+            prod = {0: 1}
+            for j, (i, e) in enumerate(mon):
+                prod = power(i, e) if j == 0 else packed_product(prod, power(i, e), p)
+            for key, c in prod.items():
+                acc[key] = acc.get(key, 0) + N * c
+        coeffs = field.from_integers(list(acc.values()), D * den ** d)
+        mask, shifts = (1 << bits) - 1, [bits * v for v in range(nvars)]
+        return SparsePoly._raw(field, nvars, {
+            tuple(key >> s & mask for s in shifts): c for key, c in zip(acc, coeffs) if c})
+
+    return expand
 
 
 # -- normalization and division ---------------------------------------------------

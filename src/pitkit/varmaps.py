@@ -3,9 +3,9 @@
 Both of the paper's reductions are affine maps x = b + M z whose nonzero
 entries are powers of a field element c, with exponents reduced mod a prime
 p.  AffineMap holds the one representation, integer columns built from an
-exponent table, and implements images, apply, point_images, affine_summary
-and the chain-rule jacobian_at once.  The two constructions only give the
-table:
+exponent table, and implements apply (one polynomials.substitution per
+map), point_images, affine_summary and the chain-rule jacobian_at once.
+The two constructions only give the table:
 
 * KroneckerMap (kind "phi"): keeps a chosen r-subset of the variables alive
   as z_1..z_r and pins every dropped variable to the constant c^(D^j mod p),
@@ -23,7 +23,8 @@ returned map is correct regardless of which lemma motivated the parameter
 ranges.  A candidate whose linear rank is below the target cannot keep it
 and is rejected before any point is evaluated (AffineMap.affine_summary);
 a prime at which no c can reach the target is skipped whole
-(vandermonde_candidates, the one enumerator of Vandermonde maps).
+(vandermonde_candidates, the one enumerator of Vandermonde maps;
+kronecker_candidates is its counterpart for Kronecker maps).
 ParamSchedule packages the closed-form parameter sizes of each family and
 enumerates its maps (ParamSchedule.maps), unscreened, behind the exact
 hitting sets and the exact searches; the integers are astronomically large
@@ -41,7 +42,7 @@ from . import linalg
 from .fields import FieldError, FieldSpec
 from .independence import (POINT_BOUND, check_value_bits, evaluated_certificate,
                            evaluated_rank, jacobian, trdeg)
-from .polynomials import BudgetExceeded, SparsePoly
+from .polynomials import BudgetExceeded, SparsePoly, substitution
 from .primes import iter_primes
 
 
@@ -117,15 +118,10 @@ class ParamSchedule:
         KroneckerMap per kept w(n)-subset (lexicographic) with D = D1, else
         a VandermondeMap with D1 and D2.  No prime is skipped: a hitting
         set needs the points of every map."""
-        if self.kind != "any-char":
-            yield from vandermonde_candidates(field, n, self.r, self.D1, self.D2, self.p_max,
-                                              self.h1_size, 0, 0)
-            return
-        w = self.w(n)
-        subsets = list(itertools.combinations(range(1, n + 1), w))
-        for p, c in pc_candidates(field, self.p_max, self.h1_size):
-            for kept in subsets:
-                yield KroneckerMap(field, n, w, kept, self.D1, p, c)
+        if self.kind == "any-char":
+            return kronecker_candidates(field, n, self.w(n), self.D1, self.p_max, self.h1_size, 0)
+        return vandermonde_candidates(field, n, self.r, self.D1, self.D2, self.p_max,
+                                      self.h1_size, 0, 0)
 
     def __repr__(self):
         return "ParamSchedule(kind=%r, r=%d)" % (self.kind, self.r)
@@ -261,7 +257,7 @@ class AffineMap:
     c = a/q and E the largest exponent, c^e as a^e q^(E - e) over L = q^E.
     """
 
-    __slots__ = ("field", "n", "r", "p", "c", "_cols", "_images", "_summary")
+    __slots__ = ("field", "n", "r", "p", "c", "_cols", "_substitution", "_summary")
 
     def __init__(self, field: FieldSpec, n: int, r: int, p: int, c):
         c = field.normalize(c)
@@ -273,7 +269,7 @@ class AffineMap:
         self.p = p
         self.c = c
         self._cols = None
-        self._images = None
+        self._substitution = None
         self._summary = None
 
     def _integer_columns(self):
@@ -312,28 +308,19 @@ class AffineMap:
             self._summary = (rank - 1, key)
         return self._summary
 
-    def images(self):
-        """The image polynomial of each x_i, in z_0..z_(w-1)."""
-        if self._images is None:
-            field, w = self.field, self.nvars_out
-            const, cols, L = self._integer_columns()
-            const = field.from_integers(const, L)
-            cols = [field.from_integers(col, L) for col in cols]
-            units = [tuple(1 if q == t else 0 for q in range(w)) for t in range(w)]
-            imgs = []
-            for i, b in enumerate(const):
-                terms = {(0,) * w: b} if b else {}
-                for unit, col in zip(units, cols):
-                    if col[i]:
-                        terms[unit] = col[i]
-                imgs.append(SparsePoly(field, w, terms))
-            self._images = tuple(imgs)
-        return self._images
-
     def apply(self, f: SparsePoly) -> SparsePoly:
+        """The image f(b + M z) in z_0..z_(w-1), expanded by one
+        polynomials.substitution per map, built from the integer columns:
+        x_i = (b_i + sum_t M[i][t] z_t) / L."""
         if f.field != self.field or f.nvars != self.n:
             raise ValueError("polynomial ring does not match the map")
-        return f.substitute(self.images())
+        if self._substitution is None:
+            const, cols, L = self._integer_columns()
+            w = self.nvars_out
+            units = [(0,) * w] + [tuple(int(q == t) for q in range(w)) for t in range(w)]
+            images = [dict(zip(units, entries)) for entries in zip(const, *cols)]
+            self._substitution = substitution(self.field, w, images, L)
+        return self._substitution(f)
 
     def point_images(self, a):
         """The x-space point this map sends the z-point a to."""
@@ -597,6 +584,17 @@ class SkippedPrime:
         self.count = count
 
 
+def kronecker_candidates(field: FieldSpec, n: int, r: int, D: int, p_max: int, c_max: int,
+                         c_per_p: int):
+    """The KroneckerMap of every (p, c) of pc_candidates(field, p_max,
+    c_max, c_per_p), in that order, and at each (p, c) one per kept
+    r-subset of the n variables, in lexicographic order."""
+    subsets = list(itertools.combinations(range(1, n + 1), r))
+    for p, c in pc_candidates(field, p_max, c_max, c_per_p):
+        for kept in subsets:
+            yield KroneckerMap(field, n, r, kept, D, p, c)
+
+
 def vandermonde_candidates(field: FieldSpec, n: int, r: int, D1: int, D2: int, p_max: int,
                            c_max: int, c_per_p: int, floor: int):
     """The VandermondeMap of every (p, c) of pc_candidates(field, p_max,
@@ -739,11 +737,7 @@ def search_kronecker_map(fs, r: int | None = None, mode: str = "adaptive", seed:
         maps = sched.maps(field, n)
     else:
         # the c sample grows by delta^r * r per unit of p
-        maps = (
-            KroneckerMap(field, n, r, kept, sched.D1, p, c)
-            for p, c in pc_candidates(field, sched.p_max, 0, delta ** r * r)
-            for kept in itertools.combinations(range(1, n + 1), r)
-        )
+        maps = kronecker_candidates(field, n, r, sched.D1, sched.p_max, 0, delta ** r * r)
     return _first_faithful(fs, maps, input_cert, seed, "Kronecker", sched.p_max)
 
 

@@ -59,6 +59,34 @@ def int_columns(matrix, field):
     return [{i: row[j] for i, row in enumerate(A) if row[j]} for j in range(cols)], p
 
 
+def substitute_reference(f, images):
+    """f(images) from SparsePoly +, * and ** alone: the sum over the terms
+    of f of c * prod g_i ** e_i, one term at a time."""
+    field, m = images[0].field, images[0].nvars
+    out = SparsePoly.zero(field, m)
+    for exps, c in f.terms.items():
+        term = SparsePoly.constant(field, m, c)
+        for g, e in zip(images, exps):
+            term = term * g ** e
+        out = out + term
+    return out
+
+
+def map_images(mp):
+    """The image of each x_i under the affine map mp, in z_0..z_(w-1), from
+    its integer columns alone: x_i = (b_i + sum_t M[i][t] z_t) / L."""
+    field, w = mp.field, mp.nvars_out
+    const, cols, L = mp._integer_columns()
+    inv = field.inv(field.from_int(L))
+    images = []
+    for i, b in enumerate(const):
+        img = SparsePoly.constant(field, w, b)
+        for t, col in enumerate(cols):
+            img = img + SparsePoly.variable(field, w, t).scale(col[i])
+        images.append(img.scale(inv))
+    return images
+
+
 def rand_family(seed):
     """Family for the jacobian-vs-bruteforce agreement corpus.
 

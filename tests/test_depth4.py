@@ -204,6 +204,16 @@ def test_simple_preservation_refuses_a_kronecker_map():
         verify_simple_preservation(C, phi)
 
 
+def test_simple_preservation_of_a_factor_of_degree_1200():
+    # the line's powers of x_1(t) are built one from the last, so a factor
+    # of degree 1200 does not exhaust the recursion limit
+    F = BIG_FIELD
+    rows = [[poly_from_text("x1^1200 + x2", F, 3)], [poly_from_text("x3 + x1", F, 3)]]
+    C = Depth4Circuit(F, 3, 1200, rows)
+    mp = VandermondeMap(F, 3, 1, 2 * 1200 ** 2 + 1, 1201, 7, 3)
+    assert verify_simple_preservation(C, mp) is True
+
+
 def _preserved_row_by_row(C, mp):
     """The definition, kept as an oracle: no factor of C maps to zero, and
     the simple part of the image circuit is the image of the simple part,

@@ -73,7 +73,7 @@ def test_from_integers_divides_by_den_over_a_prime_field(field):
 
 SRC = pathlib.Path(pitkit.__file__).parent
 REMOVED = {"_prepare_point", "_numerators", "_integer_rows", "_eval_prepared",
-           "kernel_of_integer_rows", "echelon"}
+           "kernel_of_integer_rows", "echelon", "_on_line", "_convolve", "images"}
 
 
 def _names(tree):

@@ -19,6 +19,7 @@ from unittest import mock
 
 import pytest
 
+from _gen import map_images
 from pitkit import hitting, varmaps
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.fields import FieldSpec
@@ -101,7 +102,7 @@ def ref_lattice(values, w, d):
 
 
 def ref_image(mp, a):
-    return tuple(ref_poly(img, a) for img in mp.images())
+    return tuple(ref_poly(img, a) for img in map_images(mp))
 
 
 # -- strategies ---------------------------------------------------------------------

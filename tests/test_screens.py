@@ -20,7 +20,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _gen import gcd_depth4, int_rows, lifted_identity, rand_depth4, rand_poly  # noqa: E402
+from _gen import (gcd_depth4, int_rows, lifted_identity, map_images, rand_depth4,  # noqa: E402
+                  rand_poly, substitute_reference)
 from pitkit import depth4, linalg, varmaps  # noqa: E402
 from pitkit.circuits import Depth4Circuit  # noqa: E402
 from pitkit.depth4 import search_depth4_map, verify_simple_preservation  # noqa: E402
@@ -139,7 +140,7 @@ def test_linear_rank_bounds_image_jacobian_rank_and_trdeg(field, data):
     k, _ = mp.affine_summary()
     w = mp.nvars_out
     units = [tuple(int(q == t) for q in range(w)) for t in range(w)]
-    M = [[img.terms.get(u, field.zero()) for u in units] for img in mp.images()]
+    M = [[img.terms.get(u, field.zero()) for u in units] for img in map_images(mp)]
     assert k == linalg.rank(*int_rows(M, field))[0] <= min(n, mp.nvars_out)
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     fs = [rand_poly(rng, field, n, 2, 3) for _ in range(data.draw(st.integers(1, 3)))]
@@ -303,8 +304,9 @@ def test_line_decision_matches_the_full_images(field):
         rows = [[rand_poly(rng, field, n, delta, 3) for _ in range(data.draw(st.integers(1, 2)))]
                 for _ in range(k)]
         # x = b + M z; the line of the leg runs along M_0
-        b = [img.terms.get((0,) * mp.nvars_out, field.zero()) for img in mp.images()]
-        m0 = [img.terms[(1,) + (0,) * mp.r] for img in mp.images()]
+        images = map_images(mp)
+        b = [img.terms.get((0,) * mp.nvars_out, field.zero()) for img in images]
+        m0 = [img.terms[(1,) + (0,) * mp.r] for img in images]
         unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         extra = data.draw(st.sampled_from(["none", "a shared factor", "a shared root"]))
         if extra == "a shared factor":
@@ -336,9 +338,10 @@ def test_line_decision_matches_the_full_images(field):
         t = SparsePoly(field, 1, {(1,): field.one()})
         z = [t + SparsePoly.constant(field, 1, a[0])] + [
             SparsePoly.constant(field, 1, x) for x in a[1:]]
-        on_line = depth4._on_line(mp, seed)
+        line = depth4._line(mp, seed)
+        line_images = [substitute_reference(img, z) for img in images]
         for f in {f for row in C.rows for f in row}:
-            assert on_line(f) == full(f).substitute(z)
+            assert line(f) == substitute_reference(f, line_images)
         rank = mp.affine_summary()[0]
         if rank == 1:
             assert not built
