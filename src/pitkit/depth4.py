@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
+from functools import lru_cache, partial
 
 from .circuits import DEFAULT_EXPAND_BUDGET, Depth4Circuit
 from .independence import _random_point, _subseed, evaluated_rank, jacobian, trdeg
@@ -25,7 +25,7 @@ from .polynomials import (
     substitution,
 )
 from .varmaps import (SearchExhausted, VandermondeMap, first_certified, schedule,
-                      vandermonde_candidates)
+                      vandermonde_candidates, vandermonde_exponents)
 
 
 class CoprimeBasis:
@@ -196,7 +196,8 @@ def verify_simple_preservation(C: Depth4Circuit, mp: VandermondeMap) -> bool:
     are psi(g) * psi(sim_i) and simple_part(psi(C)) = psi(sim) / h up to a
     unit, row by row.  That equals psi(sim) up to a unit iff h is
     constant.  Neither simple part of the image is computed; the decision
-    is the one search_depth4_map makes (_preservation).
+    is the one search_depth4_map makes where sigma_p leaves it open
+    (_preservation; see _Merge).
     """
     if not isinstance(mp, VandermondeMap):
         raise ValueError("simple-part preservation is decided for Vandermonde maps only")
@@ -281,14 +282,21 @@ def _preserves_simple_part(C, sim, image, maps_to_zero):
     """The criterion of verify_simple_preservation, for sim = simple_part(C),
     image = psi applied to one polynomial (or its restriction to a line)
     and maps_to_zero(f) = psi(f) == 0 (see _preservation).
-
-    h = gcd_i psi(sim_i) is nonconstant iff some irreducible divides a
-    factor image in every row.  So the test carries the nonconstant gcds of
-    one factor image per row, row by row, never a gcd of expanded row
-    products; h is constant iff that set runs empty.
     """
     if any(maps_to_zero(f) for row in C.rows for f in row):
         return False
+    return not _common_factors(sim, image)
+
+
+def _common_factors(sim, image):
+    """The nonconstant gcds that divide a factor image in every row of sim,
+    empty iff h = gcd_i image(sim_i) is constant.
+
+    h is nonconstant iff some irreducible divides a factor image in every
+    row.  So the test carries the nonconstant gcds of one factor image per
+    row, row by row, never a gcd of expanded row products; h is constant
+    iff that set runs empty.
+    """
     common = {img for img in map(image, sim.rows[0]) if not img.is_constant}
     for row in sim.rows[1:]:
         imgs = [img for img in map(image, row) if not img.is_constant]
@@ -299,7 +307,64 @@ def _preserves_simple_part(C, sim, image, maps_to_zero):
                 if not g.is_constant:
                     shared.add(g)
         common = shared
-    return not common
+    return common
+
+
+class _Merge:
+    """sigma_p, the map of one prime p that merges the variables with equal
+    rows in vandermonde_exponents: x_i -> y_cls(i), q classes, reps[j] the
+    first variable of class j.  killed: sigma_p sends a factor of C to 0.
+    shared: the nonconstant common factors that the criterion of
+    verify_simple_preservation carries to the end on the images sigma_p(f)
+    of some simple part (_common_factors).  V_p, the verdict of sigma_p,
+    passes iff neither.
+
+    Equal rows give equal affine forms for every c, so every psi = psi_(p,c)
+    is tau_c o sigma_p, with tau_c: y_j -> the form of class j, and psi's
+    linear rank k is that of tau_c.  At k = q, tau_c is an affine change of
+    coordinates followed by an inclusion of polynomial rings, which keeps
+    zero-ness, degrees and gcds, so psi's verdict is V_p (README, "How
+    candidates are screened").
+    """
+
+    __slots__ = ("q", "reps", "killed", "shared")
+
+    def __init__(self, q, reps, killed, shared):
+        self.q = q
+        self.reps = reps
+        self.killed = killed
+        self.shared = shared
+
+
+def _merge(C, sims, table):
+    """The _Merge of the exponent table of one prime, for C and the simple
+    parts sims of its subcircuits.  At q = n, sigma_p only renames the
+    variables, so it kills no factor and keeps every simple part."""
+    first = {}
+    cls = [first.setdefault(tuple(row), len(first)) for row in table]
+    q = len(first)
+    reps = tuple(cls.index(j) for j in range(q))
+    if q == C.nvars:
+        return _Merge(q, reps, False, ())
+    units = [tuple(int(t == j) for t in range(q)) for j in range(q)]
+    sigma = _memo(substitution(C.field, q, [{units[j]: 1} for j in cls], 1))
+    if any(sigma(f).is_zero for row in C.rows for f in row):
+        return _Merge(q, reps, True, ())
+    return _Merge(q, reps, False, tuple(G for sim in sims for G in _common_factors(sim, sigma)))
+
+
+def _nonconstant_image(mp, merge, seed):
+    """Does psi = mp send some G of merge.shared to a nonconstant
+    polynomial?  True when psi(G) takes two different values at two seeded
+    z-points; then psi(G) divides psi(sim_i) in every row of that simple
+    part, and psi fails to preserve it.  False decides nothing."""
+    rng = random.Random(_subseed(seed, 5))
+    values = []
+    for _ in range(2):
+        x = mp.point_images(_random_point(mp.field, rng, mp.nvars_out))
+        y = [x[i] for i in merge.reps]
+        values.append([G.eval(y) for G in merge.shared])
+    return values[0] != values[1]
 
 
 def lift_identity(C: Depth4Circuit, delta_target: int) -> Depth4Circuit:
@@ -360,19 +425,29 @@ def search_depth4_map(
     A candidate is accepted only if, for every nonempty subset I of the
     rows, it preserves the simple part of the subcircuit C_I and keeps the
     rank of that simple part up to the target min(rank, r).  Candidates are
-    tried with p ascending over primes and c ascending, and a prime where no
-    c can reach the largest target is counted without being walked
-    (varmaps.vandermonde_candidates); enumeration stops at the closed-form
-    p bound.  r defaults to 1 for k = 2 (where it is proven
-    sufficient) and k*s otherwise; conjecture_R opts into a smaller
+    tried with p ascending over primes and c ascending; enumeration stops
+    at the closed-form p bound.  r defaults to 1 for k = 2 (where it is
+    proven sufficient) and k*s otherwise; conjecture_R opts into a smaller
     speculative bound.  Over F_2 the only c is 1, so a circuit with a
     target min(rank, r) of 2 or more raises SearchExhausted at once, and
-    any other one past p = 2 (see first_certified).  A one-row subset is
-    its own gcd, so its simple part is one constant row of rank 0: it gets
-    no coprime basis, trdeg or jacobian, and a candidate only has to keep
-    its factors nonzero.  Preservation is decided on a line of z-space
-    first (_preservation): for a candidate of linear rank 1 always, for
-    one of higher linear rank whenever the line proves it.
+    any other one past p = 2 (see first_certified).
+
+    Two kinds of prime are counted without being walked, each as one
+    SkippedPrime (varmaps.vandermonde_candidates): one where no c can reach
+    the largest target, and one where sigma_p, the map that merges the
+    variables of equal exponent rows (_Merge), sends a factor of C to 0 or
+    merges every variable into one and fails to preserve a simple part.
+    Every psi at p factors through sigma_p, so no c there certifies, and
+    neither does the diagonal map x_i -> 1 + z_0 + ... + z_r, whose key
+    goes into the failed keys of _certify_depth4.  sigma_p's data is
+    computed once per prime, kept for that prime only, and dropped with the
+    search.
+
+    A one-row subset is its own gcd, so its simple part is one constant
+    row of rank 0: it gets no coprime basis, trdeg or jacobian, and a
+    candidate only has to keep its factors nonzero.  Preservation is
+    decided by sigma_p's verdict wherever that is exact, then on a line of
+    z-space (_preservation), and only then on the images (_certify_depth4).
     """
     field, n, delta = C.field, C.nvars, C.delta
     sched = schedule(
@@ -410,27 +485,45 @@ def search_depth4_map(
             "no depth-4 map over F_2 keeps a rank of 2 or more (target %d)" % floor
         )
 
+    sims = [sim for _, _, sim, *_ in subsets if sim is not None]
+
+    @lru_cache(maxsize=1)
+    def merge(p):
+        return _merge(C, sims, vandermonde_exponents(n, r, D1, D2, p))
+
+    # affine-image keys of the candidates that failed a preservation leg
+    failed = set()
+
+    def doomed(p):
+        # no c at p certifies, and neither does the diagonal map (c = 1 at
+        # every prime), which factors through sigma_p too
+        sigma = merge(p)
+        if sigma.killed or (sigma.q == 1 and sigma.shared):
+            failed.add(VandermondeMap(field, n, r, D1, D2, p, field.one()).affine_summary()[1])
+            return True
+        return False
+
     # keep the per-prime sample small: when a prime's residue pattern is
     # degenerate (p = 2 collapses most exponents) no c works, so move on
     # quickly instead of exhausting a lemma-sized sample
     maps = vandermonde_candidates(field, n, r, D1, D2, sched.p_max,
-                                  max(8, 2 * delta * C.k * C.s * r), 1, floor)
-    # affine-image keys of the candidates that failed a preservation leg
-    failed = set()
+                                  max(8, 2 * delta * C.k * C.s * r), 1, floor, doomed)
     mp, evidence, tried = first_certified(
-        maps, lambda mp: _certify_depth4(mp, subsets, r, seed, failed), "depth-4", sched.p_max
+        maps, lambda mp: _certify_depth4(mp, subsets, r, seed, failed, merge(mp.p)),
+        "depth-4", sched.p_max
     )
     return Depth4MapResult(mp, r, evidence, tried)
 
 
-def _certify_depth4(mp, subsets, r, seed, failed):
+def _certify_depth4(mp, subsets, r, seed, failed, merge):
     """Per-subset evidence that the map psi = mp respects the circuit, or
     None.
 
     Each entry of subsets is (I, C_I, sim = simple_part(C_I), the distinct
     factors of sim, their jacobian, the rank of sim); for a one-row C_I it
-    is (I, C_I, None, (), None, 0).  Every distinct factor is mapped at
-    most once per candidate, and all legs share the image.  A
+    is (I, C_I, None, (), None, 0).  merge is the _Merge of mp's prime.
+    Every distinct factor is mapped at most once per candidate, and all
+    legs share the image.  A
     rank leg holds when the images of sim's factors keep rank min(rank, r):
     one seeded evaluated_rank pass, with ceiling min(rank, k), reads the
     image Jacobian through the chain rule (mp.jacobian_at on the
@@ -441,25 +534,31 @@ def _certify_depth4(mp, subsets, r, seed, failed):
     A preservation leg holds when no factor of C_I maps to zero and
     h = gcd_i psi(sim_i) is constant.  Proof: the rows of psi(C_I) are
     psi(g) * psi(sim_i), so simple_part(psi(C_I)) = psi(sim) / h up to a
-    unit, which is psi(sim) up to a unit iff h is constant.  _preservation
-    decides it on univariate restrictions of the images to one line
-    wherever that is exact, and builds psi's images in w variables only
-    where the line leaves the verdict open.
+    unit, which is psi(sim) up to a unit iff h is constant.
 
-    Two screens come first and evaluate nothing (README, "How candidates
-    are screened"); the candidate stream of search_depth4_map has already
+    Screens come first and build no image (README, "How candidates are
+    screened"); the candidate stream of search_depth4_map has already
     skipped every prime whose generic linear rank is below the largest
-    target.  The linear rank k of mp bounds the trdeg of every image
-    family, so k below some subset's target rejects.  failed holds
-    the affine-image keys of earlier candidates of this search whose
-    preservation leg failed; a candidate with the same key differs from
-    one of them by an invertible affine change of z, an automorphism of
-    F[z] that keeps every preservation verdict, so it is rejected too.  A
-    preservation failure here adds mp's key to failed.  A rank-leg miss
-    does not: over a big field it depends on the seeded points.
+    target, or where sigma_p dooms every c.  The linear rank k of mp
+    bounds the trdeg of every image family, so k below some subset's
+    target rejects.  failed holds the affine-image keys of earlier
+    candidates of this search whose preservation leg failed; a candidate
+    with the same key differs from one of them by an invertible affine
+    change of z, an automorphism of F[z] that keeps every preservation
+    verdict, so it is rejected too.  At k = q the preservation verdict is
+    V_p, sigma_p's own.  Below q, when V_p fails, psi fails too as soon as
+    psi(G) is nonconstant for a shared G (_nonconstant_image).  Otherwise
+    _preservation decides it on univariate restrictions of the images to
+    one line wherever that is exact, and builds psi's images in w
+    variables only where the line leaves the verdict open.  A preservation
+    failure adds mp's key to failed.  A rank-leg miss does not: over a big
+    field it depends on the seeded points.
     """
     k, key = mp.affine_summary()
     if key in failed or any(k < min(rho, r) for *_, rho in subsets):
+        return None
+    if merge.shared and (k == merge.q or _nonconstant_image(mp, merge, seed)):
+        failed.add(key)
         return None
     image = _memo(mp.apply)
     # rank legs first: evaluated rank never exceeds the function-field rank,
@@ -489,7 +588,8 @@ def _certify_depth4(mp, subsets, r, seed, failed):
             if bound < target:
                 return None
         bounds.append(bound)
-    preserved = _preservation(mp, image, seed)
+    # at k = q, V_p passed (it failed above otherwise): every leg holds
+    preserved = (lambda sub, sim: True) if k == merge.q else _preservation(mp, image, seed)
     evidence = []
     for (I, sub, sim, facs, J, rho), bound in zip(subsets, bounds):
         if not preserved(sub, sim):

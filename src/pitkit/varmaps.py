@@ -574,7 +574,9 @@ def pc_candidates(field: FieldSpec, p_max: int, c_max: int, c_per_p: int = 0):
 
 class SkippedPrime:
     """The count candidates at prime p of a search over field that no c
-    can certify (see vandermonde_candidates)."""
+    can certify (see vandermonde_candidates): the linear rank of every c is
+    below the search's floor, or, in search_depth4_map, the map sigma_p
+    that merges the variables of equal exponent rows rejects every c."""
 
     __slots__ = ("field", "p", "count")
 
@@ -596,16 +598,19 @@ def kronecker_candidates(field: FieldSpec, n: int, r: int, D: int, p_max: int, c
 
 
 def vandermonde_candidates(field: FieldSpec, n: int, r: int, D1: int, D2: int, p_max: int,
-                           c_max: int, c_per_p: int, floor: int):
+                           c_max: int, c_per_p: int, floor: int, doomed=None):
     """The VandermondeMap of every (p, c) of pc_candidates(field, p_max,
     c_max, c_per_p), in that order, for a search that rejects every map of
     linear rank below floor: the whole-prime screen.  At a prime whose
     generic_linear_rank is below floor, no c reaches floor, so one
     SkippedPrime with the size of its c sample stands for its maps.  The
     bound is computed only for floor >= 2: every entry c^e of M is nonzero,
-    so every map has linear rank at least 1."""
+    so every map has linear rank at least 1.  A prime that passes is
+    skipped the same way when doomed(p) holds: the caller has proven that
+    no c at p certifies (search_depth4_map's sigma_p screen)."""
     for p, top in _c_samples(field, p_max, c_max, c_per_p):
-        if floor >= 2 and generic_linear_rank(n, r, D1, D2, p) < floor:
+        if ((floor >= 2 and generic_linear_rank(n, r, D1, D2, p) < floor)
+                or (doomed is not None and doomed(p))):
             yield SkippedPrime(field, p, top)
             continue
         for v in range(1, top + 1):

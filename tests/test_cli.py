@@ -10,12 +10,13 @@ import pytest
 import pitkit
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.cli import main
+from pitkit.depth4 import lift_identity
 from pitkit.fields import FieldSpec
 from pitkit.independence import MAX_STREAM_ENTRIES
 from pitkit.polynomials import SparsePoly, poly_from_text
 from pitkit.varmaps import schedule
 
-from _gen import RATIONAL, cancelling_depth4
+from _gen import RATIONAL, cancelling_depth4, depth3_identity
 
 Q = RATIONAL
 F101 = FieldSpec("prime", 101)
@@ -529,6 +530,21 @@ def test_pit_refuses_a_repeated_squaring_dag(tmp_path, field):
     proc = _pit_in_subprocess(dump(tmp_path, "squaring.json", obj))
     assert proc.returncode == 4 and proc.stdout == ""
     assert "exceed" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("delta", [7, 8])
+def test_pit_and_verify_answer_the_lifted_identity_at_paper_scale(tmp_path, delta):
+    # the depth-3 identity lifted to degree delta in n = 2 delta variables:
+    # at p = 5 the Vandermonde maps merge variables for every c, and the
+    # search used to decide each of those candidates on its full images
+    # (about 24 s at delta = 7 and over 300 s at delta = 8, over Q)
+    C = lift_identity(depth3_identity(Q), delta)
+    path = dump(tmp_path, "lifted.json", C.to_json_dict())
+    proc = _cli_in_subprocess(["pit", path], seconds=60)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["verdict"]["outcome"] == "zero"
+    report = dump(tmp_path, "report.json", proc.stdout)
+    proc = _cli_in_subprocess(["verify", report, "--against", path], seconds=60)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["verified"] is True
 
 
 def test_pit_refuses_a_depth4_file_of_huge_delta(tmp_path):

@@ -6,11 +6,14 @@ reject a candidate whose k is below the target (the rank bound) and, in
 the depth-4 search, a candidate whose key repeats one whose preservation
 leg failed (equal keys).  Before either, the candidate stream skips every
 prime whose generic linear rank (varmaps.generic_linear_rank) is below
-the target (the whole-prime screen).  Tested here: the lemmas as
-hypothesis properties, the canonical form behind the key, and
+the target (the whole-prime screen).  The depth-4 search also decides
+preservation once per prime through sigma_p, the map that merges the
+variables of equal exponent rows (the sigma screen).  Tested here: the
+lemmas as hypothesis properties, the canonical form behind the key, and
 differential runs showing that the screens change no search result.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -54,11 +57,14 @@ def full_images_only(mp, image, seed):
 
 def no_screens(monkeypatch):
     """Make every summary the no-op one: full linear rank, and a key no
-    other map shares; every prime's generic linear rank full; and decide
-    every preservation leg on the full images (full_images_only)."""
+    other map shares; every prime's generic linear rank full; give every
+    prime a sigma_p that decides nothing (no class count any linear rank
+    equals, nothing killed, nothing shared); and decide every preservation
+    leg on the full images (full_images_only)."""
     monkeypatch.setattr(VandermondeMap, "affine_summary",
                         lambda mp: (mp.nvars_out, object()))
     monkeypatch.setattr(varmaps, "generic_linear_rank", lambda n, r, *_: r + 1)
+    monkeypatch.setattr(depth4, "_merge", lambda C, sims, table: depth4._Merge(None, (), False, ()))
     monkeypatch.setattr(depth4, "_preservation", full_images_only)
 
 
@@ -354,6 +360,162 @@ def test_line_decision_matches_the_full_images(field):
                     ("rank >= 2", "line"), ("rank >= 2", "fallback")}
 
 
+# -- sigma_p: the map that merges variables of equal exponent rows -----------
+
+
+def _search_spied(C, monkeypatch, **kw):
+    """search_depth4_map(C, **kw) as a JSON dict, with the (p, c) of every
+    candidate that reaches _certify_depth4, of every AffineMap.apply call
+    and of every two-value test (with its outcome)."""
+    seen = {"certify": [], "apply": [], "two-value": []}
+    real_certify, real_apply = depth4._certify_depth4, varmaps.AffineMap.apply
+    real_nonconstant = depth4._nonconstant_image
+
+    def certify(mp, *args):
+        seen["certify"].append((mp.p, mp.c))
+        return real_certify(mp, *args)
+
+    def apply(mp, f):
+        seen["apply"].append((mp.p, mp.c))
+        return real_apply(mp, f)
+
+    def nonconstant(mp, *args):
+        out = real_nonconstant(mp, *args)
+        seen["two-value"].append((mp.p, mp.c, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(depth4, "_certify_depth4", certify)
+        m.setattr(varmaps.AffineMap, "apply", apply)
+        m.setattr(depth4, "_nonconstant_image", nonconstant)
+        return search_depth4_map(C, **kw).to_json_dict(), seen
+
+
+def _unscreened(C, monkeypatch, **kw):
+    with monkeypatch.context() as m:
+        no_screens(m)
+        return search_depth4_map(C, **kw).to_json_dict()
+
+
+def test_a_prime_where_sigma_kills_a_factor_is_skipped_whole(monkeypatch):
+    # n = 3, D1 = 16, D2 = 3: at p = 2 every variable has the exponent row
+    # (0, 1, 0), so sigma_2 merges all three and sends x1 - x2 to 0
+    x1, x2, x3 = (poly_from_text("x%d" % i, Q, 3) for i in (1, 2, 3))
+    one = SparsePoly.one(Q, 3)
+    C = Depth4Circuit(Q, 3, 2, [[x1 - x2, x3 + one], [x1 + x3 * x3, x2 + one]])
+    table = varmaps.vandermonde_exponents(3, 1, 16, 3, 2)
+    merge = depth4._merge(C, [depth4.simple_part(C)], table)
+    assert (merge.q, merge.killed) == (1, True)
+    found, seen = _search_spied(C, monkeypatch)
+    assert found["map"]["p"] > 2
+    assert all(p > 2 for p, _ in seen["certify"])
+    # the whole prime counts as its c sample, so the count is unchanged
+    assert found == _unscreened(C, monkeypatch)
+
+
+def test_the_q1_prime_2_of_a_random_k2_circuit_is_skipped_whole(monkeypatch):
+    # at p = 2 every variable of this circuit merges into one (q = 1), and
+    # the merged rows share a factor: no c at p = 2 preserves the simple
+    # part, nor does the diagonal map x_i -> 1 + z_0 + z_1, which c = 1 at
+    # p = 3 is; its key is rejected before any rank leg
+    C = rand_depth4(0, Q, k=2, s=2, n=3)
+    table = varmaps.vandermonde_exponents(3, 1, 16, 3, 2)
+    merge = depth4._merge(C, [depth4.simple_part(C)], table)
+    assert merge.q == 1 and not merge.killed and merge.shared
+    ranked = []
+    real_rank = depth4.evaluated_rank
+
+    def spy_rank(jac_at, *args, **kw):
+        mp = jac_at.func.__self__
+        ranked.append((mp.p, mp.c))
+        return real_rank(jac_at, *args, **kw)
+
+    monkeypatch.setattr(depth4, "evaluated_rank", spy_rank)
+    found, seen = _search_spied(C, monkeypatch)
+    assert (found["map"]["p"], found["candidates_tried"]) == (3, 20)
+    assert all(p > 2 for p, _ in seen["certify"]) and (3, 1) in seen["certify"]
+    assert (3, 1) not in ranked
+    assert found == _unscreened(C, monkeypatch)
+
+
+def test_a_candidate_of_linear_rank_q_takes_the_verdict_of_sigma(monkeypatch):
+    # at p = 2 this circuit's variables all merge (q = 1) and its merged
+    # rows share no factor; the first candidate has linear rank 1 = q and
+    # wins with no preservation check and no image
+    C = rand_depth4(2, Q, k=2, s=2, n=3)
+    checks = []
+    real_preserves = depth4._preserves_simple_part
+    monkeypatch.setattr(depth4, "_preserves_simple_part",
+                        lambda *a: checks.append(1) or real_preserves(*a))
+    found, seen = _search_spied(C, monkeypatch)
+    assert (found["map"]["p"], found["candidates_tried"]) == (2, 1)
+    assert not checks and not seen["apply"]
+    assert found == _unscreened(C, monkeypatch)
+    assert checks
+
+
+def test_the_lifted_identity_at_delta_7_is_rejected_at_p5_by_two_values(monkeypatch):
+    # n = 14: at p = 5 the exponent rows merge the variables into q = 4
+    # classes, whose images share a factor; every candidate there has
+    # linear rank below 4, and the two-value test rejects it without
+    # building an image
+    C = lifted_identity(7, Q)
+    found, seen = _search_spied(C, monkeypatch)
+    at5 = [out for p, _, out in seen["two-value"] if p == 5]
+    assert at5 and all(at5)
+    assert not any(p == 5 for p, _ in seen["apply"])
+    assert found["map"]["p"] == 11 and found["candidates_tried"] == 523
+
+
+@pytest.mark.parametrize("field", SEARCH_FIELDS, ids=SEARCH_IDS)
+def test_at_linear_rank_q_the_verdict_is_that_of_sigma(field):
+    """For every map psi of linear rank k = q, the number of classes of
+    sigma_p, verify_simple_preservation(C, psi) is V_p: sigma_p kills no
+    factor of C and keeps its simple part.  The draws plant factors that
+    sigma_p kills or makes common to the rows, and reach both verdicts
+    with q = 1 and with q > 1.  Everything is drawn from one seeded
+    stream: hypothesis favours some integers, and which ones depends on
+    the modules loaded, so direct draws can miss a verdict in one test
+    run and not in another."""
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        n, delta, r = rng.randint(2, 4), rng.randint(1, 2), rng.randint(1, 3)
+        p = rng.choice([2, 3, 5, 7])
+        D2 = rng.randint(delta + 1, 6)
+        D1 = rng.randint(max(2 * delta * delta + 1, D2), 40)
+        top = 6 if field.kind == "rational" else field.p - 1
+        mp = VandermondeMap(field, n, r, D1, D2, p, field.from_int(rng.randint(1, top)))
+        table = varmaps.vandermonde_exponents(n, r, D1, D2, p)
+        rows = [[rand_poly(rng, field, n, delta, 3) for _ in range(rng.randint(1, 2))]
+                for _ in range(rng.randint(1, 3))]
+        # two variables of one class, if there are any
+        i, j = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                     if table[i] == table[j]), (0, 1))
+        x = [SparsePoly.variable(field, n, v) for v in range(n)]
+        plant = rng.choice(["none", "a killed factor", "a merged common factor"])
+        if plant == "a killed factor":
+            rows[-1].append(x[i] - x[j])
+        elif plant == "a merged common factor":
+            # x_i + 1 and x_j + 1 are coprime, but sigma_p makes them equal
+            one = SparsePoly.one(field, n)
+            for row, v in zip(rows, itertools.cycle((i, j))):
+                row.append(x[v] + one)
+        C = Depth4Circuit(field, n, delta, rows)
+        merge = depth4._merge(C, [depth4.simple_part(C)], table)
+        if mp.affine_summary()[0] != merge.q:
+            return
+        verdict = not merge.killed and not merge.shared
+        assert verify_simple_preservation(C, mp) == verdict
+        seen.add(("q = 1" if merge.q == 1 else "q > 1", verdict))
+
+    check()
+    assert seen == {("q = 1", True), ("q = 1", False), ("q > 1", True), ("q > 1", False)}
+
+
 # -- the screens change no search result --------------------------------------
 
 
@@ -363,6 +525,14 @@ def depth4_cases(field):
     yield "gcd-sharing k=3 #%d", [
         (gcd_depth4(seed, field, k=3), {"R": 3}) for seed in range(2)]
     yield "lifted identity #%d", [(lifted_identity(2, field), {"R": 3})]
+    # sigma_p merges variables at the first primes: the lifted identities at
+    # delta = 3..5 (n = 2 delta; R = 1 at delta = 5 keeps the unscreened run
+    # short) reach the two-value rejection, and at p = 2 the gcd-sharing
+    # circuit merges every variable into one and fails, a skipped prime
+    yield "lifted identity at delta = 3..5 #%d", [
+        (lifted_identity(3, field), {"R": 3}), (lifted_identity(4, field), {"R": 3}),
+        (lifted_identity(5, field), {"R": 1})]
+    yield "gcd-sharing k=3, R=1 #%d", [(gcd_depth4(0, field, k=3), {"R": 1})]
 
 
 @pytest.mark.parametrize("field", SEARCH_FIELDS, ids=SEARCH_IDS)
