@@ -170,15 +170,21 @@ class Circuit(Blackbox):
                 bits[i] = (max(kids) if integral else sum(kids)) + (len(arg) - 1).bit_length()
         return max(bits)
 
-    def expand(self, budget: int = DEFAULT_EXPAND_BUDGET) -> SparsePoly:
+    def expand(self, budget: int = DEFAULT_EXPAND_BUDGET, inputs=None) -> SparsePoly:
         """Expand to a SparsePoly; raise BudgetExceeded when any intermediate
-        grows past `budget` terms (the error message says to use PIT instead)."""
+        grows past `budget` terms (the error message says to use PIT instead).
+        Input node j is the variable x_(j+1), or the polynomial inputs[j]
+        when inputs are given; the result lives in their common ring."""
         field, nvars = self.field, self.nvars
+        if inputs is None:
+            inputs = [SparsePoly.variable(field, nvars, j) for j in range(nvars)]
+        else:
+            nvars = inputs[0].nvars
         vals = [None] * len(self.nodes)
         for i, node in enumerate(self.nodes):
             op = node[0]
             if op == "input":
-                vals[i] = SparsePoly.variable(field, nvars, node[1])
+                vals[i] = inputs[node[1]]
             elif op == "const":
                 vals[i] = SparsePoly.constant(field, nvars, node[1])
             elif op == "add":
@@ -226,45 +232,6 @@ class Circuit(Blackbox):
             term_ids.append(len(nodes) - 1)
         nodes.append(("add", tuple(term_ids)))
         return Circuit(f.field, f.nvars, nodes, len(nodes) - 1)
-
-    @staticmethod
-    def compose(outer: "Circuit", inners) -> "Circuit":
-        """Plug sparse polynomials into the outer circuit's inputs.
-
-        outer has m = len(inners) variables; every inner polynomial lives in
-        one common ring, which becomes the ring of the result.
-        """
-        if outer.nvars != len(inners):
-            raise ValueError("outer arity != number of inner polynomials")
-        if not inners:
-            raise ValueError("need at least one inner polynomial")
-        field, nvars = inners[0].field, inners[0].nvars
-        if field != outer.field:
-            raise FieldError("outer and inner fields differ")
-        for g in inners:
-            if g.field != field or g.nvars != nvars:
-                raise ValueError("inner polynomials live in different rings")
-        nodes = []
-        roots = []
-        for g in inners:
-            sub = Circuit.from_poly(g)
-            offset = len(nodes)
-            for node in sub.nodes:
-                if node[0] in ("add", "mul"):
-                    nodes.append((node[0], tuple(k + offset for k in node[1])))
-                else:
-                    nodes.append(node)
-            roots.append(sub.output + offset)
-        offset = len(nodes)
-        for node in outer.nodes:
-            if node[0] == "input":
-                # alias: re-point to the inner root via a 1-ary add
-                nodes.append(("add", (roots[node[1]],)))
-            elif node[0] == "const":
-                nodes.append(node)
-            else:
-                nodes.append((node[0], tuple(k + offset for k in node[1])))
-        return Circuit(field, nvars, nodes, outer.output + offset)
 
     # -- JSON ----------------------------------------------------------------------
 
@@ -473,11 +440,9 @@ class ComposedCircuit(Blackbox):
         dmax = max((f.degree() or 0) for f in self.inputs)
         return self.outer.syntactic_degree() * dmax
 
-    def to_circuit(self) -> Circuit:
-        return Circuit.compose(self.outer, list(self.inputs))
-
     def expand(self, budget: int = DEFAULT_EXPAND_BUDGET) -> SparsePoly:
-        return self.to_circuit().expand(budget)
+        """The outer dag expanded on the inner polynomials (Circuit.expand)."""
+        return self.outer.expand(budget, self.inputs)
 
     def to_json_dict(self) -> dict:
         outer = self.outer.to_json_dict()

@@ -335,6 +335,13 @@ class _Merge:
         self.killed = killed
         self.shared = shared
 
+    @property
+    def dooms(self):
+        """No psi at p certifies: each one sends the factor that sigma_p
+        kills to 0 too, and at q = 1 each one has linear rank k = q (every
+        map has k >= 1) and so takes V_p, which a shared factor fails."""
+        return self.killed or (self.q == 1 and bool(self.shared))
+
 
 def _merge(C, sims, table):
     """The _Merge of the exponent table of one prime, for C and the simple
@@ -497,8 +504,7 @@ def search_depth4_map(
     def doomed(p):
         # no c at p certifies, and neither does the diagonal map (c = 1 at
         # every prime), which factors through sigma_p too
-        sigma = merge(p)
-        if sigma.killed or (sigma.q == 1 and sigma.shared):
+        if merge(p).dooms:
             failed.add(VandermondeMap(field, n, r, D1, D2, p, field.one()).affine_summary()[1])
             return True
         return False
@@ -545,8 +551,10 @@ def _certify_depth4(mp, subsets, r, seed, failed, merge):
     candidates of this search whose preservation leg failed; a candidate
     with the same key differs from one of them by an invertible affine
     change of z, an automorphism of F[z] that keeps every preservation
-    verdict, so it is rejected too.  At k = q the preservation verdict is
-    V_p, sigma_p's own.  Below q, when V_p fails, psi fails too as soon as
+    verdict, so it is rejected too.  A prime that sigma_p dooms
+    (_Merge.dooms) rejects each of its candidates here too, whether or not
+    the stream skipped it.  At k = q the preservation verdict is V_p,
+    sigma_p's own.  Below q, when V_p fails, psi fails too as soon as
     psi(G) is nonconstant for a shared G (_nonconstant_image).  Otherwise
     _preservation decides it on univariate restrictions of the images to
     one line wherever that is exact, and builds psi's images in w
@@ -557,7 +565,7 @@ def _certify_depth4(mp, subsets, r, seed, failed, merge):
     k, key = mp.affine_summary()
     if key in failed or any(k < min(rho, r) for *_, rho in subsets):
         return None
-    if merge.shared and (k == merge.q or _nonconstant_image(mp, merge, seed)):
+    if merge.dooms or (merge.shared and (k == merge.q or _nonconstant_image(mp, merge, seed))):
         failed.add(key)
         return None
     image = _memo(mp.apply)

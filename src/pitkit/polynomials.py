@@ -6,10 +6,12 @@ for leading terms, canonical printing, and normalization is graded
 lexicographic: compare total degree first, then the exponent tuple
 lexicographically (so x1 beats x2 at equal degree).
 
-The text format accepted and produced here looks like ``3*x1^2*x2 - x3 + 7``.
-Variables are x1..xn (1-based), z0..zr (0-based, used for reduced rings), or
-the single letter t for univariate images.  Parsing is whitespace-insensitive
-and round-trips exactly on canonical output.
+The text format accepted and produced here looks like ``3*x1^2*x2 - x3 + 7``,
+over the variables x1..xn (1-based) only.  Its grammar is regular (no
+parentheses, no signed numbers), so a text is read by splitting it at its
+signs and at '*' and matching each factor against one regular expression.
+Whitespace may surround every sign, '*', '/' and '^', and parsing
+round-trips exactly on canonical output.
 
 Evaluation and substitution run on integers: the point or the images and
 the coefficients are taken to the integer form of FieldSpec.integers
@@ -660,46 +662,15 @@ def gcd_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 
 # -- text format --------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\d+)|([a-z]\d*)|(\^)|(\*)|(\+)|(-)|(/)|(\S)")
+# The grammar is regular: a text splits at its signs into terms and each
+# term at '*' into factors.  A factor, stripped, is num, num/den, a
+# variable, or variable^exp; no two quantifiers here can match the same
+# characters, so one fullmatch takes time linear in the factor.
+_SIGN_RE = re.compile(r"([+-])")
+_FACTOR_RE = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([a-z]\d*)(?:\s*\^\s*(\d+))?")
 
 
-def _tokenize(text: str):
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.group(8):
-            raise ParseError("unexpected character %r" % m.group(8))
-        out.append(m.group(0))
-    return out
-
-
-def _var_name(style: str, i: int) -> str:
-    if style == "x":
-        return "x%d" % (i + 1)
-    if style == "z":
-        return "z%d" % i
-    if style == "t":
-        return "t"
-    raise ValueError("unknown variable style %r" % style)
-
-
-def _var_index(style: str, name: str, nvars: int) -> int:
-    if style == "t":
-        if name != "t" or nvars != 1:
-            raise ParseError("expected variable t")
-        return 0
-    head, tail = name[0], name[1:]
-    if head != style or not tail:
-        raise ParseError("unknown variable %r for style %r" % (name, style))
-    k = int(tail)
-    idx = k - 1 if style == "x" else k
-    if style == "x" and (tail[0] == "0"):
-        raise ParseError("x-variables are 1-based: %r" % name)
-    if not 0 <= idx < nvars:
-        raise ParseError("variable %r out of range for nvars=%d" % (name, nvars))
-    return idx
-
-
-def poly_from_text(text: str, field: FieldSpec, nvars: int, style: str = "x") -> SparsePoly:
+def poly_from_text(text: str, field: FieldSpec, nvars: int) -> SparsePoly:
     """Parse the canonical text format into a SparsePoly.
 
     Grammar: sign? term (('+'|'-') term)*, term = factor ('*' factor)*,
@@ -707,89 +678,48 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int, style: str = "x") ->
     coefficients are reduced into the field; num/den fractions are accepted
     so canonical rational output round-trips.
     """
-    toks = _tokenize(text)
-    if not toks:
+    # split first: a text that is not a str raises TypeError, which the CLI
+    # reports as malformed input
+    parts = _SIGN_RE.split(text)
+    if not text.strip():
         raise ParseError("empty polynomial text")
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
-    def parse_factor():
-        t = take()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        if t.isdigit():
-            num = int(t)
-            if peek() == "/":
-                take()
-                den = take()
-                if den is None or not den.isdigit():
-                    raise ParseError("bad fraction denominator")
-                den = field.from_int(int(den))
-                if field.is_zero(den):
-                    raise ParseError("zero denominator in %s/%s" % (t, toks[pos - 1]))
-                return ("coeff", field.div(field.from_int(num), den))
-            return ("coeff", field.from_int(num))
-        if t[0].isalpha():
-            idx = _var_index(style, t, nvars)
-            e = 1
-            if peek() == "^":
-                take()
-                exp = take()
-                if exp is None or not exp.isdigit():
-                    raise ParseError("bad exponent")
-                e = int(exp)
-            return ("var", idx, e)
-        raise ParseError("unexpected token %r" % t)
-
-    def parse_term():
-        coeff = field.one()
-        exps = [0] * nvars
-        while True:
-            f = parse_factor()
-            if f[0] == "coeff":
-                coeff = field.mul(coeff, f[1])
-            else:
-                exps[f[1]] += f[2]
-            if peek() == "*":
-                take()
-                continue
-            break
-        return tuple(exps), coeff
-
+    # a blank before the first sign makes that sign a leading one
+    parts = ["+"] + parts if parts[0].strip() else parts[1:]
     # the terms summed in one dict, as SparsePoly.__add__ sums them; adding
     # each term to the polynomial so far would copy it once per term
     terms = {}
     zero = field.zero()
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    while True:
-        exps, coeff = parse_term()
-        if sign < 0:
-            coeff = field.neg(coeff)
+    for sign, term in zip(parts[::2], parts[1::2]):
+        num, den = (-1 if sign == "-" else 1), 1
+        exps = [0] * nvars
+        for factor in map(str.strip, term.split("*")):
+            m = _FACTOR_RE.fullmatch(factor)
+            if m is None:
+                raise ParseError("malformed factor %r" % factor[:40] if factor else "missing factor")
+            digits, under, name, power = m.groups()
+            if digits is not None:
+                num *= int(digits)
+                if under is not None:
+                    den *= int(under)
+                    if field.is_zero(field.from_int(den)):
+                        raise ParseError("zero denominator in %s/%s" % (digits, under))
+            elif name[0] != "x" or len(name) == 1:
+                raise ParseError("unknown variable %r" % name)
+            elif name[1] == "0" or not 1 <= int(name[1:]) <= nvars:
+                raise ParseError("variable %r is not one of x1..x%d" % (name, nvars))
+            else:
+                exps[int(name[1:]) - 1] += int(power or 1)
+        coeff = field.from_int(num) if den == 1 else field.normalize(Fraction(num, den))
+        exps = tuple(exps)
         c = field.add(terms.get(exps, zero), coeff)
         if field.is_zero(c):
             terms.pop(exps, None)
         else:
             terms[exps] = c
-        nxt = peek()
-        if nxt is None:
-            break
-        if nxt not in ("+", "-"):
-            raise ParseError("expected '+' or '-', got %r" % nxt)
-        sign = -1 if take() == "-" else 1
-    return SparsePoly(field, nvars, terms)
+    return SparsePoly._raw(field, nvars, terms)
 
 
-def poly_to_text(f: SparsePoly, style: str = "x") -> str:
+def poly_to_text(f: SparsePoly) -> str:
     """Canonical text: terms descending graded-lex, e.g. ``3*x1^2*x2 - x3 + 7``."""
     if f.is_zero:
         return "0"
@@ -803,9 +733,9 @@ def poly_to_text(f: SparsePoly, style: str = "x") -> str:
         factors = []
         for i, e in enumerate(exps):
             if e == 1:
-                factors.append(_var_name(style, i))
+                factors.append("x%d" % (i + 1))
             elif e > 1:
-                factors.append("%s^%d" % (_var_name(style, i), e))
+                factors.append("x%d^%d" % (i + 1, e))
         if not factors:
             body = ctext
         elif ctext == "1":

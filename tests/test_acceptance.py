@@ -168,7 +168,7 @@ def test_ac6_sparse_pit_prime_bound():
         ell, d = f.num_terms(), f.degree()
         count, _ = bad_prime_census(f, ps)
         assert count <= math.floor(ell * math.log2(d) - 1), (ell, d, count)
-    t6 = poly_from_text("t^6 - 1", Q, 1, style="t")
+    t6 = poly_from_text("x1^6 - 1", Q, 1)
     count, bad = bad_prime_census(t6, ps)
     assert (count, bad) == (2, [2, 3])
     _report("AC6", t0, 60, "census within floor(ell*log2(d) - 1) on 500 inputs")

@@ -50,15 +50,15 @@ def test_evaluate_arity_checked():
 def test_compose():
     f = P("x1^2 + x2", 2)
     outer = Circuit.from_poly(P("x1 - x2", 2))
-    assert Circuit.compose(outer, [f, f]).expand(1000).is_zero
-    sq = Circuit.compose(Circuit.from_poly(P("x1*x2", 2)), [P("x1", 1), P("x1", 1)])
+    assert ComposedCircuit(outer, [f, f]).expand(1000).is_zero
+    sq = ComposedCircuit(Circuit.from_poly(P("x1*x2", 2)), [P("x1", 1), P("x1", 1)])
     assert sq.expand(1000) == P("x1^2", 1)
     # annihilator relation composed with (f, f^2)
     ann = Circuit.from_poly(P("x2 - x1^2", 2))
     rng = random.Random(9)
     for _ in range(5):
         g = rand_poly(rng, Q, 2, 2, 3)
-        assert Circuit.compose(ann, [g, g * g]).expand(100000).is_zero
+        assert ComposedCircuit(ann, [g, g * g]).expand(100000).is_zero
 
 
 def test_compose_pointwise_consistency():
@@ -93,6 +93,11 @@ def test_expand_budget():
     assert C.expand(100).num_terms() == 64
     with pytest.raises(BudgetExceeded):
         C.expand(10)
+    # a composed circuit: (x1 + x2 + 1)^3 has 10 terms, past a budget of 5
+    cube = ComposedCircuit(Circuit.from_poly(P("x1*x2*x3", 3)), [P("x1 + x2 + 1", 2)] * 3)
+    assert cube.expand(10) == P("x1 + x2 + 1", 2) ** 3
+    with pytest.raises(BudgetExceeded):
+        cube.expand(5)
 
 
 def test_depth4_shape():

@@ -392,14 +392,14 @@ def test_pit_deterministic_reruns():
 
 
 def test_bad_prime_census_of_cyclotomic_like_binomial():
-    f = poly_from_text("t^6 - 1", Q, 1, style="t")
+    f = poly_from_text("x1^6 - 1", Q, 1)
     count, bad = bad_prime_census(f, primes_in(7))
     assert (count, bad) == (2, [2, 3])
     assert count <= bad_prime_bound(2, 6) == 4
 
 
 def test_bad_prime_census_of_constant():
-    one = poly_from_text("1", Q, 1, style="t")
+    one = poly_from_text("1", Q, 1)
     assert bad_prime_census(one, primes_in(7)) == (0, [])
 
 

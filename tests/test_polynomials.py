@@ -22,8 +22,8 @@ Q = FieldSpec("rational")
 F7 = FieldSpec("prime", 7)
 
 
-def P(text, nvars, field=Q, style="x"):
-    return poly_from_text(text, field, nvars, style=style)
+def P(text, nvars, field=Q):
+    return poly_from_text(text, field, nvars)
 
 
 def test_add_sub_mul():
@@ -128,20 +128,41 @@ def test_divide_exact():
 def test_text_round_trip():
     rng = random.Random(13)
     for field in (Q, F7):
-        for nvars, style in ((3, "x"), (2, "z"), (1, "t")):
+        for nvars in (3, 2, 1):
             for _ in range(10):
                 f = rand_poly(rng, field, nvars, 3, 4)
-                text = poly_to_text(f, style=style)
-                assert poly_from_text(text, field, nvars, style=style) == f
+                text = poly_to_text(f)
+                assert poly_from_text(text, field, nvars) == f
+
+
+# texts outside the grammar, with a variable other than x1..x3, or with a
+# zero denominator
+MALFORMED = ["x1 + $", "--x1", "x1 +", "x1^", "2/x1", "x1/2", "3/4/5", "x1^2^3", "x0", "x01",
+             "z0", "t", "2 3", "xx", "1/0", "", " \t ", "*x1", "x1*", "+", "x4", "x1 x2", "2^3",
+             "x1^-1", "1.5", "X1", "(x1)", "x 1"]
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        poly_from_text("x1 + $", Q, 2)
-    with pytest.raises(ParseError):
-        poly_from_text("x3", Q, 2)  # out of range
-    with pytest.raises(ParseError):
-        poly_from_text("x1*x2", Q, 2, style="t")
+    for field in (Q, F7):
+        for text in MALFORMED:
+            with pytest.raises(ParseError):
+                poly_from_text(text, field, 3)
+    with pytest.raises(ParseError, match="zero denominator"):
+        poly_from_text("x1 + 3/7", F7, 1)
+
+
+def test_hostile_texts_are_read_in_linear_time():
+    x1 = P("x1", 1)
+    for text, want in [("1" * 4000 + " " * 100_000 + "x", None),
+                       (" " * 10 ** 6 + "x1", x1),
+                       ("x1*" * 200_000 + "1", x1 ** 200_000)]:
+        t0 = time.perf_counter()
+        if want is None:
+            with pytest.raises(ParseError):
+                poly_from_text(text, Q, 1)
+        else:
+            assert poly_from_text(text, Q, 1) == want
+        assert time.perf_counter() - t0 < 2
 
 
 def test_parsing_is_linear_in_the_number_of_terms():

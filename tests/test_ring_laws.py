@@ -1,5 +1,6 @@
-"""Hypothesis properties of SparsePoly: the laws of a commutative ring, and
-the round trip of the text format, over Q, F_7 and F_(2^61-1)."""
+"""Hypothesis properties of SparsePoly: the laws of a commutative ring, the
+round trip of the text format and the reading of any text of its grammar,
+over Q, F_7 and F_(2^61-1)."""
 
 import pytest
 
@@ -72,13 +73,60 @@ def test_additive_inverse_and_identities(field, data):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @given(data=st.data())
 def test_text_round_trip(field, data):
-    style = data.draw(st.sampled_from(["x", "z", "t"]))
-    n = 1 if style == "t" else data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 3))
     f = data.draw(polys(field, n))
-    text = poly_to_text(f, style=style)
-    g = poly_from_text(text, field, n, style=style)
+    text = poly_to_text(f)
+    g = poly_from_text(text, field, n)
     assert g == f
-    assert poly_to_text(g, style=style) == text
+    assert poly_to_text(g) == text
+
+
+@st.composite
+def grammar_texts(draw, field, n):
+    """(text, terms): a text of the grammar sign? term (sign term)*, with
+    blanks and tabs between its tokens, num/den coefficients, variables
+    repeated within a term and terms repeated or cancelled; terms lists
+    each term as (coefficient, exponent vector)."""
+    gap = st.sampled_from(["", " ", "\t", " \t  "])
+    dens = st.integers(1, 60).filter(lambda d: not field.is_zero(field.from_int(d)))
+    coeff = st.tuples(st.just("c"), st.integers(0, 60), st.none() | dens)
+    var = st.tuples(st.just("v"), st.integers(0, n - 1), st.none() | st.integers(0, 4))
+    text, terms = draw(gap), []
+    for j in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from("+-"))
+        factors = draw(st.lists(coeff | var, min_size=1, max_size=4))
+        c, exps, parts = field.from_int(-1 if sign == "-" else 1), [0] * n, []
+        for kind, a, b in factors:
+            if kind == "c":
+                c = field.mul(c, field.div(field.from_int(a), field.from_int(b or 1)))
+                parts.append(str(a) if b is None else "%d%s/%s%d" % (a, draw(gap), draw(gap), b))
+            else:
+                exps[a] += 1 if b is None else b
+                parts.append("x%d" % (a + 1) if b is None
+                             else "x%d%s^%s%d" % (a + 1, draw(gap), draw(gap), b))
+        body = parts[0] + "".join(draw(gap) + "*" + draw(gap) + t for t in parts[1:])
+        if j or sign == "-" or draw(st.booleans()):
+            body = sign + draw(gap) + body
+        text += ("" if j == 0 else draw(gap)) + body
+        terms.append((c, exps))
+        if draw(st.booleans()):
+            # the same term again, with the same sign or cancelling
+            again = draw(st.sampled_from("+-"))
+            text += draw(gap) + again + draw(gap) + body.lstrip("+-").lstrip()
+            terms.append((c if again == sign else field.neg(c), exps))
+    return text + draw(gap), terms
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_any_text_of_the_grammar_reads_as_the_sum_of_its_terms(field, data):
+    n = data.draw(st.integers(1, 3))
+    text, terms = data.draw(grammar_texts(field, n))
+    want = SparsePoly.zero(field, n)
+    for c, exps in terms:
+        want = want + SparsePoly.monomial(field, n, exps, c)
+    got = poly_from_text(text, field, n)
+    assert got == want and all(not field.is_zero(c) for c in got.terms.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
