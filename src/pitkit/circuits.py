@@ -6,18 +6,22 @@ may only reference earlier nodes (validated), which keeps evaluation a single
 forward pass.  Three JSON circuit kinds round-trip bit-exactly: "dag",
 "depth4", and "composed".
 
-Every kind is a Blackbox with one evaluation, on the integer form of
-FieldSpec.integers: a point (a, q) in, a value (num, den) out.  The
-hitting-set walk (hitting.pit) calls it on the set's integer stream;
-evaluate(point) is the same evaluation between two conversions.
+Every kind is a Blackbox with one evaluation, on blocks of points in the
+integer form of FieldSpec.integers: a block (cols, q) of coordinate
+columns in, a column of values (nums, den) out, so each node, term or
+factor costs one list operation per block rather than one pass per point.
+The hitting-set walk (hitting.pit) calls it on the set's stream of blocks;
+evaluate(point) is the same evaluation on a block of one point between two
+conversions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add, mul
 
-from .fields import FieldError, FieldSpec
+from .fields import FieldError, FieldSpec, block_size
 from .polynomials import (
+    REDUCE_EVERY,
     BudgetExceeded,
     ParseError,
     SparsePoly,
@@ -36,19 +40,21 @@ def _json_int(value, key):
 
 
 class Blackbox:
-    """What the three circuit kinds share: one evaluation on the integer
-    form of FieldSpec.integers, _evaluate_integers(x) -> (num, den), which
-    the hitting-set walk calls, and evaluate at raw points around it."""
+    """What the three circuit kinds share: one evaluation on blocks of
+    points in the integer form of FieldSpec.integers,
+    _evaluate_integers((cols, q)) -> (nums, den) with value j equal to
+    nums[j] / den, which the hitting-set walk calls, and evaluate at raw
+    points around it."""
 
     __slots__ = ()
 
     def evaluate(self, point):
-        """The value at a tuple of raw elements: _evaluate_integers between
-        one conversion in and one out."""
+        """The value at a tuple of raw elements: _evaluate_integers on a
+        block of one point, between one conversion in and one out."""
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
-        num, den = self._evaluate_integers(self.field.integers(point))
-        return self.field.from_integers([num], den)[0]
+        nums, den = self._evaluate_integers(self.field.block(point))
+        return self.field.from_integers(nums, den)[0]
 
 
 class Circuit(Blackbox):
@@ -93,47 +99,60 @@ class Circuit(Blackbox):
             return (op, kids)
         raise ValueError("unknown node kind %r" % (op,))
 
-    def _evaluate_integers(self, x):
-        """The value at x = (a, q), point[i] = a[i] / q in the integer form
-        of FieldSpec.integers, as (num, den) with value num / den.
+    def _evaluate_integers(self, block):
+        """The values at the points of block = (cols, q), coordinate i of
+        point j being cols[i][j] / q, as (nums, den) with value j equal to
+        nums[j] / den.
 
-        One forward pass: mod p over F_p (residues, q = 1), and over Q on
-        integers when q = 1 and every const is an integer; on Fractions
-        for the other rational points and circuits.
+        One forward pass on columns: mod p over F_p (residues, q = 1), and
+        over Q on integers when q = 1 and every const is an integer; on
+        Fractions for the other rational blocks and circuits, put over
+        one denominator at the end.
         """
-        a, q = x
+        cols, q = block
         field = self.field
         if field.kind == "prime":
-            return self._forward(self.nodes, a, field.p), 1
+            return self._forward(self.nodes, cols, field.p), 1
         if q == 1 and self._int_nodes is not None:
-            return self._forward(self._int_nodes, a, None), 1
-        v = self._forward(self.nodes, field.from_integers(a, q), None)
-        return v.numerator, v.denominator
+            return self._forward(self._int_nodes, cols, None), 1
+        return field.integers(self._forward(self.nodes, [field.from_integers(col, q)
+                                                         for col in cols], None))
 
-    def _forward(self, nodes, pt, p):
-        """The forward pass over `nodes` at input values pt, reduced mod p
-        unless p is None."""
-        vals = [0] * len(nodes)
+    def _forward(self, nodes, cols, p):
+        """The forward pass over `nodes` at the input columns cols.  A
+        const stays one scalar until it meets a column, so a node costs one
+        list operation per child column, the scalar folded into the last
+        one.  Unless p is None, a node is reduced mod p once, and once more
+        after every REDUCE_EVERY child columns, so no value grows past
+        REDUCE_EVERY + 1 residues multiplied."""
+        vals = [None] * len(nodes)
         for i, (op, arg) in enumerate(nodes):
-            if op == "add":
-                acc = 0
-                for k in arg:
-                    acc += vals[k]
-                vals[i] = acc if p is None else acc % p
-            elif op == "mul":
-                acc = 1
-                for k in arg:
-                    acc *= vals[k]
-                    if p is not None:
-                        acc %= p
-                    if not acc:
-                        break
-                vals[i] = acc
-            elif op == "input":
-                vals[i] = pt[arg]
-            else:
+            if op == "input":
+                vals[i] = cols[arg]
+            elif op == "const":
                 vals[i] = arg
-        return vals[self.output]
+            else:
+                f, unit = (add, 0) if op == "add" else (mul, 1)
+                c, acc, fresh = unit, None, 0
+                for k in arg:
+                    x = vals[k]
+                    if not isinstance(x, (list, tuple)):
+                        c = f(c, x) if p is None else f(c, x) % p
+                    elif acc is None:
+                        acc = x
+                    else:
+                        acc = list(map(f, acc, x))
+                        fresh += 1
+                        if p is not None and fresh == REDUCE_EVERY:
+                            acc, fresh = [v % p for v in acc], 0
+                if acc is None:
+                    vals[i] = c
+                    continue
+                if c != unit:
+                    acc = map(c.__add__ if op == "add" else c.__mul__, acc)
+                vals[i] = list(acc) if p is None else [v % p for v in acc]
+        out = vals[self.output]
+        return out if isinstance(out, (list, tuple)) else [out] * block_size(cols)
 
     def syntactic_degree(self) -> int:
         degs = [0] * len(self.nodes)
@@ -317,33 +336,29 @@ class Depth4Circuit(Blackbox):
             raise ValueError("row subset out of range")
         return Depth4Circuit(self.field, self.nvars, self.delta, [self.rows[i] for i in I])
 
-    def _evaluate_integers(self, x):
-        """The sum of the rows' products of the factors' values at x (see
-        Blackbox): residues over F_p, and over Q numerators and
-        denominators multiplied out, not reduced."""
-        if self.field.kind == "prime":
-            p = self.field.p
-            acc = 0
-            for row in self.rows:
-                prod = 1
-                for f in row:
-                    prod = prod * f._eval_integers(x)[0] % p
-                    if not prod:
-                        break
-                acc += prod
-            return acc % p, 1
-        num, den = 0, 1
+    def _evaluate_integers(self, block):
+        """The sums of the rows' products of the factors' values at the
+        points of block (see Blackbox), one list operation per factor and
+        row, with numerators and denominators multiplied out, not reduced
+        over Q.  Over F_p a product is reduced after every REDUCE_EVERY
+        factors, and the sum at the end."""
+        p = self.field.p
+        num, den = None, 1
         for row in self.rows:
-            pn = pd = 1
-            for f in row:
-                fn, fd = f._eval_integers(x)
-                pn *= fn
+            pn, pd = row[0]._eval_integers(block)
+            for j, f in enumerate(row[1:], 1):
+                fn, fd = f._eval_integers(block)
+                pn = list(map(mul, pn, fn))
                 pd *= fd
-                if not pn:
-                    break
-            if pn:
-                num, den = num * pd + pn * den, den * pd
-        return num, den
+                if p is not None and j % REDUCE_EVERY == 0:
+                    pn = [v % p for v in pn]
+            if num is None:
+                num, den = pn, pd
+            elif den == pd == 1:
+                num = list(map(add, num, pn))
+            else:
+                num, den = [u * pd + v * den for u, v in zip(num, pn)], den * pd
+        return (num if p is None else [v % p for v in num]), den
 
     def expand(self, budget: int = DEFAULT_EXPAND_BUDGET) -> SparsePoly:
         acc = SparsePoly.zero(self.field, self.nvars)
@@ -424,17 +439,14 @@ class ComposedCircuit(Blackbox):
     def nvars(self):
         return self.inputs[0].nvars
 
-    def _evaluate_integers(self, x):
-        """The outer circuit's value at the inner values (see Blackbox).
-        Over F_p the inner residues go straight into the outer pass; over
-        Q the inner values are put over one denominator, 1 when every
-        inner value is an integer."""
-        nums, whole = [], True
-        for f in self.inputs:
-            num, den = f._eval_integers(x)
-            nums.append(num if den == 1 else Fraction(num, den))
-            whole = whole and den == 1
-        return self.outer._evaluate_integers((nums, 1) if whole else self.field.integers(nums))
+    def _evaluate_integers(self, block):
+        """The outer circuit's values at the inner values (see Blackbox):
+        the inner columns are the outer pass's input block.  Over F_p they
+        are residues; over Q they are put over the lcm of their
+        denominators, 1 when every inner polynomial has integer values on
+        the block."""
+        inner = [f._eval_integers(block) for f in self.inputs]
+        return self.outer._evaluate_integers(self.field.block_over_one_denominator(inner))
 
     def degree_bound(self) -> int:
         dmax = max((f.degree() or 0) for f in self.inputs)

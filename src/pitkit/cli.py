@@ -399,6 +399,9 @@ def _verify_pit(report, against):
     stored = report["verdict"]
     if stored["outcome"] == "nonzero":
         point = tuple(field.scalar_from_json(v) for v in stored["witness"])
+        if len(point) != circ.nvars:
+            raise _InputError("the witness has %d coordinates, not %d"
+                              % (len(point), circ.nvars))
         value = field.normalize(circ.evaluate(point))
         if field.is_zero(value):
             return False, "witness point evaluates to zero"

@@ -4,7 +4,10 @@ Raw field elements are plain Python values: canonical residues in [0, p) for a
 prime field, `fractions.Fraction` in lowest terms for the rationals.  A
 FieldSpec bundles arithmetic on raw values.  Mixed-field operations are
 rejected everywhere.  The exact kernels run on integers: integers() and
-from_integers() are the one conversion into that form and back.
+from_integers() are the one conversion into that form and back.  The
+evaluations take points in blocks of that form, (cols, den) with
+coordinate i of point j equal to cols[i][j] / den; block() is one point as
+such a block.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ DEFAULT_PRIME = (1 << 61) - 1
 
 class FieldError(ValueError):
     pass
+
+
+def block_size(cols) -> int:
+    """The number of points in a block with coordinate columns cols; a
+    block of no columns is one point with no coordinates."""
+    return len(cols[0]) if cols else 1
 
 
 class FieldSpec:
@@ -141,6 +150,12 @@ class FieldSpec:
         vals = [v if type(v) in (Fraction, int) else self.normalize(v) for v in values]
         return self.over_one_denominator([(v.numerator, v.denominator) for v in vals])
 
+    def block(self, values):
+        """integers(values) as a block of one point: (cols, den) with one
+        column of one entry per coordinate."""
+        ints, den = self.integers(values)
+        return [[v] for v in ints], den
+
     def over_one_denominator(self, pairs):
         """integers() of the values N / D given as pairs (N, D) of ints, D >
         0, without a Fraction: the numerators over the lcm of the D, not
@@ -152,6 +167,13 @@ class FieldSpec:
         if den == 1:
             return [N for N, _ in pairs], 1
         return [N * (den // D) for N, D in pairs], den
+
+    def block_over_one_denominator(self, columns):
+        """The columns of values nums[j] / D, given as pairs (nums, D), as
+        one block (cols, den) over the lcm of the D, not reduced: the
+        columns of over_one_denominator."""
+        den = math.lcm(*{D for _, D in columns})
+        return [nums if D == den else [v * (den // D) for v in nums] for nums, D in columns], den
 
     def from_integers(self, ints, den=1):
         """The raw elements ints[i] / den, the inverse of integers."""

@@ -30,11 +30,17 @@ field truncates the axis.  pit_circuit walks it, and its provenance says
 "map": "identity" and gives w.
 
 A set holds one stream of points in the integer form of
-FieldSpec.integers, (ints, den) with coordinate i = ints[i] / den: the
-lattice of the grid's integers, or its images under each map
-(AffineMap._integer_image), residues over F_p and numerators over one
-denominator over Q.  pit() walks that stream through the circuit's own
-integer evaluation (circuits.Blackbox) and makes only the witness and its
+FieldSpec.integers, cut into blocks (cols, den) of coordinate columns,
+coordinate i of point j being cols[i][j] / den: the lattice of the grid's
+integers, cut into columns (_lattice_blocks), or its images under each
+map (AffineMap._integer_image, one block at a time), residues over F_p and
+numerators over one denominator over Q.  The blocks hold 1, 2, 4, ...
+and then MAX_BLOCK points, in the order of the points, and a block never
+holds the images of two maps: a circuit nonzero at the first point is
+evaluated at that point alone, and a long walk costs each node, term or
+factor one list operation per MAX_BLOCK points.  pit() walks the blocks
+through the circuit's own block evaluation (circuits.Blackbox), takes the
+first nonzero value of each block, and makes only the witness and its
 value raw elements; points() is the raw view of the same stream, which
 `hitting-set` prints.
 
@@ -51,7 +57,7 @@ from functools import partial
 
 from .circuits import Blackbox, ComposedCircuit, Depth4Circuit
 from .depth4 import search_depth4_map
-from .fields import FieldSpec
+from .fields import FieldSpec, block_size
 from .independence import trdeg
 from .polynomials import MAX_VALUE_BITS, BudgetExceeded
 from .varmaps import (
@@ -64,12 +70,16 @@ from .varmaps import (
 )
 
 
+# The largest block of points a hitting set streams (module docstring).
+MAX_BLOCK = 256
+
+
 class HittingSet:
     """Deterministic point enumeration with a guarantee label.
 
-    The set holds one stream of points in the integer form of
-    FieldSpec.integers, (ints, den) with coordinate i = ints[i] / den;
-    points() is its raw view."""
+    The set holds one stream of blocks of points in the integer form of
+    FieldSpec.integers, (cols, den) with coordinate i of point j equal to
+    cols[i][j] / den; points() is its raw view, point by point."""
 
     __slots__ = ("field", "arity", "guarantee", "provenance", "size_bound", "_factory")
 
@@ -83,14 +93,21 @@ class HittingSet:
         self.size_bound = size_bound
         self._factory = factory
 
-    def integer_points(self):
-        """A fresh iterator over the points as (ints, den)."""
+    def blocks(self):
+        """A fresh iterator over the blocks of points as (cols, den)."""
         return self._factory()
 
     def points(self):
         """A fresh iterator over the point tuples of raw elements."""
-        from_integers = self.field.from_integers
-        return (tuple(from_integers(ints, den)) for ints, den in self._factory())
+        return (pt for block in self._factory() for pt in _raw_points(self.field, block))
+
+
+def _raw_points(field, block):
+    """The points of a block as tuples of raw elements."""
+    cols, den = block
+    if not cols:
+        return [()]
+    return list(zip(*[field.from_integers(col, den) for col in cols]))
 
 
 class PitVerdict:
@@ -128,29 +145,37 @@ def pit(oracle, hs: HittingSet, max_points=None) -> PitVerdict:
     """Evaluate the oracle over the hitting set until a nonzero value.
 
     The oracle is a circuit (circuits.Blackbox), evaluated on the set's
-    integer stream, or any callable taking one point tuple of raw
-    elements.  Points are consumed in the set's deterministic order; only
-    the witness and its value are made raw elements.
+    blocks, or any callable taking one point tuple of raw elements.
+    Points are consumed in the set's deterministic order, a block at a
+    time; a block that would pass max_points is cut to the points left,
+    and the first nonzero value of a block is the witness, so the verdict
+    and points_checked are those of a walk point by point.  Only the
+    witness and its value are made raw elements.
     """
     field = hs.field
     if isinstance(oracle, Blackbox):
-        value = oracle._evaluate_integers
+        values = oracle._evaluate_integers
     else:
-        def value(x):
-            (num,), den = field.integers([oracle(tuple(field.from_integers(*x)))])
-            return num, den
+        def values(block):
+            return field.integers([oracle(pt) for pt in _raw_points(field, block)])
     checked = 0
-    for x in hs.integer_points():
-        if max_points is not None and checked >= max_points:
-            return PitVerdict(
-                "inconclusive", None, None, checked, hs.guarantee, hs.provenance
-            )
-        num, den = value(x)
-        checked += 1
-        if num:
-            witness = tuple(field.from_integers(*x))
-            v = field.from_integers([num], den)[0]
-            return PitVerdict("nonzero", witness, v, checked, hs.guarantee, hs.provenance)
+    for cols, den in hs.blocks():
+        size = block_size(cols)
+        cut = max_points is not None and checked + size > max_points
+        if cut:
+            size = max_points - checked
+            cols = [col[:size] for col in cols]
+        if size > 0:
+            nums, vden = values((cols, den))
+            if any(nums):
+                j = next(itertools.compress(itertools.count(), nums))
+                witness = tuple(field.from_integers([col[j] for col in cols], den))
+                v = field.from_integers([nums[j]], vden)[0]
+                return PitVerdict("nonzero", witness, v, checked + j + 1, hs.guarantee,
+                                  hs.provenance)
+            checked += size
+        if cut:
+            return PitVerdict("inconclusive", None, None, checked, hs.guarantee, hs.provenance)
     return PitVerdict("zero", None, None, checked, hs.guarantee, hs.provenance)
 
 
@@ -202,7 +227,7 @@ def _lattice(values, w: int, d=None):
     idx = [0] * w
     total = 0
     while True:
-        yield tuple(values[i] for i in idx)
+        yield tuple(map(values.__getitem__, idx))
         # the next index vector: bump the last coordinate that can grow
         # once the coordinates after it are reset to 0
         k = w - 1
@@ -216,11 +241,17 @@ def _lattice(values, w: int, d=None):
         total += 1
 
 
-def _integer_lattice(field, values, w, d=None):
-    """_lattice(values, w, d) in the integer form: (ints, den) per point,
-    den the axis's common denominator."""
-    ints, den = field.integers(values)
-    return ((pt, den) for pt in _lattice(ints, w, d))
+def _lattice_blocks(axis, w: int, d=None):
+    """The points of _lattice(ints, w, d) for an axis in the integer form,
+    axis = (ints, den), in that order, as blocks (cols, den) of w
+    coordinate columns holding 1, 2, 4, ... and then MAX_BLOCK points.
+    With w = 0 the lattice is one point, a block of no columns."""
+    ints, den = axis
+    points = _lattice(ints, w, d)
+    size = 1
+    while chunk := list(itertools.islice(points, size)):
+        yield list(zip(*chunk)), den
+        size = min(2 * size, MAX_BLOCK)
 
 
 def _lattice_size(axis: int, w: int, d=None) -> int:
@@ -252,7 +283,7 @@ def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
             "points": "simplex" if certified else "grid",
         },
         _lattice_size(len(values), r, d),
-        partial(_integer_lattice, field, values, r, d),
+        partial(_lattice_blocks, field.integers(values), r, d),
     )
 
 
@@ -269,10 +300,12 @@ def _image_set(field, n, provenance, maps, count, w, d, certified):
         provenance, grid_truncated=d is None, points="grid" if d is None else "simplex"
     )
 
+    axis = field.integers(grid)
+
     def factory():
         if maps is None:
-            return _integer_lattice(field, grid, w, d)
-        return (mp._integer_image(x) for mp in maps() for x in _integer_lattice(field, grid, w, d))
+            return _lattice_blocks(axis, w, d)
+        return (mp._integer_image(block) for mp in maps() for block in _lattice_blocks(axis, w, d))
 
     return HittingSet(
         field,

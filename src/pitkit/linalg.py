@@ -189,12 +189,16 @@ def poly_matrix_rank(M):
 def eval_matrix(M, x):
     """The SparsePoly matrix M at the point x = (a, q) in the integer form
     of FieldSpec.integers, in that form: (rows, den), entry (i, j) being
-    rows[i][j] / den, residues and den = 1 over F_p."""
+    rows[i][j] / den, residues and den = 1 over F_p.  Each entry is
+    evaluated on x as a block of one point."""
     if not M or not M[0]:
         return [[] for _ in M], 1
     first = M[0][0]
-    if len(x[0]) != first.nvars:
+    a, q = x
+    if len(a) != first.nvars:
         raise ValueError("point arity != nvars")
+    block = [[v] for v in a], q
     cols = len(M[0])
-    flat, den = first.field.over_one_denominator([f._eval_integers(x) for row in M for f in row])
+    values = (f._eval_integers(block) for row in M for f in row)
+    flat, den = first.field.over_one_denominator([(nums[0], D) for nums, D in values])
     return [flat[i:i + cols] for i in range(0, len(flat), cols)], den

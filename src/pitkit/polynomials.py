@@ -13,18 +13,23 @@ signs and at '*' and matching each factor against one regular expression.
 Whitespace may surround every sign, '*', '/' and '^', and parsing
 round-trips exactly on canonical output.
 
-Evaluation and substitution run on integers: the point or the images and
+Evaluation and substitution run on integers: the points or the images and
 the coefficients are taken to the integer form of FieldSpec.integers
 (residues over F_p, numerators over one denominator over Q), and the
-result is made raw elements at the end.
+result is made raw elements at the end.  Evaluation takes a block of
+points as coordinate columns (FieldSpec.block) and returns a column of
+values, each term costing one list operation per factor for the whole
+block; eval() is a block of one point.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
-from .fields import FieldError, FieldSpec
+from .fields import FieldError, FieldSpec, block_size
 
 
 class ExactDivisionError(ArithmeticError):
@@ -44,6 +49,12 @@ MAX_VALUE_BITS = 1 << 20
 
 class ParseError(ValueError):
     pass
+
+
+# Over F_p, a column of products or sums is reduced mod p after this many
+# operations (a term's factors, a dag node's children, a depth-4 row's
+# factors), so no value grows past REDUCE_EVERY + 1 residues multiplied.
+REDUCE_EVERY = 8
 
 
 def gradedlex_key(exps):
@@ -268,44 +279,53 @@ class SparsePoly:
         """Evaluate at a point of raw elements; returns raw.
 
         Integer arithmetic throughout: the point goes through
-        FieldSpec.integers, the polynomial through _compile (once), and
-        _eval_integers does the sum.
+        FieldSpec.block, the polynomial through _compile (once), and
+        _eval_integers does the sum on that block of one point.
         """
         if len(point) != self.nvars:
             raise ValueError("point arity != nvars")
-        num, den = self._eval_integers(self.field.integers(point))
-        return self.field.from_integers([num], den)[0]
+        nums, den = self._eval_integers(self.field.block(point))
+        return self.field.from_integers(nums, den)[0]
 
-    def _eval_integers(self, x):
-        """The value at x = (a, q) as (N, D) with value N / D.
+    def _eval_integers(self, block):
+        """The values at the points of block = (cols, q), coordinate i of
+        point j being cols[i][j] / q, as (nums, D): value j is nums[j] / D.
 
-        Over F_p (q = 1) a sum of residues with one reduction per factor,
-        and D = 1.  Over Q one integer sum over the cleared denominators,
+        Each term is one column: its coefficient times its first factor in
+        one pass, then one list operation per further factor; the columns
+        are summed point by point.  Over F_p (q = 1) a term is reduced
+        after every REDUCE_EVERY factors and the sum once, and D = 1.  Over
+        Q one integer sum over the cleared denominators,
         f(a/q) = sum N_e a^e q^(d-|e|) / (D q^d), not reduced.
         """
         den, terms, d = self._compiled or self._compile()
-        a, q = x
-        if self.field.kind == "prime":
-            p = self.field.p
-            acc = 0
-            for c, mon, _ in terms:
-                for i, e in mon:
-                    c = c * (a[i] if e == 1 else pow(a[i], e, p)) % p
-                acc += c
-            return acc % p, 1
+        cols, q = block
+        if not d:
+            # a constant: its numerator, a residue over F_p
+            return [terms[0][0] if terms else 0] * block_size(cols), den
+        # pow(v, e, None) is v ** e
+        p = self.field.p
         if q != 1:
-            qpow = [1]
-            for _ in range(d):
-                qpow.append(qpow[-1] * q)
-            den *= qpow[d]
-        acc = 0
+            den *= q ** d
+        columns = []
         for c, mon, k in terms:
             if q != 1:
-                c *= qpow[d - k]
-            for i, e in mon:
-                c *= a[i] if e == 1 else a[i] ** e
-            acc += c
-        return acc, den
+                c *= q ** (d - k)
+            if not mon:
+                columns.append([c] * block_size(cols))
+                continue
+            i, e = mon[0]
+            if e != 1:
+                col = [c * pow(v, e, p) for v in cols[i]]
+            else:
+                col = cols[i] if c == 1 else [c * v for v in cols[i]]
+            for j, (i, e) in enumerate(mon[1:], 1):
+                col = list(map(mul, col, cols[i] if e == 1 else map(pow, cols[i], repeat(e), repeat(p))))
+                if p is not None and j % REDUCE_EVERY == 0:
+                    col = [v % p for v in col]
+            columns.append(col)
+        nums = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
+        return (list(nums) if p is None else [v % p for v in nums]), den
 
     def _compile(self):
         """(D, terms, d): the evaluation form, built once per polynomial.
@@ -670,13 +690,24 @@ _SIGN_RE = re.compile(r"([+-])")
 _FACTOR_RE = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([a-z]\d*)(?:\s*\^\s*(\d+))?")
 
 
+def _number(digits: str) -> int:
+    """int(digits) for a run of decimal digits; a ParseError, not
+    Python's ValueError, past its limit on the length of an integer string
+    (sys.get_int_max_str_digits(), 4300 by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("a number of %d digits is too long" % len(digits)) from None
+
+
 def poly_from_text(text: str, field: FieldSpec, nvars: int) -> SparsePoly:
     """Parse the canonical text format into a SparsePoly.
 
     Grammar: sign? term (('+'|'-') term)*, term = factor ('*' factor)*,
     factor = integer ('/' integer)? | variable ('^' integer)?.  Integer
     coefficients are reduced into the field; num/den fractions are accepted
-    so canonical rational output round-trips.
+    so canonical rational output round-trips.  Every malformed text,
+    a number too long for int() included, raises ParseError.
     """
     # split first: a text that is not a str raises TypeError, which the CLI
     # reports as malformed input
@@ -698,17 +729,17 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int) -> SparsePoly:
                 raise ParseError("malformed factor %r" % factor[:40] if factor else "missing factor")
             digits, under, name, power = m.groups()
             if digits is not None:
-                num *= int(digits)
+                num *= _number(digits)
                 if under is not None:
-                    den *= int(under)
+                    den *= _number(under)
                     if field.is_zero(field.from_int(den)):
                         raise ParseError("zero denominator in %s/%s" % (digits, under))
             elif name[0] != "x" or len(name) == 1:
                 raise ParseError("unknown variable %r" % name)
-            elif name[1] == "0" or not 1 <= int(name[1:]) <= nvars:
+            elif name[1] == "0" or not 1 <= _number(name[1:]) <= nvars:
                 raise ParseError("variable %r is not one of x1..x%d" % (name, nvars))
             else:
-                exps[int(name[1:]) - 1] += int(power or 1)
+                exps[int(name[1:]) - 1] += _number(power) if power else 1
         coeff = field.from_int(num) if den == 1 else field.normalize(Fraction(num, den))
         exps = tuple(exps)
         c = field.add(terms.get(exps, zero), coeff)

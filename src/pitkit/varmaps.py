@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import partial
+from operator import add, mul
 
 from . import linalg
 from .fields import FieldError, FieldSpec
@@ -325,24 +326,34 @@ class AffineMap:
     def point_images(self, a):
         """The x-space point this map sends the z-point a to."""
         field = self.field
-        return tuple(field.from_integers(*self._integer_image(field.integers(a))))
+        cols, den = self._integer_image(field.block(a))
+        return tuple(field.from_integers([col[0] for col in cols], den))
 
-    def _integer_image(self, x):
-        """The image of the z-point x = (a, q) in the integer form of
-        FieldSpec.integers, in that form: (residues, 1) over F_p, and over
-        Q numerators over L * q, not reduced."""
-        a, q = x
-        if len(a) != self.nvars_out:
+    def _integer_image(self, block):
+        """The images of the z-points of block = (cols, q), in the block
+        form of FieldSpec.block: (residue columns, 1) over F_p, and over Q
+        numerator columns over L * q, not reduced.
+
+        The images are computed as one list of all their coordinates,
+        point after point, so each column M_t of the map is one list
+        operation for the whole block, and a column of z that is all
+        zeros (the lattice's first point) adds nothing."""
+        cols, q = block
+        if len(cols) != self.nvars_out:
             raise ValueError("expected a point with %d coordinates" % self.nvars_out)
-        const, cols, L = self._integer_columns()
-        out = list(const) if q == 1 else [c * q for c in const]
-        for col, v in zip(cols, a):
-            if v:
-                out = [x + c * v for x, c in zip(out, col)]
-        if self.field.kind == "prime":
-            p = self.field.p
-            return [v % p for v in out], 1
-        return out, L * q
+        const, mcols, L = self._integer_columns()
+        size = len(cols[0])
+        # coordinate i of point j sits at j * n + i
+        flat = [b * q for b in const] * size
+        moved = False
+        for mcol, z in zip(mcols, cols):
+            if any(z):
+                moved = True
+                flat = list(map(add, flat, map(mul, mcol * size, [v for v in z for _ in const])))
+        p = self.field.p
+        if moved and p is not None:
+            flat = [v % p for v in flat]
+        return [flat[i::self.n] for i in range(self.n)], L * q
 
     def jacobian_at(self, J, a):
         """The Jacobian of the images of fs at the z-point a, where J is
@@ -352,13 +363,14 @@ class AffineMap:
         denominator.  J is evaluated only in the variables whose row of M
         is nonzero; the others add nothing."""
         const, cols, L = self._integer_columns()
-        live = [i for i in range(self.n) if any(col[i] for col in cols)]
+        live = [i for i, mrow in enumerate(zip(*cols)) if any(mrow)]
         field = self.field
-        x = self._integer_image(field.integers(a))
+        image, den = self._integer_image(field.block(a))
+        x = ([col[0] for col in image], den)
         rows, den = linalg.eval_matrix([[row[i] for i in live] for row in J], x)
         cols = [[col[i] for i in live] for col in cols]
         p = field.characteristic
-        out = [[sum(u * v for u, v in zip(row, col)) for col in cols] for row in rows]
+        out = [[sum(map(mul, row, col)) for col in cols] for row in rows]
         if p:
             return [[v % p for v in row] for row in out], 1
         return out, den * L

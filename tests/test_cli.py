@@ -1240,6 +1240,43 @@ def test_zero_denominator_in_a_map_c_exits_three(tmp_path, capsys):
     assert "1/0" in json.loads(err)["error"]
 
 
+# a number past Python's 4300-digit limit on int(): a coefficient, an
+# exponent and a variable index
+LONG_NUMBERS = ["x1 + " + "9" * 5000, "x1^" + "9" * 5000, "x" + "1" * 5000]
+
+
+@pytest.mark.parametrize("text", LONG_NUMBERS, ids=["coefficient", "exponent", "variable"])
+def test_a_number_too_long_for_int_in_a_family_exits_three(tmp_path, capsys, text):
+    fam = dump(tmp_path, "fam.json", {"field": {"kind": "rational"}, "nvars": 1, "polys": [text]})
+    code, out, err = run(capsys, ["trdeg", fam])
+    assert (code, out) == (3, "")
+    assert "a number of 5000 digits is too long" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("text", LONG_NUMBERS, ids=["coefficient", "exponent", "variable"])
+def test_a_number_too_long_for_int_in_an_annihilator_report_exits_three(tmp_path, capsys,
+                                                                         text):
+    pair = dump(tmp_path, "pair.json", PAIR_FAMILY)
+    code, out, _ = run(capsys, ["annihilator", pair, "--cap", "2"])
+    report = json.loads(out)
+    assert code == 0 and report["found"]
+    report["annihilator"] = text
+    code, out, err = run(capsys, ["verify", dump(tmp_path, "bad.json", report), "--against", pair])
+    assert (code, out) == (3, "")
+    assert "a number of 5000 digits is too long" in json.loads(err)["error"]
+
+
+def test_verify_rejects_a_pit_witness_of_the_wrong_arity_as_malformed(tmp_path, capsys):
+    dag = dump(tmp_path, "dag.json", Circuit.from_poly(P("x1*x2 + 1", 2)).to_json_dict())
+    code, out, _ = run(capsys, ["pit", dag])
+    report = json.loads(out)
+    assert code == 1 and report["verdict"]["witness"] == ["0", "0"]
+    report["verdict"]["witness"] = ["1"]
+    code, out, err = run(capsys, ["verify", dump(tmp_path, "bad.json", report), "--against", dag])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "the witness has 1 coordinates, not 2"
+
+
 @pytest.mark.parametrize("nvars", ["abc", -1, 2.5, "2", 1.0, True])
 def test_family_with_a_bad_nvars_exits_three(tmp_path, capsys, nvars):
     fam = dump(tmp_path, "fam.json", dict(PAIR_FAMILY, nvars=nvars))

@@ -1,12 +1,16 @@
-"""The hitting-set walk on the integer form.
+"""The hitting-set walk on blocks of points in the integer form.
 
-A HittingSet holds one stream of points (ints, den), and every circuit kind
-has one evaluation on that form (circuits.Blackbox._evaluate_integers);
-hitting.pit walks the stream through it and converts only the witness and
-its value.  The tests compare each piece with a reference on raw elements:
-the value with a forward pass in field arithmetic, points() with the
-lattice and the map images recomputed from their definitions, and
-pit_circuit's verdict with a walk of evaluate over points().  A guard
+A HittingSet holds one stream of blocks (cols, den) of coordinate columns,
+of 1, 2, 4, ... and then MAX_BLOCK points, none holding the images of two
+maps, and every circuit kind has one evaluation on a block, which returns
+a column of values (circuits.Blackbox._evaluate_integers); hitting.pit
+walks the blocks through it and converts only the witness and its value.
+The tests compare each piece with a reference on raw elements, point by
+point: the values with a forward pass in field arithmetic, points() and
+the block sizes with the lattice and the map images recomputed from their
+definitions, and pit's verdict with a walk of evaluate over points(), with
+max_points at every block boundary and around the set's size.  A circuit
+nonzero at its first point is evaluated at that point alone.  A guard
 counts the conversions inside pit_circuit: they must not grow with the
 number of points walked, and the evaluated-Jacobian certificate of a map
 must reach elimination without converting an entry back to raw elements.
@@ -22,10 +26,12 @@ import pytest
 from _gen import map_images
 from pitkit import hitting, varmaps
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
-from pitkit.fields import FieldSpec
+from pitkit.fields import FieldSpec, block_size
 from pitkit.hitting import (
+    MAX_BLOCK,
     _adaptive_set,
     _identity_set,
+    _image_set,
     hitting_set_arbitrary_char,
     hitting_set_depth4,
     hitting_set_sparse_inputs,
@@ -33,7 +39,7 @@ from pitkit.hitting import (
     sz_grid,
 )
 from pitkit.independence import evaluated_rank, jacobian
-from pitkit.polynomials import BudgetExceeded, SparsePoly, poly_from_text
+from pitkit.polynomials import REDUCE_EVERY, BudgetExceeded, SparsePoly, poly_from_text
 from pitkit.varmaps import KroneckerMap, SearchExhausted, VandermondeMap, schedule
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -152,24 +158,68 @@ def circuits(draw, field, n):
 # -- one evaluation per circuit kind --------------------------------------------------
 
 
+def as_block(field, pts, n):
+    """The points pts (n coordinates each) as one block (cols, den)."""
+    ints, den = field.integers([v for pt in pts for v in pt])
+    return [ints[i::n] for i in range(n)], den
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @given(data=st.data())
 def test_the_integer_form_value_is_the_reference_value(field, data):
     n = data.draw(st.integers(1, 3))
     C = data.draw(circuits(field, n))
-    pt = data.draw(st.lists(elements(field), min_size=n, max_size=n))
-    want = ref_value(C, pt)
-    num, den = C._evaluate_integers(field.integers(pt))
-    assert type(num) is int and type(den) is int
-    assert field.from_integers([num], den)[0] == want
-    assert C.evaluate(pt) == want
+    pts = data.draw(st.lists(st.lists(elements(field), min_size=n, max_size=n),
+                             min_size=1, max_size=5))
+    want = [ref_value(C, pt) for pt in pts]
+    nums, den = C._evaluate_integers(as_block(field, pts, n))
+    assert all(type(v) is int for v in nums) and type(den) is int
+    assert field.from_integers(nums, den) == want
+    assert [C.evaluate(pt) for pt in pts] == want
     if field.characteristic:
-        assert den == 1 and 0 <= num < field.p
+        assert den == 1 and all(0 <= v < field.p for v in nums)
     else:
         # any common denominator, as a map image gives it, not only the least
-        ints, q = field.integers(pt)
-        num, den = C._evaluate_integers(([6 * v for v in ints], 6 * q))
-        assert Fraction(num, den) == want
+        cols, q = as_block(field, pts, n)
+        nums, den = C._evaluate_integers(([[6 * v for v in col] for col in cols], 6 * q))
+        assert [Fraction(v, den) for v in nums] == want
+
+
+def long_products(field, k):
+    """A dag node, a depth-4 row and a monomial, each a product of k
+    factors in two variables (the monomial in k)."""
+    x1, x2 = (poly_from_text(t, field, 2) for t in ("x1 + 2", "x2 + 3"))
+    dag = Circuit(field, 2, [("input", 0), ("input", 1), ("const", 3), ("add", (0, 2)),
+                             ("mul", (3, 1) * (k // 2))], 4)
+    row = Depth4Circuit(field, 2, 1, [[x1, x2] * (k // 2), [x2]])
+    monomial = SparsePoly(field, k, {(1,) * k: 5, (0,) * k: 1})
+    return dag, row, monomial
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_long_products_are_reduced_on_the_way(field):
+    """Products of more than REDUCE_EVERY factors have the reference
+    values, and over F_p no product grows past REDUCE_EVERY + 2 residues
+    (unreduced, its length would grow with every factor)."""
+    k = 3 * REDUCE_EVERY + 2
+    # -1, -2, ...: residues as long as p
+    pts = [(field.normalize(-1 - v), field.normalize(-2 - 2 * v)) for v in range(5)]
+    mono_pts = [tuple(field.normalize(-1 - j - i) for i in range(k)) for j in range(3)]
+    bits = []
+
+    def mul(a, b):
+        bits.append((a * b).bit_length())
+        return a * b
+
+    with mock.patch("pitkit.circuits.mul", mul), mock.patch("pitkit.polynomials.mul", mul):
+        dag, row, monomial = long_products(field, k)
+        for C in (dag, row):
+            want = [ref_value(C, [field.normalize(v) for v in pt]) for pt in pts]
+            assert field.from_integers(*C._evaluate_integers(as_block(field, pts, 2))) == want
+        want = [ref_poly(monomial, [field.normalize(v) for v in pt]) for pt in mono_pts]
+        assert field.from_integers(*monomial._eval_integers(as_block(field, mono_pts, k))) == want
+    if field.characteristic:
+        assert max(bits) <= (REDUCE_EVERY + 2) * field.p.bit_length()
 
 
 @pytest.mark.parametrize("pt", [(2, 3), (Fraction(1, 2), 3), (0, Fraction(-2, 3))])
@@ -184,22 +234,45 @@ def test_the_fraction_fallback_and_zero_inners(pt):
             C = ComposedCircuit(Circuit.from_poly(poly_from_text(text, Q, 3)), inners)
             want = ref_value(C, [Fraction(v) for v in pt])
             assert C.evaluate(pt) == want
-            assert Fraction(*C._evaluate_integers(Q.integers(pt))) == want
+            (num,), den = C._evaluate_integers(Q.block(pt))
+            assert Fraction(num, den) == want
 
 
-# -- one integer stream per hitting set -------------------------------------------------
+# -- one stream of blocks per hitting set ------------------------------------------------
+
+
+def schedule_of(size):
+    """The block sizes of a stream of `size` points from one map: 1, 2,
+    4, ... and then MAX_BLOCK, the last block cut."""
+    sizes, step = [], 1
+    while size > 0:
+        sizes.append(min(step, size))
+        size -= sizes[-1]
+        step = min(2 * step, MAX_BLOCK)
+    return sizes
 
 
 def stream_prefix(hs, count=400):
+    """The first count points of hs, checking that its blocks are the
+    points in the integer form."""
     pts = list(itertools.islice(hs.points(), count))
-    xs = list(itertools.islice(hs.integer_points(), count))
-    field = hs.field
-    assert pts == [tuple(field.from_integers(*x)) for x in xs]
-    for ints, den in xs:
-        assert all(type(v) is int for v in ints) and type(den) is int and den > 0
-        if field.characteristic:
-            assert den == 1 and all(0 <= v < field.p for v in ints)
+    field, xs = hs.field, []
+    for cols, den in hs.blocks():
+        assert len(cols) == hs.arity and len({len(col) for col in cols}) == 1
+        assert type(den) is int and den > 0
+        for col in cols:
+            assert all(type(v) is int for v in col)
+            if field.characteristic:
+                assert den == 1 and all(0 <= v < field.p for v in col)
+        xs.extend(tuple(field.from_integers(pt, den)) for pt in zip(*cols))
+        if len(xs) >= count:
+            break
+    assert pts == xs[:count]
     return pts
+
+
+def block_sizes(hs, count):
+    return [block_size(cols) for cols, _ in itertools.islice(hs.blocks(), count)]
 
 
 def grid(field, d):
@@ -216,7 +289,9 @@ def test_identity_and_grid_sets_are_their_lattices(field, data):
     # a field with fewer than d + 1 elements truncates the axis: the whole grid
     whole = len(axis) <= d
     assert hs.provenance["grid_truncated"] is whole
-    assert stream_prefix(hs) == ref_lattice(axis, n, None if whole else d)[:400]
+    lattice = ref_lattice(axis, n, None if whole else d)
+    assert stream_prefix(hs) == lattice[:400]
+    assert block_sizes(hs, 20) == schedule_of(len(lattice))[:20]
     values = data.draw(st.lists(elements(field), min_size=1, max_size=4, unique=True))
     bound = data.draw(st.sampled_from([None] + list(range(len(values)))))
     g = sz_grid(field, values, n, d=bound)
@@ -242,6 +317,7 @@ def test_adaptive_sets_are_the_map_images(field, data):
     lattice = ref_lattice(axis, mp.nvars_out, None if len(axis) <= d else d)
     want = [ref_image(mp, a) for a in lattice][:400]
     assert stream_prefix(hs) == want
+    assert block_sizes(hs, 20) == schedule_of(len(lattice))[:20]
     assert [mp.point_images(a) for a in lattice[:400]] == want
 
 
@@ -262,6 +338,8 @@ def test_exact_sets_are_the_images_of_every_map(field):
             if len(want) >= 400:
                 break
         assert stream_prefix(hs) == want[:400]
+        # the sizes start again at each map: no block holds two maps' images
+        assert block_sizes(hs, 40) == (schedule_of(len(lattice)) * 40)[:40]
 
 
 # -- one walk loop ---------------------------------------------------------------------
@@ -282,6 +360,21 @@ def reference_walk(C, hs, max_points):
 
 def fields_of(verdict):
     return verdict.outcome, verdict.witness, verdict.value, verdict.points_checked
+
+
+def cuts(size):
+    """max_points at 0, around every block boundary, and around the size
+    of a set of that many points."""
+    return [None, 0, 1, 2, 3, 4, 7, 8, 255, 256, 257, size - 1, size, size + 1]
+
+
+def assert_walks_agree(C, hs):
+    """pit on the blocks, and on the raw view through C.evaluate, gives the
+    point-by-point verdict at every cut."""
+    for max_points in cuts(hs.size_bound):
+        want = reference_walk(C, hs, max_points)
+        assert fields_of(hitting.pit(C, hs, max_points=max_points)) == want, max_points
+        assert fields_of(hitting.pit(C.evaluate, hs, max_points=max_points)) == want
 
 
 @st.composite
@@ -310,7 +403,7 @@ def pit_inputs(draw, field):
 @given(data=st.data())
 def test_pit_circuit_is_a_walk_of_evaluate_over_points(field, data):
     C = data.draw(pit_inputs(field))
-    max_points = data.draw(st.sampled_from([None, 1, 3, 20]))
+    max_points = data.draw(st.sampled_from([None, 0, 1, 3, 8, 20, 257]))
     walks = []
     real = hitting.pit
 
@@ -330,13 +423,90 @@ def test_pit_circuit_is_a_walk_of_evaluate_over_points(field, data):
     (oracle, hs, limit, got), = walks
     assert oracle is C and limit == max_points
     assert fields_of(got) == reference_walk(C, hs, max_points)
-    # a raw oracle walks the same points to the same verdict
-    assert fields_of(real(C.evaluate, hs, max_points=max_points)) == fields_of(got)
+    # a raw oracle walks the same points to the same verdict, at every cut
+    assert_walks_agree(C, hs)
     if verdict.outcome != "inconclusive" or got.outcome == "inconclusive":
         assert fields_of(verdict) == fields_of(got)
     else:
         # a truncated grid walked to the end proves nothing
         assert got.outcome == "zero" and verdict.points_checked == got.points_checked
+
+
+def late_circuits(field):
+    """Per circuit kind, a zero circuit and one that vanishes where x1 = 0,
+    so that on a circuit's own simplex its witness lies past the first 66
+    points, inside a block.  n = 3."""
+    x1, x2, x3 = (poly_from_text("x%d" % i, field, 3) for i in (1, 2, 3))
+    f, g = poly_from_text("x1 + 2*x2*x3", field, 3), poly_from_text("x3^2 + 1", field, 3)
+    minus = field.neg(field.one())
+    return [
+        Circuit(field, 3, [("input", 0), ("input", 1), ("const", minus), ("mul", (0, 1)),
+                           ("mul", (2, 1, 0)), ("add", (3, 4))], 5),
+        Circuit(field, 3, [("input", 0), ("input", 1), ("input", 2), ("const", 2),
+                           ("add", (2, 3)), ("mul", (0, 1, 4))], 5),
+        Depth4Circuit(field, 3, 2, [[f, g], [f.scale(minus), g]]),
+        Depth4Circuit(field, 3, 1, [[x1, x2], [x1, x2 + x3]]),
+        ComposedCircuit(Circuit.from_poly(poly_from_text("x1*x2 - x3", field, 3)), [f, g, f * g]),
+        ComposedCircuit(Circuit.from_poly(poly_from_text("x1*x2", field, 2)), [x1, x2 + x3]),
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_block_walk_is_the_point_walk_past_every_block_boundary(field):
+    """The circuit's own simplex of degree 10 in three variables (286
+    points, or the whole grid of a small field) and the images of a
+    Vandermonde map (w = 2, degree 22: 276 points), each walked with
+    max_points at every block boundary and around the set's size."""
+    sets = [_identity_set(field, 3, "sparse-char0", 3, 10),
+            _adaptive_set(VandermondeMap(field, 3, 1, 3, 2, 5, 2 if field.characteristic == 3 else 3),
+                          "sparse-char0", {}, 22)]
+    for hs in sets:
+        for C in late_circuits(field):
+            assert_walks_agree(C, hs)
+    if field.characteristic not in (2, 3):
+        assert [hs.size_bound for hs in sets] == [286, 276]
+        assert hitting.pit(late_circuits(field)[0], sets[0]).outcome == "zero"
+
+
+def test_an_exact_set_over_maps_of_different_denominators_is_walked_point_by_point():
+    # c = 1/2, 2/3 and 3: L = 2^E, 3^E and 1, so each map's blocks have
+    # their own denominator; three maps of 91 points each
+    maps = [VandermondeMap(Q, 3, 1, 3, 2, 5, c) for c in (Fraction(1, 2), Fraction(2, 3), 3)]
+    assert len({mp._integer_columns()[2] for mp in maps}) == 3
+    hs = _image_set(Q, 3, {"mode": "exact"}, lambda: iter(maps), 3, 2, 12, True)
+    assert hs.size_bound == 273
+    assert block_sizes(hs, 30) == schedule_of(91) * 3
+    assert len({den for _, den in hs.blocks()}) == 3
+    for C in late_circuits(Q):
+        assert_walks_agree(C, hs)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_a_circuit_nonzero_at_its_first_point_is_evaluated_there_alone(field):
+    """The walk starts with a block of one point: a circuit nonzero there
+    is evaluated once, on one point, and every polynomial in it too."""
+    x1, x2, x3 = (poly_from_text(t, field, 3) for t in ("x1 + 1", "x2 + 1", "x3"))
+    circuits = [Circuit.from_poly(x1 * x2 + x3),
+                Depth4Circuit(field, 3, 1, [[x1, x2], [x3]]),
+                ComposedCircuit(Circuit.from_poly(poly_from_text("x1*x2 + x3", field, 3)),
+                                [x1, x2, x3])]
+    for C in circuits:
+        sizes, poly_sizes = [], []
+        kind, real, eval_poly = type(C), type(C)._evaluate_integers, SparsePoly._eval_integers
+
+        def spy(self, block):
+            sizes.append(block_size(block[0]))
+            return real(self, block)
+
+        def poly_spy(self, block):
+            poly_sizes.append(block_size(block[0]))
+            return eval_poly(self, block)
+
+        with mock.patch.object(kind, "_evaluate_integers", spy), \
+                mock.patch.object(SparsePoly, "_eval_integers", poly_spy):
+            verdict = pit_circuit(C)
+        assert verdict.outcome == "nonzero" and verdict.points_checked == 1, kind.__name__
+        assert sizes == [1] and set(poly_sizes) <= {1}
 
 
 # -- no conversion per point --------------------------------------------------------------
