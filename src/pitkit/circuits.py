@@ -6,17 +6,22 @@ may only reference earlier nodes (validated), which keeps evaluation a single
 forward pass.  Three JSON circuit kinds round-trip bit-exactly: "dag",
 "depth4", and "composed".
 
-Every kind is a Blackbox with one evaluation, on blocks of points in the
-integer form of FieldSpec.integers: a block (cols, q) of coordinate
-columns in, a column of values (nums, den) out, so each node, term or
-factor costs one list operation per block rather than one pass per point.
-The hitting-set walk (hitting.pit) calls it on the set's stream of blocks;
-evaluate(point) is the same evaluation on a block of one point between two
-conversions.
+Every kind is a Blackbox with one evaluation, the dag's forward pass
+(Circuit._forward), on blocks of points in the integer form of
+FieldSpec.integers: a block (cols, q) of coordinate columns in, a column
+of values (nums, den) out, one list operation per node and block.  A
+composed circuit runs it, and the one expansion Circuit.expand, on its
+inner polynomials; a depth-4 circuit as the composed circuit
+sum_i prod_j y_(i,j) of its factors.  The hitting-set walk (hitting.pit)
+calls it on the set's stream of blocks; evaluate(point) is it on a block
+of one point between two conversions.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from itertools import islice
 from operator import add, mul
 
 from .fields import FieldError, FieldSpec, block_size
@@ -40,11 +45,11 @@ def _json_int(value, key):
 
 
 class Blackbox:
-    """What the three circuit kinds share: one evaluation on blocks of
+    """What the three circuit kinds share: their evaluation on blocks of
     points in the integer form of FieldSpec.integers,
     _evaluate_integers((cols, q)) -> (nums, den) with value j equal to
-    nums[j] / den, which the hitting-set walk calls, and evaluate at raw
-    points around it."""
+    nums[j] / den, which the hitting-set walk calls and which is the dag's
+    forward pass for every kind, and evaluate at raw points around it."""
 
     __slots__ = ()
 
@@ -60,7 +65,7 @@ class Blackbox:
 class Circuit(Blackbox):
     """An arithmetic circuit as a topologically ordered node list."""
 
-    __slots__ = ("field", "nvars", "nodes", "output", "_int_nodes")
+    __slots__ = ("field", "nvars", "nodes", "output")
 
     def __init__(self, field: FieldSpec, nvars: int, nodes, output: int):
         nodes = tuple(self._check_node(field, nvars, i, n) for i, n in enumerate(nodes))
@@ -70,16 +75,6 @@ class Circuit(Blackbox):
         self.nvars = nvars
         self.nodes = nodes
         self.output = output
-        # over Q, the nodes with integer consts; None when some const is
-        # not an integer (over F_p the consts are residues already)
-        if field.kind == "prime":
-            self._int_nodes = None
-        elif all(n[1].denominator == 1 for n in nodes if n[0] == "const"):
-            self._int_nodes = tuple(
-                ("const", n[1].numerator) if n[0] == "const" else n for n in nodes
-            )
-        else:
-            self._int_nodes = None
 
     @staticmethod
     def _check_node(field, nvars, i, node):
@@ -102,57 +97,59 @@ class Circuit(Blackbox):
     def _evaluate_integers(self, block):
         """The values at the points of block = (cols, q), coordinate i of
         point j being cols[i][j] / q, as (nums, den) with value j equal to
-        nums[j] / den.
-
-        One forward pass on columns: mod p over F_p (residues, q = 1), and
-        over Q on integers when q = 1 and every const is an integer; on
-        Fractions for the other rational blocks and circuits, put over
-        one denominator at the end.
-        """
+        nums[j] / den: the forward pass with every input column over q."""
         cols, q = block
-        field = self.field
-        if field.kind == "prime":
-            return self._forward(self.nodes, cols, field.p), 1
-        if q == 1 and self._int_nodes is not None:
-            return self._forward(self._int_nodes, cols, None), 1
-        return field.integers(self._forward(self.nodes, [field.from_integers(col, q)
-                                                         for col in cols], None))
+        return self._forward([(col, q) for col in cols], block_size(cols))
 
-    def _forward(self, nodes, cols, p):
-        """The forward pass over `nodes` at the input columns cols.  A
-        const stays one scalar until it meets a column, so a node costs one
-        list operation per child column, the scalar folded into the last
-        one.  Unless p is None, a node is reduced mod p once, and once more
-        after every REDUCE_EVERY child columns, so no value grows past
+    def _forward(self, columns, size):
+        """The output's values at `size` points as (nums, den), input i
+        being the column columns[i] = (nums, D) of values nums[j] / D.
+
+        One pass on integers in every field.  Each node is a column, or one
+        scalar for a const until it meets a column, over one denominator:
+        an input takes its column's, a product multiplies its children's,
+        and a sum scales each child to the lcm of its children's.  Over F_p
+        every denominator is 1, and a node is reduced mod p once, and after
+        every REDUCE_EVERY child columns, so no value grows past
         REDUCE_EVERY + 1 residues multiplied."""
-        vals = [None] * len(nodes)
-        for i, (op, arg) in enumerate(nodes):
-            if op == "input":
-                vals[i] = cols[arg]
-            elif op == "const":
-                vals[i] = arg
-            else:
-                f, unit = (add, 0) if op == "add" else (mul, 1)
-                c, acc, fresh = unit, None, 0
-                for k in arg:
-                    x = vals[k]
-                    if not isinstance(x, (list, tuple)):
-                        c = f(c, x) if p is None else f(c, x) % p
-                    elif acc is None:
-                        acc = x
-                    else:
-                        acc = list(map(f, acc, x))
-                        fresh += 1
-                        if p is not None and fresh == REDUCE_EVERY:
-                            acc, fresh = [v % p for v in acc], 0
-                if acc is None:
-                    vals[i] = c
-                    continue
+        field = self.field
+        p = field.p
+        vals = []
+        for op, arg in self.nodes:
+            if op == "input" or op == "const":
+                # a const is a residue over F_p, a Fraction over Q
+                vals.append(columns[arg] if op == "input" else (arg.numerator, arg.denominator))
+                continue
+            is_add = op == "add"
+            f, unit = (add, 0) if is_add else (mul, 1)
+            # over F_p every denominator is 1
+            den = field.common_denominator([vals[k][1] for k in arg]) if is_add and not p else 1
+            c, acc, fresh = unit, None, 0
+            for k in arg:
+                x, D = vals[k]
+                if not is_add:
+                    den *= D
+                elif D != den:
+                    # every child over den, one over 1 too
+                    scale = den // D
+                    x = x * scale if type(x) is int else map(scale.__mul__, x)
+                if type(x) is int:
+                    c = f(c, x) if p is None else f(c, x) % p
+                elif acc is None:
+                    acc = x
+                else:
+                    acc = list(map(f, acc, x))
+                    fresh += 1
+                    if p is not None and fresh == REDUCE_EVERY:
+                        acc, fresh = [v % p for v in acc], 0
+            if acc is not None:
                 if c != unit:
-                    acc = map(c.__add__ if op == "add" else c.__mul__, acc)
-                vals[i] = list(acc) if p is None else [v % p for v in acc]
-        out = vals[self.output]
-        return out if isinstance(out, (list, tuple)) else [out] * block_size(cols)
+                    acc = map(c.__add__ if is_add else c.__mul__, acc)
+                # a map is made a list, a child's list is shared
+                c = [v % p for v in acc] if p else acc if type(acc) is list else list(acc)
+            vals.append((c, den))
+        out, den = vals[self.output]
+        return ([out] * size if type(out) is int else out), den
 
     def syntactic_degree(self) -> int:
         degs = [0] * len(self.nodes)
@@ -174,8 +171,9 @@ class Circuit(Blackbox):
         coordinates have at most input_bits bits.  A product adds its
         factors' bounds; a sum of k terms adds ceil(log2 k) to their
         largest bound when every const is an integer, and to the sum of
-        their bounds otherwise (cross-multiplied denominators)."""
-        integral = self._int_nodes is not None
+        their bounds otherwise (each scaled to the lcm of the denominators,
+        which divides their product)."""
+        integral = all(arg.denominator == 1 for op, arg in self.nodes if op == "const")
         bits = [0] * len(self.nodes)
         for i, (op, arg) in enumerate(self.nodes):
             if op == "input":
@@ -191,36 +189,37 @@ class Circuit(Blackbox):
 
     def expand(self, budget: int = DEFAULT_EXPAND_BUDGET, inputs=None) -> SparsePoly:
         """Expand to a SparsePoly; raise BudgetExceeded when any intermediate
-        grows past `budget` terms (the error message says to use PIT instead).
-        Input node j is the variable x_(j+1), or the polynomial inputs[j]
-        when inputs are given; the result lives in their common ring."""
+        grows past `budget` terms (the error message says to use PIT
+        instead), checked after every child's product or sum, so a wide
+        node stops at the first one past the budget.  Input node j is the
+        variable x_(j+1), or the polynomial inputs[j] when inputs are given;
+        the result lives in their common ring."""
         field, nvars = self.field, self.nvars
         if inputs is None:
             inputs = [SparsePoly.variable(field, nvars, j) for j in range(nvars)]
         else:
             nvars = inputs[0].nvars
-        vals = [None] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            op = node[0]
-            if op == "input":
-                vals[i] = inputs[node[1]]
-            elif op == "const":
-                vals[i] = SparsePoly.constant(field, nvars, node[1])
-            elif op == "add":
-                acc = SparsePoly.zero(field, nvars)
-                for k in node[1]:
-                    acc = acc + vals[k]
-                vals[i] = acc
-            else:
-                acc = SparsePoly.one(field, nvars)
-                for k in node[1]:
-                    acc = acc * vals[k]
-                vals[i] = acc
-            if vals[i].num_terms() > budget:
+
+        def checked(poly, i):
+            if poly.num_terms() > budget:
                 raise BudgetExceeded(
                     "expansion exceeds %d terms at node %d; use PIT on the "
                     "blackbox instead" % (budget, i)
                 )
+            return poly
+
+        vals = [None] * len(self.nodes)
+        for i, (op, arg) in enumerate(self.nodes):
+            if op == "input":
+                val = inputs[arg]
+            elif op == "const":
+                val = SparsePoly.constant(field, nvars, arg)
+            else:
+                f, val = ((add, SparsePoly.zero(field, nvars)) if op == "add"
+                          else (mul, SparsePoly.one(field, nvars)))
+                for k in arg:
+                    val = checked(f(val, vals[k]), i)
+            vals[i] = checked(val, i)
         return vals[self.output]
 
     # -- construction helpers ----------------------------------------------------
@@ -290,9 +289,12 @@ class Circuit(Blackbox):
 
 
 class Depth4Circuit(Blackbox):
-    """Sum of k products of sparse polynomials of degree at most delta."""
+    """Sum of k products of sparse polynomials of degree at most delta.
+    The rows serve the structural code (gcd, simple part, rank, the map
+    search); evaluation and expansion are those of the composed circuit
+    of the factors (_composed)."""
 
-    __slots__ = ("field", "nvars", "delta", "rows")
+    __slots__ = ("field", "nvars", "delta", "rows", "_view")
 
     def __init__(self, field, nvars, delta, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -311,6 +313,7 @@ class Depth4Circuit(Blackbox):
         self.nvars = nvars
         self.delta = delta
         self.rows = rows
+        self._view = None
 
     @property
     def k(self) -> int:
@@ -324,11 +327,8 @@ class Depth4Circuit(Blackbox):
         return self.delta * self.s
 
     def term(self, i: int) -> SparsePoly:
-        """Expanded product of row i."""
-        acc = SparsePoly.one(self.field, self.nvars)
-        for f in self.rows[i]:
-            acc = acc * f
-        return acc
+        """Expanded product of row i, with no budget."""
+        return self.subcircuit([i]).expand(math.inf)
 
     def subcircuit(self, I) -> "Depth4Circuit":
         I = sorted(I)
@@ -336,47 +336,21 @@ class Depth4Circuit(Blackbox):
             raise ValueError("row subset out of range")
         return Depth4Circuit(self.field, self.nvars, self.delta, [self.rows[i] for i in I])
 
+    def _composed(self) -> "ComposedCircuit":
+        """sum_i prod_j y_(i,j) over the factors of the rows in order, built
+        on the first call."""
+        if self._view is None:
+            outer = _sum_of_products(self.field, tuple(map(len, self.rows)))
+            self._view = ComposedCircuit(outer, [f for row in self.rows for f in row])
+        return self._view
+
     def _evaluate_integers(self, block):
-        """The sums of the rows' products of the factors' values at the
-        points of block (see Blackbox), one list operation per factor and
-        row, with numerators and denominators multiplied out, not reduced
-        over Q.  Over F_p a product is reduced after every REDUCE_EVERY
-        factors, and the sum at the end."""
-        p = self.field.p
-        num, den = None, 1
-        for row in self.rows:
-            pn, pd = row[0]._eval_integers(block)
-            for j, f in enumerate(row[1:], 1):
-                fn, fd = f._eval_integers(block)
-                pn = list(map(mul, pn, fn))
-                pd *= fd
-                if p is not None and j % REDUCE_EVERY == 0:
-                    pn = [v % p for v in pn]
-            if num is None:
-                num, den = pn, pd
-            elif den == pd == 1:
-                num = list(map(add, num, pn))
-            else:
-                num, den = [u * pd + v * den for u, v in zip(num, pn)], den * pd
-        return (num if p is None else [v % p for v in num]), den
+        """The composed circuit's evaluation (see Blackbox)."""
+        return self._composed()._evaluate_integers(block)
 
     def expand(self, budget: int = DEFAULT_EXPAND_BUDGET) -> SparsePoly:
-        acc = SparsePoly.zero(self.field, self.nvars)
-        for row in self.rows:
-            prod = SparsePoly.one(self.field, self.nvars)
-            for f in row:
-                prod = prod * f
-                if prod.num_terms() > budget:
-                    raise BudgetExceeded(
-                        "expansion exceeds %d terms; use PIT on the blackbox"
-                        % budget
-                    )
-            acc = acc + prod
-            if acc.num_terms() > budget:
-                raise BudgetExceeded(
-                    "expansion exceeds %d terms; use PIT on the blackbox" % budget
-                )
-        return acc
+        """The composed circuit's expansion (Circuit.expand)."""
+        return self._composed().expand(budget)
 
     def sparse_factors(self):
         """Distinct factors, deterministic order of first appearance."""
@@ -404,6 +378,17 @@ class Depth4Circuit(Blackbox):
             [poly_from_text(t, field, nvars) for t in row] for row in obj["rows"]
         ]
         return Depth4Circuit(field, nvars, _json_int(obj["delta"], "delta"), rows)
+
+
+@lru_cache(maxsize=256)
+def _sum_of_products(field, widths) -> Circuit:
+    """The dag sum_i prod_j y_(i,j) whose row i has widths[i] inputs, the
+    inputs numbered row by row; shared by the depth-4 circuits of one shape."""
+    m = sum(widths)
+    ids = iter(range(m))
+    nodes = [("input", j) for j in range(m)] + [("mul", tuple(islice(ids, w))) for w in widths]
+    nodes.append(("add", tuple(range(m, len(nodes)))))
+    return Circuit(field, m, nodes, len(nodes) - 1)
 
 
 class ComposedCircuit(Blackbox):
@@ -441,12 +426,10 @@ class ComposedCircuit(Blackbox):
 
     def _evaluate_integers(self, block):
         """The outer circuit's values at the inner values (see Blackbox):
-        the inner columns are the outer pass's input block.  Over F_p they
-        are residues; over Q they are put over the lcm of their
-        denominators, 1 when every inner polynomial has integer values on
-        the block."""
-        inner = [f._eval_integers(block) for f in self.inputs]
-        return self.outer._evaluate_integers(self.field.block_over_one_denominator(inner))
+        each inner column (nums, D) is an input of the outer pass as it
+        is."""
+        return self.outer._forward([f._eval_integers(block) for f in self.inputs],
+                                   block_size(block[0]))
 
     def degree_bound(self) -> int:
         dmax = max((f.degree() or 0) for f in self.inputs)

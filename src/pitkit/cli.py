@@ -411,8 +411,8 @@ def _verify_pit(report, against):
     # zero / inconclusive: re-run the identical enumeration and compare
     verdict = hittingmod.pit_circuit(circ, **config)
     ok = _json_ready(verdict.to_json_dict(field)) == stored
-    if verdict.provenance == {"construction": "constant-composition"}:
-        return ok, "constant composition re-evaluated"
+    if verdict.provenance["construction"] in ("constant-composition", "constant-dag"):
+        return ok, "%s re-evaluated" % verdict.provenance["construction"].replace("-", " ")
     if not ok:
         return False, "re-run verdict differs"
     return True, "enumeration re-run to the same verdict"

@@ -168,12 +168,11 @@ class FieldSpec:
             return [N for N, _ in pairs], 1
         return [N * (den // D) for N, D in pairs], den
 
-    def block_over_one_denominator(self, columns):
-        """The columns of values nums[j] / D, given as pairs (nums, D), as
-        one block (cols, den) over the lcm of the D, not reduced: the
-        columns of over_one_denominator."""
-        den = math.lcm(*{D for _, D in columns})
-        return [nums if D == den else [v * (den // D) for v in nums] for nums, D in columns], den
+    @staticmethod
+    def common_denominator(dens):
+        """The lcm of the positive ints dens: the denominator of a sum in
+        the circuits' forward pass."""
+        return math.lcm(*set(dens))
 
     def from_integers(self, ints, den=1):
         """The raw elements ints[i] / den, the inverse of integers."""

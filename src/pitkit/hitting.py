@@ -391,9 +391,10 @@ def pit_circuit(
     """Blackbox PIT of a circuit through the construction that fits it.
 
     Depth-4 circuits use the depth-4 construction (R and conjecture_R as
-    there); one with a single row walks its own simplex in either mode.  A
-    composed circuit C(f_1, ..., f_m) first gets r0 = trdeg(f): r0 = 0
-    makes it a constant, decided by one evaluation; otherwise its
+    there); one with a single row, and a constant one (no variables, or
+    delta = 0), walks its own simplex in either mode.  A composed circuit
+    C(f_1, ..., f_m) first gets r0 = trdeg(f): r0 = 0 makes it a
+    constant, decided by one evaluation; otherwise its
     points come from the sparse-input (Vandermonde) construction when a
     Vandermonde reduction applies, else from the any-characteristic
     (Kronecker) one.  Exact mode walks the closed-form hitting set.
@@ -404,7 +405,8 @@ def pit_circuit(
     "map": "identity" in the provenance.  Otherwise it searches one map
     certified for this circuit (the searches start from the trdeg
     certificate) and walks its images.  A plain dag runs over the simplex
-    of the grid sized to its syntactic degree, in either mode.
+    of the grid sized to its syntactic degree, in either mode; one with no
+    variables is a constant, decided by one evaluation.
 
     A grid too small for the degree (truncated to a small field, or a dag
     grid without its degree bound) cannot see every nonzero polynomial, so
@@ -417,10 +419,11 @@ def pit_circuit(
     exact = mode == "exact"
     field, n = circ.field, circ.nvars
     if isinstance(circ, Depth4Circuit):
-        if circ.k == 1:
-            # one row, a product of nonzero factors: no depth-4 family has
-            # k = 1, and no map can do better than the circuit's own simplex
-            hs = _identity_set(field, n, "depth4", n, circ.degree_bound(), mode)
+        if circ.k == 1 or not (n and circ.delta):
+            # one row, a product of nonzero factors, or a constant: no
+            # depth-4 family has k = 1, n = 0 or delta = 0, and no map can
+            # do better than the circuit's own simplex (one point if constant)
+            hs = _identity_set(field, n, "depth4", n, circ.degree_bound() if n else 0, mode)
         elif exact:
             hs = hitting_set_depth4(field, n, circ.delta, circ.k, circ.s, R=R,
                                     conjecture_R=conjecture_R)
@@ -439,12 +442,7 @@ def pit_circuit(
         input_cert = trdeg(inputs, mode="auto")
         r0 = input_cert.r
         if r0 == 0:
-            point = tuple(field.zero() for _ in range(n))
-            value = field.normalize(circ.evaluate(point))
-            provenance = {"construction": "constant-composition"}
-            if field.is_zero(value):
-                return PitVerdict("zero", None, None, 1, "certified", provenance)
-            return PitVerdict("nonzero", point, value, 1, "certified", provenance)
+            return _constant_verdict(circ, "constant-composition")
         delta, ell = family_sizes(inputs)
         d = max(1, circ.degree_bound())
         sparse = vandermonde_applies(field, delta, r0)
@@ -477,6 +475,8 @@ def pit_circuit(
                 raise BudgetExceeded(
                     "dag values may exceed the limit of %d bits" % MAX_VALUE_BITS
                 )
+        if n == 0:
+            return _constant_verdict(circ, "constant-dag")
         values, deg = _grid_values(field, d)
         hs = sz_grid(field, values, n, d=deg)
         truncated = deg is None
@@ -486,6 +486,18 @@ def pit_circuit(
             "inconclusive", None, None, verdict.points_checked, hs.guarantee, hs.provenance
         )
     return verdict
+
+
+def _constant_verdict(circ, construction):
+    """The certified verdict on a circuit that is a constant: its one value,
+    at the origin."""
+    field = circ.field
+    point = tuple(field.zero() for _ in range(circ.nvars))
+    value = field.normalize(circ.evaluate(point))
+    provenance = {"construction": construction}
+    if field.is_zero(value):
+        return PitVerdict("zero", None, None, 1, "certified", provenance)
+    return PitVerdict("nonzero", point, value, 1, "certified", provenance)
 
 
 def bad_prime_census(f, primes):

@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -98,6 +99,25 @@ def test_expand_budget():
     assert cube.expand(10) == P("x1 + x2 + 1", 2) ** 3
     with pytest.raises(BudgetExceeded):
         cube.expand(5)
+
+
+def test_expand_stops_at_the_first_child_past_the_budget():
+    # one node, the product of 14 copies of x1 + ... + x6: its j-th power has
+    # comb(j + 5, 5) terms, past 1000 first at j = 8, the 8th product
+    n = 6
+    nodes = [("input", j) for j in range(n)] + [("add", tuple(range(n))), ("mul", (n,) * 14)]
+    C = Circuit(F101, n, nodes, n + 1)
+    products = []
+    real = SparsePoly.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return real(self, other)
+
+    with mock.patch.object(SparsePoly, "__mul__", counting):
+        with pytest.raises(BudgetExceeded):
+            C.expand(1000)
+    assert len(products) == 8
 
 
 def test_depth4_shape():

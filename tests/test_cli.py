@@ -125,6 +125,54 @@ def test_pit_one_row_depth4_walks_its_own_simplex(tmp_path, capsys, mode):
     assert run(capsys, ["verify", report, "--against", path])[0] == 0
 
 
+CONSTANT_DEPTH4 = [
+    ({"kind": "rational"}, 2, 0, [["2"], ["-2"]], 0),
+    ({"kind": "rational"}, 2, 0, [["2"], ["1/2"]], 1),
+    ({"kind": "prime", "p": 101}, 0, 2, [["2", "3"], ["-6"]], 0),
+    ({"kind": "prime", "p": 101}, 0, 2, [["2"], ["5"]], 1),
+    ({"kind": "prime", "p": 2}, 0, 3, [["1"], ["1"]], 0),
+]
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "exact"])
+@pytest.mark.parametrize("field, nvars, delta, rows, want", CONSTANT_DEPTH4)
+def test_pit_constant_depth4_walks_its_one_point(tmp_path, capsys, mode, field, nvars,
+                                                  delta, rows, want):
+    # these circuits (k >= 2, no variables or delta = 0) once exited 4
+    # ("need n >= 1 and delta >= 1")
+    circ = {"kind": "depth4", "field": field, "nvars": nvars, "delta": delta, "rows": rows}
+    path = dump(tmp_path, "const.json", circ)
+    code, out, _ = run(capsys, ["pit", path, "--mode", mode])
+    verdict = json.loads(out)["verdict"]
+    assert code == want and verdict["outcome"] == ("zero", "nonzero")[want]
+    assert verdict["guarantee"] == "certified" and verdict["points_checked"] == 1
+    assert verdict["provenance"]["map"] == "identity"
+    report = dump(tmp_path, "report.json", out)
+    assert run(capsys, ["verify", report, "--against", path])[0] == 0
+
+
+@pytest.mark.parametrize("field, half, quarter", [({"kind": "rational"}, "1/2", "1/4"),
+                                                  ({"kind": "prime", "p": 101}, 51, 76)])
+def test_pit_answers_a_dag_of_no_variables(tmp_path, capsys, field, half, quarter):
+    # once exited 4 ("r must be at least 1"); half and quarter are 1/2 and
+    # 1/4 in the field
+    consts = [{"op": "const", "value": half}, {"op": "const", "value": -1}]
+    for last, want in ((["add", [0, 0, 1]], 0), (["mul", [0, 0]], 1)):
+        circ = {"kind": "dag", "field": field, "nvars": 0, "output": 2,
+                "nodes": consts + [{"op": last[0], "args": last[1]}]}
+        path = dump(tmp_path, "const.json", circ)
+        code, out, _ = run(capsys, ["pit", path])
+        verdict = json.loads(out)["verdict"]
+        assert code == want and verdict["points_checked"] == 1
+        assert verdict["guarantee"] == "certified"
+        assert verdict["provenance"] == {"construction": "constant-dag"}
+        if want:
+            assert verdict["witness"] == [] and verdict["value"] == quarter
+        report = dump(tmp_path, "report.json", out)
+        code, out, _ = run(capsys, ["verify", report, "--against", path])
+        assert code == 0 and json.loads(out)["verified"]
+
+
 def test_trdeg_report(tmp_path, capsys):
     path = dump(tmp_path, "tight.json", TIGHT_FAMILY)
     code, out, _ = run(capsys, ["trdeg", path])

@@ -73,7 +73,8 @@ def test_from_integers_divides_by_den_over_a_prime_field(field):
 
 SRC = pathlib.Path(pitkit.__file__).parent
 REMOVED = {"_prepare_point", "_numerators", "_integer_rows", "_eval_prepared",
-           "kernel_of_integer_rows", "echelon", "_on_line", "_convolve", "images"}
+           "kernel_of_integer_rows", "echelon", "_on_line", "_convolve", "images",
+           "block_over_one_denominator", "_int_nodes"}
 
 
 def _names(tree):
@@ -90,6 +91,14 @@ def test_only_fields_takes_a_common_denominator():
     users = {path.name for path in SRC.glob("*.py")
              if "lcm" in set(_names(ast.parse(path.read_text())))}
     assert users == {"fields.py"}
+
+
+def test_circuits_name_no_fraction():
+    """Every circuit kind evaluates through the dag's forward pass on
+    integers: circuits.py has no Fraction to build a second evaluation on."""
+    tree = ast.parse((SRC / "circuits.py").read_text())
+    names = set(_names(tree)) | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "Fraction" not in names
 
 
 def test_no_module_uses_a_second_conversion():

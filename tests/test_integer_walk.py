@@ -122,9 +122,11 @@ def elements(field):
                      st.fractions(min_value=-9, max_value=9, max_denominator=6))
 
 
-def polys(field, n, max_terms=3, max_deg=2, nonzero=False):
+def polys(field, n, max_terms=3, max_deg=2, nonzero=False, coefficients=None):
     exps = st.tuples(*[st.integers(0, max_deg)] * n).filter(lambda e: sum(e) <= max_deg)
-    terms = st.dictionaries(exps, elements(field), min_size=int(nonzero), max_size=max_terms)
+    if coefficients is None:
+        coefficients = elements(field)
+    terms = st.dictionaries(exps, coefficients, min_size=int(nonzero), max_size=max_terms)
     made = terms.map(lambda t: SparsePoly(field, n, t))
     return made.filter(bool) if nonzero else made
 
@@ -139,14 +141,39 @@ def dags(draw, field, n, max_gates=4):
 
 
 @st.composite
+def mixed_sums(draw, field, n):
+    """A composed circuit whose outer sums mix a column over 1 (an inner
+    with integer coefficients, at integer points), a const (a fraction over
+    Q) and a column over q > 1 (an inner with a coefficient 1/q), and a
+    product of such a sum with a column."""
+    whole = draw(polys(field, n, nonzero=True,
+                       coefficients=st.integers(-9, 9).map(field.normalize)))
+    if field.characteristic:
+        part = draw(elements(field))
+    else:
+        part = Fraction(1, draw(st.integers(2, 6)))
+    part = draw(polys(field, n)) + SparsePoly.constant(field, n, part)
+    const = draw(elements(field))
+    nodes = [("input", 0), ("input", 1), ("const", const), ("add", (0, 2, 1)),
+             ("mul", (3, 1)), ("add", (4, 0, 2))]
+    return ComposedCircuit(Circuit(field, 2, nodes, 5), [whole, part])
+
+
+@st.composite
 def circuits(draw, field, n):
-    kind = draw(st.sampled_from(("dag", "depth4", "composed")))
+    kind = draw(st.sampled_from(("dag", "depth4", "composed", "mixed")))
     if kind == "dag":
         return draw(dags(field, n))
     if kind == "depth4":
-        rows = draw(st.lists(st.lists(polys(field, n, nonzero=True), min_size=1, max_size=2),
-                             min_size=1, max_size=3))
+        # rows share factor objects, and some are longer than REDUCE_EVERY
+        pool = draw(st.lists(polys(field, n, nonzero=True), min_size=1, max_size=3))
+        widths = st.sampled_from((1, 2, REDUCE_EVERY + 2))
+        rows = draw(st.lists(widths.flatmap(
+            lambda s: st.lists(st.sampled_from(pool), min_size=s, max_size=s)),
+            min_size=1, max_size=3))
         return Depth4Circuit(field, n, 2, rows)
+    if kind == "mixed":
+        return draw(mixed_sums(field, n))
     m = draw(st.integers(1, 3))
     # zero inners allowed; the outer is a polynomial or a dag, with
     # non-integer consts over Q
@@ -223,7 +250,7 @@ def test_long_products_are_reduced_on_the_way(field):
 
 
 @pytest.mark.parametrize("pt", [(2, 3), (Fraction(1, 2), 3), (0, Fraction(-2, 3))])
-def test_the_fraction_fallback_and_zero_inners(pt):
+def test_rational_consts_and_inners_and_zero_inners(pt):
     """Over Q: an outer with non-integer consts, a zero inner, and inners
     with rational coefficients, at integer and rational points."""
     f = poly_from_text("1/2*x1^2 - x2", Q, 2)
