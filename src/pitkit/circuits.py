@@ -165,15 +165,17 @@ class Circuit(Blackbox):
                 degs[i] = sum(degs[k] for k in node[1])
         return degs[self.output]
 
-    def value_bits(self, input_bits: int) -> int:
+    def value_bits(self, input_bits: int, integral_inputs: bool = True) -> int:
         """Over Q, a bound on the bit length of every numerator and
-        denominator the forward pass meets at an integer point whose
-        coordinates have at most input_bits bits.  A product adds its
+        denominator the forward pass meets at a point whose coordinates
+        have at most input_bits bits, in numerator and denominator, and are
+        integers unless integral_inputs is False.  A product adds its
         factors' bounds; a sum of k terms adds ceil(log2 k) to their
-        largest bound when every const is an integer, and to the sum of
-        their bounds otherwise (each scaled to the lcm of the denominators,
-        which divides their product)."""
-        integral = all(arg.denominator == 1 for op, arg in self.nodes if op == "const")
+        largest bound when every const and input is an integer, and to the
+        sum of their bounds otherwise (each scaled to the lcm of the
+        denominators, which divides their product)."""
+        integral = integral_inputs and all(
+            arg.denominator == 1 for op, arg in self.nodes if op == "const")
         bits = [0] * len(self.nodes)
         for i, (op, arg) in enumerate(self.nodes):
             if op == "input":

@@ -24,7 +24,7 @@ from .polynomials import (
     normalize_monic,
     substitution,
 )
-from .varmaps import (SearchExhausted, VandermondeMap, first_certified, schedule,
+from .varmaps import (SearchExhausted, VandermondeMap, first_certified, merging_map, schedule,
                       vandermonde_candidates, vandermonde_exponents)
 
 
@@ -313,9 +313,9 @@ def _common_factors(sim, image):
 
 class _Merge:
     """sigma_p, the map of one prime p that merges the variables with equal
-    rows in vandermonde_exponents: x_i -> y_cls(i), q classes, reps[j] the
-    first variable of class j.  killed: sigma_p sends a factor of C to 0.
-    shared: the nonconstant common factors that the criterion of
+    rows in vandermonde_exponents (varmaps.merging_map): x_i -> y_cls(i),
+    q classes, reps[j] the first variable of class j.  killed: sigma_p
+    sends a factor of C to 0.  shared: the nonconstant common factors that the criterion of
     verify_simple_preservation carries to the end on the images sigma_p(f)
     of some simple part (_common_factors).  V_p, the verdict of sigma_p,
     passes iff neither.
@@ -348,14 +348,12 @@ def _merge(C, sims, table):
     """The _Merge of the exponent table of one prime, for C and the simple
     parts sims of its subcircuits.  At q = n, sigma_p only renames the
     variables, so it kills no factor and keeps every simple part."""
-    first = {}
-    cls = [first.setdefault(tuple(row), len(first)) for row in table]
-    q = len(first)
+    cls, sigma = merging_map(C.field, table)
+    q = max(cls) + 1
     reps = tuple(cls.index(j) for j in range(q))
-    if q == C.nvars:
+    if sigma is None:
         return _Merge(q, reps, False, ())
-    units = [tuple(int(t == j) for t in range(q)) for j in range(q)]
-    sigma = _memo(substitution(C.field, q, [{units[j]: 1} for j in cls], 1))
+    sigma = _memo(sigma)
     if any(sigma(f).is_zero for row in C.rows for f in row):
         return _Merge(q, reps, True, ())
     return _Merge(q, reps, False, tuple(G for sim in sims for G in _common_factors(sim, sigma)))

@@ -17,6 +17,23 @@ from fractions import Fraction
 
 from .primes import is_prime
 
+
+def int_to_text(v: int) -> str:
+    """str(v), or hex(v) ("0x...", "-0x..." if negative) when v is too long
+    for Python's decimal conversion (int_max_str_digits, 4300 digits by
+    default): the rule for every integer of a report (README)."""
+    try:
+        return str(v)
+    except ValueError:
+        return hex(v)
+
+
+def int_from_text(text: str) -> int:
+    """The int that int_to_text wrote as text; ValueError for any other
+    text, a decimal past Python's limit included."""
+    return int(text, 16) if "x" in text else int(text)
+
+
 # Mersenne prime 2^61 - 1; the default "62-bit class" working field.
 DEFAULT_PRIME = (1 << 61) - 1
 
@@ -217,13 +234,14 @@ class FieldSpec:
         raise FieldError("unknown field kind %r" % (obj["kind"],))
 
     def scalar_to_json(self, v):
-        """Raw element -> JSON value (int, or "num/den" string for rationals)."""
+        """Raw element -> JSON value (int, or "num/den" string for
+        rationals, each part written by int_to_text)."""
         if self.kind == "prime":
             return v
         v = self.normalize(v)
         if v.denominator == 1:
-            return str(v.numerator)
-        return "%d/%d" % (v.numerator, v.denominator)
+            return int_to_text(v.numerator)
+        return "%s/%s" % (int_to_text(v.numerator), int_to_text(v.denominator))
 
     def scalar_from_json(self, obj):
         if self.kind == "prime":
@@ -234,6 +252,9 @@ class FieldSpec:
             return Fraction(obj)
         if isinstance(obj, str):
             try:
+                if "0x" in obj:
+                    num, sep, den = obj.partition("/")
+                    return Fraction(int_from_text(num), int_from_text(den) if sep else 1)
                 return Fraction(obj)
             except (ValueError, ZeroDivisionError) as e:
                 raise FieldError("bad rational scalar %r: %s" % (obj, e))

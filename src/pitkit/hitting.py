@@ -412,7 +412,9 @@ def pit_circuit(
     grid without its degree bound) cannot see every nonzero polynomial, so
     exhausting it answers "inconclusive", not "zero".  A dag whose grid
     axis or whose values over Q would exceed MAX_GRID_AXIS or
-    MAX_VALUE_BITS raises BudgetExceeded before any evaluation.
+    MAX_VALUE_BITS raises BudgetExceeded before any evaluation, and so
+    does a composed circuit of trdeg 0 whose outer dag's values at its
+    constant inners could exceed MAX_VALUE_BITS.
     """
     if mode not in ("adaptive", "exact"):
         raise ValueError("mode must be 'exact' or 'adaptive'")
@@ -442,6 +444,12 @@ def pit_circuit(
         input_cert = trdeg(inputs, mode="auto")
         r0 = input_cert.r
         if r0 == 0:
+            if field.kind == "rational":
+                # every inner is a constant, an input of the outer dag
+                consts = [f.constant_term() for f in inputs]
+                bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                           for c in consts)
+                _check_value_bits(circ.outer, bits, all(c.denominator == 1 for c in consts))
             return _constant_verdict(circ, "constant-composition")
         delta, ell = family_sizes(inputs)
         d = max(1, circ.degree_bound())
@@ -470,11 +478,7 @@ def pit_circuit(
         d = max(1, circ.syntactic_degree())
         if field.kind == "rational":
             # the grid's largest coordinate is d
-            bits = circ.value_bits(d.bit_length())
-            if bits > MAX_VALUE_BITS:
-                raise BudgetExceeded(
-                    "dag values may exceed the limit of %d bits" % MAX_VALUE_BITS
-                )
+            _check_value_bits(circ, d.bit_length())
         if n == 0:
             return _constant_verdict(circ, "constant-dag")
         values, deg = _grid_values(field, d)
@@ -486,6 +490,13 @@ def pit_circuit(
             "inconclusive", None, None, verdict.points_checked, hs.guarantee, hs.provenance
         )
     return verdict
+
+
+def _check_value_bits(dag, input_bits, integral_inputs=True):
+    """Over Q, refuse a dag whose values at inputs of input_bits bits
+    (Circuit.value_bits) may exceed MAX_VALUE_BITS, before any evaluation."""
+    if dag.value_bits(input_bits, integral_inputs) > MAX_VALUE_BITS:
+        raise BudgetExceeded("dag values may exceed the limit of %d bits" % MAX_VALUE_BITS)
 
 
 def _constant_verdict(circ, construction):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul
 
-from .fields import FieldError, FieldSpec, block_size
+from .fields import FieldError, FieldSpec, block_size, int_from_text
 
 
 class ExactDivisionError(ArithmeticError):
@@ -684,18 +684,23 @@ def gcd_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 
 # The grammar is regular: a text splits at its signs into terms and each
 # term at '*' into factors.  A factor, stripped, is num, num/den, a
-# variable, or variable^exp; no two quantifiers here can match the same
-# characters, so one fullmatch takes time linear in the factor.
+# variable, or variable^exp, where num and den are decimal, or hexadecimal
+# "0x..." as fields.int_to_text writes an integer too long for decimal.
+# No two quantifiers in sequence can match the same characters, and a
+# hexadecimal number is tried only after the decimal form stops at its
+# 'x', so one fullmatch takes time linear in the factor.
 _SIGN_RE = re.compile(r"([+-])")
-_FACTOR_RE = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([a-z]\d*)(?:\s*\^\s*(\d+))?")
+_FACTOR_RE = re.compile(
+    r"(\d+|0x[0-9a-f]+)(?:\s*/\s*(\d+|0x[0-9a-f]+))?|([a-z]\d*)(?:\s*\^\s*(\d+))?")
 
 
 def _number(digits: str) -> int:
-    """int(digits) for a run of decimal digits; a ParseError, not
-    Python's ValueError, past its limit on the length of an integer string
-    (sys.get_int_max_str_digits(), 4300 by default)."""
+    """The int of a number token, decimal or "0x..." (fields.int_from_text);
+    a ParseError, not Python's ValueError, for a decimal past its limit on
+    the length of an integer string (sys.get_int_max_str_digits(), 4300 by
+    default)."""
     try:
-        return int(digits)
+        return int_from_text(digits)
     except ValueError:
         raise ParseError("a number of %d digits is too long" % len(digits)) from None
 
@@ -704,10 +709,12 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int) -> SparsePoly:
     """Parse the canonical text format into a SparsePoly.
 
     Grammar: sign? term (('+'|'-') term)*, term = factor ('*' factor)*,
-    factor = integer ('/' integer)? | variable ('^' integer)?.  Integer
-    coefficients are reduced into the field; num/den fractions are accepted
-    so canonical rational output round-trips.  Every malformed text,
-    a number too long for int() included, raises ParseError.
+    factor = number ('/' number)? | variable ('^' integer)?, where a number
+    is an integer in decimal or, as poly_to_text writes one too long for
+    decimal, in hexadecimal "0x...".  Integer coefficients are reduced into
+    the field; num/den fractions are accepted so canonical rational output
+    round-trips.  Every malformed text, a decimal number too long for int()
+    included, raises ParseError.
     """
     # split first: a text that is not a str raises TypeError, which the CLI
     # reports as malformed input

@@ -24,7 +24,10 @@ ranges.  A candidate whose linear rank is below the target cannot keep it
 and is rejected before any point is evaluated (AffineMap.affine_summary);
 a prime at which no c can reach the target is skipped whole
 (vandermonde_candidates, the one enumerator of Vandermonde maps;
-kronecker_candidates is its counterpart for Kronecker maps).
+kronecker_candidates is its counterpart for Kronecker maps).  At a prime
+where equal exponent rows merge variables, every Vandermonde map factors
+through the merging map sigma_p (merging_map), and a faithful search
+rejects the rest of the prime once sigma_p loses the trdeg (_sigma_dooms).
 ParamSchedule packages the closed-form parameter sizes of each family and
 enumerates its maps (ParamSchedule.maps), unscreened, behind the exact
 hitting sets and the exact searches; the integers are astronomically large
@@ -36,13 +39,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from functools import partial
 from operator import add, mul
 
 from . import linalg
 from .fields import FieldError, FieldSpec
-from .independence import (POINT_BOUND, check_value_bits, evaluated_certificate,
-                           evaluated_rank, jacobian, trdeg)
+from .independence import (POINT_BOUND, _random_point, _subseed, check_value_bits,
+                           evaluated_certificate, evaluated_rank, jacobian, trdeg)
 from .polynomials import BudgetExceeded, SparsePoly, substitution
 from .primes import iter_primes
 
@@ -445,6 +449,24 @@ def vandermonde_exponents(n: int, r: int, D1: int, D2: int, p: int):
             for i in range(1, n + 1)]
 
 
+def merging_map(field: FieldSpec, table):
+    """sigma_p for the exponent table of one prime p (vandermonde_exponents):
+    the map x_i -> y_cls(i) that merges the variables of equal rows, as
+    (cls, sigma).  cls numbers the q classes in the order of their first
+    variables, and sigma is the polynomials.substitution of the map, into
+    F[y_0..y_(q-1)], or None at q = n, where sigma_p only renames the
+    variables.  Equal rows give equal affine forms for every c, so every
+    VandermondeMap at p is psi_(p,c) = tau_c o sigma_p, with tau_c: y_j ->
+    the form of class j (README, "How candidates are screened")."""
+    first = {}
+    cls = [first.setdefault(tuple(row), len(first)) for row in table]
+    q = len(first)
+    if q == len(cls):
+        return cls, None
+    units = [tuple(int(t == j) for t in range(q)) for j in range(q)]
+    return cls, substitution(field, q, [{units[j]: 1} for j in cls], 1)
+
+
 def generic_linear_rank(n: int, r: int, D1: int, D2: int, p: int) -> int:
     """The rank of the linear part M of a VandermondeMap at prime p over
     Q(c), c an indeterminate: an upper bound on the linear rank
@@ -642,7 +664,7 @@ def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
     return ch == 0 or ch > delta ** max(1, r)
 
 
-def _certify(fs, J, mp, r0: int, seed: int):
+def _certify(fs, J, mp, r0: int, seed: int, doomed=None):
     """The image certificate of trdeg r0 for the candidate mp, or None.
 
     J = jacobian(fs).  A candidate whose linear rank k (see
@@ -657,7 +679,15 @@ def _certify(fs, J, mp, r0: int, seed: int):
     r0 at a random point with overwhelming probability; over a small field
     the symbolic trdeg of the images decides, and only there are the
     images mp(f) built.
+
+    doomed, given by a Vandermonde search, maps each prime screened so far
+    to whether sigma_p proves that no map there keeps r0 (_sigma_dooms).
+    A candidate at a doomed prime is rejected at once.  A prime is
+    screened at its first big-field miss, so a search that wins at its
+    first candidate there pays nothing for it.
     """
+    if doomed is not None and doomed.get(mp.p):
+        return None
     if mp.affine_summary()[0] < r0:
         return None
     field = mp.field
@@ -666,11 +696,48 @@ def _certify(fs, J, mp, r0: int, seed: int):
         return evaluated_certificate(field, rho, pivot_rows, pt)
     ch = field.characteristic
     if ch == 0 or ch >= (1 << 20):
+        if doomed is not None and mp.p not in doomed:
+            doomed[mp.p] = _sigma_dooms(fs, J, mp, r0, seed)
         return None
     cert = trdeg([mp.apply(f) for f in fs], mode="auto")
     if cert.exact and cert.r == r0:
         return cert
     return None
+
+
+def _sigma_dooms(fs, J, mp, r0: int, seed: int) -> bool:
+    """Does sigma_p (merging_map) prove that no VandermondeMap at the prime
+    p of mp keeps trdeg r0 of fs?  J = jacobian(fs).
+
+    Every psi at p is tau_c o sigma_p, and a ring map cannot raise trdeg,
+    so trdeg sigma_p(f) < r0 dooms every c.  At q = n, sigma_p only renames
+    the variables, and the prime passes.  Otherwise the chain rule comes
+    first, at one seeded y: J(f o sigma_p)(y) = J_f(sigma_p(y)) S, with S
+    summing the columns of each class, one evaluation of J.  Its rank is
+    at most trdeg sigma_p(f) in every characteristic, so a rank of r0
+    proves the prime is not doomed.  Only then are the images sigma_p(f)
+    built, and the prime is doomed iff their symbolic Jacobian rank is
+    exact and below r0 (trdeg, mode "jacobian"; images that are all
+    constant have rank 0).
+    """
+    field = mp.field
+    cls, sigma = merging_map(field, mp._exponents())
+    if sigma is None:
+        return False
+    q = max(cls) + 1
+    y = _random_point(field, random.Random(_subseed(seed, 6)), q)
+    rows, _ = linalg.eval_matrix(J, field.integers([y[j] for j in cls]))
+    merged = [[0] * q for _ in rows]
+    for row, out in zip(rows, merged):
+        for v, j in zip(row, cls):
+            out[j] += v
+    p = field.characteristic
+    if p:
+        merged = [[v % p for v in row] for row in merged]
+    if linalg.rank(merged, p)[0] >= r0:
+        return False
+    cert = trdeg([sigma(f) for f in fs], mode="jacobian")
+    return cert.exact and cert.r < r0
 
 
 def _search_start(fs, r, mode, input_cert):
@@ -720,11 +787,12 @@ def first_certified(maps, certify, name, p_max):
     )
 
 
-def _first_faithful(fs, maps, input_cert, seed, name, p_max):
-    """The first candidate map whose images keep the input trdeg."""
+def _first_faithful(fs, maps, input_cert, seed, name, p_max, doomed=None):
+    """The first candidate map whose images keep the input trdeg; doomed
+    as in _certify."""
     J = jacobian(fs)
     mp, cert, tried = first_certified(
-        maps, lambda mp: _certify(fs, J, mp, input_cert.r, seed), name, p_max
+        maps, lambda mp: _certify(fs, J, mp, input_cert.r, seed, doomed), name, p_max
     )
     return FaithfulResult(mp, input_cert, cert, tried)
 
@@ -768,7 +836,13 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     faithfulness argument allows; exact mode walks the closed-form family,
     schedule("sparse-char0", ...).maps(field, n).  Both skip, and count,
     every prime whose generic linear rank is below the input trdeg (see
-    vandermonde_candidates).  Raises SearchExhausted
+    vandermonde_candidates).  Both reject at once, and count, every
+    candidate at a prime where sigma_p, the map that merges the variables
+    of equal exponent rows, sends the inputs to a family of trdeg below the
+    input trdeg: every map there factors through sigma_p, so none keeps
+    it.  A prime is screened so at its first candidate that misses on the
+    evaluated rank over a big field (_certify, _sigma_dooms), and the
+    verdict is kept for this search only.  Raises SearchExhausted
     past the p bound, or over F_2 past p = 2 (see first_certified).
     Over Q it raises BudgetExceeded, before any candidate, when delta
     times the bits of a seeded point coordinate exceeds MAX_VALUE_BITS:
@@ -794,4 +868,5 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     else:
         D1 = max(delta * r + 1, (n + 1) ** (r + 1))
         maps = vandermonde_candidates(field, n, r, D1, 2, sched.p_max, 0, delta * r, r0)
-    return _first_faithful(fs, maps, input_cert, seed, "Vandermonde", sched.p_max)
+    # sigma_p's verdicts, kept for this search only
+    return _first_faithful(fs, maps, input_cert, seed, "Vandermonde", sched.p_max, {})

@@ -173,6 +173,69 @@ def test_pit_answers_a_dag_of_no_variables(tmp_path, capsys, field, half, quarte
         assert code == 0 and json.loads(out)["verified"]
 
 
+def _squarings(nodes, k):
+    """The dag nodes followed by k squarings of the last one."""
+    nodes = list(nodes)
+    for _ in range(k):
+        nodes.append({"op": "mul", "args": [len(nodes) - 1] * 2})
+    return nodes
+
+
+def test_a_rational_too_long_for_decimal_is_written_in_hex(tmp_path, capsys):
+    # both once exited 4: "Exceeds the limit (4300 digits) for integer
+    # string conversion".  (x1 + 2)^(2^14) is nonzero at x1 = 0, where it is
+    # 2^16384, of 4,933 digits
+    nodes = _squarings([{"op": "input", "var": 0}, {"op": "const", "value": "2"},
+                        {"op": "add", "args": [0, 1]}], 14)
+    dag = dump(tmp_path, "dag.json", {"kind": "dag", "field": {"kind": "rational"}, "nvars": 1,
+                                      "nodes": nodes, "output": len(nodes) - 1})
+    # f^2 for f = 77...7 x1 + 1, 3,000 sevens, has a coefficient of 6,000 digits
+    f = "7" * 3000 + "*x1 + 1"
+    d4 = dump(tmp_path, "d4.json", {"kind": "depth4", "field": {"kind": "rational"}, "nvars": 2,
+                                    "delta": 1, "rows": [[f, f], ["x2", "x2 + 1"]]})
+    code, out, _ = run(capsys, ["pit", dag])
+    assert code == 1 and json.loads(out)["verdict"]["value"] == hex(2 ** 16384)
+    pit_report = dump(tmp_path, "pit.json", out)
+    code, out, _ = run(capsys, ["depth4", d4])
+    sevens = int("7" * 3000)
+    assert code == 0 and json.loads(out)["simple"][0][0] == "%s*x1 + %d" % (hex(sevens ** 2), sevens)
+    depth4_report = dump(tmp_path, "depth4.json", out)
+    for report, against in ((pit_report, dag), (depth4_report, d4)):
+        code, out, _ = run(capsys, ["verify", report, "--against", against])
+        assert code == 0 and json.loads(out)["verified"]
+
+
+def test_a_constant_composition_is_bounded_before_it_is_evaluated(tmp_path, capsys):
+    # k squarings of the one input, composed with the constant inner 2: the
+    # value 2^(2^k) was computed in full at any k (k = 22 answered with
+    # 4,194,305 bits); now the outer dag is bounded at its inputs, as a dag is
+    def composition(k, inputs=("2",)):
+        # k squarings of the sum of the inputs
+        nodes = [{"op": "input", "var": j} for j in range(len(inputs))]
+        if len(inputs) > 1:
+            nodes.append({"op": "add", "args": list(range(len(inputs)))})
+        nodes = _squarings(nodes, k)
+        return dump(tmp_path, "comp%d.json" % k, {
+            "kind": "composed", "field": {"kind": "rational"}, "nvars": 2, "inputs": list(inputs),
+            "outer": {"nvars": len(inputs), "nodes": nodes, "output": len(nodes) - 1}})
+
+    # the sum of 1/3, 1/5, ..., 1/23 has a denominator of 27 bits, and 16
+    # squarings of it 27 * 2^16 > 2^20 bits: rational inputs are bounded as
+    # rational consts are, by the sum of their bounds
+    fractions = ["1/%d" % q for q in (3, 5, 7, 11, 13, 17, 19, 23)]
+    for path in (composition(22), composition(16, fractions)):
+        code, out, err = run(capsys, ["pit", path])
+        assert (code, out) == (4, "")
+        assert "dag values may exceed the limit of 1048576 bits" in json.loads(err)["error"]
+    path = composition(3)
+    code, out, _ = run(capsys, ["pit", path])
+    verdict = json.loads(out)["verdict"]
+    assert code == 1 and verdict["value"] == "256"
+    assert verdict["provenance"] == {"construction": "constant-composition"}
+    code, out, _ = run(capsys, ["verify", dump(tmp_path, "report.json", out), "--against", path])
+    assert code == 0 and json.loads(out)["verified"]
+
+
 def test_trdeg_report(tmp_path, capsys):
     path = dump(tmp_path, "tight.json", TIGHT_FAMILY)
     code, out, _ = run(capsys, ["trdeg", path])

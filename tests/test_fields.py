@@ -83,3 +83,17 @@ def test_sample_elements_distinct():
     Q = FieldSpec("rational")
     sample = Q.sample_elements(10)
     assert len(set(sample)) == 10
+
+
+def test_a_rational_too_long_for_decimal_is_written_in_hex():
+    # 3^10000 has 4,772 digits, past Python's decimal limit of 4300
+    Q = FieldSpec("rational")
+    big = 3 ** 10000
+    cases = {fractions.Fraction(big): hex(big), fractions.Fraction(-big, 7): "-%s/7" % hex(big),
+             fractions.Fraction(5, big): "5/" + hex(big), fractions.Fraction(-1, 2): "-1/2"}
+    for v, text in cases.items():
+        assert Q.scalar_to_json(v) == text
+        assert Q.scalar_from_json(text) == v
+    for bad in ("0x", "1/0x0", "0x1/", "0xg"):
+        with pytest.raises(FieldError):
+            Q.scalar_from_json(bad)

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,20 @@ def test_text_round_trip():
                 f = rand_poly(rng, field, nvars, 3, 4)
                 text = poly_to_text(f)
                 assert poly_from_text(text, field, nvars) == f
+
+
+def test_a_coefficient_too_long_for_decimal_round_trips_in_hex():
+    # 3^10000 has 4,772 digits, past Python's decimal limit of 4300
+    big = 3 ** 10000
+    x1, x2 = P("x1", 2), P("x2", 2)
+    f = x1.scale(Q.normalize(Fraction(big, 7))) - x2.scale(Q.normalize(Fraction(5, big)))
+    text = poly_to_text(f)
+    assert text == "%s/7*x1 - 5/%s*x2" % (hex(big), hex(big))
+    assert poly_from_text(text, Q, 2) == f
+    assert poly_from_text(hex(big) + "*x1", F7, 1) == P(str(big % 7) + "*x1", 1, F7)
+    for bad in ("0x", "0xg", "0X1", "x1^0x2", "0x-1"):
+        with pytest.raises(ParseError):
+            poly_from_text(bad, Q, 2)
 
 
 # texts outside the grammar, with a variable other than x1..x3, or with a

@@ -613,3 +613,116 @@ def test_a_rank_leg_miss_does_not_reject_the_key(screens, monkeypatch):
     monkeypatch.setattr(depth4, "evaluated_rank", unlucky_first)
     found = search_depth4_map(C)
     assert (found.map.p, found.map.c, found.candidates_tried) == (2, 2, 2)
+
+
+# -- the faithful sigma_p screen ------------------------------------------------
+
+
+def _faithful_spied(fs, monkeypatch, screen=True):
+    """search_vandermonde_map(fs) as a JSON dict, or the message of its
+    SearchExhausted, with the (p, c) of every candidate whose Jacobian is
+    evaluated and the (p, verdict) of every sigma_p screen; screen=False
+    patches the screen off."""
+    seen = {"evaluated": [], "screened": []}
+    real_rank, real_dooms = varmaps.evaluated_rank, varmaps._sigma_dooms
+
+    def rank(jac_at, *args):
+        mp = jac_at.func.__self__
+        seen["evaluated"].append((mp.p, mp.c))
+        return real_rank(jac_at, *args)
+
+    def dooms(fs, J, mp, *args):
+        verdict = real_dooms(fs, J, mp, *args) if screen else False
+        seen["screened"].append((mp.p, verdict))
+        return verdict
+
+    with monkeypatch.context() as m:
+        m.setattr(varmaps, "evaluated_rank", rank)
+        m.setattr(varmaps, "_sigma_dooms", dooms)
+        try:
+            return search_vandermonde_map(fs).to_json_dict(), seen
+        except varmaps.SearchExhausted as e:
+            return str(e), seen
+
+
+@pytest.mark.parametrize("field", [Q, F61], ids=["Q", "F2^61-1"])
+@pytest.mark.parametrize("text", ["x1 - x3", "x1^3 - x3^3"])
+def test_a_prime_where_sigma_loses_trdeg_is_not_evaluated_past_its_first_miss(
+        field, text, monkeypatch):
+    # n = 4: at p = 2 the exponent rows of x1 and x3 are equal, so sigma_2
+    # sends x1 - x3 to 0 and every map there misses; the first miss screens
+    # the prime, and no later c at p = 2 is evaluated
+    fs = [poly_from_text(text, field, 4)]
+    found, seen = _faithful_spied(fs, monkeypatch)
+    assert [p for p, _ in seen["evaluated"]].count(2) == 1
+    assert seen["screened"][0] == (2, True)
+    unscreened, walked = _faithful_spied(fs, monkeypatch, screen=False)
+    assert found == unscreened and found["map"]["p"] == 3
+    # the c sample at p = 2 is 1, 2, ..., delta * r * p
+    assert [p for p, _ in walked["evaluated"]].count(2) == 2 * fs[0].degree()
+
+
+@pytest.mark.parametrize("field", [Q, F61], ids=["Q", "F2^61-1"])
+def test_a_prime_where_sigma_merges_but_keeps_trdeg_is_walked(field, monkeypatch):
+    # at p = 2, sigma_2 merges x1 with x3 and x2 with x4 (q = 2 < n = 4) but
+    # sends x1 - x2 to y_0 - y_1, of trdeg 1: c = 1 maps every variable to
+    # one form and misses, and c = 2 is still evaluated, and wins
+    fs = [poly_from_text("x1 - x2", field, 4)]
+    found, seen = _faithful_spied(fs, monkeypatch)
+    assert seen["screened"] == [(2, False)]
+    assert seen["evaluated"] == [(2, field.from_int(1)), (2, field.from_int(2))]
+    assert (found["map"]["p"], found["candidates_tried"]) == (2, 2)
+    assert found == _faithful_spied(fs, monkeypatch, screen=False)[0]
+
+
+@pytest.mark.parametrize("field", [Q, F61], ids=["Q", "F2^61-1"])
+def test_sigma_dooms_a_prime_by_the_symbolic_rank_of_nonconstant_images(field):
+    # x1 x2 and x3 x4 have trdeg 2; at p = 2 sigma_2 sends both to y_0 y_1:
+    # no image is constant, and their Jacobian has rank 1.  {x1 x2, x3 + x4}
+    # keeps trdeg 2 there: y_0 y_1 and y_0 + y_1
+    for texts, doomed in ((("x1*x2", "x3*x4"), True), (("x1*x2", "x3 + x4"), False)):
+        fs = [poly_from_text(t, field, 4) for t in texts]
+        mp = VandermondeMap(field, 4, 2, 125, 2, 2, field.from_int(3))
+        assert mp.affine_summary()[0] >= 2
+        assert varmaps._sigma_dooms(fs, jacobian(fs), mp, 2, 0) is doomed
+
+
+def test_sigma_screen_is_exact_and_changes_no_faithful_search_result(monkeypatch):
+    """Whenever sigma_p dooms a prime, _certify rejects every c of its
+    sample, and the screened and unscreened searches agree.  The family,
+    n <= 5 and the field come from one seeded stream (see the test of
+    sigma's verdict); a planted difference of two variables makes sigma_p
+    lose trdeg at the first primes."""
+    doomed_seen = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        field = rng.choice([Q, F101, F61])
+        n = rng.randint(2, 5)
+        fs = [rand_poly(rng, field, n, 2, 3) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.8:
+            # at p = 2 the rows of x_i and x_j are equal when i - j is even
+            # (and n + 1 odd)
+            i, j = rng.choice([(i, j) for i in range(n) for j in range(i + 2, n, 2)] or [(0, 1)])
+            x = [SparsePoly.variable(field, n, v) for v in (i, j)]
+            fs[0] = (x[0] - x[1]) * rng.choice([SparsePoly.one(field, n), fs[0]])
+        (found, seen), (unscreened, _) = (_faithful_spied(fs, monkeypatch, screen)
+                                          for screen in (True, False))
+        assert found == unscreened
+        if field is F101:
+            # a small field decides a miss by the images' trdeg, unscreened
+            assert not seen["screened"]
+        J, r0 = jacobian(fs), trdeg(fs).r
+        delta = max(f.degree() for f in fs)
+        D1 = max(delta * r0 + 1, (n + 1) ** (r0 + 1))
+        for p, verdict in seen["screened"]:
+            if verdict:
+                doomed_seen.append(p)
+                for c in range(1, delta * r0 * p + 1):
+                    mp = VandermondeMap(field, n, r0, D1, 2, p, field.from_int(c))
+                    assert varmaps._certify(fs, J, mp, r0, 0) is None
+
+    check()
+    assert doomed_seen
