@@ -467,6 +467,8 @@ class ComposedCircuit(Blackbox):
 
 
 def circuit_from_json_dict(obj):
+    if not isinstance(obj, dict):
+        raise ParseError("a circuit is a JSON object, not %s" % type(obj).__name__)
     kind = obj.get("kind")
     if kind == "dag":
         return Circuit.from_json_dict(obj)

@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import depth4 as depth4mod
 from . import hitting as hittingmod
@@ -63,32 +64,68 @@ class _InputError(Exception):
     """Anything wrong with the user-supplied files or text."""
 
 
-def _json_ready(obj):
-    """obj with every int too long for a decimal conversion (Python's
-    int_max_str_digits limit, 4300 digits by default) replaced by its
-    "0x..." hexadecimal string; every other value is left as it is."""
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        try:
-            str(obj)
-        except ValueError:
-            return hex(obj)
-    return obj
+def _json_text(obj, indent: bool = True) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, or with
+    indent=False as json.dumps(obj, sort_keys=True) does, except that an int
+    too long for a decimal conversion (Python's int_max_str_digits limit,
+    4300 digits by default) is written as its "0x..." hexadecimal string.
 
+    json.dumps runs its C encoder only for indent=None; an indented report
+    would go through the pure-Python one, so reports are written here.
+    """
+    out = []
+    put = out.append
+    step, comma = ("  ", ",") if indent else ("", ", ")
 
-def _dumps(obj, **kw):
-    return json.dumps(_json_ready(obj), sort_keys=True, **kw)
+    def write(o, pad):
+        if isinstance(o, str):
+            put(_quote(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            try:
+                put(int.__repr__(o))
+            except ValueError:
+                put('"%s"' % hex(o))
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = pad + step
+            sep = "{" + inner
+            for key in sorted(o):
+                put(sep + _quote(key) + ": ")
+                write(o[key], inner)
+                sep = comma + inner
+            put(pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = pad + step
+            sep = "[" + inner
+            for v in o:
+                put(sep)
+                write(v, inner)
+                sep = comma + inner
+            put(pad + "]")
+        else:
+            raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+    write(obj, "\n" if indent else "")
+    return "".join(out)
 
 
 def _emit(obj):
-    print(_dumps(obj, indent=2))
+    print(_json_text(obj))
 
 
 def _fail(message: str, code: int) -> int:
-    print(json.dumps({"error": message}, sort_keys=True), file=sys.stderr)
+    print(_json_text({"error": message}, indent=False), file=sys.stderr)
     return code
 
 
@@ -101,6 +138,8 @@ def _load_json(path: str):
     except ValueError as e:
         # JSONDecodeError, or an int literal past the decimal-conversion limit
         raise _InputError("%s is not valid JSON: %s" % (path, e))
+    except RecursionError:
+        raise _InputError("%s is not valid JSON: it is nested too deeply" % path)
 
 
 def _load_family(path: str):
@@ -274,11 +313,11 @@ def cmd_hitting_set(args) -> int:
         "size_bound": hs.size_bound,
         "provenance": hs.provenance,
     }
-    print(_dumps(header))
+    print(_json_text(header, indent=False))
     for i, pt in enumerate(hs.points()):
         if i >= args.max_points:
             break
-        print(_dumps({"point": [field.scalar_to_json(v) for v in pt]}))
+        print(_json_text({"point": [field.scalar_to_json(v) for v in pt]}, indent=False))
     return EXIT_ZERO
 
 
@@ -410,7 +449,9 @@ def _verify_pit(report, against):
         return True, "witness re-evaluated"
     # zero / inconclusive: re-run the identical enumeration and compare
     verdict = hittingmod.pit_circuit(circ, **config)
-    ok = _json_ready(verdict.to_json_dict(field)) == stored
+    # compared as values: the stored report is never written again, it may
+    # be nested too deeply for that
+    ok = json.loads(_json_text(verdict.to_json_dict(field), indent=False)) == stored
     if verdict.provenance["construction"] in ("constant-composition", "constant-dag"):
         return ok, "%s re-evaluated" % verdict.provenance["construction"].replace("-", " ")
     if not ok:
@@ -456,8 +497,9 @@ _UNUSED_SEED = "accepted and echoed in config; does not change the result"
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args fills a fresh namespace per call
+def _build_parser():
+    """The top-level parser and its map from command name to command parser,
+    built once per process: parse_args fills a fresh namespace per call."""
     ap = argparse.ArgumentParser(
         prog="pitkit",
         description="Blackbox polynomial identity testing via algebraic "
@@ -523,12 +565,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", required=True, help="the input file the report was produced from")
     p.set_defaults(fn=cmd_verify)
 
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv):
+    """ap.parse_args(argv) of the parser that _build_parser returns.  When
+    argv[0] names a command, its arguments go straight to that command's
+    parser, which is where the top-level parser would hand them; every
+    other argv, the error paths included, goes through the top-level one."""
+    ap, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = commands.get(argv[0]) if argv else None
+    if parser is None:
+        return ap.parse_args(argv)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        ap.error("unrecognized arguments: %s" % " ".join(extras))
+    args.cmd = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except _InputError as e:

@@ -726,7 +726,6 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int) -> SparsePoly:
     # the terms summed in one dict, as SparsePoly.__add__ sums them; adding
     # each term to the polynomial so far would copy it once per term
     terms = {}
-    zero = field.zero()
     for sign, term in zip(parts[::2], parts[1::2]):
         num, den = (-1 if sign == "-" else 1), 1
         exps = [0] * nvars
@@ -749,7 +748,8 @@ def poly_from_text(text: str, field: FieldSpec, nvars: int) -> SparsePoly:
                 exps[int(name[1:]) - 1] += _number(power) if power else 1
         coeff = field.from_int(num) if den == 1 else field.normalize(Fraction(num, den))
         exps = tuple(exps)
-        c = field.add(terms.get(exps, zero), coeff)
+        c = terms.get(exps)
+        c = coeff if c is None else field.add(c, coeff)
         if field.is_zero(c):
             terms.pop(exps, None)
         else:

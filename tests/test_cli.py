@@ -9,7 +9,7 @@ import pytest
 
 import pitkit
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
-from pitkit.cli import main
+from pitkit.cli import _build_parser, _parse_args, main
 from pitkit.depth4 import lift_identity
 from pitkit.fields import FieldSpec
 from pitkit.independence import MAX_STREAM_ENTRIES
@@ -1483,6 +1483,111 @@ def test_verify_of_a_malformed_report_exits_three(tmp_path, capsys, name):
     code, out, err = run(capsys, ["verify", bad, "--against", against])
     assert (code, out) == (3, "")
     assert "error" in json.loads(err)
+
+
+# each command that reads a circuit file; {bad} holds a JSON list, {pit} and
+# {depth4} are good reports of those commands
+NOT_AN_OBJECT = {
+    "pit": ["pit", "{bad}"],
+    "depth4": ["depth4", "{bad}"],
+    "verify-pit": ["verify", "{pit}", "--against", "{bad}"],
+    "verify-depth4": ["verify", "{depth4}", "--against", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_AN_OBJECT))
+def test_a_circuit_file_that_is_not_an_object_exits_three(tmp_path, capsys, name):
+    # exit 1 would read as a nonzero verdict
+    files = {"bad": dump(tmp_path, "list.json", [1, 2])}
+    for cmd, circ in [("pit", zero_composition()), ("depth4", shared_factor_depth4())]:
+        circ = dump(tmp_path, cmd + "-in.json", circ.to_json_dict())
+        files[cmd] = dump(tmp_path, cmd + ".json", run(capsys, [cmd, circ])[1])
+    argv = [a.format(**files) for a in NOT_AN_OBJECT[name]]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "a circuit is a JSON object" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("cmd", ["pit", "trdeg", "verify"])
+def test_deeply_nested_json_exits_three(tmp_path, capsys, cmd):
+    deep = dump(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    zero = dump(tmp_path, "zero.json", zero_composition().to_json_dict())
+    argv = ["verify", deep, "--against", zero] if cmd == "verify" else [cmd, deep]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "is not valid JSON" in json.loads(err)["error"]
+
+
+# the whole indented text of one report, as json.dumps(sort_keys=True,
+# indent=2) laid it out
+FROZEN_PIT_REPORT = """\
+{
+  "circuit_kind": "composed",
+  "command": "pit",
+  "config": {
+    "R": null,
+    "conjecture_R": false,
+    "max_points": 200000,
+    "mode": "adaptive",
+    "seed": 0
+  },
+  "verdict": {
+    "guarantee": "certified",
+    "outcome": "zero",
+    "points_checked": 9,
+    "provenance": {
+      "construction": "sparse-char0",
+      "grid_truncated": false,
+      "map": "identity",
+      "mode": "adaptive",
+      "points": "simplex",
+      "w": 2
+    },
+    "value": null,
+    "witness": null
+  }
+}
+"""
+
+
+def test_a_report_layout_is_frozen(tmp_path, capsys):
+    path = dump(tmp_path, "zero.json", zero_composition().to_json_dict())
+    assert run(capsys, ["pit", path]) == (0, FROZEN_PIT_REPORT, "")
+
+
+DISPATCH_ARGVS = [
+    ["pit", "c.json", "--mode", "exact", "--seed", "3", "--max-points", "10", "--R", "2",
+     "--conjecture-R"],
+    ["trdeg", "f.json", "--mode", "jacobian", "--seed", "1", "--budget-columns", "9"],
+    ["annihilator", "f.json", "--cap", "2", "--budget-columns", "9"],
+    ["depth4", "c.json", "--seed", "1", "--budget-expand", "5", "--skip-minimal"],
+    ["hitting-set", "--kind", "depth4", "--field", "101", "--n", "3", "--d", "2", "--r", "2",
+     "--delta", "2", "--ell", "1", "--k", "2", "--s", "2", "--R", "1", "--conjecture-R",
+     "--max-points", "5"],
+    ["faithful", "f.json", "--kind", "psi", "--r", "2", "--mode", "exact", "--seed", "4"],
+    ["verify", "r.json", "--against", "f.json"],
+    ["pit", "c.json", "--max-p", "5"],
+    ["pit", "--seed", "1", "--", "c.json"],
+    ["pit", "--", "--c.json"],
+    [], ["-h"], ["--help"], ["bogus"],
+    ["pit"], ["pit", "-h"], ["pit", "a", "b"], ["pit", "a", "--bogus"],
+    ["pit", "a", "--mode", "nope"], ["verify", "r.json"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        result = parse(list(argv))
+    except SystemExit as e:
+        result = ("exit", e.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda a: " ".join(a) or "no-arguments")
+def test_direct_dispatch_parses_as_the_top_level_parser(capsys, argv):
+    ap, _ = _build_parser()
+    assert _parsed(capsys, _parse_args, argv) == _parsed(capsys, ap.parse_args, argv)
 
 
 def test_module_entry_point():
