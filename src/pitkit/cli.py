@@ -36,6 +36,7 @@ from .fields import FieldError, FieldSpec
 from .independence import (
     DEFAULT_COLUMN_BUDGET,
     TrdegCertificate,
+    _column_count,
     annihilator,
     trdeg,
     verify_trdeg_certificate,
@@ -394,6 +395,8 @@ def _verify_annihilator(report, against):
         d = F.degree()
         if d is not None and d > cap:
             return False, "reported annihilator exceeds the cap"
+        # the verifier's own column budget bounds the substitution too
+        _column_count(len(fs), d, DEFAULT_COLUMN_BUDGET)
         if not F.substitute(fs).is_zero:
             return False, "reported annihilator does not vanish on the family"
         return True, "annihilator re-checked by substitution"

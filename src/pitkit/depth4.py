@@ -24,8 +24,8 @@ from .polynomials import (
     normalize_monic,
     substitution,
 )
-from .varmaps import (SearchExhausted, VandermondeMap, first_certified, merging_map, schedule,
-                      vandermonde_candidates, vandermonde_exponents)
+from .varmaps import (BIG_CHARACTERISTIC, SearchExhausted, VandermondeMap, first_certified,
+                      merging_map, schedule, vandermonde_candidates, vandermonde_exponents)
 
 
 class CoprimeBasis:
@@ -348,12 +348,12 @@ def _merge(C, sims, table):
     """The _Merge of the exponent table of one prime, for C and the simple
     parts sims of its subcircuits.  At q = n, sigma_p only renames the
     variables, so it kills no factor and keeps every simple part."""
-    cls, sigma = merging_map(C.field, table)
-    q = max(cls) + 1
-    reps = tuple(cls.index(j) for j in range(q))
+    sigma = merging_map(C.field, table)
     if sigma is None:
-        return _Merge(q, reps, False, ())
-    sigma = _memo(sigma)
+        return _Merge(C.nvars, tuple(range(C.nvars)), False, ())
+    q = sigma.nvars_out
+    reps = tuple(sigma.cls.index(j) for j in range(q))
+    sigma = _memo(sigma.apply)
     if any(sigma(f).is_zero for row in C.rows for f in row):
         return _Merge(q, reps, True, ())
     return _Merge(q, reps, False, tuple(G for sim in sims for G in _common_factors(sim, sigma)))
@@ -586,10 +586,7 @@ def _certify_depth4(mp, subsets, r, seed, failed, merge):
         # as it is
         bound = evaluated_rank(partial(mp.jacobian_at, J), field, w, min(rho, k), seed)[0]
         if bound < target:
-            if ch == 0 or ch >= (1 << 20):
-                # over a big field a candidate of full image rank passes the
-                # evaluated screen almost surely; treat the miss as a reject
-                # and let a later candidate win
+            if ch == 0 or ch >= BIG_CHARACTERISTIC:
                 return None
             bound = trdeg([image(f) for f in facs], mode="auto").r
             if bound < target:

@@ -325,20 +325,31 @@ def _exact_set(field, n, construction, sched, certified, **provenance):
                       sched.w(n), sched.h2_size - 1, certified)
 
 
-def _adaptive_set(mp, construction, evidence, d):
+def _adaptive_set(mp, construction, evidence, d, circ=None):
     """The corpus hitting set of one certified map over the simplex of total
-    degree d; evidence joins the provenance."""
+    degree d; evidence joins the provenance.  Refused when the walk of
+    circ, if given, may pass MAX_VALUE_BITS (_check_walk_bits): an image
+    coordinate is (b_i + sum_t M[i][t] z_t) / L with 0 <= z_t <= d."""
     provenance = dict(evidence, construction=construction, mode="adaptive",
                       map=mp.to_json_dict())
-    return _image_set(mp.field, mp.n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False)
+    hs = _image_set(mp.field, mp.n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False)
+    if circ is not None:
+        const, cols, L = mp._integer_columns()
+        top = max(abs(b) + d * sum(abs(col[i]) for col in cols) for i, b in enumerate(const))
+        _check_walk_bits(circ, max(top, L).bit_length(), L == 1)
+    return hs
 
 
-def _identity_set(field, n, construction, w, d, mode="adaptive"):
+def _identity_set(field, n, construction, w, d, mode="adaptive", circ=None):
     """The certified set of a reduction to w >= n variables, which cuts
     nothing: the circuit's own simplex of total degree d, no larger than a
-    map's (module docstring) and found without a search."""
+    map's (module docstring) and found without a search.  Refused when the
+    walk of circ, if given, may pass MAX_VALUE_BITS (_check_walk_bits)."""
     provenance = {"construction": construction, "mode": mode, "map": "identity", "w": w}
-    return _image_set(field, n, provenance, None, 1, n, d, True)
+    hs = _image_set(field, n, provenance, None, 1, n, d, True)
+    if circ is not None:
+        _check_walk_bits(circ, d.bit_length(), True)
+    return hs
 
 
 def hitting_set_sparse_inputs(field: FieldSpec, n: int, d: int, r: int, delta: int,
@@ -414,7 +425,8 @@ def pit_circuit(
     axis or whose values over Q would exceed MAX_GRID_AXIS or
     MAX_VALUE_BITS raises BudgetExceeded before any evaluation, and so
     does a composed circuit of trdeg 0 whose outer dag's values at its
-    constant inners could exceed MAX_VALUE_BITS.
+    constant inners could exceed MAX_VALUE_BITS, and so does every walk
+    whose values could, but that of a closed-form set (_check_walk_bits).
     """
     if mode not in ("adaptive", "exact"):
         raise ValueError("mode must be 'exact' or 'adaptive'")
@@ -425,7 +437,8 @@ def pit_circuit(
             # one row, a product of nonzero factors, or a constant: no
             # depth-4 family has k = 1, n = 0 or delta = 0, and no map can
             # do better than the circuit's own simplex (one point if constant)
-            hs = _identity_set(field, n, "depth4", n, circ.degree_bound() if n else 0, mode)
+            hs = _identity_set(field, n, "depth4", n, circ.degree_bound() if n else 0, mode,
+                               circ)
         elif exact:
             hs = hitting_set_depth4(field, n, circ.delta, circ.k, circ.s, R=R,
                                     conjecture_R=conjecture_R)
@@ -433,11 +446,11 @@ def pit_circuit(
             w = schedule("depth4", n=n, delta=circ.delta, k=circ.k, s=circ.s, r=R,
                          conjecture_R=conjecture_R).w(n)
             if w >= n:
-                hs = _identity_set(field, n, "depth4", w, circ.degree_bound())
+                hs = _identity_set(field, n, "depth4", w, circ.degree_bound(), circ=circ)
             else:
                 found = search_depth4_map(circ, R=R, seed=seed, conjecture_R=conjecture_R)
                 hs = _adaptive_set(found.map, "depth4", {"evidence": found.evidence},
-                                   circ.degree_bound())
+                                   circ.degree_bound(), circ)
         truncated = hs.provenance["grid_truncated"]
     elif isinstance(circ, ComposedCircuit):
         inputs = list(circ.inputs)
@@ -462,7 +475,7 @@ def pit_circuit(
             construction = "sparse-char0" if sparse else "any-char"
             w = map_arity(construction, r0, n)
             if w >= n:
-                hs = _identity_set(field, n, construction, w, d)
+                hs = _identity_set(field, n, construction, w, d, circ=circ)
             else:
                 # _image_set would refuse the grid axis of the map found;
                 # refuse it before the search, which can run long at such
@@ -472,7 +485,7 @@ def pit_circuit(
                 # r0 <= n: trdeg never exceeds the number of variables
                 found = search(inputs, r=r0, seed=seed, input_cert=input_cert)
                 evidence = {"image_certificate": found.image_cert.to_json_dict()}
-                hs = _adaptive_set(found.map, construction, evidence, d)
+                hs = _adaptive_set(found.map, construction, evidence, d, circ)
         truncated = hs.provenance["grid_truncated"]
     else:
         d = max(1, circ.syntactic_degree())
@@ -490,6 +503,23 @@ def pit_circuit(
             "inconclusive", None, None, verdict.points_checked, hs.guarantee, hs.provenance
         )
     return verdict
+
+
+def _check_walk_bits(circ, input_bits, integral):
+    """Over Q, the dag's rule (_check_value_bits) for a walk of the
+    composed or depth-4 circuit circ (through its composed view) at points
+    whose coordinates have at most input_bits bits, integers when integral:
+    the outer dag's, at the bits of the inner values.  An inner f(a/q) is
+    sum N_e a^e q^(d - |e|) / (D q^d) (SparsePoly._eval_integers), of at
+    most max(bits N, bits D) + d * input_bits + bits(#terms) bits."""
+    if circ.field.kind != "rational":
+        return
+    if isinstance(circ, Depth4Circuit):
+        circ = circ._composed()
+    forms = [f._compiled or f._compile() for f in circ.inputs]
+    bits = max(max([D.bit_length()] + [abs(N).bit_length() for N, _, _ in terms])
+               + d * input_bits + len(terms).bit_length() for D, terms, d in forms)
+    _check_value_bits(circ.outer, bits, integral and all(D == 1 for D, _, _ in forms))
 
 
 def _check_value_bits(dag, input_bits, integral_inputs=True):

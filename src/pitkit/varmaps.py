@@ -5,7 +5,7 @@ entries are powers of a field element c, with exponents reduced mod a prime
 p.  AffineMap holds the one representation, integer columns built from an
 exponent table, and implements apply (one polynomials.substitution per
 map), point_images, affine_summary and the chain-rule jacobian_at once.
-The two constructions only give the table:
+The two reductions, and sigma_p below, only give the table:
 
 * KroneckerMap (kind "phi"): keeps a chosen r-subset of the variables alive
   as z_1..z_r and pins every dropped variable to the constant c^(D^j mod p),
@@ -26,8 +26,8 @@ a prime at which no c can reach the target is skipped whole
 (vandermonde_candidates, the one enumerator of Vandermonde maps;
 kronecker_candidates is its counterpart for Kronecker maps).  At a prime
 where equal exponent rows merge variables, every Vandermonde map factors
-through the merging map sigma_p (merging_map), and a faithful search
-rejects the rest of the prime once sigma_p loses the trdeg (_sigma_dooms).
+through the merging map sigma_p (merging_map, an AffineMap), and the
+stream skips the rest of the prime once sigma_p loses the trdeg.
 ParamSchedule packages the closed-form parameter sizes of each family and
 enumerates its maps (ParamSchedule.maps), unscreened, behind the exact
 hitting sets and the exact searches; the integers are astronomically large
@@ -47,7 +47,7 @@ from . import linalg
 from .fields import FieldError, FieldSpec
 from .independence import (POINT_BOUND, _random_point, _subseed, check_value_bits,
                            evaluated_certificate, evaluated_rank, jacobian, trdeg)
-from .polynomials import BudgetExceeded, SparsePoly, substitution
+from .polynomials import MAX_VALUE_BITS, BudgetExceeded, SparsePoly, substitution
 from .primes import iter_primes
 
 
@@ -144,8 +144,10 @@ MAX_SCHEDULE_BITS = 1 << 20
 
 
 def _power(base: int, exp: int) -> int:
-    """base ** exp for base >= 2, or BudgetExceeded when it would have more
-    than MAX_SCHEDULE_BITS bits."""
+    """base ** exp for base >= 1, or BudgetExceeded when it would have more
+    than MAX_SCHEDULE_BITS bits; a base of 1 gives 1 for every exp."""
+    if base == 1:
+        return 1
     if exp > MAX_SCHEDULE_BITS or exp * math.log2(base) > MAX_SCHEDULE_BITS:
         raise BudgetExceeded(
             "a schedule size exceeds the limit of %d bits" % MAX_SCHEDULE_BITS
@@ -195,7 +197,7 @@ def schedule(
             raise ValueError("any-char needs r and d")
         if r < 1 or d < 0:
             raise ValueError("bad any-char sizes")
-        D = delta ** (r + 1) + 1
+        D = _power(delta, r + 1) + 1
         lg = ceil_log2(D)
         p_max = _power(n + delta ** r, 8 * delta ** (r + 1)) * lg * lg + 1
         return ParamSchedule(
@@ -225,7 +227,7 @@ def schedule(
         D2 = delta + 1
         lg = ceil_log2(D1)
         p_max = (
-            2 ** (2 * (k + 1))
+            _power(2, 2 * (k + 1))
             * _power(2 * k * rr * s * n * delta ** 2, 8 * delta ** 2 + 4 * delta * rr)
             * lg
             * lg
@@ -259,7 +261,9 @@ class AffineMap:
     exponent of the constant b_i and of each M[i][t], None for a zero
     entry.  The map keeps only its integer columns (b, the columns M_t, L),
     with x = (b + M z) / L: residues with L = 1 over F_p, and over Q, with
-    c = a/q and E the largest exponent, c^e as a^e q^(E - e) over L = q^E.
+    c = a/q and E the largest exponent, c^e as a^e q^(E - e) over L = q^E,
+    refused with BudgetExceeded, before any power is built, when E times
+    the bits of c exceeds MAX_VALUE_BITS.
     """
 
     __slots__ = ("field", "n", "r", "p", "c", "_cols", "_substitution", "_summary")
@@ -277,6 +281,10 @@ class AffineMap:
         self._substitution = None
         self._summary = None
 
+    @property
+    def nvars_out(self) -> int:
+        return self.r
+
     def _integer_columns(self):
         """(b, M-columns, L) as integers, built once from the exponent table."""
         if self._cols is None:
@@ -287,6 +295,9 @@ class AffineMap:
                 power = {e: pow(self.c, e, self.field.p) for e in exps}
             else:
                 a, q, E = self.c.numerator, self.c.denominator, max(exps)
+                if E * max(abs(a), q).bit_length() > MAX_VALUE_BITS:
+                    raise BudgetExceeded("a map's powers of c may exceed the limit of %d bits"
+                                         % MAX_VALUE_BITS)
                 L = q ** E
                 power = {e: a ** e * q ** (E - e) for e in exps}
             cols = tuple(zip(*[[0 if e is None else power[e] for e in row] for row in table]))
@@ -400,10 +411,6 @@ class KroneckerMap(AffineMap):
         self.kept = kept
         self.D = D
 
-    @property
-    def nvars_out(self) -> int:
-        return self.r
-
     def _exponents(self):
         pos = {v: t for t, v in enumerate(self.kept)}
         rows = []
@@ -449,22 +456,31 @@ def vandermonde_exponents(n: int, r: int, D1: int, D2: int, p: int):
             for i in range(1, n + 1)]
 
 
+class MergingMap(AffineMap):
+    """sigma_p, x = S y: x_i -> y_cls(i) for the q = r classes cls of
+    merged variables.  Every entry of its exponent table is 0, so every
+    entry of S is c^0 = 1, b = 0 and c = 1."""
+
+    __slots__ = ("cls",)
+
+    def __init__(self, field: FieldSpec, cls):
+        super().__init__(field, len(cls), max(cls) + 1, None, 1)
+        self.cls = cls
+
+    def _exponents(self):
+        return [[None] + [0 if j == k else None for j in range(self.r)] for k in self.cls]
+
+
 def merging_map(field: FieldSpec, table):
-    """sigma_p for the exponent table of one prime p (vandermonde_exponents):
-    the map x_i -> y_cls(i) that merges the variables of equal rows, as
-    (cls, sigma).  cls numbers the q classes in the order of their first
-    variables, and sigma is the polynomials.substitution of the map, into
-    F[y_0..y_(q-1)], or None at q = n, where sigma_p only renames the
-    variables.  Equal rows give equal affine forms for every c, so every
-    VandermondeMap at p is psi_(p,c) = tau_c o sigma_p, with tau_c: y_j ->
-    the form of class j (README, "How candidates are screened")."""
+    """The MergingMap sigma_p of the exponent table of one prime p
+    (vandermonde_exponents), classes numbered in the order of their first
+    variables, or None at q = n, where sigma_p only renames the variables.
+    Equal rows give equal affine forms for every c, so every VandermondeMap
+    at p is psi_(p,c) = tau_c o sigma_p, with tau_c: y_j -> the form of
+    class j (README, "How candidates are screened")."""
     first = {}
     cls = [first.setdefault(tuple(row), len(first)) for row in table]
-    q = len(first)
-    if q == len(cls):
-        return cls, None
-    units = [tuple(int(t == j) for t in range(q)) for j in range(q)]
-    return cls, substitution(field, q, [{units[j]: 1} for j in cls], 1)
+    return None if len(first) == len(cls) else MergingMap(field, cls)
 
 
 def generic_linear_rank(n: int, r: int, D1: int, D2: int, p: int) -> int:
@@ -608,9 +624,9 @@ def pc_candidates(field: FieldSpec, p_max: int, c_max: int, c_per_p: int = 0):
 
 class SkippedPrime:
     """The count candidates at prime p of a search over field that no c
-    can certify (see vandermonde_candidates): the linear rank of every c is
-    below the search's floor, or, in search_depth4_map, the map sigma_p
-    that merges the variables of equal exponent rows rejects every c."""
+    can certify (see vandermonde_candidates): the whole c sample when the
+    linear rank of every c is below the search's floor, or the rest of it
+    once the search's doomed(p) holds."""
 
     __slots__ = ("field", "p", "count")
 
@@ -639,15 +655,18 @@ def vandermonde_candidates(field: FieldSpec, n: int, r: int, D1: int, D2: int, p
     generic_linear_rank is below floor, no c reaches floor, so one
     SkippedPrime with the size of its c sample stands for its maps.  The
     bound is computed only for floor >= 2: every entry c^e of M is nonzero,
-    so every map has linear rank at least 1.  A prime that passes is
-    skipped the same way when doomed(p) holds: the caller has proven that
-    no c at p certifies (search_depth4_map's sigma_p screen)."""
+    so every map has linear rank at least 1.  Before each candidate, the
+    stream asks doomed(p), the caller's proof that no c at p certifies (a
+    sigma_p screen); once it holds, one SkippedPrime stands for the rest of
+    p's c sample.  No other code skips a prime of a Vandermonde search."""
     for p, top in _c_samples(field, p_max, c_max, c_per_p):
-        if ((floor >= 2 and generic_linear_rank(n, r, D1, D2, p) < floor)
-                or (doomed is not None and doomed(p))):
+        if floor >= 2 and generic_linear_rank(n, r, D1, D2, p) < floor:
             yield SkippedPrime(field, p, top)
             continue
         for v in range(1, top + 1):
+            if doomed is not None and doomed(p):
+                yield SkippedPrime(field, p, top - v + 1)
+                break
             yield VandermondeMap(field, n, r, D1, D2, p, field.from_int(v))
 
 
@@ -664,7 +683,12 @@ def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
     return ch == 0 or ch > delta ** max(1, r)
 
 
-def _certify(fs, J, mp, r0: int, seed: int, doomed=None):
+# Characteristic 0 or at least this is a big field: a candidate of full image
+# rank shows it at a seeded point almost surely, so a miss there rejects.
+BIG_CHARACTERISTIC = 1 << 20
+
+
+def _certify(fs, J, mp, r0: int, seed: int, verdicts=None):
     """The image certificate of trdeg r0 for the candidate mp, or None.
 
     J = jacobian(fs).  A candidate whose linear rank k (see
@@ -675,19 +699,15 @@ def _certify(fs, J, mp, r0: int, seed: int, doomed=None):
     evaluated_rank pass reads the image Jacobian through the chain rule
     (mp.jacobian_at): it is the rank screen and the certificate at once.
     The images cannot gain trdeg, so a point of rank r0 proves trdeg r0.
-    A miss rejects over a big field, where a faithful candidate shows rank
-    r0 at a random point with overwhelming probability; over a small field
-    the symbolic trdeg of the images decides, and only there are the
+    A miss rejects over a big field (BIG_CHARACTERISTIC); over a small
+    field the symbolic trdeg of the images decides, and only there are the
     images mp(f) built.
 
-    doomed, given by a Vandermonde search, maps each prime screened so far
-    to whether sigma_p proves that no map there keeps r0 (_sigma_dooms).
-    A candidate at a doomed prime is rejected at once.  A prime is
-    screened at its first big-field miss, so a search that wins at its
-    first candidate there pays nothing for it.
+    verdicts, given by a Vandermonde search, gets whether sigma_p dooms
+    mp's prime (_sigma_dooms) at the prime's first big-field miss, so a
+    search that wins at its first candidate there pays nothing for it; the
+    search's candidate stream reads it.
     """
-    if doomed is not None and doomed.get(mp.p):
-        return None
     if mp.affine_summary()[0] < r0:
         return None
     field = mp.field
@@ -695,9 +715,9 @@ def _certify(fs, J, mp, r0: int, seed: int, doomed=None):
     if rho == r0:
         return evaluated_certificate(field, rho, pivot_rows, pt)
     ch = field.characteristic
-    if ch == 0 or ch >= (1 << 20):
-        if doomed is not None and mp.p not in doomed:
-            doomed[mp.p] = _sigma_dooms(fs, J, mp, r0, seed)
+    if ch == 0 or ch >= BIG_CHARACTERISTIC:
+        if verdicts is not None and mp.p not in verdicts:
+            verdicts[mp.p] = _sigma_dooms(fs, J, mp, r0, seed)
         return None
     cert = trdeg([mp.apply(f) for f in fs], mode="auto")
     if cert.exact and cert.r == r0:
@@ -712,31 +732,21 @@ def _sigma_dooms(fs, J, mp, r0: int, seed: int) -> bool:
     Every psi at p is tau_c o sigma_p, and a ring map cannot raise trdeg,
     so trdeg sigma_p(f) < r0 dooms every c.  At q = n, sigma_p only renames
     the variables, and the prime passes.  Otherwise the chain rule comes
-    first, at one seeded y: J(f o sigma_p)(y) = J_f(sigma_p(y)) S, with S
-    summing the columns of each class, one evaluation of J.  Its rank is
-    at most trdeg sigma_p(f) in every characteristic, so a rank of r0
-    proves the prime is not doomed.  Only then are the images sigma_p(f)
-    built, and the prime is doomed iff their symbolic Jacobian rank is
-    exact and below r0 (trdeg, mode "jacobian"; images that are all
-    constant have rank 0).
+    first, at one seeded y (sigma.jacobian_at, one evaluation of J): its
+    rank is at most trdeg sigma_p(f) in every characteristic, so a rank of
+    r0 proves the prime is not doomed.  Only then are the images
+    sigma_p(f) built (sigma.apply), and the prime is doomed iff their
+    symbolic Jacobian rank is exact and below r0 (trdeg, mode "jacobian";
+    images that are all constant have rank 0).
     """
     field = mp.field
-    cls, sigma = merging_map(field, mp._exponents())
+    sigma = merging_map(field, mp._exponents())
     if sigma is None:
         return False
-    q = max(cls) + 1
-    y = _random_point(field, random.Random(_subseed(seed, 6)), q)
-    rows, _ = linalg.eval_matrix(J, field.integers([y[j] for j in cls]))
-    merged = [[0] * q for _ in rows]
-    for row, out in zip(rows, merged):
-        for v, j in zip(row, cls):
-            out[j] += v
-    p = field.characteristic
-    if p:
-        merged = [[v % p for v in row] for row in merged]
-    if linalg.rank(merged, p)[0] >= r0:
+    y = _random_point(field, random.Random(_subseed(seed, 6)), sigma.nvars_out)
+    if linalg.rank(sigma.jacobian_at(J, y)[0], field.characteristic)[0] >= r0:
         return False
-    cert = trdeg([sigma(f) for f in fs], mode="jacobian")
+    cert = trdeg([sigma.apply(f) for f in fs], mode="jacobian")
     return cert.exact and cert.r < r0
 
 
@@ -787,12 +797,12 @@ def first_certified(maps, certify, name, p_max):
     )
 
 
-def _first_faithful(fs, maps, input_cert, seed, name, p_max, doomed=None):
-    """The first candidate map whose images keep the input trdeg; doomed
+def _first_faithful(fs, maps, input_cert, seed, name, p_max, verdicts=None):
+    """The first candidate map whose images keep the input trdeg; verdicts
     as in _certify."""
     J = jacobian(fs)
     mp, cert, tried = first_certified(
-        maps, lambda mp: _certify(fs, J, mp, input_cert.r, seed, doomed), name, p_max
+        maps, lambda mp: _certify(fs, J, mp, input_cert.r, seed, verdicts), name, p_max
     )
     return FaithfulResult(mp, input_cert, cert, tried)
 
@@ -835,19 +845,18 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     primes, then c ascending.  Adaptive mode uses the smallest D1, D2 the
     faithfulness argument allows; exact mode walks the closed-form family,
     schedule("sparse-char0", ...).maps(field, n).  Both skip, and count,
-    every prime whose generic linear rank is below the input trdeg (see
-    vandermonde_candidates).  Both reject at once, and count, every
-    candidate at a prime where sigma_p, the map that merges the variables
+    every prime whose generic linear rank is below the input trdeg, and the
+    rest of every prime where sigma_p, the map that merges the variables
     of equal exponent rows, sends the inputs to a family of trdeg below the
     input trdeg: every map there factors through sigma_p, so none keeps
     it.  A prime is screened so at its first candidate that misses on the
-    evaluated rank over a big field (_certify, _sigma_dooms), and the
-    verdict is kept for this search only.  Raises SearchExhausted
-    past the p bound, or over F_2 past p = 2 (see first_certified).
-    Over Q it raises BudgetExceeded, before any candidate, when delta
-    times the bits of a seeded point coordinate exceeds MAX_VALUE_BITS:
-    the Jacobian is evaluated at such points.
-    input_cert as in search_kronecker_map.
+    evaluated rank over a big field (_certify, _sigma_dooms); the verdict
+    is kept for this search only, and the candidate stream reads it
+    (vandermonde_candidates).  Raises SearchExhausted past the p bound, or
+    over F_2 past p = 2 (see first_certified).  Over Q it raises
+    BudgetExceeded, before any candidate, when delta times the bits of a
+    seeded point coordinate exceeds MAX_VALUE_BITS: the Jacobian is
+    evaluated at such points.  input_cert as in search_kronecker_map.
     """
     input_cert, r = _search_start(fs, r, mode, input_cert)
     field, n = fs[0].field, fs[0].nvars
@@ -861,12 +870,12 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
             % (field.characteristic, delta, r0)
         )
     sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=delta, ell=ell)
-    # _certify rejects every map of linear rank below r0
+    # _certify fills sigma_p's verdicts and rejects every linear rank below r0
+    verdicts = {}
     if mode == "exact":
-        maps = vandermonde_candidates(field, n, r, sched.D1, sched.D2, sched.p_max,
-                                      sched.h1_size, 0, r0)
+        D1, D2, c_max, c_per_p = sched.D1, sched.D2, sched.h1_size, 0
     else:
-        D1 = max(delta * r + 1, (n + 1) ** (r + 1))
-        maps = vandermonde_candidates(field, n, r, D1, 2, sched.p_max, 0, delta * r, r0)
-    # sigma_p's verdicts, kept for this search only
-    return _first_faithful(fs, maps, input_cert, seed, "Vandermonde", sched.p_max, {})
+        D1, D2, c_max, c_per_p = max(delta * r + 1, (n + 1) ** (r + 1)), 2, 0, delta * r
+    maps = vandermonde_candidates(field, n, r, D1, D2, sched.p_max, c_max, c_per_p, r0,
+                                  verdicts.get)
+    return _first_faithful(fs, maps, input_cert, seed, "Vandermonde", sched.p_max, verdicts)

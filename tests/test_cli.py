@@ -759,6 +759,94 @@ def test_verify_searches_an_absent_annihilator_within_its_own_budget(tmp_path):
         "monomial basis has 167668501 columns, budget is 50000")
 
 
+def test_verify_bounds_a_found_annihilator_by_its_own_budget(tmp_path):
+    # x1^1000000 - x2 under a cap of 10^12: substituting it built the
+    # powers of the members up to 10^6 and ran out of memory
+    family = dump(tmp_path, "pair.json", {"field": {"kind": "rational"}, "nvars": 2,
+                                          "polys": ["x1 + x2", "x1*x2"]})
+    report = {"command": "annihilator", "config": {"cap": 10 ** 12, "budget_columns": 50000},
+              "found": True, "annihilator": "x1^1000000 - x2", "m": 2}
+    proc = _cli_in_subprocess(["verify", dump(tmp_path, "report.json", report),
+                               "--against", family], 20, 2 << 30)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == (
+        "monomial basis has 500001500001 columns, budget is 50000")
+
+
+def test_verify_refuses_a_faithful_map_whose_powers_of_c_are_too_large(tmp_path, capsys):
+    # over Q the map's columns hold c^e for exponents below p; with p near
+    # 10^12 they would have about 10^12 bits
+    family = dump(tmp_path, "fam.json", {"field": {"kind": "rational"}, "nvars": 3,
+                                         "polys": ["x1*x2 + x3", "x2^2 - x1"]})
+    code, out, _ = run(capsys, ["faithful", family, "--kind", "psi"])
+    assert code == 0
+    report = json.loads(out)
+    report["result"]["map"].update(p=1000000000039, D1=999999999989)
+    proc = _cli_in_subprocess(["verify", dump(tmp_path, "report.json", report),
+                               "--against", family], 20, 2 << 30)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == (
+        "a map's powers of c may exceed the limit of 1048576 bits")
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "any-char", "--n", "2", "--d", "1", "--r", "100000000", "--delta", "10"],
+    ["--kind", "depth4", "--n", "2", "--delta", "1", "--k", "1000000000", "--s", "1", "--R", "1"],
+], ids=["any-char", "depth4"])
+def test_hitting_set_refuses_a_schedule_power_before_building_it(args):
+    # delta^(r + 1) and 2^(2 (k + 1)) were built outside the schedule's
+    # power check, and each call ran past 30 s
+    proc = _cli_in_subprocess(["hitting-set", *args], seconds=30)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "a schedule size exceeds the limit of 1048576 bits"
+
+
+def test_hitting_set_with_delta_one_keeps_a_huge_r():
+    # a base of 1 is 1 for every exponent: this schedule is small
+    proc = _cli_in_subprocess(["hitting-set", "--kind", "any-char", "--n", "2", "--d", "1",
+                               "--r", "100000000", "--delta", "1", "--max-points", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3
+
+
+def _squared(times):
+    """The outer dag y^(2^times) - y^(2^times), zero, by repeated squaring."""
+    nodes = [{"op": "input", "var": 0}]
+    while len(nodes) <= times:
+        nodes.append({"op": "mul", "args": [len(nodes) - 1, len(nodes) - 1]})
+    nodes += [{"op": "const", "value": "-1"}, {"op": "mul", "args": [times + 1, times]},
+              {"op": "add", "args": [times, times + 2]}]
+    return {"nodes": nodes, "output": times + 3}
+
+
+@pytest.mark.parametrize("kind", ["composed", "one-row depth4", "map images"])
+def test_a_walk_over_q_is_bounded_before_it_starts(tmp_path, kind):
+    # composed, n = 2 and trdeg 1 (w = 2 >= n), or one row: the walk runs
+    # over the circuit's own simplex of degree about 4 * 10^5, where the
+    # inner x1^100000 x2^100000 + x1 has values of millions of bits.  map
+    # images, n = 3 and trdeg 1: the walk runs over the images of a map,
+    # where y^(2^17) has values of millions of bits.  Each call ran past
+    # 30 s on its first 3,000 points
+    if kind == "composed":
+        # (y + 1)(y - 1) - y^2 + 1, zero
+        nodes = [{"op": "input", "var": 0}, {"op": "const", "value": "1"},
+                 {"op": "const", "value": "-1"}, {"op": "add", "args": [0, 1]},
+                 {"op": "add", "args": [0, 2]}, {"op": "mul", "args": [3, 4]},
+                 {"op": "mul", "args": [2, 0, 0]}, {"op": "add", "args": [5, 6, 1]}]
+        obj = {"kind": "composed", "field": {"kind": "rational"}, "nvars": 2,
+               "inputs": ["x1^100000*x2^100000 + x1"], "outer": {"nodes": nodes, "output": 7}}
+    elif kind == "one-row depth4":
+        obj = {"kind": "depth4", "field": {"kind": "rational"}, "nvars": 2, "delta": 200000,
+               "rows": [["x1^100000*x2^100000 + x1"]]}
+    else:
+        obj = {"kind": "composed", "field": {"kind": "rational"}, "nvars": 3,
+               "inputs": ["x1 + x2 + x3"], "outer": _squared(17)}
+    proc = _cli_in_subprocess(["pit", dump(tmp_path, "circuit.json", obj),
+                               "--max-points", "3000"], seconds=30)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "dag values may exceed the limit of 1048576 bits"
+
+
 def _evaluated_trdeg_report(tmp_path, point):
     """(report, family) paths: {x1^20000} over Q and a trdeg report whose
     certificate is an evaluated Jacobian of rank 1 at point."""
@@ -1163,6 +1251,94 @@ def test_exact_psi_search_skips_whole_primes_below_the_input_trdeg(tmp_path, fie
     assert result["candidates_tried"] == 7616996750131214
     report = dump(tmp_path, "report.json", proc.stdout)
     assert _cli_in_subprocess(["verify", report, "--against", fam]).returncode == 0
+
+
+# faithful {x1 - x3} --kind psi --mode exact over F_(2^61-1), n = 4: at p = 2
+# sigma_2 sends x1 - x3 to 0, and the candidate stream skips the rest of the
+# prime's exact c sample after its first miss.  The report is the one the
+# search printed when it rejected each of those candidates in turn
+FROZEN_EXACT_PSI_X1_MINUS_X3 = (
+    '{\n'
+    '  "command": "faithful",\n'
+    '  "config": {\n'
+    '    "kind": "psi",\n'
+    '    "mode": "exact",\n'
+    '    "r": null,\n'
+    '    "seed": 0\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "candidates_tried": 2359299,\n'
+    '    "image_certificate": {\n'
+    '      "basis": [\n'
+    '        0\n'
+    '      ],\n'
+    '      "mode": "jacobian",\n'
+    '      "r": 1,\n'
+    '      "witness": {\n'
+    '        "method": "evaluated-jacobian-meets-upper-bound",\n'
+    '        "point": [\n'
+    '          1675509233860888906,\n'
+    '          30201455856404679\n'
+    '        ],\n'
+    '        "upper_bound": 1\n'
+    '      }\n'
+    '    },\n'
+    '    "input_certificate": {\n'
+    '      "basis": [\n'
+    '        0\n'
+    '      ],\n'
+    '      "mode": "jacobian",\n'
+    '      "r": 1,\n'
+    '      "witness": {\n'
+    '        "max_degree": 1,\n'
+    '        "method": "symbolic-rank",\n'
+    '        "pivot_cols": [\n'
+    '          0\n'
+    '        ],\n'
+    '        "pivot_rows": [\n'
+    '          0\n'
+    '        ]\n'
+    '      }\n'
+    '    },\n'
+    '    "map": {\n'
+    '      "D1": 64,\n'
+    '      "D2": 2,\n'
+    '      "c": 2,\n'
+    '      "field": {\n'
+    '        "kind": "prime",\n'
+    '        "p": 2305843009213693951\n'
+    '      },\n'
+    '      "kind": "psi",\n'
+    '      "n": 4,\n'
+    '      "p": 3,\n'
+    '      "r": 1\n'
+    '    }\n'
+    '  }\n'
+    '}\n'
+)
+
+
+def test_an_exact_psi_report_past_a_doomed_prime_is_frozen(tmp_path, capsys):
+    fam = dump(tmp_path, "fam.json", {"field": {"kind": "prime", "p": (1 << 61) - 1},
+                                      "nvars": 4, "polys": ["x1 - x3"]})
+    code, out, _ = run(capsys, ["faithful", fam, "--kind", "psi", "--mode", "exact"])
+    assert code == 0 and out == FROZEN_EXACT_PSI_X1_MINUS_X3
+
+
+@pytest.mark.parametrize("polys", [["x1*x2", "x3*x4"], ["x1 - x3", "x2 - x4"], ["x1 - x3", "x2"]],
+                         ids=["products", "differences", "difference-and-variable"])
+def test_exact_psi_searches_past_a_doomed_prime_answer_and_verify(tmp_path, polys):
+    # trdeg 2 in 4 variables: sigma_2 loses it, and walking the exact c
+    # sample at p = 2 one candidate at a time did not end within 30 s
+    fam = dump(tmp_path, "fam.json", {"field": {"kind": "prime", "p": (1 << 61) - 1},
+                                      "nvars": 4, "polys": polys})
+    proc = _cli_in_subprocess(["faithful", fam, "--kind", "psi", "--mode", "exact"])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["map"]["p"], result["map"]["c"]) == (3, 2)
+    report = dump(tmp_path, "report.json", proc.stdout)
+    proc = _cli_in_subprocess(["verify", report, "--against", fam])
+    assert proc.returncode == 0 and json.loads(proc.stdout)["verified"] is True
 
 
 # three triangular families of the certify-verify corpus (seed 21) over F_2

@@ -368,10 +368,11 @@ def test_line_decision_matches_the_full_images(field):
 
 def _search_spied(C, monkeypatch, **kw):
     """search_depth4_map(C, **kw) as a JSON dict, with the (p, c) of every
-    candidate that reaches _certify_depth4, of every AffineMap.apply call
-    and of every two-value test (with its outcome)."""
+    candidate that reaches _certify_depth4, of every VandermondeMap.apply
+    call (sigma_p's own images are not candidates' images) and of every
+    two-value test (with its outcome)."""
     seen = {"certify": [], "apply": [], "two-value": []}
-    real_certify, real_apply = depth4._certify_depth4, varmaps.AffineMap.apply
+    real_certify, real_apply = depth4._certify_depth4, VandermondeMap.apply
     real_nonconstant = depth4._nonconstant_image
 
     def certify(mp, *args):
@@ -389,7 +390,7 @@ def _search_spied(C, monkeypatch, **kw):
 
     with monkeypatch.context() as m:
         m.setattr(depth4, "_certify_depth4", certify)
-        m.setattr(varmaps.AffineMap, "apply", apply)
+        m.setattr(VandermondeMap, "apply", apply)
         m.setattr(depth4, "_nonconstant_image", nonconstant)
         return search_depth4_map(C, **kw).to_json_dict(), seen
 
@@ -726,3 +727,45 @@ def test_sigma_screen_is_exact_and_changes_no_faithful_search_result(monkeypatch
 
     check()
     assert doomed_seen
+
+
+@pytest.mark.parametrize("field", [Q, F61], ids=["Q", "F2^61-1"])
+def test_an_exact_psi_search_skips_the_rest_of_a_doomed_prime(field, monkeypatch):
+    # {x1 x2, x3 x4}: at p = 2 sigma_2 sends both members to y_0 y_1 (see
+    # the test above), so every c of the exact sample there, about 10^10,
+    # misses.  The first miss dooms the prime, and the candidate stream
+    # yields the rest of its sample as one SkippedPrime, still counted;
+    # rejected one candidate at a time, the search would not end
+    calls = []
+    real = varmaps._certify
+
+    def certify(*args):
+        calls.append(args[2].p)
+        assert len(calls) <= 1000, "more than 1,000 candidates reached _certify"
+        return real(*args)
+
+    monkeypatch.setattr(varmaps, "_certify", certify)
+    fs = [poly_from_text(t, field, 4) for t in ("x1*x2", "x3*x4")]
+    found = search_vandermonde_map(fs, mode="exact")
+    assert (found.map.p, found.map.c) == (3, field.from_int(2))
+    assert found.candidates_tried == 9663676422
+    # at p = 2, c = 1 has linear rank 1 and c = 2 is the first miss
+    assert calls[:3] == [2, 2, 3]
+
+
+def test_sigma_p_is_an_affine_map_with_the_class_sums_as_its_chain_rule():
+    # n = 4, D1 = 125 at p = 2: x1 and x3 share a row, and so do x2 and x4
+    table = varmaps.vandermonde_exponents(4, 2, 125, 2, 2)
+    sigma = varmaps.merging_map(F61, table)
+    assert isinstance(sigma, varmaps.AffineMap)
+    assert (sigma.cls, sigma.nvars_out) == ([0, 1, 0, 1], 2)
+    fs = [poly_from_text(t, F61, 4) for t in ("x1*x2 + x3^2", "x4 - x1")]
+    y = [F61.from_int(5), F61.from_int(7)]
+    # the chain rule sums the Jacobian's columns of each class at sigma(y)
+    rows, den = linalg.eval_matrix(jacobian(fs), F61.integers([y[j] for j in sigma.cls]))
+    sums = [[sum(row[i] for i in (0, 2)) % F61.p, sum(row[i] for i in (1, 3)) % F61.p]
+            for row in rows]
+    assert sigma.jacobian_at(jacobian(fs), y) == (sums, 1)
+    assert [sigma.apply(f) for f in fs] == [poly_from_text(t, F61, 2)
+                                            for t in ("x1*x2 + x1^2", "x2 - x1")]
+    assert varmaps.merging_map(F61, varmaps.vandermonde_exponents(4, 2, 125, 2, 7)) is None
