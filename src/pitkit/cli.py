@@ -4,7 +4,8 @@ Subcommands: pit, trdeg, annihilator, depth4, hitting-set, faithful, verify.
 Every command prints one JSON document (sorted keys, stable layout) with the
 run configuration embedded, so identical invocations produce byte-identical
 output.  Exit codes: 0 zero/success, 1 nonzero, 2 inconclusive, 3 malformed
-input, 4 other errors (budget, exhausted search, unsupported field).
+input or command line, 4 other errors (budget, exhausted search, unsupported
+field, bad parameters).
 
 Input file formats:
 
@@ -287,6 +288,8 @@ def cmd_depth4(args) -> int:
 
 def cmd_hitting_set(args) -> int:
     field = _parse_field(args.field)
+    if args.max_points < 0:
+        raise ValueError("max_points must be nonnegative")
     if args.kind == "sparse-char0":
         if args.r is None or args.d is None or args.ell is None:
             raise _InputError("sparse-char0 needs --n --d --r --delta --ell")
@@ -590,7 +593,14 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    try:
+        args = _parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, the code of an inconclusive
+        # verdict; its message is on stderr already
+        if e.code == 2:
+            return EXIT_PARSE
+        raise
     try:
         return args.fn(args)
     except _InputError as e:

@@ -247,7 +247,7 @@ def _preservation(mp, image, seed):
       line, so a pass on the line proves preservation, and line(f) != 0
       proves psi(f) != 0.  Any other outcome is decided on the full images.
     """
-    k = mp.affine_summary()[0]
+    k = mp.linear_rank()
     line = _memo(_line(mp, seed))
 
     def maps_to_zero(f):
@@ -443,10 +443,10 @@ def search_depth4_map(
     the largest target, and one where sigma_p, the map that merges the
     variables of equal exponent rows (_Merge), sends a factor of C to 0 or
     merges every variable into one and fails to preserve a simple part.
-    Every psi at p factors through sigma_p, so no c there certifies, and
-    neither does the diagonal map x_i -> 1 + z_0 + ... + z_r, whose key
-    goes into the failed keys of _certify_depth4.  sigma_p's data is
-    computed once per prime, kept for that prime only, and dropped with the
+    Every psi at p factors through sigma_p, so no c there certifies.  c = 1
+    past p = 2 is counted without being tried too: it is the diagonal map
+    x_i -> 1 + z_0 + ... + z_r at every prime.  sigma_p's data is computed
+    once per prime, kept for that prime only, and dropped with the
     search.
 
     A one-row subset is its own gcd, so its simple part is one constant
@@ -497,30 +497,20 @@ def search_depth4_map(
     def merge(p):
         return _merge(C, sims, vandermonde_exponents(n, r, D1, D2, p))
 
-    # affine-image keys of the candidates that failed a preservation leg
-    failed = set()
-
-    def doomed(p):
-        # no c at p certifies, and neither does the diagonal map (c = 1 at
-        # every prime), which factors through sigma_p too
-        if merge(p).dooms:
-            failed.add(VandermondeMap(field, n, r, D1, D2, p, field.one()).affine_summary()[1])
-            return True
-        return False
-
     # keep the per-prime sample small: when a prime's residue pattern is
     # degenerate (p = 2 collapses most exponents) no c works, so move on
     # quickly instead of exhausting a lemma-sized sample
     maps = vandermonde_candidates(field, n, r, D1, D2, sched.p_max,
-                                  max(8, 2 * delta * C.k * C.s * r), 1, floor, doomed)
+                                  max(8, 2 * delta * C.k * C.s * r), 1, floor,
+                                  lambda p: merge(p).dooms)
     mp, evidence, tried = first_certified(
-        maps, lambda mp: _certify_depth4(mp, subsets, r, seed, failed, merge(mp.p)),
+        maps, lambda mp: _certify_depth4(mp, subsets, r, seed, merge(mp.p)),
         "depth-4", sched.p_max
     )
     return Depth4MapResult(mp, r, evidence, tried)
 
 
-def _certify_depth4(mp, subsets, r, seed, failed, merge):
+def _certify_depth4(mp, subsets, r, seed, merge):
     """Per-subset evidence that the map psi = mp respects the circuit, or
     None.
 
@@ -546,26 +536,19 @@ def _certify_depth4(mp, subsets, r, seed, failed, merge):
     skipped every prime whose generic linear rank is below the largest
     target, or where sigma_p dooms every c.  The linear rank k of mp
     bounds the trdeg of every image family, so k below some subset's
-    target rejects.  failed holds the affine-image keys of earlier
-    candidates of this search whose preservation leg failed; a candidate
-    with the same key differs from one of them by an invertible affine
-    change of z, an automorphism of F[z] that keeps every preservation
-    verdict, so it is rejected too.  A prime that sigma_p dooms
+    target rejects.  A prime that sigma_p dooms
     (_Merge.dooms) rejects each of its candidates here too, whether or not
     the stream skipped it.  At k = q the preservation verdict is V_p,
     sigma_p's own.  Below q, when V_p fails, psi fails too as soon as
     psi(G) is nonconstant for a shared G (_nonconstant_image).  Otherwise
     _preservation decides it on univariate restrictions of the images to
     one line wherever that is exact, and builds psi's images in w
-    variables only where the line leaves the verdict open.  A preservation
-    failure adds mp's key to failed.  A rank-leg miss does not: over a big
-    field it depends on the seeded points.
+    variables only where the line leaves the verdict open.
     """
-    k, key = mp.affine_summary()
-    if key in failed or any(k < min(rho, r) for *_, rho in subsets):
+    k = mp.linear_rank()
+    if any(k < min(rho, r) for *_, rho in subsets):
         return None
     if merge.dooms or (merge.shared and (k == merge.q or _nonconstant_image(mp, merge, seed))):
-        failed.add(key)
         return None
     image = _memo(mp.apply)
     # rank legs first: evaluated rank never exceeds the function-field rank,
@@ -597,7 +580,6 @@ def _certify_depth4(mp, subsets, r, seed, failed, merge):
     evidence = []
     for (I, sub, sim, facs, J, rho), bound in zip(subsets, bounds):
         if not preserved(sub, sim):
-            failed.add(key)
             return None
         evidence.append(
             {

@@ -287,14 +287,17 @@ def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
     )
 
 
-def _image_set(field, n, provenance, maps, count, w, d, certified):
+def _image_set(field, n, provenance, maps, count, w, d, certified, circ=None):
     """The hitting set of the images of a lattice simplex under a stream of
     maps: the image of a for every map mp of maps() (count of them, each
     of w output variables) and every a of the simplex of total degree d in
     the grid with d + 1 values per axis, or of the whole grid when the
     field truncates the axis; maps=None is the identity (w = n, count 1).
     Certified when certified is true and the axis is whole.  provenance
-    gains "grid_truncated" and "points"."""
+    gains "grid_truncated" and "points".  With circ, the stream refuses
+    each map, before its first block, when the walk of circ on its images
+    may pass MAX_VALUE_BITS (_check_walk_bits at _map_walk_bits); a bound
+    that passed once is not computed again."""
     grid, d = _grid_values(field, d)
     provenance = dict(
         provenance, grid_truncated=d is None, points="grid" if d is None else "simplex"
@@ -302,10 +305,20 @@ def _image_set(field, n, provenance, maps, count, w, d, certified):
 
     axis = field.integers(grid)
 
+    allowed = set()
+
+    def image_blocks(mp):
+        if circ is not None and field.kind == "rational":
+            bits = _map_walk_bits(mp, d)
+            if bits not in allowed:
+                _check_walk_bits(circ, *bits)
+                allowed.add(bits)
+        return (mp._integer_image(block) for block in _lattice_blocks(axis, w, d))
+
     def factory():
         if maps is None:
             return _lattice_blocks(axis, w, d)
-        return (mp._integer_image(block) for mp in maps() for block in _lattice_blocks(axis, w, d))
+        return (block for mp in maps() for block in image_blocks(mp))
 
     return HittingSet(
         field,
@@ -317,27 +330,32 @@ def _image_set(field, n, provenance, maps, count, w, d, certified):
     )
 
 
-def _exact_set(field, n, construction, sched, certified, **provenance):
+def _exact_set(field, n, construction, sched, certified, circ, **provenance):
     """Every map of the closed-form family sched.maps(field, n) over the
-    simplex of total degree h2_size - 1; provenance joins the set's."""
+    simplex of total degree h2_size - 1; provenance joins the set's, and
+    circ is as in _image_set."""
     provenance.update(construction=construction, mode="exact", schedule=sched.to_json_dict())
     return _image_set(field, n, provenance, partial(sched.maps, field, n), sched.count(n),
-                      sched.w(n), sched.h2_size - 1, certified)
+                      sched.w(n), sched.h2_size - 1, certified, circ)
 
 
 def _adaptive_set(mp, construction, evidence, d, circ=None):
     """The corpus hitting set of one certified map over the simplex of total
-    degree d; evidence joins the provenance.  Refused when the walk of
-    circ, if given, may pass MAX_VALUE_BITS (_check_walk_bits): an image
-    coordinate is (b_i + sum_t M[i][t] z_t) / L with 0 <= z_t <= d."""
+    degree d; evidence joins the provenance, and circ is as in
+    _image_set."""
     provenance = dict(evidence, construction=construction, mode="adaptive",
                       map=mp.to_json_dict())
-    hs = _image_set(mp.field, mp.n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False)
-    if circ is not None:
-        const, cols, L = mp._integer_columns()
-        top = max(abs(b) + d * sum(abs(col[i]) for col in cols) for i, b in enumerate(const))
-        _check_walk_bits(circ, max(top, L).bit_length(), L == 1)
-    return hs
+    return _image_set(mp.field, mp.n, provenance, lambda: (mp,), 1, mp.nvars_out, d, False,
+                      circ)
+
+
+def _map_walk_bits(mp, d):
+    """(bits, integral) of the images of the simplex of total degree d
+    under the map mp over Q, as _check_walk_bits takes them: an image
+    coordinate is (b_i + sum_t M[i][t] z_t) / L with 0 <= z_t <= d."""
+    const, cols, L = mp._integer_columns()
+    top = max(abs(b) + d * sum(abs(col[i]) for col in cols) for i, b in enumerate(const))
+    return max(top, L).bit_length(), L == 1
 
 
 def _identity_set(field, n, construction, w, d, mode="adaptive", circ=None):
@@ -353,46 +371,49 @@ def _identity_set(field, n, construction, w, d, mode="adaptive", circ=None):
 
 
 def hitting_set_sparse_inputs(field: FieldSpec, n: int, d: int, r: int, delta: int,
-                              ell: int) -> HittingSet:
+                              ell: int, *, circ=None) -> HittingSet:
     """The closed-form hitting set for degree-d compositions of ell-sparse
     degree-delta polynomials with transcendence degree r, via Vandermonde
     reductions: every map of the schedule (all primes up to its bound, the
     c sample) over the grid.  Certified when a Vandermonde reduction
     applies (varmaps.vandermonde_applies) and the field hosts the full
-    grid."""
+    grid.  circ, the circuit that pit_circuit walks on the set, bounds the
+    walk map by map (_image_set)."""
     sched = schedule("sparse-char0", n=n, delta=delta, r=r, d=d, ell=ell)
     char_ok = vandermonde_applies(field, delta, r)
-    return _exact_set(field, n, "sparse-char0", sched, char_ok, char_gate=char_ok)
+    return _exact_set(field, n, "sparse-char0", sched, char_ok, circ, char_gate=char_ok)
 
 
 def hitting_set_arbitrary_char(field: FieldSpec, n: int, d: int, r: int,
-                               delta: int) -> HittingSet:
+                               delta: int, *, circ=None) -> HittingSet:
     """The closed-form hitting set for degree-d compositions of degree-delta
     polynomials of transcendence degree r over any characteristic, via
     Kronecker maps.
 
     The enumeration unions over all primes up to the schedule bound, the c
     sample, and all r-subsets of kept variables; the grid has arity r and
-    is walked on its simplex of total degree d unless truncated.
+    is walked on its simplex of total degree d unless truncated.  circ as
+    in hitting_set_sparse_inputs.
     """
     sched = schedule("any-char", n=n, delta=delta, r=r, d=d)
-    return _exact_set(field, n, "any-char", sched, True)
+    return _exact_set(field, n, "any-char", sched, True, circ)
 
 
 def hitting_set_depth4(field: FieldSpec, n: int, delta: int, k: int, s: int, R=None,
-                       conjecture_R: bool = False) -> HittingSet:
+                       conjecture_R: bool = False, *, circ=None) -> HittingSet:
     """The closed-form hitting set for depth-4 powered products with k rows,
     up to s factors per row, factor degree at most delta.
 
     The reduction arity is r+1 where r is 1 for k=2, the proven k*s bound
     otherwise (or R when given), or a speculative smaller bound under
     conjecture_R.  Certified when a Vandermonde reduction applies, the field
-    hosts the full grid and the bound is not conjectured.
+    hosts the full grid and the bound is not conjectured.  circ as in
+    hitting_set_sparse_inputs.
     """
     sched = schedule("depth4", n=n, delta=delta, k=k, s=s, r=R, conjecture_R=conjecture_R)
     char_ok = vandermonde_applies(field, delta, sched.r)
     return _exact_set(field, n, "depth4", sched, char_ok and not sched.params["conjectured"],
-                      char_gate=char_ok)
+                      circ, char_gate=char_ok)
 
 
 def pit_circuit(
@@ -426,10 +447,15 @@ def pit_circuit(
     MAX_VALUE_BITS raises BudgetExceeded before any evaluation, and so
     does a composed circuit of trdeg 0 whose outer dag's values at its
     constant inners could exceed MAX_VALUE_BITS, and so does every walk
-    whose values could, but that of a closed-form set (_check_walk_bits).
+    whose values could (_check_walk_bits): a closed-form set's walk map by
+    map, before the map's first point.
     """
     if mode not in ("adaptive", "exact"):
         raise ValueError("mode must be 'exact' or 'adaptive'")
+    if max_points is not None and max_points < 0:
+        # read as 0, it would answer "inconclusive" on every circuit, and
+        # verify's re-run would agree
+        raise ValueError("max_points must be nonnegative")
     exact = mode == "exact"
     field, n = circ.field, circ.nvars
     if isinstance(circ, Depth4Circuit):
@@ -441,7 +467,7 @@ def pit_circuit(
                                circ)
         elif exact:
             hs = hitting_set_depth4(field, n, circ.delta, circ.k, circ.s, R=R,
-                                    conjecture_R=conjecture_R)
+                                    conjecture_R=conjecture_R, circ=circ)
         else:
             w = schedule("depth4", n=n, delta=circ.delta, k=circ.k, s=circ.s, r=R,
                          conjecture_R=conjecture_R).w(n)
@@ -468,9 +494,9 @@ def pit_circuit(
         d = max(1, circ.degree_bound())
         sparse = vandermonde_applies(field, delta, r0)
         if exact and sparse:
-            hs = hitting_set_sparse_inputs(field, n, d, r0, delta, ell)
+            hs = hitting_set_sparse_inputs(field, n, d, r0, delta, ell, circ=circ)
         elif exact:
-            hs = hitting_set_arbitrary_char(field, n, d, r0, delta)
+            hs = hitting_set_arbitrary_char(field, n, d, r0, delta, circ=circ)
         else:
             construction = "sparse-char0" if sparse else "any-char"
             w = map_arity(construction, r0, n)

@@ -15,9 +15,7 @@ elimination in the field, entry for entry: the zero pattern, the rank and
 the pivot rows are those of textbook elimination, and scaling a row by a
 nonzero constant changes none.
 
-rank reads the rank and the pivot rows; reduced_echelon back-reduces them
-to the canonical basis of a row space that the Vandermonde candidate
-screens use as the key of an affine image.  kernel_vector reads a matrix
+rank reads the rank and the pivot rows.  kernel_vector reads a matrix
 column by column and stops at the first column that depends on those
 before it, whose combination of them is the kernel vector: no back
 substitution, and no later column is built."""
@@ -138,36 +136,6 @@ def _eliminate(A, p, size=None):
         pivot_cols.append(j)
         r += 1
     return r, idx, pivot_cols
-
-
-def reduced_echelon(A, p):
-    """(rank, rows): the nonzero rows of the reduced row echelon form of the
-    integer rows A with the modulus p, as tuples: residues over F_p, and
-    over Q each row scaled to the primitive integer vector with a positive
-    pivot.  They are a canonical basis of the row space: two matrices of
-    the same width have the same row space iff they have the same rows
-    here.  The echelon rows of _eliminate are reduced from the last up:
-    each is made canonical, then cleared from the rows above it."""
-    if not A or not A[0]:
-        return 0, ()
-    r, _, pivot_cols = _eliminate(A, p)
-    for k in range(r - 1, -1, -1):
-        j = pivot_cols[k]
-        top = A[k]
-        if not p:  # over F_p the pivot is 1 already
-            g = math.gcd(*top)
-            if top[j] < 0:
-                g = -g
-            top = A[k] = [a // g for a in top]
-        d = top[j]
-        for i in range(k):
-            x = A[i][j]
-            if x:
-                if p:
-                    A[i] = [(a - x * b) % p for a, b in zip(A[i], top)]
-                else:
-                    A[i] = [d * a - x * b for a, b in zip(A[i], top)]
-    return r, tuple(map(tuple, A[:r]))
 
 
 # -- polynomial matrices -------------------------------------------------------

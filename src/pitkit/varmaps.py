@@ -4,7 +4,7 @@ Both of the paper's reductions are affine maps x = b + M z whose nonzero
 entries are powers of a field element c, with exponents reduced mod a prime
 p.  AffineMap holds the one representation, integer columns built from an
 exponent table, and implements apply (one polynomials.substitution per
-map), point_images, affine_summary and the chain-rule jacobian_at once.
+map), point_images, linear_rank and the chain-rule jacobian_at once.
 The two reductions, and sigma_p below, only give the table:
 
 * KroneckerMap (kind "phi"): keeps a chosen r-subset of the variables alive
@@ -21,13 +21,14 @@ primes, c ascending, variable subsets in lexicographic order) and certify
 each candidate by recomputing the transcendence degree of the images, so a
 returned map is correct regardless of which lemma motivated the parameter
 ranges.  A candidate whose linear rank is below the target cannot keep it
-and is rejected before any point is evaluated (AffineMap.affine_summary);
+and is rejected before any point is evaluated (AffineMap.linear_rank);
 a prime at which no c can reach the target is skipped whole
 (vandermonde_candidates, the one enumerator of Vandermonde maps;
 kronecker_candidates is its counterpart for Kronecker maps).  At a prime
 where equal exponent rows merge variables, every Vandermonde map factors
 through the merging map sigma_p (merging_map, an AffineMap), and the
-stream skips the rest of the prime once sigma_p loses the trdeg.
+stream skips the rest of the prime once sigma_p loses the trdeg.  c = 1
+gives the same map at every prime, so a search tries it at p = 2 only.
 ParamSchedule packages the closed-form parameter sizes of each family and
 enumerates its maps (ParamSchedule.maps), unscreened, behind the exact
 hitting sets and the exact searches; the integers are astronomically large
@@ -266,7 +267,7 @@ class AffineMap:
     the bits of c exceeds MAX_VALUE_BITS.
     """
 
-    __slots__ = ("field", "n", "r", "p", "c", "_cols", "_substitution", "_summary")
+    __slots__ = ("field", "n", "r", "p", "c", "_cols", "_substitution", "_rank")
 
     def __init__(self, field: FieldSpec, n: int, r: int, p: int, c):
         c = field.normalize(c)
@@ -279,7 +280,7 @@ class AffineMap:
         self.c = c
         self._cols = None
         self._substitution = None
-        self._summary = None
+        self._rank = None
 
     @property
     def nvars_out(self) -> int:
@@ -304,25 +305,14 @@ class AffineMap:
             self._cols = (cols[0], cols[1:], L)
         return self._cols
 
-    def affine_summary(self):
-        """(k, key) for the affine part x = b + M z of the map: k = rank(M),
-        the linear rank, and key the canonical form of the affine image
-        b + colspace(M), exact in every field (no residues of rationals).
-
-        Both come from one reduced echelon of the homogenized spanning
-        vectors (1, b) and (0, M_t), whose span determines the image and is
-        determined by it: the image is {x : (1, x) in the span}, and the
-        first vector is the only one with a nonzero first coordinate, so
-        the span has rank 1 + k.  Two maps with one key differ by an
-        invertible affine change of z (README, "How candidates are
-        screened")."""
-        if self._summary is None:
-            # (1, b) times L
-            const, cols, L = self._integer_columns()
-            vectors = [[L, *const]] + [[0, *col] for col in cols]
-            rank, key = linalg.reduced_echelon(vectors, self.field.characteristic)
-            self._summary = (rank - 1, key)
-        return self._summary
+    def linear_rank(self) -> int:
+        """k = rank(M), the linear rank of the affine part x = b + M z of
+        the map: the images of any family lie in F[M z], so their trdeg is
+        at most k."""
+        if self._rank is None:
+            _, cols, _ = self._integer_columns()
+            self._rank = linalg.rank([list(col) for col in cols], self.field.characteristic)[0]
+        return self._rank
 
     def apply(self, f: SparsePoly) -> SparsePoly:
         """The image f(b + M z) in z_0..z_(w-1), expanded by one
@@ -486,7 +476,7 @@ def merging_map(field: FieldSpec, table):
 def generic_linear_rank(n: int, r: int, D1: int, D2: int, p: int) -> int:
     """The rank of the linear part M of a VandermondeMap at prime p over
     Q(c), c an indeterminate: an upper bound on the linear rank
-    (AffineMap.affine_summary) of every c at p, in every field.
+    (AffineMap.linear_rank) of every c at p, in every field.
 
     Every entry of M is c^e, so a k x k minor of M is an integer polynomial
     in c whose coefficients are sums of k! signs, of absolute value at most
@@ -625,8 +615,8 @@ def pc_candidates(field: FieldSpec, p_max: int, c_max: int, c_per_p: int = 0):
 class SkippedPrime:
     """The count candidates at prime p of a search over field that no c
     can certify (see vandermonde_candidates): the whole c sample when the
-    linear rank of every c is below the search's floor, or the rest of it
-    once the search's doomed(p) holds."""
+    linear rank of every c is below the search's floor, the rest of it
+    once the search's doomed(p) holds, or c = 1, the map of p = 2."""
 
     __slots__ = ("field", "p", "count")
 
@@ -658,7 +648,14 @@ def vandermonde_candidates(field: FieldSpec, n: int, r: int, D1: int, D2: int, p
     so every map has linear rank at least 1.  Before each candidate, the
     stream asks doomed(p), the caller's proof that no c at p certifies (a
     sigma_p screen); once it holds, one SkippedPrime stands for the rest of
-    p's c sample.  No other code skips a prime of a Vandermonde search."""
+    p's c sample.
+
+    For floor >= 1, c = 1 at p > 2 is one SkippedPrime too: every entry of
+    that map is 1, so it is the diagonal map x_i -> 1 + z_0 + ... + z_r of
+    p = 2, whose verdict, or skip (its linear rank 1 is below a floor >= 2,
+    and it factors through sigma_2), repeats.  Floor 0, that of a hitting
+    set, keeps every map.  No other code skips a candidate of a
+    Vandermonde search."""
     for p, top in _c_samples(field, p_max, c_max, c_per_p):
         if floor >= 2 and generic_linear_rank(n, r, D1, D2, p) < floor:
             yield SkippedPrime(field, p, top)
@@ -667,7 +664,10 @@ def vandermonde_candidates(field: FieldSpec, n: int, r: int, D1: int, D2: int, p
             if doomed is not None and doomed(p):
                 yield SkippedPrime(field, p, top - v + 1)
                 break
-            yield VandermondeMap(field, n, r, D1, D2, p, field.from_int(v))
+            if v == 1 and p > 2 and floor >= 1:
+                yield SkippedPrime(field, p, 1)
+            else:
+                yield VandermondeMap(field, n, r, D1, D2, p, field.from_int(v))
 
 
 def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
@@ -692,7 +692,7 @@ def _certify(fs, J, mp, r0: int, seed: int, verdicts=None):
     """The image certificate of trdeg r0 for the candidate mp, or None.
 
     J = jacobian(fs).  A candidate whose linear rank k (see
-    AffineMap.affine_summary) is below r0 is rejected before any point is
+    AffineMap.linear_rank) is below r0 is rejected before any point is
     evaluated: with M = B C and k = rank(M), every image f(b + B (C z))
     lies in F[C z], so the images have trdeg at most k.  (A Kronecker
     candidate has k = r >= r0 and always passes.)  Then one seeded
@@ -708,7 +708,7 @@ def _certify(fs, J, mp, r0: int, seed: int, verdicts=None):
     search that wins at its first candidate there pays nothing for it; the
     search's candidate stream reads it.
     """
-    if mp.affine_summary()[0] < r0:
+    if mp.linear_rank() < r0:
         return None
     field = mp.field
     rho, pivot_rows, pt = evaluated_rank(partial(mp.jacobian_at, J), field, mp.nvars_out, r0, seed)

@@ -847,6 +847,18 @@ def test_a_walk_over_q_is_bounded_before_it_starts(tmp_path, kind):
     assert json.loads(proc.stderr)["error"] == "dag values may exceed the limit of 1048576 bits"
 
 
+def test_an_exact_walk_over_q_is_bounded_map_by_map(tmp_path):
+    # the map-images circuit above in exact mode: the closed-form stream
+    # bounds each map's walk, before its first point, as the adaptive
+    # set bounds its one map.  Unbounded, 3,000 points ran past 25 s
+    obj = {"kind": "composed", "field": {"kind": "rational"}, "nvars": 3,
+           "inputs": ["x1 + x2 + x3"], "outer": _squared(17)}
+    proc = _cli_in_subprocess(["pit", dump(tmp_path, "circuit.json", obj), "--mode", "exact",
+                               "--max-points", "3000"], seconds=30)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "dag values may exceed the limit of 1048576 bits"
+
+
 def _evaluated_trdeg_report(tmp_path, point):
     """(report, family) paths: {x1^20000} over Q and a trdeg report whose
     certificate is an evaluated Jacobian of rank 1 at point."""
@@ -1002,6 +1014,46 @@ def test_malformed_inputs_exit_three(tmp_path, capsys):
     longfam = dump(tmp_path, "long.json", '{"field": {"kind": "prime", "p": 1%s1}, '
                    '"nvars": 1, "polys": ["x1"]}' % ("0" * 4999))
     assert run(capsys, ["trdeg", longfam])[0] == 3
+
+
+def test_usage_errors_exit_three(tmp_path, capsys):
+    # argparse's own exit code, 2, is that of an inconclusive verdict
+    path = dump(tmp_path, "zero.json", zero_composition().to_json_dict())
+    for argv in (["pit"], ["pit", path, "--mode", "nope"], ["bogus"], []):
+        with pytest.raises(SystemExit) as exc:
+            _parse_args(list(argv))
+        usage = capsys.readouterr().err
+        assert exc.value.code == 2 and usage.startswith("usage: pitkit")
+        assert run(capsys, list(argv)) == (3, "", usage)
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0 and "usage: pitkit" in capsys.readouterr().out
+
+
+def test_a_usage_error_exits_three_from_the_module_entry_point():
+    proc = _cli_in_subprocess(["pit", "c.json", "--mode", "nope"])
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "invalid choice: 'nope'" in proc.stderr
+
+
+def test_a_negative_max_points_exits_four(tmp_path, capsys):
+    # (x1 + x2) x3 is nonzero: a walk cut before its first point would
+    # answer inconclusive, and verify would accept that report
+    outer = {"nodes": [{"op": "input", "var": 0}, {"op": "input", "var": 1},
+                       {"op": "mul", "args": [0, 1]}], "output": 2}
+    path = dump(tmp_path, "c.json", {"kind": "composed", "field": {"kind": "rational"},
+                                     "nvars": 3, "inputs": ["x1 + x2", "x3"], "outer": outer})
+    code, out, err = run(capsys, ["pit", path, "--max-points", "-1"])
+    assert (code, out) == (4, "") and "max_points" in json.loads(err)["error"]
+    code, out, _ = run(capsys, ["pit", path, "--max-points", "0"])
+    report = json.loads(out)
+    assert code == 2 and report["verdict"]["points_checked"] == 0
+    report["config"]["max_points"] = -1
+    forged = dump(tmp_path, "forged.json", report)
+    assert run(capsys, ["verify", forged, "--against", path])[:2] == (4, "")
+    code, out, err = run(capsys, ["hitting-set", "--kind", "depth4", "--n", "3", "--delta", "1",
+                                  "--k", "2", "--s", "1", "--max-points", "-1"])
+    assert (code, out) == (4, "") and "max_points" in json.loads(err)["error"]
 
 
 def test_resource_errors_exit_four(tmp_path, capsys):

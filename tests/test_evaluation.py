@@ -234,8 +234,9 @@ def test_small_field_vandermonde_fallback_rejects_full_linear_rank_candidate(mon
     # the same affine form 2 + z0 + 2 z1 while its linear rank is full
     # (2 = r + 1, from x2 -> 2 + z0 + z1): it passes the point-free screen,
     # misses the evaluated leg, and the symbolic trdeg of its images
-    # (x1 - x3 maps to 0) rejects it.  The c = 1 candidates have linear
-    # rank 1, the input trdeg, and take the same route; p = 3, c = 2 wins
+    # (x1 - x3 maps to 0) rejects it.  c = 1 has linear rank 1, the input
+    # trdeg, and takes the same route at p = 2; at p = 3 it is the same
+    # map, counted and not tried again, and p = 3, c = 2 wins
     applied = []
     real_apply = VandermondeMap.apply
     monkeypatch.setattr(VandermondeMap, "apply",
@@ -244,6 +245,5 @@ def test_small_field_vandermonde_fallback_rejects_full_linear_rank_candidate(mon
     found = search_vandermonde_map(fs)
     assert (found.map.p, found.map.c, found.candidates_tried) == (3, 2, 4)
     rejected = [mp for mp in applied if mp is not found.map]
-    assert [(mp.p, mp.c, mp.affine_summary()[0]) for mp in rejected] == [
-        (2, 1, 1), (2, 2, 2), (3, 1, 1)]
+    assert [(mp.p, mp.c, mp.linear_rank()) for mp in rejected] == [(2, 1, 1), (2, 2, 2)]
     assert rejected[1].nvars_out == 2 and real_apply(rejected[1], fs[0]).is_zero

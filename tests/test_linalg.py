@@ -11,7 +11,6 @@ from pitkit.linalg import (
     kernel_vector,
     poly_matrix_rank,
     rank,
-    reduced_echelon,
 )
 from pitkit.polynomials import SparsePoly
 
@@ -158,7 +157,6 @@ def test_echelon_kernel_is_valid_on_low_rank_matrices(p):
             r, pivot_rows = rank(*int_rows(M, F))
             assert r == len(pivot_rows) and r <= max(k, 1), (rows, cols, k)
             assert _rank(*int_rows([M[i] for i in pivot_rows], F)) == r
-            assert reduced_echelon(*int_rows(M, F))[0] == r
             kernel = kernel_vector(*int_columns(M, F), F)
             assert (kernel is None) == (r == cols)
             if kernel is not None:

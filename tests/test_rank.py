@@ -4,14 +4,13 @@ the evaluated-rank screen.
 linalg's one forward elimination runs on integers: residues over F_p and
 Bareiss's fraction-free elimination over Q.  The references are textbook
 elimination in the field (Fractions over Q, residues over F_p) and sympy's
-rank and reduced row echelon form over QQ and GF(p).  poly_matrix_rank runs
+rank over QQ and GF(p).  poly_matrix_rank runs
 the same elimination on polynomials; its reference is the separate loop it
 ran on before, with the pivot of least degree.  evaluated_rank stops
 at a ceiling; a ceiling that bounds the rank at every point must leave its
 answer alone.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -37,7 +36,6 @@ from pitkit.linalg import (  # noqa: E402
     kernel_vector,
     poly_matrix_rank,
     rank,
-    reduced_echelon,
 )
 from pitkit.polynomials import SparsePoly, divide_exact  # noqa: E402
 from pitkit.varmaps import KroneckerMap, VandermondeMap  # noqa: E402
@@ -171,40 +169,6 @@ def test_echelon_matches_field_elimination_and_sympy(field, large, data):
     assert r == sympy_rank(M, field)
     assert sympy_rank([M[i] for i in pivot_rows], field) == r
     check_kernel(M, field, kernel_vector(*int_columns(M, field), field))
-
-
-def sympy_rref(matrix, field):
-    """The nonzero rows of sympy's reduced row echelon form, as reduced_echelon
-    gives them: residues over F_p, and over Q each row scaled to the
-    primitive integer vector with a positive pivot."""
-    if field.kind == "rational":
-        dom = sympy.QQ
-        rows = [[dom(v.numerator, v.denominator) for v in map(Fraction, row)] for row in matrix]
-    else:
-        dom = sympy.GF(field.p)
-        rows = [[dom(to_field(field, v)) for v in row] for row in matrix]
-    R, pivots = DomainMatrix(rows, (len(matrix), len(matrix[0])), dom).rref()
-    out = []
-    for row in R.to_list()[: len(pivots)]:
-        if field.kind == "prime":
-            out.append(tuple(dom.to_int(v) % field.p for v in row))
-            continue
-        row = [Fraction(int(v.numerator), int(v.denominator)) for v in row]
-        den = math.lcm(*(v.denominator for v in row))
-        ints = [int(v * den) for v in row]
-        g = math.gcd(*ints)  # the pivot is 1, so positive already
-        out.append(tuple(v // g for v in ints))
-    return len(pivots), tuple(out)
-
-
-@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
-@pytest.mark.parametrize("field", [Q, F101, F61], ids=["Q", "F101", "F2^61-1"])
-@given(data=st.data())
-def test_reduced_echelon_matches_sympy_rref(field, large, data):
-    M = data.draw(planted(field, large))
-    r, rows = reduced_echelon(*int_rows(M, field))
-    assert (r, rows) == sympy_rref(M, field)
-    assert r == rank(*int_rows(M, field))[0]
 
 
 # -- the polynomial Bareiss ---------------------------------------------------

@@ -1,21 +1,19 @@
 """The point-free candidate screens of the Vandermonde searches.
 
-VandermondeMap.affine_summary gives the linear rank k of a map x = b + M z
-and a canonical key of its affine image b + colspace(M).  The searches
-reject a candidate whose k is below the target (the rank bound) and, in
-the depth-4 search, a candidate whose key repeats one whose preservation
-leg failed (equal keys).  Before either, the candidate stream skips every
-prime whose generic linear rank (varmaps.generic_linear_rank) is below
-the target (the whole-prime screen).  The depth-4 search also decides
-preservation once per prime through sigma_p, the map that merges the
-variables of equal exponent rows (the sigma screen).  Tested here: the
-lemmas as hypothesis properties, the canonical form behind the key, and
-differential runs showing that the screens change no search result.
+VandermondeMap.linear_rank gives the linear rank k of a map x = b + M z.
+The searches reject a candidate whose k is below the target (the rank
+bound).  Before that, the candidate stream skips every prime whose generic
+linear rank (varmaps.generic_linear_rank) is below the target (the
+whole-prime screen), and c = 1 past p = 2, the diagonal map of every
+prime (the c = 1 rule).  The depth-4 search also decides preservation once
+per prime through sigma_p, the map that merges the variables of equal
+exponent rows (the sigma screen).  Tested here: the lemmas as hypothesis
+properties, and differential runs showing that the screens change no
+search result.
 """
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,6 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from _gen import (gcd_depth4, int_rows, lifted_identity, map_images, rand_depth4,  # noqa: E402
                   rand_poly, substitute_reference)
+from test_census import census  # noqa: E402
 from pitkit import depth4, linalg, varmaps  # noqa: E402
 from pitkit.circuits import Depth4Circuit  # noqa: E402
 from pitkit.depth4 import search_depth4_map, verify_simple_preservation  # noqa: E402
@@ -57,14 +56,19 @@ def full_images_only(mp, image, seed):
 
 
 def no_screens(monkeypatch):
-    """Make every summary the no-op one: full linear rank, and a key no
-    other map shares; every prime's generic linear rank full; give every
-    prime a sigma_p that decides nothing (no class count any linear rank
-    equals, nothing killed, nothing shared); and decide every preservation
-    leg on the full images (full_images_only)."""
-    monkeypatch.setattr(VandermondeMap, "affine_summary",
-                        lambda mp: (mp.nvars_out, object()))
-    monkeypatch.setattr(varmaps, "generic_linear_rank", lambda n, r, *_: r + 1)
+    """Give every map full linear rank; stream every candidate (floor 0: no
+    whole-prime screen and no c = 1 rule); give every prime a sigma_p that
+    decides nothing (no class count any linear rank equals, nothing killed,
+    nothing shared); and decide every preservation leg on the full images
+    (full_images_only)."""
+    real = varmaps.vandermonde_candidates
+
+    def every_candidate(field, n, r, D1, D2, p_max, c_max, c_per_p, floor, doomed=None):
+        return real(field, n, r, D1, D2, p_max, c_max, c_per_p, 0, doomed)
+
+    monkeypatch.setattr(VandermondeMap, "linear_rank", lambda mp: mp.nvars_out)
+    monkeypatch.setattr(varmaps, "vandermonde_candidates", every_candidate)
+    monkeypatch.setattr(depth4, "vandermonde_candidates", every_candidate)
     monkeypatch.setattr(depth4, "_merge", lambda C, sims, table: depth4._Merge(None, (), False, ()))
     monkeypatch.setattr(depth4, "_preservation", full_images_only)
 
@@ -81,44 +85,17 @@ def random_vandermonde_map(rng, field, n):
     return VandermondeMap(field, n, r, D1, D2, p, c)
 
 
-# -- the canonical form behind the key -------------------------------------
-
-
-@given(st.data())
-@pytest.mark.parametrize("field", [F3, F101, Q], ids=["F3", "F101", "Q"])
-def test_reduced_echelon_is_a_canonical_basis_of_the_row_space(field, data):
-    rows = data.draw(st.integers(1, 4))
-    cols = data.draw(st.integers(1, 5))
-    ints = st.integers(-4, 4)
-    A = [[field.normalize(data.draw(ints)) for _ in range(cols)] for _ in range(rows)]
-    rank, basis = linalg.reduced_echelon(*int_rows(A, field))
-    assert rank == linalg.rank(*int_rows(A, field))[0] == len(basis)
-    # an invertible row transform (a random unit lower-triangular matrix
-    # times a permutation) keeps the row space and so the canonical rows
-    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    perm = rng.sample(range(rows), rows)
-    B = [list(A[i]) for i in perm]
-    for i in range(rows):
-        for j in range(i):
-            x = field.from_int(rng.randint(-3, 3))
-            B[i] = [field.add(a, field.mul(x, b)) for a, b in zip(B[i], B[j])]
-    assert linalg.reduced_echelon(*int_rows(B, field)) == (rank, basis)
-    # and each canonical row lies in the row space of A
-    for row in basis:
-        assert linalg.rank(*int_rows(A + [list(row)], field))[0] == rank
-
-
-def test_reduced_echelon_rows_over_q_are_primitive_with_positive_pivot():
-    A = [[Fraction(2), Fraction(4), Fraction(1, 3)], [Fraction(-1), Fraction(-2), Fraction(5)]]
-    assert linalg.reduced_echelon(*int_rows(A, Q)) == (2, ((1, 2, 0), (0, 0, 1)))
-    assert linalg.reduced_echelon(*int_rows([[Fraction(-3, 2), Fraction(9, 4)]], Q)) == (1, ((2, -3),))
+# -- the linear rank -------------------------------------------------------
 
 
 def test_summary_of_a_p2_map_is_the_diagonal_line_for_every_c():
     # p = 2 and n + 1 = 4 even: every x_i maps to 1 + c z0 + z1 (D1 = 16
-    # even, D2 = 3 odd), so the image is the diagonal line for every c
-    summaries = {VandermondeMap(Q, 3, 1, 16, 3, 2, c).affine_summary() for c in range(1, 7)}
-    assert summaries == {(1, ((1, 0, 0, 0), (0, 1, 1, 1)))}
+    # even, D2 = 3 odd), so the image is a line on the diagonal for every
+    # c, of linear rank 1
+    for c in range(1, 7):
+        mp = VandermondeMap(Q, 3, 1, 16, 3, 2, Q.from_int(c))
+        assert len(set(map_images(mp))) == 1
+        assert mp.linear_rank() == 1
 
 
 def test_linear_rank_equal_to_the_target_passes_the_screen():
@@ -126,12 +103,12 @@ def test_linear_rank_equal_to_the_target_passes_the_screen():
     # must let k == r0 through; the winner p = 2, c = 2 is such a map
     fs = [poly_from_text(t, Q, 2) for t in ("x1 + x2^2", "x2")]
     mp = VandermondeMap(Q, 2, 2, 27, 2, 2, Q.from_int(2))
-    assert mp.affine_summary()[0] == 2
+    assert mp.linear_rank() == 2
     cert = varmaps._certify(fs, jacobian(fs), mp, 2, 0)
     assert cert is not None and cert.r == 2
     # and in the depth-4 search: the winner's linear rank is the target 1
     found = search_depth4_map(rand_depth4(2, Q, k=2, s=2, n=3))
-    assert found.map.affine_summary()[0] == found.r == 1
+    assert found.map.linear_rank() == found.r == 1
     assert found.candidates_tried == 1
 
 
@@ -144,7 +121,7 @@ def test_linear_rank_bounds_image_jacobian_rank_and_trdeg(field, stream):
     rng = random.Random(stream)
     n = rng.randint(2, 4)
     mp = random_vandermonde_map(rng, field, n)
-    k, _ = mp.affine_summary()
+    k = mp.linear_rank()
     w = mp.nvars_out
     units = [tuple(int(q == t) for q in range(w)) for t in range(w)]
     M = [[img.terms.get(u, field.zero()) for u in units] for img in map_images(mp)]
@@ -185,7 +162,7 @@ def test_generic_linear_rank_bounds_the_linear_rank_of_every_c(field, data):
     cs = [field.from_int(v) for v in range(1, top + 1)]
     if field.kind == "rational":
         cs += [Q.div(Q.from_int(a), Q.from_int(3)) for a in (-2, -1, 1, 2)]
-    ranks = [VandermondeMap(field, n, r, D1, D2, p, c).affine_summary()[0] for c in cs]
+    ranks = [VandermondeMap(field, n, r, D1, D2, p, c).linear_rank() for c in cs]
     assert max(ranks) <= bound
 
 
@@ -226,59 +203,6 @@ def test_screened_stream_finds_the_map_of_the_plain_stream(field, data):
              for p, c in varmaps.pc_candidates(field, 13, c_max, c_per_p))
     screened = varmaps.vandermonde_candidates(field, n, r, D1, D2, 13, c_max, c_per_p, r0)
     assert _walk(screened, fs, r0, seed) == _walk(plain, fs, r0, seed)
-
-
-# -- lemma 2: equal keys, equal preservation verdicts ------------------------
-
-
-@given(st.integers(0, 10 ** 9))
-@pytest.mark.parametrize("field", SEARCH_FIELDS, ids=SEARCH_IDS)
-def test_equal_keys_give_equal_preservation_verdicts(field, stream):
-    # p = 2 with n odd: every x_i maps to b + c^(D2 mod 2) z0 + z1 + ... +
-    # z_r with b in {1, c}, so all c share the diagonal line as key.  All
-    # draws come from one seeded stream (see the test of sigma's verdict)
-    n = 3
-    delta = 2
-    rng = random.Random(stream)
-    k = rng.randint(2, 3)
-    s = rng.randint(1, 2)
-    rows = [[rand_poly(rng, field, n, delta, 3) for _ in range(s)] for _ in range(k)]
-    if rng.random() < 0.5:
-        # a shared factor, so that the simple part differs from C
-        g = rand_poly(rng, field, n, 1, 2)
-        rows = [[g] + row for row in rows]
-    C = Depth4Circuit(field, n, delta, rows)
-    r = rng.randint(1, 3)
-    D1 = rng.randint(2 * delta * delta + 1, 40)
-    D2 = rng.randint(delta + 1, 6)
-    top = 6 if field.kind == "rational" else 100
-    c1, c2 = (field.from_int(rng.randint(1, top)) for _ in range(2))
-    m1 = VandermondeMap(field, n, r, D1, D2, 2, c1)
-    m2 = VandermondeMap(field, n, r, D1, D2, 2, c2)
-    assert m1.affine_summary() == m2.affine_summary()
-    assert verify_simple_preservation(C, m1) == verify_simple_preservation(C, m2)
-
-
-def test_equal_key_pairs_cover_both_verdicts(monkeypatch):
-    # the lemma above is not vacuous: among p = 2 maps of one key, some
-    # circuits keep their simple part and some do not.  These maps have
-    # linear rank 1, so the line decides both verdicts, and no image in w
-    # variables is ever built
-    field = F101
-    x = [poly_from_text("x%d" % i, field, 3) for i in (1, 2, 3)]
-    one = poly_from_text("1", field, 3)
-    kept = Depth4Circuit(field, 3, 2, [[x[0]], [x[1] + one]])
-    lost = Depth4Circuit(field, 3, 2, [[x[0]], [x[1]]])
-    maps = [VandermondeMap(field, 3, 1, 16, 3, 2, c) for c in (1, 2, 5)]
-    assert len({mp.affine_summary() for mp in maps}) == 1
-    assert maps[0].affine_summary()[0] == 1
-
-    def no_image(mp, f):
-        raise AssertionError("a full image was built")
-
-    monkeypatch.setattr(varmaps.AffineMap, "apply", no_image)
-    assert [verify_simple_preservation(kept, mp) for mp in maps] == [True] * 3
-    assert [verify_simple_preservation(lost, mp) for mp in maps] == [False] * 3
 
 
 def test_one_row_subsets_get_no_coprime_basis(monkeypatch):
@@ -351,7 +275,7 @@ def test_line_decision_matches_the_full_images(field):
         line_images = [substitute_reference(img, z) for img in images]
         for f in {f for row in C.rows for f in row}:
             assert line(f) == substitute_reference(f, line_images)
-        rank = mp.affine_summary()[0]
+        rank = mp.linear_rank()
         if rank == 1:
             assert not built
             seen.add(("rank 1", got))
@@ -437,24 +361,14 @@ def test_the_q1_prime_2_of_a_random_k2_circuit_is_skipped_whole(monkeypatch):
     # at p = 2 every variable of this circuit merges into one (q = 1), and
     # the merged rows share a factor: no c at p = 2 preserves the simple
     # part, nor does the diagonal map x_i -> 1 + z_0 + z_1, which c = 1 at
-    # p = 3 is; its key is rejected before any rank leg
+    # p = 3 is; the stream counts it without certifying it
     C = rand_depth4(0, Q, k=2, s=2, n=3)
     table = varmaps.vandermonde_exponents(3, 1, 16, 3, 2)
     merge = depth4._merge(C, [depth4.simple_part(C)], table)
     assert merge.q == 1 and not merge.killed and merge.shared
-    ranked = []
-    real_rank = depth4.evaluated_rank
-
-    def spy_rank(jac_at, *args, **kw):
-        mp = jac_at.func.__self__
-        ranked.append((mp.p, mp.c))
-        return real_rank(jac_at, *args, **kw)
-
-    monkeypatch.setattr(depth4, "evaluated_rank", spy_rank)
     found, seen = _search_spied(C, monkeypatch)
     assert (found["map"]["p"], found["candidates_tried"]) == (3, 20)
-    assert all(p > 2 for p, _ in seen["certify"]) and (3, 1) in seen["certify"]
-    assert (3, 1) not in ranked
+    assert all(p > 2 for p, _ in seen["certify"]) and (3, 1) not in seen["certify"]
     assert found == _unscreened(C, monkeypatch)
 
 
@@ -526,7 +440,7 @@ def test_at_linear_rank_q_the_verdict_is_that_of_sigma(field):
                 row.append(x[v] + one)
         C = Depth4Circuit(field, n, delta, rows)
         merge = depth4._merge(C, [depth4.simple_part(C)], table)
-        if mp.affine_summary()[0] != merge.q:
+        if mp.linear_rank() != merge.q:
             return
         verdict = not merge.killed and not merge.shared
         assert verify_simple_preservation(C, mp) == verdict
@@ -574,6 +488,43 @@ def test_screens_change_no_depth4_search_result(field, monkeypatch):
     assert checks_with_screens < len(preserved) - checks_with_screens
 
 
+def _census_searches(field):
+    """The depth-4 map searches of a capped census slice of linear depth-4
+    circuits (n = 3, k = 2, s = 1; see test_census), each as its JSON dict
+    or the message of its SearchExhausted."""
+    out = []
+    for C in census(field, 3, 2, 1, 40):
+        try:
+            out.append(search_depth4_map(C).to_json_dict())
+        except varmaps.SearchExhausted as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=["F3", "Q"])
+def test_c1_past_p2_reaches_no_certification(field, monkeypatch):
+    # c = 1 is the diagonal map x_i -> 1 + z_0 + ... + z_r at every prime:
+    # the stream counts it past p = 2 and certifies it nowhere, and the
+    # searches find what the unscreened ones, which try it, find
+    reached = []
+    real_depth4, real_faithful = depth4._certify_depth4, varmaps._certify
+    monkeypatch.setattr(depth4, "_certify_depth4",
+                        lambda mp, *a: reached.append((mp.p, mp.c)) or real_depth4(mp, *a))
+    monkeypatch.setattr(varmaps, "_certify",
+                        lambda fs, J, mp, *a: reached.append((mp.p, mp.c))
+                        or real_faithful(fs, J, mp, *a))
+    families = list(faithful_families(Q)) if field is Q else []
+    screened = _census_searches(field), [search_vandermonde_map(fs).to_json_dict()
+                                         for fs in families]
+    assert not [(p, c) for p, c in reached if p > 2 and c == field.one()]
+    del reached[:]
+    no_screens(monkeypatch)
+    assert (_census_searches(field), [search_vandermonde_map(fs).to_json_dict()
+                                      for fs in families]) == screened
+    # the unscreened searches do try c = 1 past p = 2, or this shows nothing
+    assert [(p, c) for p, c in reached if p > 2 and c == field.one()]
+
+
 def faithful_families(field):
     rng = random.Random(3)
     for _ in range(6):
@@ -593,16 +544,16 @@ def test_screens_change_no_faithful_search_result(field, monkeypatch):
 
 
 @pytest.mark.parametrize("screens", [True, False], ids=["screens", "no-screens"])
-def test_a_rank_leg_miss_does_not_reject_the_key(screens, monkeypatch):
+def test_a_rank_leg_miss_at_c1_does_not_stop_c2(screens, monkeypatch):
     # over a big field the evaluated rank leg can miss at every seeded point
     # by bad luck; simulate that for the first candidate.  The next
-    # candidate has the same key (p = 2 maps the variables to one line) and
-    # must still be certified: only preservation failures are remembered.
+    # candidate maps the variables to the same line (p = 2 merges them all)
+    # and must still be certified: a miss at c = 1 rejects c = 1 alone
     C = rand_depth4(2, Q, k=2, s=2, n=3)
     first = search_depth4_map(C)
     assert (first.map.p, first.candidates_tried) == (2, 1)
     second = VandermondeMap(Q, 3, 1, first.map.D1, first.map.D2, 2, Q.from_int(2))
-    assert second.affine_summary()[1] == first.map.affine_summary()[1]
+    assert second.linear_rank() == first.map.linear_rank() == 1
     if not screens:
         no_screens(monkeypatch)
     real_rank = depth4.evaluated_rank
@@ -684,7 +635,7 @@ def test_sigma_dooms_a_prime_by_the_symbolic_rank_of_nonconstant_images(field):
     for texts, doomed in ((("x1*x2", "x3*x4"), True), (("x1*x2", "x3 + x4"), False)):
         fs = [poly_from_text(t, field, 4) for t in texts]
         mp = VandermondeMap(field, 4, 2, 125, 2, 2, field.from_int(3))
-        assert mp.affine_summary()[0] >= 2
+        assert mp.linear_rank() >= 2
         assert varmaps._sigma_dooms(fs, jacobian(fs), mp, 2, 0) is doomed
 
 
