@@ -475,13 +475,14 @@ def search_depth4_map(
                 continue
             sim = simple_part(sub)
             facs = sim.sparse_factors()
-            rho = trdeg(facs, mode="auto")
+            J = jacobian(facs)
+            rho = trdeg(facs, mode="auto", J=J)
             if not rho.exact:
                 raise BudgetExceeded(
                     "rank of a subcircuit's simple part is not decidable "
                     "within budget"
                 )
-            subsets.append((I, sub, sim, facs, jacobian(facs), rho.r))
+            subsets.append((I, sub, sim, facs, J, rho.r))
     # _certify_depth4 rejects every map of linear rank below this
     floor = max(min(rho, r) for *_, rho in subsets)
     if field.characteristic == 2 and floor >= 2:

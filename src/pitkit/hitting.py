@@ -58,7 +58,7 @@ from functools import partial
 from .circuits import Blackbox, ComposedCircuit, Depth4Circuit
 from .depth4 import search_depth4_map
 from .fields import FieldSpec, block_size
-from .independence import trdeg
+from .independence import jacobian, trdeg
 from .polynomials import MAX_VALUE_BITS, BudgetExceeded
 from .varmaps import (
     family_sizes,
@@ -480,7 +480,8 @@ def pit_circuit(
         truncated = hs.provenance["grid_truncated"]
     elif isinstance(circ, ComposedCircuit):
         inputs = list(circ.inputs)
-        input_cert = trdeg(inputs, mode="auto")
+        J = jacobian(inputs)
+        input_cert = trdeg(inputs, mode="auto", J=J)
         r0 = input_cert.r
         if r0 == 0:
             if field.kind == "rational":
@@ -509,7 +510,7 @@ def pit_circuit(
                 _check_axis(field, d)
                 search = search_vandermonde_map if sparse else search_kronecker_map
                 # r0 <= n: trdeg never exceeds the number of variables
-                found = search(inputs, r=r0, seed=seed, input_cert=input_cert)
+                found = search(inputs, r=r0, seed=seed, input_cert=input_cert, J=J)
                 evidence = {"image_certificate": found.image_cert.to_json_dict()}
                 hs = _adaptive_set(found.map, construction, evidence, d, circ)
         truncated = hs.provenance["grid_truncated"]

@@ -6,7 +6,11 @@ said otherwise):
 
 * rank of the Jacobian is a lower bound for the transcendence degree in any
   characteristic; equality needs ch(K) = 0 or ch(K) large relative to the
-  degrees (see _jacobian_trusted for the exact gate used).
+  degrees (see _jacobian_trusted for the exact gate used).  The Jacobian
+  has one representation: jacobian builds its entries from each member's
+  integer form, and they are only evaluated (linalg.eval_matrix) or
+  eliminated on packed integer polynomials (jacobian_rank); no SparsePoly
+  derivative is built.
 * a set of m polynomials in n variables has transcendence degree at most
   min(m, n); any subset larger than n is dependent outright.
 * if a size-u subset with max degree delta is dependent, it admits an
@@ -47,6 +51,10 @@ DEFAULT_COLUMN_BUDGET = 50_000
 # search raises BudgetExceeded: linalg.kernel_vector keeps every column
 # before the first dependent one
 MAX_STREAM_ENTRIES = 2_000_000
+# the term products (polynomials.PackedRing.work) past which the symbolic
+# Jacobian rank raises BudgetExceeded: four dense quartics in four
+# variables take 1.9 million, four dense sextics 51 million
+MAX_JACOBIAN_PRODUCTS = 8_000_000
 
 
 def _check_family(fs):
@@ -64,9 +72,33 @@ def _max_degree(fs) -> int:
 
 
 def jacobian(fs):
-    """m x n matrix of partial derivatives; row i is the gradient of fs[i]."""
+    """The m x n Jacobian of fs as a linalg.FormMatrix: entry (i, v) is the
+    partial derivative of fs[i] in x_v, in the integer form of
+    SparsePoly._compile over fs[i]'s own denominator D: each term (N, mon,
+    k) of fs[i] with e = e_v > 0 gives the term (N e, mon - e_v, k - 1),
+    reduced mod p, and dropped when that is 0 (p | e in characteristic p,
+    as in SparsePoly.derivative).  No polynomial is built."""
     field, n = _check_family(fs)
-    return [[f.derivative(j) for j in range(n)] for f in fs]
+    p = field.p
+    rows = []
+    for f in fs:
+        D, terms, _ = f._compiled or f._compile()
+        row = [[] for _ in range(n)]
+        for N, mon, k in terms:
+            for t, (v, e) in enumerate(mon):
+                c = N * e % p if p else N * e
+                if c:
+                    rest = mon[:t] + ((v, e - 1),) + mon[t + 1:] if e > 1 else mon[:t] + mon[t + 1:]
+                    row[v].append((c, rest, k - 1))
+        rows.append([(D, tuple(ts), max(t[2] for t in ts)) if ts else (D, (), 0) for ts in row])
+    return linalg.FormMatrix(field, n, rows)
+
+
+def jacobian_rank(fs, J=None):
+    """(rank, pivot_rows, pivot_cols) of the symbolic Jacobian of fs over
+    F(x) (linalg.poly_matrix_rank); J, when given, is jacobian(fs).
+    Raises BudgetExceeded past MAX_JACOBIAN_PRODUCTS term products."""
+    return linalg.poly_matrix_rank(jacobian(fs) if J is None else J, MAX_JACOBIAN_PRODUCTS)
 
 
 def _subseed(seed: int, salt: int) -> int:
@@ -198,6 +230,7 @@ def trdeg(
     fs,
     mode: str = "auto",
     col_budget: int = DEFAULT_COLUMN_BUDGET,
+    J=None,
 ) -> TrdegCertificate:
     """Transcendence degree of the family fs with a certificate.
 
@@ -208,6 +241,8 @@ def trdeg(
     mode "auto": Jacobian first, bruteforce fallback when the gate fails,
     flagged lower bound if the fallback exceeds its budget.
     No mode evaluates at a random point, so the answer depends on fs alone.
+    J, when given, is jacobian(fs).  The symbolic rank raises
+    BudgetExceeded past MAX_JACOBIAN_PRODUCTS (jacobian_rank).
     """
     if mode not in ("auto", "jacobian", "bruteforce"):
         raise ValueError("mode must be auto, jacobian, or bruteforce")
@@ -216,7 +251,7 @@ def trdeg(
     delta = _max_degree(fs)
 
     if mode in ("auto", "jacobian"):
-        rho, prows, pcols = linalg.poly_matrix_rank(jacobian(fs))
+        rho, prows, pcols = jacobian_rank(fs, J)
 
         def symbolic(cert_mode, method):
             witness = {
@@ -436,7 +471,7 @@ def verify_trdeg_certificate(
             check_value_bits(field, _max_degree(fs), bits, "the witness point")
             rho, prows = linalg.rank(linalg.eval_matrix(J, x)[0], field.characteristic)
             return rho == cert.r and basis == prows and cert.r in (min(m, n), upper_bound)
-        rho, prows, _ = linalg.poly_matrix_rank(J)
+        rho, prows, _ = jacobian_rank(fs, J)
         if rho != cert.r or basis != prows:
             return False
         if cert.mode == "jacobian":

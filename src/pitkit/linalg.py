@@ -7,13 +7,17 @@ over Q integers, such as numerators over one denominator (FieldSpec.integers),
 which have the same row space.  Over F_p _eliminate scales each pivot row
 to 1.  Over Q it runs Bareiss's fraction-free elimination (Math. Comp.
 1968): after the first step every update divides exactly by the previous
-pivot, so no Fraction is built.  The same Bareiss steps run on SparsePoly
-matrices over F[x] (poly_matrix_rank), where the exact division is
-divide_exact.  Scalar elimination pivots on the first nonzero entry of each
-column, so the rows below a pivot are nonzero multiples of those of
-elimination in the field, entry for entry: the zero pattern, the rank and
-the pivot rows are those of textbook elimination, and scaling a row by a
-nonzero constant changes none.
+pivot, so no Fraction is built.  The same Bareiss steps give the rank of a
+polynomial matrix over F[x] (poly_matrix_rank), whose entries are integer
+polynomials on packed monomials (polynomials.PackedRing), each row over one
+denominator, with the exact division leading term by leading term.  A
+polynomial matrix is a FormMatrix, its entries in the integer form of
+SparsePoly._compile (the Jacobian, independence.jacobian), and eval_matrix
+evaluates it through polynomials.eval_form.  Scalar elimination pivots on
+the first nonzero entry of each column, so the rows below a pivot are
+nonzero multiples of those of elimination in the field, entry for entry:
+the zero pattern, the rank and the pivot rows are those of textbook
+elimination, and scaling a row by a nonzero constant changes none.
 
 rank reads the rank and the pivot rows.  kernel_vector reads a matrix
 column by column and stops at the first column that depends on those
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 import math
 
-from .polynomials import SparsePoly
+from .fields import FieldSpec
+from .polynomials import PackedPoly, PackedRing, eval_form
 
 
 def rank(A, p):
@@ -85,11 +90,12 @@ def _combine(s, x, t, y, p):
 
 def _eliminate(A, p, size=None):
     """Forward elimination of the rows A in place: integers, or with p = 0
-    SparsePolys.  p is the modulus of integer residues, 0 for Bareiss over Z
-    or F[x].  Returns (rank, idx, pivot_cols): A[:rank] are the echelon
-    rows, idx[i] the original index of row i, and pivot_cols the pivot
-    column of each echelon row.  The pivot is the first nonzero entry of
-    its column, or with a size key the first of least size."""
+    PackedPolys (poly_matrix_rank).  p is the modulus of integer residues, 0
+    for Bareiss over Z or over F[x] on packed integer polynomials.  Returns
+    (rank, idx, pivot_cols): A[:rank] are the echelon rows, idx[i] the
+    original index of row i, and pivot_cols the pivot column of each
+    echelon row.  The pivot is the first nonzero entry of its column, or
+    with a size key the first of least size."""
     rows, cols = len(A), len(A[0])
     zero = A[0][0] - A[0][0]  # of the entries' ring
     idx = list(range(rows))
@@ -141,32 +147,71 @@ def _eliminate(A, p, size=None):
 # -- polynomial matrices -------------------------------------------------------
 
 
-def poly_matrix_rank(M):
-    """(rank, pivot_rows, pivot_cols) of a SparsePoly matrix, by _eliminate's
-    Bareiss steps over F[x].  At each step the pivot is the nonzero entry of
-    least degree in the current column, the first on ties.  pivot_rows holds
-    original row indices in pivot order, so the listed submatrix has a
-    nonzero minor.
+class FormMatrix:
+    """A matrix of polynomials over field in nvars variables, each entry in
+    the integer form (D, terms, d) of SparsePoly._compile (a Jacobian,
+    independence.jacobian).  It reads as its list of rows."""
+
+    __slots__ = ("field", "nvars", "rows")
+
+    def __init__(self, field, nvars: int, rows):
+        self.field, self.nvars, self.rows = field, nvars, rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def columns(self, cols):
+        """The submatrix of the columns cols, in that order."""
+        return FormMatrix(self.field, self.nvars, [[row[j] for j in cols] for row in self.rows])
+
+
+def poly_matrix_rank(M, limit: int):
+    """(rank, pivot_rows, pivot_cols) of the FormMatrix M over F[x], by
+    _eliminate's Bareiss steps on packed integer polynomials (PackedRing).
+    At each step the pivot is the nonzero entry of least degree in the
+    current column, the first on ties.  pivot_rows holds original row
+    indices in pivot order, so the listed submatrix has a nonzero minor.
+    Past limit term products (PackedRing.work) raises BudgetExceeded.
+
+    Each row is cleared of its common denominator over Q (residues over
+    F_p): scaling a row by a nonzero constant scales every minor through
+    it by that constant, which keeps the zero pattern and the degree of
+    every Bareiss entry, so the pivots and the rank.  An entry at step t
+    is a minor of order t + 1, of degree at most t + 1 times the largest
+    degree d in M; a step multiplies two of them, and only steps with
+    t + 1 < min(rows, cols) update anything, which sets the packing width.
     """
     if not M or not M[0]:
         return 0, [], []
-    r, idx, pivot_cols = _eliminate([row[:] for row in M], 0, SparsePoly.degree)
+    rows, cols = len(M.rows), len(M.rows[0])
+    d = max(f[2] for row in M.rows for f in row)
+    bits = (max(1, 2 * (min(rows, cols) - 1)) * d).bit_length()
+    p = M.field.characteristic
+    ring = PackedRing(p, M.nvars, bits, limit)
+    A = []
+    for row in M.rows:
+        den = 1 if p else FieldSpec.common_denominator(D for D, _, _ in row)
+        A.append([ring.pack(terms, den // D) for D, terms, _ in row])
+    r, idx, pivot_cols = _eliminate(A, 0, PackedPoly.degree)
     return r, idx[:r], pivot_cols
 
 
 def eval_matrix(M, x):
-    """The SparsePoly matrix M at the point x = (a, q) in the integer form
-    of FieldSpec.integers, in that form: (rows, den), entry (i, j) being
+    """The FormMatrix M at the point x = (a, q) in the integer form of
+    FieldSpec.integers, in that form: (rows, den), entry (i, j) being
     rows[i][j] / den, residues and den = 1 over F_p.  Each entry is
-    evaluated on x as a block of one point."""
+    evaluated on x as a block of one point (eval_form)."""
     if not M or not M[0]:
         return [[] for _ in M], 1
-    first = M[0][0]
     a, q = x
-    if len(a) != first.nvars:
+    if len(a) != M.nvars:
         raise ValueError("point arity != nvars")
     block = [[v] for v in a], q
-    cols = len(M[0])
-    values = (f._eval_integers(block) for row in M for f in row)
-    flat, den = first.field.over_one_denominator([(nums[0], D) for nums, D in values])
+    p = M.field.p
+    cols = len(M.rows[0])
+    values = (eval_form(f, block, p) for row in M.rows for f in row)
+    flat, den = M.field.over_one_denominator([(nums[0], D) for nums, D in values])
     return [flat[i:i + cols] for i in range(0, len(flat), cols)], den

@@ -19,13 +19,18 @@ the coefficients are taken to the integer form of FieldSpec.integers
 result is made raw elements at the end.  Evaluation takes a block of
 points as coordinate columns (FieldSpec.block) and returns a column of
 values, each term costing one list operation per factor for the whole
-block; eval() is a block of one point.
+block; eval() is a block of one point.  The one evaluation body is
+eval_form, on a polynomial's integer form (SparsePoly._compile), which the
+entries of a Jacobian share.  The symbolic Jacobian rank runs on packed
+integer polynomials (PackedRing), beside the substitution's pack and
+packed_product.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import mul
 
@@ -288,47 +293,13 @@ class SparsePoly:
         return self.field.from_integers(nums, den)[0]
 
     def _eval_integers(self, block):
-        """The values at the points of block = (cols, q), coordinate i of
-        point j being cols[i][j] / q, as (nums, D): value j is nums[j] / D.
-
-        Each term is one column: its coefficient times its first factor in
-        one pass, then one list operation per further factor; the columns
-        are summed point by point.  Over F_p (q = 1) a term is reduced
-        after every REDUCE_EVERY factors and the sum once, and D = 1.  Over
-        Q one integer sum over the cleared denominators,
-        f(a/q) = sum N_e a^e q^(d-|e|) / (D q^d), not reduced.
-        """
-        den, terms, d = self._compiled or self._compile()
-        cols, q = block
-        if not d:
-            # a constant: its numerator, a residue over F_p
-            return [terms[0][0] if terms else 0] * block_size(cols), den
-        # pow(v, e, None) is v ** e
-        p = self.field.p
-        if q != 1:
-            den *= q ** d
-        columns = []
-        for c, mon, k in terms:
-            if q != 1:
-                c *= q ** (d - k)
-            if not mon:
-                columns.append([c] * block_size(cols))
-                continue
-            i, e = mon[0]
-            if e != 1:
-                col = [c * pow(v, e, p) for v in cols[i]]
-            else:
-                col = cols[i] if c == 1 else [c * v for v in cols[i]]
-            for j, (i, e) in enumerate(mon[1:], 1):
-                col = list(map(mul, col, cols[i] if e == 1 else map(pow, cols[i], repeat(e), repeat(p))))
-                if p is not None and j % REDUCE_EVERY == 0:
-                    col = [v % p for v in col]
-            columns.append(col)
-        nums = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
-        return (list(nums) if p is None else [v % p for v in nums]), den
+        """The values at the points of block = (cols, q) as (nums, D):
+        eval_form of the polynomial's integer form (_compile)."""
+        return eval_form(self._compiled or self._compile(), block, self.field.p)
 
     def _compile(self):
-        """(D, terms, d): the evaluation form, built once per polynomial.
+        """(D, terms, d): the integer form, built once per polynomial, which
+        eval_form evaluates and independence.jacobian differentiates.
 
         terms lists (N, ((var, exp), ...), total degree) with the
         coefficients in the integer form of FieldSpec.integers, N = D *
@@ -399,6 +370,54 @@ class SparsePoly:
         return "SparsePoly(%s)" % poly_to_text(self)
 
 
+# -- evaluation of the integer form -----------------------------------------------
+
+
+def eval_form(form, block, p):
+    """The values of the polynomial with the integer form form = (D, terms,
+    d) of SparsePoly._compile at the points of block = (cols, q),
+    coordinate i of point j being cols[i][j] / q, as (nums, D'): value j
+    is nums[j] / D'.  p is the modulus, None over Q.  The one evaluation
+    of a polynomial: SparsePoly._eval_integers, and the entries of a
+    Jacobian (independence.jacobian, linalg.eval_matrix), which are forms
+    only.
+
+    Each term is one column: its coefficient times its first factor in
+    one pass, then one list operation per further factor; the columns
+    are summed point by point.  Over F_p (q = 1) a term is reduced
+    after every REDUCE_EVERY factors and the sum once, and D' = 1.  Over
+    Q one integer sum over the cleared denominators,
+    f(a/q) = sum N_e a^e q^(d-|e|) / (D q^d), not reduced.
+    """
+    den, terms, d = form
+    cols, q = block
+    if not d:
+        # a constant: its numerator, a residue over F_p
+        return [terms[0][0] if terms else 0] * block_size(cols), den
+    # pow(v, e, None) is v ** e
+    if q != 1:
+        den *= q ** d
+    columns = []
+    for c, mon, k in terms:
+        if q != 1:
+            c *= q ** (d - k)
+        if not mon:
+            columns.append([c] * block_size(cols))
+            continue
+        i, e = mon[0]
+        if e != 1:
+            col = [c * pow(v, e, p) for v in cols[i]]
+        else:
+            col = cols[i] if c == 1 else [c * v for v in cols[i]]
+        for j, (i, e) in enumerate(mon[1:], 1):
+            col = list(map(mul, col, cols[i] if e == 1 else map(pow, cols[i], repeat(e), repeat(p))))
+            if p is not None and j % REDUCE_EVERY == 0:
+                col = [v % p for v in col]
+        columns.append(col)
+    nums = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
+    return (list(nums) if p is None else [v % p for v in nums]), den
+
+
 # -- substitution on packed monomials ---------------------------------------------
 
 
@@ -422,6 +441,134 @@ def packed_product(a, b, p: int):
     if p:
         return {e: c % p for e, c in terms.items() if c % p}
     return {e: c for e, c in terms.items() if c}
+
+
+class PackedRing:
+    """The integer polynomials of one packed Bareiss elimination
+    (linalg.poly_matrix_rank), reduced mod p when p > 0, on graded packed
+    monomials (Monagan and Pearce, CASC 2007).
+
+    A monomial x^e in nvars variables is one int: e_v in a field of bits + 1
+    bits at bit (bits + 1) * (nvars - 1 - v), and the total degree above
+    them all, at bit shift.  So int order is graded-lex (degree first, then
+    x1 before x2), the key of a product is the sum of the keys, the leading
+    term of a polynomial is max(key) and its degree max(key) >> shift.  The
+    top bit of each exponent field is a guard, clear in every monomial
+    while each exponent stays below 2^bits: then a difference of two keys
+    is nonnegative with no guard bit set exactly when the one monomial
+    divides the other.
+
+    work counts the term products, |a| |b| per product and |g| per step of
+    a division by g; past limit they raise BudgetExceeded.
+    """
+
+    __slots__ = ("p", "nvars", "width", "shifts", "shift", "guard", "limit", "work")
+
+    def __init__(self, p: int, nvars: int, bits: int, limit: int):
+        self.p, self.nvars, self.width = p, nvars, bits + 1
+        self.shifts = [self.width * (nvars - 1 - v) for v in range(nvars)]
+        self.shift = self.width * nvars
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        self.limit, self.work = limit, 0
+
+    def pack(self, terms, scale):
+        """The PackedPoly of scale times the terms (N, ((var, exp), ...), k)
+        of an integer form (SparsePoly._compile), residues over F_p (where
+        scale is 1); exponents below 2^bits."""
+        shifts, shift = self.shifts, self.shift
+        out = {}
+        for N, mon, k in terms:
+            key = k << shift
+            for v, e in mon:
+                key |= e << shifts[v]
+            out[key] = N * scale
+        return PackedPoly(out, self)
+
+    def charge(self, products: int):
+        """Count products term products against the limit."""
+        self.work += products
+        if self.work > self.limit:
+            raise BudgetExceeded("the symbolic Jacobian rank takes more than %d term products"
+                                 % self.limit)
+
+    def quotient(self, f, g):
+        """f / g for packed dicts {key: int} when g divides f, leading
+        term by leading term: the remainder's keys wait in a heap, the
+        largest first.  ExactDivisionError when a leading monomial is not
+        divisible by lt(g), or over Z its coefficient is not."""
+        p = self.p
+        top = max(g)
+        lc = g[top]
+        inv = pow(lc, -1, p) if p else None
+        tail = [(k, c) for k, c in g.items() if k != top]
+        r = dict(f)
+        heap = [-k for k in r]
+        heapify(heap)
+        q = {}
+        while heap:
+            key = -heappop(heap)
+            c = r.pop(key)
+            if not c:
+                continue
+            m = key - top
+            if m < 0 or m & self.guard:
+                raise ExactDivisionError("division is not exact")
+            if p:
+                c = c * inv % p
+            else:
+                c, rem = divmod(c, lc)
+                if rem:
+                    raise ExactDivisionError("division is not exact")
+            q[m] = c
+            self.charge(len(g))
+            # k + m < key, since k < top: never popped, so a key in r is
+            # in the heap
+            for k, cg in tail:
+                k += m
+                old = r.get(k)
+                if old is None:
+                    old = 0
+                    heappush(heap, -k)
+                r[k] = (old - c * cg) % p if p else old - c * cg
+        return q
+
+
+class PackedPoly:
+    """An element of a PackedRing: terms is a dict {packed monomial:
+    nonzero int}.  It has the arithmetic linalg._eliminate runs on, and
+    degree, its pivot size."""
+
+    __slots__ = ("terms", "ring")
+
+    def __init__(self, terms, ring: PackedRing):
+        self.terms, self.ring = terms, ring
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def degree(self) -> int:
+        return max(self.terms) >> self.ring.shift
+
+    def __sub__(self, other):
+        p = self.ring.p
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k, 0) - c
+            if p:
+                v %= p
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+        return PackedPoly(out, self.ring)
+
+    def __mul__(self, other):
+        ring = self.ring
+        ring.charge(len(self.terms) * len(other.terms))
+        return PackedPoly(packed_product(self.terms, other.terms, ring.p), ring)
+
+    def __floordiv__(self, other):
+        return PackedPoly(self.ring.quotient(self.terms, other.terms), self.ring)
 
 
 def substitution(field: FieldSpec, nvars: int, images, den: int):

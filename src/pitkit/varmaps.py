@@ -372,7 +372,7 @@ class AffineMap:
         field = self.field
         image, den = self._integer_image(field.block(a))
         x = ([col[0] for col in image], den)
-        rows, den = linalg.eval_matrix([[row[i] for i in live] for row in J], x)
+        rows, den = linalg.eval_matrix(J.columns(live), x)
         cols = [[col[i] for i in live] for col in cols]
         p = field.characteristic
         out = [[sum(map(mul, row, col)) for col in cols] for row in rows]
@@ -750,23 +750,25 @@ def _sigma_dooms(fs, J, mp, r0: int, seed: int) -> bool:
     return cert.exact and cert.r < r0
 
 
-def _search_start(fs, r, mode, input_cert):
-    """The checks and the input certificate every map search starts from:
-    (input certificate, target r, which defaults to max(1, trdeg)).  The
-    certificate is trdeg(fs, mode="auto"), computed here unless the caller
-    passes it."""
+def _search_start(fs, r, mode, input_cert, J):
+    """The checks, the input certificate and the Jacobian every map search
+    starts from: (input certificate, target r, which defaults to max(1,
+    trdeg), J).  J = jacobian(fs) and the certificate trdeg(fs,
+    mode="auto") are computed here unless the caller passes them."""
     if mode not in ("adaptive", "exact"):
         raise ValueError("mode must be adaptive or exact")
     if not fs:
         raise ValueError("need at least one polynomial")
+    if J is None:
+        J = jacobian(fs)
     if input_cert is None:
-        input_cert = trdeg(fs, mode="auto")
+        input_cert = trdeg(fs, mode="auto", J=J)
     r0 = input_cert.r
     if r is None:
         r = max(1, r0)
     if r < r0:
         raise ValueError("r=%d below the input transcendence degree %d" % (r, r0))
-    return input_cert, r
+    return input_cert, r, J
 
 
 def first_certified(maps, certify, name, p_max):
@@ -797,10 +799,9 @@ def first_certified(maps, certify, name, p_max):
     )
 
 
-def _first_faithful(fs, maps, input_cert, seed, name, p_max, verdicts=None):
-    """The first candidate map whose images keep the input trdeg; verdicts
-    as in _certify."""
-    J = jacobian(fs)
+def _first_faithful(fs, J, maps, input_cert, seed, name, p_max, verdicts=None):
+    """The first candidate map whose images keep the input trdeg; J =
+    jacobian(fs), verdicts as in _certify."""
     mp, cert, tried = first_certified(
         maps, lambda mp: _certify(fs, J, mp, input_cert.r, seed, verdicts), name, p_max
     )
@@ -808,7 +809,7 @@ def _first_faithful(fs, maps, input_cert, seed, name, p_max, verdicts=None):
 
 
 def search_kronecker_map(fs, r: int | None = None, mode: str = "adaptive", seed: int = 0,
-                         input_cert=None) -> FaithfulResult:
+                         input_cert=None, J=None) -> FaithfulResult:
     """Smallest certified Kronecker substitution for the family fs.
 
     Candidates are tried with p ascending over primes, then c ascending,
@@ -818,10 +819,10 @@ def search_kronecker_map(fs, r: int | None = None, mode: str = "adaptive", seed:
     c sample per prime is the full h1 budget.  Works in any
     characteristic.  Raises SearchExhausted past the closed-form p bound,
     or over F_2 past p = 2 (see first_certified).
-    input_cert, when given, must be trdeg(fs, mode="auto"); the
-    search then does not compute it again.
+    input_cert and J, when given, must be trdeg(fs, mode="auto") and
+    jacobian(fs); the search then does not compute them again.
     """
-    input_cert, r = _search_start(fs, r, mode, input_cert)
+    input_cert, r, J = _search_start(fs, r, mode, input_cert, J)
     field, n = fs[0].field, fs[0].nvars
     if r > n:
         raise ValueError("r cannot exceed the number of variables")
@@ -833,11 +834,11 @@ def search_kronecker_map(fs, r: int | None = None, mode: str = "adaptive", seed:
     else:
         # the c sample grows by delta^r * r per unit of p
         maps = kronecker_candidates(field, n, r, sched.D1, sched.p_max, 0, delta ** r * r)
-    return _first_faithful(fs, maps, input_cert, seed, "Kronecker", sched.p_max)
+    return _first_faithful(fs, J, maps, input_cert, seed, "Kronecker", sched.p_max)
 
 
 def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", seed: int = 0,
-                           input_cert=None) -> FaithfulResult:
+                           input_cert=None, J=None) -> FaithfulResult:
     """Certified Vandermonde-style reduction for the family fs.
 
     Requires vandermonde_applies: characteristic zero or larger than
@@ -856,9 +857,10 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     over F_2 past p = 2 (see first_certified).  Over Q it raises
     BudgetExceeded, before any candidate, when delta times the bits of a
     seeded point coordinate exceeds MAX_VALUE_BITS: the Jacobian is
-    evaluated at such points.  input_cert as in search_kronecker_map.
+    evaluated at such points.  input_cert and J as in
+    search_kronecker_map.
     """
-    input_cert, r = _search_start(fs, r, mode, input_cert)
+    input_cert, r, J = _search_start(fs, r, mode, input_cert, J)
     field, n = fs[0].field, fs[0].nvars
     r0 = input_cert.r
     delta, ell = family_sizes(fs)
@@ -878,4 +880,4 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
         D1, D2, c_max, c_per_p = max(delta * r + 1, (n + 1) ** (r + 1)), 2, 0, delta * r
     maps = vandermonde_candidates(field, n, r, D1, D2, sched.p_max, c_max, c_per_p, r0,
                                   verdicts.get)
-    return _first_faithful(fs, maps, input_cert, seed, "Vandermonde", sched.p_max, verdicts)
+    return _first_faithful(fs, J, maps, input_cert, seed, "Vandermonde", sched.p_max, verdicts)

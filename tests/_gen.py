@@ -10,6 +10,7 @@ import random
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.depth4 import lift_identity
 from pitkit.fields import FieldSpec
+from pitkit.linalg import FormMatrix
 from pitkit.polynomials import SparsePoly, poly_from_text
 
 RATIONAL = FieldSpec("rational")
@@ -36,6 +37,29 @@ def rand_poly(rng, field, nvars, max_deg, max_terms, coeff_bound=3):
         # accumulation cancelled everything; rare, just redraw
         return rand_poly(rng, field, nvars, max_deg, max_terms, coeff_bound)
     return SparsePoly(field, nvars, terms)
+
+
+def form_poly(form, field, nvars):
+    """The SparsePoly of an integer form (D, terms, d) of
+    SparsePoly._compile, such as an entry of independence.jacobian: the sum
+    of N x^mon / D over its terms."""
+    D, terms, _ = form
+    out = {}
+    for N, mon, _ in terms:
+        exps = [0] * nvars
+        for v, e in mon:
+            exps[v] = e
+        out[tuple(exps)] = field.from_integers([N], D)[0]
+    return SparsePoly(field, nvars, out)
+
+
+def form_matrix(M):
+    """A nonempty matrix of SparsePolys as the linalg.FormMatrix that
+    poly_matrix_rank and eval_matrix take: each entry in its integer form
+    (SparsePoly._compile)."""
+    first = M[0][0]
+    return FormMatrix(first.field, first.nvars,
+                      [[f._compiled or f._compile() for f in row] for row in M])
 
 
 def int_rows(matrix, field):

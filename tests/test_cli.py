@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.cli import _build_parser, _parse_args, main
 from pitkit.depth4 import lift_identity
 from pitkit.fields import FieldSpec
-from pitkit.independence import MAX_STREAM_ENTRIES
+from pitkit.independence import MAX_JACOBIAN_PRODUCTS, MAX_STREAM_ENTRIES
 from pitkit.polynomials import SparsePoly, poly_from_text
 from pitkit.varmaps import schedule
 
@@ -743,6 +745,44 @@ def test_trdeg_of_a_low_degree_dependency_under_a_high_perron_cap(tmp_path):
     proc = _cli_in_subprocess(["verify", path, "--against", family], 20, 2 << 30)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verified"] is True
+
+
+def _dense_family(tmp_path, degree, field):
+    """Four dense polynomials in x1..x4, every monomial of total degree at
+    most degree (70 for quartics, 210 for sextics) in itertools.product
+    order, coefficients drawn from 1..9 by random.Random(3)."""
+    rng = random.Random(3)
+    monos = [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) <= degree]
+    polys = [" + ".join("%d*x1^%d*x2^%d*x3^%d*x4^%d" % (rng.randint(1, 9), *e) for e in monos)
+             for _ in range(4)]
+    return dump(tmp_path, "dense%d.json" % degree,
+                {"field": field.to_json(), "nvars": 4, "polys": polys})
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec("prime", (1 << 61) - 1)], ids=["Q", "F2^61-1"])
+def test_the_symbolic_rank_of_four_dense_quartics_is_fast(tmp_path, field):
+    family = _dense_family(tmp_path, 4, field)
+    start = time.perf_counter()
+    proc = _cli_in_subprocess(["trdeg", family], 30)
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 3
+    report = json.loads(proc.stdout)
+    assert (report["r"], report["certificate"]["mode"]) == (4, "jacobian")
+
+
+def test_a_symbolic_rank_past_its_budget_exits_four(tmp_path):
+    # four dense sextics take about 5 * 10^7 term products, past the budget
+    family = _dense_family(tmp_path, 6, FieldSpec("prime", (1 << 61) - 1))
+    witness = {"method": "symbolic-rank", "pivot_rows": [0, 1, 2, 3],
+               "pivot_cols": [0, 1, 2, 3], "max_degree": 6}
+    report = dump(tmp_path, "report.json", {
+        "command": "trdeg", "r": 4,
+        "certificate": {"r": 4, "mode": "jacobian", "basis": [0, 1, 2, 3], "witness": witness}})
+    for args in (["trdeg", family], ["verify", report, "--against", family]):
+        proc = _cli_in_subprocess(args, 30)
+        assert proc.returncode == 4 and proc.stdout == "", (args, proc.stderr)
+        assert json.loads(proc.stderr)["error"] == (
+            "the symbolic Jacobian rank takes more than %d term products" % MAX_JACOBIAN_PRODUCTS)
 
 
 def test_verify_searches_an_absent_annihilator_within_its_own_budget(tmp_path):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from _gen import int_columns, int_rows, rand_poly
+from _gen import form_matrix, int_columns, int_rows, rand_poly
 from pitkit.fields import FieldSpec
+from pitkit.independence import MAX_JACOBIAN_PRODUCTS
 from pitkit.linalg import (
     eval_matrix,
     kernel_vector,
@@ -96,12 +97,18 @@ def test_kernel_vector():
     assert kernel_vector(*_cols(F101, [[1, 0], [0, 1]]), F101) is None
 
 
+def _poly_rank(M):
+    """poly_matrix_rank of a matrix of SparsePolys, under the budget of
+    the symbolic Jacobian rank."""
+    return poly_matrix_rank(form_matrix(M), MAX_JACOBIAN_PRODUCTS)
+
+
 def test_eval_matrix():
     x = SparsePoly.variable(Q, 2, 0)
     y = SparsePoly.variable(Q, 2, 1)
     M = [[x, y], [x * y, x + y]]
     pt = (Q.from_int(3), Q.from_int(5))
-    E, den = eval_matrix(M, Q.integers(pt))
+    E, den = eval_matrix(form_matrix(M), Q.integers(pt))
     for i in range(2):
         for j in range(2):
             assert Q.from_integers(E[i], den)[j] == M[i][j].eval(pt)
@@ -111,8 +118,8 @@ def test_poly_matrix_rank():
     x = SparsePoly.variable(Q, 2, 0)
     y = SparsePoly.variable(Q, 2, 1)
     one = SparsePoly.one(Q, 2)
-    assert poly_matrix_rank([[x, y], [x, y]])[0] == 1
-    assert poly_matrix_rank([[x, one], [one, x]])[0] == 2
+    assert _poly_rank([[x, y], [x, y]])[0] == 1
+    assert _poly_rank([[x, one], [one, x]])[0] == 2
 
 
 def test_poly_matrix_rank_pivots_on_least_degree_first_on_ties():
@@ -120,21 +127,21 @@ def test_poly_matrix_rank_pivots_on_least_degree_first_on_ties():
     y = SparsePoly.variable(Q, 2, 1)
     one = SparsePoly.one(Q, 2)
     # the entry of least degree wins, and pivot_rows stay in pivot order
-    assert poly_matrix_rank([[x * x, one], [x, one]]) == (2, [1, 0], [0, 1])
+    assert _poly_rank([[x * x, one], [x, one]]) == (2, [1, 0], [0, 1])
     # x and y tie in degree: the first is the pivot
-    assert poly_matrix_rank([[x, y], [y, x], [x * y, one]]) == (2, [0, 1], [0, 1])
+    assert _poly_rank([[x, y], [y, x], [x * y, one]]) == (2, [0, 1], [0, 1])
     # a zero column holds no pivot
     zero = SparsePoly.zero(Q, 2)
-    assert poly_matrix_rank([[zero, x * y], [zero, y]]) == (1, [1], [1])
+    assert _poly_rank([[zero, x * y], [zero, y]]) == (1, [1], [1])
 
 
 def test_evaluated_rank_never_exceeds_symbolic():
     rng = random.Random(29)
     for _ in range(15):
         M = [[rand_poly(rng, Q, 2, 2, 2) for _ in range(3)] for _ in range(2)]
-        sym = poly_matrix_rank(M)[0]
+        sym = _poly_rank(M)[0]
         pt = (Q.from_int(rng.randint(-20, 20)), Q.from_int(rng.randint(-20, 20)))
-        assert _rank(eval_matrix(M, Q.integers(pt))[0], 0) <= sym
+        assert _rank(eval_matrix(form_matrix(M), Q.integers(pt))[0], 0) <= sym
 
 
 def _low_rank(rng, p, rows, cols, k):
@@ -243,7 +250,7 @@ def test_poly_matrix_rank_agrees_with_sympy(field):
                 M[-1] = [a * u + b * v for u, v in zip(M[0], M[1 % (rows - 1)])]
             if rng.random() < 0.3:
                 M[rng.randrange(rows)][rng.randrange(cols)] = SparsePoly.zero(field, 2)
-            r, pivot_rows, pivot_cols = poly_matrix_rank(M)
+            r, pivot_rows, pivot_cols = _poly_rank(M)
             want, minor = _sympy_minor_rank(M, dom, xs)
             assert r == want == len(pivot_rows) == len(pivot_cols), (rows, cols)
             if r:

@@ -5,39 +5,54 @@ linalg's one forward elimination runs on integers: residues over F_p and
 Bareiss's fraction-free elimination over Q.  The references are textbook
 elimination in the field (Fractions over Q, residues over F_p) and sympy's
 rank over QQ and GF(p).  poly_matrix_rank runs
-the same elimination on polynomials; its reference is the separate loop it
-ran on before, with the pivot of least degree.  evaluated_rank stops
+the same elimination on packed integer polynomials; its reference is the
+separate SparsePoly loop it ran on before, with the pivot of least degree,
+and for a Jacobian that loop on the f.derivative(j) matrix.  evaluated_rank stops
 at a ceiling; a ceiling that bounds the rank at every point must leave its
 answer alone.
 """
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
-from hypothesis import assume, given  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+import pitkit  # noqa: E402
+from pitkit import linalg  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
 from pitkit.independence import (  # noqa: E402
+    MAX_JACOBIAN_PRODUCTS,
     _random_point,
     _subseed,
     evaluated_rank,
     jacobian,
+    jacobian_rank,
     trdeg,
+    verify_trdeg_certificate,
 )
-from _gen import int_columns, int_rows  # noqa: E402
+from _gen import form_matrix, int_columns, int_rows  # noqa: E402
 from pitkit.linalg import (  # noqa: E402
     eval_matrix,
     kernel_vector,
     poly_matrix_rank,
     rank,
 )
-from pitkit.polynomials import SparsePoly, divide_exact  # noqa: E402
+from pitkit.polynomials import (  # noqa: E402
+    PackedPoly,
+    SparsePoly,
+    divide_exact,
+    eval_form,
+    poly_from_text,
+)
 from pitkit.varmaps import KroneckerMap, VandermondeMap  # noqa: E402
 
 Q = FieldSpec("rational")
@@ -242,8 +257,126 @@ def poly_matrices(draw, field):
 def test_poly_matrix_rank_matches_the_separate_bareiss_loop(field, data):
     M = data.draw(poly_matrices(field))
     before = [row[:] for row in M]
-    assert poly_matrix_rank(M) == separate_poly_bareiss(M)
+    assert poly_matrix_rank(form_matrix(M), MAX_JACOBIAN_PRODUCTS) == separate_poly_bareiss(M)
     assert M == before
+
+
+# -- the Jacobian's rank on packed integer polynomials ------------------------
+
+F3, F5 = FieldSpec("prime", 3), FieldSpec("prime", 5)
+JACOBIAN_FIELDS = [Q, F2, F3, F5, F101, F61]
+JACOBIAN_FIELD_IDS = ["Q", "F2", "F3", "F5", "F101", "F2^61-1"]
+
+
+@st.composite
+def families(draw, field):
+    """(family, n): n = 0..5 variables and m = 1..5 members of degree at
+    most 8.  A member is sparse, a constant, x_i^p (its derivative vanishes
+    in characteristic p; x_i^8 where p > 8, and x_i^2 over Q), or the
+    product of two earlier members, so the rank often falls short of
+    min(m, n)."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    p = field.characteristic
+    coeffs = (st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4))
+              if not p else st.integers(1, p - 1))
+    monos = st.lists(st.integers(0, n - 1), max_size=8).map(
+        lambda vs: tuple(vs.count(v) for v in range(n))) if n else st.just(())
+    fs = []
+    while len(fs) < m:
+        kind = draw(st.sampled_from(["sparse"] * 3 + ["constant", "power", "product"]))
+        if kind == "constant":
+            fs.append(SparsePoly.constant(field, n, draw(coeffs)))
+        elif kind == "power" and n:
+            x = SparsePoly.variable(field, n, draw(st.integers(0, n - 1)))
+            fs.append(x ** (8 if p > 8 else p or 2))
+        elif kind == "product" and fs:
+            a, b = draw(st.sampled_from(fs)), draw(st.sampled_from(fs))
+            assume((a.degree() or 0) + (b.degree() or 0) <= 8)
+            fs.append(a * b)
+        else:
+            fs.append(SparsePoly(field, n, draw(st.dictionaries(monos, coeffs, min_size=1,
+                                                                max_size=4))))
+    return fs, n
+
+
+def packed_keys_checked():
+    """A patch of PackedPoly that checks every polynomial an elimination
+    builds: no key has a guard bit set, so no exponent overflowed its
+    field.  Returns (patch, top), top[0] the largest exponent seen as a
+    fraction of the field's value range: >= 1/2 when some exponent needs
+    the top value bit."""
+    top = [0.0]
+    real = PackedPoly.__init__
+
+    def init(self, terms, ring):
+        real(self, terms, ring)
+        w, mask = ring.width, (1 << ring.width) - 1
+        for key in terms:
+            assert not key & ring.guard, "an exponent overflowed its field"
+            for v in range(ring.nvars):
+                top[0] = max(top[0], (key >> (w * v) & mask) / (1 << (w - 1)))
+
+    return mock.patch.object(PackedPoly, "__init__", init), top
+
+
+@pytest.mark.parametrize("field", JACOBIAN_FIELDS, ids=JACOBIAN_FIELD_IDS)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_jacobian_rank_matches_the_sparse_poly_bareiss_of_the_derivatives(field, data):
+    fs, n = data.draw(families(field))
+    derivatives = [[f.derivative(j) for j in range(n)] for f in fs]
+    patch, _ = packed_keys_checked()
+    with patch:
+        got = jacobian_rank(fs)
+    assert got == separate_poly_bareiss(derivatives)
+    J = jacobian(fs)
+    rng = random.Random(data.draw(st.integers(0, 1000)))
+    for _ in range(2):
+        pt = _random_point(field, rng, n)
+        block = field.block(pt)
+        for row, want in zip(J, derivatives):
+            values = [field.from_integers(*eval_form(e, block, field.p))[0] for e in row]
+            assert values == [g.eval(pt) for g in want]
+
+
+@pytest.mark.parametrize("field", [Q, F101], ids=["Q", "F101"])
+def test_jacobian_rank_products_fill_the_packing_width(field):
+    """J = [[4 x1^3 x2, x1^4], [5 x1^4, 5 x2^4]]: the largest exponent of an
+    entry is 4 and the one Bareiss step multiplies x1^4 by x1^4, so x1^8
+    needs the four value bits the width gives; one bit fewer overflows."""
+    fs = [poly_from_text(t, field, 2) for t in ("x1^4*x2", "x1^5 + x2^5")]
+    patch, top = packed_keys_checked()
+    with patch:
+        got = jacobian_rank(fs)
+    assert top[0] >= 0.5
+    assert got == separate_poly_bareiss([[f.derivative(j) for j in range(2)] for f in fs])
+    assert got == (2, [0, 1], [0, 1])
+
+
+def test_no_module_builds_a_sparse_poly_jacobian():
+    """Only polynomials calls .derivative(, and Bareiss never sees a
+    SparsePoly: poly_matrix_rank packs a hand-made matrix too."""
+    src = pathlib.Path(pitkit.__file__).parent
+    callers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "derivative"}
+    assert callers <= {"polynomials.py"}
+    seen = []
+    real = linalg._eliminate
+
+    def eliminate(A, *args):
+        seen.extend(type(v) for row in A for v in row)
+        return real(A, *args)
+
+    x = [SparsePoly.variable(Q, 2, i) for i in range(2)]
+    fs = [x[0] * x[1], x[0] + x[1] * x[1]]
+    with mock.patch.object(linalg, "_eliminate", eliminate):
+        cert = trdeg(fs)
+        assert verify_trdeg_certificate(fs, cert)
+        M = form_matrix([[x[0], x[1]], [x[1], x[0]]])
+        assert poly_matrix_rank(M, MAX_JACOBIAN_PRODUCTS)[0] == 2
+    assert seen and set(seen) == {PackedPoly}
 
 
 # -- the evaluated-rank screen -------------------------------------------------
@@ -332,10 +465,10 @@ def test_chain_rule_integer_rows_keep_the_rank_and_pivot_rows_over_q(data):
     maps = [VandermondeMap(Q, n, 2, 28, 2, 11, c), VandermondeMap(Q, n, 1, 9, 2, 5, c),
             KroneckerMap(Q, n, min(2, n), sorted({1, n}), 10, 13, c)]
     for mp in maps:
-        Jimg = jacobian([mp.apply(f) for f in fs])
+        imgs = [mp.apply(f) for f in fs]
         w = mp.nvars_out
         a = data.draw(st.lists(st.fractions(-30, 30, max_denominator=7), min_size=w, max_size=w))
-        raw = [[g.eval(a) for g in row] for row in Jimg]
+        raw = [[g.derivative(j).eval(a) for j in range(w)] for g in imgs]
         rows, den = mp.jacobian_at(J, a)
         assert all(type(v) is int for row in rows for v in row) and type(den) is int
         got = rank(rows, 0)
