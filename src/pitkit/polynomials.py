@@ -24,12 +24,18 @@ eval_form, on a polynomial's integer form (SparsePoly._compile), which the
 entries of a Jacobian share.  The symbolic Jacobian rank runs on packed
 integer polynomials (PackedRing), beside the substitution's pack and
 packed_product.
+
+gcd_poly reads a second cache of each polynomial, its gcd images
+(SparsePoly._gcd_images): the monomial content splits off exactly, the
+modular images decide the rest in most cases, and the primitive PRS is the
+last resort.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import mul
@@ -70,11 +76,14 @@ def gradedlex_key(exps):
 class SparsePoly:
     """Immutable-by-convention sparse polynomial over a FieldSpec.
 
-    Nothing assigns to terms after construction, which is what lets eval
-    cache the polynomial's integer evaluation form (_compile) on first use.
+    Nothing assigns to terms after construction, which is what lets a
+    polynomial keep two caches derived from its terms, each built on first
+    use and living as long as the polynomial: its integer evaluation form
+    (_compile), which evaluation and the Jacobian read, and its gcd images
+    (_gcd_images), which gcd_poly reads.
     """
 
-    __slots__ = ("field", "nvars", "terms", "_hash", "_compiled")
+    __slots__ = ("field", "nvars", "terms", "_hash", "_compiled", "_images")
 
     def __init__(self, field: FieldSpec, nvars: int, terms):
         if nvars < 0:
@@ -94,6 +103,7 @@ class SparsePoly:
         self.terms = clean
         self._hash = None
         self._compiled = None
+        self._images = None
 
     # -- constructors --------------------------------------------------------
 
@@ -249,14 +259,14 @@ class SparsePoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = SparsePoly.one(self.field, self.nvars)
+        result = None
         base = self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
-        return result
+        return SparsePoly.one(self.field, self.nvars) if result is None else result
 
     def scale(self, c):
         field = self.field
@@ -276,6 +286,7 @@ class SparsePoly:
         p.terms = terms
         p._hash = None
         p._compiled = None
+        p._images = None
         return p
 
     # -- evaluation and substitution -----------------------------------------------
@@ -313,6 +324,41 @@ class SparsePoly:
         )
         self._compiled = (den, terms, max((t[2] for t in terms), default=0))
         return self._compiled
+
+    def _gcd_images(self):
+        """(deg, low, images): the gcd images of a nonzero polynomial, built
+        once per polynomial from its integer form (_compile), which
+        polynomials._gcd_certificate compares.
+
+        deg[v] and low[v] are the largest and the smallest exponent of x_v
+        over the terms, so x^low is the monomial content.  For each v with
+        deg[v] > 0, images[v] lists (low to high) the coefficients mod p of
+        the polynomial as one in x_v, every other variable fixed at
+        _gcd_point(p, nvars); p is the field's over F_p and _GCD_PRIME over
+        Q, where the integer numerators stand for the polynomial.
+        images[v] is None for deg[v] = 0.
+        """
+        field = self.field
+        p = field.p if field.kind == "prime" else _GCD_PRIME
+        point = _gcd_point(p, self.nvars)
+        cols = list(zip(*self.terms))
+        deg = [max(c) for c in cols]
+        live = [v for v, d in enumerate(deg) if d]
+        images = [[0] * (d + 1) if d else None for d in deg]
+        for N, mon, _ in (self._compiled or self._compile())[1]:
+            powers = [(i, e, pow(point[i], e, p)) for i, e in mon]
+            for v in live:
+                c, k = N, 0
+                for i, e, w in powers:
+                    if i == v:
+                        k = e
+                    else:
+                        c = c * w % p
+                images[v][k] += c
+        for v in live:
+            images[v] = [c % p for c in images[v]]
+        self._images = (deg, [min(c) for c in cols], images)
+        return self._images
 
     def derivative(self, i: int):
         """Formal partial derivative in variable i.
@@ -631,7 +677,8 @@ def normalize_monic(f: SparsePoly) -> SparsePoly:
     """Scale so the graded-lex leading coefficient is 1 (zero stays zero)."""
     if f.is_zero:
         return f
-    return f.scale(f.field.inv(f.leading_coefficient()))
+    lc = f.leading_coefficient()
+    return f if lc == f.field.one() else f.scale(f.field.inv(lc))
 
 
 def divide_exact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -661,6 +708,10 @@ def divide_exact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 
 
 def divides(g: SparsePoly, f: SparsePoly) -> bool:
+    """True when g divides f; 0 divides only 0."""
+    f._check_ring(g)
+    if g.is_zero:
+        return f.is_zero
     try:
         divide_exact(f, g)
         return True
@@ -693,33 +744,15 @@ def _content(f: SparsePoly, v: int) -> SparsePoly:
     return acc
 
 
-# the word prime the gcd certificate reduces integer numerators modulo over Q
+# the word prime the gcd images reduce integer numerators modulo over Q
 _GCD_PRIME = (1 << 61) - 1
 
 
+@lru_cache(maxsize=None)
 def _gcd_point(p: int, nvars: int):
-    """The fixed point mod p at which the gcd certificate specializes every
+    """The fixed point mod p at which the gcd images specialize every
     variable but one: nonzero residues spread by a golden-ratio step."""
-    return [1 + (i + 1) * 0x9E3779B97F4A7C15 % (p - 1) for i in range(nvars)]
-
-
-def _degrees(f: SparsePoly):
-    return [max(col) for col in zip(*f.terms)]
-
-
-def _specialize(f: SparsePoly, v: int, deg: int, point, p: int):
-    """Dense coefficients (low to high) of f mod p as a polynomial in x_v,
-    every other variable fixed at point; over Q f's integer numerators."""
-    out = [0] * (deg + 1)
-    for c, mon, _ in (f._compiled or f._compile())[1]:
-        k = 0
-        for i, e in mon:
-            if i == v:
-                k = e
-            else:
-                c = c * pow(point[i], e, p) % p
-        out[k] += c
-    return [c % p for c in out]
+    return tuple(1 + (i + 1) * 0x9E3779B97F4A7C15 % (p - 1) for i in range(nvars))
 
 
 def _gcd_degree_mod(a, b, p: int) -> int:
@@ -741,31 +774,44 @@ def _gcd_degree_mod(a, b, p: int) -> int:
     return len(a) - 1
 
 
-def _gcd_certificate(f: SparsePoly, g: SparsePoly):
-    """gcd(f, g) for nonzero f and g when a modular image settles it, else
-    None.
+def _shift(f: SparsePoly, m, sign=1) -> SparsePoly:
+    """x^m * f, or f / x^m for sign = -1 when x^m divides f."""
+    if not any(m):
+        return f
+    return SparsePoly._raw(f.field, f.nvars, {
+        tuple(e + sign * k for e, k in zip(exps, m)): c for exps, c in f.terms.items()})
 
-    For each variable v in which both sides have positive degree, fix every
-    other variable at _gcd_point mod p (the field's p over F_p, _GCD_PRIME
-    over Q, where f and g are reduced through their integer numerators) and
-    take the univariate gcd mod p.  When lc_v of both sides survives at the
-    point, a common factor h of positive degree in v stays a common factor
-    of degree deg_v h there: over Q by Gauss's lemma, h can be taken in Z[x]
-    dividing the numerators in Z[x], and reduction mod p is a ring map.  So
-    if every such gcd is constant, gcd(f, g) is constant.  If every such
-    gcd has the degree of one side, that side may divide the other, which
-    an exact division decides.  Anything else is left to the PRS.
+
+def _gcd_certificate(f: SparsePoly, g: SparsePoly):
+    """gcd(f, g), monic, for nonzero f and g when their gcd images
+    (SparsePoly._gcd_images) settle it, else None.
+
+    The monomial content splits off first: f = x^a f' and g = x^b g' with
+    no variable dividing f' or g', and the variables are prime, so gcd(f,
+    g) = x^min(a, b) gcd(f', g').  The image of f' in x_v is that of f with
+    its a_v low coefficients dropped, up to a unit (the point has no zero
+    coordinate).
+
+    For each variable v in which both f' and g' have positive degree, the
+    images fix every other variable at _gcd_point mod p, and the univariate
+    gcd mod p is taken.  When lc_v of both sides survives at the point, a
+    common factor h of positive degree in v stays a common factor of degree
+    deg_v h there: over Q by Gauss's lemma, h can be taken in Z[x] dividing
+    the numerators in Z[x], and reduction mod p is a ring map.  So if every
+    such gcd is constant, gcd(f', g') is constant.  If every such gcd has
+    the degree of one side, that side may divide the other, which an exact
+    division of the built f' and g' decides.  Anything else is left to the
+    PRS.
     """
-    df, dg = _degrees(f), _degrees(g)
-    shared = [v for v in range(f.nvars) if df[v] and dg[v]]
-    if not shared:
-        return SparsePoly.one(f.field, f.nvars)
+    (df, lf, fi), (dg, lg, gi) = f._images or f._gcd_images(), g._images or g._gcd_images()
+    df = [d - e for d, e in zip(df, lf)]
+    dg = [d - e for d, e in zip(dg, lg)]
     p = f.field.p if f.field.kind == "prime" else _GCD_PRIME
-    point = _gcd_point(p, f.nvars)
     coprime = g_in_f = f_in_g = True
-    for v in shared:
-        a = _specialize(f, v, df[v], point, p)
-        b = _specialize(g, v, dg[v], point, p)
+    for v in range(f.nvars):
+        if not (df[v] and dg[v]):
+            continue
+        a, b = fi[v][lf[v]:], gi[v][lg[v]:]
         if not a[-1] or not b[-1]:
             return None
         d = _gcd_degree_mod(a, b, p)
@@ -774,23 +820,29 @@ def _gcd_certificate(f: SparsePoly, g: SparsePoly):
         f_in_g = f_in_g and d == df[v]
         if not (coprime or g_in_f or f_in_g):
             return None
+    m = tuple(map(min, lf, lg))
     if coprime:
-        return SparsePoly.one(f.field, f.nvars)
+        return SparsePoly._raw(f.field, f.nvars, {m: f.field.one()})
+    f, g = _shift(f, lf, -1), _shift(g, lg, -1)
     # a divisor's degree in each variable is at most the other side's
     if g_in_f and all(a <= b for a, b in zip(dg, df)) and divides(g, f):
-        return normalize_monic(g)
+        return _shift(normalize_monic(g), m)
     if f_in_g and all(a <= b for a, b in zip(df, dg)) and divides(f, g):
-        return normalize_monic(f)
+        return _shift(normalize_monic(f), m)
     return None
 
 
 def gcd_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Greatest common divisor, primitive Euclidean recursion on variables.
+    """Greatest common divisor: modular images first, the primitive
+    Euclidean recursion on variables as the last resort.
 
     The unique representative returned is monic under graded-lex.  Both
-    arguments zero is rejected: no gcd exists.  A modular certificate
-    (_gcd_certificate) answers first when the gcd is constant or one side
-    divides the other; the recursion runs only when it cannot.
+    arguments zero is rejected: no gcd exists.  _gcd_certificate answers
+    from the gcd images that each polynomial builds once and keeps
+    (SparsePoly._gcd_images): the monomial content exactly, and the rest
+    when it is constant or one side divides the other.  Only a pair it
+    leaves open runs the PRS, on the content-free parts; a polynomial never
+    changes after construction, so its cached images stay its own.
     """
     f._check_ring(g)
     if f.is_zero and g.is_zero:
@@ -802,19 +854,11 @@ def gcd_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     known = _gcd_certificate(f, g)
     if known is not None:
         return known
-    v = None
-    for i in range(f.nvars):
-        if f.degree_in(i) > 0 or g.degree_in(i) > 0:
-            v = i
-            break
-    if v is None:
-        # both nonzero constants
-        return SparsePoly.one(f.field, f.nvars)
-    a, b = f.degree_in(v), g.degree_in(v)
-    if a == 0:
-        return gcd_poly(f, _content(g, v))
-    if b == 0:
-        return gcd_poly(_content(f, v), g)
+    # the certificate built both images, and left open only a pair whose
+    # content-free parts have a variable of positive degree in both
+    lf, lg = f._images[1], g._images[1]
+    f, g = _shift(f, lf, -1), _shift(g, lg, -1)
+    v = next(i for i in range(f.nvars) if f.degree_in(i) and g.degree_in(i))
     cf = _content(f, v)
     cg = _content(g, v)
     d = gcd_poly(cf, cg)
@@ -824,7 +868,8 @@ def gcd_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
         r = _prem(fp, gp, v)
         fp = gp
         gp = r if r.is_zero else divide_exact(r, _content(r, v))
-    return normalize_monic(d * divide_exact(fp, _content(fp, v)))
+    d = normalize_monic(d * divide_exact(fp, _content(fp, v)))
+    return _shift(d, tuple(map(min, lf, lg)))
 
 
 # -- text format --------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Differential tests of the gcd core: gcd_poly (with its modular
-certificate in front of the primitive PRS), divide_exact and coprime_basis,
-against sympy over Q, F_101 and F_(2^61-1), and over F_2 and F_3 where the
-certificate's fixed point collapses and the PRS answers.  coprime_basis is
-also compared with the pairwise refinement plus trial division it replaced.
+"""Differential tests of the gcd core: gcd_poly (its monomial content
+split off and its modular certificate in front of the primitive PRS),
+divide_exact and coprime_basis, against sympy over Q, F_101 and
+F_(2^61-1), and over F_2 and F_3 where the certificate's fixed point
+collapses and the PRS answers.  coprime_basis is also compared with the
+pairwise refinement plus trial division it replaced.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from pitkit.circuits import Depth4Circuit  # noqa: E402
 from pitkit.depth4 import coprime_basis  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
+from pitkit import polynomials  # noqa: E402
 from pitkit.polynomials import (  # noqa: E402
     _GCD_PRIME,
     ExactDivisionError,
@@ -27,6 +29,7 @@ from pitkit.polynomials import (  # noqa: E402
     divide_exact,
     gcd_poly,
     normalize_monic,
+    poly_from_text,
 )
 
 Q = FieldSpec("rational")
@@ -36,6 +39,8 @@ F101 = FieldSpec("prime", 101)
 F61 = FieldSpec("prime", (1 << 61) - 1)
 FIELDS = [Q, F101, F61]
 FIELD_IDS = ["Q", "F101", "F2^61-1"]
+ALL_FIELDS = [F2, F3] + FIELDS
+ALL_IDS = ["F2", "F3"] + FIELD_IDS
 
 
 @st.composite
@@ -88,7 +93,7 @@ def collapsing_factor(field, n):
     return (x[0] - const[0]) * (x[1] - const[1]) + SparsePoly.one(field, n)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
 @given(st.data())
 def test_gcd_of_planted_common_factor_matches_sympy(field, data):
     n = data.draw(st.integers(1, 3))
@@ -102,7 +107,7 @@ def test_gcd_of_planted_common_factor_matches_sympy(field, data):
     assert divide_exact(f, got) * got == f
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
 @given(st.data())
 def test_gcd_of_unrelated_pairs_matches_sympy(field, data):
     n = data.draw(st.integers(1, 3))
@@ -111,13 +116,14 @@ def test_gcd_of_unrelated_pairs_matches_sympy(field, data):
     assert gcd_poly(f, g) == sympy_gcd(f, g)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
 @given(st.data())
 def test_gcd_of_equal_and_divisor_pairs(field, data):
     n = data.draw(st.integers(1, 3))
     f = data.draw(polys(field, n, nonconstant=True))
     q = data.draw(polys(field, n))
-    unit = field.from_int(data.draw(st.integers(1, 50)))
+    # 1..50, or 1..p-1 over F_2 and F_3: a unit in every field
+    unit = field.from_int(1 + data.draw(st.integers(0, 49)) % ((field.characteristic or 51) - 1))
     monic = normalize_monic(f)
     # equal up to a unit, and f dividing f*q from either side
     for u, v in ((f, f.scale(unit)), (f, f * q), (f * q, f)):
@@ -139,6 +145,35 @@ def test_certificate_answers_coprime_and_divisor_pairs(field):
     assert _gcd_certificate(f.scale(field.from_int(5)), f) == f
     # no variable in which both sides have positive degree
     assert _gcd_certificate(x1 + one, x2 * x3) == one
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_monomial_content_pairs_skip_the_prs(field, monkeypatch):
+    # the only common factor is a monomial: its split answers exactly, and
+    # the images settle the rest, so the PRS never runs
+    calls = []
+    prem = polynomials._prem
+    monkeypatch.setattr(polynomials, "_prem", lambda *a: calls.append(a) or prem(*a))
+
+    def P(text):
+        return poly_from_text(text, field, 3)
+
+    for f, g, d in (("x1^2", "x1*x2", "x1"), ("-4*x1^2", "-x1^2 + 2*x1", "x1"),
+                    ("x1*x2 - 1/2*x1", "x1*x2 - 2*x1", "x1"), ("x2*x3", "x2^2", "x2")):
+        assert gcd_poly(P(f), P(g)) == gcd_poly(P(g), P(f)) == P(d)
+    assert not calls
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
+@given(st.data())
+def test_gcd_with_monomial_content_matches_sympy(field, data):
+    n = data.draw(st.integers(1, 3))
+    f = data.draw(polys(field, n))
+    g = data.draw(polys(field, n))
+    a, b = (data.draw(st.tuples(*[st.integers(0, 3)] * n)) for _ in range(2))
+    u = f * SparsePoly.monomial(field, n, a)
+    v = g * SparsePoly.monomial(field, n, b)
+    assert gcd_poly(u, v) == sympy_gcd(u, v)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

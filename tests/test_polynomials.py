@@ -118,6 +118,13 @@ def test_gcd_properties():
         gcd_poly(SparsePoly.zero(Q, 1), SparsePoly.zero(Q, 1))
 
 
+def test_zero_divides_only_zero():
+    zero = SparsePoly.zero(Q, 1)
+    assert not divides(zero, P("x1 + 1", 1))
+    assert divides(zero, zero)
+    assert divides(P("x1 + 1", 1), zero)
+
+
 def test_divide_exact():
     f = P("x1^2 - x2^2", 2)
     g = P("x1 - x2", 2)
