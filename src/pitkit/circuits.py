@@ -44,6 +44,15 @@ def _json_int(value, key):
     return value
 
 
+def _json_nvars(value):
+    """The JSON integer value of an "nvars" key; ParseError for anything
+    else and for a negative one."""
+    nvars = _json_int(value, "nvars")
+    if nvars < 0:
+        raise ParseError("'nvars' must be nonnegative, not %d" % nvars)
+    return nvars
+
+
 class Blackbox:
     """What the three circuit kinds share: their evaluation on blocks of
     points in the integer form of FieldSpec.integers,
@@ -286,7 +295,7 @@ class Circuit(Blackbox):
                 nodes.append((op, tuple(_json_int(k, "args") for k in nd["args"])))
             else:
                 raise ParseError("unknown node op %r" % op)
-        return Circuit(field, _json_int(obj["nvars"], "nvars"), nodes,
+        return Circuit(field, _json_nvars(obj["nvars"]), nodes,
                        _json_int(obj["output"], "output"))
 
 
@@ -375,7 +384,7 @@ class Depth4Circuit(Blackbox):
     @staticmethod
     def from_json_dict(obj) -> "Depth4Circuit":
         field = FieldSpec.from_json(obj["field"])
-        nvars = _json_int(obj["nvars"], "nvars")
+        nvars = _json_nvars(obj["nvars"])
         rows = [
             [poly_from_text(t, field, nvars) for t in row] for row in obj["rows"]
         ]
@@ -461,7 +470,7 @@ class ComposedCircuit(Blackbox):
         m = len(obj["inputs"])
         outer_obj.setdefault("nvars", m)
         outer = Circuit.from_json_dict(outer_obj)
-        nvars = _json_int(obj["nvars"], "nvars")
+        nvars = _json_nvars(obj["nvars"])
         inputs = [poly_from_text(t, field, nvars) for t in obj["inputs"]]
         return ComposedCircuit(outer, inputs)
 

@@ -30,7 +30,7 @@ from .circuits import (
     DEFAULT_EXPAND_BUDGET,
     ComposedCircuit,
     Depth4Circuit,
-    _json_int,
+    _json_nvars,
     circuit_from_json_dict,
 )
 from .fields import FieldError, FieldSpec
@@ -148,7 +148,7 @@ def _load_family(path: str):
     obj = _load_json(path)
     try:
         field = FieldSpec.from_json(obj["field"])
-        nvars = _json_int(obj["nvars"], "nvars")
+        nvars = _json_nvars(obj["nvars"])
         texts = obj["polys"]
         if not isinstance(texts, list) or not texts:
             raise _InputError("%s: 'polys' must be a nonempty list" % path)

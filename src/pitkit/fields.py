@@ -244,6 +244,10 @@ class FieldSpec:
         return "%s/%s" % (int_to_text(v.numerator), int_to_text(v.denominator))
 
     def scalar_from_json(self, obj):
+        if isinstance(obj, bool):
+            # bool is an int: true and false would read as 1 and 0
+            raise FieldError("a field scalar is a number, not the JSON boolean %s"
+                             % str(obj).lower())
         if self.kind == "prime":
             if not isinstance(obj, int):
                 raise FieldError("prime-field scalar must be a JSON integer")

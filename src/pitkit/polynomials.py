@@ -757,17 +757,20 @@ def _gcd_point(p: int, nvars: int):
 
 def _gcd_degree_mod(a, b, p: int) -> int:
     """Degree of gcd(a, b) over F_p for dense coefficient lists (low to
-    high) with nonzero leading entries."""
+    high) with nonzero leading entries.
+
+    Euclid's algorithm on pseudo-remainders, with no inverse: each step
+    a <- lc(b) a - lc(a) x^k b cancels the leading term of a, and scaling
+    by the unit lc(b) changes no gcd (Knuth, TAOCP vol. 2, 4.6.1)."""
     while b:
-        inv = pow(b[-1], -1, p)
+        lb, nb = b[-1], len(b)
         a = a[:]
-        nb = len(b)
         while len(a) >= nb:
-            q = a[-1] * inv % p
-            shift = len(a) - nb
+            la, shift = a.pop(), len(a) + 1 - nb
+            for i in range(shift):
+                a[i] = a[i] * lb % p
             for j in range(nb - 1):
-                a[shift + j] = (a[shift + j] - q * b[j]) % p
-            a.pop()
+                a[shift + j] = (a[shift + j] * lb - la * b[j]) % p
             while a and not a[-1]:
                 a.pop()
         a, b = b, a

@@ -5,7 +5,8 @@ entries are powers of a field element c, with exponents reduced mod a prime
 p.  AffineMap holds the one representation, integer columns built from an
 exponent table, and implements apply (one polynomials.substitution per
 map), point_images, linear_rank and the chain-rule jacobian_at once.
-The two reductions, and sigma_p below, only give the table:
+The two reductions only give the table (sigma_p below gives one too, but
+applies itself by folding exponents, MergingMap.apply):
 
 * KroneckerMap (kind "phi"): keeps a chosen r-subset of the variables alive
   as z_1..z_r and pins every dropped variable to the constant c^(D^j mod p),
@@ -459,6 +460,23 @@ class MergingMap(AffineMap):
 
     def _exponents(self):
         return [[None] + [0 if j == k else None for j in range(self.r)] for k in self.cls]
+
+    def apply(self, f: SparsePoly) -> SparsePoly:
+        """sigma_p(f) by folding exponents: a term c x^e goes to c y^m with
+        m_j the sum of e_i over class j, and the coefficients that meet
+        are added, with no expansion (AffineMap.apply's image, term for
+        term in the same order)."""
+        if f.field != self.field or f.nvars != self.n:
+            raise ValueError("polynomial ring does not match the map")
+        plus, q, cls = self.field.add, self.r, self.cls
+        acc = {}
+        for exps, c in f.terms.items():
+            m = [0] * q
+            for j, e in zip(cls, exps):
+                m[j] += e
+            m = tuple(m)
+            acc[m] = plus(acc[m], c) if m in acc else c
+        return SparsePoly._raw(self.field, q, {m: c for m, c in acc.items() if c})
 
 
 def merging_map(field: FieldSpec, table):

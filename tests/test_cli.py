@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -13,7 +14,7 @@ import pitkit
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.cli import _build_parser, _parse_args, main
 from pitkit.depth4 import lift_identity
-from pitkit.fields import FieldSpec
+from pitkit.fields import FieldError, FieldSpec
 from pitkit.independence import MAX_JACOBIAN_PRODUCTS, MAX_STREAM_ENTRIES
 from pitkit.polynomials import SparsePoly, poly_from_text
 from pitkit.varmaps import schedule
@@ -1713,6 +1714,69 @@ def test_circuit_with_a_non_integer_field_exits_three(tmp_path, capsys, obj):
     assert "must be an integer" in json.loads(err)["error"]
 
 
+_NEGATIVE_NVARS = {
+    "dag": {"field": {"kind": "rational"}, "nvars": -1, "kind": "dag", "output": 0,
+            "nodes": [{"op": "const", "value": 1}]},
+    "composed": {"field": {"kind": "rational"}, "nvars": -1, "kind": "composed",
+                 "inputs": ["1"], "outer": {"nodes": [{"op": "input", "var": 0}], "output": 0}},
+    "depth4": {"field": {"kind": "rational"}, "nvars": -1, "kind": "depth4", "delta": 1,
+               "rows": [["1"], ["2"]]},
+}
+_NEGATIVE_FAMILY = {"field": {"kind": "rational"}, "nvars": -1, "polys": ["1", "2"]}
+_NVARS_ERROR = "'nvars' must be nonnegative, not -1"
+
+
+@pytest.mark.parametrize("kind", sorted(_NEGATIVE_NVARS))
+def test_circuit_with_a_negative_nvars_exits_three(tmp_path, capsys, kind):
+    # constants only, so no variable index fails first
+    code, out, err = run(capsys, ["pit", dump(tmp_path, "circ.json", _NEGATIVE_NVARS[kind])])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"].endswith(_NVARS_ERROR)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trdeg"], ["annihilator", "--cap", "1"], ["faithful", "--kind", "phi"],
+    ["faithful", "--kind", "psi"], ["verify"],
+], ids=["trdeg", "annihilator", "phi", "psi", "verify"])
+def test_family_of_constants_with_a_negative_nvars_exits_three(tmp_path, capsys, argv):
+    fam = dump(tmp_path, "fam.json", _NEGATIVE_FAMILY)
+    if argv == ["verify"]:
+        good = dump(tmp_path, "good.json", dict(_NEGATIVE_FAMILY, nvars=1))
+        code, out, _ = run(capsys, ["trdeg", good])
+        assert code == 0
+        argv = ["verify", dump(tmp_path, "report.json", out), "--against", fam]
+    else:
+        argv = [argv[0], fam] + argv[1:]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"].endswith(_NVARS_ERROR)
+
+
+@pytest.mark.parametrize("where", ["const", "witness", "value"])
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("field", [Q, F101], ids=["Q", "F101"])
+def test_a_boolean_scalar_exits_three(tmp_path, capsys, field, flag, where):
+    # bool is an int in Python: true and false must not read as 1 and 0
+    dag = {"field": field.to_json(), "nvars": 1, "kind": "dag", "output": 2,
+           "nodes": [{"op": "input", "var": 0}, {"op": "const", "value": 1},
+                     {"op": "add", "args": [0, 1]}]}
+    circ = dump(tmp_path, "dag.json", dag)
+    code, out, _ = run(capsys, ["pit", circ])
+    assert code == 1
+    if where == "const":
+        dag["nodes"][1]["value"] = flag
+        argv = ["pit", dump(tmp_path, "bad.json", dag)]
+    else:
+        report = json.loads(out)
+        report["verdict"][where] = [flag] if where == "witness" else flag
+        argv = ["verify", dump(tmp_path, "report.json", report), "--against", circ]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "the JSON boolean %s" % str(flag).lower() in json.loads(err)["error"]
+    with pytest.raises(FieldError):
+        field.scalar_from_json(flag)
+
+
 MALFORMED_REPORTS = {
     "pit-witness-null": (["pit", "dag"], _set(None, "verdict", "witness")),
     "pit-no-verdict": (["pit", "dag"], _drop("verdict")),
@@ -1890,3 +1954,17 @@ def test_console_script():
     proc = subprocess.run(["pitkit", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "hitting-set" in proc.stdout
+
+
+def test_console_script_entry_point_without_an_install(capsys):
+    # what an install would put on PATH: the [project.scripts] entry
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["pitkit"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "hitting-set" in capsys.readouterr().out

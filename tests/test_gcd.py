@@ -25,6 +25,7 @@ from pitkit.polynomials import (  # noqa: E402
     ExactDivisionError,
     SparsePoly,
     _gcd_certificate,
+    _gcd_degree_mod,
     _gcd_point,
     divide_exact,
     gcd_poly,
@@ -316,3 +317,68 @@ def test_certificate_never_calls_a_planted_common_factor_constant(field):
         known = _gcd_certificate(f, g)
         assert known is None or not known.is_constant
         assert not gcd_poly(f, g).is_constant
+
+
+# -- the univariate gcd degree mod p --------------------------------------------
+
+MOD_PRIMES = [2, 3, 101, (1 << 61) - 1]
+MOD_IDS = ["F2", "F3", "F101", "F2^61-1"]
+
+
+@st.composite
+def dense_mod(draw, p, max_deg=6):
+    """A dense coefficient list mod p, low to high, with a nonzero leading
+    entry: the input of _gcd_degree_mod."""
+    d = draw(st.integers(0, max_deg))
+    low = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    return low + [draw(st.integers(1, p - 1))]
+
+
+def mul_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = (out[i + j] + u * v) % p
+    return out
+
+
+def sympy_gcd_degree(a, b, p):
+    x = sympy.Symbol("x")
+    A, B = (sympy.Poly(c[::-1], x, domain=sympy.GF(p)) for c in (a, b))
+    return A.gcd(B).degree()
+
+
+def check_gcd_degree(a, b, p):
+    """_gcd_degree_mod in both orders against sympy, and its arguments
+    left as they were."""
+    want = sympy_gcd_degree(a, b, p)
+    copies = a[:], b[:]
+    assert _gcd_degree_mod(a, b, p) == _gcd_degree_mod(b, a, p) == want
+    assert (a, b) == copies
+    return want
+
+
+@pytest.mark.parametrize("p", MOD_PRIMES, ids=MOD_IDS)
+@given(st.data())
+def test_gcd_degree_mod_of_random_pairs_matches_sympy(p, data):
+    check_gcd_degree(data.draw(dense_mod(p)), data.draw(dense_mod(p)), p)
+
+
+@pytest.mark.parametrize("p", MOD_PRIMES, ids=MOD_IDS)
+@given(st.data())
+def test_gcd_degree_mod_of_planted_common_factor_matches_sympy(p, data):
+    h = data.draw(dense_mod(p, max_deg=3))
+    a, b = data.draw(dense_mod(p, max_deg=4)), data.draw(dense_mod(p, max_deg=4))
+    assert check_gcd_degree(mul_mod(a, h, p), mul_mod(b, h, p), p) >= len(h) - 1
+
+
+def test_gcd_degree_mod_takes_no_inverse(monkeypatch):
+    def no_inverse(base, exp, *mod):
+        assert exp >= 0, "an inverse mod p"
+        return pow(base, exp, *mod)
+
+    # (x + 1)(x + 2) and (x + 1)(3x + 5) over F_101: the remainders have
+    # leading coefficients other than 1
+    monkeypatch.setattr(polynomials, "pow", no_inverse, raising=False)
+    assert _gcd_degree_mod([2, 3, 1], [5, 8, 3], 101) == 1
+    assert _gcd_degree_mod([7, 0, 4, 9], [3, 1], 101) == 0

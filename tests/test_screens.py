@@ -450,6 +450,52 @@ def test_at_linear_rank_q_the_verdict_is_that_of_sigma(field):
     assert seen == {("q = 1", True), ("q = 1", False), ("q > 1", True), ("q > 1", False)}
 
 
+FOLD_FIELDS = [Q, F2, F3, F101, F61]
+FOLD_IDS = ["Q", "F2", "F3", "F101", "F2^61-1"]
+
+
+@given(st.data())
+@pytest.mark.parametrize("field", FOLD_FIELDS, ids=FOLD_IDS)
+def test_sigma_folds_exponents_to_the_image_of_its_substitution(field, data):
+    """MergingMap.apply sums each class's exponents and adds the
+    coefficients that meet; AffineMap.apply expands the same map through
+    polynomials.substitution, and f.substitute and the term-by-term
+    reference send x_i to y_cls(i).  Compared as polynomials, not by term
+    order."""
+    n = data.draw(st.integers(1, 6))
+    q = data.draw(st.integers(1, n))
+    cls = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    f = rand_poly(random.Random(data.draw(st.integers(0, 10 ** 9))), field, n, 4, 8)
+    sigma = varmaps.MergingMap(field, cls)
+    y = [SparsePoly.variable(field, sigma.nvars_out, j) for j in cls]
+    got = sigma.apply(f)
+    assert got == varmaps.AffineMap.apply(sigma, f) == f.substitute(y)
+    assert got == substitute_reference(f, y)
+
+
+@pytest.mark.parametrize("field, text", [(Q, "x1 - x2"), (F2, "x1 + x2")], ids=["Q", "F2"])
+def test_sigma_drops_the_coefficient_sums_that_cancel(field, text):
+    # _Merge.killed reads is_zero, so a sum of 0 must leave no term
+    f = poly_from_text(text, field, 2)
+    assert varmaps.MergingMap(field, [0, 0]).apply(f).is_zero
+
+
+def test_sigma_applies_itself_without_an_expansion(monkeypatch):
+    f = poly_from_text("x1^2*x2 + 3*x3*x2 - x1", Q, 3)
+    others = poly_from_text("x1", Q, 2), poly_from_text("x1", F101, 3)
+
+    def refuse(*args):
+        raise AssertionError("sigma_p expanded its argument")
+
+    monkeypatch.setattr(varmaps, "substitution", refuse)
+    monkeypatch.setattr(SparsePoly, "_compile", refuse)
+    sigma = varmaps.MergingMap(Q, [0, 1, 0])
+    assert sigma.apply(f).terms == {(2, 1): 1, (1, 1): 3, (1, 0): -1}
+    for g in others:
+        with pytest.raises(ValueError, match="polynomial ring does not match the map"):
+            sigma.apply(g)
+
+
 # -- the screens change no search result --------------------------------------
 
 
