@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -611,6 +612,12 @@ def main(argv=None) -> int:
         return _fail(str(e), EXIT_ERROR)
     except ValueError as e:
         return _fail(str(e), EXIT_ERROR)
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head -1`), and stderr too under
+        # 2>&1: nothing more is written, and what stdout still buffers goes
+        # to devnull at exit instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -38,9 +38,9 @@ from .fields import FieldSpec
 from .polynomials import (
     MAX_VALUE_BITS,
     BudgetExceeded,
+    PackedRing,
     SparsePoly,
     normalize_monic,
-    pack,
     packed_product,
     poly_from_text,
     poly_to_text,
@@ -353,26 +353,26 @@ def annihilator(fs, cap: int, col_budget: int = DEFAULT_COLUMN_BUDGET):
     fs, so the first dependent column j0 stays, and the kernel vector G
     gives F_j = G_j D^e_j / D^e_j0, still 1 at j0.
 
-    The columns are built on packed monomials (polynomials.pack and
+    The columns are built on packed monomials (polynomials.PackedRing and
     packed_product, Monagan and Pearce, CASC 2007), as every substitution
-    is: each exponent vector of fs becomes one int of B =
-    (cap * delta).bit_length() bits per variable, delta the largest degree
-    in fs, so a product of two terms is one int addition.  Every term of
-    every product, cancelled or not, has total degree at most cap * delta <
-    2^B, so every exponent fits its slot and no carry reaches the next one:
-    distinct monomials keep distinct keys.  The keys index the rows and are
-    never unpacked.  A column is one of the last degree's times one g_i,
-    reduced once (over F_p), its cancelled terms dropped.
+    is: each member's integer form (SparsePoly._compile) is packed in one
+    ring of B = (cap * delta).bit_length() bits per exponent, delta the
+    largest degree in fs, so a product of two terms is one int addition.
+    Every term of every product, cancelled or not, has total degree at most
+    cap * delta < 2^B, so every exponent fits its field and distinct
+    monomials keep distinct keys.  The keys index the rows and are never
+    unpacked.  A column is one of the last degree's times one g_i, reduced
+    once (over F_p), its cancelled terms dropped.
     """
     field, n = _check_family(fs)
     m = len(fs)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     _column_count(m, cap, col_budget)
-    bits = (cap * _max_degree(fs)).bit_length()
-    nums, dens = zip(*[field.integers(f.terms.values()) for f in fs])
-    packed = [pack(zip(f.terms, c), bits) for f, c in zip(fs, nums)]
     p = field.characteristic
+    ring = PackedRing(p, n, (cap * _max_degree(fs)).bit_length(), math.inf)
+    dens, packed = zip(*[(D, ring.pack(terms, 1).terms)
+                         for D, terms, _ in (f._compiled or f._compile() for f in fs)])
     held = 1  # the entries of the columns built, the constant one's first
 
     def times(column, i):

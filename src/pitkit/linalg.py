@@ -10,7 +10,8 @@ to 1.  Over Q it runs Bareiss's fraction-free elimination (Math. Comp.
 pivot, so no Fraction is built.  The same Bareiss steps give the rank of a
 polynomial matrix over F[x] (poly_matrix_rank), whose entries are integer
 polynomials on packed monomials (polynomials.PackedRing), each row over one
-denominator, with the exact division leading term by leading term.  A
+denominator, with the exact division of PackedRing.quotient, the heap
+division that divide_exact runs too.  A
 polynomial matrix is a FormMatrix, its entries in the integer form of
 SparsePoly._compile (the Jacobian, independence.jacobian), and eval_matrix
 evaluates it through polynomials.eval_form.  Scalar elimination pivots on

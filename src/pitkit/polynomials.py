@@ -21,9 +21,13 @@ points as coordinate columns (FieldSpec.block) and returns a column of
 values, each term costing one list operation per factor for the whole
 block; eval() is a block of one point.  The one evaluation body is
 eval_form, on a polynomial's integer form (SparsePoly._compile), which the
-entries of a Jacobian share.  The symbolic Jacobian rank runs on packed
-integer polynomials (PackedRing), beside the substitution's pack and
-packed_product.
+entries of a Jacobian share.
+
+Arithmetic runs on one encoding, PackedRing: an integer form packed with
+PackedRing.pack, each monomial one int.  packed_product is the one product
+(SparsePoly's *, substitution, the annihilator's columns), PackedRing.quotient
+the one exact division (divide_exact, the symbolic Jacobian rank), and
+PackedRing.unpack the one way back to a SparsePoly.
 
 gcd_poly reads a second cache of each polynomial, its gcd images
 (SparsePoly._gcd_images): the monomial content splits off exactly, the
@@ -33,6 +37,7 @@ last resort.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -235,22 +240,13 @@ class SparsePoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product on packed monomials (PackedRing): both integer forms
+        (_compile) packed, multiplied once, and unpacked once."""
         self._check_ring(other)
-        field = self.field
-        out = {}
-        p = field.p if field.kind == "prime" else None
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if p is not None:
-                    acc = (out.get(e, 0) + c1 * c2) % p
-                else:
-                    acc = out.get(e, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return self._raw(field, self.nvars, out)
+        D, a, d = self._compiled or self._compile()
+        E, b, e = other._compiled or other._compile()
+        ring = PackedRing(self.field.characteristic, self.nvars, (d + e).bit_length(), math.inf)
+        return ring.unpack(self.field, (ring.pack(a, 1) * ring.pack(b, 1)).terms, D * E)
 
     def __floordiv__(self, other):
         """The exact quotient (divide_exact)."""
@@ -464,16 +460,7 @@ def eval_form(form, block, p):
     return (list(nums) if p is None else [v % p for v in nums]), den
 
 
-# -- substitution on packed monomials ---------------------------------------------
-
-
-def pack(terms, bits: int):
-    """{key: c} for the pairs (exps, c) of terms with c != 0, each exponent
-    vector packed into one int of `bits` bits per variable, the first
-    variable lowest (Monagan and Pearce, CASC 2007).  While every exponent
-    stays below 2^bits, distinct vectors get distinct keys and the key of
-    a product of monomials is the sum of their keys."""
-    return {sum(e << (bits * v) for v, e in enumerate(exps)): c for exps, c in terms if c}
+# -- packed monomials ---------------------------------------------------------------
 
 
 def packed_product(a, b, p: int):
@@ -490,9 +477,11 @@ def packed_product(a, b, p: int):
 
 
 class PackedRing:
-    """The integer polynomials of one packed Bareiss elimination
-    (linalg.poly_matrix_rank), reduced mod p when p > 0, on graded packed
-    monomials (Monagan and Pearce, CASC 2007).
+    """The integer polynomials in nvars variables, reduced mod p when p > 0,
+    on graded packed monomials (Monagan and Pearce, CASC 2007): pitkit's
+    one encoding of a polynomial for arithmetic.  SparsePoly's product and
+    exact division, substitution, the annihilator's columns and the
+    symbolic Bareiss (linalg.poly_matrix_rank) all run on it.
 
     A monomial x^e in nvars variables is one int: e_v in a field of bits + 1
     bits at bit (bits + 1) * (nvars - 1 - v), and the total degree above
@@ -510,25 +499,37 @@ class PackedRing:
 
     __slots__ = ("p", "nvars", "width", "shifts", "shift", "guard", "limit", "work")
 
-    def __init__(self, p: int, nvars: int, bits: int, limit: int):
+    def __init__(self, p: int, nvars: int, bits: int, limit):
         self.p, self.nvars, self.width = p, nvars, bits + 1
         self.shifts = [self.width * (nvars - 1 - v) for v in range(nvars)]
         self.shift = self.width * nvars
-        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        # the guard bits, 2^bits in every field: a geometric sum in 2^width
+        self.guard = (1 << bits) * ((1 << self.shift) - 1) // ((1 << self.width) - 1)
         self.limit, self.work = limit, 0
 
     def pack(self, terms, scale):
         """The PackedPoly of scale times the terms (N, ((var, exp), ...), k)
         of an integer form (SparsePoly._compile), residues over F_p (where
-        scale is 1); exponents below 2^bits."""
+        scale is 1), the terms with N = 0 left out; exponents below
+        2^bits."""
         shifts, shift = self.shifts, self.shift
         out = {}
         for N, mon, k in terms:
-            key = k << shift
-            for v, e in mon:
-                key |= e << shifts[v]
-            out[key] = N * scale
+            if N:
+                key = k << shift
+                for v, e in mon:
+                    key |= e << shifts[v]
+                out[key] = N * scale
         return PackedPoly(out, self)
+
+    def unpack(self, field, terms, den):
+        """The SparsePoly of the packed dict terms {key: int} over den in
+        the integer form of FieldSpec.integers, made raw elements by one
+        from_integers; the terms that vanish in the field are dropped."""
+        mask, shifts = (1 << self.width - 1) - 1, self.shifts
+        coeffs = field.from_integers(list(terms.values()), den)
+        return SparsePoly._raw(field, self.nvars, {
+            tuple([key >> s & mask for s in shifts]): c for key, c in zip(terms, coeffs) if c})
 
     def charge(self, products: int):
         """Count products term products against the limit."""
@@ -629,16 +630,16 @@ def substitution(field: FieldSpec, nvars: int, images, den: int):
 
         D den^d f(g / den) = sum N_m den^(d - |m|) prod g_i^(m_i),
 
-    one integer sum on packed monomials (pack, packed_product), made raw
-    elements by one from_integers at the end.  Each power g_i^e is built
-    from g_i^(e-1) and kept while the returned function lives, for every
-    f it expands.  No exponent of a term of f's expansion exceeds d times
-    the largest degree of the g_i, which sets the packing width; a wider
-    one packs the powers again.
+    one integer sum in a PackedRing (pack, packed_product), made a
+    SparsePoly by one unpack at the end.  Each power g_i^e is built from
+    g_i^(e-1) and kept while the returned function lives, for every f it
+    expands.  No exponent of a term of f's expansion exceeds d times the
+    largest degree of the g_i, which sets the packing width; a wider one
+    packs the powers again.
     """
     p = field.characteristic
     deg = max((sum(m) for g in images for m in g), default=0)
-    bits, powers = -1, []
+    ring, powers = None, []
 
     def power(i, e):
         pw = powers[i]
@@ -647,12 +648,13 @@ def substitution(field: FieldSpec, nvars: int, images, den: int):
         return pw[e]
 
     def expand(f):
-        nonlocal bits, powers
+        nonlocal ring, powers
         D, terms, d = f._compiled or f._compile()
-        need = (max(d, 1) * deg).bit_length()
-        if need > bits:
-            bits = need
-            powers = [[{0: 1}, pack(g.items(), bits)] for g in images]
+        bits = (max(d, 1) * deg).bit_length()
+        if ring is None or bits >= ring.width:
+            ring = PackedRing(p, nvars, bits, math.inf)
+            powers = [[{0: 1}, ring.pack([(c, tuple((v, e) for v, e in enumerate(m) if e), sum(m))
+                                          for m, c in g.items()], 1).terms] for g in images]
         acc = {}
         for N, mon, k in terms:
             if den != 1:
@@ -662,10 +664,7 @@ def substitution(field: FieldSpec, nvars: int, images, den: int):
                 prod = power(i, e) if j == 0 else packed_product(prod, power(i, e), p)
             for key, c in prod.items():
                 acc[key] = acc.get(key, 0) + N * c
-        coeffs = field.from_integers(list(acc.values()), D * den ** d)
-        mask, shifts = (1 << bits) - 1, [bits * v for v in range(nvars)]
-        return SparsePoly._raw(field, nvars, {
-            tuple(key >> s & mask for s in shifts): c for key, c in zip(acc, coeffs) if c})
+        return ring.unpack(field, acc, D * den ** d)
 
     return expand
 
@@ -684,27 +683,25 @@ def normalize_monic(f: SparsePoly) -> SparsePoly:
 def divide_exact(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """Return q with f = q*g, or raise ExactDivisionError.
 
-    Leading-term division under graded-lex: when g | f the leading term of
-    the running remainder is always divisible by lt(g), so the loop either
-    finishes with remainder zero or proves non-divisibility.
+    PackedRing.quotient on the integer forms (_compile), as wide as deg f
+    needs: no term of the quotient or of a remainder has a larger degree,
+    and deg g > deg f is not exact at once.  Over Q, f = A / D and g =
+    c B / E with B primitive: by Gauss's lemma B divides E A over Z exactly
+    when g | f over Q, and q = (E A / B) / (D c).
     """
     f._check_ring(g)
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    field = f.field
-    ge, gc = g.leading_term()
-    ginv = field.inv(gc)
-    q = {}
-    r = f
-    while not r.is_zero:
-        re, rc = r.leading_term()
-        diff = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in diff):
-            raise ExactDivisionError("division is not exact")
-        qc = field.mul(rc, ginv)
-        q[diff] = qc
-        r = r - SparsePoly.monomial(field, f.nvars, diff, qc) * g
-    return SparsePoly._raw(field, f.nvars, q)
+    if f.is_zero:
+        return f
+    D, a, d = f._compiled or f._compile()
+    E, b, e = g._compiled or g._compile()
+    if e > d:
+        raise ExactDivisionError("division is not exact")
+    c = 1 if f.field.kind == "prime" else math.gcd(*(N for N, _, _ in b))
+    ring = PackedRing(f.field.characteristic, f.nvars, d.bit_length(), math.inf)
+    B = ring.pack([(N // c, mon, k) for N, mon, k in b], 1).terms
+    return ring.unpack(f.field, ring.quotient(ring.pack(a, E).terms, B), D * c)
 
 
 def divides(g: SparsePoly, f: SparsePoly) -> bool:

@@ -850,6 +850,23 @@ def test_hitting_set_with_delta_one_keeps_a_huge_r():
     assert len(proc.stdout.splitlines()) == 3
 
 
+@pytest.mark.parametrize("stderr", [subprocess.PIPE, subprocess.STDOUT], ids=["apart", "2>&1"])
+def test_a_closed_stdout_exits_four_without_a_traceback(stderr):
+    # `pitkit hitting-set ... | head -1`: the reader closes the pipe after
+    # the header; the stream, about 1 MB, cannot all fit in the pipe first
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pitkit.cli", "hitting-set", "--kind", "depth4", "--n", "3",
+         "--delta", "2", "--k", "2", "--s", "2", "--max-points", "30000"],
+        stdout=subprocess.PIPE, stderr=stderr, text=True, env=env)
+    assert json.loads(proc.stdout.readline())["command"] == "hitting-set"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 4
+    assert not err
+
+
 def _squared(times):
     """The outer dag y^(2^times) - y^(2^times), zero, by repeated squaring."""
     nodes = [{"op": "input", "var": 0}]

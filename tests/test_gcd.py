@@ -1,6 +1,6 @@
 """Differential tests of the gcd core: gcd_poly (its monomial content
-split off and its modular certificate in front of the primitive PRS),
-divide_exact and coprime_basis, against sympy over Q, F_101 and
+split off and its modular certificate in front of the primitive PRS), the
+product, divide_exact and coprime_basis, against sympy over Q, F_101 and
 F_(2^61-1), and over F_2 and F_3 where the certificate's fixed point
 collapses and the PRS answers.  coprime_basis is also compared with the
 pairwise refinement plus trial division it replaced.
@@ -177,7 +177,16 @@ def test_gcd_with_monomial_content_matches_sympy(field, data):
     assert gcd_poly(u, v) == sympy_gcd(u, v)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
+@given(st.data())
+def test_product_matches_sympy(field, data):
+    n = data.draw(st.integers(1, 3))
+    f = data.draw(polys(field, n, max_terms=6))
+    g = data.draw(polys(field, n, max_terms=6))
+    assert f * g == from_sympy(field, n, to_sympy(f) * to_sympy(g))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
 @given(st.data())
 def test_divide_exact_matches_sympy(field, data):
     n = data.draw(st.integers(1, 3))
@@ -193,6 +202,30 @@ def test_divide_exact_matches_sympy(field, data):
     except sympy.polys.polyerrors.ExactQuotientFailed:
         ref = None
     assert quo == ref
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=ALL_IDS)
+def test_divide_exact_edge_cases(field):
+    P = lambda text: poly_from_text(text, field, 2)  # noqa: E731
+    # a divisor of higher degree, even one whose exponents outgrow the
+    # packing width that deg f sets
+    for f, g in [("x1", "x1^2"), ("x1^3 + 1", "x2^200 + x1")]:
+        with pytest.raises(ExactDivisionError):
+            divide_exact(P(f), P(g))
+    assert divide_exact(P("0"), P("x1^5 + x2")) == P("0")
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(P("x1"), P("0"))
+    assert divide_exact(P("3*x1^3*x2 + x1^2*x2^2"), P("x1^2*x2")) == P("3*x1 + x2")
+    with pytest.raises(ExactDivisionError):
+        divide_exact(P("x1^3 + x2"), P("x1^2"))
+    # a divisor whose numerators have content 2 over Q (zero over F_2)
+    f, g = P("x1^2 + 2*x1"), P("2*x1 + 4")
+    if field.p != 2:
+        assert divide_exact(f, g) * g == f
+    if field.kind == "rational":
+        assert divide_exact(f, g) == P("1/2*x1")
+        with pytest.raises(ExactDivisionError):
+            divide_exact(P("x1^2 + 3*x1"), g)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

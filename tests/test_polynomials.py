@@ -1,13 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import pitkit
 from _gen import rand_poly
+from pitkit import polynomials
 from pitkit.fields import FieldSpec
+from pitkit.independence import annihilator
 from pitkit.polynomials import (
     ExactDivisionError,
+    PackedRing,
     ParseError,
     SparsePoly,
     divide_exact,
@@ -229,3 +236,51 @@ def test_gradedlex_order_and_degree():
     assert f.num_terms() == 3
     assert SparsePoly.zero(Q, 2).degree() is None
     assert SparsePoly.zero(Q, 2).num_terms() == 0
+
+
+# -- the one packed encoding ---------------------------------------------------
+
+
+def test_packed_guard_closed_form_is_the_sum_of_its_fields():
+    for nvars in range(6):
+        for bits in range(5):
+            ring = PackedRing(0, nvars, bits, 0)
+            assert ring.guard == sum(1 << (s + bits) for s in ring.shifts)
+
+
+def test_a_ring_in_a_million_variables_builds_at_once():
+    # a sum of nvars shifted guard ints is quadratic in nvars: about 100 s
+    # here at 10^6 variables, where the closed form takes milliseconds
+    src = os.path.dirname(os.path.dirname(pitkit.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    code = "from pitkit.polynomials import PackedRing; PackedRing(0, 10 ** 6, 1, 0)"
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=30, check=True)
+
+
+def test_product_division_substitution_and_annihilator_run_on_packed_ring(monkeypatch):
+    """pack() is gone, and each of SparsePoly's product, divide_exact,
+    substitution and the annihilator's columns builds a PackedRing, so a
+    second encoding of monomials cannot quietly return."""
+    assert not hasattr(polynomials, "pack")
+    built = []
+    real = PackedRing.__init__
+
+    def init(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(PackedRing, "__init__", init)
+    x, y = SparsePoly.variable(Q, 2, 0), SparsePoly.variable(Q, 2, 1)
+    f = P("x1^2*x2 + x1", 2)
+    calls = {
+        "mul": lambda: x * y,
+        "divide_exact": lambda: divide_exact(f, x),
+        "substitution": lambda: f.substitute([y, x]),
+        # independent: no annihilator, so no substitution check either
+        "annihilator": lambda: annihilator([x, y], 2),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert built, name

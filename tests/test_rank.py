@@ -6,8 +6,8 @@ Bareiss's fraction-free elimination over Q.  The references are textbook
 elimination in the field (Fractions over Q, residues over F_p) and sympy's
 rank over QQ and GF(p).  poly_matrix_rank runs
 the same elimination on packed integer polynomials; its reference is the
-separate SparsePoly loop it ran on before, with the pivot of least degree,
-and for a Jacobian that loop on the f.derivative(j) matrix.  evaluated_rank stops
+separate loop it ran on before, with the pivot of least degree, on sympy
+Polys, and for a Jacobian that loop on the f.derivative(j) matrix.  evaluated_rank stops
 at a ceiling; a ceiling that bounds the rank at every point must leave its
 answer alone.
 """
@@ -49,7 +49,6 @@ from pitkit.linalg import (  # noqa: E402
 from pitkit.polynomials import (  # noqa: E402
     PackedPoly,
     SparsePoly,
-    divide_exact,
     eval_form,
     poly_from_text,
 )
@@ -194,15 +193,25 @@ def separate_poly_bareiss(M):
     _eliminate with the scalar matrices, kept as the oracle: the pivot is
     the first entry of least degree in its column, every update of a column
     right of it is divided by the previous pivot (the polynomial 1 at the
-    first step), and pivot_rows stay in pivot order."""
+    first step), and pivot_rows stay in pivot order.  Its products and
+    exact divisions are sympy's (Poly, exquo), so that it shares no
+    arithmetic with the packed polynomials it checks."""
     if not M or not M[0]:
         return 0, [], []
     field, nvars = M[0][0].field, M[0][0].nvars
-    zero = SparsePoly.zero(field, nvars)
-    A = [row[:] for row in M]
+    gens = sympy.symbols("x1:%d" % (nvars + 1))
+    dom = sympy.QQ if field.kind == "rational" else sympy.GF(field.p)
+
+    def poly(f):
+        terms = {e: sympy.Rational(c.numerator, c.denominator) if field.kind == "rational" else c
+                 for e, c in f.terms.items()}
+        return sympy.Poly.from_dict(terms or {(0,) * nvars: 0}, gens, domain=dom)
+
+    A = [[poly(f) for f in row] for row in M]
+    zero = poly(SparsePoly.zero(field, nvars))
     idx = list(range(len(A)))
     rows, cols = len(A), len(A[0])
-    prev = SparsePoly.one(field, nvars)
+    prev = poly(SparsePoly.one(field, nvars))
     pivot_cols = []
     r = 0
     for j in range(cols):
@@ -211,7 +220,7 @@ def separate_poly_bareiss(M):
         piv, best = None, None
         for i in range(r, rows):
             if not A[i][j].is_zero:
-                d = A[i][j].degree()
+                d = A[i][j].total_degree()
                 if best is None or d < best:
                     piv, best = i, d
         if piv is None:
@@ -221,7 +230,7 @@ def separate_poly_bareiss(M):
             idx[r], idx[piv] = idx[piv], idx[r]
         for i in range(r + 1, rows):
             for c in range(j + 1, cols):
-                A[i][c] = divide_exact(A[r][j] * A[i][c] - A[i][j] * A[r][c], prev)
+                A[i][c] = (A[r][j] * A[i][c] - A[i][j] * A[r][c]).exquo(prev)
             A[i][j] = zero
         prev = A[r][j]
         pivot_cols.append(j)
