@@ -160,18 +160,21 @@ class Circuit(Blackbox):
         out, den = vals[self.output]
         return ([out] * size if type(out) is int else out), den
 
-    def syntactic_degree(self) -> int:
-        degs = [0] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            op = node[0]
+    def syntactic_degree(self, weights=None) -> int:
+        """The output's degree with input j weighted by weights[j] (1 each
+        when None): an input gets its weight, a const 0, a sum the largest
+        of its children's and a product the sum of its children's, repeats
+        counted.  With weights[j] = deg f_j it bounds the degree of
+        C(f_1, ..., f_m), by induction over the nodes: no node of C(f) has
+        a degree above its own."""
+        degs = []
+        for op, arg in self.nodes:
             if op == "input":
-                degs[i] = 1
+                degs.append(1 if weights is None else weights[arg])
             elif op == "const":
-                degs[i] = 0
-            elif op == "add":
-                degs[i] = max(degs[k] for k in node[1])
+                degs.append(0)
             else:
-                degs[i] = sum(degs[k] for k in node[1])
+                degs.append((max if op == "add" else sum)(degs[k] for k in arg))
         return degs[self.output]
 
     def value_bits(self, input_bits: int, integral_inputs: bool = True) -> int:
@@ -335,7 +338,9 @@ class Depth4Circuit(Blackbox):
         return max(len(r) for r in self.rows)
 
     def degree_bound(self) -> int:
-        return self.delta * self.s
+        """The composed circuit's (ComposedCircuit.degree_bound): the
+        largest sum of a row's factor degrees."""
+        return self._composed().degree_bound()
 
     def term(self, i: int) -> SparsePoly:
         """Expanded product of row i, with no budget."""
@@ -443,8 +448,9 @@ class ComposedCircuit(Blackbox):
                                    block_size(block[0]))
 
     def degree_bound(self) -> int:
-        dmax = max((f.degree() or 0) for f in self.inputs)
-        return self.outer.syntactic_degree() * dmax
+        """A bound on deg C(f_1, ..., f_m): the outer dag's syntactic
+        degree with input i weighted by deg f_i (0 for a zero inner)."""
+        return self.outer.syntactic_degree([f.degree() or 0 for f in self.inputs])
 
     def expand(self, budget: int = DEFAULT_EXPAND_BUDGET) -> SparsePoly:
         """The outer dag expanded on the inner polynomials (Circuit.expand)."""

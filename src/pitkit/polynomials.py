@@ -241,8 +241,13 @@ class SparsePoly:
 
     def __mul__(self, other):
         """The product on packed monomials (PackedRing): both integer forms
-        (_compile) packed, multiplied once, and unpacked once."""
+        (_compile) packed, multiplied once, and unpacked once.  A constant
+        side scales the other instead, which is itself for the constant 1."""
         self._check_ring(other)
+        for const, poly in ((other, self), (self, other)):
+            if const.is_constant:
+                c = const.constant_term()
+                return poly if c == 1 else poly.scale(c)
         D, a, d = self._compiled or self._compile()
         E, b, e = other._compiled or other._compile()
         ring = PackedRing(self.field.characteristic, self.nvars, (d + e).bit_length(), math.inf)

@@ -1868,7 +1868,8 @@ def test_deeply_nested_json_exits_three(tmp_path, capsys, cmd):
 
 
 # the whole indented text of one report, as json.dumps(sort_keys=True,
-# indent=2) laid it out
+# indent=2) laid it out; zero_composition walks its own simplex of degree
+# 4 in one variable (y2 at deg f^2 = 4, y1^2 at 2 * deg f = 4), 5 points
 FROZEN_PIT_REPORT = """\
 {
   "circuit_kind": "composed",
@@ -1883,7 +1884,7 @@ FROZEN_PIT_REPORT = """\
   "verdict": {
     "guarantee": "certified",
     "outcome": "zero",
-    "points_checked": 9,
+    "points_checked": 5,
     "provenance": {
       "construction": "sparse-char0",
       "grid_truncated": false,
@@ -1902,6 +1903,34 @@ FROZEN_PIT_REPORT = """\
 def test_a_report_layout_is_frozen(tmp_path, capsys):
     path = dump(tmp_path, "zero.json", zero_composition().to_json_dict())
     assert run(capsys, ["pit", path]) == (0, FROZEN_PIT_REPORT, "")
+
+
+# y1^2 - y2 at (x1, x1^2) over F_3, walked on its own simplex as the
+# product bound 2 * 2 = 4 sized it: a grid of 5 values does not fit in F_3,
+# so the whole field was walked and the answer was inconclusive
+PRODUCT_BOUND_F3_REPORT = FROZEN_PIT_REPORT.replace(
+    '"certified"', '"corpus"').replace('"zero"', '"inconclusive"').replace(
+    '"points_checked": 5', '"points_checked": 3').replace(
+    '"grid_truncated": false', '"grid_truncated": true').replace(
+    '"points": "simplex"', '"points": "grid"')
+
+
+def test_a_small_field_walk_sized_by_the_weighted_degree_is_whole(tmp_path, capsys):
+    # the weighted bound is 2 (y1^2 at 2 * deg x1, y2 at deg x1^2): the
+    # simplex of degree 2 in one variable is the whole of F_3, certified
+    F3 = FieldSpec("prime", 3)
+    C = ComposedCircuit(Circuit.from_poly(P("x1^2 - x2", 2, F3)),
+                        [P("x1", 1, F3), P("x1^2", 1, F3)])
+    path = dump(tmp_path, "f3.json", C.to_json_dict())
+    code, out, err = run(capsys, ["pit", path])
+    assert (code, err) == (0, "")
+    assert out == FROZEN_PIT_REPORT.replace('"points_checked": 5', '"points_checked": 3')
+    # the inconclusive report the product bound gave is not what a re-run
+    # answers now
+    old = dump(tmp_path, "old.json", PRODUCT_BOUND_F3_REPORT)
+    code, out, _ = run(capsys, ["verify", old, "--against", path])
+    assert code == 4
+    assert json.loads(out)["detail"] == "re-run verdict differs"
 
 
 DISPATCH_ARGVS = [

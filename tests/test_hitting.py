@@ -168,23 +168,26 @@ def kronecker_set(polys, r, d):
 
 def test_sparse_inputs_zero_composition():
     # trdeg 1 in one variable: a psi map would have w = 2 > n = 1, so the
-    # circuit's own simplex of degree 8 is walked, certified, no search
+    # circuit's own simplex is walked, certified, no search; its degree is
+    # 4, y2 at deg f^2 = 4 against y1^2 at 2 * deg f = 4: comb(4 + 1, 1) = 5
+    # points
     f = poly_from_text("x1^2 + 2*x1", Q, 1)
     C = composed(Q, "x2 - x1^2", [f, f * f])
     v = pit_circuit(C)
     assert v.outcome == "zero"
-    assert v.points_checked == 9
+    assert v.points_checked == 5
     assert v.guarantee == "certified"
     assert v.provenance["construction"] == "sparse-char0"
     assert v.provenance["mode"] == "adaptive"
     assert v.provenance["map"] == "identity" and v.provenance["w"] == 2
     assert "image_certificate" not in v.provenance
-    # trdeg 1 in three variables: w = 2 < n, the map search runs
+    # trdeg 1 in three variables: w = 2 < n, the map search runs, and the
+    # simplex of degree 4 in w = 2 variables has comb(4 + 2, 2) = 15 points
     f = poly_from_text("x1^2 + 2*x2*x3", Q, 3)
     C = composed(Q, "x2 - x1^2", [f, f * f])
     v = pit_circuit(C)
     assert v.outcome == "zero"
-    assert v.points_checked == 45
+    assert v.points_checked == 15
     assert v.guarantee == "corpus"
     assert v.provenance["construction"] == "sparse-char0"
     assert v.provenance["mode"] == "adaptive"
@@ -363,7 +366,9 @@ def test_depth4_cancelling_rows_are_zero():
     C = cancelling_depth4(4)
     v = pit_circuit(C)
     assert v.outcome == "zero"
-    assert v.points_checked == 28
+    # rows of factor degrees 1, 1, 2 and a psi map to w = 2 variables: the
+    # simplex of degree 4 has comb(4 + 2, 2) = 15 points
+    assert v.points_checked == 15
 
 
 def test_depth4_random_nonzero_agree_with_expand():

@@ -560,9 +560,11 @@ def conversions(run, *args):
 
 def zero_compositions(field, k):
     """Two zero compositions whose walks grow with k: y1*y2 - y3 at x1^k,
-    x2^k, (x1*x2)^k, walked on its own simplex of degree 4k in two
-    variables, and y1^2 - y2 at f = x1*x2^k + x3 and f^2, of trdeg 1 in
-    three variables, walked on the images of a Vandermonde map."""
+    x2^k, (x1*x2)^k, walked on its own simplex of degree 2k in two
+    variables (comb(2k + 2, 2) points), and y1^2 - y2 at f = x1*x2^k + x3
+    and f^2, of trdeg 1 in three variables, walked on the images of a
+    Vandermonde map to two variables over the simplex of degree 2k + 2
+    (comb(2k + 4, 2) points)."""
     def composed(outer, inners):
         return ComposedCircuit(Circuit.from_poly(poly_from_text(outer, field, len(inners))),
                                inners)
@@ -573,7 +575,7 @@ def zero_compositions(field, k):
 
 @pytest.mark.parametrize("field", [Q, BIG], ids=["Q", "F2^61-1"])
 def test_the_walk_converts_no_point(field):
-    walks = [[conversions(pit_circuit, C) for C in zero_compositions(field, k)] for k in (3, 4)]
+    walks = [[conversions(pit_circuit, C) for C in zero_compositions(field, k)] for k in (5, 6)]
     for (short, short_counts), (long, long_counts) in zip(*walks):
         assert short.outcome == long.outcome == "zero"
         assert 50 <= short.points_checked < long.points_checked

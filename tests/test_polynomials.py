@@ -284,3 +284,26 @@ def test_product_division_substitution_and_annihilator_run_on_packed_ring(monkey
         built.clear()
         call()
         assert built, name
+
+
+def test_a_product_by_a_constant_builds_no_packed_ring(monkeypatch):
+    """A constant side scales the other operand, and the constant 1 returns
+    it as it is: Circuit.expand starts every product from one."""
+    x = P("x1^2*x2 + x1", 2)
+    results = {}
+    for field in (Q, F7):
+        f = P("3*x1^2*x2 - x1 + 2", 2, field)
+        one, three, zero = (SparsePoly.constant(field, 2, c) for c in (1, 3, 0))
+        results[field] = f, one, three, zero, f.scale(3)
+
+    def refuse(*args):
+        raise AssertionError("a product by a constant packed its operands")
+
+    monkeypatch.setattr(polynomials, "PackedRing", refuse)
+    for f, one, three, zero, tripled in results.values():
+        assert f * one is f and one * f is f
+        assert f * three == three * f == tripled
+        assert f * zero == zero * f == zero and (f * zero).is_zero
+        assert one * one == one and three * three == one.scale(9)
+    with pytest.raises(AssertionError):
+        x * x
