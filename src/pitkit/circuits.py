@@ -177,21 +177,21 @@ class Circuit(Blackbox):
                 degs.append((max if op == "add" else sum)(degs[k] for k in arg))
         return degs[self.output]
 
-    def value_bits(self, input_bits: int, integral_inputs: bool = True) -> int:
+    def value_bits(self, input_bits, integral_inputs: bool = True) -> int:
         """Over Q, a bound on the bit length of every numerator and
-        denominator the forward pass meets at a point whose coordinates
-        have at most input_bits bits, in numerator and denominator, and are
-        integers unless integral_inputs is False.  A product adds its
-        factors' bounds; a sum of k terms adds ceil(log2 k) to their
-        largest bound when every const and input is an integer, and to the
-        sum of their bounds otherwise (each scaled to the lcm of the
-        denominators, which divides their product)."""
+        denominator the forward pass meets at a point whose coordinate j
+        has at most input_bits[j] bits, in numerator and denominator, and
+        whose coordinates are integers unless integral_inputs is False.  A
+        product adds its factors' bounds; a sum of k terms adds
+        ceil(log2 k) to their largest bound when every const and input is
+        an integer, and to the sum of their bounds otherwise (each scaled
+        to the lcm of the denominators, which divides their product)."""
         integral = integral_inputs and all(
             arg.denominator == 1 for op, arg in self.nodes if op == "const")
         bits = [0] * len(self.nodes)
         for i, (op, arg) in enumerate(self.nodes):
             if op == "input":
-                bits[i] = input_bits
+                bits[i] = input_bits[arg]
             elif op == "const":
                 bits[i] = max(arg.numerator.bit_length(), arg.denominator.bit_length())
             elif op == "mul":

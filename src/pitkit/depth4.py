@@ -15,7 +15,7 @@ import random
 from functools import lru_cache, partial
 
 from .circuits import DEFAULT_EXPAND_BUDGET, Depth4Circuit
-from .independence import _random_point, _subseed, evaluated_rank, jacobian, trdeg
+from .independence import _random_point, _subseed, big_field, evaluated_rank, jacobian, trdeg
 from .polynomials import (
     BudgetExceeded,
     SparsePoly,
@@ -24,8 +24,8 @@ from .polynomials import (
     normalize_monic,
     substitution,
 )
-from .varmaps import (BIG_CHARACTERISTIC, SearchExhausted, VandermondeMap, first_certified,
-                      merging_map, schedule, vandermonde_candidates, vandermonde_exponents)
+from .varmaps import (SearchExhausted, VandermondeMap, first_certified, merging_map, schedule,
+                      vandermonde_candidates, vandermonde_exponents)
 
 
 class CoprimeBasis:
@@ -523,8 +523,11 @@ def _certify_depth4(mp, subsets, r, seed, merge):
     rank leg holds when the images of sim's factors keep rank min(rank, r):
     one seeded evaluated_rank pass, with ceiling min(rank, k), reads the
     image Jacobian through the chain rule (mp.jacobian_at on the
-    precomputed jacobian of the factors).  A miss rejects over a big
-    field; over a small field the symbolic trdeg of the images decides.
+    precomputed jacobian of the factors), with the subset's target: over a
+    big field (independence.big_field) a first point below the target
+    rejects, and a first point that meets it still takes the later trials
+    towards the ceiling; over a small field every trial runs, and on a
+    miss the symbolic trdeg of the images decides.
     A subset of rank 0 has only constant factors, so its bound is 0 with
     no evaluation.
     A preservation leg holds when no factor of C_I maps to zero and
@@ -557,7 +560,6 @@ def _certify_depth4(mp, subsets, r, seed, merge):
     # proves the lower bound, and degenerate (p, c) candidates die on cheap
     # point evaluations before the gcd-based preservation pass below
     field, w = mp.field, mp.nvars_out
-    ch = field.characteristic
     bounds = []
     for I, sub, sim, facs, J, rho in subsets:
         if rho == 0:
@@ -567,10 +569,10 @@ def _certify_depth4(mp, subsets, r, seed, merge):
         target = min(rho, r)
         # rho and k bound the rank of the images at every point (their trdeg
         # is at most both), so stopping there leaves the max over the trials
-        # as it is
-        bound = evaluated_rank(partial(mp.jacobian_at, J), field, w, min(rho, k), seed)[0]
+        # as it is; over a big field a first point below target rejects
+        bound = evaluated_rank(partial(mp.jacobian_at, J), field, w, min(rho, k), seed, target)[0]
         if bound < target:
-            if ch == 0 or ch >= BIG_CHARACTERISTIC:
+            if big_field(field):
                 return None
             bound = trdeg([image(f) for f in facs], mode="auto").r
             if bound < target:

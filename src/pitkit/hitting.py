@@ -487,8 +487,7 @@ def pit_circuit(
             if field.kind == "rational":
                 # every inner is a constant, an input of the outer dag
                 consts = [f.constant_term() for f in inputs]
-                bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                           for c in consts)
+                bits = [max(c.numerator.bit_length(), c.denominator.bit_length()) for c in consts]
                 _check_value_bits(circ.outer, bits, all(c.denominator == 1 for c in consts))
             return _constant_verdict(circ, "constant-composition")
         delta, ell = family_sizes(inputs)
@@ -518,7 +517,7 @@ def pit_circuit(
         d = max(1, circ.syntactic_degree())
         if field.kind == "rational":
             # the grid's largest coordinate is d
-            _check_value_bits(circ, d.bit_length())
+            _check_value_bits(circ, [d.bit_length()] * n)
         if n == 0:
             return _constant_verdict(circ, "constant-dag")
         values, deg = _grid_values(field, d)
@@ -536,22 +535,24 @@ def _check_walk_bits(circ, input_bits, integral):
     """Over Q, the dag's rule (_check_value_bits) for a walk of the
     composed or depth-4 circuit circ (through its composed view) at points
     whose coordinates have at most input_bits bits, integers when integral:
-    the outer dag's, at the bits of the inner values.  An inner f(a/q) is
-    sum N_e a^e q^(d - |e|) / (D q^d) (SparsePoly._eval_integers), of at
-    most max(bits N, bits D) + d * input_bits + bits(#terms) bits."""
+    the outer dag's, with input j at the bits of the inner value f_j.  An
+    inner f(a/q) is sum N_e a^e q^(d - |e|) / (D q^d)
+    (SparsePoly._eval_integers), of at most max(bits N, bits D) + d *
+    input_bits + bits(#terms) bits."""
     if circ.field.kind != "rational":
         return
     if isinstance(circ, Depth4Circuit):
         circ = circ._composed()
     forms = [f._compiled or f._compile() for f in circ.inputs]
-    bits = max(max([D.bit_length()] + [abs(N).bit_length() for N, _, _ in terms])
-               + d * input_bits + len(terms).bit_length() for D, terms, d in forms)
+    bits = [max([D.bit_length()] + [abs(N).bit_length() for N, _, _ in terms])
+            + d * input_bits + len(terms).bit_length() for D, terms, d in forms]
     _check_value_bits(circ.outer, bits, integral and all(D == 1 for D, _, _ in forms))
 
 
 def _check_value_bits(dag, input_bits, integral_inputs=True):
-    """Over Q, refuse a dag whose values at inputs of input_bits bits
-    (Circuit.value_bits) may exceed MAX_VALUE_BITS, before any evaluation."""
+    """Over Q, refuse a dag whose values at inputs of input_bits[j] bits at
+    input j (Circuit.value_bits) may exceed MAX_VALUE_BITS, before any
+    evaluation."""
     if dag.value_bits(input_bits, integral_inputs) > MAX_VALUE_BITS:
         raise BudgetExceeded("dag values may exceed the limit of %d bits" % MAX_VALUE_BITS)
 

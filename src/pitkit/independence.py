@@ -119,9 +119,20 @@ def _random_point(field: FieldSpec, rng: random.Random, n: int):
 
 # the seeded points evaluated_rank tries
 _TRIALS = 4
+# Characteristic 0 or at least this is a big field: there a family's
+# generic Jacobian rank shows at a seeded point almost surely (it misses
+# with probability at most D/|S|, Schwartz-Zippel), so one miss rejects.
+BIG_CHARACTERISTIC = 1 << 20
 
 
-def evaluated_rank(jac_at, field, nvars: int, ceiling: int, seed: int = 0):
+def big_field(field) -> bool:
+    """Does one seeded point decide a rejection over field
+    (BIG_CHARACTERISTIC)?"""
+    ch = field.characteristic
+    return ch == 0 or ch >= BIG_CHARACTERISTIC
+
+
+def evaluated_rank(jac_at, field, nvars: int, ceiling: int, seed: int = 0, target=None):
     """The rank of a Jacobian given by its values, as a lower bound, with
     the point that shows it: (rank, pivot rows, point).  jac_at(pt) is the
     evaluated Jacobian at a point of nvars coordinates as (rows, den), in
@@ -141,10 +152,18 @@ def evaluated_rank(jac_at, field, nvars: int, ceiling: int, seed: int = 0):
     Any other ceiling leaves min(rank, ceiling) unchanged, which is all a
     caller that compares the rank against the ceiling reads.
 
+    target, when given, is the rank below which the caller rejects.  Over
+    a big field (big_field) the first point decides that: a first rank
+    below target ends the trials there, and the caller rejects on it.  A
+    first point that meets target still takes the later trials towards
+    the ceiling, so the rank and point of an accepted family are those of
+    the run without target.  Over a small field target changes nothing.
+
     A rank that meets a known upper bound on the trdeg (images under a
     ring homomorphism cannot gain trdeg) proves equality in any
     characteristic; evaluated_certificate records it."""
     rng = random.Random(_subseed(seed, 2))
+    stop_on_miss = target is not None and big_field(field)
     best = (-1, [], None)
     for _ in range(_TRIALS):
         pt = _random_point(field, rng, nvars)
@@ -153,6 +172,9 @@ def evaluated_rank(jac_at, field, nvars: int, ceiling: int, seed: int = 0):
         if rho > best[0]:
             best = (rho, pivot_rows, pt)
         if rho >= min(len(M), len(M[0]) if M else 0, ceiling):
+            break
+        if stop_on_miss and best[0] < target:
+            # true at the first point or never: best only grows
             break
     return best
 

@@ -28,7 +28,8 @@ a prime at which no c can reach the target is skipped whole
 kronecker_candidates is its counterpart for Kronecker maps).  At a prime
 where equal exponent rows merge variables, every Vandermonde map factors
 through the merging map sigma_p (merging_map, an AffineMap), and the
-stream skips the rest of the prime once sigma_p loses the trdeg.  c = 1
+stream skips the rest of the prime once sigma_p's chain-rule rank at a
+seeded point is below the target.  c = 1
 gives the same map at every prime, so a search tries it at p = 2 only.
 ParamSchedule packages the closed-form parameter sizes of each family and
 enumerates its maps (ParamSchedule.maps), unscreened, behind the exact
@@ -47,7 +48,7 @@ from operator import add, mul
 
 from . import linalg
 from .fields import FieldError, FieldSpec
-from .independence import (POINT_BOUND, _random_point, _subseed, check_value_bits,
+from .independence import (POINT_BOUND, _random_point, _subseed, big_field, check_value_bits,
                            evaluated_certificate, evaluated_rank, jacobian, trdeg)
 from .polynomials import MAX_VALUE_BITS, BudgetExceeded, SparsePoly, substitution
 from .primes import iter_primes
@@ -664,8 +665,8 @@ def vandermonde_candidates(field: FieldSpec, n: int, r: int, D1: int, D2: int, p
     SkippedPrime with the size of its c sample stands for its maps.  The
     bound is computed only for floor >= 2: every entry c^e of M is nonzero,
     so every map has linear rank at least 1.  Before each candidate, the
-    stream asks doomed(p), the caller's proof that no c at p certifies (a
-    sigma_p screen); once it holds, one SkippedPrime stands for the rest of
+    stream asks doomed(p), the caller's verdict that no c at p certifies
+    (a sigma_p screen); once it holds, one SkippedPrime stands for the rest of
     p's c sample.
 
     For floor >= 1, c = 1 at p > 2 is one SkippedPrime too: every entry of
@@ -701,11 +702,6 @@ def vandermonde_applies(field: FieldSpec, delta: int, r: int) -> bool:
     return ch == 0 or ch > delta ** max(1, r)
 
 
-# Characteristic 0 or at least this is a big field: a candidate of full image
-# rank shows it at a seeded point almost surely, so a miss there rejects.
-BIG_CHARACTERISTIC = 1 << 20
-
-
 def _certify(fs, J, mp, r0: int, seed: int, verdicts=None):
     """The image certificate of trdeg r0 for the candidate mp, or None.
 
@@ -717,9 +713,10 @@ def _certify(fs, J, mp, r0: int, seed: int, verdicts=None):
     evaluated_rank pass reads the image Jacobian through the chain rule
     (mp.jacobian_at): it is the rank screen and the certificate at once.
     The images cannot gain trdeg, so a point of rank r0 proves trdeg r0.
-    A miss rejects over a big field (BIG_CHARACTERISTIC); over a small
-    field the symbolic trdeg of the images decides, and only there are the
-    images mp(f) built.
+    Over a big field (independence.big_field) the first seeded point
+    decides: a miss there rejects, and no later point is evaluated.  Over
+    a small field the pass takes every trial, and on a miss the symbolic
+    trdeg of the images decides; only there are the images mp(f) built.
 
     verdicts, given by a Vandermonde search, gets whether sigma_p dooms
     mp's prime (_sigma_dooms) at the prime's first big-field miss, so a
@@ -728,12 +725,12 @@ def _certify(fs, J, mp, r0: int, seed: int, verdicts=None):
     """
     if mp.linear_rank() < r0:
         return None
-    field = mp.field
-    rho, pivot_rows, pt = evaluated_rank(partial(mp.jacobian_at, J), field, mp.nvars_out, r0, seed)
+    field, jac_at = mp.field, partial(mp.jacobian_at, J)
+    # r0 is both the ceiling and the target
+    rho, pivot_rows, pt = evaluated_rank(jac_at, field, mp.nvars_out, r0, seed, r0)
     if rho == r0:
         return evaluated_certificate(field, rho, pivot_rows, pt)
-    ch = field.characteristic
-    if ch == 0 or ch >= BIG_CHARACTERISTIC:
+    if big_field(field):
         if verdicts is not None and mp.p not in verdicts:
             verdicts[mp.p] = _sigma_dooms(fs, J, mp, r0, seed)
         return None
@@ -744,28 +741,25 @@ def _certify(fs, J, mp, r0: int, seed: int, verdicts=None):
 
 
 def _sigma_dooms(fs, J, mp, r0: int, seed: int) -> bool:
-    """Does sigma_p (merging_map) prove that no VandermondeMap at the prime
-    p of mp keeps trdeg r0 of fs?  J = jacobian(fs).
+    """Does sigma_p (merging_map) doom every VandermondeMap at the prime p
+    of mp, a candidate that missed over a big field?  J = jacobian(fs).
 
-    Every psi at p is tau_c o sigma_p, and a ring map cannot raise trdeg,
-    so trdeg sigma_p(f) < r0 dooms every c.  At q = n, sigma_p only renames
-    the variables, and the prime passes.  Otherwise the chain rule comes
-    first, at one seeded y (sigma.jacobian_at, one evaluation of J): its
-    rank is at most trdeg sigma_p(f) in every characteristic, so a rank of
-    r0 proves the prime is not doomed.  Only then are the images
-    sigma_p(f) built (sigma.apply), and the prime is doomed iff their
-    symbolic Jacobian rank is exact and below r0 (trdeg, mode "jacobian";
-    images that are all constant have rank 0).
+    Every psi at p is tau_c o sigma_p, so by the chain rule each image
+    Jacobian J(f o psi)(z) is J(f o sigma_p)(tau_c(z)) times the matrix of
+    tau_c, and its rank is at most the generic rank of J(f o sigma_p).  At
+    q = n, sigma_p only renames the variables, and the prime passes.
+    Otherwise the prime is doomed iff the rank of J(f o sigma_p) at one
+    seeded y (sigma.jacobian_at, one evaluation of J) is below r0.  That
+    is the one-point rule of _certify: a generic rank below r0 makes every
+    candidate at p miss at every point, and over a big field a rank below
+    r0 at a seeded point rejects.  No image sigma_p(f) is built.
     """
     field = mp.field
     sigma = merging_map(field, mp._exponents())
     if sigma is None:
         return False
     y = _random_point(field, random.Random(_subseed(seed, 6)), sigma.nvars_out)
-    if linalg.rank(sigma.jacobian_at(J, y)[0], field.characteristic)[0] >= r0:
-        return False
-    cert = trdeg([sigma.apply(f) for f in fs], mode="jacobian")
-    return cert.exact and cert.r < r0
+    return linalg.rank(sigma.jacobian_at(J, y)[0], field.characteristic)[0] < r0
 
 
 def _search_start(fs, r, mode, input_cert, J):
@@ -865,14 +859,16 @@ def search_vandermonde_map(fs, r: int | None = None, mode: str = "adaptive", see
     faithfulness argument allows; exact mode walks the closed-form family,
     schedule("sparse-char0", ...).maps(field, n).  Both skip, and count,
     every prime whose generic linear rank is below the input trdeg, and the
-    rest of every prime where sigma_p, the map that merges the variables
-    of equal exponent rows, sends the inputs to a family of trdeg below the
-    input trdeg: every map there factors through sigma_p, so none keeps
-    it.  A prime is screened so at its first candidate that misses on the
-    evaluated rank over a big field (_certify, _sigma_dooms); the verdict
-    is kept for this search only, and the candidate stream reads it
-    (vandermonde_candidates).  Raises SearchExhausted past the p bound, or
-    over F_2 past p = 2 (see first_certified).  Over Q it raises
+    rest of every prime where the Jacobian of the inputs' images under
+    sigma_p, the map that merges the variables of equal exponent rows, has
+    a rank below the input trdeg at a seeded point: every map there
+    factors through sigma_p, and the chain rule bounds its rank by
+    sigma_p's (_sigma_dooms).  A prime is screened so at its first
+    candidate that misses on the evaluated rank over a big field
+    (_certify); the verdict is kept for this search only, and the
+    candidate stream reads it (vandermonde_candidates).  Raises
+    SearchExhausted past the p bound, or over F_2 past p = 2 (see
+    first_certified).  Over Q it raises
     BudgetExceeded, before any candidate, when delta times the bits of a
     seeded point coordinate exceeds MAX_VALUE_BITS: the Jacobian is
     evaluated at such points.  input_cert and J as in

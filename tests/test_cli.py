@@ -11,6 +11,7 @@ import time
 import pytest
 
 import pitkit
+from pitkit import varmaps
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.cli import _build_parser, _parse_args, main
 from pitkit.depth4 import lift_identity
@@ -915,6 +916,47 @@ def test_an_exact_walk_over_q_is_bounded_map_by_map(tmp_path):
                                "--max-points", "3000"], seconds=30)
     assert proc.returncode == 4 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "dag values may exceed the limit of 1048576 bits"
+
+
+def _power_sum(e1, e2, extra):
+    """The outer dag y1^e1 - y2^e2 (extra = None) or y1^e1 + y2^e2 +
+    extra, both powers by repeated squaring."""
+    k1, k2 = e1.bit_length() - 1, e2.bit_length() - 1
+    nodes = _squarings([{"op": "input", "var": 0}], k1)
+    nodes = _squarings(nodes + [{"op": "input", "var": 1}], k2)
+    power1, power2 = k1, k1 + 1 + k2
+    if extra is None:
+        nodes += [{"op": "const", "value": "-1"}, {"op": "mul", "args": [power2 + 1, power2]}]
+        terms = [power1, power2 + 2]
+    else:
+        nodes.append({"op": "const", "value": extra})
+        terms = [power1, power2, power2 + 1]
+    nodes.append({"op": "add", "args": terms})
+    return {"nvars": 2, "nodes": nodes, "output": len(nodes) - 1}
+
+
+@pytest.mark.parametrize("e1, e2, extra, outcome", [(4096, 1, "1", "nonzero"),
+                                                     (2048, 32, None, "zero")],
+                         ids=["y1^4096 + y2 + 1", "y1^2048 - y2^32"])
+def test_a_walk_over_q_bounds_each_outer_input_by_its_own_inner(tmp_path, capsys, e1, e2,
+                                                                 extra, outcome):
+    # at (x1, x1^64) over Q the walk has degree 4096 (2048), coordinates of
+    # 13 (12) bits, and inner values of 15 (14) bits for x1 and 834 (770)
+    # for x1^64.  Each outer input bounded by the larger one gave 3,416,066
+    # (1,576,961) bits, past MAX_VALUE_BITS (exit 4); each at its own gives
+    # 61,442 (28,673), and the circuits answer
+    obj = {"kind": "composed", "field": {"kind": "rational"}, "nvars": 1,
+           "inputs": ["x1", "x1^64"], "outer": _power_sum(e1, e2, extra)}
+    path = dump(tmp_path, "circuit.json", obj)
+    code, out, _ = run(capsys, ["pit", path])
+    verdict = json.loads(out)["verdict"]
+    assert (code, verdict["outcome"], verdict["guarantee"]) == (
+        {"zero": 0, "nonzero": 1}[outcome], outcome, "certified")
+    if outcome == "zero":
+        # the whole simplex of degree 2048 in one variable
+        assert verdict["points_checked"] == 2049
+    code, out, _ = run(capsys, ["verify", dump(tmp_path, "report.json", out), "--against", path])
+    assert code == 0 and json.loads(out)["verified"]
 
 
 def _evaluated_trdeg_report(tmp_path, point):
@@ -1931,6 +1973,146 @@ def test_a_small_field_walk_sized_by_the_weighted_degree_is_whole(tmp_path, caps
     code, out, _ = run(capsys, ["verify", old, "--against", path])
     assert code == 4
     assert json.loads(out)["detail"] == "re-run verdict differs"
+
+
+# y2 - y1^2 at (x1 - x3, (x1 - x3)^2) with n = 4, as pitkit wrote it before
+# a big-field miss was decided at one point: at p = 2, sigma_2 sends x1 - x3
+# to 0, so c = 1 there misses and dooms the prime, and p = 3, c = 2 wins
+SIGMA_DOOM_REPORTS = {
+    "Q": """\
+{
+  "circuit_kind": "composed",
+  "command": "pit",
+  "config": {
+    "R": null,
+    "conjecture_R": false,
+    "max_points": 200000,
+    "mode": "adaptive",
+    "seed": 0
+  },
+  "verdict": {
+    "guarantee": "corpus",
+    "outcome": "zero",
+    "points_checked": 6,
+    "provenance": {
+      "construction": "sparse-char0",
+      "grid_truncated": false,
+      "image_certificate": {
+        "basis": [
+          0
+        ],
+        "mode": "jacobian",
+        "r": 1,
+        "witness": {
+          "method": "evaluated-jacobian-meets-upper-bound",
+          "point": [
+            "-210085211",
+            "560439575"
+          ],
+          "upper_bound": 1
+        }
+      },
+      "map": {
+        "D1": 25,
+        "D2": 2,
+        "c": "2",
+        "field": {
+          "kind": "rational"
+        },
+        "kind": "psi",
+        "n": 4,
+        "p": 3,
+        "r": 1
+      },
+      "mode": "adaptive",
+      "points": "simplex"
+    },
+    "value": null,
+    "witness": null
+  }
+}
+""",
+    "F2^61-1": """\
+{
+  "circuit_kind": "composed",
+  "command": "pit",
+  "config": {
+    "R": null,
+    "conjecture_R": false,
+    "max_points": 200000,
+    "mode": "adaptive",
+    "seed": 0
+  },
+  "verdict": {
+    "guarantee": "corpus",
+    "outcome": "zero",
+    "points_checked": 6,
+    "provenance": {
+      "construction": "sparse-char0",
+      "grid_truncated": false,
+      "image_certificate": {
+        "basis": [
+          0
+        ],
+        "mode": "jacobian",
+        "r": 1,
+        "witness": {
+          "method": "evaluated-jacobian-meets-upper-bound",
+          "point": [
+            1675509233860888906,
+            30201455856404679
+          ],
+          "upper_bound": 1
+        }
+      },
+      "map": {
+        "D1": 25,
+        "D2": 2,
+        "c": 2,
+        "field": {
+          "kind": "prime",
+          "p": 2305843009213693951
+        },
+        "kind": "psi",
+        "n": 4,
+        "p": 3,
+        "r": 1
+      },
+      "mode": "adaptive",
+      "points": "simplex"
+    },
+    "value": null,
+    "witness": null
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec("prime", (1 << 61) - 1)], ids=["Q", "F2^61-1"])
+def test_a_report_through_a_rejected_candidate_and_a_doomed_prime_is_frozen(
+        tmp_path, capsys, monkeypatch, field):
+    rejected, dooms = [], []
+    real_certify, real_dooms = varmaps._certify, varmaps._sigma_dooms
+
+    def certify(fs, J, mp, *args):
+        cert = real_certify(fs, J, mp, *args)
+        if cert is None:
+            rejected.append((mp.p, mp.c))
+        return cert
+
+    def sigma_dooms(fs, J, mp, *args):
+        dooms.append((mp.p, real_dooms(fs, J, mp, *args)))
+        return dooms[-1][1]
+
+    monkeypatch.setattr(varmaps, "_certify", certify)
+    monkeypatch.setattr(varmaps, "_sigma_dooms", sigma_dooms)
+    C = ComposedCircuit(Circuit.from_poly(P("x2 - x1^2", 2, field)),
+                        [P("x1 - x3", 4, field), P("x1^2 - 2*x1*x3 + x3^2", 4, field)])
+    code, out, err = run(capsys, ["pit", dump(tmp_path, "c.json", C.to_json_dict())])
+    assert (code, out, err) == (0, SIGMA_DOOM_REPORTS["Q" if field is Q else "F2^61-1"], "")
+    # the report went through the changed path, or the freeze shows nothing
+    assert rejected == [(2, field.one())] and dooms == [(2, True)]
 
 
 DISPATCH_ARGVS = [

@@ -9,9 +9,14 @@ prime (the c = 1 rule).  The depth-4 search also decides preservation once
 per prime through sigma_p, the map that merges the variables of equal
 exponent rows (the sigma screen).  Tested here: the lemmas as hypothesis
 properties, and differential runs showing that the screens change no
-search result.
+search result.  Also the one-point rule: over a big field the first
+seeded point decides a rejection, of a faithful candidate, a depth-4 rank
+leg or a whole prime through sigma_p; spies count what a miss evaluates
+and builds, and differential runs against the old rules show that the
+searches answer the same.
 """
 
+import collections
 import itertools
 import random
 
@@ -24,7 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 from _gen import (gcd_depth4, int_rows, lifted_identity, map_images, rand_depth4,  # noqa: E402
                   rand_poly, substitute_reference)
 from test_census import census  # noqa: E402
-from pitkit import depth4, linalg, varmaps  # noqa: E402
+from pitkit import depth4, independence, linalg, varmaps  # noqa: E402
 from pitkit.circuits import Depth4Circuit  # noqa: E402
 from pitkit.depth4 import search_depth4_map, verify_simple_preservation  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
@@ -674,10 +679,11 @@ def test_a_prime_where_sigma_merges_but_keeps_trdeg_is_walked(field, monkeypatch
 
 
 @pytest.mark.parametrize("field", [Q, F61], ids=["Q", "F2^61-1"])
-def test_sigma_dooms_a_prime_by_the_symbolic_rank_of_nonconstant_images(field):
+def test_sigma_dooms_a_prime_by_the_rank_at_one_point_of_nonconstant_images(field):
     # x1 x2 and x3 x4 have trdeg 2; at p = 2 sigma_2 sends both to y_0 y_1:
-    # no image is constant, and their Jacobian has rank 1.  {x1 x2, x3 + x4}
-    # keeps trdeg 2 there: y_0 y_1 and y_0 + y_1
+    # no image is constant, and their Jacobian has rank 1 at every point,
+    # so at the seeded one.  {x1 x2, x3 + x4} keeps trdeg 2 there: y_0 y_1
+    # and y_0 + y_1, of rank 2 at the seeded point
     for texts, doomed in ((("x1*x2", "x3*x4"), True), (("x1*x2", "x3 + x4"), False)):
         fs = [poly_from_text(t, field, 4) for t in texts]
         mp = VandermondeMap(field, 4, 2, 125, 2, 2, field.from_int(3))
@@ -687,10 +693,13 @@ def test_sigma_dooms_a_prime_by_the_symbolic_rank_of_nonconstant_images(field):
 
 def test_sigma_screen_is_exact_and_changes_no_faithful_search_result(monkeypatch):
     """Whenever sigma_p dooms a prime, _certify rejects every c of its
-    sample, and the screened and unscreened searches agree.  The family,
-    n <= 5 and the field come from one seeded stream (see the test of
-    sigma's verdict); a planted difference of two variables makes sigma_p
-    lose trdeg at the first primes."""
+    sample, and the screened and unscreened searches agree.  sigma_p dooms
+    by its Jacobian rank at one seeded point, which can fall below its
+    generic rank only by an unlucky point, the bet every big-field
+    rejection makes; on these draws the doom is exact.  The family, n <= 5
+    and the field come from one seeded stream (see the test of sigma's
+    verdict); a planted difference of two variables makes sigma_p lose
+    trdeg at the first primes."""
     doomed_seen = []
 
     @settings(max_examples=60, deadline=None)
@@ -766,3 +775,235 @@ def test_sigma_p_is_an_affine_map_with_the_class_sums_as_its_chain_rule():
     assert [sigma.apply(f) for f in fs] == [poly_from_text(t, F61, 2)
                                             for t in ("x1*x2 + x1^2", "x2 - x1")]
     assert varmaps.merging_map(F61, varmaps.vandermonde_exponents(4, 2, 125, 2, 7)) is None
+
+
+# -- one seeded point decides a big-field rejection -----------------------------
+
+
+def _spy(monkeypatch):
+    """A Counter of the chain-rule evaluations (per map class), the images
+    built (per map class) and the symbolic trdegs of varmaps and depth4."""
+    calls = collections.Counter()
+    real_jacobian_at, real_apply = varmaps.AffineMap.jacobian_at, varmaps.AffineMap.apply
+    real_merge_apply = varmaps.MergingMap.apply
+
+    def counted(name, real):
+        def spy(mp, *args):
+            calls["%s.%s" % (type(mp).__name__, name)] += 1
+            return real(mp, *args)
+        return spy
+
+    monkeypatch.setattr(varmaps.AffineMap, "jacobian_at",
+                        counted("jacobian_at", real_jacobian_at))
+    monkeypatch.setattr(varmaps.AffineMap, "apply", counted("apply", real_apply))
+    monkeypatch.setattr(varmaps.MergingMap, "apply", counted("apply", real_merge_apply))
+    for module in (varmaps, depth4):
+        monkeypatch.setattr(module, "trdeg",
+                            lambda *a, **kw: calls.update(["trdeg"]) or independence.trdeg(*a, **kw))
+    return calls
+
+
+def _missing_psi(field):
+    """{x1 - x3} in n = 4 and a psi at p = 2 that misses: sigma_2 sends x1 -
+    x3 to 0 (adaptive D1 = 25)."""
+    fs = [poly_from_text("x1 - x3", field, 4)]
+    return fs, VandermondeMap(field, 4, 1, 25, 2, 2, field.from_int(2))
+
+
+def _missing_phi(field):
+    """{x1} in n = 2 and the Kronecker map that keeps x2 alone: x1 goes to
+    a constant."""
+    return [poly_from_text("x1", field, 2)], varmaps.KroneckerMap(field, 2, 1, (2,), 3, 2,
+                                                                  field.from_int(2))
+
+
+@pytest.mark.parametrize("field", [Q, F61], ids=["Q", "F2^61-1"])
+def test_a_big_field_psi_miss_takes_one_point_and_dooms_sigma_p_by_its_rank(field, monkeypatch):
+    fs, mp = _missing_psi(field)
+    calls, verdicts = _spy(monkeypatch), {}
+    assert varmaps._certify(fs, jacobian(fs), mp, 1, 0, verdicts) is None
+    # one point rejects the candidate; sigma_2's verdict is its chain-rule
+    # rank at one point: no image and no trdeg
+    assert verdicts == {2: True}
+    assert calls == {"VandermondeMap.jacobian_at": 1, "MergingMap.jacobian_at": 1}
+
+
+@pytest.mark.parametrize("field", [Q, F61], ids=["Q", "F2^61-1"])
+def test_a_big_field_phi_miss_takes_one_point(field, monkeypatch):
+    fs, mp = _missing_phi(field)
+    calls = _spy(monkeypatch)
+    assert varmaps._certify(fs, jacobian(fs), mp, 1, 0) is None
+    assert calls == {"KroneckerMap.jacobian_at": 1}
+
+
+@pytest.mark.parametrize("missing", [_missing_psi, _missing_phi], ids=["psi", "phi"])
+def test_a_small_field_miss_takes_every_point_and_the_images_trdeg(missing, monkeypatch):
+    fs, mp = missing(F101)
+    calls, verdicts = _spy(monkeypatch), {}
+    assert varmaps._certify(fs, jacobian(fs), mp, 1, 0, verdicts) is None
+    kind = type(mp).__name__
+    assert verdicts == {}
+    assert calls == {kind + ".jacobian_at": 4, kind + ".apply": len(fs), "trdeg": 1}
+
+
+def _merged_rank_leg(field, r):
+    """(the depth-4 circuit x1 x2 + (x3 x4 + 1) as one subset of rank 2, a
+    candidate at p = 2 of linear rank 2 that merges x1 with x3 and x2 with
+    x4, its prime's _Merge).  The candidate sends the factors to L0 L1 and
+    L0 L1 + 1, of rank 1 at every point, and coprime."""
+    C = Depth4Circuit(field, 4, 2, [[poly_from_text("x1*x2", field, 4)],
+                                    [poly_from_text("x3*x4 + 1", field, 4)]])
+    sim = depth4.simple_part(C)
+    facs = sim.sparse_factors()
+    J = jacobian(facs)
+    subsets = [((0, 1), C, sim, facs, J, trdeg(facs, J=J).r)]
+    mp = VandermondeMap(field, 4, r, 25, 3, 2, field.from_int(2))
+    assert (subsets[0][-1], mp.linear_rank()) == (2, 2)
+    merge = depth4._merge(C, [sim], varmaps.vandermonde_exponents(4, r, 25, 3, 2))
+    return subsets, mp, merge
+
+
+@pytest.mark.parametrize("field", [Q, F61, F101], ids=["Q", "F2^61-1", "F101"])
+def test_a_depth4_rank_leg_miss_takes_one_point_over_a_big_field(field, monkeypatch):
+    # the target min(rank, r) = 2 is missed at every point
+    subsets, mp, merge = _merged_rank_leg(field, 1)
+    calls = _spy(monkeypatch)
+    assert depth4._certify_depth4(mp, subsets, 2, 0, merge) is None
+    if field is F101:
+        assert calls == {"VandermondeMap.jacobian_at": 4, "VandermondeMap.apply": 2, "trdeg": 1}
+    else:
+        assert calls == {"VandermondeMap.jacobian_at": 1}
+
+
+@pytest.mark.parametrize("field", [Q, F61, F101], ids=["Q", "F2^61-1", "F101"])
+def test_a_depth4_rank_leg_that_meets_its_target_still_walks_towards_the_ceiling(
+        field, monkeypatch):
+    # the target min(rank, r) = 1 is met at the first point, the ceiling
+    # min(rank, k) = 2 at none: every trial runs, as without a target
+    subsets, mp, merge = _merged_rank_leg(field, 1)
+    calls = _spy(monkeypatch)
+    evidence = depth4._certify_depth4(mp, subsets, 1, 0, merge)
+    assert calls["VandermondeMap.jacobian_at"] == 4 and not calls["trdeg"]
+    assert evidence == [{"I": [0, 1], "rank": 2, "image_rank_at_least": 1,
+                         "simple_part_preserved": True}]
+
+
+def _old_rules(monkeypatch):
+    """The rules before one point decided a big-field rejection, patched
+    in: every miss takes all the seeded points, and sigma_p dooms a prime
+    only by the exact symbolic trdeg of its images."""
+    real_rank = independence.evaluated_rank
+
+    def every_trial(jac_at, field, nvars, ceiling, seed=0, target=None):
+        return real_rank(jac_at, field, nvars, ceiling, seed)
+
+    def symbolic_dooms(fs, J, mp, r0, seed):
+        sigma = varmaps.merging_map(mp.field, mp._exponents())
+        if sigma is None:
+            return False
+        cert = trdeg([sigma.apply(f) for f in fs], mode="jacobian")
+        return cert.exact and cert.r < r0
+
+    monkeypatch.setattr(varmaps, "evaluated_rank", every_trial)
+    monkeypatch.setattr(depth4, "evaluated_rank", every_trial)
+    monkeypatch.setattr(varmaps, "_sigma_dooms", symbolic_dooms)
+
+
+def _under_both_rules(search, monkeypatch):
+    """search() as a JSON dict, or the message of its SearchExhausted, with
+    the _spy Counter of its run and the count of its sigma_p dooms under
+    "doomed": [(result, counter) under the one-point rule, (result,
+    counter) under _old_rules]."""
+    out = []
+    for old in (False, True):
+        with monkeypatch.context() as m:
+            if old:
+                _old_rules(m)
+            calls = _spy(m)
+
+            def dooms(*args, real=varmaps._sigma_dooms):
+                doomed = real(*args)
+                calls["doomed"] += doomed
+                return doomed
+
+            m.setattr(varmaps, "_sigma_dooms", dooms)
+            try:
+                result = search().to_json_dict()
+            except varmaps.SearchExhausted as e:
+                result = str(e)
+        out.append((result, calls))
+    return out
+
+
+def _evaluations(calls):
+    return calls["VandermondeMap.jacobian_at"] + calls["KroneckerMap.jacobian_at"]
+
+
+def _plant_difference(rng, field, n, f):
+    """f times x_i - x_j, with i - j even where n allows it: at p = 2 the
+    exponent rows of x_i and x_j are then equal for an odd n + 1, and
+    sigma_2 sends the product to 0."""
+    i, j = rng.choice([(i, j) for i in range(n) for j in range(i + 2, n, 2)] or [(0, 1)])
+    return (SparsePoly.variable(field, n, i) - SparsePoly.variable(field, n, j)) * f
+
+
+def test_one_point_rejections_change_no_faithful_search_result(monkeypatch):
+    """search_vandermonde_map and search_kronecker_map answer the same under
+    the one-point rule as under the old rules (_old_rules), over Q and
+    F_(2^61-1).  A planted difference of two variables makes sigma_p dooms
+    likely at the first primes."""
+    saved = collections.Counter()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        field = rng.choice([Q, F61])
+        n = rng.randint(2, 5)
+        fs = [rand_poly(rng, field, n, 2, 3) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.8:
+            fs[0] = _plant_difference(rng, field, n, rng.choice([SparsePoly.one(field, n), fs[0]]))
+        for name, search in (("psi", search_vandermonde_map), ("phi", varmaps.search_kronecker_map)):
+            (new, calls), (old, old_calls) = _under_both_rules(lambda: search(fs), monkeypatch)
+            assert new == old, name
+            # the same primes are doomed, and no sigma_p image is built
+            assert calls["doomed"] == old_calls["doomed"] and not calls["MergingMap.apply"]
+            saved[name] += _evaluations(old_calls) - _evaluations(calls)
+            saved["doomed"] += calls["doomed"]
+
+    check()
+    # primes were doomed and both searches took fewer points, or the
+    # comparison shows nothing
+    assert saved["doomed"] > 0 and saved["psi"] > 0 and saved["phi"] > 0
+
+
+def test_one_point_rejections_change_no_depth4_search_result(monkeypatch):
+    """search_depth4_map answers the same under the one-point rule as under
+    the old rules, over Q and F_(2^61-1), at k = 2 and k = 3 in n = 4.  A
+    planted pair of factors x_i^2 + a and x_j^2 + b in two rows, of rank
+    2, makes a rank leg of target 2 miss wherever a candidate merges x_i
+    with x_j."""
+    saved = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        field = rng.choice([Q, F61])
+        k, n, s = rng.choice([2, 3]), 4, rng.randint(1, 2)
+        rows = [[rand_poly(rng, field, n, 2, 3) for _ in range(s)] for _ in range(k)]
+        if rng.random() < 0.8:
+            i, j = rng.sample(range(n), 2)
+            a, b = rng.sample(range(1, 10), 2)
+            rows[0][0] = poly_from_text("x%d^2 + %d" % (i + 1, a), field, n)
+            rows[1][0] = poly_from_text("x%d^2 + %d" % (j + 1, b), field, n)
+        C = Depth4Circuit(field, n, 2, rows)
+        kw = rng.choice([{}, {"R": 2}, {"R": 3}])
+        (new, calls), (old, old_calls) = _under_both_rules(lambda: search_depth4_map(C, **kw),
+                                                           monkeypatch)
+        assert new == old
+        saved.append(_evaluations(old_calls) - _evaluations(calls))
+
+    check()
+    # rank legs missed and took fewer points, or the comparison shows nothing
+    assert sum(saved) > 0
