@@ -40,7 +40,10 @@ from .independence import (
     TrdegCertificate,
     _column_count,
     annihilator,
+    is_evaluated,
+    jacobian,
     trdeg,
+    verify_evaluated_certificate,
     verify_trdeg_certificate,
 )
 from .polynomials import (
@@ -427,9 +430,19 @@ def _verify_faithful(report, against):
         return False, "certificates disagree on r"
     if not verify_trdeg_certificate(fs, in_cert):
         return False, "input certificate failed"
-    # images under a ring homomorphism cannot gain trdeg
-    imgs = [mp.apply(f) for f in fs]
-    if not verify_trdeg_certificate(imgs, img_cert, upper_bound=in_cert.r):
+    # images under a ring homomorphism cannot gain trdeg.  An evaluated
+    # certificate is checked through the chain rule, J(f o mp)(z) =
+    # J_f(mp(z)) M, exact in every characteristic, with no image expanded;
+    # the images have degree at most the family's (mp is affine)
+    if is_evaluated(img_cert):
+        J = jacobian(fs)
+        ok = verify_evaluated_certificate(
+            img_cert, functools.partial(mp.jacobian_at, J), field, len(fs), mp.nvars_out,
+            max(f.degree() or 0 for f in fs), upper_bound=in_cert.r)
+    else:
+        ok = verify_trdeg_certificate([mp.apply(f) for f in fs], img_cert,
+                                      upper_bound=in_cert.r)
+    if not ok:
         return False, "image certificate failed"
     return True, "both certificates re-checked; the map preserves trdeg %d" % in_cert.r
 

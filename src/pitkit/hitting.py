@@ -32,17 +32,22 @@ field truncates the axis.  pit_circuit walks it, and its provenance says
 A set holds one stream of points in the integer form of
 FieldSpec.integers, cut into blocks (cols, den) of coordinate columns,
 coordinate i of point j being cols[i][j] / den: the lattice of the grid's
-integers, cut into columns (_lattice_blocks), or its images under each
-map (AffineMap._integer_image, one block at a time), residues over F_p and
-numerators over one denominator over Q.  The blocks hold 1, 2, 4, ...
-and then MAX_BLOCK points, in the order of the points, and a block never
-holds the images of two maps: a circuit nonzero at the first point is
-evaluated at that point alone, and a long walk costs each node, term or
-factor one list operation per MAX_BLOCK points.  pit() walks the blocks
-through the circuit's own block evaluation (circuits.Blackbox), takes the
-first nonzero value of each block, and makes only the witness and its
-value raw elements; points() is the raw view of the same stream, which
-`hitting-set` prints.
+integers (_lattice_blocks), or its images under each map (_image_blocks),
+residues over F_p and numerators over one denominator over Q.  Both walk
+the simplex by runs of its last coordinate (_runs): along a run only that
+coordinate moves, so the lattice's columns repeat the prefix's values and
+slice the axis, and a map's images are one affine progression per
+coordinate, from the image of the run's prefix, which moves by one column
+of the map from run to run.  AffineMap._integer_image stays the image of
+given points.  The blocks hold 1, BLOCK_GROWTH and then MAX_BLOCK points,
+in the order of the points, a run cut where a block is full, and a block
+never holds the images of two maps: a circuit nonzero at the first point
+is evaluated at that point alone, and a long walk costs each node, term
+or factor one list operation per MAX_BLOCK points.  pit() walks the
+blocks through the circuit's own block evaluation (circuits.Blackbox),
+takes the first nonzero value of each block, and makes only the witness
+and its value raw elements; points() is the raw view of the same stream,
+which `hitting-set` prints.
 
 Exact-mode enumerations are complete but their closed-form sizes are
 astronomically large for all but toy parameters; pit() therefore takes a
@@ -54,6 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import partial
+from operator import add
 
 from .circuits import Blackbox, ComposedCircuit, Depth4Circuit
 from .depth4 import search_depth4_map
@@ -70,8 +76,10 @@ from .varmaps import (
 )
 
 
-# The largest block of points a hitting set streams (module docstring).
+# The largest block of points a hitting set streams, and the factor by
+# which its blocks grow from one point up to it (module docstring).
 MAX_BLOCK = 256
+BLOCK_GROWTH = 16
 
 
 class HittingSet:
@@ -208,30 +216,34 @@ def _grid_values(field: FieldSpec, d: int):
     return vals, d if len(vals) == want else None
 
 
-def _lattice(values, w: int, d=None):
-    """The points of values^w whose indices sum to at most d, lazily, in
-    lexicographic order (a subsequence of itertools.product); with d=None,
-    the whole product.
+def _runs(m: int, w: int, d=None):
+    """The index vectors in [0, m)^w whose indices sum to at most d (with
+    d=None, all of them), in lexicographic order, as runs of the last
+    coordinate: one (k, prefix, length) per prefix of the first w - 1
+    indices, whose run holds the vectors prefix + (s,) for s = 0 ..
+    length - 1, that is up to the budget d - sum(prefix) (m - 1 with
+    d=None).  k is the prefix coordinate that grew by one since the last
+    run, the coordinates after it back at 0 (-1 at the first run); prefix
+    is one list, updated in place.  w >= 1, and m > d when d is given.
 
-    With d + 1 distinct values v_0..v_d, a polynomial f of total degree
-    <= d that vanishes on these comb(d + w, w) points is zero (Chung and
-    Yao, SIAM J. Numer. Anal. 1977).  Write f = sum_k g_k N_k in the Newton
-    basis N_k = prod_{j<k} (x_w - v_j) of its last variable, g_k of total
-    degree <= d - k.  Once g_0..g_{k-1} are zero, f on the slice x_w = v_k
-    is g_k N_k(v_k) with N_k(v_k) != 0, and the slice holds the simplex of
-    degree d - k in w - 1 variables; by induction on w, g_k = 0.
+    With d + 1 distinct values v_0..v_d on the axis, a polynomial f of
+    total degree <= d that vanishes on these comb(d + w, w) points is zero
+    (Chung and Yao, SIAM J. Numer. Anal. 1977).  Write f = sum_k g_k N_k in
+    the Newton basis N_k = prod_{j<k} (x_w - v_j) of its last variable, g_k
+    of total degree <= d - k.  Once g_0..g_{k-1} are zero, f on the slice
+    x_w = v_k is g_k N_k(v_k) with N_k(v_k) != 0, and the slice holds the
+    simplex of degree d - k in w - 1 variables; by induction on w, g_k = 0.
     """
-    if d is None:
-        yield from itertools.product(values, repeat=w)
-        return
-    idx = [0] * w
+    top = m - 1
+    idx = [0] * (w - 1)
     total = 0
+    k = -1
     while True:
-        yield tuple(map(values.__getitem__, idx))
-        # the next index vector: bump the last coordinate that can grow
-        # once the coordinates after it are reset to 0
-        k = w - 1
-        while k >= 0 and total >= d:
+        yield k, idx, (top if d is None else d - total) + 1
+        # the next prefix: bump the last coordinate that can grow once the
+        # coordinates after it are reset to 0
+        k = w - 2
+        while k >= 0 and (idx[k] == top if d is None else total >= d):
             total -= idx[k]
             idx[k] = 0
             k -= 1
@@ -241,27 +253,91 @@ def _lattice(values, w: int, d=None):
         total += 1
 
 
+def _blocks(runs, n: int, piece):
+    """Cut a stream of runs into blocks of n coordinate columns holding 1,
+    BLOCK_GROWTH, BLOCK_GROWTH^2, ... and then MAX_BLOCK points.  runs
+    yields (run, length); piece(cols, run, lo, hi) appends the points lo ..
+    hi - 1 of a run to the columns.  A run longer than the room left in a
+    block is cut there, so nothing longer than one block is built."""
+    size = room = 1
+    cols = [[] for _ in range(n)]
+    for run, length in runs:
+        lo = 0
+        while lo < length:
+            hi = min(length, lo + room)
+            piece(cols, run, lo, hi)
+            room -= hi - lo
+            lo = hi
+            if not room:
+                yield cols
+                size = room = min(size * BLOCK_GROWTH, MAX_BLOCK)
+                cols = [[] for _ in range(n)]
+    if room < size:
+        yield cols
+
+
 def _lattice_blocks(axis, w: int, d=None):
-    """The points of _lattice(ints, w, d) for an axis in the integer form,
-    axis = (ints, den), in that order, as blocks (cols, den) of w
-    coordinate columns holding 1, 2, 4, ... and then MAX_BLOCK points.
-    With w = 0 the lattice is one point, a block of no columns."""
+    """The lattice of an axis in the integer form, axis = (ints, den): the
+    points of ints^w whose indices sum to at most d (with d=None, all of
+    them), in lexicographic order, as blocks (cols, den) of w coordinate
+    columns (_blocks).  Per run (_runs) the first w - 1 columns repeat the
+    prefix's values and the last takes a slice of the axis.  With w = 0
+    the lattice is one point, a block of no columns."""
     ints, den = axis
-    points = _lattice(ints, w, d)
-    size = 1
-    while chunk := list(itertools.islice(points, size)):
-        yield list(zip(*chunk)), den
-        size = min(2 * size, MAX_BLOCK)
+    if w == 0:
+        yield [], den
+        return
+
+    def piece(cols, prefix, lo, hi):
+        for col, i in zip(cols, prefix):
+            col += [ints[i]] * (hi - lo)
+        cols[-1] += ints[lo:hi]
+
+    runs = ((prefix, length) for _, prefix, length in _runs(len(ints), w, d))
+    for cols in _blocks(runs, w, piece):
+        yield cols, den
+
+
+def _image_blocks(mp, m: int, d=None):
+    """The images under the map mp of the lattice of the axis 0 .. m - 1 in
+    mp.nvars_out = w >= 1 variables (_lattice_blocks), as blocks in the
+    form of AffineMap._integer_image: (residue columns, 1) over F_p, and
+    over Q numerator columns over L.
+
+    Along a run (_runs) only the last coordinate moves, so image i of its
+    point s is x0_i + s * M[i][w - 1], one progression per coordinate, with
+    x0 the image of the run's prefix; x0 moves by one column of M from run
+    to run.  base[t] is the image of the prefix's first t coordinates."""
+    const, mcols, L = mp._integer_columns()
+    w, last, p = len(mcols), mcols[-1], mp.field.p
+
+    def runs():
+        base = [list(const)] * w
+        for k, _, length in _runs(m, w, d):
+            if k >= 0:
+                moved = list(map(add, base[k + 1], mcols[k]))
+                base[k + 1:] = [moved] * (w - 1 - k)
+            yield base[-1], length
+
+    def piece(cols, x0, lo, hi):
+        for col, x, step in zip(cols, x0, last):
+            col += range(x + step * lo, x + step * hi, step) if step else [x] * (hi - lo)
+
+    for cols in _blocks(runs(), len(const), piece):
+        if p is not None:
+            cols = [[v % p for v in col] for col in cols]
+        yield cols, L
 
 
 def _lattice_size(axis: int, w: int, d=None) -> int:
-    """The number of points _lattice yields for an axis of that size."""
+    """The number of points in the lattice of an axis of that size
+    (_lattice_blocks)."""
     return axis ** w if d is None else math.comb(d + w, w)
 
 
 def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
     """The grid values^r, or with a total-degree bound d its lattice
-    simplex (_lattice): certified for total degree <= d when the axis has
+    simplex (_runs): certified for total degree <= d when the axis has
     more than d distinct values."""
     values = tuple(field.normalize(v) for v in values)
     if len(set(values)) != len(values):
@@ -303,8 +379,6 @@ def _image_set(field, n, provenance, maps, count, w, d, certified, circ=None):
         provenance, grid_truncated=d is None, points="grid" if d is None else "simplex"
     )
 
-    axis = field.integers(grid)
-
     allowed = set()
 
     def image_blocks(mp):
@@ -313,11 +387,12 @@ def _image_set(field, n, provenance, maps, count, w, d, certified, circ=None):
             if bits not in allowed:
                 _check_walk_bits(circ, *bits)
                 allowed.add(bits)
-        return (mp._integer_image(block) for block in _lattice_blocks(axis, w, d))
+        return _image_blocks(mp, len(grid), d)
 
     def factory():
         if maps is None:
-            return _lattice_blocks(axis, w, d)
+            # the grid's values 0 .. m - 1 are their own integer form
+            return _lattice_blocks((range(len(grid)), 1), w, d)
         return (block for mp in maps() for block in image_blocks(mp))
 
     return HittingSet(

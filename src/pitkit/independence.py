@@ -466,6 +466,33 @@ def _trdeg_bruteforce(fs, col_budget: int) -> TrdegCertificate:
     )
 
 
+def is_evaluated(cert: TrdegCertificate) -> bool:
+    """Is cert an evaluated-Jacobian certificate, its rank at one point
+    meeting an upper bound (evaluated_certificate)?"""
+    return (cert.mode in ("jacobian", "jacobian-lower-bound")
+            and cert.witness.get("method") == "evaluated-jacobian-meets-upper-bound")
+
+
+def verify_evaluated_certificate(cert, jac_at, field, m: int, n: int, delta: int,
+                                 upper_bound=None) -> bool:
+    """Re-check an evaluated-Jacobian certificate (is_evaluated) of m
+    polynomials of degree at most delta in n variables, whose Jacobian at a
+    point of raw elements is jac_at(point), in the integer form of
+    linalg.eval_matrix: its rank at the witness point is cert.r, with the
+    basis as its pivot rows, and cert.r meets min(m, n) or upper_bound (as
+    in verify_trdeg_certificate).  A witness point too large to evaluate
+    at raises BudgetExceeded (check_value_bits)."""
+    basis = list(cert.basis)
+    if not all(0 <= i < m for i in basis):
+        return False
+    point = [field.scalar_from_json(v) for v in cert.witness["point"]]
+    ints, den = field.integers(point)
+    check_value_bits(field, delta, max(abs(v).bit_length() for v in ints + [den]),
+                     "the witness point")
+    rho, prows = linalg.rank(jac_at(point)[0], field.characteristic)
+    return rho == cert.r and basis == prows and cert.r in (min(m, n), upper_bound)
+
+
 def verify_trdeg_certificate(
     fs, cert: TrdegCertificate, col_budget=DEFAULT_COLUMN_BUDGET, upper_bound=None
 ) -> bool:
@@ -486,13 +513,10 @@ def verify_trdeg_certificate(
         return False
     if cert.mode == "jacobian" or cert.mode == "jacobian-lower-bound":
         J = jacobian(fs)
-        w = cert.witness
-        if w.get("method") == "evaluated-jacobian-meets-upper-bound":
-            x = field.integers([field.scalar_from_json(v) for v in w["point"]])
-            bits = max(abs(v).bit_length() for v in x[0] + [x[1]])
-            check_value_bits(field, _max_degree(fs), bits, "the witness point")
-            rho, prows = linalg.rank(linalg.eval_matrix(J, x)[0], field.characteristic)
-            return rho == cert.r and basis == prows and cert.r in (min(m, n), upper_bound)
+        if is_evaluated(cert):
+            return verify_evaluated_certificate(
+                cert, lambda a: linalg.eval_matrix(J, field.integers(a)), field, m, n,
+                _max_degree(fs), upper_bound)
         rho, prows, _ = jacobian_rank(fs, J)
         if rho != cert.r or basis != prows:
             return False

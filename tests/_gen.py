@@ -5,6 +5,7 @@ constructed zero instances is always the expand oracle, never the hitting
 sets under test.
 """
 
+import itertools
 import random
 
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
@@ -94,6 +95,32 @@ def substitute_reference(f, images):
             term = term * g ** e
         out = out + term
     return out
+
+
+def lattice(values, w, d=None):
+    """The points of values^w whose indices sum to at most d, lazily, in
+    lexicographic order (a subsequence of itertools.product); with d=None,
+    the whole product: the reference point by point for the hitting sets'
+    walk by runs (hitting._runs), which states the lemma that makes the
+    simplex a hitting set."""
+    if d is None:
+        yield from itertools.product(values, repeat=w)
+        return
+    idx = [0] * w
+    total = 0
+    while True:
+        yield tuple(map(values.__getitem__, idx))
+        # the next index vector: bump the last coordinate that can grow
+        # once the coordinates after it are reset to 0
+        k = w - 1
+        while k >= 0 and total >= d:
+            total -= idx[k]
+            idx[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        idx[k] += 1
+        total += 1
 
 
 def map_images(mp):

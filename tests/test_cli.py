@@ -370,6 +370,85 @@ def test_verify_accepts_own_reports(tmp_path, capsys):
         assert verdict["verified"] is True, (argv, verdict)
 
 
+# faithful families whose image certificates are evaluated Jacobians; at z =
+# 0 the Jacobian of their phi images (the kept variables x1, x2 and x1..x3)
+# has rank 1, below r
+EVALUATED_FAMILIES = [
+    {"field": {"kind": "rational"}, "nvars": 3, "polys": ["x1*x2", "x2 + x3"]},
+    {"field": {"kind": "prime", "p": (1 << 61) - 1}, "nvars": 4,
+     "polys": ["x1*x2 + x3^2", "x2 + x3*x4", "x1^2*x4"]},
+]
+
+
+def _faithful_report(tmp_path, capsys, family, kind):
+    """(report, family path) of an honest faithful report whose image
+    certificate is an evaluated Jacobian, checked to verify."""
+    path = dump(tmp_path, "family.json", family)
+    code, out, _ = run(capsys, ["faithful", path, "--kind", kind])
+    assert code == 0
+    report = json.loads(out)
+    witness = report["result"]["image_certificate"]["witness"]
+    assert witness["method"] == "evaluated-jacobian-meets-upper-bound"
+    code, out, _ = run(capsys, ["verify", dump(tmp_path, "report.json", report),
+                                "--against", path])
+    assert code == 0 and json.loads(out)["verified"] is True
+    return report, path
+
+
+def _tampered(tmp_path, capsys, report, family, edit):
+    """verify's (exit code, verdict) on report after edit(result)."""
+    report = json.loads(json.dumps(report))
+    edit(report["result"])
+    code, out, err = run(capsys, ["verify", dump(tmp_path, "bad.json", report),
+                                  "--against", family])
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+@pytest.mark.parametrize("family", EVALUATED_FAMILIES, ids=["Q", "F2^61-1"])
+def test_verify_rejects_an_altered_image_certificate(tmp_path, capsys, family, kind):
+    report, path = _faithful_report(tmp_path, capsys, family, kind)
+    r = report["result"]["image_certificate"]["r"]
+
+    def point_at_zero(result):
+        cert = result["image_certificate"]
+        cert["witness"]["point"] = [0 for _ in cert["witness"]["point"]]
+
+    def reversed_basis(result):
+        result["image_certificate"]["basis"].reverse()
+
+    def short_basis(result):
+        del result["image_certificate"]["basis"][-1]
+
+    def image_r(result):
+        result["image_certificate"]["r"] = r - 1
+
+    def both_r(result):
+        for name in ("input_certificate", "image_certificate"):
+            result[name]["r"] = r + 1
+            result[name]["witness"]["upper_bound"] = r + 1
+
+    edits = [reversed_basis, short_basis, image_r, both_r]
+    if kind == "phi":
+        edits.append(point_at_zero)
+    for edit in edits:
+        code, verdict = _tampered(tmp_path, capsys, report, path, edit)
+        assert (code, verdict["verified"]) == (4, False), edit.__name__
+
+
+def test_verify_refuses_an_image_witness_point_past_the_value_bits(tmp_path, capsys):
+    # the family has degree 5; an image point of 212,000 bits passes
+    # MAX_VALUE_BITS = 2^20 at that degree
+    family = {"field": {"kind": "rational"}, "nvars": 3, "polys": ["x1^4*x2", "x2 + x3"]}
+    report, path = _faithful_report(tmp_path, capsys, family, "phi")
+    report["result"]["image_certificate"]["witness"]["point"] = ["0x" + "f" * 53000, "1"]
+    code, out, err = run(capsys, ["verify", dump(tmp_path, "bad.json", report),
+                                  "--against", path])
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == (
+        "Jacobian values at the witness point may exceed the limit of 1048576 bits")
+
+
 def test_verify_rejects_faithful_map_of_another_ring(tmp_path, capsys):
     three = dump(tmp_path, "three.json",
                  {"field": {"kind": "rational"}, "nvars": 3, "polys": ["x1*x2", "x2 + x3"]})

@@ -1,21 +1,26 @@
 """The hitting-set walk on blocks of points in the integer form.
 
 A HittingSet holds one stream of blocks (cols, den) of coordinate columns,
-of 1, 2, 4, ... and then MAX_BLOCK points, none holding the images of two
-maps, and every circuit kind has one evaluation on a block, which returns
-a column of values (circuits.Blackbox._evaluate_integers); hitting.pit
-walks the blocks through it and converts only the witness and its value.
-The tests compare each piece with a reference on raw elements, point by
-point: the values with a forward pass in field arithmetic, points() and
-the block sizes with the lattice and the map images recomputed from their
-definitions, and pit's verdict with a walk of evaluate over points(), with
-max_points at every block boundary and around the set's size.  A circuit
-nonzero at its first point is evaluated at that point alone.  A guard
-counts the conversions inside pit_circuit: they must not grow with the
-number of points walked, and the evaluated-Jacobian certificate of a map
-must reach elimination without converting an entry back to raw elements.
+of 1, 16 and then MAX_BLOCK = 256 points (hitting.BLOCK_GROWTH), none
+holding the images of two maps, and every circuit kind has one evaluation
+on a block, which returns a column of values
+(circuits.Blackbox._evaluate_integers); hitting.pit walks the blocks
+through it and converts only the witness and its value.  The blocks are
+built by runs of the simplex's last coordinate (hitting._runs): a map's
+images along a run are one affine progression per coordinate.  The tests
+compare each piece with a reference on raw elements, point by point: the
+values with a forward pass in field arithmetic, the walk by runs with
+AffineMap._integer_image over the point lattice (_gen.lattice), points()
+and the block sizes with the lattice and the map images recomputed from
+their definitions, and pit's verdict with a walk of evaluate over
+points(), with max_points at every block boundary and around the set's
+size.  A circuit nonzero at its first point is evaluated at that point
+alone, and a walk cut short builds no run past the block it fills.  A
+guard counts the conversions inside pit_circuit: they must not grow with
+the number of points walked, and the evaluated-Jacobian certificate of a
+map must reach elimination without converting an entry back to raw
+elements.
 """
-
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -23,13 +28,14 @@ from unittest import mock
 
 import pytest
 
-from _gen import map_images
+from _gen import lattice, map_images
 from pitkit import hitting, varmaps
 from pitkit.circuits import Circuit, ComposedCircuit, Depth4Circuit
 from pitkit.fields import FieldSpec, block_size
 from pitkit.hitting import (
     MAX_BLOCK,
     _adaptive_set,
+    _lattice_blocks,
     _identity_set,
     _image_set,
     hitting_set_arbitrary_char,
@@ -40,7 +46,13 @@ from pitkit.hitting import (
 )
 from pitkit.independence import evaluated_rank, jacobian
 from pitkit.polynomials import REDUCE_EVERY, BudgetExceeded, SparsePoly, poly_from_text
-from pitkit.varmaps import KroneckerMap, SearchExhausted, VandermondeMap, schedule
+from pitkit.varmaps import (
+    KroneckerMap,
+    MergingMap,
+    SearchExhausted,
+    VandermondeMap,
+    schedule,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
@@ -269,13 +281,13 @@ def test_rational_consts_and_inners_and_zero_inners(pt):
 
 
 def schedule_of(size):
-    """The block sizes of a stream of `size` points from one map: 1, 2,
-    4, ... and then MAX_BLOCK, the last block cut."""
+    """The block sizes of a stream of `size` points from one map: 1, 16,
+    256 = MAX_BLOCK, MAX_BLOCK, ..., the last block cut."""
     sizes, step = [], 1
     while size > 0:
         sizes.append(min(step, size))
         size -= sizes[-1]
-        step = min(2 * step, MAX_BLOCK)
+        step = min(16 * step, MAX_BLOCK)
     return sizes
 
 
@@ -390,9 +402,11 @@ def fields_of(verdict):
 
 
 def cuts(size):
-    """max_points at 0, around every block boundary, and around the size
-    of a set of that many points."""
-    return [None, 0, 1, 2, 3, 4, 7, 8, 255, 256, 257, size - 1, size, size + 1]
+    """max_points at 0, around every block boundary (after 1, 17 and 273
+    points) and those of blocks that double (after 3, 7 and 255), and
+    around the size of a set of that many points."""
+    return [None, 0, 1, 2, 3, 4, 7, 8, 16, 17, 18, 255, 256, 257, 272, 273, 274,
+            size - 1, size, size + 1]
 
 
 def assert_walks_agree(C, hs):
@@ -600,3 +614,101 @@ def test_the_evaluated_jacobian_converts_no_entry(field):
     (rho, _, _), counts = conversions(evaluated_rank, lambda a: mp.jacobian_at(J, a), field,
                                       4, 3, 0)
     assert rho == 3 and counts["from_integers"] == 0
+
+
+# -- the walk by runs ------------------------------------------------------------------
+
+
+def concatenated(blocks):
+    """The columns and the one denominator of a stream of blocks, and the
+    block sizes."""
+    cols, dens, sizes = None, set(), []
+    for block, den in blocks:
+        cols = [[] for _ in block] if cols is None else cols
+        for col, part in zip(cols, block):
+            col += part
+        dens.add(den)
+        sizes.append(block_size(block))
+    return cols, dens, sizes
+
+
+@st.composite
+def walk_maps(draw, field, w):
+    """A Kronecker, Vandermonde or merging map with w output variables."""
+    kinds = ["phi", "sigma"] + (["psi"] if w >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(w, w + 2))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    c = draw(elements(field).filter(bool))
+    if kind == "psi":
+        return VandermondeMap(field, n, w - 1, draw(st.integers(2, 9)), draw(st.integers(2, 9)),
+                              p, c)
+    if kind == "phi":
+        kept = draw(st.lists(st.integers(1, n), min_size=w, max_size=w, unique=True))
+        return KroneckerMap(field, n, w, kept, draw(st.integers(2, 9)), p, c)
+    # every class holds a variable
+    cls = list(range(w)) + draw(st.lists(st.integers(0, w - 1), min_size=n - w, max_size=n - w))
+    return MergingMap(field, tuple(draw(st.permutations(cls))))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_the_walk_by_runs_is_the_image_of_the_point_lattice(field, data):
+    """A map's blocks, concatenated, are AffineMap._integer_image of the
+    point lattice as one block, in the same integers over the same
+    denominator, cut as schedule_of says: w = 1..4, d = 0..8, the axis
+    truncated to the elements of F_2 and F_3 (the whole grid) when d
+    passes them."""
+    w = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(0, 8))
+    mp = data.draw(walk_maps(field, w))
+    hs = _image_set(field, mp.n, {}, lambda: (mp,), 1, w, d, False)
+    m = len(grid(field, d))
+    points = list(lattice(range(m), w, None if m <= d else d))
+    want, den = mp._integer_image(([list(col) for col in zip(*points)], 1))
+    cols, dens, sizes = concatenated(hs.blocks())
+    assert cols == want and dens == {den}
+    assert sizes == schedule_of(len(points)) and len(points) == hs.size_bound
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_the_walk_by_runs_of_an_axis_is_its_point_lattice(field, data):
+    """The identity's and sz_grid's blocks, concatenated, are the point
+    lattice of their axis values: any distinct values, w = 0..4, with and
+    without a degree bound."""
+    w = data.draw(st.integers(0, 4))
+    values = data.draw(st.lists(elements(field), min_size=1, max_size=9, unique=True))
+    values = list(dict.fromkeys(field.normalize(v) for v in values))
+    d = data.draw(st.sampled_from([None] + list(range(len(values)))))
+    axis = field.integers(values)
+    points = list(lattice(axis[0], w, d))
+    cols, dens, sizes = concatenated(_lattice_blocks(axis, w, d))
+    assert dens == {axis[1]} and sizes == schedule_of(len(points))
+    if w:
+        assert list(zip(*cols)) == points
+        assert list(sz_grid(field, values, w, d).points()) == list(lattice(values, w, d))
+
+
+def test_a_walk_cut_short_builds_no_run_past_its_block():
+    """The dag x1^(2^19) - x1 (19 squarings) walks a grid axis of 2^19 + 1
+    values as one run, and is nonzero first at its third point.  With
+    max_points 5 the walk builds one block of one point and one of 16, cut
+    from that run, and never the run itself."""
+    field = BIG
+    nodes = [("input", 0)] + [("mul", (i, i)) for i in range(19)]
+    nodes += [("const", field.neg(field.one())), ("mul", (0, 20)), ("add", (19, 21))]
+    C = Circuit(field, 1, nodes, 22)
+    assert C.syntactic_degree() == 1 << 19
+    built = []
+    real = hitting._blocks
+
+    def counting(runs, n, piece):
+        for cols in real(runs, n, piece):
+            built.append(block_size(cols))
+            yield cols
+
+    with mock.patch.object(hitting, "_blocks", counting):
+        verdict = pit_circuit(C, max_points=5)
+    assert (verdict.outcome, verdict.points_checked, verdict.witness) == ("nonzero", 3, (2,))
+    assert built == [1, 16]

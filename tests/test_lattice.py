@@ -1,6 +1,7 @@
 """Hypothesis properties of the lattice simplex that the hitting sets walk
-(hitting._lattice): its size and order, and the lemma that makes it a
-hitting set, over Q, F_7, F_11 and F_101."""
+(the point-by-point reference _gen.lattice, which tests/test_integer_walk.py
+holds the walk by runs to): its size and order, and the lemma that makes
+it a hitting set, over Q, F_7, F_11 and F_101."""
 
 import itertools
 import math
@@ -12,9 +13,9 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from _gen import int_rows  # noqa: E402
+from _gen import lattice as _lattice  # noqa: E402
 from pitkit import linalg  # noqa: E402
 from pitkit.fields import FieldSpec  # noqa: E402
-from pitkit.hitting import _lattice  # noqa: E402
 from pitkit.polynomials import SparsePoly  # noqa: E402
 
 Q = FieldSpec("rational")

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from _gen import rand_poly
+from pitkit import linalg
 from pitkit.fields import FieldError, FieldSpec
-from pitkit.independence import trdeg, verify_trdeg_certificate
+from pitkit.independence import jacobian, trdeg, verify_trdeg_certificate
 from pitkit.polynomials import SparsePoly, poly_from_text, poly_to_text
 from pitkit.primes import primes_in
 from pitkit.varmaps import (
@@ -315,3 +316,37 @@ def test_first_certified_counts_a_skipped_prime_as_its_candidates():
     maps = [SkippedPrime(F2, 2, 1), SkippedPrime(F2, 3, 1)]
     with pytest.raises(SearchExhausted, match="over F_2 after 1 candidates"):
         first_certified(iter(maps), lambda m: None, "toy", 7)
+
+
+FIVE_FIELDS = [FieldSpec("prime", 2), FieldSpec("prime", 3), F101,
+               FieldSpec("prime", (1 << 61) - 1), Q]
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+@pytest.mark.parametrize("field", FIVE_FIELDS, ids=["F2", "F3", "F101", "F2^61-1", "Q"])
+def test_the_chain_rule_jacobian_is_that_of_the_expanded_images(field, kind):
+    """jacobian_at(jacobian(fs), z), J_f(mp(z)) M, is the Jacobian of the
+    expanded images mp.apply(f) at z, entry by entry, so it has their rank
+    and pivot rows: what verify reads of a faithful report's image
+    certificate."""
+    ch = field.characteristic
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        fs = [rand_poly(rng, field, n, 3, 3) for _ in range(rng.randint(1, 3))]
+        c = field.from_int(rng.choice([1, 2, 3, -1, 5]))
+        if field.is_zero(c):
+            c = field.one()
+        p = rng.choice([2, 3, 5, 7])
+        if kind == "psi":
+            mp = VandermondeMap(field, n, rng.randint(1, n - 1), rng.randint(2, 9),
+                                rng.randint(2, 9), p, c)
+        else:
+            r = rng.randint(1, n)
+            mp = KroneckerMap(field, n, r, rng.sample(range(1, n + 1), r), rng.randint(2, 9), p, c)
+        z = [field.from_int(rng.randint(-3, 3)) for _ in range(mp.nvars_out)]
+        rows, den = mp.jacobian_at(jacobian(fs), z)
+        want, want_den = linalg.eval_matrix(jacobian([mp.apply(f) for f in fs]), field.integers(z))
+        assert ([field.from_integers(row, den) for row in rows]
+                == [field.from_integers(row, want_den) for row in want]), seed
+        assert linalg.rank(rows, ch) == linalg.rank(want, ch), seed
