@@ -388,8 +388,9 @@ def _verify_trdeg(report, against):
     cert = _certificate(report["certificate"], nvars)
     if cert.r != report["r"]:
         return False, "certificate r does not match the reported r"
-    ok = verify_trdeg_certificate(fs, cert)
-    return ok, "certificate re-checked against the family"
+    if not verify_trdeg_certificate(fs, cert):
+        return False, "certificate failed"
+    return True, "certificate re-checked against the family"
 
 
 def _verify_annihilator(report, against):

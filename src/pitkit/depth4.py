@@ -272,8 +272,7 @@ def _line(mp, seed):
     the one-column map x = (u + v t) / D, built from the integer form."""
     field = mp.field
     a = _random_point(field, random.Random(_subseed(seed, 4)), mp.nvars_out)
-    image, D = mp._integer_image(field.block(a))
-    u = [col[0] for col in image]
+    u, D = mp._integer_image(field.integers(a))
     _, cols, L = mp._integer_columns()
     # u is over D = L * q and M_0 over L
     return substitution(field, 1, [{(0,): x, (1,): y * (D // L)} for x, y in zip(u, cols[0])], D)

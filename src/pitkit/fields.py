@@ -7,7 +7,10 @@ rejected everywhere.  The exact kernels run on integers: integers() and
 from_integers() are the one conversion into that form and back.  The
 evaluations take points in blocks of that form, (cols, den) with
 coordinate i of point j equal to cols[i][j] / den; block() is one point as
-such a block.
+such a block.  A map's image of one point takes integers() of the point
+itself (varmaps.AffineMap._integer_image).  No element is enumerated
+here: a grid axis is the indices 0 .. m - 1, their own integer form
+(hitting._axis).
 """
 
 from __future__ import annotations
@@ -202,19 +205,6 @@ class FieldSpec:
         if den == 1:
             return [Fraction(v) for v in ints]
         return [Fraction(v, den) for v in ints]
-
-    # -- element enumeration -------------------------------------------------
-
-    def sample_elements(self, count: int, start: int = 0):
-        """The first `count` distinct elements start, start+1, ...
-
-        Over F_p at most p (resp. p - start) values exist; the list is
-        truncated to what the field can host.  Deterministic.
-        """
-        if self.kind == "prime":
-            hi = min(start + count, self.p)
-            return [v for v in range(start, hi)]
-        return [Fraction(v) for v in range(start, start + count)]
 
     # -- serialization -------------------------------------------------------
 

@@ -19,7 +19,9 @@ points whose index sum is at most d (the lattice simplex, comb(d + w, w)
 points in w variables) already see every nonzero such polynomial, and the
 set enumerates only those ("points": "simplex").  A grid truncated to a
 small field, or a grid without a degree bound, is enumerated whole
-("points": "grid").
+("points": "grid").  The axis of every construction but sz_grid's is the
+indices 0 .. m - 1, their own integer form: _axis gives m and the degree
+it certifies, and nothing is built for the axis.
 
 An adaptive reduction cuts n variables down to w: w = r + 1 for a
 Vandermonde map (composed circuits, depth-4) and w = r for a Kronecker
@@ -31,19 +33,18 @@ field truncates the axis.  pit_circuit walks it, and its provenance says
 
 A set holds one stream of points in the integer form of
 FieldSpec.integers, cut into blocks (cols, den) of coordinate columns,
-coordinate i of point j being cols[i][j] / den: the lattice of the grid's
+coordinate i of point j being cols[i][j] / den: the lattice of the axis's
 integers (_lattice_blocks), or its images under each map (_image_blocks),
 residues over F_p and numerators over one denominator over Q.  Both walk
 the simplex by runs of its last coordinate (_runs): along a run only that
 coordinate moves, so the lattice's columns repeat the prefix's values and
 slice the axis, and a map's images are one affine progression per
 coordinate, from the image of the run's prefix, which moves by one column
-of the map from run to run.  AffineMap._integer_image stays the image of
-given points.  The blocks hold 1, BLOCK_GROWTH and then MAX_BLOCK points,
-in the order of the points, a run cut where a block is full, and a block
-never holds the images of two maps: a circuit nonzero at the first point
-is evaluated at that point alone, and a long walk costs each node, term
-or factor one list operation per MAX_BLOCK points.  pit() walks the
+of the map from run to run.  The blocks hold 1, BLOCK_GROWTH and then
+MAX_BLOCK points, in the order of the points, a run cut where a block is
+full, and a block never holds the images of two maps: a circuit nonzero at
+the first point is evaluated at that point alone, and a long walk costs
+each node, term or factor one list operation per MAX_BLOCK points.  pit() walks the
 blocks through the circuit's own block evaluation (circuits.Blackbox),
 takes the first nonzero value of each block, and makes only the witness
 and its value raw elements; points() is the raw view of the same stream,
@@ -193,27 +194,20 @@ def pit(oracle, hs: HittingSet, max_points=None) -> PitVerdict:
 MAX_GRID_AXIS = 1 << 20
 
 
-def _check_axis(field: FieldSpec, d: int):
-    """Raise BudgetExceeded when a grid axis for total degree d would hold
-    more than MAX_GRID_AXIS values."""
-    axis = d + 1 if field.kind == "rational" else min(d + 1, field.p)
-    if axis > MAX_GRID_AXIS:
+def _axis(field: FieldSpec, d: int):
+    """The size m of the grid axis for total degree d, the indices 0 .. m -
+    1 (d + 1 of them, truncated to the p elements of F_p), and the degree
+    its lattice simplex certifies: d, or None when the field truncates the
+    axis (and the whole grid is walked).  Nothing is built for the axis.
+
+    Raises BudgetExceeded when the axis would hold more than MAX_GRID_AXIS
+    values.
+    """
+    m = d + 1 if field.kind == "rational" else min(d + 1, field.p)
+    if m > MAX_GRID_AXIS:
         # the sizes themselves may be too long to print
         raise BudgetExceeded("a grid axis exceeds the limit of %d values" % MAX_GRID_AXIS)
-
-
-def _grid_values(field: FieldSpec, d: int):
-    """The first d + 1 field elements for one grid axis, and the degree
-    its lattice simplex certifies: d, or None when the field has fewer
-    elements (the axis is truncated, and the whole grid is walked).
-
-    Raises BudgetExceeded, before building anything, when the axis would
-    hold more than MAX_GRID_AXIS values.
-    """
-    _check_axis(field, d)
-    want = d + 1
-    vals = field.sample_elements(want, start=0)
-    return vals, d if len(vals) == want else None
+    return m, d if m == d + 1 else None
 
 
 def _runs(m: int, w: int, d=None):
@@ -300,8 +294,8 @@ def _lattice_blocks(axis, w: int, d=None):
 
 def _image_blocks(mp, m: int, d=None):
     """The images under the map mp of the lattice of the axis 0 .. m - 1 in
-    mp.nvars_out = w >= 1 variables (_lattice_blocks), as blocks in the
-    form of AffineMap._integer_image: (residue columns, 1) over F_p, and
+    mp.nvars_out = w >= 1 variables (_lattice_blocks), as blocks of the
+    columns of AffineMap._integer_image: (residue columns, 1) over F_p, and
     over Q numerator columns over L.
 
     Along a run (_runs) only the last coordinate moves, so image i of its
@@ -346,6 +340,13 @@ def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
         raise ValueError("r must be at least 1")
     if d is not None and len(values) <= d:
         raise ValueError("need at least d+1 grid values")
+    return _grid(field, field.integers(values), r, d)
+
+
+def _grid(field, axis, r: int, d=None) -> HittingSet:
+    """sz_grid of arity r >= 1 on an axis already in the integer form,
+    axis = (ints, den) of distinct values, more than d of them when d is
+    given."""
     certified = d is not None
     return HittingSet(
         field,
@@ -353,13 +354,13 @@ def sz_grid(field: FieldSpec, values, r: int, d=None) -> HittingSet:
         "certified" if certified else "corpus",
         {
             "construction": "sz-grid",
-            "axis_size": len(values),
+            "axis_size": len(axis[0]),
             "arity": r,
             "degree_bound": d,
             "points": "simplex" if certified else "grid",
         },
-        _lattice_size(len(values), r, d),
-        partial(_lattice_blocks, field.integers(values), r, d),
+        _lattice_size(len(axis[0]), r, d),
+        partial(_lattice_blocks, axis, r, d),
     )
 
 
@@ -374,7 +375,7 @@ def _image_set(field, n, provenance, maps, count, w, d, certified, circ=None):
     each map, before its first block, when the walk of circ on its images
     may pass MAX_VALUE_BITS (_check_walk_bits at _map_walk_bits); a bound
     that passed once is not computed again."""
-    grid, d = _grid_values(field, d)
+    m, d = _axis(field, d)
     provenance = dict(
         provenance, grid_truncated=d is None, points="grid" if d is None else "simplex"
     )
@@ -387,12 +388,12 @@ def _image_set(field, n, provenance, maps, count, w, d, certified, circ=None):
             if bits not in allowed:
                 _check_walk_bits(circ, *bits)
                 allowed.add(bits)
-        return _image_blocks(mp, len(grid), d)
+        return _image_blocks(mp, m, d)
 
     def factory():
         if maps is None:
-            # the grid's values 0 .. m - 1 are their own integer form
-            return _lattice_blocks((range(len(grid)), 1), w, d)
+            # the axis 0 .. m - 1 is its own integer form
+            return _lattice_blocks((range(m), 1), w, d)
         return (block for mp in maps() for block in image_blocks(mp))
 
     return HittingSet(
@@ -400,7 +401,7 @@ def _image_set(field, n, provenance, maps, count, w, d, certified, circ=None):
         n,
         "certified" if certified and d is not None else "corpus",
         provenance,
-        count * _lattice_size(len(grid), w, d),
+        count * _lattice_size(m, w, d),
         factory,
     )
 
@@ -581,7 +582,7 @@ def pit_circuit(
                 # _image_set would refuse the grid axis of the map found;
                 # refuse it before the search, which can run long at such
                 # degrees
-                _check_axis(field, d)
+                _axis(field, d)
                 search = search_vandermonde_map if sparse else search_kronecker_map
                 # r0 <= n: trdeg never exceeds the number of variables
                 found = search(inputs, r=r0, seed=seed, input_cert=input_cert, J=J)
@@ -595,8 +596,8 @@ def pit_circuit(
             _check_value_bits(circ, [d.bit_length()] * n)
         if n == 0:
             return _constant_verdict(circ, "constant-dag")
-        values, deg = _grid_values(field, d)
-        hs = sz_grid(field, values, n, d=deg)
+        m, deg = _axis(field, d)
+        hs = _grid(field, (range(m), 1), n, deg)
         truncated = deg is None
     verdict = pit(circ, hs, max_points=max_points)
     if verdict.outcome == "zero" and truncated:

@@ -493,18 +493,18 @@ def verify_evaluated_certificate(cert, jac_at, field, m: int, n: int, delta: int
     return rho == cert.r and basis == prows and cert.r in (min(m, n), upper_bound)
 
 
-def verify_trdeg_certificate(
-    fs, cert: TrdegCertificate, col_budget=DEFAULT_COLUMN_BUDGET, upper_bound=None
-) -> bool:
+def verify_trdeg_certificate(fs, cert: TrdegCertificate, upper_bound=None) -> bool:
     """Re-check a certificate against the family it was issued for.
 
-    Every bound is recomputed here, none is read from the certificate.  An
-    evaluated-Jacobian certificate proves trdeg >= r only, so its r must also
-    meet an upper bound the verifier knows: min(m, n), or upper_bound, which
-    the caller passes when it has proven trdeg(fs) <= upper_bound itself
-    (e.g. fs are images under a ring homomorphism of a family whose
-    certificate of trdeg upper_bound it has verified).  A witness point
-    too large to evaluate at raises BudgetExceeded (check_value_bits).
+    Every bound is recomputed here, none is read from the certificate, and
+    the chain's annihilator searches run within the verifier's own
+    DEFAULT_COLUMN_BUDGET.  An evaluated-Jacobian certificate proves trdeg
+    >= r only, so its r must also meet an upper bound the verifier knows:
+    min(m, n), or upper_bound, which the caller passes when it has proven
+    trdeg(fs) <= upper_bound itself (e.g. fs are images under a ring
+    homomorphism of a family whose certificate of trdeg upper_bound it has
+    verified).  A witness point too large to evaluate at raises
+    BudgetExceeded (check_value_bits).
     """
     field, n = _check_family(fs)
     m = len(fs)
@@ -557,7 +557,7 @@ def verify_trdeg_certificate(
         # carries an older tag verifies as well
         for entry in chain:
             polys = [fs[i] for i in entry["subset"]]
-            if annihilator(polys, _perron_cap(polys), col_budget) is not None:
+            if annihilator(polys, _perron_cap(polys)) is not None:
                 return False
         expected_dependents = set(range(m)) - set(basis)
         if seen_dependent != expected_dependents:

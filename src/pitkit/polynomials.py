@@ -159,8 +159,9 @@ class SparsePoly:
             return 0
         return max(e[i] for e in self.terms)
 
-    def sorted_terms(self, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: gradedlex_key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """The terms, graded-lex largest monomial first."""
+        return sorted(self.terms.items(), key=lambda t: gradedlex_key(t[0]), reverse=True)
 
     def leading_term(self):
         """(exps, coeff) of the graded-lex largest monomial; None if zero."""

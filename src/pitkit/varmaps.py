@@ -44,7 +44,7 @@ import itertools
 import math
 import random
 from functools import partial
-from operator import add, mul
+from operator import mul
 
 from . import linalg
 from .fields import FieldError, FieldSpec
@@ -333,34 +333,25 @@ class AffineMap:
     def point_images(self, a):
         """The x-space point this map sends the z-point a to."""
         field = self.field
-        cols, den = self._integer_image(field.block(a))
-        return tuple(field.from_integers([col[0] for col in cols], den))
+        return tuple(field.from_integers(*self._integer_image(field.integers(a))))
 
-    def _integer_image(self, block):
-        """The images of the z-points of block = (cols, q), in the block
-        form of FieldSpec.block: (residue columns, 1) over F_p, and over Q
-        numerator columns over L * q, not reduced.
-
-        The images are computed as one list of all their coordinates,
-        point after point, so each column M_t of the map is one list
-        operation for the whole block, and a column of z that is all
-        zeros (the lattice's first point) adds nothing."""
-        cols, q = block
-        if len(cols) != self.nvars_out:
+    def _integer_image(self, point):
+        """The image of the z-point point = (ints, q), in the integer form
+        of FieldSpec.integers: (residues, 1) over F_p, and over Q numerators
+        over L * q, not reduced.  A coordinate of z that is zero adds
+        nothing."""
+        ints, q = point
+        if len(ints) != self.nvars_out:
             raise ValueError("expected a point with %d coordinates" % self.nvars_out)
         const, mcols, L = self._integer_columns()
-        size = len(cols[0])
-        # coordinate i of point j sits at j * n + i
-        flat = [b * q for b in const] * size
-        moved = False
-        for mcol, z in zip(mcols, cols):
-            if any(z):
-                moved = True
-                flat = list(map(add, flat, map(mul, mcol * size, [v for v in z for _ in const])))
+        image = [b * q for b in const]
+        for mcol, z in zip(mcols, ints):
+            if z:
+                image = [x + m * z for x, m in zip(image, mcol)]
         p = self.field.p
-        if moved and p is not None:
-            flat = [v % p for v in flat]
-        return [flat[i::self.n] for i in range(self.n)], L * q
+        if p is not None:
+            image = [v % p for v in image]
+        return image, L * q
 
     def jacobian_at(self, J, a):
         """The Jacobian of the images of fs at the z-point a, where J is
@@ -372,9 +363,7 @@ class AffineMap:
         const, cols, L = self._integer_columns()
         live = [i for i, mrow in enumerate(zip(*cols)) if any(mrow)]
         field = self.field
-        image, den = self._integer_image(field.block(a))
-        x = ([col[0] for col in image], den)
-        rows, den = linalg.eval_matrix(J.columns(live), x)
+        rows, den = linalg.eval_matrix(J.columns(live), self._integer_image(field.integers(a)))
         cols = [[col[i] for i in live] for col in cols]
         p = field.characteristic
         out = [[sum(map(mul, row, col)) for col in cols] for row in rows]

@@ -395,13 +395,18 @@ def _faithful_report(tmp_path, capsys, family, kind):
     return report, path
 
 
+def _verify_edited(tmp_path, capsys, report, against, edit):
+    """verify's (exit code, verdict) on a copy of report after edit(copy)."""
+    report = json.loads(json.dumps(report))
+    edit(report)
+    code, out, _ = run(capsys, ["verify", dump(tmp_path, "edited.json", report),
+                                "--against", against])
+    return code, json.loads(out)
+
+
 def _tampered(tmp_path, capsys, report, family, edit):
     """verify's (exit code, verdict) on report after edit(result)."""
-    report = json.loads(json.dumps(report))
-    edit(report["result"])
-    code, out, err = run(capsys, ["verify", dump(tmp_path, "bad.json", report),
-                                  "--against", family])
-    return code, json.loads(out)
+    return _verify_edited(tmp_path, capsys, report, family, lambda r: edit(r["result"]))
 
 
 @pytest.mark.parametrize("kind", ["phi", "psi"])
@@ -530,6 +535,163 @@ def test_verify_rejects_forged_evaluated_jacobian_certificate(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", bad, "--against", pair])
     assert code == 4
     assert json.loads(out)["verified"] is False
+
+
+def _rejected(detail):
+    return 4, {"command": "verify", "verified": False, "detail": detail}
+
+
+# each report field of the shared-factor depth-4 circuit, altered, and the
+# detail verify rejects it with
+DEPTH4_ALTERATIONS = {
+    "gcd": ("x2", "gcd differs"),
+    "simple": ([["x3"], ["x2"]], "simple part differs"),
+    "rank": (2, "rank differs"),
+    "minimal": (False, "minimality differs"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DEPTH4_ALTERATIONS))
+def test_verify_rejects_an_altered_depth4_report(tmp_path, capsys, key):
+    path = dump(tmp_path, "d4.json", shared_factor_depth4().to_json_dict())
+    code, out, _ = run(capsys, ["depth4", path])
+    assert code == 0
+    value, detail = DEPTH4_ALTERATIONS[key]
+
+    def alter(report):
+        assert report[key] != value
+        report[key] = value
+
+    assert _verify_edited(tmp_path, capsys, json.loads(out), path, alter) == _rejected(detail)
+
+
+# {x1 + 1, x2 + 2*x1^2, x1*x2 + x2} over F_3 in three variables: trdeg 2 with
+# basis [0, 1], and the cubic annihilator ANNIHILATOR_F3 of all three (in
+# x1..x3 for the members), within the Perron cap 2^2 = 4
+DEPENDENT_F3 = {"field": {"kind": "prime", "p": 3}, "nvars": 3,
+                "polys": ["x1 + 1", "x2 + 2*x1^2", "x1*x2 + x2"]}
+ANNIHILATOR_F3 = "x1^3 + x1^2 + x1*x2 + x1 + 2*x3"
+
+
+def test_verify_rejects_altered_annihilator_reports(tmp_path, capsys):
+    pair = dump(tmp_path, "pair.json", PAIR_FAMILY)
+    code, out, _ = run(capsys, ["annihilator", pair, "--cap", "2"])
+    report = json.loads(out)
+    assert code == 0 and report["annihilator"] == "x1^2 - x2"
+    for text, detail in (
+        ("0", "reported annihilator is zero"),
+        # it vanishes, but its degree 4 is above the cap 2
+        ("x1^4 - x2^2", "reported annihilator exceeds the cap"),
+        ("x1^2 + x2", "reported annihilator does not vanish on the family"),
+    ):
+        got = _verify_edited(tmp_path, capsys, report, pair,
+                             lambda r: r.update(annihilator=text))
+        assert got == _rejected(detail), text
+    # no annihilator found, where the cap admits one
+    family = dump(tmp_path, "f3.json", DEPENDENT_F3)
+    code, out, _ = run(capsys, ["annihilator", family, "--cap", "4"])
+    report = json.loads(out)
+    assert code == 0 and report["annihilator"] == ANNIHILATOR_F3
+    got = _verify_edited(tmp_path, capsys, report, family,
+                         lambda r: r.update(found=False, annihilator=None))
+    assert got == _rejected("a cap-4 annihilator exists but the report found none")
+
+
+def _dependent_extension(report):
+    return report["certificate"]["witness"]["dependent_extensions"][0]
+
+
+def _set_annihilator(text):
+    return lambda report: _dependent_extension(report).update(annihilator=text)
+
+
+def _reason_entry(report):
+    ext = _dependent_extension(report)
+    del ext["annihilator"], ext["cap"]
+    ext["reason"] = "more-polynomials-than-variables"
+
+
+def _drop_extension(report):
+    report["certificate"]["witness"]["dependent_extensions"] = []
+
+
+def _short_chain(report):
+    del report["certificate"]["witness"]["independence_chain"][-1]
+
+
+def _r_three(report):
+    report["r"] = report["certificate"]["r"] = 3
+
+
+# alterations of the brute-force certificate of DEPENDENT_F3
+BRUTEFORCE_ALTERATIONS = {
+    "not-vanishing": _set_annihilator(ANNIHILATOR_F3.replace("2*x3", "x3")),
+    "zero": _set_annihilator("0"),
+    # the square of the annihilator, of degree 6 above the Perron cap 4
+    "above-cap": _set_annihilator(
+        "x1^6 + 2*x1^5 + 2*x1^4*x2 + 2*x1^3*x2 + x1^3*x3 + x1^2*x2^2 + 2*x1^3 + 2*x1^2*x2"
+        " + x1^2*x3 + x1*x2*x3 + x1^2 + x1*x3 + x3^2"),
+    "extension-dropped": _drop_extension,
+    # a subset of 3 <= n = 3 members is not dependent by counting
+    "reason-within-n": _reason_entry,
+    "chain-shortened": _short_chain,
+    "r-raised": _r_three,
+}
+
+
+def _bruteforce_f3_report(tmp_path, capsys):
+    """(report, family path) of the honest trdeg report of DEPENDENT_F3."""
+    family = dump(tmp_path, "f3.json", DEPENDENT_F3)
+    code, out, _ = run(capsys, ["trdeg", family])
+    report = json.loads(out)
+    cert = report["certificate"]
+    assert code == 0 and (cert["mode"], cert["basis"]) == ("bruteforce", [0, 1])
+    assert cert["witness"]["dependent_extensions"] == [
+        {"subset": [0, 1, 2], "cap": 4, "annihilator": ANNIHILATOR_F3}]
+    return report, family
+
+
+@pytest.mark.parametrize("name", sorted(BRUTEFORCE_ALTERATIONS))
+def test_verify_rejects_an_altered_bruteforce_certificate(tmp_path, capsys, name):
+    report, family = _bruteforce_f3_report(tmp_path, capsys)
+    got = _verify_edited(tmp_path, capsys, report, family, BRUTEFORCE_ALTERATIONS[name])
+    assert got == _rejected("certificate failed")
+
+
+def test_verify_accepts_a_bruteforce_annihilator_that_is_not_minimal(tmp_path, capsys):
+    # x1 times the annihilator has degree 4, within the cap: the verifier
+    # checks vanishing and the cap, not minimality
+    report, family = _bruteforce_f3_report(tmp_path, capsys)
+    edit = _set_annihilator("x1^4 + x1^3 + x1^2*x2 + x1^2 + 2*x1*x3")
+    code, verdict = _verify_edited(tmp_path, capsys, report, family, edit)
+    assert (code, verdict["verified"]) == (0, True)
+
+
+def test_verify_checks_an_image_certificate_on_the_expanded_images(tmp_path, capsys):
+    # the image certificate of varmaps._certify's small-field fallback, the
+    # trdeg of the expanded images, is checked on those images
+    fam = {"field": {"kind": "prime", "p": 101}, "nvars": 3, "polys": ["x1*x2", "x2 + x3"]}
+    path = dump(tmp_path, "family.json", fam)
+    code, out, _ = run(capsys, ["faithful", path, "--kind", "phi"])
+    assert code == 0
+    report = json.loads(out)
+    mp = varmaps.map_from_json_dict(report["result"]["map"])
+    fs = [P(text, 3, FieldSpec("prime", 101)) for text in fam["polys"]]
+    cert = pitkit.trdeg([mp.apply(f) for f in fs]).to_json_dict()
+    assert cert["witness"]["method"] != "evaluated-jacobian-meets-upper-bound"
+
+    def expanded(report):
+        report["result"]["image_certificate"] = cert
+
+    code, verdict = _verify_edited(tmp_path, capsys, report, path, expanded)
+    assert (code, verdict["verified"]) == (0, True)
+    for basis in ([1, 0], [0]):
+        def altered(report):
+            expanded(report)
+            report["result"]["image_certificate"]["basis"] = basis
+
+        got = _verify_edited(tmp_path, capsys, report, path, altered)
+        assert got == _rejected("image certificate failed"), basis
 
 
 def test_pit_over_f2_with_affine_inners_of_trdeg_two(tmp_path, capsys):

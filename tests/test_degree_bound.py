@@ -158,7 +158,7 @@ def test_a_composition_of_degree_d_needs_the_simplex_of_degree_d(field, D):
             # w = 2 >= n: the circuit's own simplex, f the coordinate sum
             assert v.provenance["map"] == "identity"
             assert v.witness == (field.zero(), field.from_int(D))
-            short = sz_grid(field, field.sample_elements(D), n, d=D - 1)
+            short = sz_grid(field, [field.from_int(v) for v in range(D)], n, d=D - 1)
         else:
             # w = 2 < n: a psi map, whose image of f is the coordinate sum
             mp = map_from_json_dict(v.provenance["map"])

@@ -76,15 +76,6 @@ def test_field_arithmetic_properties():
         assert F.pow(a, 13) == a
 
 
-def test_sample_elements_distinct():
-    F = FieldSpec("prime", 5)
-    sample = F.sample_elements(4)
-    assert len(sample) == len(set(sample)) == 4
-    Q = FieldSpec("rational")
-    sample = Q.sample_elements(10)
-    assert len(set(sample)) == 10
-
-
 def test_a_rational_too_long_for_decimal_is_written_in_hex():
     # 3^10000 has 4,772 digits, past Python's decimal limit of 4300
     Q = FieldSpec("rational")

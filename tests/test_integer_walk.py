@@ -10,9 +10,9 @@ built by runs of the simplex's last coordinate (hitting._runs): a map's
 images along a run are one affine progression per coordinate.  The tests
 compare each piece with a reference on raw elements, point by point: the
 values with a forward pass in field arithmetic, the walk by runs with
-AffineMap._integer_image over the point lattice (_gen.lattice), points()
-and the block sizes with the lattice and the map images recomputed from
-their definitions, and pit's verdict with a walk of evaluate over
+AffineMap._integer_image of each point of the lattice (_gen.lattice),
+points() and the block sizes with the lattice and the map images
+recomputed from their definitions, and pit's verdict with a walk of evaluate over
 points(), with max_points at every block boundary and around the set's
 size.  A circuit nonzero at its first point is evaluated at that point
 alone, and a walk cut short builds no run past the block it fills.  A
@@ -22,6 +22,10 @@ map must reach elimination without converting an entry back to raw
 elements.
 """
 import itertools
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -315,7 +319,8 @@ def block_sizes(hs, count):
 
 
 def grid(field, d):
-    return field.sample_elements(d + 1)
+    """The axis values 0 .. d, truncated to the elements of F_p."""
+    return [field.from_int(v) for v in range(d + 1)[:field.p]]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -654,20 +659,20 @@ def walk_maps(draw, field, w):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @given(data=st.data())
 def test_the_walk_by_runs_is_the_image_of_the_point_lattice(field, data):
-    """A map's blocks, concatenated, are AffineMap._integer_image of the
-    point lattice as one block, in the same integers over the same
-    denominator, cut as schedule_of says: w = 1..4, d = 0..8, the axis
-    truncated to the elements of F_2 and F_3 (the whole grid) when d
-    passes them."""
+    """A map's blocks, concatenated, are AffineMap._integer_image of each
+    point of the lattice, in the same integers over the same denominator,
+    cut as schedule_of says: w = 1..4, d = 0..8, the axis truncated to the
+    elements of F_2 and F_3 (the whole grid) when d passes them."""
     w = data.draw(st.integers(1, 4))
     d = data.draw(st.integers(0, 8))
     mp = data.draw(walk_maps(field, w))
     hs = _image_set(field, mp.n, {}, lambda: (mp,), 1, w, d, False)
     m = len(grid(field, d))
     points = list(lattice(range(m), w, None if m <= d else d))
-    want, den = mp._integer_image(([list(col) for col in zip(*points)], 1))
+    images = [mp._integer_image((list(pt), 1)) for pt in points]
+    want = [list(col) for col in zip(*[image for image, _ in images])]
     cols, dens, sizes = concatenated(hs.blocks())
-    assert cols == want and dens == {den}
+    assert cols == want and dens == {den for _, den in images}
     assert sizes == schedule_of(len(points)) and len(points) == hs.size_bound
 
 
@@ -712,3 +717,38 @@ def test_a_walk_cut_short_builds_no_run_past_its_block():
         verdict = pit_circuit(C, max_points=5)
     assert (verdict.outcome, verdict.points_checked, verdict.witness) == ("nonzero", 3, (2,))
     assert built == [1, 16]
+
+
+# x1^(2^19) - x1 over F_(2^61 - 1), timed and traced in a fresh interpreter
+_BIG_AXIS_DAG = """
+import json, time, tracemalloc
+from pitkit.circuits import Circuit
+from pitkit.fields import FieldSpec
+from pitkit.hitting import pit_circuit
+field = FieldSpec("prime", (1 << 61) - 1)
+nodes = [("input", 0)] + [("mul", (i, i)) for i in range(19)]
+nodes += [("const", field.neg(field.one())), ("mul", (0, 20)), ("add", (19, 21))]
+C = Circuit(field, 1, nodes, 22)
+tracemalloc.start()
+t0 = time.perf_counter()
+v = pit_circuit(C, max_points=5)
+seconds = time.perf_counter() - t0
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([v.outcome, v.points_checked, list(v.witness), seconds, peak]))
+"""
+
+
+def test_a_dag_walk_builds_nothing_for_its_grid_axis():
+    """The same dag's walk of an axis of 2^19 + 1 values, cut at 5 points,
+    neither lists the axis nor builds its elements (hitting._axis): under
+    1 s and a traced peak under 5 MB, where listing the axis as field
+    elements, their integer form and a set of them peaked near 50 MB."""
+    path = os.environ.get("PYTHONPATH")
+    src = os.path.dirname(os.path.dirname(hitting.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", _BIG_AXIS_DAG], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    outcome, checked, witness, seconds, peak = json.loads(proc.stdout)
+    assert (outcome, checked, witness) == ("nonzero", 3, [2])
+    assert seconds < 1 and peak < 5 << 20, (seconds, peak)

@@ -76,7 +76,7 @@ def evaluation_matrix(field, values, w, d):
 def test_monomials_against_lattice_points_is_square_and_nonsingular(field):
     # every w <= 4 and d <= 6 on the axis the hitting sets use
     for w, d in itertools.product(range(1, 5), range(7)):
-        matrix = evaluation_matrix(field, field.sample_elements(d + 1), w, d)
+        matrix = evaluation_matrix(field, [field.from_int(v) for v in range(d + 1)], w, d)
         assert len(matrix) == len(matrix[0]) == math.comb(d + w, w)
         assert linalg.rank(*int_rows(matrix, field))[0] == len(matrix), (w, d)
 
